@@ -1,7 +1,7 @@
 //! # flips-bench — the paper's evaluation harness
 //!
-//! Shared machinery for the `tables` and `figures` binaries and the
-//! criterion micro-benchmarks. The paper's grid (§5):
+//! Shared machinery for the `tables` and `figures` binaries (performance
+//! is measured by the separate `flbench/` package). The paper's grid (§5):
 //!
 //! - 4 datasets × 3 FL algorithms × α ∈ {0.3, 0.6} × participation ∈
 //!   {15%, 20%} × straggler rate ∈ {0%, 10%, 20%};

@@ -485,9 +485,9 @@ impl SimulationBuilder {
     /// ([`flips_fl::runtime`]): the roster is split across `shards`
     /// worker threads training in parallel, with the multiplexed driver
     /// on a dedicated coordinator thread. The resulting history is
-    /// bit-identical to [`SimulationBuilder::run`]'s when the builder
-    /// uses a latency-derived [`SimulationBuilder::deadline`], and to a
-    /// serialized single-threaded run in every case.
+    /// bit-identical to [`SimulationBuilder::run`]'s at any shard count,
+    /// under latency-derived and injected deadlines alike
+    /// (`tests/sharded_runtime.rs` pins both at 1/2/4 shards).
     ///
     /// # Errors
     ///

@@ -24,6 +24,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use flips_clustering::{kmeans, optimal_k, ElbowConfig, KMeansConfig};
 use flips_data::LabelDistribution;
 use flips_ml::rng::{derive_seed, seeded};
+use flips_selection::streaming::Reservoir;
 use flips_selection::{
     CandidateSource, FlipsSelector, ParticipantSelector, PartyId, RoundFeedback, SelectionError,
 };
@@ -122,6 +123,10 @@ struct EnclaveState {
     k: usize,
 }
 
+/// What the ceremony does with each party's label distribution as the
+/// roster streams past: attest, seal, provision.
+type Provision<'a> = dyn FnMut(PartyId, &LabelDistribution) + 'a;
+
 /// The FLIPS middleware entry points.
 #[derive(Debug, Clone, Copy)]
 pub struct FlipsMiddleware;
@@ -138,99 +143,20 @@ impl FlipsMiddleware {
         label_distributions: &[LabelDistribution],
         config: &MiddlewareConfig,
     ) -> Result<PrivateClustering, FlipsError> {
-        let n = label_distributions.len();
-        if n < 2 {
-            return Err(FlipsError::InvalidConfig(format!(
-                "private clustering needs at least 2 parties, got {n}"
-            )));
-        }
-        if let Some(k) = config.fixed_k {
-            if k == 0 || k > n {
-                return Err(FlipsError::InvalidConfig(format!("fixed_k = {k} must be in 1..={n}")));
+        let stream = &mut |provision: &mut Provision<'_>| {
+            for (party, ld) in label_distributions.iter().enumerate() {
+                provision(party, ld);
             }
-        }
-
-        let mut rng = seeded(derive_seed(config.seed, 0x7EE0));
-
-        // (1) Load the enclave; register its measurement.
-        let platform =
-            PlatformKey::new(((rng.random::<u64>() as u128) << 64) | rng.random::<u64>() as u128);
-        let enclave = Enclave::load(
-            CLUSTERING_CODE_ID,
-            EnclaveState { distributions: vec![None; n], selector: None, k: 0 },
-            platform,
-            config.overhead,
-        );
-        let mut attestation = AttestationServer::new(platform);
-        attestation.register(enclave.measurement());
-
-        // (2)+(3) every party attests, then provisions over its channel.
-        for (party, ld) in label_distributions.iter().enumerate() {
-            let nonce: u64 = rng.random();
-            let quote = enclave.quote(nonce);
-            attestation.verify(&quote, nonce)?;
-
-            let (mut party_end, enclave_end) = SecureChannel::establish(&mut rng);
-            let point = config.transform.apply(&ld.normalized());
-            let sealed = party_end.seal(&encode_distribution(&point));
-            enclave
-                .enter(|state| -> Result<(), TeeError> {
-                    let plain = enclave_end.open(&sealed)?;
-                    state.distributions[party] =
-                        Some(decode_distribution(plain).map_err(|_| TeeError::IntegrityViolation)?);
-                    Ok(())
-                })
-                .map_err(FlipsError::Tee)??;
-        }
-
-        // (4)+(5) cluster inside the enclave and stand up the selector.
-        let cluster_seed = derive_seed(config.seed, 0xC1F5);
-        let cfg = *config;
-        let k = enclave
-            .enter(move |state| -> Result<usize, FlipsError> {
-                let points: Vec<Vec<f32>> = state
-                    .distributions
-                    .iter()
-                    .map(|d| d.clone().expect("all parties provisioned"))
-                    .collect();
-                let k = match cfg.fixed_k {
-                    Some(k) => k,
-                    None => {
-                        let k_max = cfg.k_max.clamp(2, n - 1);
-                        let elbow_cfg = ElbowConfig {
-                            restarts: cfg.restarts.max(1),
-                            ..ElbowConfig::new(k_max, cluster_seed)
-                        };
-                        let elbow_k = optimal_k(&points, elbow_cfg)?.k;
-                        match cfg.k_floor {
-                            Some(floor) => elbow_k.max(floor.min(n - 1)),
-                            None => elbow_k,
-                        }
-                    }
-                };
-                let mut krng = seeded(derive_seed(cluster_seed, k as u64));
-                let clustering = kmeans(&mut krng, &points, KMeansConfig::new(k))?;
-                let clusters: Vec<Vec<PartyId>> =
-                    clustering.members().into_iter().filter(|m| !m.is_empty()).collect();
-                let mut selector = FlipsSelector::new(clusters)?;
-                if !cfg.overprovision {
-                    selector = selector.without_overprovisioning();
-                }
-                state.k = k;
-                state.selector = Some(selector);
-                Ok(k)
-            })
-            .map_err(FlipsError::Tee)??;
-
-        Ok(PrivateClustering { enclave, k, num_parties: n })
+        };
+        Self::ceremony(label_distributions.len(), stream, None, config)
     }
 
     /// Runs the private-clustering ceremony over a *streamed* roster.
     ///
     /// When the roster fits the clustering pool (`n <= pool_cap`) the
-    /// label distributions are collected in party order and the result
-    /// is bit-identical to [`FlipsMiddleware::cluster_privately`] over
-    /// the same distributions — the scale-equivalence suite pins this.
+    /// result is bit-identical to [`FlipsMiddleware::cluster_privately`]
+    /// over the same distributions — the scale-equivalence suite pins
+    /// this.
     ///
     /// Above the cap, every party still attests and provisions its
     /// sealed distribution (the privacy protocol is unchanged and
@@ -257,18 +183,42 @@ impl FlipsMiddleware {
             return Err(FlipsError::InvalidConfig("pool_cap must be positive".into()));
         }
         let n = source.num_parties();
-        if n <= pool_cap {
-            let mut lds = Vec::with_capacity(n);
-            source.visit_label_distributions(&mut |_p, counts| {
+        let sample =
+            (n > pool_cap).then(|| Reservoir::new(pool_cap, derive_seed(config.seed, 0x05EE_DCA9)));
+        let stream = &mut |provision: &mut Provision<'_>| {
+            source.visit_label_distributions(&mut |party, counts| {
                 let counts = if counts.is_empty() { vec![0] } else { counts.to_vec() };
-                lds.push(LabelDistribution::from_counts(counts));
+                provision(party, &LabelDistribution::from_counts(counts));
             });
-            return Self::cluster_privately(&lds, config);
+        };
+        Self::ceremony(n, stream, sample, config)
+    }
+
+    /// The one ceremony behind both entry points. `stream` feeds every
+    /// party's label distribution in party-id order. With no `sample`,
+    /// all `n` parties shape the centroids and clusters are K-Means'
+    /// own members; with one, the reservoir's picks shape the centroids
+    /// and every party goes to its nearest.
+    fn ceremony(
+        n: usize,
+        stream: &mut dyn FnMut(&mut Provision<'_>),
+        mut sample: Option<Reservoir<PartyId>>,
+        config: &MiddlewareConfig,
+    ) -> Result<PrivateClustering, FlipsError> {
+        if n < 2 {
+            return Err(FlipsError::InvalidConfig(format!(
+                "private clustering needs at least 2 parties, got {n}"
+            )));
+        }
+        if let Some(k) = config.fixed_k {
+            if k == 0 || k > n {
+                return Err(FlipsError::InvalidConfig(format!("fixed_k = {k} must be in 1..={n}")));
+            }
         }
 
         let mut rng = seeded(derive_seed(config.seed, 0x7EE0));
 
-        // (1) Same enclave bring-up as the flat ceremony.
+        // (1) Load the enclave; register its measurement.
         let platform =
             PlatformKey::new(((rng.random::<u64>() as u128) << 64) | rng.random::<u64>() as u128);
         let enclave = Enclave::load(
@@ -280,59 +230,55 @@ impl FlipsMiddleware {
         let mut attestation = AttestationServer::new(platform);
         attestation.register(enclave.measurement());
 
-        // (2)+(3) every party attests and provisions, streamed off the
-        // source; the reservoir concurrently picks which parties will
-        // shape the centroids.
-        let mut sample = flips_selection::streaming::Reservoir::new(
-            pool_cap,
-            derive_seed(config.seed, 0x05EE_DCA9),
-        );
-        let mut provision_err: Option<FlipsError> = None;
-        source.visit_label_distributions(&mut |party, counts| {
-            if provision_err.is_some() {
+        // (2)+(3) every party attests, then provisions over its channel;
+        // the reservoir concurrently picks which parties will shape the
+        // centroids. The first failure stops the ceremony.
+        let mut provisioned: Result<(), FlipsError> = Ok(());
+        stream(&mut |party, ld| {
+            if provisioned.is_err() {
                 return;
             }
-            sample.push(party);
-            let nonce: u64 = rng.random();
-            let quote = enclave.quote(nonce);
-            if let Err(e) = attestation.verify(&quote, nonce) {
-                provision_err = Some(e.into());
-                return;
+            if let Some(sample) = &mut sample {
+                sample.push(party);
             }
-            let (mut party_end, enclave_end) = SecureChannel::establish(&mut rng);
-            let counts = if counts.is_empty() { vec![0] } else { counts.to_vec() };
-            let ld = LabelDistribution::from_counts(counts);
-            let point = config.transform.apply(&ld.normalized());
-            let sealed = party_end.seal(&encode_distribution(&point));
-            let entered = enclave.enter(|state| -> Result<(), TeeError> {
-                let plain = enclave_end.open(&sealed)?;
-                state.distributions[party] =
-                    Some(decode_distribution(plain).map_err(|_| TeeError::IntegrityViolation)?);
-                Ok(())
-            });
-            match entered {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => provision_err = Some(e.into()),
-                Err(e) => provision_err = Some(FlipsError::Tee(e)),
-            }
-        });
-        if let Some(e) = provision_err {
-            return Err(e);
-        }
-        let mut sampled = sample.into_kept();
-        sampled.sort_unstable();
+            provisioned = (|| {
+                let nonce: u64 = rng.random();
+                let quote = enclave.quote(nonce);
+                attestation.verify(&quote, nonce)?;
 
-        // (4)+(5) elbow + K-Means over the subsample, nearest-centroid
-        // assignment over the full roster — all inside the enclave.
+                let (mut party_end, enclave_end) = SecureChannel::establish(&mut rng);
+                let point = config.transform.apply(&ld.normalized());
+                let sealed = party_end.seal(&encode_distribution(&point));
+                enclave
+                    .enter(|state| -> Result<(), TeeError> {
+                        let plain = enclave_end.open(&sealed)?;
+                        state.distributions[party] = Some(
+                            decode_distribution(plain).map_err(|_| TeeError::IntegrityViolation)?,
+                        );
+                        Ok(())
+                    })
+                    .map_err(FlipsError::Tee)??;
+                Ok(())
+            })();
+        });
+        provisioned?;
+        let sampled = sample.map(|s| {
+            let mut kept = s.into_kept();
+            kept.sort_unstable();
+            kept
+        });
+
+        // (4)+(5) cluster inside the enclave and stand up the selector.
         let cluster_seed = derive_seed(config.seed, 0xC1F5);
         let cfg = *config;
         let k = enclave
             .enter(move |state| -> Result<usize, FlipsError> {
-                let m = sampled.len();
-                let points: Vec<Vec<f32>> = sampled
-                    .iter()
-                    .map(|&p| state.distributions[p].clone().expect("all parties provisioned"))
-                    .collect();
+                let of = |p: PartyId| state.distributions[p].clone().expect("all provisioned");
+                let points: Vec<Vec<f32>> = match &sampled {
+                    None => (0..n).map(of).collect(),
+                    Some(kept) => kept.iter().copied().map(of).collect(),
+                };
+                let m = points.len();
                 let k = match cfg.fixed_k {
                     Some(k) => k,
                     None => {
@@ -350,23 +296,29 @@ impl FlipsMiddleware {
                 };
                 let mut krng = seeded(derive_seed(cluster_seed, k as u64));
                 let clustering = kmeans(&mut krng, &points, KMeansConfig::new(k))?;
-                // Every party — sampled or not — goes to its nearest
-                // centroid (ties → lowest cluster id), so the partition
-                // covers the whole roster under one deterministic rule.
-                let mut clusters: Vec<Vec<PartyId>> = vec![Vec::new(); clustering.k()];
-                for (party, dist) in state.distributions.iter().enumerate() {
-                    let point = dist.as_ref().expect("all parties provisioned");
-                    let mut best = 0usize;
-                    let mut best_d = f32::INFINITY;
-                    for (c, centroid) in clustering.centroids.iter().enumerate() {
-                        let d = flips_ml::matrix::euclidean_distance(point, centroid);
-                        if d < best_d {
-                            best_d = d;
-                            best = c;
+                let mut clusters: Vec<Vec<PartyId>> = match sampled {
+                    None => clustering.members(),
+                    // Every party — sampled or not — goes to its nearest
+                    // centroid (ties → lowest cluster id), so the partition
+                    // covers the whole roster under one deterministic rule.
+                    Some(_) => {
+                        let mut clusters = vec![Vec::new(); clustering.k()];
+                        for (party, dist) in state.distributions.iter().enumerate() {
+                            let point = dist.as_ref().expect("all parties provisioned");
+                            let mut best = 0usize;
+                            let mut best_d = f32::INFINITY;
+                            for (c, centroid) in clustering.centroids.iter().enumerate() {
+                                let d = flips_ml::matrix::euclidean_distance(point, centroid);
+                                if d < best_d {
+                                    best_d = d;
+                                    best = c;
+                                }
+                            }
+                            clusters[best].push(party);
                         }
+                        clusters
                     }
-                    clusters[best].push(party);
-                }
+                };
                 clusters.retain(|c| !c.is_empty());
                 let mut selector = FlipsSelector::new(clusters)?;
                 if !cfg.overprovision {
@@ -543,6 +495,29 @@ mod tests {
             seed,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn a_streamed_roster_clusters_like_the_flat_one_up_to_the_cap_and_subsamples_above_it() {
+        use flips_selection::streaming::VecSource;
+        let lds = archetype_lds(4, 8, 10);
+        let source = VecSource {
+            data_sizes: vec![1; lds.len()],
+            latencies: vec![1.0; lds.len()],
+            label_counts: lds.iter().map(|ld| ld.counts().to_vec()).collect(),
+        };
+        let flat = FlipsMiddleware::cluster_privately(&lds, &fast_config(3)).unwrap();
+        let at_cap = FlipsMiddleware::cluster_from_source(&source, 40, &fast_config(3)).unwrap();
+        assert_eq!(at_cap.k(), flat.k());
+        assert_eq!(at_cap.debug_cluster_sizes(), flat.debug_cluster_sizes());
+
+        // Above the cap 16 sampled parties shape the centroids, but the
+        // clusters still partition all 40 and every party provisions.
+        let above = FlipsMiddleware::cluster_from_source(&source, 16, &fast_config(3)).unwrap();
+        assert_eq!(above.debug_cluster_sizes().iter().sum::<usize>(), 40);
+        assert_eq!(above.tee_entries(), flat.tee_entries());
+        let again = FlipsMiddleware::cluster_from_source(&source, 16, &fast_config(3)).unwrap();
+        assert_eq!(above.debug_cluster_sizes(), again.debug_cluster_sizes());
     }
 
     #[test]

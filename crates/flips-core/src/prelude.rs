@@ -24,6 +24,7 @@ pub use flips_fl::{
     ModelCodec, MultiJobDriver, ObservedLatency, PartyEndpoint, PartyPool, PartyRecord, RateLimit,
     RejectReason, RosterBuilder, RosterStore, RoundRecord, RuntimeOptions, ScriptedClock,
     ShardedOutcome, StragglerInjector, StreamTransport, TimerWheel, Transport, WireMessage,
+    WireOptions, WithWire,
 };
 pub use flips_ml::{metrics::ConfusionMatrix, model::ModelSpec, Matrix, Model};
 pub use flips_selection::{ParticipantSelector, PartyId, RoundFeedback, SelectorKind};

@@ -9,21 +9,12 @@
 //! its destination, sent as bytes, and [`WireMessage::decode`]d on the
 //! far side — the codec is on the hot path, not just under test.
 //!
-//! The pieces:
-//!
-//! - [`TimerWheel`] — a deterministic virtual clock. Each opened round
-//!   schedules a `(job, round)` deadline entry; the wheel advances only
-//!   when the wire is quiet (no frames in flight), so a run's timer
-//!   order is a pure function of the job set, never of host scheduling.
-//! - [`MultiJobDriver`] — demultiplexes inbound frames to the right
-//!   coordinator by the job id every message carries, drains each
-//!   coordinator's effects back onto the wire, and fires
-//!   [`Event::DeadlineExpired`] per job from the wheel. Corrupt frames
-//!   and unknown job ids are counted and dropped — they cannot disturb
-//!   any job's round state.
-//! - [`PartyPool`] — the party side of the wire: all jobs'
-//!   [`PartyEndpoint`]s keyed by `(job, party)`, decoding inbound
-//!   frames, training, and encoding replies.
+//! The driver demultiplexes inbound frames to the right coordinator by
+//! the job id every message carries, drains each coordinator's effects
+//! back onto the wire, and fires [`Event::DeadlineExpired`] per job from
+//! the [`TimerWheel`] ([`crate::wheel`]). Corrupt frames and unknown job
+//! ids are counted and dropped — they cannot disturb any job's round
+//! state. The party side of the wire is [`crate::PartyPool`] ([`crate::pool`]).
 //!
 //! Who misses a deadline is decided by the job's [`Clock`] (the same
 //! trait the in-process driver's straggler injector implements), so the
@@ -31,76 +22,23 @@
 //! over this path is bit-identical to the same seed under `FlJob` (see
 //! `tests/protocol_equivalence.rs`).
 
-use crate::aggtree::ExactWeightedSum;
 use crate::checkpoint::{Checkpoint, CodecRefSnapshot, JobSnapshot};
-use crate::codec::{CodecMap, ModelCodec, Negotiation, Role};
+use crate::codec::{CodecMap, ModelCodec, Role};
 use crate::config::DeadlinePolicy;
 use crate::coordinator::Coordinator;
 use crate::events::{Effect, Event, RejectReason};
 use crate::guard::{FrameKind, FrameVerdict, GuardConfig, GuardPlane};
 use crate::history::History;
 use crate::latency::{LatencyModel, ObservedLatency};
-use crate::message::{
-    deframe_with, frame_into, frame_job, frame_party_of, PartialEntry, AGGREGATOR_DEST,
-};
+use crate::message::{deframe_with, frame_into, frame_job, frame_party_of, AGGREGATOR_DEST};
 use crate::straggler::Clock;
-use crate::transport::{Transport, MAX_FRAME_BYTES};
+use crate::transport::Transport;
+use crate::wheel::{Deadline, TimerWheel};
 use crate::{FlError, JobParts, PartyEndpoint, WireMessage};
 use bytes::BytesMut;
-use flips_selection::gradclus::sketch_update;
 use flips_selection::PartyId;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
-
-/// A deadline entry on the wheel: close `job`'s round `round` (if that
-/// round is still the open one when the tick fires).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Deadline {
-    job: u64,
-    round: u64,
-}
-
-/// A deterministic timer wheel over virtual ticks.
-///
-/// Entries fire in `(tick, insertion order)` — no wall clock anywhere,
-/// so two runs with the same schedule fire identically.
-#[derive(Debug, Default)]
-pub struct TimerWheel {
-    /// `tick → entries`, fired front-to-back per tick.
-    slots: BTreeMap<u64, Vec<Deadline>>,
-    now: u64,
-}
-
-impl TimerWheel {
-    /// An empty wheel at tick 0.
-    pub fn new() -> Self {
-        TimerWheel::default()
-    }
-
-    /// The current virtual tick.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Timers currently scheduled.
-    pub fn pending(&self) -> usize {
-        self.slots.values().map(Vec::len).sum()
-    }
-
-    /// Schedules an entry `delay` ticks from now (clamped to ≥ 1 — a
-    /// deadline in the past could fire before the round's own frames).
-    fn schedule(&mut self, delay: u64, entry: Deadline) {
-        self.slots.entry(self.now + delay.max(1)).or_default().push(entry);
-    }
-
-    /// Advances to the next tick holding entries and returns them, or
-    /// `None` when the wheel is empty.
-    fn advance(&mut self) -> Option<Vec<Deadline>> {
-        let (&tick, _) = self.slots.iter().next()?;
-        self.now = tick;
-        self.slots.remove(&tick)
-    }
-}
 
 /// Counters of what the driver saw on the wire. Purely observational —
 /// none of these paths mutate round state.
@@ -256,8 +194,8 @@ struct JobState {
 /// Drive it with [`MultiJobDriver::start`], then alternate
 /// [`MultiJobDriver::pump`] (while frames flow) and
 /// [`MultiJobDriver::advance_clock`] (when the wire is quiet) until
-/// [`MultiJobDriver::is_finished`] — or let [`run_lockstep`] do exactly
-/// that against an in-process [`PartyPool`].
+/// [`MultiJobDriver::is_finished`] — or let [`crate::run_lockstep`] do exactly
+/// that against an in-process [`crate::PartyPool`].
 ///
 /// # Example
 ///
@@ -401,7 +339,7 @@ impl<T: Transport> MultiJobDriver<T> {
     /// normally, but no further round is opened — each refused open is
     /// counted in [`DriverStats::drain_refused_selections`]. Once no
     /// round remains open the driver is
-    /// [`MultiJobDriver::is_quiescent`] and [`run_lockstep`] returns
+    /// [`MultiJobDriver::is_quiescent`] and [`crate::run_lockstep`] returns
     /// with the partial histories intact.
     pub fn begin_drain(&mut self) {
         self.draining = true;
@@ -465,8 +403,9 @@ impl<T: Transport> MultiJobDriver<T> {
     /// message is keyed by), its deadline clock, and the latency model
     /// the clock consults. Returns the job id.
     ///
-    /// This is the injected-victim path; for latency-derived deadlines
-    /// use [`MultiJobDriver::add_job_observed`].
+    /// This is the injected-victim path; [`MultiJobDriver::add_parts`]
+    /// routes a job to injected or latency-derived deadlines as its
+    /// configuration asks.
     ///
     /// # Errors
     ///
@@ -482,28 +421,10 @@ impl<T: Transport> MultiJobDriver<T> {
         self.add_job_with(coordinator, DeadlineSource::Injected(clock), latency)
     }
 
-    /// Registers a job whose round deadlines are derived from observed
-    /// round-trip latency by `policy` (see [`DeadlineSource::Observed`]).
-    /// No victim set is ever injected on this path. Returns the job id.
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiJobDriver::add_job`], plus [`FlError::InvalidConfig`]
-    /// for an invalid or [`DeadlinePolicy::Injected`] policy.
-    pub fn add_job_observed(
-        &mut self,
-        coordinator: Coordinator,
-        policy: DeadlinePolicy,
-        latency: Arc<LatencyModel>,
-    ) -> Result<u64, FlError> {
-        let source = DeadlineSource::observed(policy)?;
-        self.add_job_with(coordinator, source, latency)
-    }
-
     /// Registers a split [`crate::FlJob`] (see [`crate::FlJob::into_parts`]),
     /// routing it to the deadline source its configuration asks for, and
     /// returns the job id together with the endpoints the caller must
-    /// hand to the party side ([`PartyPool::add_job`] or a sharded
+    /// hand to the party side ([`crate::PartyPool::add_job`] or a sharded
     /// runtime).
     ///
     /// # Errors
@@ -632,9 +553,9 @@ impl<T: Transport> MultiJobDriver<T> {
     /// already exists (one [`CodecMap`] per link), so heterogeneous
     /// codecs on one job never share a delta reference.
     ///
-    /// Like [`PartyPool::pin_codec`], the pin is out-of-band
+    /// Like [`crate::PartyPool::pin_codec`], the pin is out-of-band
     /// configuration: both sides must agree (the sharded runtime threads
-    /// one table to both — see [`crate::RuntimeOptions::with_link_codec`]),
+    /// one table to both — see [`crate::WireOptions::link_codecs`]),
     /// and a wire notice can never renegotiate it.
     ///
     /// # Errors
@@ -1256,441 +1177,10 @@ impl<T: Transport> MultiJobDriver<T> {
     }
 }
 
-/// The party side of a serialized link: every job's endpoints, keyed by
-/// `(job id, party id)`.
-pub struct PartyPool<T: Transport> {
-    transport: T,
-    endpoints: BTreeMap<(u64, PartyId), PartyEndpoint>,
-    /// Per-job payload codec state (receiver side of global models),
-    /// negotiated from the codec each selection notice announces.
-    codecs: CodecMap,
-    /// Reused frame-encode scratch for uplink replies.
-    scratch: BytesMut,
-    /// Frames that failed to decode or addressed no registered endpoint.
-    unroutable: u64,
-    /// Routable frames the endpoint refused (direction/architecture
-    /// protocol violations).
-    rejected: u64,
-    /// Frames dropped for a corrupt/mismatched model codec tag.
-    codec_mismatch: u64,
-    /// Selection notices dropped for trying to renegotiate a job codec.
-    renegotiations_rejected: u64,
-    /// Downlink frame-size cap, if a guard config was applied.
-    max_frame: Option<usize>,
-    /// Frames dropped by the size cap.
-    oversized: u64,
-    /// Jobs this pool folds as an aggregation-tree inner node
-    /// ([`PartyPool::enable_tree`]), keyed by job id.
-    tree: BTreeMap<u64, TreeJob>,
-    /// Per-`(job, round)` partial fold accumulated since the last pump
-    /// drain — one [`WireMessage::PartialUpdate`] is emitted per entry
-    /// when the drain loop goes quiet, in ascending key order.
-    tree_acc: BTreeMap<(u64, u64), (ExactWeightedSum, Vec<PartialEntry>)>,
-}
-
-/// Per-job state for a pool acting as an aggregation-tree inner node.
-struct TreeJob {
-    /// Selector-feedback sketch width the coordinator expects
-    /// ([`crate::coordinator::Coordinator::sketch_dim`]).
-    sketch_dim: usize,
-    /// The last dispatched global this node saw, captured off the
-    /// downlink so per-party sketches are taken against the exact bits
-    /// the coordinator would have used.
-    global: Option<(u64, Arc<[f32]>)>,
-}
-
-impl<T: Transport> std::fmt::Debug for PartyPool<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PartyPool")
-            .field("endpoints", &self.endpoints.len())
-            .field("unroutable", &self.unroutable)
-            .field("rejected", &self.rejected)
-            .finish()
-    }
-}
-
-impl<T: Transport> PartyPool<T> {
-    /// An empty pool over `transport`.
-    pub fn new(transport: T) -> Self {
-        PartyPool {
-            transport,
-            endpoints: BTreeMap::new(),
-            codecs: CodecMap::new(Role::Receiver),
-            scratch: BytesMut::new(),
-            unroutable: 0,
-            rejected: 0,
-            codec_mismatch: 0,
-            renegotiations_rejected: 0,
-            max_frame: None,
-            oversized: 0,
-            tree: BTreeMap::new(),
-            tree_acc: BTreeMap::new(),
-        }
-    }
-
-    /// Turns this pool into an aggregation-tree inner node for `job`:
-    /// local updates its endpoints produce are folded into one exact
-    /// 256-bit partial sum ([`ExactWeightedSum`]) per round and shipped
-    /// uplink as a single [`WireMessage::PartialUpdate`] instead of
-    /// O(parties) individual update frames. Fan-in at the coordinator
-    /// becomes O(inner nodes).
-    ///
-    /// The receiving coordinator must be in exact-fold mode
-    /// ([`crate::Coordinator::set_exact_fold`]); `sketch_dim` must match
-    /// its configured sketch width, because selector-feedback sketches
-    /// are computed *here*, against the dispatched global, and shipped
-    /// inside the partial.
-    ///
-    /// Safety valve: an update the node cannot fold (no captured global
-    /// yet, round mismatch after a resume, parameters outside the exact
-    /// domain) is forwarded flat, unchanged — the exact coordinator
-    /// merges mixed flat + partial cohorts bit-identically, so falling
-    /// back never forks the history.
-    pub fn enable_tree(&mut self, job: u64, sketch_dim: usize) {
-        self.tree.insert(job, TreeJob { sketch_dim, global: None });
-    }
-
-    /// Whether `job` is folded at this node ([`PartyPool::enable_tree`]).
-    pub fn tree_enabled(&self, job: u64) -> bool {
-        self.tree.contains_key(&job)
-    }
-
-    /// Applies the guard plane's frame-size cap to this pool's inbound
-    /// (downlink) frames. The party side trusts its own aggregator, so
-    /// size is the only guard stage that applies down here — there is no
-    /// per-party attribution or round-open signal on this side of the
-    /// wire.
-    pub fn set_guard(&mut self, config: &GuardConfig) {
-        self.max_frame = Some(config.max_frame_bytes.min(MAX_FRAME_BYTES));
-    }
-
-    /// Frames dropped by the guard's size cap ([`PartyPool::set_guard`]).
-    pub fn oversized(&self) -> u64 {
-        self.oversized
-    }
-
-    /// Registers a job's endpoints (endpoint ids key the routing, the
-    /// job id comes from each inbound message). The agreed architecture
-    /// size is pinned on the job's codec state, so no wrong-length
-    /// decoded model can ever become the job's delta reference.
-    pub fn add_job(&mut self, job: u64, endpoints: Vec<PartyEndpoint>) {
-        if let Some(ep) = endpoints.first() {
-            self.codecs.expect_len(job, ep.party().num_params());
-        }
-        for ep in endpoints {
-            self.endpoints.insert((job, ep.id()), ep);
-        }
-    }
-
-    /// Endpoints registered.
-    pub fn len(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    /// Whether the pool has no endpoints.
-    pub fn is_empty(&self) -> bool {
-        self.endpoints.is_empty()
-    }
-
-    /// Frames this pool could not route (corrupt, or addressed to an
-    /// unregistered `(job, party)`).
-    pub fn unroutable(&self) -> u64 {
-        self.unroutable
-    }
-
-    /// Routable frames an endpoint refused as protocol violations.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Frames dropped for a corrupt or mismatched model codec tag.
-    pub fn codec_mismatch(&self) -> u64 {
-        self.codec_mismatch
-    }
-
-    /// Selection notices dropped for trying to renegotiate a job codec.
-    pub fn renegotiations_rejected(&self) -> u64 {
-        self.renegotiations_rejected
-    }
-
-    /// The codec negotiated for a job, if any notice arrived yet.
-    pub fn negotiated_codec(&self, job: u64) -> Option<ModelCodec> {
-        self.codecs.codec_of(job)
-    }
-
-    /// The underlying transport.
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
-    /// Mutable access to the underlying transport — a socket-backed
-    /// pool's event loop needs it to answer link-level control traffic
-    /// and to resume buffered writes on write readiness.
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
-    /// Pins a job's codec from out-of-band configuration instead of
-    /// trusting the first wire notice (trust-on-first-frame lets one
-    /// forged notice wedge a job before its real notice arrives — see
-    /// the trust-boundary notes in [`crate::codec`]). Subsequent
-    /// notices must match or they are dropped and counted as
-    /// renegotiations.
-    ///
-    /// A pool serves exactly one transport link, so this pin is
-    /// naturally per-link: pin the codec the sender registered for
-    /// *this link* ([`MultiJobDriver::set_link_codec`]), which may
-    /// differ from the same job's codec on a sibling link.
-    pub fn pin_codec(&mut self, job: u64, codec: ModelCodec) {
-        self.codecs.register(job, codec);
-    }
-
-    /// Re-keys a job's receive-side delta reference (resume/restore —
-    /// see [`CodecMap::seed_reference`]): both ends of the wire
-    /// resynchronize to the same last-acknowledged global, so the next
-    /// delta frame decodes against the exact bits it was encoded
-    /// against. Returns `false` when the job's codec keeps no reference
-    /// or the shape disagrees with the pinned architecture.
-    pub fn seed_reference(&mut self, job: u64, round: u64, params: &[f32]) -> bool {
-        self.codecs.seed_reference(job, round, params)
-    }
-
-    /// Registers one more endpoint on a live pool (a party rejoining
-    /// mid-job).
-    pub fn add_endpoint(&mut self, job: u64, endpoint: PartyEndpoint) {
-        self.endpoints.insert((job, endpoint.id()), endpoint);
-    }
-
-    /// Removes a departed party's endpoint; its inbound frames become
-    /// unroutable, exactly like a party that never existed. Returns the
-    /// endpoint for possible re-registration.
-    pub fn retire_endpoint(&mut self, job: u64, party: PartyId) -> Option<PartyEndpoint> {
-        self.endpoints.remove(&(job, party))
-    }
-
-    /// Processes every frame currently available: decode, route to the
-    /// `(job, party)` endpoint, run the endpoint (training included),
-    /// and send its replies back up the wire. Returns whether any frame
-    /// was processed.
-    ///
-    /// Corrupt, unroutable and protocol-violating frames are counted
-    /// and dropped — a bad frame must not take the pool (or any other
-    /// job) down. That includes frames that *route* but that the
-    /// endpoint refuses (a wrong-direction message, a model that does
-    /// not match the agreed architecture): on the wire those are
-    /// hostile traffic, mirroring how the coordinator bounces the
-    /// symmetric cases with [`Effect::Rejected`].
-    ///
-    /// # Errors
-    ///
-    /// Only transport failures propagate.
-    pub fn pump(&mut self) -> Result<bool, FlError> {
-        let mut progressed = false;
-        while let Some(raw) = self.transport.try_recv()? {
-            progressed = true;
-            if self.max_frame.is_some_and(|cap| raw.len() > cap) {
-                self.oversized += 1;
-                continue;
-            }
-            let peeked_job = frame_job(&raw);
-            let msg = match deframe_with(raw, &mut self.codecs) {
-                Ok((dest, msg)) => {
-                    if self.endpoints.contains_key(&(msg.job(), dest as PartyId)) {
-                        (dest, msg)
-                    } else {
-                        self.unroutable += 1;
-                        continue;
-                    }
-                }
-                Err(FlError::CodecMismatch(_)) => {
-                    // Only a job with a negotiated codec can genuinely
-                    // mismatch; anything else is unroutable traffic.
-                    if peeked_job.is_some_and(|j| self.codecs.codec_of(j).is_some()) {
-                        self.codec_mismatch += 1;
-                    } else {
-                        self.unroutable += 1;
-                    }
-                    continue;
-                }
-                Err(_) => {
-                    self.unroutable += 1;
-                    continue;
-                }
-            };
-            let (dest, msg) = msg;
-            // The wire-level half of codec negotiation: the first
-            // notice for a job pins the codec its model frames will be
-            // decoded with; a conflicting notice is dropped before it
-            // can reach (and confuse) an endpoint. Idempotent repeats
-            // pass through — the endpoint re-acks and counts them.
-            if let WireMessage::SelectionNotice { job, codec, .. } = &msg {
-                if self.codecs.negotiate(*job, *codec) == Negotiation::Conflict {
-                    self.renegotiations_rejected += 1;
-                    continue;
-                }
-            }
-            // Tree mode captures each dispatched global off the downlink
-            // *before* the endpoint consumes it: folded updates need the
-            // exact broadcast bits as the sketch reference.
-            if let WireMessage::GlobalModel { job, round, params } = &msg {
-                if let Some(tree) = self.tree.get_mut(job) {
-                    tree.global = Some((*round, Arc::clone(params)));
-                }
-            }
-            let endpoint = self.endpoints.get_mut(&(msg.job(), dest as PartyId)).expect("checked");
-            let Ok(replies) = endpoint.handle(&msg) else {
-                self.rejected += 1;
-                continue;
-            };
-            for reply in replies {
-                if self.try_fold_tree(&reply) {
-                    continue;
-                }
-                frame_into(
-                    AGGREGATOR_DEST,
-                    &reply,
-                    self.codecs.for_job(reply.job()),
-                    &mut self.scratch,
-                );
-                self.transport.send(self.scratch.as_slice())?;
-            }
-        }
-        // Ship one partial per (job, round) folded during this drain, in
-        // deterministic ascending order. Emitting only once the wire is
-        // quiet batches every update the drain produced; a round whose
-        // updates arrive across several drains simply ships several
-        // partials, which the exact coordinator merges bit-identically.
-        for ((job, round), (sum, entries)) in std::mem::take(&mut self.tree_acc) {
-            if entries.is_empty() {
-                continue;
-            }
-            let msg = WireMessage::PartialUpdate {
-                job,
-                round,
-                total_weight: sum.total_weight(),
-                dim: sum.dim() as u32,
-                limbs: sum.raw_limbs(),
-                entries,
-            };
-            frame_into(AGGREGATOR_DEST, &msg, self.codecs.for_job(job), &mut self.scratch);
-            self.transport.send(self.scratch.as_slice())?;
-        }
-        Ok(progressed)
-    }
-
-    /// Folds a tree-job local update into the round's partial
-    /// accumulator. Returns `false` when the reply is not a foldable
-    /// update — the caller then forwards it flat (the safety valve
-    /// documented on [`PartyPool::enable_tree`]).
-    fn try_fold_tree(&mut self, reply: &WireMessage) -> bool {
-        let WireMessage::LocalUpdate {
-            job,
-            round,
-            party,
-            num_samples,
-            mean_loss,
-            duration,
-            params,
-        } = reply
-        else {
-            return false;
-        };
-        let Some(tree) = self.tree.get(job) else {
-            return false;
-        };
-        let Some((g_round, global)) = tree.global.as_ref() else {
-            return false;
-        };
-        if g_round != round || global.len() != params.len() {
-            return false;
-        }
-        let (sum, entries) = self
-            .tree_acc
-            .entry((*job, *round))
-            .or_insert_with(|| (ExactWeightedSum::new(params.len()), Vec::new()));
-        // `fold` validates everything (dimension, weight bounds, param
-        // domain) before touching the limbs, so a refusal leaves the
-        // accumulated partial intact and this one update goes up flat.
-        if sum.dim() != params.len() || sum.fold(params, *num_samples).is_err() {
-            return false;
-        }
-        let delta: Vec<f32> = params.iter().zip(global.iter()).map(|(x, g)| x - g).collect();
-        entries.push(PartialEntry {
-            party: *party,
-            num_samples: *num_samples,
-            mean_loss: *mean_loss,
-            duration: *duration,
-            sketch: sketch_update(&delta, tree.sketch_dim),
-        });
-        true
-    }
-}
-
-/// Runs a driver and an in-process party pool to completion, lock-step:
-/// pump both until the wire is quiet in both directions, then advance
-/// the driver's clock; repeat until every job finishes — or, if the
-/// driver is draining ([`MultiJobDriver::begin_drain`]), until it
-/// reaches quiescence with its partial histories intact.
-///
-/// # Errors
-///
-/// Propagates the first driver/pool failure, and a
-/// [`FlError::Protocol`] if the system stalls (quiet wire, no live
-/// deadline, unfinished jobs — a wiring bug, e.g. endpoints registered
-/// under the wrong job id).
-pub fn run_lockstep<A: Transport, B: Transport>(
-    driver: &mut MultiJobDriver<A>,
-    pool: &mut PartyPool<B>,
-) -> Result<(), FlError> {
-    driver.start()?;
-    loop {
-        loop {
-            let drove = driver.pump()?;
-            let pooled = pool.pump()?;
-            if !drove && !pooled {
-                break;
-            }
-        }
-        if driver.is_finished() || driver.is_quiescent() {
-            return Ok(());
-        }
-        if !driver.advance_clock()? {
-            return Err(FlError::Protocol(
-                "driver stalled: wire quiet, no live deadline, jobs unfinished".into(),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::MemoryTransport;
-
-    #[test]
-    fn wheel_fires_in_tick_then_insertion_order() {
-        let mut wheel = TimerWheel::new();
-        wheel.schedule(2, Deadline { job: 1, round: 0 });
-        wheel.schedule(1, Deadline { job: 2, round: 0 });
-        wheel.schedule(2, Deadline { job: 3, round: 0 });
-        assert_eq!(wheel.pending(), 3);
-        assert_eq!(wheel.advance().unwrap(), vec![Deadline { job: 2, round: 0 }]);
-        assert_eq!(wheel.now(), 1);
-        assert_eq!(
-            wheel.advance().unwrap(),
-            vec![Deadline { job: 1, round: 0 }, Deadline { job: 3, round: 0 }]
-        );
-        assert_eq!(wheel.now(), 2);
-        assert!(wheel.advance().is_none());
-    }
-
-    #[test]
-    fn zero_delay_schedules_are_clamped_forward() {
-        let mut wheel = TimerWheel::new();
-        wheel.schedule(0, Deadline { job: 1, round: 0 });
-        assert_eq!(wheel.advance().unwrap(), vec![Deadline { job: 1, round: 0 }]);
-        assert_eq!(wheel.now(), 1, "a deadline can never fire at its own open tick");
-    }
 
     #[test]
     fn empty_driver_refuses_to_start() {

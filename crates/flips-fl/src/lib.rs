@@ -43,10 +43,14 @@
 //! - [`transport`] — frame-oriented byte transports (in-memory channel,
 //!   length-prefix-framed streams) every message crosses as encoded
 //!   bytes;
-//! - [`driver`] — the serialized-transport driver: a timer wheel plus a
+//! - [`driver`] — the serialized-transport driver: a
 //!   [`driver::MultiJobDriver`] multiplexing many concurrent jobs over
-//!   one transport, and the [`driver::PartyPool`] serving the party side
-//!   of the wire;
+//!   one transport, on the deterministic [`wheel::TimerWheel`];
+//! - [`pool`] — the [`pool::PartyPool`] serving the party side of that
+//!   wire (and folding it, in aggregation-tree mode);
+//! - [`plan`] — the wire plan: party placement, per-link codecs and tree
+//!   mode decided once ([`plan::WireOptions`], [`plan::split`]) and
+//!   installed on both wire ends;
 //! - [`guard`] — the deterministic inbound guard plane: per-party
 //!   token-bucket rate limits, circuit breakers ejecting chronically
 //!   hostile parties, per-round admission control, and graceful drain —
@@ -107,12 +111,15 @@ pub mod history;
 pub mod latency;
 pub mod message;
 pub mod party;
+pub mod plan;
+pub mod pool;
 pub mod rans;
 pub mod roster;
 pub mod runtime;
 pub mod server;
 pub mod straggler;
 pub mod transport;
+pub mod wheel;
 
 pub use aggregator::{FlJob, FlJobConfig, JobParts};
 pub use aggtree::ExactWeightedSum;
@@ -121,9 +128,7 @@ pub use checkpoint::{Checkpoint, CodecRefSnapshot, JobSnapshot};
 pub use codec::{CodecMap, ModelCodec, Negotiation, PayloadCodec};
 pub use config::{DeadlinePolicy, FlAlgorithm, LocalTrainingConfig};
 pub use coordinator::{Coordinator, CoordinatorConfig};
-pub use driver::{
-    run_lockstep, DeadlineSource, DrainReport, DriverStats, MultiJobDriver, PartyPool, TimerWheel,
-};
+pub use driver::{DeadlineSource, DrainReport, DriverStats, MultiJobDriver};
 pub use endpoint::PartyEndpoint;
 pub use events::{Effect, Event, RejectReason};
 pub use guard::{
@@ -133,10 +138,13 @@ pub use guard::{
 pub use history::{History, RoundRecord};
 pub use latency::{LatencyModel, ObservedLatency};
 pub use message::WireMessage;
+pub use plan::{split, LinkShare, ShareJob, WireOptions, WithWire};
+pub use pool::{run_lockstep, PartyPool};
 pub use roster::{PartyRecord, RosterBuilder, RosterStore};
 pub use runtime::{run_sharded, RuntimeOptions, ShardedOutcome};
 pub use straggler::{Clock, ScriptedClock, StragglerInjector};
 pub use transport::{duplex, MemoryTransport, StreamTransport, Transport};
+pub use wheel::TimerWheel;
 
 /// Errors produced by the FL runtime.
 #[derive(Debug)]

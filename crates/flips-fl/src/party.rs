@@ -39,8 +39,6 @@ pub struct Party {
     id: PartyId,
     data: Dataset,
     model: Box<dyn Model>,
-    // Unused when the allocating `baseline` benchmark path is compiled in.
-    #[cfg_attr(feature = "baseline", allow(dead_code))]
     ws: TrainWorkspace,
     batch_x: Matrix,
     batch_y: Vec<usize>,
@@ -155,30 +153,14 @@ impl Party {
         }
     }
 
-    /// One optimizer step on the current minibatch buffers.
-    ///
-    /// The default path runs through the model's workspace API (zero
-    /// allocation); the `baseline` feature restores the seed's allocating
-    /// `loss_and_grad` call for benchmark comparisons.
+    /// One optimizer step on the current minibatch buffers, through the
+    /// model's workspace API (zero allocation).
     fn step_minibatch(&mut self, global_params: &[f32], proximal_mu: f32, opt: &mut Sgd) -> f32 {
-        #[cfg(not(feature = "baseline"))]
-        let loss = {
-            let loss = self.model.loss_and_grad_into(&self.batch_x, &self.batch_y, &mut self.ws);
-            if proximal_mu > 0.0 {
-                add_proximal_grad(self.ws.grad_mut(), &self.params, global_params, proximal_mu);
-            }
-            opt.step(&mut self.params, self.ws.grad());
-            loss
-        };
-        #[cfg(feature = "baseline")]
-        let loss = {
-            let (loss, mut grad) = self.model.loss_and_grad(&self.batch_x, &self.batch_y);
-            if proximal_mu > 0.0 {
-                add_proximal_grad(&mut grad, &self.params, global_params, proximal_mu);
-            }
-            opt.step(&mut self.params, &grad);
-            loss
-        };
+        let loss = self.model.loss_and_grad_into(&self.batch_x, &self.batch_y, &mut self.ws);
+        if proximal_mu > 0.0 {
+            add_proximal_grad(self.ws.grad_mut(), &self.params, global_params, proximal_mu);
+        }
+        opt.step(&mut self.params, self.ws.grad());
         self.model.set_params(&self.params).expect("param length is fixed");
         loss
     }

@@ -6,7 +6,7 @@
 //! [`MultiJobDriver`] and one [`PartyPool`] on the calling thread, here:
 //!
 //! - the party side is **sharded**: the roster is split across `N`
-//!   worker threads, each owning a disjoint set of [`PartyEndpoint`]s in
+//!   worker threads, each owning a disjoint set of [`crate::PartyEndpoint`]s in
 //!   its own [`PartyPool`] and its own [`MemoryTransport`] endpoint onto
 //!   the shared wire. Local training — the dominant cost of a round —
 //!   runs truly in parallel across shards;
@@ -59,12 +59,14 @@
 //! Only then does [`MultiJobDriver::advance_clock`] fire the next
 //! deadline.
 
-use crate::chaos::{ChaosEvent, ChaosSchedule, ChaosTransport};
-use crate::driver::{DriverStats, MultiJobDriver, PartyPool};
-use crate::guard::{BreakerTransition, GuardConfig};
+use crate::chaos::ChaosEvent;
+use crate::driver::{DriverStats, MultiJobDriver};
+use crate::guard::BreakerTransition;
 use crate::message::{frame_dest, frame_job_of};
+use crate::plan::{split, LinkShare, WireOptions, WithWire};
+use crate::pool::PartyPool;
 use crate::transport::{MemoryTransport, Transport};
-use crate::{FlError, History, JobParts, PartyEndpoint};
+use crate::{FlError, History, JobParts};
 use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,13 +78,13 @@ use std::time::Duration;
 /// enough not to burn a core spinning.
 const IDLE_PARK: Duration = Duration::from_micros(50);
 
-/// Options of one sharded run.
+/// Options of one sharded run: the shared [`WireOptions`] (one link per
+/// worker-thread shard; builders via [`WithWire`]) plus the stress
+/// suite's thread-level perturbations.
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
-    /// Worker-thread shards the roster is split across (≥ 1). Party
-    /// `p` of every job lives on shard `p % shards` — a deterministic
-    /// assignment, so two runs shard identically.
-    pub shards: usize,
+    /// Placement, guard, chaos schedule, link codecs and tree mode.
+    pub wire: WireOptions,
     /// When non-zero, each worker sleeps a pseudo-random `0..jitter_ns`
     /// nanoseconds before processing each inbox batch — the stress
     /// suite's scheduling perturbation. Histories must not move.
@@ -97,81 +99,24 @@ pub struct RuntimeOptions {
     /// Hostile frames slipped onto shard 0's downlink inbox while the
     /// run is in flight.
     pub chaos_downlink: Vec<Bytes>,
-    /// Inbound guard plane installed on the driver (and, for the
-    /// frame-size stage, on every shard pool). `None` runs unguarded.
-    pub guard: Option<GuardConfig>,
-    /// Seeded chaos schedule applied at the driver's uplink seam
-    /// ([`ChaosTransport`] around the [`ShardRouter`]). `None` runs the
-    /// wire untouched.
-    pub chaos: Option<ChaosSchedule>,
-    /// Per-link codec overrides, `(job, shard link, codec)`: the named
-    /// link speaks `codec` for that job while sibling links stay on the
-    /// job-wide default. Applied out-of-band to *both* wire ends — the
-    /// driver's per-link table ([`MultiJobDriver::set_link_codec`]) and
-    /// the owning shard pool's pin — so neither side trusts a wire
-    /// notice for it.
-    pub link_codecs: Vec<(u64, usize, crate::ModelCodec)>,
-    /// Aggregation-tree mode: every coordinator folds with the exact
-    /// 256-bit sum ([`crate::Coordinator::set_exact_fold`]) and every
-    /// shard pool acts as a tree inner node
-    /// ([`PartyPool::enable_tree`]), shipping one partial per round
-    /// instead of per-party update frames — coordinator fan-in becomes
-    /// O(shards). Histories are pinned bit-identical to the flat
-    /// exact-fold run by `tests/scale_equivalence.rs`.
-    pub tree: bool,
 }
 
 impl RuntimeOptions {
     /// Options for `shards` worker threads, no perturbation.
     pub fn new(shards: usize) -> Self {
         RuntimeOptions {
-            shards,
+            wire: WireOptions::new(shards),
             jitter_ns: 0,
             jitter_seed: 0,
             chaos_uplink: Vec::new(),
             chaos_downlink: Vec::new(),
-            guard: None,
-            chaos: None,
-            link_codecs: Vec::new(),
-            tree: false,
         }
-    }
-
-    /// Enables aggregation-tree mode (see [`RuntimeOptions::tree`]).
-    #[must_use]
-    pub fn with_tree(mut self) -> Self {
-        self.tree = true;
-        self
-    }
-
-    /// Overrides the codec one shard link speaks for `job` (see
-    /// [`RuntimeOptions::link_codecs`]).
-    #[must_use]
-    pub fn with_link_codec(mut self, job: u64, link: usize, codec: crate::ModelCodec) -> Self {
-        self.link_codecs.push((job, link, codec));
-        self
-    }
-
-    /// Installs an inbound guard plane on the run's driver.
-    #[must_use]
-    pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = Some(guard);
-        self
-    }
-
-    /// Applies a seeded chaos schedule to the run's uplink.
-    #[must_use]
-    pub fn with_chaos(mut self, chaos: ChaosSchedule) -> Self {
-        self.chaos = Some(chaos);
-        self
     }
 }
 
-impl Default for RuntimeOptions {
-    /// One shard per available core, capped at 8.
-    fn default() -> Self {
-        let shards = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
-        RuntimeOptions::new(shards)
+impl WithWire for RuntimeOptions {
+    fn wire_mut(&mut self) -> &mut WireOptions {
+        &mut self.wire
     }
 }
 
@@ -214,6 +159,22 @@ pub struct ShardRouter {
     links: Vec<MemoryTransport>,
     /// `(job, party) → shard` routing table, fixed at construction.
     routes: HashMap<(u64, u64), usize>,
+}
+
+impl ShardRouter {
+    /// A router over one driver-side link end per share, routing each
+    /// `(job, party)` to the share the plan placed it on.
+    pub(crate) fn new(links: Vec<MemoryTransport>, shares: &[LinkShare]) -> Self {
+        let mut routes = HashMap::new();
+        for share in shares {
+            for slice in &share.jobs {
+                for endpoint in &slice.endpoints {
+                    routes.insert((slice.job, endpoint.id() as u64), share.link);
+                }
+            }
+        }
+        ShardRouter { links, routes }
+    }
 }
 
 impl std::fmt::Debug for ShardRouter {
@@ -299,15 +260,14 @@ impl Jitter {
     }
 }
 
-/// Runs every job to completion across `opts.shards` worker threads,
+/// Runs every job to completion across `opts.wire.links` worker threads,
 /// returning each job's final history and the wire counters.
 ///
-/// Party `p` of every job is served by shard `p % shards`; each shard
+/// The roster is placed on shards by [`crate::plan::split`]; each shard
 /// owns its endpoints' training and its own transport endpoint, and the
 /// driver runs on a dedicated coordinator thread. Histories are
-/// bit-identical to the same jobs under [`crate::run_lockstep`] (and to
-/// the in-process [`crate::FlJob`] when the job uses a latency-derived
-/// deadline) — see the [module docs](self) for why.
+/// bit-identical to the same jobs under [`crate::run_lockstep`] and the
+/// in-process [`crate::FlJob`] — see the [module docs](self) for why.
 ///
 /// # Errors
 ///
@@ -320,25 +280,14 @@ impl Jitter {
 /// Panics if a worker thread panics (a training bug, not an I/O
 /// condition).
 pub fn run_sharded(jobs: Vec<JobParts>, opts: &RuntimeOptions) -> Result<ShardedOutcome, FlError> {
-    if opts.shards == 0 {
-        return Err(FlError::InvalidConfig("shard count must be at least 1".into()));
-    }
-    if jobs.is_empty() {
-        return Err(FlError::InvalidConfig("no jobs to run".into()));
-    }
-    let shards = opts.shards;
+    let (driver_jobs, shares) = split(jobs, &opts.wire)?;
 
     // One memory link per shard. The driver keeps the `driver_ends`
     // (behind the router); each worker gets a `shard_end`; the runtime
     // keeps observer clones of both shard-side ends for quiet detection
     // and chaos injection.
-    let mut driver_ends = Vec::with_capacity(shards);
-    let mut shard_ends = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (driver_end, shard_end) = MemoryTransport::pair();
-        driver_ends.push(driver_end);
-        shard_ends.push(shard_end);
-    }
+    let (driver_ends, shard_ends): (Vec<_>, Vec<_>) =
+        shares.iter().map(|_| MemoryTransport::pair()).unzip();
     let chaos_to_driver = shard_ends[0].clone();
     let chaos_to_shard = driver_ends[0].clone();
     let states: Vec<ShardState> = shard_ends
@@ -346,85 +295,13 @@ pub fn run_sharded(jobs: Vec<JobParts>, opts: &RuntimeOptions) -> Result<Sharded
         .map(|end| ShardState { busy: AtomicBool::new(false), probe: end.clone() })
         .collect();
 
-    // Split every job across the shards and build the routing table.
-    // The assignment must be deterministic (it is: `party % shards`) but
-    // nothing about the histories depends on *which* deterministic
-    // assignment is used.
-    let mut routes: HashMap<(u64, u64), usize> = HashMap::new();
-    let mut per_shard: Vec<Vec<(u64, crate::ModelCodec, Vec<PartyEndpoint>)>> =
-        (0..shards).map(|_| Vec::new()).collect();
-    let mut driver_jobs = Vec::with_capacity(jobs.len());
-    let mut tree_jobs: Vec<(u64, usize)> = Vec::new();
-    for parts in jobs {
-        let job_id = parts.coordinator.job_id();
-        let codec = parts.coordinator.codec();
-        let JobParts { mut coordinator, endpoints, clock, latency, deadline } = parts;
-        if opts.tree {
-            coordinator.set_exact_fold(true);
-            tree_jobs.push((job_id, coordinator.sketch_dim()));
-        }
-        let mut split: Vec<Vec<PartyEndpoint>> = (0..shards).map(|_| Vec::new()).collect();
-        for ep in endpoints {
-            routes.insert((job_id, ep.id() as u64), ep.id() % shards);
-            split[ep.id() % shards].push(ep);
-        }
-        for (shard, eps) in split.into_iter().enumerate() {
-            if !eps.is_empty() {
-                per_shard[shard].push((job_id, codec, eps));
-            }
-        }
-        driver_jobs.push((coordinator, clock, latency, deadline));
-    }
-
-    // The chaos seam sits between the router and the driver, so every
-    // uplink frame (whichever shard it came from) passes the schedule;
-    // with no schedule the wrapper is inert passthrough.
-    let router = ShardRouter { links: driver_ends, routes };
-    let wire = match &opts.chaos {
-        Some(schedule) => ChaosTransport::new(router, schedule.clone()),
-        None => ChaosTransport::inert(router),
-    };
-    let mut driver = MultiJobDriver::new(wire);
-    if let Some(guard) = opts.guard {
-        driver.set_guard(guard)?;
-    }
-    for (coordinator, clock, latency, deadline) in driver_jobs {
-        if deadline.is_latency_derived() {
-            driver.add_job_observed(coordinator, deadline, latency)?;
-        } else {
-            driver.add_job(coordinator, Box::new(clock), latency)?;
-        }
-    }
-    for &(job, link, codec) in &opts.link_codecs {
-        driver.set_link_codec(job, link, codec)?;
-    }
-
-    // One pool per shard, its codecs pinned out-of-band (each shard is
-    // an independent party-side process; trust-on-first-frame is not
-    // how a production shard would learn its codec).
-    let mut pools = Vec::with_capacity(shards);
-    for (shard, (end, assignments)) in shard_ends.into_iter().zip(per_shard).enumerate() {
-        let mut pool = PartyPool::new(end);
-        if let Some(guard) = &opts.guard {
-            pool.set_guard(guard);
-        }
-        for (job_id, codec, eps) in assignments {
-            // The shard's link may speak an overridden codec for this
-            // job — pin what *this link* will actually receive.
-            let pinned = opts
-                .link_codecs
-                .iter()
-                .rev()
-                .find(|&&(j, l, _)| j == job_id && l == shard)
-                .map_or(codec, |&(_, _, c)| c);
-            pool.pin_codec(job_id, pinned);
-            pool.add_job(job_id, eps);
-        }
-        for &(job_id, sketch_dim) in &tree_jobs {
-            pool.enable_tree(job_id, sketch_dim);
-        }
-        pools.push(pool);
-    }
+    let router = ShardRouter::new(driver_ends, &shares);
+    let driver = MultiJobDriver::install(router, driver_jobs, &opts.wire)?;
+    let pools: Vec<_> = shard_ends
+        .into_iter()
+        .zip(shares)
+        .map(|(end, share)| PartyPool::install(end, share, opts.wire.guard.as_ref()))
+        .collect();
 
     let shutdown = AtomicBool::new(false);
     let worker_error: Mutex<Option<FlError>> = Mutex::new(None);

@@ -30,11 +30,9 @@
 //!   steady-state GEMM performs **zero heap allocation** when callers use
 //!   the `*_into` variants.
 //!
-//! The seed's naive kernels are retained in [`mod@reference`] (behind
-//! `cfg(test)` / the `reference-kernels` feature) as the correctness and
-//! performance baseline; the `naive-gemm` feature routes the public
-//! `matmul*` API back through them so end-to-end benchmarks can measure
-//! the before/after delta.
+//! The seed's naive kernels are retained in `matrix::reference` (behind
+//! `cfg(test)` / the `reference-kernels` feature) as the test oracle the
+//! blocked kernels are compared against.
 
 use serde::{Deserialize, Serialize};
 
@@ -456,148 +454,138 @@ pub mod gemm {
             Layout::Nn | Layout::Tn => assert_eq!(b.len(), k * ldb, "gemm rhs length"),
             Layout::Nt => assert_eq!(b.len(), n * ldb, "gemm rhs length"),
         }
-        #[cfg(feature = "naive-gemm")]
-        {
-            return super::reference::gemm_naive(layout, m, k, n, a, lda, b, ldb, out);
+        if m == 0 || n == 0 {
+            return;
         }
-        #[allow(unreachable_code)]
-        {
-            if m == 0 || n == 0 {
-                return;
+        if k == 0 {
+            out.fill(0.0);
+            return;
+        }
+
+        PACK.with(|cell| {
+            let mut pack = cell.borrow_mut();
+            let panels = n.div_ceil(NR);
+            let need = panels * k * NR;
+            if pack.len() < need {
+                pack.resize(need, 0.0);
             }
-            if k == 0 {
-                out.fill(0.0);
-                return;
+            let pack = &mut pack[..need];
+            match layout {
+                // B indexed [k][j]: panel[p][kk][jj] = B[kk][p·NR+jj].
+                Layout::Nn | Layout::Tn => {
+                    for p in 0..panels {
+                        let j0 = p * NR;
+                        let w = NR.min(n - j0);
+                        let dst = &mut pack[p * k * NR..(p + 1) * k * NR];
+                        if w < NR {
+                            // Keep tail lanes zeroed so stale values
+                            // from earlier calls cannot go subnormal
+                            // (the lanes are computed, then discarded).
+                            dst.fill(0.0);
+                        }
+                        for kk in 0..k {
+                            let src = &b[kk * ldb + j0..kk * ldb + j0 + w];
+                            dst[kk * NR..kk * NR + w].copy_from_slice(src);
+                        }
+                    }
+                }
+                // B indexed [j][k]: packing transposes on the fly.
+                Layout::Nt => {
+                    for p in 0..panels {
+                        let j0 = p * NR;
+                        let w = NR.min(n - j0);
+                        let dst = &mut pack[p * k * NR..(p + 1) * k * NR];
+                        if w < NR {
+                            dst.fill(0.0);
+                        }
+                        for jj in 0..w {
+                            let src = &b[(j0 + jj) * ldb..(j0 + jj) * ldb + k];
+                            for (kk, &v) in src.iter().enumerate() {
+                                dst[kk * NR + jj] = v;
+                            }
+                        }
+                    }
+                }
             }
 
-            PACK.with(|cell| {
-                let mut pack = cell.borrow_mut();
-                let panels = n.div_ceil(NR);
-                let need = panels * k * NR;
-                if pack.len() < need {
-                    pack.resize(need, 0.0);
-                }
-                let pack = &mut pack[..need];
-                match layout {
-                    // B indexed [k][j]: panel[p][kk][jj] = B[kk][p·NR+jj].
-                    Layout::Nn | Layout::Tn => {
-                        for p in 0..panels {
-                            let j0 = p * NR;
-                            let w = NR.min(n - j0);
-                            let dst = &mut pack[p * k * NR..(p + 1) * k * NR];
-                            if w < NR {
-                                // Keep tail lanes zeroed so stale values
-                                // from earlier calls cannot go subnormal
-                                // (the lanes are computed, then discarded).
-                                dst.fill(0.0);
+            let threads = if 2 * m * k * n >= PARALLEL_FLOPS {
+                std::thread::available_parallelism().map_or(1, |t| t.get()).min(MAX_THREADS).min(m)
+            } else {
+                1
+            };
+            let pack: &[f32] = pack;
+            match layout {
+                Layout::Nn | Layout::Nt => {
+                    if threads <= 1 {
+                        compute_rows_nn(0, m, k, n, a, lda, pack, out);
+                    } else {
+                        // Disjoint row panels per thread: identical
+                        // per-element accumulation order at any
+                        // thread count.
+                        let chunk = m.div_ceil(threads);
+                        std::thread::scope(|scope| {
+                            for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
+                                let i0 = t * chunk;
+                                let rows = out_chunk.len() / n;
+                                scope.spawn(move || {
+                                    compute_rows_nn(i0, rows, k, n, a, lda, pack, out_chunk);
+                                });
                             }
-                            for kk in 0..k {
-                                let src = &b[kk * ldb + j0..kk * ldb + j0 + w];
-                                dst[kk * NR..kk * NR + w].copy_from_slice(src);
-                            }
-                        }
-                    }
-                    // B indexed [j][k]: packing transposes on the fly.
-                    Layout::Nt => {
-                        for p in 0..panels {
-                            let j0 = p * NR;
-                            let w = NR.min(n - j0);
-                            let dst = &mut pack[p * k * NR..(p + 1) * k * NR];
-                            if w < NR {
-                                dst.fill(0.0);
-                            }
-                            for jj in 0..w {
-                                let src = &b[(j0 + jj) * ldb..(j0 + jj) * ldb + k];
-                                for (kk, &v) in src.iter().enumerate() {
-                                    dst[kk * NR + jj] = v;
-                                }
-                            }
-                        }
+                        });
                     }
                 }
-
-                let threads = if 2 * m * k * n >= PARALLEL_FLOPS {
-                    std::thread::available_parallelism()
-                        .map_or(1, |t| t.get())
-                        .min(MAX_THREADS)
-                        .min(m)
-                } else {
-                    1
-                };
-                let pack: &[f32] = pack;
-                match layout {
-                    Layout::Nn | Layout::Nt => {
-                        if threads <= 1 {
-                            compute_rows_nn(0, m, k, n, a, lda, pack, out);
-                        } else {
-                            // Disjoint row panels per thread: identical
-                            // per-element accumulation order at any
-                            // thread count.
-                            let chunk = m.div_ceil(threads);
-                            std::thread::scope(|scope| {
-                                for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
-                                    let i0 = t * chunk;
-                                    let rows = out_chunk.len() / n;
-                                    scope.spawn(move || {
-                                        compute_rows_nn(i0, rows, k, n, a, lda, pack, out_chunk);
-                                    });
-                                }
-                            });
-                        }
+                Layout::Tn => APACK.with(|acell| {
+                    // Pack the lhs — all m output rows (= lhs
+                    // columns) — into MR-wide panels contiguous in
+                    // k, so the micro-kernel streams both operands
+                    // sequentially instead of striding the lhs by
+                    // lda every k step. Packed once on the calling
+                    // thread (the thread-local buffer is reused
+                    // across calls, like the rhs pack) and shared
+                    // read-only with the workers; the O(m·k) copy
+                    // amortizes over the n/NR panel sweeps.
+                    let mut apack = acell.borrow_mut();
+                    let need = m.div_ceil(MR) * k * MR;
+                    if apack.len() < need {
+                        apack.resize(need, 0.0);
                     }
-                    Layout::Tn => APACK.with(|acell| {
-                        // Pack the lhs — all m output rows (= lhs
-                        // columns) — into MR-wide panels contiguous in
-                        // k, so the micro-kernel streams both operands
-                        // sequentially instead of striding the lhs by
-                        // lda every k step. Packed once on the calling
-                        // thread (the thread-local buffer is reused
-                        // across calls, like the rhs pack) and shared
-                        // read-only with the workers; the O(m·k) copy
-                        // amortizes over the n/NR panel sweeps.
-                        let mut apack = acell.borrow_mut();
-                        let need = m.div_ceil(MR) * k * MR;
-                        if apack.len() < need {
-                            apack.resize(need, 0.0);
+                    let apack = &mut apack[..need];
+                    let mut i = 0;
+                    while i < m {
+                        let mr = MR.min(m - i);
+                        let dst = &mut apack[(i / MR) * k * MR..(i / MR + 1) * k * MR];
+                        if mr < MR {
+                            // Tail lanes are computed and discarded;
+                            // keep them zeroed so stale values
+                            // cannot go subnormal.
+                            dst.fill(0.0);
                         }
-                        let apack = &mut apack[..need];
-                        let mut i = 0;
-                        while i < m {
-                            let mr = MR.min(m - i);
-                            let dst = &mut apack[(i / MR) * k * MR..(i / MR + 1) * k * MR];
-                            if mr < MR {
-                                // Tail lanes are computed and discarded;
-                                // keep them zeroed so stale values
-                                // cannot go subnormal.
-                                dst.fill(0.0);
+                        for kk in 0..k {
+                            let src = &a[kk * lda + i..kk * lda + i + mr];
+                            dst[kk * MR..kk * MR + mr].copy_from_slice(src);
+                        }
+                        i += MR;
+                    }
+                    let apack: &[f32] = apack;
+                    if threads <= 1 {
+                        compute_rows_tn(0, m, k, n, apack, pack, out);
+                    } else {
+                        // MR-aligned chunks so every worker's row
+                        // range starts on a pack-tile boundary.
+                        let chunk = m.div_ceil(threads).div_ceil(MR) * MR;
+                        std::thread::scope(|scope| {
+                            for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
+                                let i0 = t * chunk;
+                                let rows = out_chunk.len() / n;
+                                scope.spawn(move || {
+                                    compute_rows_tn(i0, rows, k, n, apack, pack, out_chunk);
+                                });
                             }
-                            for kk in 0..k {
-                                let src = &a[kk * lda + i..kk * lda + i + mr];
-                                dst[kk * MR..kk * MR + mr].copy_from_slice(src);
-                            }
-                            i += MR;
-                        }
-                        let apack: &[f32] = apack;
-                        if threads <= 1 {
-                            compute_rows_tn(0, m, k, n, apack, pack, out);
-                        } else {
-                            // MR-aligned chunks so every worker's row
-                            // range starts on a pack-tile boundary.
-                            let chunk = m.div_ceil(threads).div_ceil(MR) * MR;
-                            std::thread::scope(|scope| {
-                                for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
-                                    let i0 = t * chunk;
-                                    let rows = out_chunk.len() / n;
-                                    scope.spawn(move || {
-                                        compute_rows_tn(i0, rows, k, n, apack, pack, out_chunk);
-                                    });
-                                }
-                            });
-                        }
-                    }),
-                }
-            });
-        }
+                        });
+                    }
+                }),
+            }
+        });
     }
 
     /// The micro-kernels keep an `MR×NR` accumulator tile in registers,
@@ -800,8 +788,7 @@ pub mod reference {
         out
     }
 
-    /// The seed's loop nests over flat slices (also the `naive-gemm`
-    /// fallback inside the engine).
+    /// The seed's loop nests over flat slices.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn gemm_naive(
         layout: Layout,

@@ -2,10 +2,10 @@
 //!
 //! `flips-party <config.toml> [slot] [--resume] [--drop-after <n>]`
 //! reads the *same* config as
-//! `flips-server`, rebuilds the same seeded jobs, keeps the endpoints
-//! whose party id maps to its link slot (`p % links == slot`, default
-//! slot 0), connects out to the server and serves them with the
-//! readiness-driven [`flips_net::party_loop`] until the coordinator's
+//! `flips-server`, rebuilds the same seeded jobs and wire plan, keeps
+//! the share [`flips_fl::split`] places on its link slot (default
+//! slot 0), connects out to the server and serves it with the
+//! readiness-driven [`flips_net::party_loop_with`] until the coordinator's
 //! shutdown notice.
 //!
 //! Both sides deriving the jobs from one file is the deployment story
@@ -18,7 +18,7 @@
 //! Stdout: `CONNECTED <addr>`, `PARTY HEALTH <addr>` (when configured),
 //! then `PARTY COMPLETE parties=<n>` after a clean shutdown handshake.
 
-use flips_net::{connect_with_retry, party_loop_with, NetConfig, PartyJob, PartyOptions};
+use flips_net::{connect_with_retry, party_loop_with, NetConfig, PartyOptions};
 use std::io::Write;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::time::Duration;
@@ -77,32 +77,17 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    let mut link_jobs: Vec<PartyJob> = Vec::with_capacity(cfg.jobs.len());
-    let mut parties = 0usize;
-    for spec in &cfg.jobs {
-        let (job, meta) = spec.builder()?.build()?;
-        let parts = job.into_parts();
-        // Pin the codec *this slot's link* speaks — the per-link
-        // override when the job configures one.
-        let codec = if spec.link_codecs.is_empty() {
-            parts.coordinator.codec()
-        } else {
-            spec.link_codec(slot)
-        };
-        let endpoints: Vec<_> =
-            parts.endpoints.into_iter().filter(|ep| ep.id() % cfg.links == slot).collect();
-        if endpoints.is_empty() {
-            continue;
-        }
-        parties += endpoints.len();
+    let (jobs, wire) = cfg.plan()?;
+    let (_, mut shares) = flips_fl::split(jobs, &wire)?;
+    let share = shares.swap_remove(slot);
+    for slice in &share.jobs {
         eprintln!(
-            "flips-party: slot {slot} owns {} of {} parties of job {:#018x}",
-            endpoints.len(),
-            spec.parties,
-            meta.job_id
+            "flips-party: slot {slot} owns {} parties of job {:#018x}",
+            slice.endpoints.len(),
+            slice.job
         );
-        link_jobs.push((meta.job_id, codec, endpoints));
     }
+    let parties = share.parties();
 
     let addr = cfg
         .connect
@@ -122,7 +107,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     let opts =
         PartyOptions { resume_addr: resume.then_some(addr), drop_after, ..PartyOptions::default() };
-    let pool = party_loop_with(stream, slot as u32, link_jobs, cfg.guard.as_ref(), health, &opts)?;
+    let pool = party_loop_with(stream, share, wire.guard.as_ref(), health, &opts)?;
     if pool.unroutable() > 0 || pool.rejected() > 0 {
         eprintln!(
             "flips-party: slot {slot} counters: unroutable={} rejected={}",

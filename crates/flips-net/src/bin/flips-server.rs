@@ -62,25 +62,18 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
     std::io::stdout().flush()?;
 
-    let mut jobs = Vec::with_capacity(cfg.jobs.len());
-    let mut link_codecs = Vec::new();
-    for spec in &cfg.jobs {
-        let (job, meta) = spec.builder()?.build()?;
+    let (jobs, wire) = cfg.plan()?;
+    for (spec, parts) in cfg.jobs.iter().zip(&jobs) {
         eprintln!(
             "flips-server: job {:#018x} ({} parties, {} rounds, {:?})",
-            meta.job_id, spec.parties, spec.rounds, spec.selector
+            parts.coordinator.job_id(),
+            spec.parties,
+            spec.rounds,
+            spec.selector
         );
-        jobs.push(job.into_parts());
-        for (slot, &codec) in spec.link_codecs.iter().enumerate() {
-            if codec != spec.codec {
-                link_codecs.push((meta.job_id, slot, codec));
-            }
-        }
     }
 
-    let mut opts = ServerOptions::new(cfg.links);
-    opts.guard = cfg.guard;
-    opts.link_codecs = link_codecs;
+    let mut opts = ServerOptions { wire, ..ServerOptions::new(cfg.links) };
     if let Some(dir) = checkpoint_dir {
         // The checkpoint plane implies the resume plane: a server that
         // snapshots rounds also parks dead links for reconnects.

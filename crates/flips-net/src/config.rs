@@ -46,8 +46,9 @@
 use flips_core::prelude::{
     DatasetProfile, DeadlinePolicy, GuardConfig, ModelCodec, SelectorKind, SimulationBuilder,
 };
+use flips_core::FlipsError;
 use flips_fl::guard::{BreakerConfig, RateLimit};
-use flips_fl::FlError;
+use flips_fl::{FlError, JobParts, WireOptions};
 use std::collections::BTreeMap;
 
 /// A scalar TOML value (the subset the binaries need).
@@ -326,9 +327,9 @@ impl JobSpec {
 /// A full deployment description (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
-    /// TCP links the roster is split across (party `p` → link
-    /// `p % links`); also the number of party processes the server
-    /// waits for.
+    /// TCP links the roster is split across (placement is
+    /// [`flips_fl::plan`]'s); also the number of party processes the
+    /// server waits for.
     pub links: usize,
     /// The server's data-plane listen address.
     pub listen: String,
@@ -576,6 +577,32 @@ impl NetConfig {
             guard,
             jobs,
         })
+    }
+
+    /// Rebuilds every configured job from its seed and derives the wire
+    /// plan — links, guard, per-link codec overrides — the deployment
+    /// shares. Both binaries call this on the same file, so the server's
+    /// driver and every party's [`flips_fl::LinkShare`] come from one
+    /// plan; jobs are returned in declaration order.
+    ///
+    /// # Errors
+    ///
+    /// Surfaces any job construction failure.
+    pub fn plan(&self) -> Result<(Vec<JobParts>, WireOptions), FlipsError> {
+        let mut wire = WireOptions::new(self.links);
+        wire.guard = self.guard;
+        let mut jobs = Vec::with_capacity(self.jobs.len());
+        for spec in &self.jobs {
+            let (job, meta) = spec.builder()?.build()?;
+            for link in 0..self.links {
+                let codec = spec.link_codec(link);
+                if codec != spec.codec {
+                    wire.link_codecs.push((meta.job_id, link, codec));
+                }
+            }
+            jobs.push(job.into_parts());
+        }
+        Ok((jobs, wire))
     }
 
     /// Renders this config back to TOML ([`NetConfig::parse`] of the

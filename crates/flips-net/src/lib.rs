@@ -26,7 +26,7 @@
 //! - [`link`] — [`CoordLink`]/[`PartyLink`] wrap a nonblocking
 //!   [`flips_fl::StreamTransport`] and speak the control protocol;
 //!   [`SocketRouter`] fans a [`flips_fl::MultiJobDriver`] out across
-//!   links (party `p` ↔ link `p % links`).
+//!   links (placement is [`flips_fl::plan`]'s).
 //! - [`server`] / [`party`] — the two event loops.
 //! - [`metrics`] — Prometheus text exposition + the `/healthz` and
 //!   `/metrics` plane, served from the same selector.
@@ -54,6 +54,6 @@ pub use link::{CoordLink, HelloInfo, PartyLink, SocketRouter};
 pub use metrics::{
     render_party_metrics, render_server_metrics, request_path, HealthPlane, PartySnapshot,
 };
-pub use party::{party_loop, party_loop_with, PartyJob, PartyOptions};
+pub use party::{party_loop_with, PartyOptions};
 pub use runtime::{connect_with_retry, run_socket, SocketOptions, SocketOutcome};
 pub use server::{serve, ServerOptions, ServerOutcome, CHECKPOINT_FILE};

@@ -25,6 +25,7 @@
 
 use crate::control::{is_control_frame, ControlMsg};
 use bytes::Bytes;
+use flips_fl::plan::place;
 use flips_fl::transport::StreamTransport;
 use flips_fl::{FlError, Transport};
 use std::collections::VecDeque;
@@ -445,10 +446,10 @@ impl CoordLink {
 ///
 /// Implements [`Transport`], so the unmodified
 /// [`MultiJobDriver`](flips_fl::MultiJobDriver) drives remote parties
-/// exactly as it drives in-memory shards. Party `p` travels link
-/// `p % links` — the same pure assignment the sharded runtime uses, so
-/// a socket topology and a shard topology carry identical per-link
-/// frame sequences.
+/// exactly as it drives in-memory shards. Frames are placed on links by
+/// [`flips_fl::plan::place`] — the same rule the sharded runtime's plan
+/// uses, so a socket topology and a shard topology carry identical
+/// per-link frame sequences.
 ///
 /// Links live behind `Arc<Mutex<_>>` because the event loop needs them
 /// too (readiness-driven flushing, probe issuance, resume handshakes)
@@ -461,7 +462,7 @@ pub struct SocketRouter {
 }
 
 impl SocketRouter {
-    /// A router over `links` (index = link slot = `party % links.len()`).
+    /// A router over `links` (index = link slot).
     pub fn new(links: Vec<Arc<Mutex<CoordLink>>>) -> SocketRouter {
         SocketRouter { links }
     }
@@ -476,8 +477,7 @@ impl Transport for SocketRouter {
         let Some(dest) = flips_fl::message::frame_dest(frame) else {
             return Err(FlError::Transport("frame too short to route to a link".into()));
         };
-        let slot = (dest % self.links.len() as u64) as usize;
-        self.link(slot).send_data(frame)
+        self.link(place(dest, self.links.len())).send_data(frame)
     }
 
     fn try_recv(&mut self) -> Result<Option<Bytes>, FlError> {
@@ -489,7 +489,7 @@ impl Transport for SocketRouter {
     }
 
     fn link_for(&self, _job: u64, dest: u64) -> usize {
-        (dest % self.links.len() as u64) as usize
+        place(dest, self.links.len())
     }
 
     fn try_recv_tagged(&mut self) -> Result<Option<(usize, Bytes)>, FlError> {
@@ -923,6 +923,11 @@ mod tests {
         assert_eq!(router.links(), 2);
         assert_eq!(router.link_for(9, 4), 0);
         assert_eq!(router.link_for(9, 7), 1);
+        // The router and the plan's shares agree on every placement.
+        let wire = flips_fl::WireOptions::new(2);
+        for party in 0..64usize {
+            assert_eq!(router.link_for(9, party as u64), wire.link_of(party));
+        }
 
         let even = frame(4, &WireMessage::Heartbeat { job: 9, round: 0, party: 4 });
         let odd = frame(7, &WireMessage::Heartbeat { job: 9, round: 0, party: 7 });

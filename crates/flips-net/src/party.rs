@@ -1,6 +1,6 @@
 //! The party worker's readiness-driven event loop.
 //!
-//! [`party_loop`] serves one link slot of the socket wire: a
+//! [`party_loop_with`] serves one link slot of the socket wire: a
 //! [`PartyPool`] — the same unmodified pool the lockstep and sharded
 //! drivers use — pumped whenever the connection reads ready, with the
 //! [control protocol](crate::control) answered in between pumps. The
@@ -13,14 +13,14 @@
 //! this loop has applied it to the pool, so no frame encoded against a
 //! restored reference is ever decoded without it.
 //!
-//! [`party_loop_with`] adds the failure-recovery behaviours behind
-//! [`PartyOptions`]: reconnect-and-resume after a dead connection
-//! (under the seeded [backoff](crate::backoff) schedule), and a
-//! deliberate link-death knob for chaos tests.
+//! [`PartyOptions`] holds the failure-recovery behaviours:
+//! reconnect-and-resume after a dead connection (under the seeded
+//! [backoff](crate::backoff) schedule), and a deliberate link-death
+//! knob for chaos tests.
 
 use crate::link::{net_err, Fd, PartyLink};
 use crate::metrics::{render_party_metrics, HealthPlane, PartySnapshot};
-use flips_fl::{FlError, GuardConfig, ModelCodec, PartyEndpoint, PartyPool};
+use flips_fl::{FlError, GuardConfig, LinkShare, PartyPool};
 use mio::{Events, Interest, Poll, Token};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
@@ -30,11 +30,6 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(20);
 
 /// The epoll token of the data link (health tokens live far above).
 const LINK_TOKEN: Token = Token(0);
-
-/// One job's party-side share: id, negotiated codec (pinned
-/// out-of-band, as a real deployment would), and the endpoints this
-/// link slot owns.
-pub type PartyJob = (u64, ModelCodec, Vec<PartyEndpoint>);
 
 /// Failure-recovery options of one party worker.
 #[derive(Debug, Clone)]
@@ -51,12 +46,6 @@ pub struct PartyOptions {
     /// as a crash would) once this many data frames have been
     /// received. One-shot; requires `resume_addr`.
     pub drop_after: Option<u64>,
-    /// Jobs this worker folds as an aggregation-tree inner node, as
-    /// `(job, sketch_dim)` pairs ([`PartyPool::enable_tree`]): one
-    /// partial-aggregate frame per round goes up the wire instead of
-    /// per-party updates. The server must run its coordinators in
-    /// exact-fold mode (the socket runtime's tree flag does both ends).
-    pub tree_jobs: Vec<(u64, usize)>,
 }
 
 impl Default for PartyOptions {
@@ -66,73 +55,47 @@ impl Default for PartyOptions {
             reconnect_budget: Duration::from_secs(30),
             hello_timeout: Duration::from_secs(60),
             drop_after: None,
-            tree_jobs: Vec::new(),
         }
     }
 }
 
-/// Serves link slot `shard` over `stream` until the coordinator's
-/// shutdown notice, then returns the finished pool (its observability
-/// counters outlive the run). `health`, when given, serves `/metrics`
-/// and `/healthz` from the same event loop. Equivalent to
-/// [`party_loop_with`] under default [`PartyOptions`] — no reconnects.
+/// Serves link slot `share.link` over `stream` — the endpoints, pinned
+/// codecs and tree role [`flips_fl::split`] placed there — until the
+/// coordinator's shutdown notice, then returns the finished pool (its
+/// observability counters outlive the run). `health`, when given,
+/// serves `/metrics` and `/healthz` from the same event loop; default
+/// [`PartyOptions`] never reconnect.
+///
+/// The connection is switched to nonblocking + `TCP_NODELAY` and a
+/// Hello naming the share's link slot is the first frame out — accept
+/// order at the server is nondeterministic, so the slot must be
+/// announced, not assumed. The server's hello-ack is awaited before the
+/// loop starts; it carries the session token a later reconnect
+/// presents, and any restored codec references ride directly behind it.
 ///
 /// # Errors
 ///
 /// Socket failures, protocol violations and training failures
 /// propagate; a server that disappears without a shutdown notice is a
-/// [`FlError::Transport`].
-pub fn party_loop(
-    stream: TcpStream,
-    shard: u32,
-    jobs: Vec<PartyJob>,
-    guard: Option<&GuardConfig>,
-    health: Option<TcpListener>,
-) -> Result<PartyPool<PartyLink>, FlError> {
-    party_loop_with(stream, shard, jobs, guard, health, &PartyOptions::default())
-}
-
-/// [`party_loop`] with explicit failure-recovery options.
-///
-/// The connection is switched to nonblocking + `TCP_NODELAY` and a
-/// Hello naming `shard` is the first frame out — accept order at the
-/// server is nondeterministic, so the slot must be announced, not
-/// assumed. The server's hello-ack is awaited before the loop starts;
-/// it carries the session token a later reconnect presents, and any
-/// restored codec references ride directly behind it.
-///
-/// # Errors
-///
-/// As [`party_loop`]; with `opts.resume_addr` set, a dead connection
-/// is only fatal once a reconnect exhausts its budget (or the server
-/// answers it with a fresh session — the run state is gone).
+/// [`FlError::Transport`] — with `opts.resume_addr` set, only once a
+/// reconnect exhausts its budget (or the server answers it with a fresh
+/// session — the run state is gone).
 pub fn party_loop_with(
     stream: TcpStream,
-    shard: u32,
-    jobs: Vec<PartyJob>,
+    share: LinkShare,
     guard: Option<&GuardConfig>,
     health: Option<TcpListener>,
     opts: &PartyOptions,
 ) -> Result<PartyPool<PartyLink>, FlError> {
+    let shard = share.link as u32;
     crate::link::prepare_stream(&stream)?;
     let mut link = PartyLink::new(stream);
     link.set_resumable(opts.resume_addr.is_some());
     link.send_hello(shard)?;
     link.await_hello_ack(opts.hello_timeout)?;
     let mut fd = Fd(link.raw_fd());
-    let parties: u64 = jobs.iter().map(|(_, _, eps)| eps.len() as u64).sum();
-
-    let mut pool = PartyPool::new(link);
-    if let Some(guard) = guard {
-        pool.set_guard(guard);
-    }
-    for (job, codec, endpoints) in jobs {
-        pool.pin_codec(job, codec);
-        pool.add_job(job, endpoints);
-    }
-    for &(job, sketch_dim) in &opts.tree_jobs {
-        pool.enable_tree(job, sketch_dim);
-    }
+    let parties = share.parties() as u64;
+    let mut pool = PartyPool::install(link, share, guard);
 
     let mut poll = Poll::new().map_err(net_err)?;
     let mut events = Events::with_capacity(16);

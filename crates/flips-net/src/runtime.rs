@@ -1,7 +1,7 @@
 //! The in-process socket harness: coordinator and party workers as
 //! threads of one process, wired over real TCP loopback sockets.
 //!
-//! [`run_socket`] is to [`crate::serve`]/[`crate::party_loop`] what
+//! [`run_socket`] is to [`crate::serve`]/[`crate::party_loop_with`] what
 //! [`flips_fl::run_sharded`] is to its worker loops: the same code the
 //! deployable binaries run, arranged so a test can drive a complete
 //! multi-process topology — epoll event loops, length-prefixed TCP
@@ -10,35 +10,22 @@
 
 use crate::backoff::{retry, Backoff, SystemClock};
 use crate::link::{net_err, PartyLink};
-use crate::party::{party_loop_with, PartyJob, PartyOptions};
+use crate::party::{party_loop_with, PartyOptions};
 use crate::server::{serve, ServerOptions, ServerOutcome};
 use flips_fl::chaos::ChaosEvent;
 use flips_fl::guard::BreakerTransition;
-use flips_fl::{
-    ChaosSchedule, DriverStats, FlError, GuardConfig, History, JobParts, PartyEndpoint, PartyPool,
-};
+use flips_fl::{split, DriverStats, FlError, History, JobParts, PartyPool, WireOptions, WithWire};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-/// Options of one loopback socket run.
+/// Options of one loopback socket run: the shared [`WireOptions`] (one
+/// TCP link and party worker thread per link; builders via
+/// [`WithWire`]) plus the session-resume knobs.
 #[derive(Debug, Clone)]
 pub struct SocketOptions {
-    /// TCP links (= party worker threads) the roster is split across
-    /// (≥ 1). Party `p` of every job is served over link `p % links` —
-    /// the same pure assignment the sharded runtime uses.
-    pub links: usize,
-    /// Inbound guard plane installed on the driver (and, for the
-    /// frame-size stage, on every party pool). `None` runs unguarded.
-    pub guard: Option<GuardConfig>,
-    /// Seeded chaos schedule applied at the driver's uplink seam.
-    /// `None` runs the wire untouched.
-    pub chaos: Option<ChaosSchedule>,
-    /// Per-link codec overrides, `(job, link slot, codec)`, applied to
-    /// both wire ends out-of-band: the server's per-link negotiation
-    /// table and the owning link worker's pinned codec (the socket
-    /// sibling of [`flips_fl::RuntimeOptions::with_link_codec`]).
-    pub link_codecs: Vec<(u64, usize, flips_fl::ModelCodec)>,
+    /// Placement, guard, chaos schedule, link codecs and tree mode.
+    pub wire: WireOptions,
     /// Run the session-resume plane: the server parks dead links and
     /// every worker reconnects and resumes instead of failing.
     pub resume: bool,
@@ -46,42 +33,12 @@ pub struct SocketOptions {
     /// `after` data frames (one-shot), exercising a real mid-run TCP
     /// link death. Implies [`SocketOptions::resume`].
     pub party_drop: Option<(usize, u64)>,
-    /// Run every job as an aggregation tree: each link worker folds its
-    /// parties' updates into one exact partial aggregate per round
-    /// ([`PartyPool::enable_tree`]) and every coordinator merges the
-    /// partials in exact-fold mode — uplink update traffic drops from
-    /// O(parties) to O(links) frames per round, bit-identically to the
-    /// flat exact-fold run.
-    pub tree: bool,
 }
 
 impl SocketOptions {
     /// Options for `links` TCP links, no guard, no chaos.
     pub fn new(links: usize) -> Self {
-        SocketOptions {
-            links,
-            guard: None,
-            chaos: None,
-            link_codecs: Vec::new(),
-            resume: false,
-            party_drop: None,
-            tree: false,
-        }
-    }
-
-    /// Runs every job as an aggregation tree (see
-    /// [`SocketOptions::tree`]).
-    #[must_use]
-    pub fn with_tree(mut self) -> Self {
-        self.tree = true;
-        self
-    }
-
-    /// Runs the session-resume plane (see [`SocketOptions::resume`]).
-    #[must_use]
-    pub fn with_resume(mut self) -> Self {
-        self.resume = true;
-        self
+        SocketOptions { wire: WireOptions::new(links), resume: false, party_drop: None }
     }
 
     /// Severs worker `slot`'s connection after `after` received data
@@ -92,27 +49,11 @@ impl SocketOptions {
         self.resume = true;
         self
     }
+}
 
-    /// Overrides the codec one link speaks for `job` (see
-    /// [`SocketOptions::link_codecs`]).
-    #[must_use]
-    pub fn with_link_codec(mut self, job: u64, link: usize, codec: flips_fl::ModelCodec) -> Self {
-        self.link_codecs.push((job, link, codec));
-        self
-    }
-
-    /// Installs an inbound guard plane on the run's driver and pools.
-    #[must_use]
-    pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = Some(guard);
-        self
-    }
-
-    /// Applies a seeded chaos schedule to the run's uplink.
-    #[must_use]
-    pub fn with_chaos(mut self, chaos: ChaosSchedule) -> Self {
-        self.chaos = Some(chaos);
-        self
+impl WithWire for SocketOptions {
+    fn wire_mut(&mut self) -> &mut WireOptions {
+        &mut self.wire
     }
 }
 
@@ -160,7 +101,7 @@ pub fn connect_with_retry(addr: SocketAddr, timeout: Duration) -> Result<TcpStre
     retry(timeout, &mut backoff, &mut clock, || TcpStream::connect(addr).map_err(net_err))
 }
 
-/// Runs every job to completion over `opts.links` loopback TCP links,
+/// Runs every job to completion over `opts.wire.links` loopback TCP links,
 /// one party worker thread per link, returning each job's final history
 /// and the wire counters. Histories are bit-identical to the same jobs
 /// under every other driver in the workspace — see [`crate::server`]'s
@@ -177,84 +118,31 @@ pub fn connect_with_retry(addr: SocketAddr, timeout: Duration) -> Result<TcpStre
 /// Panics if a worker thread panics (a training bug, not an I/O
 /// condition).
 pub fn run_socket(jobs: Vec<JobParts>, opts: &SocketOptions) -> Result<SocketOutcome, FlError> {
-    if opts.links == 0 {
-        return Err(FlError::InvalidConfig("link count must be at least 1".into()));
-    }
-    if jobs.is_empty() {
-        return Err(FlError::InvalidConfig("no jobs to run".into()));
-    }
-    let links = opts.links;
+    // The coordinator-side pieces go to the server; each link's share
+    // goes to its worker thread.
+    let (server_jobs, shares) = split(jobs, &opts.wire)?;
     let listener = TcpListener::bind("127.0.0.1:0").map_err(net_err)?;
     let addr = listener.local_addr().map_err(net_err)?;
 
-    // Split every job: the coordinator-side pieces stay in the server's
-    // JobParts, the endpoints go to their link's worker (party
-    // `p` → link `p % links`, matching the router).
-    let mut per_link: Vec<Vec<PartyJob>> = (0..links).map(|_| Vec::new()).collect();
-    let mut server_jobs = Vec::with_capacity(jobs.len());
-    let mut tree_jobs: Vec<(u64, usize)> = Vec::new();
-    for mut parts in jobs {
-        let endpoints = std::mem::take(&mut parts.endpoints);
-        if opts.tree {
-            // Tree mode is a two-ended contract: the coordinator folds
-            // in exact integer arithmetic so link-level partials merge
-            // bit-identically, and every worker folds its share.
-            parts.coordinator.set_exact_fold(true);
-            tree_jobs.push((parts.coordinator.job_id(), parts.coordinator.sketch_dim()));
-        }
-        let job_id = parts.coordinator.job_id();
-        let codec = parts.coordinator.codec();
-        let mut split: Vec<Vec<PartyEndpoint>> = (0..links).map(|_| Vec::new()).collect();
-        for ep in endpoints {
-            split[ep.id() % links].push(ep);
-        }
-        for (slot, eps) in split.into_iter().enumerate() {
-            if !eps.is_empty() {
-                // The worker pins the codec *its link* speaks — the
-                // override when one names this `(job, slot)`.
-                let pinned = opts
-                    .link_codecs
-                    .iter()
-                    .rev()
-                    .find(|&&(j, l, _)| j == job_id && l == slot)
-                    .map_or(codec, |&(_, _, c)| c);
-                per_link[slot].push((job_id, pinned, eps));
-            }
-        }
-        server_jobs.push(parts);
-    }
-
     let resume = opts.resume || opts.party_drop.is_some();
-    let server_opts = ServerOptions {
-        guard: opts.guard,
-        chaos: opts.chaos.clone(),
-        link_codecs: opts.link_codecs.clone(),
-        resume,
-        ..ServerOptions::new(links)
-    };
+    let server_opts =
+        ServerOptions { wire: opts.wire.clone(), resume, ..ServerOptions::new(opts.wire.links) };
 
     let (server_result, worker_results) = std::thread::scope(|scope| {
-        let workers: Vec<_> = per_link
+        let workers: Vec<_> = shares
             .into_iter()
-            .enumerate()
-            .map(|(slot, link_jobs)| {
-                let guard = opts.guard;
+            .map(|share| {
+                let guard = opts.wire.guard;
                 let party_opts = PartyOptions {
                     resume_addr: resume.then_some(addr),
-                    drop_after: opts.party_drop.and_then(|(s, after)| (s == slot).then_some(after)),
-                    tree_jobs: tree_jobs.clone(),
+                    drop_after: opts
+                        .party_drop
+                        .and_then(|(slot, after)| (slot == share.link).then_some(after)),
                     ..PartyOptions::default()
                 };
                 scope.spawn(move || -> Result<PartyPool<PartyLink>, FlError> {
                     let stream = connect_with_retry(addr, Duration::from_secs(30))?;
-                    party_loop_with(
-                        stream,
-                        slot as u32,
-                        link_jobs,
-                        guard.as_ref(),
-                        None,
-                        &party_opts,
-                    )
+                    party_loop_with(stream, share, guard.as_ref(), None, &party_opts)
                 })
             })
             .collect();

@@ -61,8 +61,7 @@ use crate::metrics::{render_server_metrics, HealthPlane};
 use flips_fl::chaos::ChaosEvent;
 use flips_fl::guard::BreakerTransition;
 use flips_fl::{
-    ChaosSchedule, ChaosTransport, Checkpoint, DriverStats, FlError, GuardConfig, History,
-    JobParts, MultiJobDriver,
+    Checkpoint, DriverStats, FlError, History, JobParts, MultiJobDriver, WireOptions, WithWire,
 };
 use mio::{Events, Interest, Poll, Token};
 use std::collections::BTreeMap;
@@ -87,26 +86,18 @@ const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(10);
 /// [`ServerOptions::checkpoint_dir`].
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
-/// Options of one coordinator run.
+/// Options of one coordinator run: the shared [`WireOptions`] (one link
+/// per party connection to accept; builders via [`WithWire`]) plus the
+/// socket timeouts and the failure-recovery plane.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Party connections to accept before the run starts (≥ 1). Party
-    /// `p` of every job is served over link `p % links`.
-    pub links: usize,
-    /// Inbound guard plane installed on the driver. `None` runs
-    /// unguarded.
-    pub guard: Option<GuardConfig>,
-    /// Seeded chaos schedule applied at the driver's uplink seam.
-    /// `None` runs the wire untouched.
-    pub chaos: Option<ChaosSchedule>,
-    /// How long to wait for all `links` parties to connect and say
+    /// Placement, guard, chaos schedule, link codecs and tree mode. The
+    /// party process serving a link must hold the matching
+    /// [`flips_fl::LinkShare`] of the same plan.
+    pub wire: WireOptions,
+    /// How long to wait for all links' parties to connect and say
     /// Hello.
     pub accept_timeout: Duration,
-    /// Per-link codec overrides, `(job, link slot, codec)` — applied to
-    /// the driver's per-link negotiation table before the run starts
-    /// (see [`flips_fl::MultiJobDriver::set_link_codec`]). The party
-    /// process serving an overridden slot must pin the same codec.
-    pub link_codecs: Vec<(u64, usize, flips_fl::ModelCodec)>,
     /// Park dead links and let their parties reconnect and resume the
     /// session (module docs) instead of aborting the run.
     pub resume: bool,
@@ -123,56 +114,24 @@ pub struct ServerOptions {
     pub restore: Option<Checkpoint>,
 }
 
+impl WithWire for ServerOptions {
+    fn wire_mut(&mut self) -> &mut WireOptions {
+        &mut self.wire
+    }
+}
+
 impl ServerOptions {
     /// Options for `links` party connections, no guard, no chaos, no
     /// recovery plane.
     pub fn new(links: usize) -> Self {
         ServerOptions {
-            links,
-            guard: None,
-            chaos: None,
+            wire: WireOptions::new(links),
             accept_timeout: Duration::from_secs(60),
-            link_codecs: Vec::new(),
             resume: false,
             resume_timeout: Duration::from_secs(30),
             checkpoint_dir: None,
             restore: None,
         }
-    }
-
-    /// Installs an inbound guard plane on the run's driver.
-    #[must_use]
-    pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = Some(guard);
-        self
-    }
-
-    /// Applies a seeded chaos schedule to the run's uplink.
-    #[must_use]
-    pub fn with_chaos(mut self, chaos: ChaosSchedule) -> Self {
-        self.chaos = Some(chaos);
-        self
-    }
-
-    /// Parks dead links for session resume instead of aborting.
-    #[must_use]
-    pub fn with_resume(mut self) -> Self {
-        self.resume = true;
-        self
-    }
-
-    /// Snapshots the run into `dir` at every round boundary.
-    #[must_use]
-    pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Restores the run from `cp` instead of starting fresh.
-    #[must_use]
-    pub fn with_restore(mut self, cp: Checkpoint) -> Self {
-        self.restore = Some(cp);
-        self
     }
 }
 
@@ -315,14 +274,14 @@ fn write_checkpoint(dir: &Path, cp: &Checkpoint) -> Result<(), FlError> {
     Ok(())
 }
 
-/// Runs every job to completion over `opts.links` party connections
+/// Runs every job to completion over `opts.wire.links` party connections
 /// accepted from `listener`, returning each job's final history and the
 /// wire counters. `health`, when given, serves `/metrics` and
 /// `/healthz` from the same event loop for the duration of the run.
 ///
 /// Endpoints inside the given [`JobParts`] are dropped — the party side
 /// of each job lives in whatever processes connect (see
-/// [`crate::party_loop`]); only the coordinator-side pieces run here.
+/// [`crate::party_loop_with`]); only the coordinator-side pieces run here.
 /// Histories are bit-identical to the same jobs under
 /// [`flips_fl::run_lockstep`] and [`flips_fl::run_sharded`] — see the
 /// [module docs](self) for why, including across parked-and-resumed
@@ -341,22 +300,19 @@ pub fn serve(
     opts: &ServerOptions,
     health: Option<TcpListener>,
 ) -> Result<ServerOutcome, FlError> {
-    if opts.links == 0 {
-        return Err(FlError::InvalidConfig("link count must be at least 1".into()));
-    }
-    if jobs.is_empty() {
-        return Err(FlError::InvalidConfig("no jobs to run".into()));
-    }
+    let wire = &opts.wire;
+    // Fail before blocking in accept, not after.
+    wire.admit(jobs.len())?;
     // The restored references go out per-slot inside the accept-phase
     // handshake, so every party seeds its pool before it can possibly
     // see a data frame encoded against the reference.
-    let mut ref_syncs: Vec<Vec<ControlMsg>> = vec![Vec::new(); opts.links];
+    let mut ref_syncs: Vec<Vec<ControlMsg>> = vec![Vec::new(); wire.links];
     if let Some(cp) = &opts.restore {
         for r in &cp.codec_refs {
             let slot = ref_syncs.get_mut(r.link as usize).ok_or_else(|| {
                 FlError::InvalidConfig(format!(
                     "checkpoint re-keys link {}, run has {}",
-                    r.link, opts.links
+                    r.link, wire.links
                 ))
             })?;
             slot.push(ControlMsg::RefSync {
@@ -366,28 +322,14 @@ pub fn serve(
             });
         }
     }
-    let links = accept_links(listener, opts.links, opts.accept_timeout, opts.resume, &ref_syncs)?;
+    let links = accept_links(listener, wire.links, opts.accept_timeout, opts.resume, &ref_syncs)?;
     let mut fds: Vec<Fd> =
         links.iter().map(|l| Fd(l.lock().expect("fresh link").raw_fd())).collect();
 
-    let router = SocketRouter::new(links.clone());
-    let wire = match &opts.chaos {
-        Some(schedule) => ChaosTransport::new(router, schedule.clone()),
-        None => ChaosTransport::inert(router),
-    };
-    let mut driver = MultiJobDriver::new(wire);
-    if let Some(guard) = opts.guard {
-        driver.set_guard(guard)?;
-    }
     let job_count = jobs.len() as u64;
-    for parts in jobs {
-        // The endpoints live in the party processes; only the
-        // coordinator-side pieces are registered here.
-        let _endpoints = driver.add_parts(parts)?;
-    }
-    for &(job, link, codec) in &opts.link_codecs {
-        driver.set_link_codec(job, link, codec)?;
-    }
+    // The endpoints live in the party processes; only the
+    // coordinator-side pieces are installed here.
+    let mut driver = MultiJobDriver::install(SocketRouter::new(links.clone()), jobs, wire)?;
     if let Some(cp) = &opts.restore {
         driver.restore(cp)?;
     }

@@ -259,8 +259,8 @@ fn delta_codec_moves_fewer_bytes_than_raw() {
     // XOR to zero and collapse, so the model-bearing downlink roughly
     // halves even on this tiny model. Uplink: each trained update is a
     // distinct high-entropy delta, so the win there is thinner — the
-    // realistic mlp-16×256×192×10 numbers are tracked in
-    // BENCH_fl_round.json (`transport_bytes_per_round`).
+    // realistic mlp-16×256×192×10 numbers are gated exactly by
+    // flbench's tests (754 075 B/round).
     assert!(
         (delta.bytes_sent as f64) < 0.55 * raw.bytes_sent as f64,
         "delta downlink should collapse rebroadcasts: {} vs {}",

@@ -1,0 +1,25 @@
+#!/usr/bin/env python3
+"""Lines of Rust per crate: `src/` split at each file's first
+`#[cfg(test)]` (code above, in-file tests below), plus `tests/`.
+
+Usage: python3 tools/loc.py [repo-root]   (default: this file's repo)
+"""
+import pathlib
+import sys
+
+root = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path(__file__).resolve().parents[1]
+crates = sorted(p.parent for p in root.glob("crates/*/Cargo.toml")) + [root]
+print(f"{'crate':<18} {'src':>7} {'src tests':>10} {'tests/':>7}")
+totals = [0, 0, 0]
+for crate in crates:
+    code = in_file_tests = 0
+    for path in sorted((crate / "src").rglob("*.rs")):
+        lines = path.read_text().splitlines()
+        cut = next((i for i, l in enumerate(lines) if l.strip() == "#[cfg(test)]"), len(lines))
+        code += cut
+        in_file_tests += len(lines) - cut
+    suites = sum(len(p.read_text().splitlines()) for p in (crate / "tests").glob("*.rs"))
+    name = "flips (facade)" if crate == root else crate.name
+    print(f"{name:<18} {code:>7} {in_file_tests:>10} {suites:>7}")
+    totals = [t + n for t, n in zip(totals, (code, in_file_tests, suites))]
+print(f"{'total':<18} {totals[0]:>7} {totals[1]:>10} {totals[2]:>7}")
