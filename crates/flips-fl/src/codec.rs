@@ -305,6 +305,11 @@ pub struct PayloadCodec {
     /// Round of the reference (replay guard: never regress).
     ref_round: u64,
     has_reference: bool,
+    /// The reference as a receiver last handed it out: a same-round
+    /// rebroadcast decodes to the reference itself, and answers with a
+    /// clone of this `Arc` instead of a fresh copy of the model. `None`
+    /// whenever the reference moved without a decode.
+    ref_arc: Option<Arc<[f32]>>,
     /// `(addr, len)` of the buffer the sender's reference was copied
     /// from — same-round rebroadcasts share one `Arc`, so a pointer
     /// match proves the payload IS the reference and the zero-delta
@@ -317,6 +322,8 @@ pub struct PayloadCodec {
     planes: Vec<u8>,
     /// RLE / rANS token scratch.
     tokens: Vec<u8>,
+    /// rANS renorm bytes and symbol tables.
+    rans: crate::rans::Scratch,
     /// Decoded-parameter scratch for global models.
     decoded: Vec<f32>,
     /// Top-k candidate scratch: `(magnitude key, index)`.
@@ -355,10 +362,12 @@ impl PayloadCodec {
             reference: Vec::new(),
             ref_round: 0,
             has_reference: false,
+            ref_arc: None,
             ref_src: (0, 0),
             expected_len: None,
             planes: Vec::new(),
             tokens: Vec::new(),
+            rans: crate::rans::Scratch::default(),
             decoded: Vec::new(),
             cands: Vec::new(),
             pairs: Vec::new(),
@@ -466,19 +475,29 @@ impl PayloadCodec {
     pub fn decode_global(&mut self, round: u64, buf: &mut Bytes) -> Result<Arc<[f32]>, FlError> {
         let mut decoded = std::mem::take(&mut self.decoded);
         decoded.clear();
-        let result = self.decode_params(buf, &mut decoded);
-        let arc = match result {
-            Ok(()) => {
-                let fresh = !self.has_reference || round > self.ref_round;
-                let len_ok = self.expected_len.is_none_or(|l| l == decoded.len())
-                    && (!self.has_reference || self.reference.len() == decoded.len());
-                if self.codec.tracks_reference() && self.role == Role::Receiver && fresh && len_ok {
-                    self.set_reference(round, &decoded);
+        let arc = self.decode_params(buf, &mut decoded).map(|is_reference| {
+            let len = if is_reference { self.reference.len() } else { decoded.len() };
+            let fresh = !self.has_reference || round > self.ref_round;
+            let len_ok = self.expected_len.is_none_or(|l| l == len)
+                && (!self.has_reference || self.reference.len() == len);
+            let commit =
+                self.codec.tracks_reference() && self.role == Role::Receiver && fresh && len_ok;
+            if is_reference {
+                // The same bits under a newer round: only the round moves.
+                if commit {
+                    self.ref_round = round;
                 }
-                Ok(Arc::from(decoded.as_slice()))
+                let reference = &self.reference;
+                Arc::clone(self.ref_arc.get_or_insert_with(|| Arc::from(reference.as_slice())))
+            } else {
+                let arc: Arc<[f32]> = Arc::from(decoded.as_slice());
+                if commit {
+                    self.set_reference(round, &decoded);
+                    self.ref_arc = Some(Arc::clone(&arc));
+                }
+                arc
             }
-            Err(e) => Err(e),
-        };
+        });
         self.decoded = decoded;
         arc
     }
@@ -490,8 +509,10 @@ impl PayloadCodec {
     ///
     /// As [`PayloadCodec::decode_global`].
     pub fn decode_update(&mut self, buf: &mut Bytes) -> Result<Vec<f32>, FlError> {
-        let mut out = Vec::new();
-        self.decode_params(buf, &mut out)?;
+        let mut out = Vec::with_capacity(self.reference.len());
+        if self.decode_params(buf, &mut out)? {
+            out.extend_from_slice(&self.reference);
+        }
         Ok(out)
     }
 
@@ -514,6 +535,7 @@ impl PayloadCodec {
         self.reference.extend_from_slice(params);
         self.ref_round = round;
         self.has_reference = true;
+        self.ref_arc = None;
         self.ref_src = (0, 0);
         self.true_ref.clear();
         self.pairs.clear();
@@ -534,6 +556,7 @@ impl PayloadCodec {
         self.reference.extend_from_slice(params);
         self.ref_round = round;
         self.has_reference = true;
+        self.ref_arc = None;
         self.ref_src = (params.as_ptr() as usize, params.len());
     }
 
@@ -581,15 +604,13 @@ impl PayloadCodec {
         out.put_slice(&self.tokens);
     }
 
-    /// Emits the entropy-coded block of an all-zero delta. Each plane's
-    /// rANS stream is header-sized (one symbol at the full frequency
-    /// budget never moves the coder state), so a rebroadcast costs ~170
-    /// bytes regardless of model size; only the plane memset is O(n).
+    /// Emits the entropy-coded block of an all-zero delta, O(1) in the
+    /// model size. Each plane's rANS stream is its header (one symbol at
+    /// the full frequency budget never moves the coder state), so the
+    /// ~190 bytes are written without materializing a plane.
     fn encode_zero_entropy(&mut self, n: usize, out: &mut BytesMut) {
-        self.planes.clear();
-        self.planes.resize(4 * n, 0);
         self.tokens.clear();
-        crate::rans::encode_planes(&self.planes, n, &mut self.tokens);
+        crate::rans::encode_zero_planes(n, &mut self.tokens);
         out.reserve(1 + 8 + 1 + 4 + self.tokens.len());
         out.put_u8(self.codec.tag());
         out.put_u64_le(n as u64);
@@ -663,7 +684,7 @@ impl PayloadCodec {
                 let n = params.len();
                 self.build_delta_planes(params);
                 self.tokens.clear();
-                crate::rans::encode_planes(&self.planes, n, &mut self.tokens);
+                crate::rans::encode_planes(&self.planes, n, &mut self.rans, &mut self.tokens);
                 // Same reserve-ahead discipline as the RLE stage: a
                 // near-incompressible delta (the rANS header alone is
                 // up to 544 bytes) falls back to the inline image so no
@@ -741,18 +762,22 @@ impl PayloadCodec {
     /// lengths).
     fn build_delta_planes(&mut self, params: &[f32]) {
         let n = params.len();
-        self.planes.clear();
         self.planes.resize(4 * n, 0);
-        for (i, (&x, &r)) in params.iter().zip(&self.reference).enumerate() {
-            let d = (x.to_bits() ^ r.to_bits()).to_le_bytes();
-            self.planes[i] = d[0];
-            self.planes[n + i] = d[1];
-            self.planes[2 * n + i] = d[2];
-            self.planes[3 * n + i] = d[3];
+        // Four disjoint plane slices zipped with the input: no index
+        // arithmetic, no bounds check — the shuffle vectorizes.
+        let (lo, hi) = self.planes.split_at_mut(2 * n);
+        let ((p0, p1), (p2, p3)) = (lo.split_at_mut(n), hi.split_at_mut(n));
+        let deltas = params.iter().zip(&self.reference).map(|(x, r)| x.to_bits() ^ r.to_bits());
+        for ((((d, b0), b1), b2), b3) in deltas.zip(p0).zip(p1).zip(p2).zip(p3) {
+            [*b0, *b1, *b2, *b3] = d.to_le_bytes();
         }
     }
 
-    fn decode_params(&mut self, buf: &mut Bytes, out: &mut Vec<f32>) -> Result<(), FlError> {
+    /// Decodes one params block into `out` — or returns `true` with
+    /// `out` untouched when the block is an all-zero delta, whose answer
+    /// is the reference itself (a rebroadcast costs its receiver no
+    /// plane expansion, XOR gather or model copy).
+    fn decode_params(&mut self, buf: &mut Bytes, out: &mut Vec<f32>) -> Result<bool, FlError> {
         if buf.remaining() < 1 + 8 {
             return Err(FlError::Codec("truncated params block".into()));
         }
@@ -814,8 +839,7 @@ impl PayloadCodec {
                         }
                         let comp = buf.split_to(comp_len);
                         // A stream of only zero-run tokens is a
-                        // rebroadcast of the reference itself — skip
-                        // the plane expansion and XOR gather entirely.
+                        // rebroadcast of the reference itself.
                         if let Some(total) = zero_only_stream_len(comp.as_slice()) {
                             if total != 4 * n {
                                 return Err(FlError::Codec(format!(
@@ -823,9 +847,7 @@ impl PayloadCodec {
                                     4 * n
                                 )));
                             }
-                            out.clear();
-                            out.extend_from_slice(&self.reference);
-                            return Ok(());
+                            return Ok(true);
                         }
                         rle_decompress(comp.as_slice(), 4 * n, &mut self.planes)?;
                         out.clear();
@@ -869,7 +891,15 @@ impl PayloadCodec {
                             )));
                         }
                         let comp = buf.split_to(comp_len);
-                        crate::rans::decode_planes(comp.as_slice(), n, &mut self.planes)?;
+                        // A rebroadcast of the reference itself is one
+                        // fixed container: recognized by its bytes.
+                        self.tokens.clear();
+                        crate::rans::encode_zero_planes(n, &mut self.tokens);
+                        if comp.as_slice() == self.tokens {
+                            return Ok(true);
+                        }
+                        let (rans, planes) = (&mut self.rans, &mut self.planes);
+                        crate::rans::decode_planes(comp.as_slice(), n, rans, planes)?;
                         out.clear();
                         gather_from_planes(&self.planes, &self.reference, out);
                     }
@@ -935,7 +965,7 @@ impl PayloadCodec {
                 }
             }
         }
-        Ok(())
+        Ok(false)
     }
 }
 
@@ -944,11 +974,13 @@ impl PayloadCodec {
 /// decoders.
 fn gather_from_planes(planes: &[u8], reference: &[f32], out: &mut Vec<f32>) {
     let n = reference.len();
-    out.extend(reference.iter().enumerate().map(|(i, r)| {
-        let d =
-            u32::from_le_bytes([planes[i], planes[n + i], planes[2 * n + i], planes[3 * n + i]]);
-        f32::from_bits(r.to_bits() ^ d)
-    }));
+    let (lo, hi) = planes[..4 * n].split_at(2 * n);
+    let ((p0, p1), (p2, p3)) = (lo.split_at(n), hi.split_at(n));
+    out.extend(reference.iter().zip(p0).zip(p1).zip(p2).zip(p3).map(
+        |((((r, &b0), &b1), &b2), &b3)| {
+            f32::from_bits(r.to_bits() ^ u32::from_le_bytes([b0, b1, b2, b3]))
+        },
+    ));
 }
 
 /// Overflow-safe "count · elem bytes must be present" guard (the same
@@ -1638,12 +1670,107 @@ mod tests {
     fn entropy_rebroadcast_is_small_and_decodes_to_the_reference() {
         let (mut tx, mut rx) = pair(ModelCodec::DeltaEntropy);
         let params: Vec<f32> = (0..10_000).map(|i| (i as f32).sin()).collect();
-        roundtrip(&mut tx, &mut rx, &params);
+        let mut first = BytesMut::new();
+        tx.encode_global(0, &params, &mut first);
+        let first = rx.decode_global(0, &mut first.freeze()).unwrap();
         let mut second = BytesMut::new();
         tx.encode_global(0, &params, &mut second);
-        assert!(second.len() < 256, "zero-delta rANS block is header-sized, got {}", second.len());
+        // Four single-symbol streams (5-byte plane header, 32-byte
+        // bitmap, one frequency, the state) behind the 14-byte block
+        // header: the model's size appears nowhere.
+        assert_eq!(second.len(), 4 * (5 + 38) + 14);
         let decoded = rx.decode_global(0, &mut second.freeze()).unwrap();
         assert_eq!(bits(&decoded), bits(&params));
+        assert!(Arc::ptr_eq(&decoded, &first), "a rebroadcast hands out the round's own model");
+    }
+
+    #[test]
+    fn rebroadcast_of_a_rekeyed_reference_decodes_to_its_bits() {
+        // After a restore the receiver holds the reference without ever
+        // having decoded it: the first all-zero delta still answers with
+        // those bits, and the next one shares the allocation.
+        for codec in [ModelCodec::DeltaLossless, ModelCodec::DeltaEntropy] {
+            let (mut tx, mut rx) = pair(codec);
+            let params: Vec<f32> = (0..1000).map(|i| (i as f32).cos()).collect();
+            assert!(tx.force_reference(3, &params) && rx.force_reference(3, &params));
+            let mut arcs = Vec::new();
+            for _ in 0..2 {
+                let mut buf = BytesMut::new();
+                tx.encode_global(3, &params, &mut buf);
+                arcs.push(rx.decode_global(3, &mut buf.freeze()).unwrap());
+            }
+            assert_eq!(bits(&arcs[0]), bits(&params), "{codec}");
+            assert!(Arc::ptr_eq(&arcs[0], &arcs[1]), "{codec}");
+            // A newer model moves the reference off the shared buffer.
+            let nudged: Vec<f32> = params.iter().map(|x| x + 1.0).collect();
+            let mut buf = BytesMut::new();
+            tx.encode_global(4, &nudged, &mut buf);
+            let next = rx.decode_global(4, &mut buf.freeze()).unwrap();
+            assert_eq!(bits(&next), bits(&nudged), "{codec}");
+            assert_eq!(bits(&arcs[0]), bits(&params), "{codec}: handed-out models never change");
+        }
+    }
+
+    /// A `DeltaEntropy` delta block for `n` params around `container`.
+    fn entropy_block(n: usize, container: &[u8]) -> Bytes {
+        let mut block = BytesMut::new();
+        block.put_u8(ModelCodec::DeltaEntropy.tag());
+        block.put_u64_le(n as u64);
+        block.put_u8(MODE_DELTA);
+        block.put_u32_le(container.len() as u32);
+        block.put_slice(container);
+        block.freeze()
+    }
+
+    /// One single-symbol rANS plane: `sym` at the full frequency budget.
+    fn single_symbol_plane(sym: u8, state: u32, renorm: &[u8]) -> Vec<u8> {
+        let mut plane = vec![0u8];
+        plane.extend_from_slice(&(38 + renorm.len() as u32).to_le_bytes());
+        let mut bitmap = [0u8; 32];
+        bitmap[usize::from(sym) / 8] |= 1 << (sym % 8);
+        plane.extend_from_slice(&bitmap);
+        plane.extend_from_slice(&(crate::rans::M as u16).to_le_bytes());
+        plane.extend_from_slice(&state.to_le_bytes());
+        plane.extend_from_slice(renorm);
+        plane
+    }
+
+    #[test]
+    fn forged_single_symbol_planes_decode_as_the_reference_decoder_would() {
+        use crate::rans::{reference, RANS_L};
+        let (mut tx, mut rx) = pair(ModelCodec::DeltaEntropy);
+        let params: Vec<f32> = (0..100).map(|i| i as f32 * 0.25).collect();
+        roundtrip(&mut tx, &mut rx, &params);
+        let n = params.len();
+        let zero = single_symbol_plane(0, RANS_L, &[]);
+        let decode = |rx: &mut PayloadCodec, plane1: &[u8]| {
+            let container = [&zero[..], plane1, &zero[..], &zero[..]].concat();
+            let mut planes = Vec::new();
+            let want = reference::decode_planes(&container, n, &mut planes).map(|()| {
+                let mut want = Vec::new();
+                gather_from_planes(&planes, &params, &mut want);
+                bits(&want)
+            });
+            let got = rx.decode_update(&mut entropy_block(n, &container)).map(|v| bits(&v));
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want),
+                (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                _ => panic!("codec {got:?}, reference decoder {want:?}"),
+            }
+            got
+        };
+        // The genuine article: all four planes zero, the reference itself.
+        assert_eq!(decode(&mut rx, &zero).unwrap(), bits(&params));
+        // The short-circuit runs the symbol loop's checks, not fewer: a
+        // state off the start state and stray renorm bytes are refused.
+        assert!(decode(&mut rx, &single_symbol_plane(0, RANS_L + 1, &[])).is_err());
+        assert!(decode(&mut rx, &single_symbol_plane(0, RANS_L - 1, &[])).is_err());
+        assert!(decode(&mut rx, &single_symbol_plane(0, RANS_L, &[0])).is_err());
+        // A non-zero single symbol is a legal plane, not a rebroadcast:
+        // byte 1 of every delta is 5.
+        let fives = decode(&mut rx, &single_symbol_plane(5, RANS_L, &[])).unwrap();
+        let want: Vec<u32> = params.iter().map(|x| x.to_bits() ^ 0x0500).collect();
+        assert_eq!(fives, want);
     }
 
     #[test]
