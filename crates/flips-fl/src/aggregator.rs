@@ -379,12 +379,6 @@ impl FlJob {
         }
     }
 
-    /// The round-trip durations observed so far (latency-derived
-    /// deadline path; empty under [`DeadlinePolicy::Injected`]).
-    pub fn observed_latency(&self) -> &ObservedLatency {
-        &self.observed
-    }
-
     /// Delivers `GlobalModel` messages to their endpoints (in parallel
     /// when configured) and collects the `LocalUpdate` replies.
     fn train_endpoints(

@@ -471,7 +471,7 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{deframe, frame_job};
+    use crate::message::{deframe, frame_job_of};
     use crate::transport::MemoryTransport;
 
     fn heartbeat(job: u64, party: u64) -> Bytes {
@@ -550,7 +550,7 @@ mod tests {
         assert!(deframe(original).is_ok());
         let copy = chaos.try_recv().unwrap().unwrap();
         assert!(deframe(copy.clone()).is_err(), "flipped magic must not decode");
-        assert_eq!(frame_job(&copy), Some(9), "attribution survives the corruption");
+        assert_eq!(frame_job_of(&copy), Some(9), "attribution survives the corruption");
     }
 
     fn update(job: u64, party: u64) -> Bytes {

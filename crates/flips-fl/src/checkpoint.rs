@@ -15,23 +15,25 @@
 //! - **Checksummed**: an FNV-1a-64 digest of the payload follows the
 //!   header; a flipped bit anywhere fails the load before any field is
 //!   interpreted.
-//! - **Panic-free**: decoding is a bounds-checked cursor — truncation,
-//!   hostile lengths, bad enum tags and trailing garbage all surface as
-//!   [`FlError::Codec`], and a failed decode returns nothing partial
-//!   (the only output is a fully-validated [`Checkpoint`] value).
+//! - **Panic-free**: decoding runs on the format layer's bounded
+//!   [`Reader`] — truncation, hostile lengths, bad enum tags and
+//!   trailing garbage all surface as [`FlError::Codec`], and a failed
+//!   decode returns nothing partial (the only output is a
+//!   fully-validated [`Checkpoint`] value).
 //!
 //! Serialization is sans-IO like the rest of this crate: encode/decode
 //! work on byte slices, and only `flips-net` touches the filesystem
 //! (atomically, via tmp-file + rename).
 
 use crate::driver::DriverStats;
+use crate::format::{put_bool, put_f32s, put_map, put_option, put_vec, Reader};
 use crate::guard::{
     BreakerState, BreakerTransition, GuardJobSnapshot, GuardPartySnapshot, GuardSnapshot,
 };
 use crate::history::RoundRecord;
 use crate::FlError;
+use bytes::BufMut;
 use flips_selection::{PartyId, RoundFeedback};
-use std::collections::HashMap;
 
 /// File magic: "FLCK" (FLIPS checkpoint).
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FLCK";
@@ -94,203 +96,202 @@ pub struct Checkpoint {
 }
 
 // ---------------------------------------------------------------------
-// Encoding (infallible: every in-memory state has a representation).
+// The payload, shape by shape: each writer sits beside its reader, both
+// on the format layer (`crate::format`). Encoding is infallible — every
+// in-memory state has a representation; decoding never panics and never
+// returns anything partial.
 // ---------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_ids(out: &mut Vec<u8>, ids: &[PartyId]) {
+    put_vec(out, ids, |out, &p| out.put_u64_le(p as u64));
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
+fn ids(r: &mut Reader<'_>) -> Result<Vec<PartyId>, FlError> {
+    r.vec(8, Reader::usize)
 }
 
 fn put_f32_vec(out: &mut Vec<u8>, v: &[f32]) {
-    put_u64(out, v.len() as u64);
-    for x in v {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
+    out.put_u64_le(v.len() as u64);
+    put_f32s(out, v);
 }
 
-fn put_id_vec(out: &mut Vec<u8>, v: &[PartyId]) {
-    put_u64(out, v.len() as u64);
-    for &p in v {
-        put_u64(out, p as u64);
-    }
+fn f32_vec(r: &mut Reader<'_>) -> Result<Vec<f32>, FlError> {
+    let n = r.u64()?;
+    Ok(r.f32s(n)?.collect())
 }
 
-/// HashMaps encode sorted by key so the byte stream is canonical —
-/// encode(decode(bytes)) == bytes, which the checksum and the property
-/// suite rely on.
-fn put_f64_map(out: &mut Vec<u8>, m: &HashMap<PartyId, f64>) {
-    let mut entries: Vec<(&PartyId, &f64)> = m.iter().collect();
-    entries.sort_by_key(|(p, _)| **p);
-    put_u64(out, entries.len() as u64);
-    for (&p, &v) in entries {
-        put_u64(out, p as u64);
-        put_f64(out, v);
-    }
+fn put_record(out: &mut Vec<u8>, rec: &RoundRecord) {
+    out.put_u64_le(rec.round as u64);
+    put_ids(out, &rec.selected);
+    put_ids(out, &rec.completed);
+    put_ids(out, &rec.stragglers);
+    out.put_f64_le(rec.accuracy);
+    put_vec(out, &rec.per_label_recall, |out, &recall| {
+        put_option(out, recall, |out, v| out.put_f64_le(v));
+    });
+    out.put_f64_le(rec.mean_train_loss);
+    out.put_u64_le(rec.bytes_down);
+    out.put_u64_le(rec.bytes_up);
+    out.put_f64_le(rec.round_duration);
 }
 
-fn put_sketch_map(out: &mut Vec<u8>, m: &HashMap<PartyId, Vec<f32>>) {
-    let mut entries: Vec<(&PartyId, &Vec<f32>)> = m.iter().collect();
-    entries.sort_by_key(|(p, _)| **p);
-    put_u64(out, entries.len() as u64);
-    for (&p, v) in entries {
-        put_u64(out, p as u64);
-        put_f32_vec(out, v);
-    }
-}
-
-fn put_record(out: &mut Vec<u8>, r: &RoundRecord) {
-    put_u64(out, r.round as u64);
-    put_id_vec(out, &r.selected);
-    put_id_vec(out, &r.completed);
-    put_id_vec(out, &r.stragglers);
-    put_f64(out, r.accuracy);
-    put_u64(out, r.per_label_recall.len() as u64);
-    for recall in &r.per_label_recall {
-        match recall {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                put_f64(out, *v);
-            }
-        }
-    }
-    put_f64(out, r.mean_train_loss);
-    put_u64(out, r.bytes_down);
-    put_u64(out, r.bytes_up);
-    put_f64(out, r.round_duration);
+fn record(r: &mut Reader<'_>) -> Result<RoundRecord, FlError> {
+    Ok(RoundRecord {
+        round: r.usize()?,
+        selected: ids(r)?,
+        completed: ids(r)?,
+        stragglers: ids(r)?,
+        accuracy: r.f64()?,
+        per_label_recall: r.vec(1, |r| r.option(Reader::f64))?,
+        mean_train_loss: r.f64()?,
+        bytes_down: r.u64()?,
+        bytes_up: r.u64()?,
+        round_duration: r.f64()?,
+    })
 }
 
 fn put_feedback(out: &mut Vec<u8>, fb: &RoundFeedback) {
-    put_u64(out, fb.round as u64);
-    put_id_vec(out, &fb.selected);
-    put_id_vec(out, &fb.completed);
-    put_id_vec(out, &fb.stragglers);
-    put_f64_map(out, &fb.train_loss);
-    put_f64_map(out, &fb.duration);
-    put_sketch_map(out, &fb.update_sketch);
-    put_f64(out, fb.global_accuracy);
+    out.put_u64_le(fb.round as u64);
+    put_ids(out, &fb.selected);
+    put_ids(out, &fb.completed);
+    put_ids(out, &fb.stragglers);
+    put_map(out, &fb.train_loss, |out, &v| out.put_f64_le(v));
+    put_map(out, &fb.duration, |out, &v| out.put_f64_le(v));
+    put_map(out, &fb.update_sketch, |out, v| put_f32_vec(out, v));
+    out.put_f64_le(fb.global_accuracy);
 }
 
-fn breaker_state_tag(s: BreakerState) -> u8 {
-    match s {
-        BreakerState::Closed => 0,
-        BreakerState::Open => 1,
-        BreakerState::HalfOpen => 2,
-    }
+fn feedback(r: &mut Reader<'_>) -> Result<RoundFeedback, FlError> {
+    Ok(RoundFeedback {
+        round: r.usize()?,
+        selected: ids(r)?,
+        completed: ids(r)?,
+        stragglers: ids(r)?,
+        train_loss: r.map(8, Reader::f64)?,
+        duration: r.map(8, Reader::f64)?,
+        update_sketch: r.map(8, f32_vec)?,
+        global_accuracy: r.f64()?,
+    })
+}
+
+/// Breaker states by wire tag.
+const BREAKER_STATES: [BreakerState; 3] =
+    [BreakerState::Closed, BreakerState::Open, BreakerState::HalfOpen];
+
+fn put_breaker_state(out: &mut Vec<u8>, s: BreakerState) {
+    let tag = BREAKER_STATES.iter().position(|&b| b == s).expect("every state has a tag");
+    out.put_u8(tag as u8);
+}
+
+fn breaker_state(r: &mut Reader<'_>) -> Result<BreakerState, FlError> {
+    r.tag("breaker state", |b| BREAKER_STATES.get(usize::from(b)).copied())
 }
 
 fn put_guard(out: &mut Vec<u8>, g: &GuardSnapshot) {
-    put_u64(out, g.parties.len() as u64);
-    for p in &g.parties {
-        put_u64(out, p.job);
-        put_u64(out, p.party);
-        out.push(breaker_state_tag(p.state));
-        put_u32(out, p.strikes);
-        put_u64(out, p.opens_left);
-        match p.tokens {
-            None => out.push(0),
-            Some(t) => {
-                out.push(1);
-                put_u32(out, t);
-            }
-        }
-    }
-    put_u64(out, g.jobs.len() as u64);
-    for j in &g.jobs {
-        put_u64(out, j.job);
-        put_u32(out, j.admitted);
-        match j.budget {
-            None => out.push(0),
-            Some(b) => {
-                out.push(1);
-                put_u32(out, b);
-            }
-        }
-        put_u64(out, j.opens);
-    }
-    put_u64(out, g.transitions.len() as u64);
-    for t in &g.transitions {
-        put_u64(out, t.job);
-        put_u64(out, t.party);
-        put_u64(out, t.open_index);
-        out.push(breaker_state_tag(t.to));
-    }
+    put_vec(out, &g.parties, |out, p| {
+        out.put_u64_le(p.job);
+        out.put_u64_le(p.party);
+        put_breaker_state(out, p.state);
+        out.put_u32_le(p.strikes);
+        out.put_u64_le(p.opens_left);
+        put_option(out, p.tokens, |out, t| out.put_u32_le(t));
+    });
+    put_vec(out, &g.jobs, |out, j| {
+        out.put_u64_le(j.job);
+        out.put_u32_le(j.admitted);
+        put_option(out, j.budget, |out, b| out.put_u32_le(b));
+        out.put_u64_le(j.opens);
+    });
+    put_vec(out, &g.transitions, |out, t| {
+        out.put_u64_le(t.job);
+        out.put_u64_le(t.party);
+        out.put_u64_le(t.open_index);
+        put_breaker_state(out, t.to);
+    });
 }
 
-fn stats_words(stats: &DriverStats) -> [u64; 17] {
-    [
-        stats.frames_sent,
-        stats.frames_received,
-        stats.bytes_sent,
-        stats.bytes_received,
-        stats.corrupt_frames,
-        stats.codec_mismatch_frames,
-        stats.unknown_job_frames,
-        stats.rejected_messages,
-        stats.late_updates,
-        stats.oversized_frames,
-        stats.rate_limited_frames,
-        stats.breaker_dropped_frames,
-        stats.admission_refused_frames,
-        stats.parties_ejected,
-        stats.drain_refused_selections,
-        stats.links_lost,
-        stats.links_resumed,
-    ]
+fn guard(r: &mut Reader<'_>) -> Result<GuardSnapshot, FlError> {
+    Ok(GuardSnapshot {
+        parties: r.vec(1, |r| {
+            Ok(GuardPartySnapshot {
+                job: r.u64()?,
+                party: r.u64()?,
+                state: breaker_state(r)?,
+                strikes: r.u32()?,
+                opens_left: r.u64()?,
+                tokens: r.option(Reader::u32)?,
+            })
+        })?,
+        jobs: r.vec(1, |r| {
+            Ok(GuardJobSnapshot {
+                job: r.u64()?,
+                admitted: r.u32()?,
+                budget: r.option(Reader::u32)?,
+                opens: r.u64()?,
+            })
+        })?,
+        transitions: r.vec(25, |r| {
+            Ok(BreakerTransition {
+                job: r.u64()?,
+                party: r.u64()?,
+                open_index: r.u64()?,
+                to: breaker_state(r)?,
+            })
+        })?,
+    })
 }
 
-/// Magic tag of a sealed roster segment (see [`crate::roster`]).
-pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"FLRS";
+/// The persisted wire counters, in file order — one list drives both
+/// directions. Roster spill counters are live-computed from attached
+/// stores, never persisted (see `DriverStats::roster_spilled`).
+const STATS_WORDS: [fn(&mut DriverStats) -> &mut u64; 17] = [
+    |s| &mut s.frames_sent,
+    |s| &mut s.frames_received,
+    |s| &mut s.bytes_sent,
+    |s| &mut s.bytes_received,
+    |s| &mut s.corrupt_frames,
+    |s| &mut s.codec_mismatch_frames,
+    |s| &mut s.unknown_job_frames,
+    |s| &mut s.rejected_messages,
+    |s| &mut s.late_updates,
+    |s| &mut s.oversized_frames,
+    |s| &mut s.rate_limited_frames,
+    |s| &mut s.breaker_dropped_frames,
+    |s| &mut s.admission_refused_frames,
+    |s| &mut s.parties_ejected,
+    |s| &mut s.drain_refused_selections,
+    |s| &mut s.links_lost,
+    |s| &mut s.links_resumed,
+];
 
-/// Roster-segment envelope version.
-pub(crate) const SEGMENT_VERSION: u32 = 1;
-
-/// Seals an opaque payload in the FLCK integrity envelope — magic,
-/// version, FNV-1a checksum — the same tamper evidence checkpoints get,
-/// reused by the roster spill path so a damaged segment file can only
-/// ever produce an error, never a silently wrong roster.
-pub(crate) fn seal_segment(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + payload.len());
-    out.extend_from_slice(&SEGMENT_MAGIC);
-    put_u32(&mut out, SEGMENT_VERSION);
-    put_u64(&mut out, fnv1a(payload));
-    out.extend_from_slice(payload);
-    out
+fn put_job(out: &mut Vec<u8>, job: &JobSnapshot) {
+    out.put_u64_le(job.job);
+    put_f32_vec(out, &job.global);
+    put_f32_vec(out, &job.optimizer);
+    put_vec(out, &job.active, |out, &a| put_bool(out, a));
+    put_vec(out, &job.history, put_record);
+    put_vec(out, &job.feedback, put_feedback);
+    put_option(out, job.observed.as_ref(), |out, (samples, batches)| {
+        put_vec(out, samples, |out, &s| out.put_f64_le(s));
+        put_ids(out, batches);
+    });
 }
 
-/// Opens a sealed roster segment, rejecting wrong magic, unknown
-/// versions, truncation and bit damage.
-pub(crate) fn unseal_segment(bytes: &[u8]) -> Result<&[u8], FlError> {
-    let mut cur = Cursor::new(bytes);
-    let magic: [u8; 4] = cur.bytes(4)?.try_into().expect("4 bytes");
-    if magic != SEGMENT_MAGIC {
-        return Err(bad("not a roster segment: bad magic"));
-    }
-    let version = cur.u32()?;
-    if version != SEGMENT_VERSION {
-        return Err(bad(format!(
-            "unsupported roster segment version {version} (this build reads {SEGMENT_VERSION})"
-        )));
-    }
-    let checksum = cur.u64()?;
-    let payload = &bytes[16..];
-    if fnv1a(payload) != checksum {
-        return Err(bad("roster segment failed its checksum"));
-    }
-    Ok(payload)
+fn job(r: &mut Reader<'_>) -> Result<JobSnapshot, FlError> {
+    Ok(JobSnapshot {
+        job: r.u64()?,
+        global: f32_vec(r)?,
+        optimizer: f32_vec(r)?,
+        active: r.vec(1, Reader::bool)?,
+        history: r.vec(1, record)?,
+        feedback: r.vec(1, feedback)?,
+        observed: r.option(|r| Ok((r.vec(8, Reader::f64)?, ids(r)?)))?,
+    })
 }
+
+// ---------------------------------------------------------------------
+// The integrity envelope: magic, version, FNV-1a checksum, payload.
+// ---------------------------------------------------------------------
 
 /// FNV-1a 64 over the payload.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -302,233 +303,44 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-// ---------------------------------------------------------------------
-// Decoding (panic-free; never partial).
-// ---------------------------------------------------------------------
-
-/// A bounds-checked little-endian reader. Every accessor returns a
-/// [`FlError::Codec`] on truncation; composite decoders propagate, so a
-/// hostile snapshot can only ever yield an error — never a panic, never
-/// a half-built value.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Seals an opaque payload in the integrity envelope. Roster segments
+/// ([`crate::roster`]) reuse it under their own magic, so a damaged
+/// segment file gets the same tamper evidence checkpoints get and can
+/// only ever produce an error, never a silently wrong roster.
+pub(crate) fn seal(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + payload.len());
+    out.put_slice(&magic);
+    out.put_u32_le(version);
+    out.put_u64_le(fnv1a(payload));
+    out.put_slice(payload);
+    out
 }
 
-fn bad(msg: impl Into<String>) -> FlError {
-    FlError::Codec(msg.into())
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+/// Opens an envelope, rejecting wrong magic, unknown versions (never
+/// guessed at), truncation and — through the checksum, before any field
+/// is interpreted — bit damage anywhere in the payload.
+pub(crate) fn unseal<'a>(
+    bytes: &'a [u8],
+    magic: [u8; 4],
+    version: u32,
+    what: &'static str,
+) -> Result<&'a [u8], FlError> {
+    let mut r = Reader::new(bytes, what);
+    if r.bytes(4)? != magic {
+        return Err(FlError::Codec(format!("not a {what}: bad magic")));
     }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    let found = r.u32()?;
+    if found != version {
+        return Err(FlError::Codec(format!(
+            "unsupported {what} version {found} (this build reads {version})"
+        )));
     }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], FlError> {
-        if self.remaining() < n {
-            return Err(bad(format!(
-                "checkpoint truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    let checksum = r.u64()?;
+    let payload = &bytes[r.position()..];
+    if fnv1a(payload) != checksum {
+        return Err(FlError::Codec(format!("{what} failed its checksum (corrupt or truncated)")));
     }
-
-    fn u8(&mut self) -> Result<u8, FlError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FlError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, FlError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f32(&mut self) -> Result<f32, FlError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, FlError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn usize(&mut self) -> Result<usize, FlError> {
-        usize::try_from(self.u64()?).map_err(|_| bad("checkpoint length exceeds address space"))
-    }
-
-    fn bool(&mut self) -> Result<bool, FlError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(bad(format!("invalid bool byte {b:#04x} in checkpoint"))),
-        }
-    }
-
-    /// A length prefix for elements at least `elem` bytes wide — hostile
-    /// counts that could not possibly fit the remaining input are
-    /// rejected before any allocation.
-    fn len(&mut self, elem: usize) -> Result<usize, FlError> {
-        let n = self.usize()?;
-        if n.checked_mul(elem).is_none_or(|need| need > self.remaining()) {
-            return Err(bad(format!(
-                "checkpoint length {n} impossible with {} bytes left",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-
-    fn f32_vec(&mut self) -> Result<Vec<f32>, FlError> {
-        let n = self.len(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f32()?);
-        }
-        Ok(v)
-    }
-
-    fn id_vec(&mut self) -> Result<Vec<PartyId>, FlError> {
-        let n = self.len(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.usize()?);
-        }
-        Ok(v)
-    }
-
-    fn f64_map(&mut self) -> Result<HashMap<PartyId, f64>, FlError> {
-        let n = self.len(16)?;
-        let mut m = HashMap::with_capacity(n);
-        let mut last: Option<PartyId> = None;
-        for _ in 0..n {
-            let k = self.usize()?;
-            if last.is_some_and(|prev| prev >= k) {
-                return Err(bad("checkpoint map keys not strictly ascending"));
-            }
-            last = Some(k);
-            m.insert(k, self.f64()?);
-        }
-        Ok(m)
-    }
-
-    fn sketch_map(&mut self) -> Result<HashMap<PartyId, Vec<f32>>, FlError> {
-        let n = self.len(16)?;
-        let mut m = HashMap::with_capacity(n);
-        let mut last: Option<PartyId> = None;
-        for _ in 0..n {
-            let k = self.usize()?;
-            if last.is_some_and(|prev| prev >= k) {
-                return Err(bad("checkpoint map keys not strictly ascending"));
-            }
-            last = Some(k);
-            m.insert(k, self.f32_vec()?);
-        }
-        Ok(m)
-    }
-
-    fn breaker_state(&mut self) -> Result<BreakerState, FlError> {
-        match self.u8()? {
-            0 => Ok(BreakerState::Closed),
-            1 => Ok(BreakerState::Open),
-            2 => Ok(BreakerState::HalfOpen),
-            b => Err(bad(format!("invalid breaker state tag {b:#04x} in checkpoint"))),
-        }
-    }
-
-    fn record(&mut self) -> Result<RoundRecord, FlError> {
-        let round = self.usize()?;
-        let selected = self.id_vec()?;
-        let completed = self.id_vec()?;
-        let stragglers = self.id_vec()?;
-        let accuracy = self.f64()?;
-        let n = self.len(1)?;
-        let mut per_label_recall = Vec::with_capacity(n);
-        for _ in 0..n {
-            per_label_recall.push(match self.u8()? {
-                0 => None,
-                1 => Some(self.f64()?),
-                b => return Err(bad(format!("invalid option tag {b:#04x} in checkpoint"))),
-            });
-        }
-        Ok(RoundRecord {
-            round,
-            selected,
-            completed,
-            stragglers,
-            accuracy,
-            per_label_recall,
-            mean_train_loss: self.f64()?,
-            bytes_down: self.u64()?,
-            bytes_up: self.u64()?,
-            round_duration: self.f64()?,
-        })
-    }
-
-    fn feedback(&mut self) -> Result<RoundFeedback, FlError> {
-        Ok(RoundFeedback {
-            round: self.usize()?,
-            selected: self.id_vec()?,
-            completed: self.id_vec()?,
-            stragglers: self.id_vec()?,
-            train_loss: self.f64_map()?,
-            duration: self.f64_map()?,
-            update_sketch: self.sketch_map()?,
-            global_accuracy: self.f64()?,
-        })
-    }
-
-    fn guard(&mut self) -> Result<GuardSnapshot, FlError> {
-        let n = self.len(1)?;
-        let mut parties = Vec::with_capacity(n);
-        for _ in 0..n {
-            parties.push(GuardPartySnapshot {
-                job: self.u64()?,
-                party: self.u64()?,
-                state: self.breaker_state()?,
-                strikes: self.u32()?,
-                opens_left: self.u64()?,
-                tokens: match self.u8()? {
-                    0 => None,
-                    1 => Some(self.u32()?),
-                    b => return Err(bad(format!("invalid option tag {b:#04x} in checkpoint"))),
-                },
-            });
-        }
-        let n = self.len(1)?;
-        let mut jobs = Vec::with_capacity(n);
-        for _ in 0..n {
-            jobs.push(GuardJobSnapshot {
-                job: self.u64()?,
-                admitted: self.u32()?,
-                budget: match self.u8()? {
-                    0 => None,
-                    1 => Some(self.u32()?),
-                    b => return Err(bad(format!("invalid option tag {b:#04x} in checkpoint"))),
-                },
-                opens: self.u64()?,
-            });
-        }
-        let n = self.len(25)?;
-        let mut transitions = Vec::with_capacity(n);
-        for _ in 0..n {
-            transitions.push(BreakerTransition {
-                job: self.u64()?,
-                party: self.u64()?,
-                open_index: self.u64()?,
-                to: self.breaker_state()?,
-            });
-        }
-        Ok(GuardSnapshot { parties, jobs, transitions })
-    }
+    Ok(payload)
 }
 
 impl Checkpoint {
@@ -536,64 +348,21 @@ impl Checkpoint {
     /// the canonical payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::with_capacity(4096);
-        put_u64(&mut payload, self.tick);
+        payload.put_u64_le(self.tick);
         put_bool(&mut payload, self.draining);
-        for w in stats_words(&self.stats) {
-            put_u64(&mut payload, w);
+        let mut stats = self.stats;
+        for word in STATS_WORDS {
+            payload.put_u64_le(*word(&mut stats));
         }
-        put_u64(&mut payload, self.jobs.len() as u64);
-        for job in &self.jobs {
-            put_u64(&mut payload, job.job);
-            put_f32_vec(&mut payload, &job.global);
-            put_f32_vec(&mut payload, &job.optimizer);
-            put_u64(&mut payload, job.active.len() as u64);
-            for &a in &job.active {
-                put_bool(&mut payload, a);
-            }
-            put_u64(&mut payload, job.history.len() as u64);
-            for r in &job.history {
-                put_record(&mut payload, r);
-            }
-            put_u64(&mut payload, job.feedback.len() as u64);
-            for fb in &job.feedback {
-                put_feedback(&mut payload, fb);
-            }
-            match &job.observed {
-                None => payload.push(0),
-                Some((samples, batches)) => {
-                    payload.push(1);
-                    put_u64(&mut payload, samples.len() as u64);
-                    for &s in samples {
-                        put_f64(&mut payload, s);
-                    }
-                    put_u64(&mut payload, batches.len() as u64);
-                    for &b in batches {
-                        put_u64(&mut payload, b as u64);
-                    }
-                }
-            }
-        }
-        match &self.guard {
-            None => payload.push(0),
-            Some(g) => {
-                payload.push(1);
-                put_guard(&mut payload, g);
-            }
-        }
-        put_u64(&mut payload, self.codec_refs.len() as u64);
-        for r in &self.codec_refs {
-            put_u32(&mut payload, r.link);
-            put_u64(&mut payload, r.job);
-            put_u64(&mut payload, r.ref_round);
-            put_f32_vec(&mut payload, &r.params);
-        }
-
-        let mut out = Vec::with_capacity(16 + payload.len());
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        put_u32(&mut out, CHECKPOINT_VERSION);
-        put_u64(&mut out, fnv1a(&payload));
-        out.extend_from_slice(&payload);
-        out
+        put_vec(&mut payload, &self.jobs, put_job);
+        put_option(&mut payload, self.guard.as_ref(), put_guard);
+        put_vec(&mut payload, &self.codec_refs, |out, r| {
+            out.put_u32_le(r.link);
+            out.put_u64_le(r.job);
+            out.put_u64_le(r.ref_round);
+            put_f32_vec(out, &r.params);
+        });
+        seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &payload)
     }
 
     /// Deserializes a snapshot, validating magic, version, checksum and
@@ -607,114 +376,31 @@ impl Checkpoint {
     /// version, checksum mismatch, truncation, impossible lengths, bad
     /// enum/option/bool tags, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, FlError> {
-        let mut c = Cursor::new(bytes);
-        let magic = c.bytes(4)?;
-        if magic != CHECKPOINT_MAGIC {
-            return Err(bad("not a FLIPS checkpoint (bad magic)"));
+        let payload = unseal(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")?;
+        let mut r = Reader::new(payload, "checkpoint");
+        let tick = r.u64()?;
+        let draining = r.bool()?;
+        let mut stats = DriverStats::default();
+        for word in STATS_WORDS {
+            *word(&mut stats) = r.u64()?;
         }
-        let version = c.u32()?;
-        if version != CHECKPOINT_VERSION {
-            return Err(bad(format!(
-                "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
-            )));
-        }
-        let checksum = c.u64()?;
-        let payload = &bytes[c.pos..];
-        if fnv1a(payload) != checksum {
-            return Err(bad("checkpoint checksum mismatch (corrupt or truncated snapshot)"));
-        }
-
-        let tick = c.u64()?;
-        let draining = c.bool()?;
-        let mut words = [0u64; 17];
-        for w in &mut words {
-            *w = c.u64()?;
-        }
-        let stats = DriverStats {
-            frames_sent: words[0],
-            frames_received: words[1],
-            bytes_sent: words[2],
-            bytes_received: words[3],
-            corrupt_frames: words[4],
-            codec_mismatch_frames: words[5],
-            unknown_job_frames: words[6],
-            rejected_messages: words[7],
-            late_updates: words[8],
-            oversized_frames: words[9],
-            rate_limited_frames: words[10],
-            breaker_dropped_frames: words[11],
-            admission_refused_frames: words[12],
-            parties_ejected: words[13],
-            drain_refused_selections: words[14],
-            links_lost: words[15],
-            links_resumed: words[16],
-            // Roster spill counters are live-computed from attached
-            // stores, never persisted (see `DriverStats::roster_spilled`).
-            ..DriverStats::default()
+        let checkpoint = Checkpoint {
+            tick,
+            draining,
+            stats,
+            jobs: r.vec(1, job)?,
+            guard: r.option(guard)?,
+            codec_refs: r.vec(24, |r| {
+                Ok(CodecRefSnapshot {
+                    link: r.u32()?,
+                    job: r.u64()?,
+                    ref_round: r.u64()?,
+                    params: f32_vec(r)?,
+                })
+            })?,
         };
-
-        let n = c.len(1)?;
-        let mut jobs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let job = c.u64()?;
-            let global = c.f32_vec()?;
-            let optimizer = c.f32_vec()?;
-            let an = c.len(1)?;
-            let mut active = Vec::with_capacity(an);
-            for _ in 0..an {
-                active.push(c.bool()?);
-            }
-            let hn = c.len(1)?;
-            let mut history = Vec::with_capacity(hn);
-            for _ in 0..hn {
-                history.push(c.record()?);
-            }
-            let fn_ = c.len(1)?;
-            let mut feedback = Vec::with_capacity(fn_);
-            for _ in 0..fn_ {
-                feedback.push(c.feedback()?);
-            }
-            let observed = match c.u8()? {
-                0 => None,
-                1 => {
-                    let sn = c.len(8)?;
-                    let mut samples = Vec::with_capacity(sn);
-                    for _ in 0..sn {
-                        samples.push(c.f64()?);
-                    }
-                    let bn = c.len(8)?;
-                    let mut batches = Vec::with_capacity(bn);
-                    for _ in 0..bn {
-                        batches.push(c.usize()?);
-                    }
-                    Some((samples, batches))
-                }
-                b => return Err(bad(format!("invalid option tag {b:#04x} in checkpoint"))),
-            };
-            jobs.push(JobSnapshot { job, global, optimizer, active, history, feedback, observed });
-        }
-
-        let guard = match c.u8()? {
-            0 => None,
-            1 => Some(c.guard()?),
-            b => return Err(bad(format!("invalid option tag {b:#04x} in checkpoint"))),
-        };
-
-        let rn = c.len(24)?;
-        let mut codec_refs = Vec::with_capacity(rn);
-        for _ in 0..rn {
-            codec_refs.push(CodecRefSnapshot {
-                link: c.u32()?,
-                job: c.u64()?,
-                ref_round: c.u64()?,
-                params: c.f32_vec()?,
-            });
-        }
-
-        if c.remaining() != 0 {
-            return Err(bad(format!("{} trailing bytes after checkpoint payload", c.remaining())));
-        }
-        Ok(Checkpoint { tick, draining, stats, jobs, guard, codec_refs })
+        r.finish()?;
+        Ok(checkpoint)
     }
 }
 
@@ -807,6 +493,17 @@ mod tests {
         assert_eq!(back.jobs[0].observed, Some((vec![0.1, 0.2], vec![2])));
     }
 
+    /// The parent commit's bytes: the header checksum (bytes 8..16) is
+    /// the payload's FNV-1a, so length + one `u64` pin every byte — a
+    /// field moved in both the writer and the reader still fails here.
+    #[test]
+    fn sample_snapshot_holds_its_golden_bytes() {
+        let bytes = sample().encode();
+        assert_eq!(&bytes[..8], b"FLCK\x01\0\0\0");
+        let checksum = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+        assert_eq!((bytes.len(), checksum), (809, 10_123_825_977_314_528_017));
+    }
+
     #[test]
     fn every_truncation_is_rejected_without_panicking() {
         let bytes = sample().encode();
@@ -850,17 +547,13 @@ mod tests {
         // A payload claiming 2^60 jobs must fail fast on the length
         // guard, not attempt the allocation.
         let mut payload = Vec::new();
-        put_u64(&mut payload, 0); // tick
+        payload.put_u64_le(0); // tick
         payload.push(0); // draining
         for _ in 0..17 {
-            put_u64(&mut payload, 0);
+            payload.put_u64_le(0);
         }
-        put_u64(&mut payload, 1 << 60); // jobs count
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&CHECKPOINT_MAGIC);
-        put_u32(&mut bytes, CHECKPOINT_VERSION);
-        put_u64(&mut bytes, fnv1a(&payload));
-        bytes.extend_from_slice(&payload);
+        payload.put_u64_le(1 << 60); // jobs count
+        let bytes = seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &payload);
         assert!(Checkpoint::decode(&bytes).is_err());
     }
 }

@@ -30,7 +30,7 @@ use crate::events::{Effect, Event, RejectReason};
 use crate::guard::{FrameKind, FrameVerdict, GuardConfig, GuardPlane};
 use crate::history::History;
 use crate::latency::{LatencyModel, ObservedLatency};
-use crate::message::{deframe_with, frame_into, frame_job, frame_party_of, AGGREGATOR_DEST};
+use crate::message::{deframe_with, frame_into, frame_job_of, frame_party_of, AGGREGATOR_DEST};
 use crate::straggler::Clock;
 use crate::transport::Transport;
 use crate::wheel::{Deadline, TimerWheel};
@@ -618,12 +618,12 @@ impl<T: Transport> MultiJobDriver<T> {
             if let Some(guard) = &self.guard {
                 if !guard.frame_len_ok(raw.len()) {
                     self.stats.oversized_frames += 1;
-                    let (job, party) = (frame_job(&raw), frame_party_of(&raw));
+                    let (job, party) = (frame_job_of(&raw), frame_party_of(&raw));
                     self.strike_claimed_sender(job, party);
                     continue;
                 }
             }
-            let peeked_job = frame_job(&raw);
+            let peeked_job = frame_job_of(&raw);
             let peeked_party = frame_party_of(&raw);
             let Some(link_codecs) = self.codecs.get_mut(link) else {
                 return Err(FlError::Transport(format!(

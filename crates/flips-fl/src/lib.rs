@@ -23,6 +23,8 @@
 //!   reference-model state both ends of a wire share;
 //! - [`rans`] — the hand-rolled static-model range coder behind the
 //!   entropy stage;
+//! - [`mod@format`] — the format layer: the one bounded reader (and its
+//!   `put_*` twins) every decoder of untrusted bytes here sits on;
 //! - [`events`] — the [`Event`]/[`Effect`] vocabulary of the sans-IO
 //!   protocol;
 //! - [`coordinator`] — the aggregator-side protocol state machine
@@ -106,6 +108,7 @@ pub mod coordinator;
 pub mod driver;
 pub mod endpoint;
 pub mod events;
+pub mod format;
 pub mod guard;
 pub mod history;
 pub mod latency;

@@ -40,8 +40,9 @@
 //! crate — so the codec is hand-rolled on `bytes`.)
 
 use crate::codec::{CodecMap, ModelCodec, PayloadCodec, Role};
+use crate::format::{put_f32s, Reader};
 use crate::FlError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -276,9 +277,7 @@ impl WireMessage {
                     buf.put_f64_le(e.mean_loss);
                     buf.put_f64_le(e.duration);
                     buf.put_u32_le(e.sketch.len() as u32);
-                    for x in &e.sketch {
-                        buf.put_f32_le(*x);
-                    }
+                    put_f32s(buf, &e.sketch);
                 }
                 // Raw always: the limb block is already a dense integer
                 // payload, not an f32 vector a model codec understands.
@@ -333,61 +332,36 @@ impl WireMessage {
     /// [`FlError::CodecMismatch`] when a model payload's codec tag is
     /// corrupt or disagrees with the job's negotiated codec. Neither
     /// touches any round state — drivers count and drop.
-    pub fn decode_with(mut buf: Bytes, codecs: &mut CodecMap) -> Result<Self, FlError> {
-        let need = |buf: &Bytes, n: usize| -> Result<(), FlError> {
-            if buf.remaining() < n {
-                Err(FlError::Codec(format!("truncated: need {n}, have {}", buf.remaining())))
-            } else {
-                Ok(())
-            }
-        };
-        // A length prefix is only plausible if that many payload bytes
-        // are actually present — checked with overflow-safe arithmetic so
-        // a hostile prefix cannot trigger a huge allocation or a panic.
-        let need_elems = |buf: &Bytes, len: u64, elem: usize| -> Result<usize, FlError> {
-            let len =
-                usize::try_from(len).ok().and_then(|l| l.checked_mul(elem).map(|bytes| (l, bytes)));
-            match len {
-                Some((l, bytes)) if buf.remaining() >= bytes => Ok(l),
-                _ => Err(FlError::Codec("length prefix exceeds buffer".into())),
-            }
-        };
-        need(&buf, HEADER)?;
-        let magic = buf.get_u32_le();
+    pub fn decode_with(buf: Bytes, codecs: &mut CodecMap) -> Result<Self, FlError> {
+        let mut r = Reader::new(buf.as_slice(), "message");
+        let magic = r.u32()?;
         if magic != MAGIC {
             return Err(FlError::Codec(format!("bad magic {magic:#x}")));
         }
-        let tag = buf.get_u8();
-        let msg = match tag {
+        let msg = match r.u8()? {
             TAG_NOTICE => {
-                need(&buf, 8 * 3 + 1)?;
-                let job = buf.get_u64_le();
-                let round = buf.get_u64_le();
-                let party = buf.get_u64_le();
-                let codec = ModelCodec::decode_announcement(&mut buf).map_err(|e| {
+                // A notice too short to hold an announcement is a corrupt
+                // frame; only an announcement that is there and does not
+                // parse is a codec mismatch.
+                r.need(8 * 3 + 1)?;
+                let (job, round, party) = (r.u64()?, r.u64()?, r.u64()?);
+                let codec = ModelCodec::decode_announcement(&mut r).map_err(|e| {
                     FlError::CodecMismatch(format!(
                         "selection notice carries a corrupt codec announcement: {e}"
                     ))
                 })?;
-                Ok(WireMessage::SelectionNotice { job, round, party, codec })
+                WireMessage::SelectionNotice { job, round, party, codec }
             }
             TAG_GLOBAL => {
-                need(&buf, 8 * 2)?;
-                let job = buf.get_u64_le();
-                let round = buf.get_u64_le();
-                let params = codecs.for_job(job).decode_global(round, &mut buf)?;
-                Ok(WireMessage::GlobalModel { job, round, params })
+                let (job, round) = (r.u64()?, r.u64()?);
+                let params = codecs.for_job(job).read_global(round, &mut r)?;
+                WireMessage::GlobalModel { job, round, params }
             }
             TAG_UPDATE => {
-                need(&buf, 8 * 6)?;
-                let job = buf.get_u64_le();
-                let round = buf.get_u64_le();
-                let party = buf.get_u64_le();
-                let num_samples = buf.get_u64_le();
-                let mean_loss = buf.get_f64_le();
-                let duration = buf.get_f64_le();
-                let params = codecs.for_job(job).decode_update(&mut buf)?;
-                Ok(WireMessage::LocalUpdate {
+                let (job, round, party, num_samples) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+                let (mean_loss, duration) = (r.f64()?, r.f64()?);
+                let params = codecs.for_job(job).read_update(&mut r)?;
+                WireMessage::LocalUpdate {
                     job,
                     round,
                     party,
@@ -395,72 +369,47 @@ impl WireMessage {
                     mean_loss,
                     duration,
                     params,
-                })
+                }
             }
             TAG_PARTIAL => {
-                need(&buf, 8 * 3 + 4)?;
-                let job = buf.get_u64_le();
-                let round = buf.get_u64_le();
-                let total_weight = buf.get_u64_le();
-                let raw_count = u64::from(buf.get_u32_le());
+                let (job, round, total_weight) = (r.u64()?, r.u64()?, r.u64()?);
                 // Each entry occupies at least its fixed head, so a
                 // hostile count cannot force a huge allocation.
-                let count = need_elems(&buf, raw_count, PARTIAL_ENTRY_HEAD)?;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    need(&buf, PARTIAL_ENTRY_HEAD)?;
-                    let party = buf.get_u64_le();
-                    let num_samples = buf.get_u64_le();
-                    let mean_loss = buf.get_f64_le();
-                    let duration = buf.get_f64_le();
-                    let raw_len = u64::from(buf.get_u32_le());
-                    let len = need_elems(&buf, raw_len, 4)?;
-                    let mut sketch = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        sketch.push(buf.get_f32_le());
-                    }
-                    entries.push(PartialEntry { party, num_samples, mean_loss, duration, sketch });
-                }
-                need(&buf, 4)?;
-                let dim = buf.get_u32_le();
-                let num_limbs = need_elems(&buf, u64::from(dim), 4 * 8)?
-                    .checked_mul(4)
-                    .ok_or_else(|| FlError::Codec("limb count overflows".into()))?;
-                let mut limbs = Vec::with_capacity(num_limbs);
-                for _ in 0..num_limbs {
-                    limbs.push(buf.get_u64_le());
-                }
-                Ok(WireMessage::PartialUpdate { job, round, total_weight, entries, dim, limbs })
+                let count = r.len32(PARTIAL_ENTRY_HEAD)?;
+                let entries = r.seq(count, |r| {
+                    Ok(PartialEntry {
+                        party: r.u64()?,
+                        num_samples: r.u64()?,
+                        mean_loss: r.f64()?,
+                        duration: r.f64()?,
+                        sketch: {
+                            let len = r.u32()?;
+                            r.f32s(len.into())?.collect()
+                        },
+                    })
+                })?;
+                let dim = r.u32()?;
+                // Four u64 limbs per parameter, all of them present.
+                let num_limbs = 4 * r.count(dim.into(), 4 * 8)?;
+                let limbs = r.seq(num_limbs, Reader::u64)?;
+                WireMessage::PartialUpdate { job, round, total_weight, entries, dim, limbs }
             }
             TAG_HEARTBEAT => {
-                need(&buf, 8 * 3)?;
-                let job = buf.get_u64_le();
-                let round = buf.get_u64_le();
-                let party = buf.get_u64_le();
-                Ok(WireMessage::Heartbeat { job, round, party })
+                WireMessage::Heartbeat { job: r.u64()?, round: r.u64()?, party: r.u64()? }
             }
             TAG_ABORT => {
-                need(&buf, 8 * 3 + 4)?;
-                let job = buf.get_u64_le();
-                let round = buf.get_u64_le();
-                let party = buf.get_u64_le();
-                let raw_len = u64::from(buf.get_u32_le());
-                let len = need_elems(&buf, raw_len, 1)?;
-                let reason = String::from_utf8(buf.copy_take(len))
+                let (job, round, party) = (r.u64()?, r.u64()?, r.u64()?);
+                let len = r.len32(1)?;
+                let reason = String::from_utf8(r.bytes(len)?.to_vec())
                     .map_err(|_| FlError::Codec("abort reason is not UTF-8".into()))?;
-                Ok(WireMessage::Abort { job, round, party, reason })
+                WireMessage::Abort { job, round, party, reason }
             }
-            other => Err(FlError::Codec(format!("unknown tag {other}"))),
-        }?;
+            other => return Err(FlError::Codec(format!("unknown tag {other}"))),
+        };
         // A message is exactly one frame: trailing bytes mean the tag and
         // payload disagree (e.g. a corrupted tag re-parsing a longer
         // variant's prefix) and must not decode silently.
-        if buf.remaining() != 0 {
-            return Err(FlError::Codec(format!(
-                "{} trailing bytes after message",
-                buf.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(msg)
     }
 
@@ -544,13 +493,8 @@ pub fn frame_into(dest: u64, msg: &WireMessage, codec: &mut PayloadCodec, out: &
 /// message kind carries its job at the same fixed offset
 /// (`dest ‖ magic ‖ tag ‖ job`). Returns `None` for frames too short to
 /// hold one. Drivers use this to attribute an undecodable frame (e.g. a
-/// codec mismatch) to the right counter — unknown job vs bad payload.
-pub fn frame_job(frame: &Bytes) -> Option<u64> {
-    frame_job_of(frame.as_slice())
-}
-
-/// Slice-level twin of [`frame_job`], for senders that hold the frame
-/// as raw bytes (the sharded runtime's router peeks before routing).
+/// codec mismatch) to the right counter — unknown job vs bad payload —
+/// and the sharded runtime's router peeks before routing.
 pub fn frame_job_of(frame: &[u8]) -> Option<u64> {
     let job = frame.get(FRAME_HEADER + HEADER..FRAME_HEADER + HEADER + 8)?;
     Some(u64::from_le_bytes(job.try_into().expect("8 bytes")))
@@ -616,13 +560,8 @@ pub fn deframe_with(
     mut frame: Bytes,
     codecs: &mut CodecMap,
 ) -> Result<(u64, WireMessage), FlError> {
-    if frame.remaining() < FRAME_HEADER {
-        return Err(FlError::Codec(format!(
-            "frame of {} bytes is shorter than its header",
-            frame.remaining()
-        )));
-    }
-    let dest = frame.get_u64_le();
+    let dest = Reader::new(frame.as_slice(), "frame header").u64()?;
+    let _ = frame.split_to(FRAME_HEADER);
     Ok((dest, WireMessage::decode_with(frame, codecs)?))
 }
 
@@ -717,6 +656,41 @@ mod tests {
     fn every_variant_round_trips() {
         for msg in one_of_each() {
             assert_eq!(WireMessage::decode(msg.encode()).unwrap(), msg, "{msg:?}");
+        }
+    }
+
+    /// The parent commit's frames, one per variant: a field moved in
+    /// both the encoder and the decoder still fails here.
+    #[test]
+    fn one_of_each_holds_its_golden_frame() {
+        let golden: [&str; 6] = [
+            "050000000000000002501ff10301000000000000000200000000000000030000000000000001",
+            concat!(
+                "050000000000000002501ff10101000000000000000200000000000000000a000000000000000000",
+                "003f0000003f0000003f0000003f0000003f0000003f0000003f0000003f0000003f0000003f",
+            ),
+            concat!(
+                "050000000000000002501ff10263000000000000000c000000000000000700000000000000fa0000",
+                "0000000000e17a14ae47e1da3f000000000000f83f0004000000000000000000803f000020c00000",
+                "504000000000",
+            ),
+            concat!(
+                "050000000000000002501ff10663000000000000000c000000000000002800000000000000020000",
+                "0003000000000000000a00000000000000000000000000e03f000000000000f03f02000000000000",
+                "3e000000bf08000000000000001e00000000000000000000000000d03f0000000000000040000000",
+                "00030000000000000000000000000000000000000000008011000000000000000000000000000000",
+                "00000000000000000000000000000000640000000000000000000000000000000000000000000000",
+                "0000000000000000d8ffffffffffffffffffffffff",
+            ),
+            "050000000000000002501ff104010000000000000002000000000000000300000000000000",
+            concat!(
+                "050000000000000002501ff105010000000000000002000000000000000300000000000000080000",
+                "00646561646c696e65",
+            ),
+        ];
+        for (msg, want) in one_of_each().iter().zip(golden) {
+            let hex: String = frame(5, msg).iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, want, "{msg:?}");
         }
     }
 

@@ -9,7 +9,7 @@ use crate::aggtree::ExactWeightedSum;
 use crate::codec::{CodecMap, ModelCodec, Negotiation, Role};
 use crate::driver::MultiJobDriver;
 use crate::guard::GuardConfig;
-use crate::message::{deframe_with, frame_into, frame_job, PartialEntry, AGGREGATOR_DEST};
+use crate::message::{deframe_with, frame_into, frame_job_of, PartialEntry, AGGREGATOR_DEST};
 use crate::transport::{Transport, MAX_FRAME_BYTES};
 use crate::{FlError, PartyEndpoint, WireMessage};
 use bytes::BytesMut;
@@ -217,19 +217,6 @@ impl<T: Transport> PartyPool<T> {
         self.codecs.seed_reference(job, round, params)
     }
 
-    /// Registers one more endpoint on a live pool (a party rejoining
-    /// mid-job).
-    pub fn add_endpoint(&mut self, job: u64, endpoint: PartyEndpoint) {
-        self.endpoints.insert((job, endpoint.id()), endpoint);
-    }
-
-    /// Removes a departed party's endpoint; its inbound frames become
-    /// unroutable, exactly like a party that never existed. Returns the
-    /// endpoint for possible re-registration.
-    pub fn retire_endpoint(&mut self, job: u64, party: PartyId) -> Option<PartyEndpoint> {
-        self.endpoints.remove(&(job, party))
-    }
-
     /// Processes every frame currently available: decode, route to the
     /// `(job, party)` endpoint, run the endpoint (training included),
     /// and send its replies back up the wire. Returns whether any frame
@@ -254,7 +241,7 @@ impl<T: Transport> PartyPool<T> {
                 self.oversized += 1;
                 continue;
             }
-            let peeked_job = frame_job(&raw);
+            let peeked_job = frame_job_of(&raw);
             let msg = match deframe_with(raw, &mut self.codecs) {
                 Ok((dest, msg)) => {
                     if self.endpoints.contains_key(&(msg.job(), dest as PartyId)) {

@@ -24,8 +24,10 @@
 //! roster_loaded}` (via [`crate::MultiJobDriver::attach_roster`]) and
 //! the flips-net Prometheus gauges.
 
-use crate::checkpoint::{seal_segment, unseal_segment};
+use crate::checkpoint::{seal, unseal};
+use crate::format::{put_vec, Reader};
 use crate::FlError;
+use bytes::BufMut;
 use flips_selection::streaming::CandidateSource;
 use flips_selection::PartyId;
 use std::collections::{HashMap, VecDeque};
@@ -194,7 +196,7 @@ impl RosterBuilder {
         match &self.spill {
             None => self.done.push(segment),
             Some((dir, _)) => {
-                let sealed = seal_segment(&encode_segment(&segment));
+                let sealed = seal_segment(&segment);
                 let path = segment_path(dir, self.done.len() + self.written as usize);
                 std::fs::write(&path, sealed)
                     .map_err(|e| FlError::Codec(format!("cannot write segment {path:?}: {e}")))?;
@@ -329,7 +331,7 @@ impl RosterStore {
         let path = segment_path(dir, seg);
         let bytes = std::fs::read(&path)
             .map_err(|e| FlError::Codec(format!("cannot read segment {path:?}: {e}")))?;
-        let records = decode_segment(unseal_segment(&bytes)?)?;
+        let records = unseal_segment(&bytes)?;
         self.loaded.fetch_add(1, Ordering::Relaxed);
         Ok(records)
     }
@@ -357,56 +359,44 @@ impl SegmentCache {
 }
 
 // ---------------------------------------------------------------------
-// Segment codec (sealed by crate::checkpoint's FLCK envelope).
+// Segment codec (sealed in crate::checkpoint's integrity envelope).
 // ---------------------------------------------------------------------
+
+/// Magic tag of a sealed roster segment.
+const SEGMENT_MAGIC: [u8; 4] = *b"FLRS";
+/// Roster-segment envelope version.
+const SEGMENT_VERSION: u32 = 1;
+
+fn seal_segment(records: &[PartyRecord]) -> Vec<u8> {
+    seal(SEGMENT_MAGIC, SEGMENT_VERSION, &encode_segment(records))
+}
+
+fn unseal_segment(bytes: &[u8]) -> Result<Vec<PartyRecord>, FlError> {
+    decode_segment(unseal(bytes, SEGMENT_MAGIC, SEGMENT_VERSION, "roster segment")?)
+}
 
 fn encode_segment(records: &[PartyRecord]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    for r in records {
-        out.extend_from_slice(&r.data_size.to_le_bytes());
-        out.extend_from_slice(&r.latency_hint.to_bits().to_le_bytes());
-        out.extend_from_slice(&(r.label_counts.len() as u64).to_le_bytes());
-        for &c in &r.label_counts {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-    }
+    put_vec(&mut out, records, |out, r| {
+        out.put_u64_le(r.data_size);
+        out.put_f64_le(r.latency_hint);
+        put_vec(out, &r.label_counts, |out, &c| out.put_u64_le(c));
+    });
     out
 }
 
 fn decode_segment(payload: &[u8]) -> Result<Vec<PartyRecord>, FlError> {
-    fn u64_at(buf: &[u8], pos: &mut usize) -> Result<u64, FlError> {
-        let Some(end) = pos.checked_add(8).filter(|&e| e <= buf.len()) else {
-            return Err(FlError::Codec("roster segment truncated".into()));
-        };
-        let v = u64::from_le_bytes(buf[*pos..end].try_into().expect("8 bytes"));
-        *pos = end;
-        Ok(v)
-    }
-    let mut pos = 0usize;
-    let count = u64_at(payload, &mut pos)?;
-    // A hostile count that cannot possibly fit the payload is rejected
-    // before any allocation (each record is at least 24 bytes).
-    if count.checked_mul(24).is_none_or(|need| need > (payload.len() - pos) as u64) {
-        return Err(FlError::Codec(format!("roster segment count {count} impossible")));
-    }
-    let mut records = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let data_size = u64_at(payload, &mut pos)?;
-        let latency_hint = f64::from_bits(u64_at(payload, &mut pos)?);
-        let labels = u64_at(payload, &mut pos)?;
-        if labels.checked_mul(8).is_none_or(|need| need > (payload.len() - pos) as u64) {
-            return Err(FlError::Codec(format!("roster label count {labels} impossible")));
-        }
-        let mut label_counts = Vec::with_capacity(labels as usize);
-        for _ in 0..labels {
-            label_counts.push(u64_at(payload, &mut pos)?);
-        }
-        records.push(PartyRecord { data_size, latency_hint, label_counts });
-    }
-    if pos != payload.len() {
-        return Err(FlError::Codec("roster segment has trailing bytes".into()));
-    }
+    let mut r = Reader::new(payload, "roster segment");
+    // Each record is at least 24 bytes, each label count 8: a hostile
+    // count is refused before any allocation.
+    let records = r.vec(24, |r| {
+        Ok(PartyRecord {
+            data_size: r.u64()?,
+            latency_hint: r.f64()?,
+            label_counts: r.vec(8, Reader::u64)?,
+        })
+    })?;
+    r.finish()?;
     Ok(records)
 }
 
@@ -519,23 +509,36 @@ mod tests {
     #[test]
     fn every_truncation_and_bit_flip_is_rejected() {
         let records = sample_records(3);
-        let sealed = crate::checkpoint::seal_segment(&encode_segment(&records));
+        let sealed = seal_segment(&records);
         // Sanity: the intact envelope opens.
-        assert!(decode_segment(crate::checkpoint::unseal_segment(&sealed).unwrap()).is_ok());
+        assert!(unseal_segment(&sealed).is_ok());
         for len in 0..sealed.len() {
-            let truncated = &sealed[..len];
-            assert!(
-                crate::checkpoint::unseal_segment(truncated).is_err(),
-                "truncation to {len} bytes accepted"
-            );
+            assert!(unseal_segment(&sealed[..len]).is_err(), "truncation to {len} bytes accepted");
         }
         for byte in 0..sealed.len() {
             let mut damaged = sealed.clone();
             damaged[byte] ^= 0x01;
-            let verdict = crate::checkpoint::unseal_segment(&damaged)
-                .and_then(|p| decode_segment(p).map(|_| ()));
-            assert!(verdict.is_err(), "bit flip at byte {byte} accepted");
+            assert!(unseal_segment(&damaged).is_err(), "bit flip at byte {byte} accepted");
         }
+    }
+
+    /// The parent commit's bytes of one sealed two-record segment: a
+    /// field moved in both the writer and the reader still fails here.
+    #[test]
+    fn sealed_segment_holds_its_golden_bytes() {
+        let records = vec![
+            PartyRecord { data_size: 7, latency_hint: 0.5, label_counts: vec![1, 2] },
+            PartyRecord { data_size: 300, latency_hint: -1.25, label_counts: vec![9] },
+        ];
+        let sealed = seal_segment(&records);
+        let hex: String = sealed.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = concat!(
+            "464c525301000000362a185888e1d50902000000000000000700000000000000",
+            "000000000000e03f020000000000000001000000000000000200000000000000",
+            "2c01000000000000000000000000f4bf01000000000000000900000000000000",
+        );
+        assert_eq!(hex, golden);
+        assert_eq!(unseal_segment(&sealed).unwrap(), records);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl Matrix {
         Matrix { rows: rows.len(), cols, data }
     }
 
-    /// A 1×n row matrix view of a slice.
-    pub fn row_vector(v: &[f32]) -> Self {
-        Matrix { rows: 1, cols: v.len(), data: v.to_vec() }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -323,14 +318,6 @@ impl Matrix {
     pub fn scale(&mut self, alpha: f32) {
         for x in &mut self.data {
             *x *= alpha;
-        }
-    }
-
-    /// Hadamard (element-wise) product in place.
-    pub fn hadamard_inplace(&mut self, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "hadamard shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a *= b;
         }
     }
 

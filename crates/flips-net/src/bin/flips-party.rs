@@ -105,8 +105,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
     std::io::stdout().flush()?;
 
-    let opts =
-        PartyOptions { resume_addr: resume.then_some(addr), drop_after, ..PartyOptions::default() };
+    let opts = PartyOptions { resume_addr: resume.then_some(addr), drop_after };
     let pool = party_loop_with(stream, share, wire.guard.as_ref(), health, &opts)?;
     if pool.unroutable() > 0 || pool.rejected() > 0 {
         eprintln!(

@@ -360,16 +360,6 @@ fn selector_from_name(name: &str) -> Result<SelectorKind, FlError> {
     }
 }
 
-fn selector_name(kind: SelectorKind) -> &'static str {
-    match kind {
-        SelectorKind::Random => "random",
-        SelectorKind::Flips => "flips",
-        SelectorKind::Oort => "oort",
-        SelectorKind::GradClus => "gradclus",
-        SelectorKind::Tifl => "tifl",
-    }
-}
-
 fn codec_from_name(name: &str) -> Result<ModelCodec, FlError> {
     if let Some(k) = name.strip_prefix("topk:") {
         let k: u32 = k.parse().map_err(|_| {
@@ -386,16 +376,6 @@ fn codec_from_name(name: &str) -> Result<ModelCodec, FlError> {
         "delta-entropy" => Ok(ModelCodec::DeltaEntropy),
         "f16" => Ok(ModelCodec::F16),
         other => Err(FlError::InvalidConfig(format!("unknown codec {other:?}"))),
-    }
-}
-
-fn codec_name(codec: ModelCodec) -> String {
-    match codec {
-        ModelCodec::Raw => "raw".into(),
-        ModelCodec::DeltaLossless => "delta-lossless".into(),
-        ModelCodec::DeltaEntropy => "delta-entropy".into(),
-        ModelCodec::F16 => "f16".into(),
-        ModelCodec::TopK { k } => format!("topk:{k}"),
     }
 }
 
@@ -604,88 +584,6 @@ impl NetConfig {
         }
         Ok((jobs, wire))
     }
-
-    /// Renders this config back to TOML ([`NetConfig::parse`] of the
-    /// result round-trips exactly — the round-trip test's property).
-    pub fn to_toml(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(1024);
-        let _ = writeln!(out, "links = {}", self.links);
-        let _ = writeln!(out, "\n[server]\nlisten = \"{}\"", self.listen);
-        if let Some(health) = &self.health {
-            let _ = writeln!(out, "health = \"{health}\"");
-        }
-        let _ = writeln!(out, "\n[party]\nconnect = \"{}\"", self.connect);
-        if let Some(health) = &self.party_health {
-            let _ = writeln!(out, "health = \"{health}\"");
-        }
-        if let Some(guard) = &self.guard {
-            let _ = writeln!(out, "\n[guard]\nmax_frame_bytes = {}", guard.max_frame_bytes);
-            if let Some(rate) = &guard.rate_limit {
-                let _ = writeln!(out, "rate_burst = {}", rate.burst);
-                let _ = writeln!(out, "rate_per_round = {}", rate.per_round);
-            }
-            if let Some(breaker) = &guard.breaker {
-                let _ = writeln!(out, "breaker_strikes = {}", breaker.strike_threshold);
-                let _ = writeln!(out, "breaker_cooldown_rounds = {}", breaker.cooldown_rounds);
-                let _ = writeln!(out, "strike_on_late = {}", breaker.strike_on_late);
-                let _ = writeln!(out, "strike_on_corrupt = {}", breaker.strike_on_corrupt);
-            }
-            if let Some(factor) = guard.admission_factor {
-                let _ = writeln!(out, "admission_factor = {factor}");
-            }
-        }
-        for job in &self.jobs {
-            let _ = writeln!(out, "\n[[job]]");
-            let _ = writeln!(out, "dataset = \"{}\"", job.dataset);
-            let _ = writeln!(out, "seed = {}", job.seed);
-            let _ = writeln!(out, "parties = {}", job.parties);
-            let _ = writeln!(out, "rounds = {}", job.rounds);
-            let _ = writeln!(out, "participation = {}", float_lit(job.participation));
-            let _ = writeln!(out, "alpha = {}", float_lit(job.alpha));
-            let _ = writeln!(out, "selector = \"{}\"", selector_name(job.selector));
-            let _ = writeln!(out, "codec = \"{}\"", codec_name(job.codec));
-            if !job.link_codecs.is_empty() {
-                let names: Vec<String> = job.link_codecs.iter().map(|&c| codec_name(c)).collect();
-                let _ = writeln!(out, "link_codecs = \"{}\"", names.join(","));
-            }
-            match job.deadline {
-                DeadlinePolicy::Injected => {
-                    let _ = writeln!(out, "deadline = \"injected\"");
-                }
-                DeadlinePolicy::LatencyQuantile { q, slack } => {
-                    let _ = writeln!(out, "deadline = \"latency-quantile\"");
-                    let _ = writeln!(out, "deadline_q = {}", float_lit(q));
-                    let _ = writeln!(out, "deadline_slack = {}", float_lit(slack));
-                }
-                DeadlinePolicy::Ewma { alpha, slack } => {
-                    let _ = writeln!(out, "deadline = \"ewma\"");
-                    let _ = writeln!(out, "ewma_alpha = {}", float_lit(alpha));
-                    let _ = writeln!(out, "deadline_slack = {}", float_lit(slack));
-                }
-                DeadlinePolicy::FixedSeconds { secs } => {
-                    let _ = writeln!(out, "deadline = \"fixed\"");
-                    let _ = writeln!(out, "deadline_secs = {}", float_lit(secs));
-                }
-            }
-            let _ = writeln!(out, "latency_sigma = {}", float_lit(job.latency_sigma));
-            let _ = writeln!(out, "straggler_rate = {}", float_lit(job.straggler_rate));
-            let _ = writeln!(out, "test_per_class = {}", job.test_per_class);
-            let _ = writeln!(out, "clustering_restarts = {}", job.clustering_restarts);
-        }
-        out
-    }
-}
-
-/// Formats a float so the parser reads it back as a float (a bare
-/// integer literal would come back as `TomlValue::Int`).
-fn float_lit(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains(['.', 'e', 'E']) {
-        s
-    } else {
-        format!("{s}.0")
-    }
 }
 
 #[cfg(test)]
@@ -749,76 +647,106 @@ clustering_restarts = 3
         assert_eq!(job.deadline, DeadlinePolicy::LatencyQuantile { q: 0.5, slack: 1.1 });
     }
 
-    #[test]
-    fn config_round_trips_through_to_toml() {
-        let cfg = NetConfig::parse(FULL).unwrap();
-        let rendered = cfg.to_toml();
-        let reparsed = NetConfig::parse(&rendered).unwrap();
-        assert_eq!(reparsed, cfg, "parse(to_toml(cfg)) must be identity:\n{rendered}");
+    /// `FULL` with one `[[job]]` line swapped for `lines` (the parser
+    /// takes literal TOML only — every accepted name is spelled out in
+    /// the tests below).
+    fn full_with(line: &str, lines: &str) -> String {
+        assert!(FULL.contains(line), "{line:?} is not a line of FULL");
+        FULL.replace(line, lines)
     }
 
     #[test]
     fn every_deadline_policy_round_trips() {
-        let mut cfg = NetConfig::parse(FULL).unwrap();
-        for deadline in [
-            DeadlinePolicy::Injected,
-            DeadlinePolicy::Ewma { alpha: 0.3, slack: 1.1 },
-            DeadlinePolicy::FixedSeconds { secs: 0.12 },
-            DeadlinePolicy::LatencyQuantile { q: 0.9, slack: 1.5 },
+        const LATENCY: &str =
+            "deadline = \"latency-quantile\"\ndeadline_q = 0.5\ndeadline_slack = 1.1";
+        for (toml, deadline) in [
+            ("deadline = \"injected\"", DeadlinePolicy::Injected),
+            ("", DeadlinePolicy::Injected),
+            (
+                "deadline = \"ewma\"\newma_alpha = 0.3\ndeadline_slack = 1.1",
+                DeadlinePolicy::Ewma { alpha: 0.3, slack: 1.1 },
+            ),
+            ("deadline = \"ewma\"", DeadlinePolicy::Ewma { alpha: 0.3, slack: 1.5 }),
+            (
+                "deadline = \"fixed\"\ndeadline_secs = 0.12",
+                DeadlinePolicy::FixedSeconds { secs: 0.12 },
+            ),
+            // An integer literal is a number too.
+            ("deadline = \"fixed\"\ndeadline_secs = 2", DeadlinePolicy::FixedSeconds { secs: 2.0 }),
+            (
+                "deadline = \"latency-quantile\"",
+                DeadlinePolicy::LatencyQuantile { q: 0.9, slack: 1.5 },
+            ),
         ] {
-            cfg.jobs[0].deadline = deadline;
-            let reparsed = NetConfig::parse(&cfg.to_toml()).unwrap();
-            assert_eq!(reparsed.jobs[0].deadline, deadline);
+            let cfg = NetConfig::parse(&full_with(LATENCY, toml)).unwrap();
+            assert_eq!(cfg.jobs[0].deadline, deadline, "{toml:?}");
         }
+        let err = NetConfig::parse(&full_with(LATENCY, "deadline = \"fixed\"")).unwrap_err();
+        assert!(err.to_string().contains("deadline_secs"), "{err}");
     }
 
     #[test]
     fn every_selector_and_codec_round_trips() {
-        let mut cfg = NetConfig::parse(FULL).unwrap();
-        for selector in SelectorKind::all() {
-            for codec in [
-                ModelCodec::Raw,
-                ModelCodec::DeltaLossless,
-                ModelCodec::DeltaEntropy,
-                ModelCodec::F16,
-                ModelCodec::TopK { k: 64 },
-            ] {
-                cfg.jobs[0].selector = selector;
-                cfg.jobs[0].codec = codec;
-                let reparsed = NetConfig::parse(&cfg.to_toml()).unwrap();
-                assert_eq!(reparsed.jobs[0].selector, selector);
-                assert_eq!(reparsed.jobs[0].codec, codec);
-            }
+        for (name, selector) in [
+            ("random", SelectorKind::Random),
+            ("flips", SelectorKind::Flips),
+            ("oort", SelectorKind::Oort),
+            ("gradclus", SelectorKind::GradClus),
+            ("tifl", SelectorKind::Tifl),
+        ] {
+            let toml = full_with("selector = \"random\"", &format!("selector = \"{name}\""));
+            assert_eq!(NetConfig::parse(&toml).unwrap().jobs[0].selector, selector, "{name}");
+        }
+        assert_eq!(SelectorKind::all().len(), 5, "a new selector needs a config name");
+        for (name, codec) in [
+            ("raw", ModelCodec::Raw),
+            ("delta-lossless", ModelCodec::DeltaLossless),
+            ("delta-entropy", ModelCodec::DeltaEntropy),
+            ("f16", ModelCodec::F16),
+            ("topk:64", ModelCodec::TopK { k: 64 }),
+            ("topk:4294967295", ModelCodec::TopK { k: u32::MAX }),
+        ] {
+            let toml = full_with("codec = \"raw\"", &format!("codec = \"{name}\""));
+            assert_eq!(NetConfig::parse(&toml).unwrap().jobs[0].codec, codec, "{name}");
         }
     }
 
     #[test]
     fn per_link_codec_overrides_round_trip_and_validate() {
-        let mut cfg = NetConfig::parse(FULL).unwrap();
-        cfg.jobs[0].link_codecs = vec![ModelCodec::DeltaEntropy, ModelCodec::TopK { k: 128 }];
-        let reparsed = NetConfig::parse(&cfg.to_toml()).unwrap();
-        assert_eq!(reparsed, cfg);
-        assert_eq!(reparsed.jobs[0].link_codec(0), ModelCodec::DeltaEntropy);
-        assert_eq!(reparsed.jobs[0].link_codec(1), ModelCodec::TopK { k: 128 });
+        let with = |names: &str| {
+            NetConfig::parse(&full_with(
+                "codec = \"raw\"",
+                &format!("codec = \"raw\"\nlink_codecs = \"{names}\""),
+            ))
+        };
+        // One name per link, every codec name accepted, blanks trimmed.
+        for (names, codecs) in [
+            ("delta-entropy,topk:128", [ModelCodec::DeltaEntropy, ModelCodec::TopK { k: 128 }]),
+            ("raw, f16", [ModelCodec::Raw, ModelCodec::F16]),
+            ("delta-lossless,raw", [ModelCodec::DeltaLossless, ModelCodec::Raw]),
+        ] {
+            let job = &with(names).unwrap().jobs[0];
+            assert_eq!(job.link_codecs, codecs, "{names}");
+            assert_eq!([job.link_codec(0), job.link_codec(1)], codecs, "{names}");
+            assert_eq!(job.codec, ModelCodec::Raw, "the job-wide codec is untouched");
+        }
         // No override: every slot falls back to the job-wide codec.
         assert_eq!(NetConfig::parse(FULL).unwrap().jobs[0].link_codec(1), ModelCodec::Raw);
         // A count that disagrees with `links` is a config error, not a
-        // silently misrouted codec.
-        cfg.jobs[0].link_codecs = vec![ModelCodec::DeltaEntropy];
-        let err = NetConfig::parse(&cfg.to_toml()).unwrap_err();
-        assert!(err.to_string().contains("link_codecs"), "{err}");
+        // silently misrouted codec; so is an unknown name in the list.
+        for names in ["delta-entropy", "raw,raw,raw"] {
+            let err = with(names).unwrap_err();
+            assert!(err.to_string().contains("link_codecs"), "{names}: {err}");
+        }
+        assert!(with("raw,gzip").is_err());
     }
 
     #[test]
     fn hostile_codec_names_are_rejected() {
-        let mut cfg = NetConfig::parse(FULL).unwrap();
         for bad in ["topk:0", "topk:", "topk:-3", "topk:4294967296", "entropy"] {
-            let toml = cfg.to_toml().replace("codec = \"raw\"", &format!("codec = \"{bad}\""));
+            let toml = full_with("codec = \"raw\"", &format!("codec = \"{bad}\""));
             assert!(NetConfig::parse(&toml).is_err(), "codec {bad:?} must be rejected");
         }
-        cfg.jobs[0].codec = ModelCodec::TopK { k: u32::MAX };
-        let reparsed = NetConfig::parse(&cfg.to_toml()).unwrap();
-        assert_eq!(reparsed.jobs[0].codec, ModelCodec::TopK { k: u32::MAX });
     }
 
     #[test]

@@ -40,6 +40,8 @@
 //!   prunes its retained-frame queue to the peer's `received`.
 //! - [`ControlMsg::Shutdown`] — the coordinator's end-of-run notice.
 
+use bytes::BufMut;
+use flips_fl::format::{put_bool, put_f32s, Reader};
 use flips_fl::FlError;
 
 /// Destination word marking a control frame. One below
@@ -131,45 +133,43 @@ impl ControlMsg {
     /// job, as for data frames.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&NET_CONTROL_DEST.to_le_bytes());
+        out.put_u64_le(NET_CONTROL_DEST);
         match self {
             ControlMsg::Hello { shard, token, received, sent } => {
-                out.push(OP_HELLO);
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.extend_from_slice(&token.to_le_bytes());
-                out.extend_from_slice(&received.to_le_bytes());
-                out.extend_from_slice(&sent.to_le_bytes());
+                out.put_u8(OP_HELLO);
+                out.put_u32_le(*shard);
+                out.put_u64_le(*token);
+                out.put_u64_le(*received);
+                out.put_u64_le(*sent);
             }
             ControlMsg::HelloAck { token, received, sent, fresh, ref_syncs } => {
-                out.push(OP_HELLO_ACK);
-                out.extend_from_slice(&token.to_le_bytes());
-                out.extend_from_slice(&received.to_le_bytes());
-                out.extend_from_slice(&sent.to_le_bytes());
-                out.push(u8::from(*fresh));
-                out.extend_from_slice(&ref_syncs.to_le_bytes());
+                out.put_u8(OP_HELLO_ACK);
+                out.put_u64_le(*token);
+                out.put_u64_le(*received);
+                out.put_u64_le(*sent);
+                put_bool(&mut out, *fresh);
+                out.put_u32_le(*ref_syncs);
             }
             ControlMsg::RefSync { job, round, params } => {
-                out.push(OP_REF_SYNC);
-                out.extend_from_slice(&job.to_le_bytes());
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(&(params.len() as u32).to_le_bytes());
-                for p in params {
-                    out.extend_from_slice(&p.to_bits().to_le_bytes());
-                }
+                out.put_u8(OP_REF_SYNC);
+                out.put_u64_le(*job);
+                out.put_u64_le(*round);
+                out.put_u32_le(params.len() as u32);
+                put_f32s(&mut out, params);
             }
             ControlMsg::StatusReq { seq, received, sent } => {
-                out.push(OP_STATUS_REQ);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&received.to_le_bytes());
-                out.extend_from_slice(&sent.to_le_bytes());
+                out.put_u8(OP_STATUS_REQ);
+                out.put_u64_le(*seq);
+                out.put_u64_le(*received);
+                out.put_u64_le(*sent);
             }
             ControlMsg::Status { seq, received, sent } => {
-                out.push(OP_STATUS);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&received.to_le_bytes());
-                out.extend_from_slice(&sent.to_le_bytes());
+                out.put_u8(OP_STATUS);
+                out.put_u64_le(*seq);
+                out.put_u64_le(*received);
+                out.put_u64_le(*sent);
             }
-            ControlMsg::Shutdown => out.push(OP_SHUTDOWN),
+            ControlMsg::Shutdown => out.put_u8(OP_SHUTDOWN),
         }
         out
     }
@@ -178,79 +178,43 @@ impl ControlMsg {
     ///
     /// # Errors
     ///
-    /// [`FlError::Codec`] for a truncated frame or unknown opcode — a
-    /// peer speaking a different protocol revision, not recoverable.
+    /// [`FlError::Codec`] for a truncated frame, an unknown opcode or
+    /// bytes past the message's end — a peer speaking a different
+    /// protocol revision, not recoverable.
     pub fn decode(frame: &[u8]) -> Result<ControlMsg, FlError> {
-        let body = frame
-            .get(8..)
-            .filter(|b| !b.is_empty())
-            .ok_or_else(|| FlError::Codec("control frame missing opcode".into()))?;
-        let u64_at = |off: usize| -> Result<u64, FlError> {
-            body.get(off..off + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-                .ok_or_else(|| FlError::Codec("control frame truncated".into()))
+        let mut r = Reader::new(frame, "control frame");
+        r.u64()?; // the destination word `is_control_frame` matched
+        let msg = match r.u8()? {
+            OP_HELLO => ControlMsg::Hello {
+                shard: r.u32()?,
+                token: r.u64()?,
+                received: r.u64()?,
+                sent: r.u64()?,
+            },
+            OP_HELLO_ACK => ControlMsg::HelloAck {
+                token: r.u64()?,
+                received: r.u64()?,
+                sent: r.u64()?,
+                fresh: r.bool()?,
+                ref_syncs: r.u32()?,
+            },
+            OP_REF_SYNC => ControlMsg::RefSync {
+                job: r.u64()?,
+                round: r.u64()?,
+                params: {
+                    let len = r.u32()?;
+                    r.f32s(len.into())?.collect()
+                },
+            },
+            OP_STATUS_REQ => {
+                ControlMsg::StatusReq { seq: r.u64()?, received: r.u64()?, sent: r.u64()? }
+            }
+            OP_STATUS => ControlMsg::Status { seq: r.u64()?, received: r.u64()?, sent: r.u64()? },
+            OP_SHUTDOWN => ControlMsg::Shutdown,
+            op => return Err(FlError::Codec(format!("unknown control opcode {op:#04x}"))),
         };
-        let u32_at = |off: usize| -> Result<u32, FlError> {
-            body.get(off..off + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-                .ok_or_else(|| FlError::Codec("control frame truncated".into()))
-        };
-        match body[0] {
-            OP_HELLO => Ok(ControlMsg::Hello {
-                shard: u32_at(1)?,
-                token: u64_at(5)?,
-                received: u64_at(13)?,
-                sent: u64_at(21)?,
-            }),
-            OP_HELLO_ACK => {
-                let fresh = match body
-                    .get(25)
-                    .ok_or_else(|| FlError::Codec("hello-ack frame truncated".into()))?
-                {
-                    0 => false,
-                    1 => true,
-                    b => {
-                        return Err(FlError::Codec(format!("hello-ack fresh byte {b} not 0/1")));
-                    }
-                };
-                Ok(ControlMsg::HelloAck {
-                    token: u64_at(1)?,
-                    received: u64_at(9)?,
-                    sent: u64_at(17)?,
-                    fresh,
-                    ref_syncs: u32_at(26)?,
-                })
-            }
-            OP_REF_SYNC => {
-                let job = u64_at(1)?;
-                let round = u64_at(9)?;
-                let len = u32_at(17)? as usize;
-                let raw = body
-                    .get(21..)
-                    .ok_or_else(|| FlError::Codec("ref-sync frame truncated".into()))?;
-                if raw.len() != len * 4 {
-                    return Err(FlError::Codec(format!(
-                        "ref-sync claims {len} params but carries {} bytes",
-                        raw.len()
-                    )));
-                }
-                let params = raw
-                    .chunks_exact(4)
-                    .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
-                    .collect();
-                Ok(ControlMsg::RefSync { job, round, params })
-            }
-            OP_STATUS_REQ => Ok(ControlMsg::StatusReq {
-                seq: u64_at(1)?,
-                received: u64_at(9)?,
-                sent: u64_at(17)?,
-            }),
-            OP_STATUS => {
-                Ok(ControlMsg::Status { seq: u64_at(1)?, received: u64_at(9)?, sent: u64_at(17)? })
-            }
-            OP_SHUTDOWN => Ok(ControlMsg::Shutdown),
-            op => Err(FlError::Codec(format!("unknown control opcode {op:#04x}"))),
-        }
+        r.finish()?;
+        Ok(msg)
     }
 }
 
@@ -292,6 +256,39 @@ mod tests {
         }
     }
 
+    /// The parent commit's bytes, one frame per variant: a field moved
+    /// in both the encoder and the decoder still fails here.
+    #[test]
+    fn every_variant_holds_its_golden_frame() {
+        for (msg, want) in [
+            (
+                ControlMsg::Hello { shard: 1, token: 0xDEAD, received: 42, sent: 17 },
+                "feffffffffffffff0101000000adde0000000000002a000000000000001100000000000000",
+            ),
+            (
+                ControlMsg::HelloAck { token: 7, received: 3, sent: 9, fresh: true, ref_syncs: 2 },
+                "feffffffffffffff050700000000000000030000000000000009000000000000000102000000",
+            ),
+            (
+                ControlMsg::RefSync { job: 9, round: 4, params: vec![1.0, -2.5] },
+                "feffffffffffffff0609000000000000000400000000000000020000000000803f000020c0",
+            ),
+            (
+                ControlMsg::StatusReq { seq: 42, received: 5, sent: 6 },
+                "feffffffffffffff022a0000000000000005000000000000000600000000000000",
+            ),
+            (
+                ControlMsg::Status { seq: 43, received: 7, sent: 9 },
+                "feffffffffffffff032b0000000000000007000000000000000900000000000000",
+            ),
+            (ControlMsg::Shutdown, "feffffffffffffff04"),
+        ] {
+            let hex: String = msg.encode().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, want, "{msg:?}");
+            assert_eq!(ControlMsg::decode(&msg.encode()).unwrap(), msg);
+        }
+    }
+
     #[test]
     fn data_frames_are_not_control_frames() {
         let data = 5u64.to_le_bytes().to_vec();
@@ -315,7 +312,15 @@ mod tests {
             let mut short = msg.encode();
             short.truncate(short.len() - 1);
             assert!(ControlMsg::decode(&short).is_err(), "truncated {msg:?} must not decode");
+            // A message is exactly one frame: a stale tail is rejected,
+            // not ignored.
+            let mut long = msg.encode();
+            long.push(0xFF);
+            assert!(ControlMsg::decode(&long).is_err(), "{msg:?} decoded with a trailing byte");
         }
+        let mut long = ControlMsg::Shutdown.encode();
+        long.push(0);
+        assert!(ControlMsg::decode(&long).is_err(), "Shutdown decoded with a trailing byte");
     }
 
     #[test]

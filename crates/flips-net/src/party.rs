@@ -28,35 +28,26 @@ use std::time::Duration;
 /// The worker loop's safety-net wakeup (all real work is event-driven).
 const POLL_TIMEOUT: Duration = Duration::from_millis(20);
 
+/// The total budget one reconnect attempt may spend dialing (the
+/// per-attempt pacing comes from [`crate::backoff`]).
+const RECONNECT_BUDGET: Duration = Duration::from_secs(30);
+
+/// How long to wait for the server's hello-ack after a Hello.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// The epoll token of the data link (health tokens live far above).
 const LINK_TOKEN: Token = Token(0);
 
 /// Failure-recovery options of one party worker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PartyOptions {
     /// Where to reconnect when the server connection dies mid-run.
     /// `None` keeps the old contract: a dead connection is fatal.
     pub resume_addr: Option<SocketAddr>,
-    /// The total budget one reconnect attempt may spend dialing (the
-    /// per-attempt pacing comes from [`crate::backoff`]).
-    pub reconnect_budget: Duration,
-    /// How long to wait for the server's hello-ack after a Hello.
-    pub hello_timeout: Duration,
     /// Test knob: deliberately sever the connection (both directions,
     /// as a crash would) once this many data frames have been
     /// received. One-shot; requires `resume_addr`.
     pub drop_after: Option<u64>,
-}
-
-impl Default for PartyOptions {
-    fn default() -> Self {
-        PartyOptions {
-            resume_addr: None,
-            reconnect_budget: Duration::from_secs(30),
-            hello_timeout: Duration::from_secs(60),
-            drop_after: None,
-        }
-    }
 }
 
 /// Serves link slot `share.link` over `stream` — the endpoints, pinned
@@ -92,7 +83,7 @@ pub fn party_loop_with(
     let mut link = PartyLink::new(stream);
     link.set_resumable(opts.resume_addr.is_some());
     link.send_hello(shard)?;
-    link.await_hello_ack(opts.hello_timeout)?;
+    link.await_hello_ack(HELLO_TIMEOUT)?;
     let mut fd = Fd(link.raw_fd());
     let parties = share.parties() as u64;
     let mut pool = PartyPool::install(link, share, guard);
@@ -187,12 +178,12 @@ pub fn party_loop_with(
             // schedule, present the session token and our counters,
             // and retransmit what the ack says the server never saw.
             let _ = poll.registry().deregister(&fd);
-            let stream = crate::runtime::connect_with_retry(addr, opts.reconnect_budget)?;
+            let stream = crate::runtime::connect_with_retry(addr, RECONNECT_BUDGET)?;
             crate::link::prepare_stream(&stream)?;
             let link = pool.transport_mut();
             link.resume_with(stream);
             link.send_hello(shard)?;
-            let (received, _sent, fresh) = link.await_hello_ack(opts.hello_timeout)?;
+            let (received, _sent, fresh) = link.await_hello_ack(HELLO_TIMEOUT)?;
             if fresh {
                 return Err(FlError::Protocol(
                     "reconnect was answered with a fresh session: the server lost this \

@@ -138,7 +138,6 @@ pub fn run_socket(jobs: Vec<JobParts>, opts: &SocketOptions) -> Result<SocketOut
                     drop_after: opts
                         .party_drop
                         .and_then(|(slot, after)| (slot == share.link).then_some(after)),
-                    ..PartyOptions::default()
                 };
                 scope.spawn(move || -> Result<PartyPool<PartyLink>, FlError> {
                     let stream = connect_with_retry(addr, Duration::from_secs(30))?;

@@ -82,28 +82,29 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(20);
 /// (they still observe EOF).
 const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// How long to wait for all links' parties to connect and say Hello.
+const ACCEPT_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How long a parked link may wait for its party to reconnect before
+/// the run aborts after all.
+const RESUME_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// The on-disk checkpoint filename inside
 /// [`ServerOptions::checkpoint_dir`].
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
 /// Options of one coordinator run: the shared [`WireOptions`] (one link
 /// per party connection to accept; builders via [`WithWire`]) plus the
-/// socket timeouts and the failure-recovery plane.
+/// failure-recovery plane.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Placement, guard, chaos schedule, link codecs and tree mode. The
     /// party process serving a link must hold the matching
     /// [`flips_fl::LinkShare`] of the same plan.
     pub wire: WireOptions,
-    /// How long to wait for all links' parties to connect and say
-    /// Hello.
-    pub accept_timeout: Duration,
     /// Park dead links and let their parties reconnect and resume the
     /// session (module docs) instead of aborting the run.
     pub resume: bool,
-    /// How long a parked link may wait for its party to reconnect
-    /// before the run aborts after all.
-    pub resume_timeout: Duration,
     /// Snapshot the coordinator plane into
     /// `<dir>/`[`CHECKPOINT_FILE`] at every round boundary (atomic
     /// tmp-file + rename).
@@ -126,9 +127,7 @@ impl ServerOptions {
     pub fn new(links: usize) -> Self {
         ServerOptions {
             wire: WireOptions::new(links),
-            accept_timeout: Duration::from_secs(60),
             resume: false,
-            resume_timeout: Duration::from_secs(30),
             checkpoint_dir: None,
             restore: None,
         }
@@ -160,12 +159,11 @@ pub struct ServerOutcome {
 fn accept_links(
     listener: &TcpListener,
     links: usize,
-    timeout: Duration,
     resume: bool,
     ref_syncs: &[Vec<ControlMsg>],
 ) -> Result<Vec<Arc<Mutex<CoordLink>>>, FlError> {
     listener.set_nonblocking(true).map_err(net_err)?;
-    let deadline = Instant::now() + timeout;
+    let deadline = Instant::now() + ACCEPT_TIMEOUT;
     let mut slots: Vec<Option<CoordLink>> = (0..links).map(|_| None).collect();
     let mut pending: Vec<CoordLink> = Vec::new();
     let mut filled = 0;
@@ -293,7 +291,7 @@ fn write_checkpoint(dir: &Path, cp: &Checkpoint) -> Result<(), FlError> {
 /// accept-phase timeouts, socket failures, protocol violations and
 /// aggregation failures propagate. Without [`ServerOptions::resume`], a
 /// dead party connection is fatal; with it, only a party that stays
-/// gone past [`ServerOptions::resume_timeout`] is.
+/// gone past `RESUME_TIMEOUT` is.
 pub fn serve(
     listener: &TcpListener,
     jobs: Vec<JobParts>,
@@ -322,7 +320,7 @@ pub fn serve(
             });
         }
     }
-    let links = accept_links(listener, wire.links, opts.accept_timeout, opts.resume, &ref_syncs)?;
+    let links = accept_links(listener, wire.links, opts.resume, &ref_syncs)?;
     let mut fds: Vec<Fd> =
         links.iter().map(|l| Fd(l.lock().expect("fresh link").raw_fd())).collect();
 
@@ -422,10 +420,9 @@ pub fn serve(
             }
         }
         for since in parked_since.iter().flatten() {
-            if since.elapsed() > opts.resume_timeout {
+            if since.elapsed() > RESUME_TIMEOUT {
                 return Err(FlError::Transport(format!(
-                    "a parked link's party did not reconnect within {:?}",
-                    opts.resume_timeout
+                    "a parked link's party did not reconnect within {RESUME_TIMEOUT:?}"
                 )));
             }
         }

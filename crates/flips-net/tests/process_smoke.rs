@@ -8,13 +8,33 @@ use flips_core::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Reserves a loopback port (bind :0, read the assignment, release).
-/// The tiny race against another process grabbing it is acceptable in a
+/// Reserves `n` consecutive loopback ports and returns the first: all
+/// `n` are bound at once (party slot `s` binds the party-health base
+/// plus `s`, so the base alone is not enough), then released for the
+/// child processes to bind. A range handed out once is never handed out
+/// again in this process — the tests here run in parallel, and the
+/// kernel is free to assign a just-released ephemeral port twice. The
+/// tiny race against another process grabbing one is acceptable in a
 /// test.
-fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port()
+fn free_ports(n: u16) -> u16 {
+    static TAKEN: Mutex<Vec<u16>> = Mutex::new(Vec::new());
+    let mut taken = TAKEN.lock().unwrap();
+    loop {
+        let first = TcpListener::bind("127.0.0.1:0").unwrap();
+        let base = first.local_addr().unwrap().port();
+        let Some(last) = base.checked_add(n - 1) else { continue };
+        if (base..=last).any(|port| taken.contains(&port)) {
+            continue;
+        }
+        let rest: Vec<_> = (base + 1..=last).map(|p| TcpListener::bind(("127.0.0.1", p))).collect();
+        if rest.iter().all(Result::is_ok) {
+            taken.extend(base..=last);
+            return base;
+        }
+    }
 }
 
 /// Reads lines from a child's stdout until one starts with `prefix`,
@@ -53,9 +73,9 @@ impl Drop for KillOnDrop {
 
 #[test]
 fn server_and_party_processes_complete_a_run_and_expose_metrics() {
-    let data_port = free_port();
-    let health_port = free_port();
-    let party_health_port = free_port();
+    // Data, server health, and one party-health port per link slot.
+    let data_port = free_ports(4);
+    let (health_port, party_health_port) = (data_port + 1, data_port + 2);
     let config = format!(
         r#"
 links = 2
@@ -269,8 +289,8 @@ fn a_party_process_drops_its_link_and_resumes_against_the_live_server() {
     // through the seeded backoff and resumes its session. The run must
     // finish on the golden trajectory and the server must account the
     // loss, the resume and its boundary checkpoints in /metrics.
-    let data_port = free_port();
-    let health_port = free_port();
+    let data_port = free_ports(2);
+    let health_port = data_port + 1;
     let config = recovery_config(data_port, health_port);
     let config_path = format!("{}/process_resume.toml", env!("CARGO_TARGET_TMPDIR"));
     std::fs::write(&config_path, &config).unwrap();
@@ -334,8 +354,8 @@ fn a_killed_server_restores_its_checkpoint_and_finishes_the_golden_run() {
     // Checkpoint/restore at full deployment fidelity: the coordinator
     // process is killed mid-job, restarted with `--restore`, and the
     // finished run must report exactly the uninterrupted golden.
-    let data_port = free_port();
-    let health_port = free_port();
+    let data_port = free_ports(2);
+    let health_port = data_port + 1;
     let config = recovery_config(data_port, health_port);
     let config_path = format!("{}/process_restore.toml", env!("CARGO_TARGET_TMPDIR"));
     std::fs::write(&config_path, &config).unwrap();

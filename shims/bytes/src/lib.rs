@@ -308,6 +308,20 @@ impl BufMut for BytesMut {
     }
 }
 
+/// As in the published crate, a plain `Vec<u8>` is a write buffer too
+/// (formats that never freeze into [`Bytes`] write straight into one).
+impl BufMut for Vec<u8> {
+    #[inline]
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+
+    #[inline]
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Lines of Rust per crate: `src/` split at each file's first
-`#[cfg(test)]` (code above, in-file tests below), plus `tests/`.
+`#[cfg(test)]` (code above, in-file tests below; a test-only file opens
+with `#![cfg(test)]` and counts whole), plus `tests/`.
 
 Usage: python3 tools/loc.py [repo-root]   (default: this file's repo)
 """
@@ -15,7 +16,7 @@ for crate in crates:
     code = in_file_tests = 0
     for path in sorted((crate / "src").rglob("*.rs")):
         lines = path.read_text().splitlines()
-        cut = next((i for i, l in enumerate(lines) if l.strip() == "#[cfg(test)]"), len(lines))
+        cut = next((i for i, l in enumerate(lines) if l.strip() in ("#[cfg(test)]", "#![cfg(test)]")), len(lines))
         code += cut
         in_file_tests += len(lines) - cut
     suites = sum(len(p.read_text().splitlines()) for p in (crate / "tests").glob("*.rs"))
