@@ -16,6 +16,8 @@
 //! stragglers (FLIPS/Oort/TiFL). All curves use FedYogi, as the paper's
 //! plots do. `--full` switches to paper scale.
 
+#![forbid(unsafe_code)]
+
 use flips_bench::{dataset, Scale, NO_STRAGGLER_COLUMNS, STRAGGLER_COLUMNS};
 use flips_core::clustering::{optimal_k, ElbowConfig};
 use flips_core::data::dataset::generate_population;

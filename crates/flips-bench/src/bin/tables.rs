@@ -15,6 +15,8 @@
 //! Tables come in (rounds-to-target, peak-accuracy) pairs over the same
 //! runs, so requesting both numbers of a pair costs one sweep.
 
+#![forbid(unsafe_code)]
+
 use flips_bench::{
     dataset, run_cell, table_layout, Cell, CellResult, Scale, NO_STRAGGLER_COLUMNS,
     STRAGGLER_COLUMNS, TABLE_ROWS,

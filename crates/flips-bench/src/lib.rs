@@ -27,6 +27,8 @@
 //! assert!(Scale::Fast.rounds(&profile) <= Scale::Full.rounds(&profile));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use flips_core::prelude::*;
 
 /// Scale of a harness run.

@@ -32,6 +32,8 @@
 //! assert_ne!(clustering.assignments[0], clustering.assignments[2]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dbi;
 pub mod elbow;
 pub mod hierarchical;

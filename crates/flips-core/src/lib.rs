@@ -25,6 +25,8 @@
 //! | [`selection`] | `flips-selection` |
 //! | [`fl`] | `flips-fl` |
 
+#![forbid(unsafe_code)]
+
 pub use flips_clustering as clustering;
 pub use flips_data as data;
 pub use flips_fl as fl;

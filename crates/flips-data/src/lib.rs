@@ -32,6 +32,8 @@
 //! assert!(parts.parties.iter().all(|p| p.len() >= 5), "per-party floor honored");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod dist;
 pub mod label_distribution;

@@ -40,8 +40,11 @@ const MAX_PARAM: f32 = 2_147_483_648.0; // 2^31
 
 /// Whether `x` lies inside the exact fold's parameter domain (finite,
 /// `|x| < 2³¹`) — what [`ExactWeightedSum::fold`] will accept.
+///
+/// One integer compare: non-negative floats order like their bit
+/// patterns, and every infinity and NaN sits above `2³¹`'s.
 pub fn param_in_domain(x: f32) -> bool {
-    x.is_finite() && x.abs() < MAX_PARAM
+    x.to_bits() & 0x7FFF_FFFF < MAX_PARAM.to_bits()
 }
 
 /// A signed 256-bit accumulator per parameter: little-endian `u64`
@@ -49,118 +52,78 @@ pub fn param_in_domain(x: f32) -> bool {
 /// domain bounds).
 type Limbs = [u64; 4];
 
-fn add256(acc: &mut Limbs, v: &Limbs) {
-    let mut carry = 0u64;
+/// `acc += v + carry_in` over the four limbs, one carry chain.
+#[inline(always)]
+fn add256(acc: &mut Limbs, v: &Limbs, carry_in: bool) {
+    let mut carry = carry_in;
     for (a, &b) in acc.iter_mut().zip(v) {
-        let (s1, c1) = a.overflowing_add(b);
-        let (s2, c2) = s1.overflowing_add(carry);
-        *a = s2;
-        carry = u64::from(c1) + u64::from(c2);
+        (*a, carry) = a.carrying_add(b, carry);
     }
 }
 
-fn neg256(v: &mut Limbs) {
-    for limb in v.iter_mut() {
-        *limb = !*limb;
-    }
-    add256(v, &[1, 0, 0, 0]);
-}
-
-/// Adds `p · w · 2¹⁵²` (exact) into `acc`.
+/// Adds `p · w · 2¹⁵²` (exact) into `acc`, for `p` in the parameter
+/// domain and `w < 2³²`.
+///
+/// Works from the `f32`'s own fields: a 24-bit mantissa `m` (implicit
+/// bit set unless subnormal) with `p = ±m · 2^(e − 150)`, `e` the biased
+/// exponent (1 for subnormals). The product `m · w` has at most 56 bits
+/// and lands `e + 2` ∈ 3..=159 bits up, so it always spans exactly two
+/// adjacent limbs, the upper one at index ≤ 3. A negative term is added
+/// as `!addend + 1` — the complement folded into the limbs, the `+ 1`
+/// into the chain's carry-in — so there is no branch on the data
+/// (`±0` adds `0`, or `!0 + 1`, which is the same).
+#[inline(always)]
 fn add_scaled(acc: &mut Limbs, p: f32, w: u64) {
-    if p == 0.0 || w == 0 {
-        return;
-    }
-    let q = f64::from(p); // exact widening
-    let bits = q.to_bits();
-    let negative = bits >> 63 == 1;
-    // f32 → f64 never produces an f64 subnormal, so the implicit bit is
-    // always set.
-    let mantissa = (bits & ((1u64 << 52) - 1)) | (1u64 << 52);
-    let e = ((bits >> 52) & 0x7FF) as i32 - 1023 - 52;
-    let mut value = u128::from(mantissa) * u128::from(w); // ≤ 2^85 · 2^32
-    let mut shift = e + SCALE_BITS;
-    if shift < 0 {
-        // Exact: an f32's lowest set bit is ≥ 2⁻¹⁴⁹, so the value has at
-        // least 152 − 149 = 3 trailing zero bits at this point.
-        debug_assert!(value.trailing_zeros() >= shift.unsigned_abs());
-        value >>= shift.unsigned_abs();
-        shift = 0;
-    }
-    let idx = (shift / 64) as usize;
-    let off = (shift % 64) as u32;
-    let lo = value as u64;
-    let hi = (value >> 64) as u64;
-    let (w0, w1, w2) = if off == 0 {
-        (lo, hi, 0u64)
-    } else {
-        (lo << off, (hi << off) | (lo >> (64 - off)), hi >> (64 - off))
+    debug_assert!(param_in_domain(p) && w < MAX_WEIGHT);
+    let bits = p.to_bits();
+    let negative = bits >> 31 == 1;
+    let sign = u64::from(negative).wrapping_neg(); // 0 or !0
+    let e = (bits >> 23) & 0xFF;
+    let product = (u64::from(bits & 0x7F_FFFF) | u64::from(e != 0) << 23) * w;
+    let shift = e.max(1) + (SCALE_BITS - 150) as u32;
+    let (idx, off) = (shift / 64, shift % 64);
+    let lo = product << off;
+    let hi = product >> 1 >> (63 - off); // `product >> (64 − off)`, defined at `off = 0`
+    let limb = |i: u32| {
+        let at = if i == idx { lo } else { 0 };
+        let above = if i == idx + 1 { hi } else { 0 };
+        (at | above) ^ sign
     };
-    let mut addend = [0u64; 4];
-    addend[idx] = w0;
-    if w1 != 0 {
-        addend[idx + 1] = w1;
-    }
-    if w2 != 0 {
-        addend[idx + 2] = w2;
-    }
-    if negative {
-        neg256(&mut addend);
-    }
-    add256(acc, &addend);
+    add256(acc, &[limb(0), limb(1), limb(2), limb(3)], negative);
 }
 
 /// Converts a signed 256-bit fixed-point value back to the nearest
 /// `f64` (round-to-nearest-even), the single rounding step of the fold.
+///
+/// The 53 kept bits and the guard bit always sit inside the two highest
+/// non-zero limbs; everything below them only matters as "any bit set",
+/// which is one OR of whole limbs.
 fn to_f64(limbs: &Limbs) -> f64 {
     let negative = limbs[3] >> 63 == 1;
-    let mut mag = *limbs;
-    if negative {
-        neg256(&mut mag);
-    }
-    let high = match mag.iter().rposition(|&l| l != 0) {
-        Some(i) => i,
-        None => return 0.0,
+    let sign = u64::from(negative).wrapping_neg(); // 0 or !0
+    let mut mag = [0u64; 4];
+    add256(&mut mag, &limbs.map(|l| l ^ sign), negative);
+    let (high, hi, lo, rest) = match mag {
+        [0, 0, 0, 0] => return 0.0,
+        [m0, 0, 0, 0] => (0, m0, 0, 0),
+        [m0, m1, 0, 0] => (1, m1, m0, 0),
+        [m0, m1, m2, 0] => (2, m2, m1, m0),
+        [m0, m1, m2, m3] => (3, m3, m2, m1 | m0),
     };
-    let top_bit = high as u32 * 64 + (63 - mag[high].leading_zeros());
-    let (mut m, exp) = if top_bit <= 52 {
-        // Fits 53 bits: exact (limbs above `high` are zero here).
-        (u128::from(mag[1]) << 64 | u128::from(mag[0]), -SCALE_BITS)
-    } else {
-        let shift = top_bit - 52;
-        let mut m: u128 = 0;
-        for i in (0..4).rev() {
-            let base = i as u32 * 64;
-            if base >= shift {
-                m |= u128::from(mag[i]) << (base - shift);
-            } else if base + 64 > shift {
-                m |= u128::from(mag[i] >> (shift - base));
-            }
-        }
-        // Round half to even on the dropped bits.
-        let guard_pos = shift - 1;
-        let guard = mag[(guard_pos / 64) as usize] >> (guard_pos % 64) & 1 == 1;
-        let sticky = (0..guard_pos).any(|b| mag[(b / 64) as usize] >> (b % 64) & 1 == 1);
-        if guard && (sticky || m & 1 == 1) {
-            m += 1; // may carry to 2^53 — still exactly representable
-        }
-        (m, shift as i32 - SCALE_BITS)
-    };
-    if m == 0 {
-        return 0.0;
-    }
-    // Normalize a rounding carry so the scalbn below stays exact.
-    let mut exp = exp;
-    if m == 1u128 << 53 {
-        m >>= 1;
-        exp += 1;
-    }
-    let out = (m as f64) * f64::powi(2.0, exp);
-    if negative {
-        -out
-    } else {
-        out
-    }
+    let lz = hi.leading_zeros();
+    // The two limbs with the top set bit moved to bit 127: bits 75..=127
+    // are the mantissa, bit 74 the guard, the rest sticky.
+    let window = (u128::from(hi) << 64 | u128::from(lo)) << lz;
+    let mut m = (window >> 75) as u64;
+    let guard = window >> 74 & 1 == 1;
+    let sticky = window & ((1u128 << 74) - 1) != 0 || rest != 0;
+    m += u64::from(guard && (sticky || m & 1 == 1));
+    // `m` ∈ [2⁵², 2⁵³] and the value is `m · 2^(top_bit − 52 − 152)`:
+    // always a normal f64. Adding `m − 2⁵²` into the fraction field lets
+    // a round-up to 2⁵³ carry into the exponent by itself.
+    let top_bit = u64::from(high * 64 + 63 - lz);
+    let biased = top_bit + (1023 - SCALE_BITS as u64);
+    f64::from_bits(sign << 63 | ((biased << 52) + (m - (1 << 52))))
 }
 
 /// The exact sample-weighted sum `Σ nᵢ·xᵢ` of a set of parameter
@@ -279,7 +242,7 @@ impl ExactWeightedSum {
             return Err(FlError::InvalidConfig("exact merge exceeded 2^20 terms".into()));
         }
         for (acc, v) in self.limbs.iter_mut().zip(&other.limbs) {
-            add256(acc, v);
+            add256(acc, v, false);
         }
         self.total_weight += other.total_weight;
         self.terms += other.terms;
@@ -332,6 +295,132 @@ impl ExactWeightedSum {
         }
         let limbs = words.chunks_exact(4).map(|c| [c[0], c[1], c[2], c[3]]).collect();
         Ok(ExactWeightedSum { limbs, total_weight, terms })
+    }
+}
+
+/// The kernels this module shipped before the two-limb rewrite, kept as
+/// the oracle the fast ones are compared against bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{Limbs, SCALE_BITS};
+
+    fn add256(acc: &mut Limbs, v: &Limbs) {
+        let mut carry = 0u64;
+        for (a, &b) in acc.iter_mut().zip(v) {
+            let (s1, c1) = a.overflowing_add(b);
+            let (s2, c2) = s1.overflowing_add(carry);
+            *a = s2;
+            carry = u64::from(c1) + u64::from(c2);
+        }
+    }
+
+    fn neg256(v: &mut Limbs) {
+        for limb in v.iter_mut() {
+            *limb = !*limb;
+        }
+        add256(v, &[1, 0, 0, 0]);
+    }
+
+    /// Adds `p · w · 2¹⁵²` (exact) into `acc`.
+    pub fn add_scaled(acc: &mut Limbs, p: f32, w: u64) {
+        if p == 0.0 || w == 0 {
+            return;
+        }
+        let q = f64::from(p); // exact widening
+        let bits = q.to_bits();
+        let negative = bits >> 63 == 1;
+        // f32 → f64 never produces an f64 subnormal, so the implicit bit is
+        // always set.
+        let mantissa = (bits & ((1u64 << 52) - 1)) | (1u64 << 52);
+        let e = ((bits >> 52) & 0x7FF) as i32 - 1023 - 52;
+        let mut value = u128::from(mantissa) * u128::from(w); // ≤ 2^85 · 2^32
+        let mut shift = e + SCALE_BITS;
+        if shift < 0 {
+            // Exact: an f32's lowest set bit is ≥ 2⁻¹⁴⁹, so the value has at
+            // least 152 − 149 = 3 trailing zero bits at this point.
+            debug_assert!(value.trailing_zeros() >= shift.unsigned_abs());
+            value >>= shift.unsigned_abs();
+            shift = 0;
+        }
+        let idx = (shift / 64) as usize;
+        let off = (shift % 64) as u32;
+        let lo = value as u64;
+        let hi = (value >> 64) as u64;
+        let (w0, w1, w2) = if off == 0 {
+            (lo, hi, 0u64)
+        } else {
+            (lo << off, (hi << off) | (lo >> (64 - off)), hi >> (64 - off))
+        };
+        let mut addend = [0u64; 4];
+        addend[idx] = w0;
+        if w1 != 0 {
+            addend[idx + 1] = w1;
+        }
+        if w2 != 0 {
+            addend[idx + 2] = w2;
+        }
+        if negative {
+            neg256(&mut addend);
+        }
+        add256(acc, &addend);
+    }
+
+    /// Converts a signed 256-bit fixed-point value back to the nearest
+    /// `f64` (round-to-nearest-even), the single rounding step of the fold.
+    pub fn to_f64(limbs: &Limbs) -> f64 {
+        let negative = limbs[3] >> 63 == 1;
+        let mut mag = *limbs;
+        if negative {
+            neg256(&mut mag);
+        }
+        let high = match mag.iter().rposition(|&l| l != 0) {
+            Some(i) => i,
+            None => return 0.0,
+        };
+        let top_bit = high as u32 * 64 + (63 - mag[high].leading_zeros());
+        let (mut m, exp) = if top_bit <= 52 {
+            // Fits 53 bits: exact (limbs above `high` are zero here).
+            (u128::from(mag[1]) << 64 | u128::from(mag[0]), -SCALE_BITS)
+        } else {
+            let shift = top_bit - 52;
+            let mut m: u128 = 0;
+            for i in (0..4).rev() {
+                // As shipped, minus a debug-build overflow panic: a zero
+                // high limb was shifted by ≥ 128 when 53 ≤ top_bit ≤ 116.
+                if mag[i] == 0 {
+                    continue;
+                }
+                let base = i as u32 * 64;
+                if base >= shift {
+                    m |= u128::from(mag[i]) << (base - shift);
+                } else if base + 64 > shift {
+                    m |= u128::from(mag[i] >> (shift - base));
+                }
+            }
+            // Round half to even on the dropped bits.
+            let guard_pos = shift - 1;
+            let guard = mag[(guard_pos / 64) as usize] >> (guard_pos % 64) & 1 == 1;
+            let sticky = (0..guard_pos).any(|b| mag[(b / 64) as usize] >> (b % 64) & 1 == 1);
+            if guard && (sticky || m & 1 == 1) {
+                m += 1; // may carry to 2^53 — still exactly representable
+            }
+            (m, shift as i32 - SCALE_BITS)
+        };
+        if m == 0 {
+            return 0.0;
+        }
+        // Normalize a rounding carry so the scalbn below stays exact.
+        let mut exp = exp;
+        if m == 1u128 << 53 {
+            m >>= 1;
+            exp += 1;
+        }
+        let out = (m as f64) * f64::powi(2.0, exp);
+        if negative {
+            -out
+        } else {
+            out
+        }
     }
 }
 
@@ -457,5 +546,188 @@ mod tests {
         assert!(ExactWeightedSum::from_raw(&[1, 2, 3], 1, 1).is_err());
         assert!(ExactWeightedSum::from_raw(&[1, 2, 3, 4], 1, 0).is_err());
         assert!(ExactWeightedSum::from_raw(&[1, 2, 3, 4], 1, MAX_TERMS + 1).is_err());
+    }
+
+    /// A random signed accumulator with the headroom a real sum has:
+    /// magnitude below 2²³⁶, either sign.
+    fn random_acc(rng: &mut impl Rng) -> Limbs {
+        let mut acc: Limbs = [rng.random(), rng.random(), rng.random(), rng.random()];
+        acc[3] = ((acc[3] as i64) >> 20) as u64; // sign-extend from bit 235
+        acc
+    }
+
+    /// An in-domain `f32` drawn by bit pattern, so subnormals, `±0`,
+    /// every exponent up to 2³⁰ and the domain's edges all turn up.
+    fn random_param(rng: &mut impl Rng) -> f32 {
+        const EDGE: u32 = 0x4EFF_FFFF; // 2³¹ − ulp, the largest admissible
+        let magnitude = match rng.random_range(0..8u32) {
+            0 => 0,
+            1 => rng.random_range(1..0x0080_0000), // subnormal
+            2 => [1, 0x007F_FFFF, 0x0080_0000, EDGE][rng.random_range(0..4usize)],
+            _ => rng.random_range(0..=EDGE),
+        };
+        let p = f32::from_bits(magnitude | rng.random_range(0..2u32) << 31);
+        assert!(param_in_domain(p));
+        p
+    }
+
+    #[test]
+    fn the_domain_test_is_finite_and_below_two_to_the_31() {
+        let mut rng = seeded(0xD0);
+        let edges =
+            [0, 0x4EFF_FFFF, 0x4F00_0000, 0x4F00_0001, 0x7F7F_FFFF, 0x7F80_0000, 0x7FC0_0000];
+        for case in 0..100_000usize {
+            let bits =
+                if case < 14 { edges[case / 2] | (case as u32 % 2) << 31 } else { rng.random() };
+            let x = f32::from_bits(bits);
+            assert_eq!(param_in_domain(x), x.is_finite() && x.abs() < MAX_PARAM, "{bits:#x}");
+        }
+    }
+
+    #[test]
+    fn add_scaled_matches_the_reference_kernel_bit_for_bit() {
+        let mut rng = seeded(0x2_11AB);
+        for case in 0..200_000 {
+            let p = random_param(&mut rng);
+            let w = match case % 3 {
+                0 => 1,
+                1 => MAX_WEIGHT - 1,
+                _ => rng.random_range(1..MAX_WEIGHT),
+            };
+            let start = if case % 5 == 0 { [0; 4] } else { random_acc(&mut rng) };
+            let (mut fast, mut slow) = (start, start);
+            add_scaled(&mut fast, p, w);
+            reference::add_scaled(&mut slow, p, w);
+            assert_eq!(fast, slow, "p = {p:e} ({:#x}), w = {w}, acc = {start:x?}", p.to_bits());
+        }
+    }
+
+    #[test]
+    fn folded_limbs_and_means_match_the_reference_kernels() {
+        let mut rng = seeded(0xF01D);
+        let dim = 257;
+        let mut sum = ExactWeightedSum::new(dim);
+        let mut oracle = vec![[0u64; 4]; dim];
+        for _ in 0..40 {
+            let params: Vec<f32> = (0..dim).map(|_| random_param(&mut rng)).collect();
+            let w = rng.random_range(1..MAX_WEIGHT);
+            sum.fold(&params, w).unwrap();
+            for (acc, &p) in oracle.iter_mut().zip(&params) {
+                reference::add_scaled(acc, p, w);
+            }
+        }
+        assert_eq!(sum.raw_limbs(), oracle.concat());
+        let total = sum.total_weight() as f64;
+        let want: Vec<u64> =
+            oracle.iter().map(|l| (reference::to_f64(l) / total).to_bits()).collect();
+        let got: Vec<u64> = finish(&sum).iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want);
+    }
+
+    /// `−v` in two's complement.
+    fn negated(v: &Limbs) -> Limbs {
+        let mut neg = [0u64; 4];
+        add256(&mut neg, &v.map(|l| !l), true);
+        neg
+    }
+
+    /// `value << shift` as a 256-bit magnitude, optionally negated.
+    fn shifted(value: u128, shift: u32, negative: bool) -> Limbs {
+        let mut mag = [0u64; 4];
+        for bit in 0..128 {
+            if value >> bit & 1 == 1 {
+                let at = bit + shift;
+                mag[(at / 64) as usize] |= 1 << (at % 64);
+            }
+        }
+        if negative {
+            negated(&mag)
+        } else {
+            mag
+        }
+    }
+
+    #[test]
+    fn to_f64_rounds_like_the_reference_at_every_limb_boundary() {
+        // A 53-bit mantissa (even / odd / all ones, so a round-up carries
+        // to 2⁵³), then guard, then a tail that is empty, one bit just
+        // under the guard, or one bit far below — slid across every bit
+        // position so window, guard and sticky each straddle each limb
+        // boundary in turn.
+        let mantissas: [u128; 4] = [1 << 52, (1 << 52) | 1, (1 << 53) - 1, (1 << 53) - 2];
+        let mut cases = 0;
+        for &m in &mantissas {
+            for guard in [0u128, 1] {
+                for tail_bits in [0u32, 1, 40] {
+                    for tail in [0u128, 1, 1 << tail_bits.saturating_sub(1)] {
+                        let value =
+                            ((m << 1 | guard) << tail_bits) | (tail & ((1 << tail_bits) - 1));
+                        let width = 54 + tail_bits;
+                        for shift in 0..=(236 - width) {
+                            for negative in [false, true] {
+                                let limbs = shifted(value, shift, negative);
+                                assert_eq!(
+                                    to_f64(&limbs).to_bits(),
+                                    reference::to_f64(&limbs).to_bits(),
+                                    "m {m:#x} guard {guard} tail {tail:#x}/{tail_bits} << {shift}, negative {negative}"
+                                );
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 20_000);
+        // Values of 53 bits or fewer are exact, a sticky bit a whole limb
+        // away still breaks a tie, and zero is +0.
+        for (limbs, want) in [
+            ([0, 0, 0, 0], 0.0),
+            ([0, 0, 1 << 24, 0], 1.0),
+            ([0, 0, 3 << 23, 0], 1.5),
+            ([0, 0, (1 << 24) | (1 << 23), 0], 1.5),
+            (shifted(1, SCALE_BITS as u32, true), -1.0),
+            ([1, 0, 0, 0], 2.0f64.powi(-SCALE_BITS)),
+        ] {
+            assert_eq!(to_f64(&limbs).to_bits(), want.to_bits(), "{limbs:x?}");
+        }
+        let tie = shifted((1 << 53) | 1, 130, false); // 2⁵³ + 1 units: a tie, rounds to even
+        let broken = [1, tie[1], tie[2], tie[3]]; // the same plus one bit in limb 0
+        assert!(to_f64(&broken) > to_f64(&tie));
+        assert_eq!(to_f64(&broken).to_bits(), reference::to_f64(&broken).to_bits());
+    }
+
+    #[test]
+    fn to_f64_matches_the_reference_on_random_sums() {
+        let mut rng = seeded(0x70F6);
+        for _ in 0..200_000 {
+            let mut limbs = random_acc(&mut rng);
+            // Vary the magnitude: sign-extend from a random bit.
+            let keep = rng.random_range(1..=236u32);
+            for (i, limb) in limbs.iter_mut().enumerate() {
+                let base = i as u32 * 64;
+                if keep <= base {
+                    *limb = 0;
+                } else if keep < base + 64 {
+                    *limb &= (1 << (keep - base)) - 1;
+                }
+            }
+            for v in [limbs, negated(&limbs)] {
+                assert_eq!(to_f64(&v).to_bits(), reference::to_f64(&v).to_bits(), "{v:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fold_rejected_for_its_last_parameter_changes_nothing() {
+        let mut sum = ExactWeightedSum::new(4);
+        sum.fold(&[1.0, -2.0, 0.5, 3.0], 9).unwrap();
+        let before = sum.clone();
+        for bad in [f32::NAN, f32::NEG_INFINITY, MAX_PARAM, -MAX_PARAM] {
+            assert!(sum.fold(&[7.0, 7.0, 7.0, bad], 3).is_err());
+            assert_eq!(sum, before, "a refused update left a trace ({bad})");
+        }
+        assert_eq!(sum.total_weight(), 9);
+        assert_eq!(sum.raw_limbs(), before.raw_limbs());
     }
 }

@@ -96,6 +96,7 @@
 //!
 //! [`SimulationBuilder`]: https://docs.rs/flips-core
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregator;

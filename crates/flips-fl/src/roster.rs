@@ -31,7 +31,8 @@ use bytes::BufMut;
 use flips_selection::streaming::CandidateSource;
 use flips_selection::PartyId;
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::io::Read;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -54,20 +55,70 @@ pub struct PartyRecord {
     pub label_counts: Vec<u64>,
 }
 
+/// One party's record, borrowed from wherever it is resident — what
+/// [`RosterStore::with_record`] hands out, so a read clones nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecordView<'a> {
+    /// [`PartyRecord::data_size`].
+    pub data_size: u64,
+    /// [`PartyRecord::latency_hint`].
+    pub latency_hint: f64,
+    /// [`PartyRecord::label_counts`].
+    pub label_counts: &'a [u64],
+}
+
+impl RecordView<'_> {
+    /// An owned copy.
+    pub fn to_record(&self) -> PartyRecord {
+        PartyRecord {
+            data_size: self.data_size,
+            latency_hint: self.latency_hint,
+            label_counts: self.label_counts.to_vec(),
+        }
+    }
+}
+
+impl PartyRecord {
+    fn view(&self) -> RecordView<'_> {
+        RecordView {
+            data_size: self.data_size,
+            latency_hint: self.latency_hint,
+            label_counts: &self.label_counts,
+        }
+    }
+}
+
 /// Where a store keeps its segments.
 enum Backing {
     /// Every segment resident — the flat path, zero I/O.
     Memory(Vec<Vec<PartyRecord>>),
     /// Sealed segment files under `dir`, paged through a bounded LRU.
-    Spill { dir: PathBuf, budget: usize, cache: Mutex<SegmentCache> },
+    Spill { dir: PathBuf, budget: usize, cache: Box<Mutex<SegmentCache>> },
 }
 
 /// The resident-segment LRU (spill mode only).
+#[derive(Default)]
 struct SegmentCache {
     /// Resident segments by index.
-    resident: HashMap<usize, Vec<PartyRecord>>,
+    resident: HashMap<usize, FlatSegment>,
     /// Access order, least-recent first.
     order: VecDeque<usize>,
+    /// The buffer every page-in reads its file into.
+    file: Vec<u8>,
+    /// The last evicted segment: the next page-in decodes into its
+    /// columns, so a miss at a full budget allocates nothing.
+    spare: FlatSegment,
+}
+
+/// A spilled segment as it is resident: one column per field, every
+/// label count in one buffer. Record `i`'s counts are
+/// `labels[label_end[i − 1]..label_end[i]]`.
+#[derive(Default)]
+struct FlatSegment {
+    data_size: Vec<u64>,
+    latency: Vec<f64>,
+    label_end: Vec<usize>,
+    labels: Vec<u64>,
 }
 
 /// A bounded-memory, integrity-checked store of party records.
@@ -173,14 +224,7 @@ impl RosterBuilder {
         }
         let backing = match self.spill {
             None => Backing::Memory(self.done),
-            Some((dir, budget)) => Backing::Spill {
-                dir,
-                budget,
-                cache: Mutex::new(SegmentCache {
-                    resident: HashMap::new(),
-                    order: VecDeque::new(),
-                }),
-            },
+            Some((dir, budget)) => Backing::Spill { dir, budget, cache: Box::default() },
         };
         Ok(RosterStore {
             backing,
@@ -207,7 +251,7 @@ impl RosterBuilder {
     }
 }
 
-fn segment_path(dir: &std::path::Path, index: usize) -> PathBuf {
+fn segment_path(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("seg-{index:08}.flrs"))
 }
 
@@ -252,11 +296,11 @@ impl RosterStore {
     ///
     /// Out-of-range ids, unreadable or tampered segment files.
     pub fn record(&self, party: PartyId) -> Result<PartyRecord, FlError> {
-        self.with_record(party, |r| r.clone())
+        self.with_record(party, |r| r.to_record())
     }
 
-    /// Runs `f` over one party's record without cloning its label
-    /// vector.
+    /// Runs `f` over one party's record where it is resident, cloning
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -264,7 +308,7 @@ impl RosterStore {
     pub fn with_record<R>(
         &self,
         party: PartyId,
-        f: impl FnOnce(&PartyRecord) -> R,
+        f: impl FnOnce(RecordView<'_>) -> R,
     ) -> Result<R, FlError> {
         if party >= self.num_parties {
             return Err(FlError::Codec(format!(
@@ -274,17 +318,18 @@ impl RosterStore {
         }
         let (seg, off) = (party / self.segment_cap(), party % self.segment_cap());
         match &self.backing {
-            Backing::Memory(segments) => Ok(f(&segments[seg][off])),
+            Backing::Memory(segments) => Ok(f(segments[seg][off].view())),
             Backing::Spill { dir, budget, cache } => {
                 let mut cache = cache.lock().expect("roster lock");
-                if let Some(records) = cache.resident.get(&seg) {
-                    let out = f(&records[off]);
+                if let Some(segment) = cache.resident.get(&seg) {
+                    let out = f(segment.view(off));
                     cache.touch(seg);
                     return Ok(out);
                 }
-                let records = self.load_segment(dir, seg)?;
-                let out = f(&records[off]);
-                cache.insert(seg, records, *budget);
+                let mut segment = std::mem::take(&mut cache.spare);
+                self.load_segment(dir, seg, &mut cache.file, &mut segment)?;
+                let out = f(segment.view(off));
+                cache.insert(seg, segment, *budget);
                 Ok(out)
             }
         }
@@ -310,11 +355,17 @@ impl RosterStore {
                 Ok(())
             }
             Backing::Spill { dir, .. } => {
-                let segments = self.num_parties.div_ceil(cap);
-                for s in 0..segments {
-                    let records = self.load_segment(dir, s)?;
-                    for (i, r) in records.iter().enumerate() {
-                        visit(s * cap + i, r);
+                let (mut file, mut segment) = (Vec::new(), FlatSegment::default());
+                let mut record = PartyRecord::default();
+                for s in 0..self.num_parties.div_ceil(cap) {
+                    self.load_segment(dir, s, &mut file, &mut segment)?;
+                    for i in 0..segment.len() {
+                        let view = segment.view(i);
+                        record.data_size = view.data_size;
+                        record.latency_hint = view.latency_hint;
+                        record.label_counts.clear();
+                        record.label_counts.extend_from_slice(view.label_counts);
+                        visit(s * cap + i, &record);
                     }
                 }
                 Ok(())
@@ -327,13 +378,48 @@ impl RosterStore {
         self.cap
     }
 
-    fn load_segment(&self, dir: &std::path::Path, seg: usize) -> Result<Vec<PartyRecord>, FlError> {
+    /// Reads segment `seg`'s file through `file` into `into` (both
+    /// reused: no allocation once they have grown to a segment's size).
+    /// A checksum-valid file of the wrong length — another segment's,
+    /// copied over this one — is refused here, so no read indexes past
+    /// what was decoded.
+    fn load_segment(
+        &self,
+        dir: &Path,
+        seg: usize,
+        file: &mut Vec<u8>,
+        into: &mut FlatSegment,
+    ) -> Result<(), FlError> {
         let path = segment_path(dir, seg);
-        let bytes = std::fs::read(&path)
+        file.clear();
+        std::fs::File::open(&path)
+            .and_then(|mut f| f.read_to_end(file))
             .map_err(|e| FlError::Codec(format!("cannot read segment {path:?}: {e}")))?;
-        let records = unseal_segment(&bytes)?;
+        unseal_segment(file, into)?;
+        let expected = (self.num_parties - seg * self.cap).min(self.cap);
+        if into.len() != expected {
+            return Err(FlError::Codec(format!(
+                "segment {path:?} holds {} records, the roster's geometry needs {expected}",
+                into.len()
+            )));
+        }
         self.loaded.fetch_add(1, Ordering::Relaxed);
-        Ok(records)
+        Ok(())
+    }
+}
+
+impl FlatSegment {
+    fn len(&self) -> usize {
+        self.data_size.len()
+    }
+
+    fn view(&self, i: usize) -> RecordView<'_> {
+        let start = if i == 0 { 0 } else { self.label_end[i - 1] };
+        RecordView {
+            data_size: self.data_size[i],
+            latency_hint: self.latency[i],
+            label_counts: &self.labels[start..self.label_end[i]],
+        }
     }
 }
 
@@ -348,12 +434,14 @@ impl SegmentCache {
 
     /// Inserts a freshly loaded segment, evicting least-recently used
     /// residents down to `budget`.
-    fn insert(&mut self, seg: usize, records: Vec<PartyRecord>, budget: usize) {
-        self.resident.insert(seg, records);
+    fn insert(&mut self, seg: usize, segment: FlatSegment, budget: usize) {
+        self.resident.insert(seg, segment);
         self.touch(seg);
         while self.resident.len() > budget {
             let Some(victim) = self.order.pop_front() else { break };
-            self.resident.remove(&victim);
+            if let Some(evicted) = self.resident.remove(&victim) {
+                self.spare = evicted;
+            }
         }
     }
 }
@@ -371,8 +459,8 @@ fn seal_segment(records: &[PartyRecord]) -> Vec<u8> {
     seal(SEGMENT_MAGIC, SEGMENT_VERSION, &encode_segment(records))
 }
 
-fn unseal_segment(bytes: &[u8]) -> Result<Vec<PartyRecord>, FlError> {
-    decode_segment(unseal(bytes, SEGMENT_MAGIC, SEGMENT_VERSION, "roster segment")?)
+fn unseal_segment(bytes: &[u8], into: &mut FlatSegment) -> Result<(), FlError> {
+    decode_segment(unseal(bytes, SEGMENT_MAGIC, SEGMENT_VERSION, "roster segment")?, into)
 }
 
 fn encode_segment(records: &[PartyRecord]) -> Vec<u8> {
@@ -385,19 +473,30 @@ fn encode_segment(records: &[PartyRecord]) -> Vec<u8> {
     out
 }
 
-fn decode_segment(payload: &[u8]) -> Result<Vec<PartyRecord>, FlError> {
+/// Decodes a segment payload into `into`'s columns, replacing what they
+/// held (on an error they hold a prefix; no caller keeps them then).
+fn decode_segment(payload: &[u8], into: &mut FlatSegment) -> Result<(), FlError> {
+    let FlatSegment { data_size, latency, label_end, labels } = into;
+    data_size.clear();
+    latency.clear();
+    label_end.clear();
+    labels.clear();
     let mut r = Reader::new(payload, "roster segment");
     // Each record is at least 24 bytes, each label count 8: a hostile
-    // count is refused before any allocation.
-    let records = r.vec(24, |r| {
-        Ok(PartyRecord {
-            data_size: r.u64()?,
-            latency_hint: r.f64()?,
-            label_counts: r.vec(8, Reader::u64)?,
-        })
-    })?;
-    r.finish()?;
-    Ok(records)
+    // count is refused before anything is reserved for it.
+    let records = r.len(24)?;
+    data_size.reserve(records);
+    latency.reserve(records);
+    label_end.reserve(records);
+    for _ in 0..records {
+        data_size.push(r.u64()?);
+        latency.push(r.f64()?);
+        let counts = r.len(8)?;
+        let raw = r.bytes(8 * counts)?.chunks_exact(8);
+        labels.extend(raw.map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))));
+        label_end.push(labels.len());
+    }
+    r.finish()
 }
 
 impl CandidateSource for RosterStore {
@@ -426,6 +525,32 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("flips-roster-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The production (columnar) decoders, read back as records.
+    fn decode_segment(payload: &[u8]) -> Result<Vec<PartyRecord>, FlError> {
+        let mut flat = FlatSegment::default();
+        super::decode_segment(payload, &mut flat)?;
+        Ok((0..flat.len()).map(|i| flat.view(i).to_record()).collect())
+    }
+
+    fn unseal_segment(bytes: &[u8]) -> Result<Vec<PartyRecord>, FlError> {
+        decode_segment(unseal(bytes, SEGMENT_MAGIC, SEGMENT_VERSION, "roster segment")?)
+    }
+
+    /// The record-at-a-time decoder resident segments had before they
+    /// were columnar — the oracle for the one above.
+    fn decode_records(payload: &[u8]) -> Result<Vec<PartyRecord>, FlError> {
+        let mut r = Reader::new(payload, "roster segment");
+        let records = r.vec(24, |r| {
+            Ok(PartyRecord {
+                data_size: r.u64()?,
+                latency_hint: r.f64()?,
+                label_counts: r.vec(8, Reader::u64)?,
+            })
+        })?;
+        r.finish()?;
+        Ok(records)
     }
 
     fn sample_records(n: usize) -> Vec<PartyRecord> {
@@ -539,6 +664,67 @@ mod tests {
         );
         assert_eq!(hex, golden);
         assert_eq!(unseal_segment(&sealed).unwrap(), records);
+    }
+
+    #[test]
+    fn columnar_decode_agrees_with_the_record_decoder_on_any_bytes() {
+        let golden = vec![
+            PartyRecord { data_size: 7, latency_hint: 0.5, label_counts: vec![1, 2] },
+            PartyRecord { data_size: 300, latency_hint: -1.25, label_counts: vec![9] },
+        ];
+        let mut ragged = sample_records(5);
+        ragged[1].label_counts.clear();
+        ragged[4].label_counts = vec![u64::MAX; 9];
+        for records in [golden, ragged, Vec::new()] {
+            let payload = encode_segment(&records);
+            assert_eq!(decode_segment(&payload).unwrap(), records);
+            let agree = |bytes: &[u8], what: &dyn std::fmt::Display| {
+                match (decode_segment(bytes), decode_records(bytes)) {
+                    // Compared as bytes: a flipped latency may be a NaN.
+                    (Ok(flat), Ok(reference)) => {
+                        assert_eq!(encode_segment(&flat), encode_segment(&reference), "{what}")
+                    }
+                    (Err(_), Err(_)) => {}
+                    (flat, reference) => panic!("{what}: {flat:?} against {reference:?}"),
+                }
+            };
+            for len in 0..=payload.len() {
+                agree(&payload[..len], &format_args!("truncation to {len}"));
+            }
+            // Unchecksummed, a flipped bit may still decode (a count
+            // moves a boundary, a value changes): then to the same records.
+            for bit in 0..payload.len() * 8 {
+                let mut damaged = payload.clone();
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                agree(&damaged, &format_args!("bit {bit} flipped"));
+            }
+        }
+    }
+
+    /// A checksum-valid file in the wrong place: the short last segment
+    /// copied over a full one (and the reverse) used to index past the
+    /// decoded records.
+    #[test]
+    fn a_segment_of_the_wrong_length_is_an_error_not_a_panic() {
+        let dir = test_dir("swapped");
+        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4);
+        for r in sample_records(10) {
+            b.push(r).unwrap();
+        }
+        let store = b.finish().unwrap();
+        let (full, short) = (segment_path(&dir, 0), segment_path(&dir, 2));
+        let (full_bytes, short_bytes) =
+            (std::fs::read(&full).unwrap(), std::fs::read(&short).unwrap());
+        std::fs::write(&full, &short_bytes).unwrap();
+        std::fs::write(&short, &full_bytes).unwrap();
+        for party in [0, 3, 8, 9] {
+            let err = store.record(party).unwrap_err();
+            assert!(matches!(&err, FlError::Codec(m) if m.contains("geometry")), "{err}");
+        }
+        assert!(store.visit_all(&mut |_, _| {}).is_err());
+        assert_eq!(store.record(5).unwrap(), sample_records(10)[5], "segment 1 is intact");
+        assert_eq!(store.loaded(), 1, "a refused file is not a load");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -37,6 +37,8 @@
 //! assert_eq!(model.params().len(), model.num_params());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod activation;
 pub mod init;
 pub mod loss;

@@ -18,6 +18,8 @@
 //! Stdout: `CONNECTED <addr>`, `PARTY HEALTH <addr>` (when configured),
 //! then `PARTY COMPLETE parties=<n>` after a clean shutdown handshake.
 
+#![forbid(unsafe_code)]
+
 use flips_net::{connect_with_retry, party_loop_with, NetConfig, PartyOptions};
 use std::io::Write;
 use std::net::{TcpListener, ToSocketAddrs};

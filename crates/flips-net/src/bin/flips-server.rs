@@ -17,6 +17,8 @@
 //! parses it): `LISTENING <addr>`, `HEALTH <addr>`, one `JOB <id>
 //! rounds=<n> accuracy=<a>` per finished job, then `RUN COMPLETE`.
 
+#![forbid(unsafe_code)]
+
 use flips_net::{render_server_metrics, request_path, serve, NetConfig, ServerOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};

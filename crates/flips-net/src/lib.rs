@@ -37,6 +37,7 @@
 //! - [`runtime`] — [`run_socket`], the in-process harness wiring both
 //!   loops over loopback for tests and benches.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backoff;

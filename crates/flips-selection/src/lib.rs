@@ -29,6 +29,8 @@
 //! assert!(cohort.iter().all(|&p| p < 10), "cohort drawn from the roster");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod flips;
 pub mod gradclus;
 pub mod oort;

@@ -43,10 +43,12 @@ pub struct TiflSelector {
     config: TiflConfig,
     /// Latest latency estimate per party (profiled, then updated online).
     latencies: Vec<f64>,
-    /// Tier id per party (0 = fastest).
-    tier_of: Vec<usize>,
-    /// Members per tier.
-    tiers: Vec<Vec<PartyId>>,
+    /// Every party in `(latency, id)` order; tier `t` (0 = fastest) is
+    /// its `t`-th of `credits.len()` equal bands.
+    order: Vec<PartyId>,
+    /// Parties whose estimate [`ParticipantSelector::report`] changed
+    /// since `order` was last sorted — all a re-tier has to move.
+    touched: Vec<PartyId>,
     /// Remaining credits per tier.
     credits: Vec<usize>,
     /// EWMA of global accuracy observed when each tier was used.
@@ -71,12 +73,13 @@ impl TiflSelector {
             return Err(SelectionError::InvalidConfiguration("zero tiers".into()));
         }
         let num_tiers = config.num_tiers.min(latencies.len());
-        let (tiers, tier_of) = build_tiers(&latencies, num_tiers);
+        let mut order: Vec<PartyId> = (0..latencies.len()).collect();
+        order.sort_by(|&a, &b| by_latency(&latencies, a, b));
         Ok(TiflSelector {
-            credits: vec![config.credits_per_tier; tiers.len()],
-            tier_accuracy: vec![None; tiers.len()],
-            tiers,
-            tier_of,
+            credits: vec![config.credits_per_tier; num_tiers],
+            tier_accuracy: vec![None; num_tiers],
+            order,
+            touched: Vec::new(),
             latencies,
             config,
             last_tier: None,
@@ -86,8 +89,8 @@ impl TiflSelector {
 
     /// Creates a selector over a streamed roster, pulling each party's
     /// profiled latency from the source — bit-identical to
-    /// [`TiflSelector::new`] fed the same profile. Tier membership and
-    /// latency estimates stay dense (≈48 B/party: TiFL re-tiers from
+    /// [`TiflSelector::new`] fed the same profile. The tier order and
+    /// the latency estimates stay dense (16 B/party: TiFL re-tiers from
     /// them online), but no caller-side profile vector is materialized.
     ///
     /// # Errors
@@ -103,8 +106,8 @@ impl TiflSelector {
     }
 
     /// Current tier membership (diagnostics; tier 0 is fastest).
-    pub fn tiers(&self) -> &[Vec<PartyId>] {
-        &self.tiers
+    pub fn tiers(&self) -> Vec<&[PartyId]> {
+        (0..self.credits.len()).map(|t| band(&self.order, self.credits.len(), t)).collect()
     }
 
     /// Remaining credits per tier.
@@ -116,7 +119,7 @@ impl TiflSelector {
     /// evaluated tiers weigh by accuracy rank (worst accuracy → largest
     /// weight), per TiFL §4.3.
     fn tier_weights(&self) -> Vec<f64> {
-        let m = self.tiers.len();
+        let m = self.credits.len();
         // Rank evaluated tiers by accuracy ascending.
         let mut evaluated: Vec<(usize, f64)> = self
             .tier_accuracy
@@ -131,40 +134,58 @@ impl TiflSelector {
         }
         // Zero out tiers without credits or members.
         for (t, w) in weights.iter_mut().enumerate() {
-            if self.credits[t] == 0 || self.tiers[t].is_empty() {
+            if self.credits[t] == 0 || band(&self.order, self.credits.len(), t).is_empty() {
                 *w = 0.0;
             }
         }
         weights
     }
 
+    /// Re-sorts `order` by the current estimates in O(N + d log N) for
+    /// `d` touched parties instead of sorting all N again: the touched
+    /// are dropped from the order and sorted among themselves, then each
+    /// is put back where a binary search among the untouched finds its
+    /// place, slowest first, the run of untouched parties above it
+    /// shifting up as one block. Same `(latency, id)` order as a full
+    /// sort, so the same tiers. (Their count is fixed by the roster
+    /// size: credits and accuracy estimates carry over per tier index.)
     fn retier(&mut self) {
-        let num_tiers = self.config.num_tiers.min(self.latencies.len());
-        let (tiers, tier_of) = build_tiers(&self.latencies, num_tiers);
-        self.tiers = tiers;
-        self.tier_of = tier_of;
-        // Credits and accuracy estimates carry over per tier index; resize
-        // defensively in case the tier count changed.
-        self.credits.resize(self.tiers.len(), self.config.credits_per_tier);
-        self.tier_accuracy.resize(self.tiers.len(), None);
+        let mut moved = std::mem::take(&mut self.touched);
+        if moved.is_empty() {
+            return; // same estimates, same order
+        }
+        let (latencies, order) = (&self.latencies, &mut self.order);
+        let mut is_moved = vec![false; latencies.len()];
+        moved.retain(|&p| !std::mem::replace(&mut is_moved[p], true));
+        moved.sort_by(|&a, &b| by_latency(latencies, a, b));
+        order.retain(|&p| !is_moved[p]);
+        let mut unplaced = order.len();
+        order.resize(latencies.len(), 0);
+        for (below, &party) in moved.iter().enumerate().rev() {
+            let at =
+                order[..unplaced].partition_point(|&p| by_latency(latencies, p, party).is_lt());
+            order.copy_within(at..unplaced, at + below + 1);
+            order[at + below] = party;
+            unplaced = at;
+        }
     }
 }
 
-/// Sorts parties by latency and splits them into `num_tiers` equal bands.
-fn build_tiers(latencies: &[f64], num_tiers: usize) -> (Vec<Vec<PartyId>>, Vec<usize>) {
-    let mut order: Vec<PartyId> = (0..latencies.len()).collect();
-    order.sort_by(|&a, &b| {
-        latencies[a].partial_cmp(&latencies[b]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
-    let mut tiers = vec![Vec::new(); num_tiers];
-    let per = latencies.len().div_ceil(num_tiers);
-    let mut tier_of = vec![0usize; latencies.len()];
-    for (i, &p) in order.iter().enumerate() {
-        let t = (i / per).min(num_tiers - 1);
-        tiers[t].push(p);
-        tier_of[p] = t;
-    }
-    (tiers, tier_of)
+/// Tier `t` of `num_tiers` over `order`: its `t`-th band of
+/// `⌈n / num_tiers⌉` parties, the last bands short (or empty) when the
+/// roster does not divide.
+fn band(order: &[PartyId], num_tiers: usize, t: usize) -> &[PartyId] {
+    let n = order.len();
+    let per_tier = n.div_ceil(num_tiers);
+    &order[(t * per_tier).min(n)..((t + 1) * per_tier).min(n)]
+}
+
+/// The tiering order: latency ascending, ties by party id. A NaN
+/// estimate counts as slower than any number, which keeps this a total
+/// order — what the sort requires and the re-tier's search relies on.
+fn by_latency(latencies: &[f64], a: PartyId, b: PartyId) -> std::cmp::Ordering {
+    let (la, lb) = (latencies[a], latencies[b]);
+    la.partial_cmp(&lb).unwrap_or_else(|| la.is_nan().cmp(&lb.is_nan())).then(a.cmp(&b))
 }
 
 impl ParticipantSelector for TiflSelector {
@@ -196,13 +217,13 @@ impl ParticipantSelector for TiflSelector {
         // the tier is smaller than the round.
         let mut selected = Vec::with_capacity(target);
         let mut tier_order: Vec<usize> =
-            std::iter::once(tier).chain((0..self.tiers.len()).filter(|&t| t != tier)).collect();
+            std::iter::once(tier).chain((0..self.credits.len()).filter(|&t| t != tier)).collect();
         tier_order[1..].sort_unstable();
         for t in tier_order {
             if selected.len() >= target {
                 break;
             }
-            let members = &self.tiers[t];
+            let members = band(&self.order, self.credits.len(), t);
             let want = (target - selected.len()).min(members.len());
             if want == 0 {
                 continue;
@@ -218,6 +239,7 @@ impl ParticipantSelector for TiflSelector {
         for (&p, &d) in &feedback.duration {
             if p < self.latencies.len() {
                 self.latencies[p] = d;
+                self.touched.push(p);
             }
         }
         // Stragglers observably exceeded the deadline: inflate their
@@ -225,7 +247,11 @@ impl ParticipantSelector for TiflSelector {
         for &p in &feedback.stragglers {
             if p < self.latencies.len() {
                 self.latencies[p] *= 2.0;
+                self.touched.push(p);
             }
+        }
+        if self.config.retier_every == 0 {
+            self.touched.clear(); // nothing will ever re-tier from it
         }
         if let Some(t) = self.last_tier.take() {
             let acc = feedback.global_accuracy;
@@ -248,6 +274,14 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    /// The tier `party` sits in (0 = fastest).
+    fn tier_of(s: &TiflSelector, party: PartyId) -> usize {
+        s.tiers()
+            .iter()
+            .position(|members| members.contains(&party))
+            .expect("every party is tiered")
+    }
+
     /// 25 parties with latency equal to party id (5 clean tiers of 5).
     fn selector() -> TiflSelector {
         let latencies: Vec<f64> = (0..25).map(|i| i as f64).collect();
@@ -260,7 +294,7 @@ mod tests {
         assert_eq!(s.tiers().len(), 5);
         for (t, members) in s.tiers().iter().enumerate() {
             assert_eq!(members.len(), 5);
-            for &p in members {
+            for &p in members.iter() {
                 assert_eq!(p / 5, t, "party {p} in tier {t}");
             }
         }
@@ -272,7 +306,7 @@ mod tests {
         for round in 0..10 {
             let picks = s.select(round, 4).unwrap();
             assert_eq!(picks.len(), 4);
-            let tiers: HashSet<usize> = picks.iter().map(|&p| s.tier_of[p]).collect();
+            let tiers: HashSet<usize> = picks.iter().map(|&p| tier_of(&s, p)).collect();
             assert_eq!(tiers.len(), 1, "round {round} mixed tiers: {picks:?}");
         }
     }
@@ -326,7 +360,59 @@ mod tests {
             s.report(&RoundFeedback { round, stragglers: vec![0], ..Default::default() });
         }
         let _ = s.select(3, 2).unwrap(); // triggers retier
-        assert_eq!(s.tier_of[0], 1, "chronic straggler must land in the slow tier");
+        assert_eq!(tier_of(&s, 0), 1, "chronic straggler must land in the slow tier");
+    }
+
+    /// The incremental re-tier against the full sort it replaces: after
+    /// any mix of reports — ties, repeats, stragglers, untouched rounds,
+    /// infinities, NaNs and their later repair — every re-tier
+    /// leaves exactly the tiers a selector new to those estimates sorts.
+    #[test]
+    fn retier_equals_a_full_sort_after_any_report_sequence() {
+        use rand::Rng;
+        let mut rng = seeded(0x71F1);
+        for case in 0..300 {
+            let n = rng.random_range(1..80usize);
+            let cfg = TiflConfig {
+                num_tiers: rng.random_range(1..7),
+                retier_every: rng.random_range(1..4),
+                ..Default::default()
+            };
+            let profile: Vec<f64> = (0..n).map(|_| rng.random_range(0..6) as f64 * 0.5).collect();
+            let mut s = TiflSelector::new(profile, cfg, case).unwrap();
+            let with_nans = case % 4 == 0;
+            for round in 0..12 {
+                let cohort = s.select(round, rng.random_range(1..=n.min(8))).unwrap();
+                if round > 0 && round % cfg.retier_every == 0 {
+                    let fresh = TiflSelector::new(s.latencies.clone(), cfg, 0).unwrap();
+                    assert_eq!(s.tiers(), fresh.tiers(), "case {case}, round {round}");
+                }
+                let mut feedback = RoundFeedback { round, ..Default::default() };
+                for &p in &cohort {
+                    match rng.random_range(0..10) {
+                        0 => feedback.stragglers.push(p),
+                        1 => {} // no signal for this party
+                        2 if with_nans => drop(feedback.duration.insert(p, f64::NAN)),
+                        3 => drop(feedback.duration.insert(p, f64::INFINITY)),
+                        _ => drop(feedback.duration.insert(p, rng.random_range(0..6) as f64 * 0.5)),
+                    }
+                }
+                // Someone outside the cohort, and an id off the roster.
+                feedback.duration.insert(rng.random_range(0..n + 3), -0.0);
+                s.report(&feedback);
+            }
+        }
+    }
+
+    /// `partial_cmp(..).unwrap_or(Equal)` was not a total order with a
+    /// NaN in the profile, and the standard sort may panic on one.
+    #[test]
+    fn a_nan_estimate_is_the_slowest_not_a_panic() {
+        let mut latencies: Vec<f64> = (0..40).map(|i| ((i * 7) % 40) as f64).collect();
+        latencies[3] = f64::NAN;
+        latencies[17] = f64::NAN;
+        let s = TiflSelector::new(latencies, TiflConfig::default(), 1).unwrap();
+        assert_eq!(s.tiers()[4][6..], [3, 17]);
     }
 
     #[test]

@@ -45,6 +45,8 @@
 //! assert_eq!(sev.entry_cost, Duration::from_micros(2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod attestation;
 pub mod channel;
 pub mod enclave;
