@@ -29,23 +29,6 @@ use std::time::Duration;
 /// Minimum samples each party is guaranteed after partitioning.
 const MIN_SAMPLES_PER_PARTY: usize = 5;
 
-/// How the builder materializes the candidate roster when it constructs
-/// the selection policy (see [`SimulationBuilder::streaming_roster`]).
-#[derive(Debug, Clone)]
-enum RosterMode {
-    /// Selector constructors receive flat in-memory vectors (default).
-    Flat,
-    /// Selectors are built by streaming an in-memory
-    /// [`flips_fl::RosterStore`] through the
-    /// [`flips_selection::CandidateSource`] constructors. Seeded
-    /// selections are bit-identical to [`RosterMode::Flat`].
-    Streaming,
-    /// As [`RosterMode::Streaming`], with the store sealed to disk
-    /// segments under `dir` and at most `budget` segments resident in
-    /// memory at once.
-    Spill { dir: std::path::PathBuf, budget: usize },
-}
-
 /// Builder for one end-to-end FL simulation.
 ///
 /// # Example
@@ -92,7 +75,8 @@ pub struct SimulationBuilder {
     local: Option<LocalTrainingConfig>,
     codec: ModelCodec,
     parallel: bool,
-    roster: RosterMode,
+    /// `(dir, budget)` when the roster store is sealed to disk.
+    spill: Option<(std::path::PathBuf, usize)>,
     seed: u64,
 }
 
@@ -122,29 +106,22 @@ impl SimulationBuilder {
             local: None,
             codec: ModelCodec::Raw,
             parallel: false,
-            roster: RosterMode::Flat,
+            spill: None,
             seed: 0,
         }
     }
 
-    /// Builds the selection policy from a streamed in-memory
-    /// [`flips_fl::RosterStore`] instead of flat vectors: candidate
-    /// attributes reach the selector constructors one party at a time
-    /// through [`flips_selection::CandidateSource`], exactly as a
-    /// million-party roster would. Seeded runs are bit-identical to the
-    /// flat path — the scale-equivalence suite pins this.
-    #[must_use]
-    pub fn streaming_roster(mut self) -> Self {
-        self.roster = RosterMode::Streaming;
-        self
-    }
-
-    /// As [`SimulationBuilder::streaming_roster`], with the roster
-    /// sealed to disk segments under `dir` and at most `budget` segments
-    /// resident in memory while the selectors stream it.
+    /// Seals the candidate roster to disk segments under `dir`, with at
+    /// most `budget` segments resident in memory while the selectors
+    /// stream it, instead of keeping the [`flips_fl::RosterStore`] in
+    /// memory. Every selector is built from the store through
+    /// [`flips_selection::CandidateSource`] either way, one party at a
+    /// time, exactly as a million-party roster would be; where it lives
+    /// never moves a seeded history (the scale-equivalence suite pins
+    /// this).
     #[must_use]
     pub fn spill_roster(mut self, dir: impl Into<std::path::PathBuf>, budget: usize) -> Self {
-        self.roster = RosterMode::Spill { dir: dir.into(), budget };
+        self.spill = Some((dir.into(), budget));
         self
     }
 
@@ -378,67 +355,36 @@ impl SimulationBuilder {
             cfg
         };
 
-        // The roster the selectors stream, when the builder is asked to
-        // exercise the scale path instead of flat vectors.
-        let store = match &self.roster {
-            RosterMode::Flat => None,
-            RosterMode::Streaming | RosterMode::Spill { .. } => {
-                let mut rb = match &self.roster {
-                    RosterMode::Spill { dir, budget } => {
-                        flips_fl::RosterBuilder::spilling(dir.clone(), *budget)?
-                    }
-                    _ => flips_fl::RosterBuilder::in_memory(),
-                };
-                let lds = parts.label_distributions();
-                for i in 0..n {
-                    rb.push(flips_fl::PartyRecord {
-                        data_size: sample_counts[i] as u64,
-                        latency_hint: profile_times[i],
-                        label_counts: lds[i].counts().to_vec(),
-                    })?;
-                }
-                Some(rb.finish()?)
-            }
+        // The roster every selector streams its candidates from.
+        let mut roster = match &self.spill {
+            Some((dir, budget)) => flips_fl::RosterBuilder::spilling(dir.clone(), *budget)?,
+            None => flips_fl::RosterBuilder::in_memory(),
         };
+        for (i, ld) in parts.label_distributions().iter().enumerate() {
+            roster.push(flips_fl::PartyRecord {
+                data_size: sample_counts[i] as u64,
+                latency_hint: profile_times[i],
+                label_counts: ld.counts().to_vec(),
+            })?;
+        }
+        let store = roster.finish()?;
 
-        let selector: Box<dyn ParticipantSelector> = if let Some(store) = &store {
-            match self.selector {
-                SelectorKind::Random => Box::new(RandomSelector::from_source(store, self.seed)),
-                SelectorKind::Flips => {
-                    let pc = FlipsMiddleware::cluster_from_source(store, n, &mw_cfg)?;
-                    meta.k = Some(pc.k());
-                    meta.clustering_tee_overhead = Some(pc.tee_overhead());
-                    Box::new(pc.into_selector())
-                }
-                SelectorKind::Oort => {
-                    Box::new(OortSelector::from_source(store, oort_cfg(), self.seed))
-                }
-                SelectorKind::GradClus => {
-                    Box::new(GradClusSelector::from_source(store, 32, self.seed)?)
-                }
-                SelectorKind::Tifl => {
-                    Box::new(TiflSelector::from_source(store, TiflConfig::default(), self.seed)?)
-                }
+        let selector: Box<dyn ParticipantSelector> = match self.selector {
+            SelectorKind::Random => Box::new(RandomSelector::from_source(&store, self.seed)),
+            SelectorKind::Flips => {
+                let pc = FlipsMiddleware::cluster_from_source(&store, n, &mw_cfg)?;
+                meta.k = Some(pc.k());
+                meta.clustering_tee_overhead = Some(pc.tee_overhead());
+                Box::new(pc.into_selector())
             }
-        } else {
-            match self.selector {
-                SelectorKind::Random => Box::new(RandomSelector::new(n, self.seed)),
-                SelectorKind::Flips => {
-                    let pc =
-                        FlipsMiddleware::cluster_privately(&parts.label_distributions(), &mw_cfg)?;
-                    meta.k = Some(pc.k());
-                    meta.clustering_tee_overhead = Some(pc.tee_overhead());
-                    Box::new(pc.into_selector())
-                }
-                SelectorKind::Oort => {
-                    Box::new(OortSelector::new(sample_counts.clone(), oort_cfg(), self.seed))
-                }
-                SelectorKind::GradClus => Box::new(GradClusSelector::new(n, 32, self.seed)?),
-                SelectorKind::Tifl => Box::new(TiflSelector::new(
-                    profile_times.clone(),
-                    TiflConfig::default(),
-                    self.seed,
-                )?),
+            SelectorKind::Oort => {
+                Box::new(OortSelector::from_source(&store, oort_cfg(), self.seed))
+            }
+            SelectorKind::GradClus => {
+                Box::new(GradClusSelector::from_source(&store, 32, self.seed)?)
+            }
+            SelectorKind::Tifl => {
+                Box::new(TiflSelector::from_source(&store, TiflConfig::default(), self.seed)?)
             }
         };
 

@@ -25,7 +25,11 @@
 //! most `2²⁰` folded terms per sum — the scaled magnitudes then top out
 //! near `2²³⁵`, well inside the signed 256-bit range.
 
+use crate::server::weighted_average_into;
 use crate::FlError;
+use flips_selection::gradclus::sketch_update;
+use flips_selection::PartyId;
+use std::collections::BTreeMap;
 
 /// Fixed-point scale: values are stored as `round_exact(x · 2¹⁵²)`.
 /// `2⁻¹⁵²` sits below the smallest `f32`-subnormal times the largest
@@ -295,6 +299,107 @@ impl ExactWeightedSum {
         }
         let limbs = words.chunks_exact(4).map(|c| [c[0], c[1], c[2], c[3]]).collect();
         Ok(ExactWeightedSum { limbs, total_weight, terms })
+    }
+
+    /// [`ExactWeightedSum::fold`] plus the update's feedback sketch
+    /// against `global` (which has the sum's dimension) — the one accept
+    /// step tree inner nodes and the exact coordinator share, which is
+    /// why a shipped sketch and a local one are the same bits.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExactWeightedSum::fold`]; a refusal leaves the sum untouched.
+    pub fn fold_sketched(
+        &mut self,
+        params: &[f32],
+        weight: u64,
+        global: &[f32],
+        sketch_dim: usize,
+    ) -> Result<Vec<f32>, FlError> {
+        self.fold(params, weight)?;
+        Ok(sketch_of(params, global, sketch_dim))
+    }
+}
+
+/// The selector-feedback sketch of one update: `x − m` against the
+/// global `m` its round *dispatched* — what Fraboni et al. cluster on,
+/// and the only reference a tree inner node ever sees.
+fn sketch_of(params: &[f32], global: &[f32], sketch_dim: usize) -> Vec<f32> {
+    sketch_update(params.iter().zip(global).map(|(x, g)| x - g), sketch_dim)
+}
+
+/// The running aggregate of one open round, and the only place the
+/// f64/exact fork lives: the coordinator builds one at round open, hands
+/// it every accepted update and finishes it at close, never asking which
+/// variant it holds.
+#[derive(Debug)]
+pub(crate) enum RoundSum {
+    /// Updates fold into the 256-bit sum as they are accepted; tree
+    /// partials merge into the same limbs.
+    Exact(ExactWeightedSum),
+    /// `(nᵢ, xᵢ)` kept by party and folded in f64, ascending party id, at
+    /// finish — the historical default, whose bits the goldens and the
+    /// delta-coded byte gates are pinned on.
+    Ordered(BTreeMap<PartyId, (u64, Vec<f32>)>),
+}
+
+impl RoundSum {
+    pub(crate) fn new(exact: bool, dim: usize) -> Self {
+        if exact {
+            RoundSum::Exact(ExactWeightedSum::new(dim))
+        } else {
+            RoundSum::Ordered(BTreeMap::new())
+        }
+    }
+
+    /// Takes `party`'s update and returns its feedback sketch against
+    /// `global`. Both variants refuse a wrong-length vector; `Exact` also
+    /// refuses what [`ExactWeightedSum::fold`] refuses, `Ordered` keeps
+    /// its historical tolerance. A refusal leaves the aggregate untouched.
+    pub(crate) fn accept(
+        &mut self,
+        party: PartyId,
+        params: Vec<f32>,
+        weight: u64,
+        global: &[f32],
+        sketch_dim: usize,
+    ) -> Result<Vec<f32>, FlError> {
+        if params.len() != global.len() {
+            return Err(FlError::InvalidConfig("update length != model length".into()));
+        }
+        match self {
+            RoundSum::Exact(sum) => sum.fold_sketched(&params, weight, global, sketch_dim),
+            RoundSum::Ordered(kept) => {
+                let sketch = sketch_of(&params, global, sketch_dim);
+                kept.insert(party, (weight, params));
+                Ok(sketch)
+            }
+        }
+    }
+
+    /// Whether tree partials can [`merge`](RoundSum::merge) into this sum.
+    pub(crate) fn is_exact(&self) -> bool {
+        matches!(self, RoundSum::Exact(_))
+    }
+
+    /// Merges a tree inner node's partial in, as
+    /// [`ExactWeightedSum::merge`] (which checks before it touches a limb).
+    pub(crate) fn merge(&mut self, partial: &ExactWeightedSum) -> Result<(), FlError> {
+        match self {
+            RoundSum::Exact(sum) => sum.merge(partial),
+            RoundSum::Ordered(_) => Err(FlError::InvalidConfig("not an exact sum".into())),
+        }
+    }
+
+    /// Resolves the weighted mean `x̄` of everything accepted into `accum`;
+    /// an error when nothing was (or every `Ordered` weight was zero).
+    pub(crate) fn finish_into(&self, accum: &mut Vec<f64>) -> Result<(), FlError> {
+        match self {
+            RoundSum::Exact(sum) => sum.finish_into(accum),
+            RoundSum::Ordered(kept) => {
+                weighted_average_into(accum, kept.values().map(|(n, x)| (*n, x.as_slice())))
+            }
+        }
     }
 }
 

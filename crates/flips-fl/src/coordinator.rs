@@ -30,22 +30,21 @@
 //! as stragglers — the deadline *is* the straggler mechanism, there is no
 //! separate injection path inside the protocol.
 
-use crate::aggtree::ExactWeightedSum;
+use crate::aggtree::{ExactWeightedSum, RoundSum};
 use crate::codec::ModelCodec;
 use crate::config::FlAlgorithm;
 use crate::events::{Effect, Event, RejectReason};
 use crate::history::{History, RoundRecord};
-use crate::message::WireMessage;
-use crate::party::LocalUpdate;
+use crate::message::{heartbeat_bytes, local_update_bytes, PartialEntry, WireMessage};
 use crate::server::ServerState;
 use crate::FlError;
 use flips_data::Dataset;
 use flips_ml::metrics::ConfusionMatrix;
 use flips_ml::model::{Model, ModelSpec};
 use flips_ml::rng::{derive_seed, seeded};
-use flips_selection::gradclus::sketch_update;
 use flips_selection::{ParticipantSelector, PartyId, RoundFeedback};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Static configuration of one coordinator.
 #[derive(Debug, Clone)]
@@ -71,30 +70,75 @@ pub struct CoordinatorConfig {
     pub seed: u64,
 }
 
-/// Book-keeping of the currently open round.
+/// Where one selected party stands in the open round.
+#[derive(Debug)]
+enum Slot {
+    /// Its update has not arrived; the round waits on it.
+    Pending,
+    /// Its update was accepted: what a tree partial carries per covered
+    /// party is exactly what a flat update leaves here too, its
+    /// parameters gone into the round's [`RoundSum`] at the same moment.
+    Done(PartialEntry),
+    /// The driver reported it gone, or it withdrew.
+    Dropped,
+}
+
+#[derive(Debug)]
+struct Seat {
+    slot: Slot,
+    /// The party acked its selection notice.
+    acked: bool,
+}
+
+/// What an inbound message claims of the open round
+/// ([`Coordinator::admit`]).
+#[derive(Debug, Clone, Copy)]
+enum Claim {
+    /// No one party's seat: a tree partial's container is the inner
+    /// node's frame.
+    Round,
+    /// A seat, whatever became of it: a heartbeat acks the notice, not
+    /// the update.
+    Seat(u64),
+    /// A seat still waiting for its update: a flat update, a partial's
+    /// entry, an abort.
+    Pending(u64),
+}
+
+/// The one-element effect list a refused message leaves behind.
+fn rejected(party: Option<u64>, round: u64, reason: RejectReason) -> Vec<Effect> {
+    vec![Effect::Rejected { party: party.map(|p| p as PartyId), round, reason }]
+}
+
+/// Book-keeping of the currently open round: one seat per selected
+/// party in an ordered map, so whatever is read out at close comes in
+/// party-id order however the messages arrived.
 #[derive(Debug)]
 struct OpenRound {
     round: u64,
-    /// Selection order, as the policy returned it.
+    /// Selection order, as the policy returned it (the record and the
+    /// straggler list keep it).
     selected: Vec<PartyId>,
-    selected_set: HashSet<PartyId>,
-    /// Parties whose update has not arrived (and are not dropped).
-    pending: HashSet<PartyId>,
-    /// Accepted updates, insertion order (sorted at close).
-    updates: Vec<(PartyId, LocalUpdate)>,
-    /// Parties the driver reported gone.
-    dropped: HashSet<PartyId>,
-    /// Parties that acked their selection notice.
-    heartbeats: HashSet<PartyId>,
-    /// Merged aggregation-tree partials received this round (exact-fold
-    /// mode only; the flat updates' fold joins it at close).
-    partial: Option<ExactWeightedSum>,
-    /// Selector-feedback sketches shipped inside partials, keyed by
-    /// covered party (their parameters were folded away upstream, so the
-    /// coordinator can no longer compute these itself).
-    shipped_sketches: HashMap<PartyId, Vec<f32>>,
+    seats: BTreeMap<PartyId, Seat>,
+    /// Seats still [`Slot::Pending`]; the round closes itself at zero.
+    waiting: usize,
+    /// The global this round dispatched: what every update is sketched
+    /// against, shared with the outbound model frames.
+    dispatched: Arc<[f32]>,
+    sum: RoundSum,
     bytes_down: u64,
-    bytes_up: u64,
+}
+
+impl OpenRound {
+    /// Resolves `party`'s pending seat to `slot`; `true` when it was the
+    /// last one the round was waiting on.
+    fn settle(&mut self, party: u64, slot: Slot) -> bool {
+        let seat = self.seats.get_mut(&(party as PartyId)).expect("settle follows admission");
+        debug_assert!(matches!(seat.slot, Slot::Pending));
+        seat.slot = slot;
+        self.waiting -= 1;
+        self.waiting == 0
+    }
 }
 
 /// The aggregator-side protocol state machine.
@@ -150,8 +194,9 @@ pub struct Coordinator {
     round: usize,
     open: Option<OpenRound>,
     finished: bool,
-    /// Reused per-update delta buffer for selector sketches.
-    delta_buf: Vec<f32>,
+    /// Reused weighted-mean buffer between the round's sum and the
+    /// server optimizer.
+    accum: Vec<f64>,
     /// Roster availability mask: `active[p]` is flipped by
     /// [`Event::PartyLeft`] / [`Event::PartyJoined`] and filters every
     /// selection (the policy keeps drawing from the full roster so its
@@ -162,10 +207,8 @@ pub struct Coordinator {
     /// replay tape a checkpoint restore uses to rebuild selector state
     /// deterministically.
     feedback_log: Vec<RoundFeedback>,
-    /// Aggregate through the exact fixed-point fold
-    /// ([`crate::aggtree`]) instead of the default per-update f64 fold —
-    /// the mode that accepts [`WireMessage::PartialUpdate`] tree
-    /// partials. See [`Coordinator::set_exact_fold`].
+    /// Which [`RoundSum`] the next round opens with — see
+    /// [`Coordinator::set_exact_fold`].
     exact_fold: bool,
 }
 
@@ -241,7 +284,7 @@ impl Coordinator {
             round: 0,
             open: None,
             finished: false,
-            delta_buf: Vec::new(),
+            accum: Vec::new(),
             active: vec![true; num_parties],
             feedback_log: Vec::new(),
             exact_fold: false,
@@ -249,27 +292,25 @@ impl Coordinator {
         })
     }
 
-    /// Switches this coordinator between the default aggregation path
-    /// (per-update f64 weighted fold, sketches against the
-    /// *post*-aggregation global) and the **exact-fold** path: every
+    /// Chooses the sum every later round aggregates with: the default
+    /// f64 weighted fold in party-id order, or the **exact fold** — every
     /// update folds into one 256-bit fixed-point sum
-    /// ([`crate::aggtree::ExactWeightedSum`]) with a single rounding at
-    /// close, and feedback sketches are taken against the round's
-    /// *dispatched* (pre-aggregation) global.
+    /// ([`crate::aggtree::ExactWeightedSum`]) as it is accepted, with a
+    /// single rounding at close. Everything else about a round — who is
+    /// admitted, what is recorded, the feedback sketches (always against
+    /// the round's *dispatched* global) — is the same code either way.
     ///
     /// Exact mode is what makes aggregation trees pinnable: partials
     /// folded at [`crate::PartyPool`] inner nodes
     /// ([`WireMessage::PartialUpdate`]) merge into the same bits as a
     /// flat exact run regardless of how updates were partitioned — so a
     /// flat exact-fold run is the equivalence oracle for every tree
-    /// topology. Default mode ignores tree partials (rejected as
-    /// [`RejectReason::WrongDirection`]) and its histories are **not**
-    /// comparable to exact-mode histories: the two paths round
-    /// differently and sketch against different reference models.
+    /// topology. Default mode cannot merge a pre-folded partial (rejected
+    /// as [`RejectReason::WrongDirection`]) and its histories are **not**
+    /// comparable to exact-mode histories: the two sums round differently.
     ///
-    /// Flip only between jobs (or before the first round opens) — the
-    /// mode is not per-round state and is not checkpointed; a restoring
-    /// runtime re-applies it.
+    /// Takes effect at the next [`Coordinator::open_round`]; the mode is
+    /// not checkpointed — a restoring runtime re-applies it.
     pub fn set_exact_fold(&mut self, on: bool) {
         self.exact_fold = on;
     }
@@ -324,7 +365,7 @@ impl Coordinator {
 
     /// Parties that have acked their selection notice this round.
     pub fn heartbeats_this_round(&self) -> usize {
-        self.open.as_ref().map_or(0, |o| o.heartbeats.len())
+        self.open.as_ref().map_or(0, |o| o.seats.values().filter(|s| s.acked).count())
     }
 
     /// The roster availability mask — `false` entries have
@@ -505,7 +546,7 @@ impl Coordinator {
         // model clones the `Arc`, not the floats (the per-dispatch
         // `Vec<f32>` clone was the protocol layer's last hot-path
         // allocation — see PERFORMANCE.md).
-        let params: std::sync::Arc<[f32]> = std::sync::Arc::from(self.global.as_slice());
+        let params: Arc<[f32]> = Arc::from(self.global.as_slice());
         for &p in &selected {
             let notice = WireMessage::SelectionNotice {
                 job,
@@ -513,24 +554,22 @@ impl Coordinator {
                 party: p as u64,
                 codec: self.config.codec,
             };
-            let model =
-                WireMessage::GlobalModel { job, round, params: std::sync::Arc::clone(&params) };
+            let model = WireMessage::GlobalModel { job, round, params: Arc::clone(&params) };
             bytes_down += (notice.wire_size() + model.wire_size()) as u64;
             effects.push(Effect::Send { to: p, msg: notice });
             effects.push(Effect::Send { to: p, msg: model });
         }
         self.open = Some(OpenRound {
             round,
-            selected_set: selected.iter().copied().collect(),
-            pending: selected.iter().copied().collect(),
+            seats: selected
+                .iter()
+                .map(|&p| (p, Seat { slot: Slot::Pending, acked: false }))
+                .collect(),
+            waiting: selected.len(),
             selected,
-            updates: Vec::new(),
-            dropped: HashSet::new(),
-            heartbeats: HashSet::new(),
-            partial: None,
-            shipped_sketches: HashMap::new(),
+            sum: RoundSum::new(self.exact_fold, params.len()),
+            dispatched: params,
             bytes_down,
-            bytes_up: 0,
         });
         Ok(effects)
     }
@@ -545,25 +584,16 @@ impl Coordinator {
     ///
     /// Only aggregation/evaluation failures at round close propagate.
     pub fn handle(&mut self, event: Event) -> Result<Vec<Effect>, FlError> {
-        match event {
-            Event::UpdateReceived(msg) => self.handle_message(msg),
-            Event::PartyDropped(party) => {
-                let Some(open) = &mut self.open else { return Ok(Vec::new()) };
-                if open.selected_set.contains(&party) && open.pending.remove(&party) {
-                    open.dropped.insert(party);
-                    if open.pending.is_empty() {
-                        return self.close_round();
-                    }
-                }
-                Ok(Vec::new())
-            }
-            Event::DeadlineExpired => {
-                if self.open.is_some() {
-                    self.close_round()
-                } else {
-                    Ok(Vec::new())
-                }
-            }
+        let close = match event {
+            Event::UpdateReceived(msg) => match self.book(msg) {
+                Ok(cohort_complete) => cohort_complete,
+                Err(rejections) => return Ok(rejections),
+            },
+            Event::PartyDropped(party) => self.open.as_mut().is_some_and(|open| {
+                matches!(open.seats.get(&party), Some(Seat { slot: Slot::Pending, .. }))
+                    && open.settle(party as u64, Slot::Dropped)
+            }),
+            Event::DeadlineExpired => self.open.is_some(),
             Event::PartyJoined(party) => {
                 // Only a known roster slot can (re)join; an unknown id is
                 // a benign no-op, as is a join of an already-active slot.
@@ -571,7 +601,7 @@ impl Coordinator {
                     self.active[party] = true;
                     self.selector.set_available(party, true);
                 }
-                Ok(Vec::new())
+                false
             }
             Event::PartyLeft(party) => {
                 if party < self.num_parties && self.active[party] {
@@ -582,72 +612,75 @@ impl Coordinator {
                     // straggler.
                     return self.handle(Event::PartyDropped(party));
                 }
-                Ok(Vec::new())
+                false
             }
+        };
+        if close {
+            self.close_round()
+        } else {
+            Ok(Vec::new())
         }
     }
 
-    fn handle_message(&mut self, msg: WireMessage) -> Result<Vec<Effect>, FlError> {
-        let reject = |party: Option<PartyId>, round: u64, reason: RejectReason| {
-            Ok(vec![Effect::Rejected { party, round, reason }])
+    /// The one admission ladder every inbound message climbs: right job,
+    /// a round open, that round — and, for a message that speaks for a
+    /// party, a seat in the cohort which (for anything but a heartbeat)
+    /// is still waiting for its update. A refusal is the rejection
+    /// effect, and has touched nothing.
+    fn admit(&mut self, job: u64, round: u64, claim: Claim) -> Result<&mut OpenRound, Vec<Effect>> {
+        let (party, pending) = match claim {
+            Claim::Round => (None, false),
+            Claim::Seat(party) => (Some(party), false),
+            Claim::Pending(party) => (Some(party), true),
         };
+        let refuse = |reason| Err(rejected(party, round, reason));
+        if job != self.config.job_id {
+            return refuse(RejectReason::WrongJob);
+        }
+        let Some(open) = &mut self.open else { return refuse(RejectReason::NoOpenRound) };
+        if round != open.round {
+            return refuse(RejectReason::WrongRound);
+        }
+        let Some(party) = party else { return Ok(open) };
+        // An id past `usize` is past the roster too.
+        match usize::try_from(party).ok().and_then(|p| open.seats.get(&p)).map(|s| &s.slot) {
+            None => refuse(RejectReason::NotSelected),
+            Some(Slot::Dropped) if pending => refuse(RejectReason::PartyDropped),
+            Some(Slot::Done(_)) if pending => refuse(RejectReason::DuplicateUpdate),
+            Some(_) => Ok(open),
+        }
+    }
+
+    /// Books one inbound message into the open round. `Ok(true)` means
+    /// the cohort is now complete; `Err` carries the rejections, and a
+    /// rejected message has changed nothing.
+    fn book(&mut self, msg: WireMessage) -> Result<bool, Vec<Effect>> {
+        let round = msg.round();
+        let sketch_dim = self.config.sketch_dim;
         match msg {
             WireMessage::LocalUpdate {
                 job,
-                round,
                 party,
                 num_samples,
                 mean_loss,
                 duration,
                 params,
+                ..
             } => {
-                let pid = party as PartyId;
-                let some = Some(pid);
-                if job != self.config.job_id {
-                    return reject(some, round, RejectReason::WrongJob);
-                }
-                let Some(open) = &mut self.open else {
-                    return reject(some, round, RejectReason::NoOpenRound);
-                };
-                if round != open.round {
-                    return reject(some, round, RejectReason::WrongRound);
-                }
-                if party >= self.num_parties as u64 || !open.selected_set.contains(&pid) {
-                    return reject(some, round, RejectReason::NotSelected);
-                }
-                if open.dropped.contains(&pid) {
-                    return reject(some, round, RejectReason::PartyDropped);
-                }
-                if open.updates.iter().any(|(p, _)| *p == pid) {
-                    return reject(some, round, RejectReason::DuplicateUpdate);
-                }
-                if params.len() != self.global.len() {
-                    return reject(some, round, RejectReason::WrongModelSize);
-                }
-                // The exact fold's domain is narrower than f32: a
-                // non-finite or astronomically-scaled parameter (or a
-                // weight outside 1..2³²) must bounce at the door, not
-                // error the whole round at close. (Default mode keeps
-                // its historical tolerance — goldens are pinned on it.)
-                if self.exact_fold
-                    && (num_samples == 0
-                        || num_samples >= 1 << 32
-                        || params.iter().any(|x| !crate::aggtree::param_in_domain(*x)))
-                {
-                    return reject(some, round, RejectReason::WrongModelSize);
-                }
-                open.bytes_up += crate::message::local_update_bytes(params.len()) as u64;
-                open.pending.remove(&pid);
-                open.updates.push((
-                    pid,
-                    LocalUpdate { params, num_samples: num_samples as usize, mean_loss, duration },
-                ));
-                if open.pending.is_empty() {
-                    return self.close_round();
-                }
-                Ok(Vec::new())
+                let open = self.admit(job, round, Claim::Pending(party))?;
+                // Besides a wrong-length vector, the exact sum refuses
+                // what lies outside its domain (a non-finite or
+                // astronomically-scaled parameter, a weight outside
+                // 1..2³²): that bounces here, the seat still pending,
+                // instead of erroring the whole round at close.
+                let sketch = open
+                    .sum
+                    .accept(party as PartyId, params, num_samples, &open.dispatched, sketch_dim)
+                    .map_err(|_| rejected(Some(party), round, RejectReason::WrongModelSize))?;
+                let entry = PartialEntry { party, num_samples, mean_loss, duration, sketch };
+                Ok(open.settle(party, Slot::Done(entry)))
             }
-            WireMessage::PartialUpdate { job, round, total_weight, entries, dim, limbs } => {
+            WireMessage::PartialUpdate { job, total_weight, entries, dim, limbs, .. } => {
                 // The aggregation-tree uplink: a pre-folded partial
                 // covering several parties. Container-level problems
                 // reject once with no sender (the frame is the inner
@@ -655,201 +688,129 @@ impl Coordinator {
                 // reject per covered party and discard the whole partial
                 // unmerged — a folded sum cannot exclude one bad entry,
                 // and an inner-node bug must not corrupt the aggregate.
-                if job != self.config.job_id {
-                    return reject(None, round, RejectReason::WrongJob);
+                let container = |reason| Err(rejected(None, round, reason));
+                let open = self.admit(job, round, Claim::Round)?;
+                if !open.sum.is_exact() {
+                    // Only the exact sum can merge partials; for the
+                    // default one the frame is a protocol-shape
+                    // violation, not data.
+                    return container(RejectReason::WrongDirection);
                 }
-                if !self.exact_fold {
-                    // Only the exact-fold path can merge partials; on a
-                    // default-mode coordinator the frame is a protocol-
-                    // shape violation, not data.
-                    return reject(None, round, RejectReason::WrongDirection);
-                }
-                let Some(open) = &mut self.open else {
-                    return reject(None, round, RejectReason::NoOpenRound);
-                };
-                if round != open.round {
-                    return reject(None, round, RejectReason::WrongRound);
-                }
-                if dim as usize != self.global.len() || limbs.len() != dim as usize * 4 {
-                    return reject(None, round, RejectReason::WrongModelSize);
+                if dim as usize != open.dispatched.len() || limbs.len() != dim as usize * 4 {
+                    return container(RejectReason::WrongModelSize);
                 }
                 if entries.is_empty() {
                     // Nothing folded in: benign no-op (an inner node may
                     // flush an empty cycle).
-                    return Ok(Vec::new());
+                    return Ok(false);
                 }
-                let mut effects = Vec::new();
+                let mut rejections = Vec::new();
                 let mut weight_sum = 0u64;
                 let mut seen = HashSet::with_capacity(entries.len());
                 for e in &entries {
-                    let pid = e.party as PartyId;
-                    let bad = if e.party >= self.num_parties as u64
-                        || !open.selected_set.contains(&pid)
-                    {
-                        Some(RejectReason::NotSelected)
-                    } else if open.dropped.contains(&pid) {
-                        Some(RejectReason::PartyDropped)
-                    } else if !seen.insert(pid) || open.updates.iter().any(|(p, _)| *p == pid) {
-                        Some(RejectReason::DuplicateUpdate)
-                    } else if e.sketch.len() != self.config.sketch_dim {
-                        Some(RejectReason::WrongModelSize)
-                    } else {
-                        None
-                    };
-                    if let Some(reason) = bad {
-                        effects.push(Effect::Rejected { party: Some(pid), round, reason });
+                    let entry = |reason| rejected(Some(e.party), round, reason);
+                    match self.admit(job, round, Claim::Pending(e.party)) {
+                        Err(refusal) => rejections.extend(refusal),
+                        Ok(_) if !seen.insert(e.party) => {
+                            rejections.extend(entry(RejectReason::DuplicateUpdate));
+                        }
+                        Ok(_) if e.sketch.len() != sketch_dim => {
+                            rejections.extend(entry(RejectReason::WrongModelSize));
+                        }
+                        Ok(_) => {}
                     }
                     weight_sum = weight_sum.saturating_add(e.num_samples);
                 }
-                if !effects.is_empty() {
-                    return Ok(effects);
+                if !rejections.is_empty() {
+                    return Err(rejections);
                 }
                 // The declared fold weight must equal the entries' sum
                 // (a skewed weight would silently bias the mean), and
-                // the limb block must rebuild into a mergeable sum.
-                let partial = if total_weight == weight_sum {
-                    ExactWeightedSum::from_raw(&limbs, total_weight, entries.len() as u64).ok()
-                } else {
-                    None
-                };
-                let Some(partial) = partial else {
-                    return reject(None, round, RejectReason::WrongModelSize);
-                };
-                match &mut open.partial {
-                    Some(sum) => {
-                        if sum.merge(&partial).is_err() {
-                            return reject(None, round, RejectReason::WrongModelSize);
-                        }
-                    }
-                    None => open.partial = Some(partial),
+                // the limb block must rebuild into a sum the round's own
+                // can take — `merge` checks before it touches a limb.
+                let open = self.admit(job, round, Claim::Round)?;
+                let merged = total_weight == weight_sum
+                    && ExactWeightedSum::from_raw(&limbs, total_weight, entries.len() as u64)
+                        .and_then(|partial| open.sum.merge(&partial))
+                        .is_ok();
+                if !merged {
+                    return container(RejectReason::WrongModelSize);
                 }
+                // From here each covered party is booked exactly as if
+                // its update had traveled flat (byte accounting at close
+                // included), so tree and flat histories agree.
+                let mut complete = false;
                 for e in entries {
-                    let pid = e.party as PartyId;
-                    // Byte accounting stays raw-canonical: each covered
-                    // update counts as if it had traveled flat, so tree
-                    // and flat histories agree on bytes_up.
-                    open.bytes_up += crate::message::local_update_bytes(dim as usize) as u64;
-                    open.pending.remove(&pid);
-                    open.updates.push((
-                        pid,
-                        LocalUpdate {
-                            params: Vec::new(),
-                            num_samples: e.num_samples as usize,
-                            mean_loss: e.mean_loss,
-                            duration: e.duration,
-                        },
-                    ));
-                    open.shipped_sketches.insert(pid, e.sketch);
+                    complete = open.settle(e.party, Slot::Done(e));
                 }
-                if open.pending.is_empty() {
-                    return self.close_round();
-                }
-                Ok(Vec::new())
+                Ok(complete)
             }
-            WireMessage::Heartbeat { job, round, party } => {
-                let pid = party as PartyId;
-                if job != self.config.job_id {
-                    return reject(Some(pid), round, RejectReason::WrongJob);
-                }
-                let Some(open) = &mut self.open else {
-                    return reject(Some(pid), round, RejectReason::NoOpenRound);
-                };
-                if round != open.round {
-                    return reject(Some(pid), round, RejectReason::WrongRound);
-                }
-                if !open.selected_set.contains(&pid) {
-                    return reject(Some(pid), round, RejectReason::NotSelected);
-                }
-                // Idempotent: an at-least-once transport may redeliver
-                // the ack within the deadline window, and a duplicate
-                // must not inflate the round's byte accounting (the
-                // transport suite pins histories bit-identical under
+            WireMessage::Heartbeat { job, party, .. } => {
+                let open = self.admit(job, round, Claim::Seat(party))?;
+                // A bit, so idempotent: an at-least-once transport may
+                // redeliver the ack within the deadline window, and a
+                // duplicate must not inflate the round's byte accounting
+                // (the transport suite pins histories bit-identical under
                 // duplicate delivery).
-                if open.heartbeats.insert(pid) {
-                    open.bytes_up += crate::message::heartbeat_bytes() as u64;
-                }
-                Ok(Vec::new())
+                open.seats.get_mut(&(party as PartyId)).expect("admitted").acked = true;
+                Ok(false)
             }
-            WireMessage::Abort { job, round, party, .. } => {
-                // A party withdrawing is equivalent to the transport
-                // losing it — but only a *this-job* abort may mutate
-                // round state; foreign traffic bounces like any other
-                // message.
-                let pid = party as PartyId;
-                if job != self.config.job_id {
-                    return reject(Some(pid), round, RejectReason::WrongJob);
-                }
-                let Some(open_round) = self.open.as_ref().map(|o| o.round) else {
-                    return reject(Some(pid), round, RejectReason::NoOpenRound);
-                };
-                if round == open_round {
-                    self.handle(Event::PartyDropped(pid))
-                } else {
-                    reject(Some(pid), round, RejectReason::WrongRound)
-                }
+            // A party withdrawing is equivalent to the transport losing
+            // it — but only a this-job, this-round abort from a party the
+            // round still waits on may touch round state; anything else
+            // bounces like any other message.
+            WireMessage::Abort { job, party, .. } => {
+                Ok(self.admit(job, round, Claim::Pending(party))?.settle(party, Slot::Dropped))
             }
-            WireMessage::SelectionNotice { round, party, .. } => {
-                reject(Some(party as PartyId), round, RejectReason::WrongDirection)
+            WireMessage::SelectionNotice { party, .. } => {
+                Err(rejected(Some(party), round, RejectReason::WrongDirection))
             }
-            WireMessage::GlobalModel { round, .. } => {
-                reject(None, round, RejectReason::WrongDirection)
+            WireMessage::GlobalModel { .. } => {
+                Err(rejected(None, round, RejectReason::WrongDirection))
             }
         }
     }
 
-    /// Closes the open round: aggregates accepted updates in party-id
-    /// order, evaluates on the aggregator-held balanced test set, feeds
+    /// Closes the open round: finishes the round's sum into the global
+    /// model, evaluates on the aggregator-held balanced test set, feeds
     /// the selector, records the round and tells stragglers to abort.
+    /// Everything per-party is read off the seat map in party-id order,
+    /// so nothing here depends on the order messages arrived in.
     fn close_round(&mut self) -> Result<Vec<Effect>, FlError> {
-        let mut open = self.open.take().expect("close_round requires an open round");
+        let OpenRound { round: wire_round, selected, seats, sum, mut bytes_down, .. } =
+            self.open.take().expect("close_round requires an open round");
         let round = self.round;
 
-        // Deterministic aggregation order, independent of arrival order.
-        open.updates.sort_by_key(|(p, _)| *p);
-        let completed: Vec<PartyId> = open.updates.iter().map(|(p, _)| *p).collect();
-        let completed_set: HashSet<PartyId> = completed.iter().copied().collect();
-        let stragglers: Vec<PartyId> =
-            open.selected.iter().copied().filter(|p| !completed_set.contains(p)).collect();
+        // Byte accounting is raw-canonical: every accepted update counts
+        // as one flat frame, every acked notice as one heartbeat.
+        let update_bytes = local_update_bytes(self.global.len()) as u64;
+        let mut bytes_up = 0u64;
+        let mut feedback =
+            RoundFeedback::for_round(round, selected.clone(), Vec::new(), Vec::new(), 0.0);
+        for (party, seat) in seats {
+            bytes_up += u64::from(seat.acked) * heartbeat_bytes() as u64;
+            if let Slot::Done(entry) = seat.slot {
+                bytes_up += update_bytes;
+                feedback.completed.push(party);
+                feedback.train_loss.insert(party, entry.mean_loss);
+                feedback.duration.insert(party, entry.duration);
+                feedback.update_sketch.insert(party, entry.sketch);
+            }
+        }
+        let completed = &feedback.completed;
+        feedback.stragglers =
+            selected.iter().copied().filter(|p| !feedback.train_loss.contains_key(p)).collect();
 
-        // Aggregate and advance the global model (a fully-straggled round
-        // leaves the model unchanged, as a real aggregator would
-        // resample). Updates are aggregated by reference — no
-        // parameter-vector clones.
-        let mean_train_loss = if open.updates.is_empty() {
+        // Advance the global model (a fully-straggled round leaves it
+        // unchanged, as a real aggregator would resample).
+        let mean_train_loss = if completed.is_empty() {
             0.0
-        } else if self.exact_fold {
-            // Exact-fold path: flat updates and tree partials meet in one
-            // associative 256-bit sum, so any partition of the cohort
-            // across inner nodes lands on the same bits. Feedback
-            // sketches are taken against the *dispatched* global before
-            // it advances — the same reference a tree inner node used
-            // for the shipped ones.
-            for (p, u) in &open.updates {
-                if !u.params.is_empty() {
-                    self.delta_buf.clear();
-                    self.delta_buf.extend(u.params.iter().zip(&self.global).map(|(x, g)| x - g));
-                    open.shipped_sketches
-                        .insert(*p, sketch_update(&self.delta_buf, self.config.sketch_dim));
-                }
-            }
-            let mut sum = ExactWeightedSum::new(self.global.len());
-            for (_, u) in &open.updates {
-                if !u.params.is_empty() {
-                    sum.fold(&u.params, u.num_samples as u64)?;
-                }
-            }
-            if let Some(partial) = &open.partial {
-                sum.merge(partial)?;
-            }
-            let mut accum = Vec::with_capacity(self.global.len());
-            sum.finish_into(&mut accum)?;
-            self.server.apply_aggregate(&mut self.global, &accum)?;
-            open.updates.iter().map(|(_, u)| u.mean_loss).sum::<f64>() / open.updates.len() as f64
         } else {
-            let locals: Vec<&LocalUpdate> = open.updates.iter().map(|(_, u)| u).collect();
-            self.server.apply_round_refs(&mut self.global, &locals)?;
-            locals.iter().map(|u| u.mean_loss).sum::<f64>() / locals.len() as f64
+            sum.finish_into(&mut self.accum)?;
+            self.server.apply_aggregate(&mut self.global, &self.accum)?;
+            completed.iter().map(|p| feedback.train_loss[p]).sum::<f64>() / completed.len() as f64
         };
+        let round_duration = completed.iter().map(|p| feedback.duration[p]).fold(0.0, f64::max);
 
         // Evaluate on the aggregator-held balanced test set (§4.4).
         self.eval_model.set_params(&self.global)?;
@@ -861,67 +822,37 @@ impl Coordinator {
         );
         let accuracy = cm.balanced_accuracy();
 
-        let round_duration = open.updates.iter().map(|(_, u)| u.duration).fold(0.0, f64::max);
-
         // Selector feedback — the round-close event is the only channel
         // through which policies learn.
-        let mut feedback = RoundFeedback::for_round(
-            round,
-            open.selected.clone(),
-            completed.clone(),
-            stragglers.clone(),
-            accuracy,
-        );
-        for (p, u) in &open.updates {
-            feedback.train_loss.insert(*p, u.mean_loss);
-            feedback.duration.insert(*p, u.duration);
-            if self.exact_fold {
-                // Pre-aggregation sketches: computed above for flat
-                // updates, shipped inside the partial for tree-covered
-                // parties — the two sources are bitwise interchangeable.
-                let sketch = open
-                    .shipped_sketches
-                    .remove(p)
-                    .unwrap_or_else(|| sketch_update(&[], self.config.sketch_dim));
-                feedback.update_sketch.insert(*p, sketch);
-            } else {
-                // Reusable delta buffer — the sketch is the only per-party
-                // allocation left, and it is handed to the selector.
-                self.delta_buf.clear();
-                self.delta_buf.extend(u.params.iter().zip(&self.global).map(|(x, g)| x - g));
-                feedback
-                    .update_sketch
-                    .insert(*p, sketch_update(&self.delta_buf, self.config.sketch_dim));
-            }
-        }
-        self.feedback_log.push(feedback.clone());
+        feedback.global_accuracy = accuracy;
         self.selector.report(&feedback);
 
         // Stragglers are told to stop working on the now-closed round.
-        let mut effects: Vec<Effect> = Vec::with_capacity(stragglers.len() + 2);
-        for &p in &stragglers {
+        let mut effects: Vec<Effect> = Vec::with_capacity(feedback.stragglers.len() + 2);
+        for &p in &feedback.stragglers {
             let msg = WireMessage::Abort {
                 job: self.config.job_id,
-                round: open.round,
+                round: wire_round,
                 party: p as u64,
                 reason: "deadline expired".into(),
             };
-            open.bytes_down += msg.wire_size() as u64;
+            bytes_down += msg.wire_size() as u64;
             effects.push(Effect::Send { to: p, msg });
         }
 
         let record = RoundRecord {
             round,
-            selected: open.selected,
-            completed,
-            stragglers,
+            selected,
+            completed: feedback.completed.clone(),
+            stragglers: feedback.stragglers.clone(),
             accuracy,
             per_label_recall: cm.recalls(),
             mean_train_loss,
-            bytes_down: open.bytes_down,
-            bytes_up: open.bytes_up,
+            bytes_down,
+            bytes_up,
             round_duration,
         };
+        self.feedback_log.push(feedback);
         self.history.push(record.clone());
         self.round += 1;
         effects.push(Effect::RoundClosed(record));

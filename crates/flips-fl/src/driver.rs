@@ -725,17 +725,10 @@ impl<T: Transport> MultiJobDriver<T> {
                             // *accepted* — the party is still pending),
                             // but only the first arrival counts, so
                             // `late_updates` equals the straggler count
-                            // under at-least-once delivery too.
+                            // under at-least-once delivery too. (Counted,
+                            // never a breaker strike: see `guard`.)
                             if first_arrival {
                                 self.stats.late_updates += 1;
-                                // Chronic lateness as a breaker signal is
-                                // opt-in: a slow party is usually
-                                // heterogeneity, not hostility.
-                                if let Some(guard) = &mut self.guard {
-                                    if guard.strikes_on_late() {
-                                        guard.strike(job_id, pid as u64);
-                                    }
-                                }
                             }
                             continue;
                         }

@@ -2,7 +2,7 @@
 //! middleware in front of the protocol state machines.
 //!
 //! Every hostile input the drivers see — floods, forged senders,
-//! corrupt payloads, chronic lateness — used to be merely *counted*
+//! corrupt payloads — used to be merely *counted*
 //! ([`crate::DriverStats`]); nothing ever throttled, ejected or
 //! drained, so one misbehaving party degraded every round for
 //! everyone. This module supplies the middleware-layer answer the
@@ -54,9 +54,10 @@
 //!
 //! *Strikes* accumulate during a round from the hostile signals the
 //! drivers already classify: rate-limit violations, coordinator
-//! rejections (except benign at-least-once duplicates), corrupt or
-//! codec-mismatched frames attributed by header peek, and — opt-in —
-//! deadline-late updates. All transitions happen **at round open**, a
+//! rejections (except benign at-least-once duplicates), and corrupt or
+//! codec-mismatched frames attributed by header peek. (A deadline-late
+//! update is only counted: a slow party is heterogeneity, not
+//! hostility.) All transitions happen **at round open**, a
 //! deterministic point on the driver thread, so mid-round arrival order
 //! can never decide a state change.
 //!
@@ -123,10 +124,6 @@ pub struct BreakerConfig {
     /// Round opens an [`BreakerState::Open`] party sits ejected before
     /// the breaker half-opens for a probe round (≥ 1).
     pub cooldown_rounds: u64,
-    /// Whether a deadline-late update strikes its sender (off by
-    /// default: on the observed-latency path lateness is routine, and
-    /// ejecting the slow tail is a policy choice, not a default).
-    pub strike_on_late: bool,
     /// Whether a corrupt or codec-mismatched frame strikes the sender
     /// its header claims (on by default; the claim is unauthenticated,
     /// see the module docs).
@@ -135,12 +132,7 @@ pub struct BreakerConfig {
 
 impl Default for BreakerConfig {
     fn default() -> Self {
-        BreakerConfig {
-            strike_threshold: 32,
-            cooldown_rounds: 2,
-            strike_on_late: false,
-            strike_on_corrupt: true,
-        }
+        BreakerConfig { strike_threshold: 32, cooldown_rounds: 2, strike_on_corrupt: true }
     }
 }
 
@@ -393,12 +385,6 @@ impl GuardPlane {
         }
         let guard = self.parties.entry((job, party)).or_default();
         guard.strikes = guard.strikes.saturating_add(1);
-    }
-
-    /// Whether late updates strike their sender under this
-    /// configuration.
-    pub fn strikes_on_late(&self) -> bool {
-        self.config.breaker.is_some_and(|b| b.strike_on_late)
     }
 
     /// Whether corrupt/codec-mismatched frames strike the sender their

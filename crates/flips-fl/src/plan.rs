@@ -111,7 +111,8 @@ impl WireOptions {
 }
 
 /// The placement rule: frame destination `dest` (a party id) travels
-/// link `dest % links`. Routers call this with their own link count;
+/// link `dest % links`. Both routers ([`crate::runtime::ShardRouter`],
+/// `flips_net::SocketRouter`) call this with their own link count;
 /// everything else goes through [`WireOptions::link_of`].
 pub fn place(dest: u64, links: usize) -> usize {
     (dest % links as u64) as usize
@@ -320,7 +321,7 @@ mod tests {
 
     /// A router over fresh memory links, one per share.
     fn router(shares: &[LinkShare]) -> ShardRouter {
-        ShardRouter::new(shares.iter().map(|_| MemoryTransport::pair().0).collect(), shares)
+        ShardRouter::new(shares.iter().map(|_| MemoryTransport::pair().0).collect())
     }
 
     fn codec(tag: u8) -> ModelCodec {
@@ -344,7 +345,6 @@ mod tests {
             prop_assert_eq!(coordinator_side.len(), jobs);
             prop_assert!(coordinator_side.iter().all(|p| p.endpoints.is_empty()));
             prop_assert_eq!(shares.len(), links);
-            let router = router(&shares);
             for &job in &ids {
                 let mut seen = vec![0usize; parties];
                 for (index, share) in shares.iter().enumerate() {
@@ -353,11 +353,9 @@ mod tests {
                         prop_assert!(!slice.endpoints.is_empty());
                         for ep in &slice.endpoints {
                             seen[ep.id()] += 1;
+                            // `link_of` for the split, `place` for both
+                            // routers: one rule.
                             prop_assert_eq!(wire.link_of(ep.id()), index);
-                            // `ShardRouter` reads the shares; flips-net's
-                            // `SocketRouter` calls `place` (pinned against
-                            // `link_of` in its own unit test).
-                            prop_assert_eq!(router.link_for(job, ep.id() as u64), index);
                             prop_assert_eq!(place(ep.id() as u64, links), index);
                         }
                     }

@@ -13,7 +13,6 @@ use crate::message::{deframe_with, frame_into, frame_job_of, PartialEntry, AGGRE
 use crate::transport::{Transport, MAX_FRAME_BYTES};
 use crate::{FlError, PartyEndpoint, WireMessage};
 use bytes::BytesMut;
-use flips_selection::gradclus::sketch_update;
 use flips_selection::PartyId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -357,19 +356,18 @@ impl<T: Transport> PartyPool<T> {
             .tree_acc
             .entry((*job, *round))
             .or_insert_with(|| (ExactWeightedSum::new(params.len()), Vec::new()));
-        // `fold` validates everything (dimension, weight bounds, param
+        // The fold validates everything (dimension, weight bounds, param
         // domain) before touching the limbs, so a refusal leaves the
         // accumulated partial intact and this one update goes up flat.
-        if sum.dim() != params.len() || sum.fold(params, *num_samples).is_err() {
+        let Ok(sketch) = sum.fold_sketched(params, *num_samples, global, tree.sketch_dim) else {
             return false;
-        }
-        let delta: Vec<f32> = params.iter().zip(global.iter()).map(|(x, g)| x - g).collect();
+        };
         entries.push(PartialEntry {
             party: *party,
             num_samples: *num_samples,
             mean_loss: *mean_loss,
             duration: *duration,
-            sketch: sketch_update(&delta, tree.sketch_dim),
+            sketch,
         });
         true
     }

@@ -12,8 +12,8 @@
 //!   runs truly in parallel across shards;
 //! - the [`MultiJobDriver`] runs on a **dedicated coordinator thread**,
 //!   polling the shards' nonblocking transports through a
-//!   [`ShardRouter`] that demultiplexes downlink frames by `(job,
-//!   party)` and drains every shard's uplink;
+//!   [`ShardRouter`] that places each downlink frame by its destination
+//!   party and drains every shard's uplink;
 //! - simulated time advances only when the wire is provably quiet (see
 //!   [Quiet detection](#quiet-detection)), so the timer wheel's
 //!   deadline order is a pure function of the job set — never of host
@@ -25,10 +25,11 @@
 //! single-threaded path, for any shard count. Three properties carry
 //! the proof:
 //!
-//! 1. *Order-independent rounds.* The coordinator sorts accepted
-//!    updates by party id at close and aggregates with the ascending-k
-//!    reduction, heartbeats deduplicate as a set, and byte counters are
-//!    sums — no per-round quantity depends on arrival order.
+//! 1. *Order-independent rounds.* The coordinator keeps the round in a
+//!    map ordered by party id and reads everything out of it at close —
+//!    the aggregate (ascending-id f64 fold, or the commutative exact
+//!    sum), the feedback, the byte counts; a heartbeat is a bit on its
+//!    seat — so no per-round quantity depends on arrival order.
 //! 2. *Order-independent deadlines.* On the latency-derived path the
 //!    accept/withhold decision compares each update's seeded training
 //!    duration against a deadline derived from the *multiset* of
@@ -62,13 +63,13 @@
 use crate::chaos::ChaosEvent;
 use crate::driver::{DriverStats, MultiJobDriver};
 use crate::guard::BreakerTransition;
-use crate::message::{frame_dest, frame_job_of};
-use crate::plan::{split, LinkShare, WireOptions, WithWire};
+use crate::message::frame_dest;
+use crate::plan::{place, split, WireOptions, WithWire};
 use crate::pool::PartyPool;
 use crate::transport::{MemoryTransport, Transport};
 use crate::{FlError, History, JobParts};
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -148,52 +149,34 @@ pub struct ShardedOutcome {
 }
 
 /// The coordinator side of the sharded wire: one [`MemoryTransport`]
-/// link per shard, demultiplexed by the `(job, destination)` pair every
-/// frame header carries.
+/// link per shard, each frame placed by the destination word in its
+/// header ([`place`] — the rule [`crate::plan::split`] sharded the
+/// endpoints by, and the one `flips_net::SocketRouter` routes by).
 ///
 /// Implements [`Transport`], so the unmodified [`MultiJobDriver`] drives
 /// a sharded party side exactly as it drives a single serialized link —
-/// the concurrency is invisible above this seam.
+/// the concurrency is invisible above this seam. A frame for a party no
+/// shard registered still travels to the shard its id names, whose pool
+/// counts it unroutable.
+#[derive(Debug)]
 pub struct ShardRouter {
     /// Driver-side link ends, one per shard.
     links: Vec<MemoryTransport>,
-    /// `(job, party) → shard` routing table, fixed at construction.
-    routes: HashMap<(u64, u64), usize>,
 }
 
 impl ShardRouter {
-    /// A router over one driver-side link end per share, routing each
-    /// `(job, party)` to the share the plan placed it on.
-    pub(crate) fn new(links: Vec<MemoryTransport>, shares: &[LinkShare]) -> Self {
-        let mut routes = HashMap::new();
-        for share in shares {
-            for slice in &share.jobs {
-                for endpoint in &slice.endpoints {
-                    routes.insert((slice.job, endpoint.id() as u64), share.link);
-                }
-            }
-        }
-        ShardRouter { links, routes }
-    }
-}
-
-impl std::fmt::Debug for ShardRouter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardRouter")
-            .field("shards", &self.links.len())
-            .field("routes", &self.routes.len())
-            .finish()
+    /// A router over one driver-side link end per shard.
+    pub(crate) fn new(links: Vec<MemoryTransport>) -> Self {
+        ShardRouter { links }
     }
 }
 
 impl Transport for ShardRouter {
     fn send(&mut self, frame: &[u8]) -> Result<(), FlError> {
-        let (Some(dest), Some(job)) = (frame_dest(frame), frame_job_of(frame)) else {
+        let Some(dest) = frame_dest(frame) else {
             return Err(FlError::Transport("frame too short to route to a shard".into()));
         };
-        let Some(&shard) = self.routes.get(&(job, dest)) else {
-            return Err(FlError::Transport(format!("no shard owns party {dest} of job {job:#x}")));
-        };
+        let shard = place(dest, self.links.len());
         self.links[shard].send(frame)
     }
 
@@ -205,8 +188,8 @@ impl Transport for ShardRouter {
         self.links.len()
     }
 
-    fn link_for(&self, job: u64, dest: u64) -> usize {
-        self.routes.get(&(job, dest)).copied().unwrap_or(0)
+    fn link_for(&self, _job: u64, dest: u64) -> usize {
+        place(dest, self.links.len())
     }
 
     fn try_recv_tagged(&mut self) -> Result<Option<(usize, Bytes)>, FlError> {
@@ -295,8 +278,7 @@ pub fn run_sharded(jobs: Vec<JobParts>, opts: &RuntimeOptions) -> Result<Sharded
         .map(|end| ShardState { busy: AtomicBool::new(false), probe: end.clone() })
         .collect();
 
-    let router = ShardRouter::new(driver_ends, &shares);
-    let driver = MultiJobDriver::install(router, driver_jobs, &opts.wire)?;
+    let driver = MultiJobDriver::install(ShardRouter::new(driver_ends), driver_jobs, &opts.wire)?;
     let pools: Vec<_> = shard_ends
         .into_iter()
         .zip(shares)
@@ -485,9 +467,7 @@ mod tests {
     #[test]
     fn router_rejects_unroutable_frames() {
         let (a, _b) = MemoryTransport::pair();
-        let mut router = ShardRouter { links: vec![a], routes: HashMap::new() };
-        let framed = frame(3, &WireMessage::Heartbeat { job: 9, round: 0, party: 3 });
-        assert!(matches!(router.send(framed.as_slice()), Err(FlError::Transport(_))));
+        let mut router = ShardRouter::new(vec![a]);
         assert!(matches!(router.send(&[1, 2, 3]), Err(FlError::Transport(_))));
     }
 
@@ -495,10 +475,7 @@ mod tests {
     fn router_routes_by_job_and_dest_and_drains_all_links() {
         let (a0, mut b0) = MemoryTransport::pair();
         let (a1, mut b1) = MemoryTransport::pair();
-        let mut routes = HashMap::new();
-        routes.insert((9u64, 0u64), 0usize);
-        routes.insert((9u64, 1u64), 1usize);
-        let mut router = ShardRouter { links: vec![a0, a1], routes };
+        let mut router = ShardRouter::new(vec![a0, a1]);
         let m0 = frame(0, &WireMessage::Heartbeat { job: 9, round: 0, party: 0 });
         let m1 = frame(1, &WireMessage::Heartbeat { job: 9, round: 0, party: 1 });
         router.send(m0.as_slice()).unwrap();

@@ -15,59 +15,69 @@ use crate::party::LocalUpdate;
 use crate::FlError;
 use flips_ml::optimizer::{Adagrad, Adam, Optimizer, Sgd, Yogi};
 
-/// Accumulates the sample-weighted average of `updates` into `accum`
-/// (resized to the parameter dimension; f64 accumulation as before).
+/// Accumulates the sample-weighted average of `updates` — `(nᵢ, xᵢ)`
+/// pairs, folded in the order given — into `accum` (resized to the
+/// parameter dimension; f64 accumulation).
 ///
 /// # Errors
 ///
 /// Returns [`FlError::InvalidConfig`] when `updates` is empty, all weights
 /// are zero, or parameter lengths disagree.
-fn weighted_average_into(accum: &mut Vec<f64>, updates: &[&LocalUpdate]) -> Result<(), FlError> {
-    let first =
-        updates.first().ok_or_else(|| FlError::InvalidConfig("no updates to aggregate".into()))?;
-    let dim = first.params.len();
-    let total: f64 = updates.iter().map(|u| u.num_samples as f64).sum();
+pub(crate) fn weighted_average_into<'a>(
+    accum: &mut Vec<f64>,
+    updates: impl Iterator<Item = (u64, &'a [f32])> + Clone,
+) -> Result<(), FlError> {
+    let (_, first) = updates
+        .clone()
+        .next()
+        .ok_or_else(|| FlError::InvalidConfig("no updates to aggregate".into()))?;
+    let dim = first.len();
+    let total: f64 = updates.clone().map(|(n, _)| n as f64).sum();
     if total <= 0.0 {
         return Err(FlError::InvalidConfig("aggregation weights sum to zero".into()));
     }
     accum.clear();
     accum.resize(dim, 0.0);
-    for u in updates {
-        if u.params.len() != dim {
+    for (n, params) in updates {
+        if params.len() != dim {
             return Err(FlError::InvalidConfig(format!(
                 "update length {} != {}",
-                u.params.len(),
+                params.len(),
                 dim
             )));
         }
-        let w = u.num_samples as f64 / total;
-        for (a, &p) in accum.iter_mut().zip(&u.params) {
+        let w = n as f64 / total;
+        for (a, &p) in accum.iter_mut().zip(params) {
             *a += w * p as f64;
         }
     }
     Ok(())
 }
 
+/// `updates` as the `(nᵢ, xᵢ)` pairs [`weighted_average_into`] folds.
+fn weighted(updates: &[LocalUpdate]) -> impl Iterator<Item = (u64, &[f32])> + Clone {
+    updates.iter().map(|u| (u.num_samples as u64, u.params.as_slice()))
+}
+
 /// Computes the sample-weighted average of client updates.
 ///
-/// (Allocating convenience wrapper; the round loop goes through
-/// [`ServerState::apply_round_refs`], which reuses persistent buffers.)
+/// (Allocating convenience wrapper; [`ServerState::apply_round`] reuses a
+/// persistent buffer.)
 ///
 /// # Errors
 ///
 /// As the round loop's in-place aggregation.
 pub fn weighted_average(updates: &[LocalUpdate]) -> Result<Vec<f32>, FlError> {
-    let refs: Vec<&LocalUpdate> = updates.iter().collect();
     let mut accum = Vec::new();
-    weighted_average_into(&mut accum, &refs)?;
+    weighted_average_into(&mut accum, weighted(updates))?;
     Ok(accum.into_iter().map(|x| x as f32).collect())
 }
 
 /// The server's persistent optimizer state for one FL job.
 ///
-/// Holds the aggregation accumulator and pseudo-gradient scratch across
-/// rounds, so a synchronization round performs no aggregation-side heap
-/// allocation after the first round.
+/// Holds [`ServerState::apply_round`]'s accumulator and the
+/// pseudo-gradient scratch across rounds, so neither is reallocated after
+/// the first round.
 pub struct ServerState {
     algorithm: FlAlgorithm,
     optimizer: Option<Box<dyn Optimizer>>,
@@ -98,8 +108,9 @@ impl ServerState {
         self.algorithm
     }
 
-    /// Applies one round of aggregated client updates to the global model
-    /// in place.
+    /// Applies one round of client updates to the global model in place:
+    /// the f64 weighted average of `updates` in slice order, then
+    /// [`ServerState::apply_aggregate`].
     ///
     /// # Errors
     ///
@@ -110,34 +121,16 @@ impl ServerState {
         global: &mut [f32],
         updates: &[LocalUpdate],
     ) -> Result<(), FlError> {
-        let refs: Vec<&LocalUpdate> = updates.iter().collect();
-        self.apply_round_refs(global, &refs)
-    }
-
-    /// [`ServerState::apply_round`] over borrowed updates — the round
-    /// loop's form, which never clones parameter vectors and reuses the
-    /// server's persistent accumulator and scratch buffers.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServerState::apply_round`].
-    pub fn apply_round_refs(
-        &mut self,
-        global: &mut [f32],
-        updates: &[&LocalUpdate],
-    ) -> Result<(), FlError> {
         let mut accum = std::mem::take(&mut self.accum);
-        weighted_average_into(&mut accum, updates)?;
+        weighted_average_into(&mut accum, weighted(updates))?;
         let result = self.apply_aggregate(global, &accum);
         self.accum = accum;
         result
     }
 
     /// Advances the global model from an already-computed weighted
-    /// average `x̄` (`accum`) — the second half of
-    /// [`ServerState::apply_round_refs`], split out so aggregation-tree
-    /// paths that fold `x̄` elsewhere (see [`crate::aggtree`]) share the
-    /// exact same optimizer step.
+    /// average `x̄` (`accum`) — the optimizer step every aggregation path
+    /// shares, whichever sum produced `x̄` (see [`crate::aggtree`]).
     ///
     /// # Errors
     ///

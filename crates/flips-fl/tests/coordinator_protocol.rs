@@ -6,11 +6,13 @@
 
 use flips_data::dataset::balanced_test_set;
 use flips_data::DatasetProfile;
+use flips_fl::aggtree::ExactWeightedSum;
 use flips_fl::codec::ModelCodec;
 use flips_fl::config::FlAlgorithm;
 use flips_fl::coordinator::{Coordinator, CoordinatorConfig};
 use flips_fl::events::{Effect, Event, RejectReason};
-use flips_fl::message::WireMessage;
+use flips_fl::history::RoundRecord;
+use flips_fl::message::{PartialEntry, WireMessage};
 use flips_fl::FlError;
 use flips_selection::{ParticipantSelector, PartyId, RoundFeedback, SelectionError};
 
@@ -456,4 +458,223 @@ fn bytes_account_every_message_on_the_wire() {
         2 * (selection_notice_bytes() + global_model_bytes(dim)) as u64 + abort_bytes
     );
     assert_eq!(record.bytes_up, (heartbeat_bytes() + local_update_bytes(dim)) as u64);
+}
+
+// ---------------------------------------------------------------------
+// The round as a slot map: order-independence, refusal at the door,
+// partial atomicity — under both sums.
+// ---------------------------------------------------------------------
+
+fn closed_record(effects: &[Effect]) -> Option<RoundRecord> {
+    effects.iter().find_map(|e| match e {
+        Effect::RoundClosed(r) => Some(r.clone()),
+        _ => None,
+    })
+}
+
+fn bits(params: &[f32]) -> Vec<u32> {
+    params.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A flat update with per-party weight, loss and parameters, so a
+/// reordered fold or a mixed-up entry would show.
+fn distinct_update(party: u64, dim: usize) -> Event {
+    Event::UpdateReceived(WireMessage::LocalUpdate {
+        job: JOB,
+        round: 0,
+        party,
+        num_samples: 7 + 3 * party,
+        mean_loss: 0.25 * party as f64,
+        duration: 1.0 + party as f64,
+        params: (0..dim).map(|i| (party as f32 + 0.37) * ((i % 11) as f32 - 4.6) * 1e-2).collect(),
+    })
+}
+
+/// Every ordering of `0..n`, lexicographically.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    let mut out = vec![(0..n).collect::<Vec<_>>()];
+    loop {
+        let mut p = out.last().unwrap().clone();
+        let Some(i) = (0..n - 1).rev().find(|&i| p[i] < p[i + 1]) else { return out };
+        let j = (i + 1..n).rev().find(|&j| p[j] > p[i]).unwrap();
+        p.swap(i, j);
+        p[i + 1..].reverse();
+        out.push(p);
+    }
+}
+
+#[test]
+fn every_delivery_order_closes_the_same_round_under_both_sums() {
+    // Cohort of five: 1, 2 and 4 deliver (1 twice — an at-least-once
+    // redelivery), 5 is dropped, 7 never answers; 2's heartbeat is
+    // replayed. The deadline closes the round after all seven events
+    // landed, in each of their 5040 orders.
+    for exact in [false, true] {
+        let mut outcomes = Vec::new();
+        for order in permutations(7) {
+            let mut c = coordinator(2, vec![1, 2, 4, 5, 7]);
+            c.set_exact_fold(exact);
+            let dim = c.global_params().len();
+            c.open_round().unwrap();
+            let events = [
+                distinct_update(1, dim),
+                distinct_update(1, dim),
+                distinct_update(2, dim),
+                distinct_update(4, dim),
+                Event::PartyDropped(5),
+                heartbeat(2, 0),
+                heartbeat(2, 0),
+            ];
+            let mut rejections = Vec::new();
+            for &i in &order {
+                let effects = c.handle(events[i].clone()).unwrap();
+                assert!(closed_record(&effects).is_none(), "7 keeps the round open");
+                rejections.extend(rejection(&effects));
+            }
+            assert_eq!(rejections, [RejectReason::DuplicateUpdate], "{order:?}");
+            let record = closed_record(&c.handle(Event::DeadlineExpired).unwrap()).unwrap();
+            outcomes.push((record, bits(c.global_params()), c.feedback_log()[0].clone()));
+        }
+        let (record, _, feedback) = &outcomes[0];
+        assert_eq!(record.completed, vec![1, 2, 4]);
+        assert_eq!(record.stragglers, vec![5, 7], "selection order");
+        assert_eq!(feedback.update_sketch.len(), 3);
+        assert!(
+            outcomes.iter().all(|o| o == &outcomes[0]),
+            "exact={exact}: an order moved the round"
+        );
+    }
+}
+
+#[test]
+fn the_exact_sum_refuses_out_of_domain_updates_at_the_door() {
+    let bad_update = |c: &Coordinator, num_samples: u64, poison: Option<f32>| {
+        let mut params = vec![0.5; c.global_params().len()];
+        if let Some(x) = poison {
+            params[3] = x;
+        }
+        Event::UpdateReceived(WireMessage::LocalUpdate {
+            job: JOB,
+            round: 0,
+            party: 1,
+            num_samples,
+            mean_loss: 0.5,
+            duration: 2.0,
+            params,
+        })
+    };
+    let cases = [
+        (10, Some(f32::NAN)),
+        (10, Some(f32::INFINITY)),
+        (10, Some(f32::NEG_INFINITY)),
+        (10, Some(2_147_483_648.0)),
+        (10, Some(-3e9)),
+        (0, None),
+        (1 << 32, None),
+    ];
+    for (num_samples, poison) in cases {
+        let mut c = coordinator(2, vec![0, 1]);
+        c.set_exact_fold(true);
+        let dim = c.global_params().len();
+        c.open_round().unwrap();
+        assert!(c.handle(update(0, 0, dim, 2.0)).unwrap().is_empty());
+        let effects = c.handle(bad_update(&c, num_samples, poison)).unwrap();
+        assert_eq!(rejection(&effects), Some(RejectReason::WrongModelSize), "{poison:?}");
+        assert!(c.open_cohort().is_some(), "the seat is still pending, so the round still waits");
+
+        // ... so the sender closes out as a straggler and only party
+        // 0's update reaches the model.
+        let record = closed_record(&c.handle(Event::DeadlineExpired).unwrap()).unwrap();
+        assert_eq!((record.completed, record.stragglers), (vec![0], vec![1]));
+        assert!(c.global_params().iter().all(|&g| g == 2.0), "{num_samples} {poison:?}");
+
+        // Still pending also means a later, sane copy is taken.
+        c.open_round().unwrap();
+        assert_eq!(
+            rejection(&c.handle(bad_update(&c, num_samples, poison)).unwrap()),
+            Some(RejectReason::WrongRound)
+        );
+        let retry = |party| update(party, 1, dim, 4.0);
+        assert!(c.handle(retry(0)).unwrap().is_empty());
+        let record = closed_record(&c.handle(retry(1)).unwrap()).unwrap();
+        assert_eq!(record.completed, vec![0, 1]);
+    }
+}
+
+/// A tree partial covering `parties`, folded from [`distinct_update`]s,
+/// with `tamper` applied to its entries after the fold.
+fn partial(parties: &[u64], dim: usize, tamper: impl FnOnce(&mut Vec<PartialEntry>)) -> Event {
+    let mut sum = ExactWeightedSum::new(dim);
+    let mut entries = Vec::new();
+    for &p in parties {
+        let Event::UpdateReceived(WireMessage::LocalUpdate {
+            party,
+            num_samples,
+            mean_loss,
+            duration,
+            params,
+            ..
+        }) = distinct_update(p, dim)
+        else {
+            unreachable!()
+        };
+        sum.fold(&params, num_samples).unwrap();
+        entries.push(PartialEntry {
+            party,
+            num_samples,
+            mean_loss,
+            duration,
+            sketch: vec![0.0; 8],
+        });
+    }
+    tamper(&mut entries);
+    Event::UpdateReceived(WireMessage::PartialUpdate {
+        job: JOB,
+        round: 0,
+        total_weight: sum.total_weight(),
+        entries,
+        dim: dim as u32,
+        limbs: sum.raw_limbs(),
+    })
+}
+
+#[test]
+fn a_partial_with_one_bad_entry_changes_nothing() {
+    // Control: cohort [0, 1, 2, 3] with 3 dropped and 2 already
+    // delivered; 0 and 1 then deliver flat and the round closes.
+    let run = |hostile: Option<(Event, u64, RejectReason)>| {
+        let mut c = coordinator(1, vec![0, 1, 2, 3]);
+        c.set_exact_fold(true);
+        let dim = c.global_params().len();
+        c.open_round().unwrap();
+        c.handle(Event::PartyDropped(3)).unwrap();
+        assert!(c.handle(distinct_update(2, dim)).unwrap().is_empty());
+        if let Some((partial, culprit, reason)) = hostile {
+            let effects = c.handle(partial).unwrap();
+            let expected = Effect::Rejected { party: Some(culprit as PartyId), round: 0, reason };
+            assert_eq!(effects, [expected], "only the bad entry is named");
+        }
+        assert!(c.handle(distinct_update(0, dim)).unwrap().is_empty(), "0 is still pending");
+        let effects = c.handle(distinct_update(1, dim)).unwrap();
+        let record = closed_record(&effects).expect("1 was still pending, and the last");
+        (record, bits(c.global_params()), c.feedback_log()[0].clone())
+    };
+    let control = run(None);
+    let dim = coordinator(1, vec![0]).global_params().len();
+    let hostile = [
+        // Covers a party outside the cohort.
+        (partial(&[0, 1, 6], dim, |_| {}), 6, RejectReason::NotSelected),
+        // Covers the dropped party.
+        (partial(&[0, 1, 3], dim, |_| {}), 3, RejectReason::PartyDropped),
+        // Covers a party whose update is already in.
+        (partial(&[0, 1, 2], dim, |_| {}), 2, RejectReason::DuplicateUpdate),
+        // Names one party twice.
+        (partial(&[0, 1, 1], dim, |_| {}), 1, RejectReason::DuplicateUpdate),
+        // Ships a sketch of the wrong width.
+        (partial(&[0, 1], dim, |e| e[1].sketch.push(0.0)), 1, RejectReason::WrongModelSize),
+    ];
+    for case in hostile {
+        let label = format!("{:?} for party {}", case.2, case.1);
+        assert!(run(Some(case)) == control, "{label}: the refused partial left a trace");
+    }
 }

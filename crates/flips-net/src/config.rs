@@ -21,7 +21,6 @@
 //! rate_per_round = 16
 //! breaker_strikes = 3
 //! breaker_cooldown_rounds = 2
-//! strike_on_late = false
 //! strike_on_corrupt = true
 //! admission_factor = 16
 //!
@@ -459,7 +458,6 @@ fn guard_from_table(table: &Table) -> Result<GuardConfig, FlError> {
         "rate_per_round",
         "breaker_strikes",
         "breaker_cooldown_rounds",
-        "strike_on_late",
         "strike_on_corrupt",
         "admission_factor",
     ])?;
@@ -478,7 +476,6 @@ fn guard_from_table(table: &Table) -> Result<GuardConfig, FlError> {
             cooldown_rounds: f
                 .uint_opt("breaker_cooldown_rounds")?
                 .unwrap_or(BreakerConfig::default().cooldown_rounds),
-            strike_on_late: f.bool_or("strike_on_late", BreakerConfig::default().strike_on_late)?,
             strike_on_corrupt: f
                 .bool_or("strike_on_corrupt", BreakerConfig::default().strike_on_corrupt)?,
         }),
@@ -607,7 +604,6 @@ rate_burst = 64
 rate_per_round = 16
 breaker_strikes = 3
 breaker_cooldown_rounds = 2
-strike_on_late = false
 strike_on_corrupt = true
 admission_factor = 16
 

@@ -118,13 +118,20 @@ impl ParticipantSelector for GradClusSelector {
 /// the sketch the FL runtime reports for GradClus.
 ///
 /// Deterministic and cheap: bucket `b` averages coordinates
-/// `b, b+dim, b+2·dim, ...`, preserving coarse update direction.
-pub fn sketch_update(update: &[f32], dim: usize) -> Vec<f32> {
+/// `b, b+dim, b+2·dim, ...`, preserving coarse update direction. Takes
+/// the update as a stream, so a caller holding `x` and the model it was
+/// trained from sketches `x − m` without materializing the difference.
+pub fn sketch_update<I>(update: I, dim: usize) -> Vec<f32>
+where
+    I: IntoIterator,
+    I::Item: std::borrow::Borrow<f32>,
+{
+    use std::borrow::Borrow;
     assert!(dim > 0, "sketch dimension must be positive");
     let mut out = vec![0.0f32; dim];
     let mut counts = vec![0u32; dim];
-    for (i, &v) in update.iter().enumerate() {
-        out[i % dim] += v;
+    for (i, v) in update.into_iter().enumerate() {
+        out[i % dim] += v.borrow();
         counts[i % dim] += 1;
     }
     for (o, c) in out.iter_mut().zip(counts) {
@@ -193,14 +200,14 @@ mod tests {
     #[test]
     fn sketch_update_strided_average() {
         let update = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let sk = sketch_update(&update, 2);
+        let sk = sketch_update(update, 2);
         // Bucket 0: (1+3+5)/3, bucket 1: (2+4+6)/3.
         assert_eq!(sk, vec![3.0, 4.0]);
     }
 
     #[test]
     fn sketch_update_handles_short_input() {
-        let sk = sketch_update(&[2.0], 4);
+        let sk = sketch_update([2.0], 4);
         assert_eq!(sk, vec![2.0, 0.0, 0.0, 0.0]);
     }
 

@@ -1,12 +1,19 @@
-//! Equivalence of the sans-IO protocol driver with the pre-refactor
-//! monolithic round loop.
+//! Equivalence of every driver of the sans-IO protocol: one seeded job,
+//! one history, however it is run.
 //!
-//! The golden values below were captured from the repository state
-//! *before* the coordinator redesign (the `FlJob::step` god-loop), per
-//! selector kind, on a seeded 12-party / 4-round / 25%-straggler
-//! simulation. The message-driven driver must replay the exact same
-//! trajectories: accuracy and loss to the bit (hence `f64::to_bits`
-//! comparisons), cohorts and stragglers to the element.
+//! The golden values below pin a seeded 12-party / 4-round /
+//! 25%-straggler simulation per selector kind. The Random, FLIPS, Oort
+//! and TiFL rows were captured from the repository state *before* the
+//! coordinator redesign (the `FlJob::step` god-loop) and have not moved
+//! since. GradClus's rows were re-captured when feedback sketches moved
+//! to accept time: GradClus clusters on the update `x − m` against the
+//! global `m` the round *dispatched* (Fraboni et al.; what tree mode
+//! always shipped), where the pre-refactor loop sketched after applying
+//! the aggregate and so measured against the *next* global. Round 0 is
+//! unchanged (no feedback yet); rounds 1–3 pick different cohorts.
+//! Every driver must replay the exact same trajectories: accuracy and
+//! loss to the bit (hence `f64::to_bits` comparisons), cohorts and
+//! stragglers to the element.
 //!
 //! Byte counters are deliberately not pinned: the protocol now also
 //! carries selection notices, heartbeats and aborts, so per-round wire
@@ -86,18 +93,25 @@ fn golden(kind: SelectorKind) -> &'static [GoldenRound] {
         ],
         SelectorKind::GradClus => &[
             (0x3fce666666666666, 0x4000b15456aaaaaa, 0x3fc16cde88e8ead0, &[7, 3, 6], &[3, 7], &[6]),
-            (0x3fd4000000000000, 0x3ffa785db0000000, 0x3fc16cde88e8ead0, &[0, 7, 2], &[2, 7], &[0]),
             (
-                0x3fd7333333333333,
-                0x3fff2bcee5666666,
+                0x3fd4000000000000,
+                0x400507ba62aaaaaa,
+                0x3fb7cbb2fc103b7a,
+                &[0, 10, 2],
+                &[2, 10],
+                &[0],
+            ),
+            (
+                0x3fd599999999999a,
+                0x3ff4d65611111111,
                 0x3fbdccbd1dbc0820,
-                &[4, 10, 9],
-                &[4, 9],
+                &[4, 10, 5],
+                &[4, 5],
                 &[10],
             ),
             (
                 0x3fdd99999999999a,
-                0x3ff1f64b2ceeeeef,
+                0x3ff03e4a3b111111,
                 0x3fbdccbd1dbc0820,
                 &[8, 4, 11],
                 &[4, 11],

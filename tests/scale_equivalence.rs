@@ -8,11 +8,13 @@
 //!
 //! Three claims, three test groups:
 //!
-//! 1. **Streaming selection**: selectors built from a streamed
-//!    [`flips_selection::CandidateSource`] (in-memory or sealed to disk
-//!    segments) make the *same seeded choices* as the flat-vector
-//!    constructors, so the five selector goldens replay bit-identically
-//!    in-process, over the 2-shard threaded wire, and over epoll TCP.
+//! 1. **Streaming selection**: every builder-made selector streams a
+//!    sealed [`RosterStore`] through
+//!    [`flips_selection::CandidateSource`]; whether that store sits in
+//!    memory (the default, the one `tests/protocol_equivalence.rs` pins
+//!    to the five selector goldens) or is paged from disk segments, the
+//!    *same seeded choices* come out — in-process, over the 2-shard
+//!    threaded wire, and over epoll TCP.
 //! 2. **Aggregation trees**: a run whose `PartyPool` inner nodes fold
 //!    their parties' updates into one exact integer partial per round
 //!    equals the flat run under the same exact-fold arithmetic — full
@@ -28,8 +30,8 @@ use flips_net::{run_socket, SocketOptions};
 use std::sync::Arc;
 
 /// The golden workload (the protocol-equivalence suite's shape): the
-/// pre-refactor histories pinned in `tests/protocol_equivalence.rs`
-/// were captured from exactly this builder.
+/// histories pinned in `tests/protocol_equivalence.rs` come from exactly
+/// this builder.
 fn golden_builder(kind: SelectorKind) -> SimulationBuilder {
     SimulationBuilder::new(DatasetProfile::femnist())
         .parties(12)
@@ -61,49 +63,49 @@ impl Drop for SpillDir {
 }
 
 // ---------------------------------------------------------------------
-// 1. Streaming selection ≡ flat selection
+// 1. Spilled roster ≡ in-memory roster (≡ the goldens)
 // ---------------------------------------------------------------------
 
 #[test]
 fn streaming_selection_replays_every_selector_golden_in_process() {
-    // The tentpole oracle, leg one: the same seeded 12-party job built
-    // with selectors streaming a RosterStore — in-memory AND sealed to
-    // disk — must reproduce the flat-vector history bit-for-bit, for
-    // all five selector kinds.
+    // The tentpole oracle, leg one: the same seeded 12-party job with
+    // its roster sealed to disk behind a one-segment cache must
+    // reproduce the default in-memory-store history — the golden one —
+    // bit-for-bit, for all five selector kinds.
     for kind in SelectorKind::all() {
-        let flat = golden_builder(kind).run().unwrap().history;
-        let streamed = golden_builder(kind).streaming_roster().run().unwrap().history;
-        assert_eq!(streamed, flat, "{kind}: streamed roster moved the history");
+        let default = golden_builder(kind).run().unwrap().history;
         let dir = SpillDir::new(&format!("inproc-{kind}"));
         let spilled = golden_builder(kind).spill_roster(&dir.0, 1).run().unwrap().history;
-        assert_eq!(spilled, flat, "{kind}: disk-spilled roster moved the history");
+        assert_eq!(spilled, default, "{kind}: disk-spilled roster moved the history");
     }
 }
 
 #[test]
 fn streaming_selection_replays_the_goldens_across_two_shards() {
-    // Leg one over the threaded wire: streaming-roster jobs on the
-    // 2-shard runtime against the flat in-process golden.
+    // Leg one over the threaded wire: spilled-roster jobs on the
+    // 2-shard runtime against the default in-process golden.
     for kind in SelectorKind::all() {
-        let flat = golden_builder(kind).run().unwrap().history;
-        let (job, meta) = golden_builder(kind).streaming_roster().build().unwrap();
+        let default = golden_builder(kind).run().unwrap().history;
+        let dir = SpillDir::new(&format!("sharded-{kind}"));
+        let (job, meta) = golden_builder(kind).spill_roster(&dir.0, 1).build().unwrap();
         let mut outcome = run_sharded(vec![job.into_parts()], &RuntimeOptions::new(2)).unwrap();
         let history = outcome.histories.remove(&meta.job_id).unwrap();
-        assert_eq!(history, flat, "{kind}: streamed roster diverged on the 2-shard wire");
+        assert_eq!(history, default, "{kind}: spilled roster diverged on the 2-shard wire");
         assert_eq!(outcome.stats.corrupt_frames, 0, "{kind}");
     }
 }
 
 #[test]
 fn streaming_selection_replays_the_goldens_over_tcp() {
-    // Leg one over real sockets: streaming-roster jobs on the epoll
-    // runtime, two TCP links, against the flat in-process golden.
+    // Leg one over real sockets: spilled-roster jobs on the epoll
+    // runtime, two TCP links, against the default in-process golden.
     for kind in SelectorKind::all() {
-        let flat = golden_builder(kind).run().unwrap().history;
-        let (job, meta) = golden_builder(kind).streaming_roster().build().unwrap();
+        let default = golden_builder(kind).run().unwrap().history;
+        let dir = SpillDir::new(&format!("tcp-{kind}"));
+        let (job, meta) = golden_builder(kind).spill_roster(&dir.0, 1).build().unwrap();
         let mut outcome = run_socket(vec![job.into_parts()], &SocketOptions::new(2)).unwrap();
         let history = outcome.histories.remove(&meta.job_id).unwrap();
-        assert_eq!(history, flat, "{kind}: streamed roster diverged over TCP");
+        assert_eq!(history, default, "{kind}: spilled roster diverged over TCP");
     }
 }
 
