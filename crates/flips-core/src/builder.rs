@@ -12,7 +12,6 @@ use crate::middleware::{FlipsMiddleware, LdTransform, MiddlewareConfig};
 use crate::FlipsError;
 use flips_data::dataset::{balanced_test_set, generate_population};
 use flips_data::{partition, DatasetProfile, PartitionStrategy};
-use flips_fl::runtime::{run_sharded, RuntimeOptions};
 use flips_fl::straggler::StragglerBias;
 use flips_fl::{
     DeadlinePolicy, FlAlgorithm, FlJob, FlJobConfig, History, LatencyModel, LocalTrainingConfig,
@@ -269,7 +268,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Trains completing parties across threads.
+    /// Trains completing parties across threads — the in-process way to
+    /// use more cores (the history does not move). Over the wire
+    /// protocol, `flips_net::run_socket` runs one pool per thread.
     #[must_use]
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
@@ -424,27 +425,6 @@ impl SimulationBuilder {
     pub fn run(&self) -> Result<SimulationReport, FlipsError> {
         let (mut job, meta) = self.build()?;
         let history = job.run()?;
-        Ok(SimulationReport { history, meta })
-    }
-
-    /// Builds the job and runs it on the threaded sharded runtime
-    /// ([`flips_fl::runtime`]): the roster is split across `shards`
-    /// worker threads training in parallel, with the multiplexed driver
-    /// on a dedicated coordinator thread. The resulting history is
-    /// bit-identical to [`SimulationBuilder::run`]'s at any shard count,
-    /// under latency-derived and injected deadlines alike
-    /// (`tests/sharded_runtime.rs` pins both at 1/2/4 shards).
-    ///
-    /// # Errors
-    ///
-    /// Surfaces construction, transport and round failures.
-    pub fn run_threaded(&self, shards: usize) -> Result<SimulationReport, FlipsError> {
-        let (job, meta) = self.build()?;
-        let mut outcome = run_sharded(vec![job.into_parts()], &RuntimeOptions::new(shards))?;
-        let history = outcome
-            .histories
-            .remove(&meta.job_id)
-            .expect("the driver ran exactly the job the builder registered");
         Ok(SimulationReport { history, meta })
     }
 }

@@ -17,14 +17,13 @@ pub use flips_data::{
     partition, Dataset, DatasetProfile, LabelDistribution, PartitionStrategy,
 };
 pub use flips_fl::{
-    run_lockstep, run_sharded, straggler::StragglerBias, transport::duplex, BreakerConfig,
+    memory_wire, run_lockstep, straggler::StragglerBias, transport::duplex, BreakerConfig,
     BreakerState, ChaosAction, ChaosSchedule, ChaosTransport, ChaosWeights, Clock, Coordinator,
     CoordinatorConfig, DeadlinePolicy, DriverStats, Effect, Event, FlAlgorithm, FlJob, FlJobConfig,
     GuardConfig, GuardPlane, History, JobParts, LatencyModel, LocalTrainingConfig, MemoryTransport,
     ModelCodec, MultiJobDriver, ObservedLatency, PartyEndpoint, PartyPool, PartyRecord, RateLimit,
-    RejectReason, RosterBuilder, RosterStore, RoundRecord, RuntimeOptions, ScriptedClock,
-    ShardedOutcome, StragglerInjector, StreamTransport, TimerWheel, Transport, WireMessage,
-    WireOptions, WithWire,
+    RejectReason, RosterBuilder, RosterStore, RoundRecord, ScriptedClock, StragglerInjector,
+    StreamTransport, TimerWheel, Transport, WireMessage, WireOptions, WithWire,
 };
 pub use flips_ml::{metrics::ConfusionMatrix, model::ModelSpec, Matrix, Model};
 pub use flips_selection::{ParticipantSelector, PartyId, RoundFeedback, SelectorKind};

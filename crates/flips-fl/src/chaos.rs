@@ -52,12 +52,16 @@
 //!
 //! # Determinism scope
 //!
-//! Over a single-threaded wire the whole run is deterministic. Over the
-//! sharded runtime the *schedule* is still deterministic per
-//! `(link, index)`, but which frame occupies an index depends on thread
-//! interleaving — so sharded chaos tests must target fake parties/jobs
-//! (whose traffic can strike no real breaker) or assert only
-//! order-independent facts, exactly as the existing jitter suite does.
+//! Over a single-threaded wire — one link, or N under
+//! [`crate::run_lockstep`] — the whole run is deterministic: the same
+//! seed applies the same action to the same frame, so the applied-chaos
+//! log, the breaker transitions and every counter replay
+//! (`tests/guard_plane.rs` runs each schedule twice on 1, 2 and 3 links
+//! and compares everything). Over `flips_net`'s socket runtime the
+//! *schedule* is still a pure function of `(link, index)`, but where a
+//! pump window ends — when the backlog is released and severed links
+//! come back — depends on thread and kernel timing, so chaos tests
+//! there assert histories and order-independent counters only.
 
 use crate::message::{frame, AGGREGATOR_DEST};
 use crate::transport::Transport;

@@ -195,19 +195,22 @@ struct JobState {
 /// [`MultiJobDriver::pump`] (while frames flow) and
 /// [`MultiJobDriver::advance_clock`] (when the wire is quiet) until
 /// [`MultiJobDriver::is_finished`] — or let [`crate::run_lockstep`] do exactly
-/// that against an in-process [`crate::PartyPool`].
+/// that against its in-process [`crate::PartyPool`]s.
 ///
 /// # Example
 ///
-/// Serve one seeded job over an in-memory frame link — every message
-/// crosses the wire as encoded bytes:
+/// Serve one seeded job over two in-memory frame links — every message
+/// crosses the wire as encoded bytes ([`crate::memory_wire`] is
+/// [`crate::split`] + [`MultiJobDriver::install`] + one
+/// [`crate::PartyPool::install`] per link; over a single link,
+/// [`MultiJobDriver::add_parts`] and [`crate::PartyPool::add_job`] on a
+/// [`crate::MemoryTransport::pair`] wire the same thing by hand):
 ///
 /// ```
 /// use flips_data::dataset::{balanced_test_set, generate_population};
 /// use flips_data::{partition, DatasetProfile, PartitionStrategy};
 /// use flips_fl::{
-///     run_lockstep, FlJob, FlJobConfig, LocalTrainingConfig, MemoryTransport, MultiJobDriver,
-///     PartyPool,
+///     memory_wire, run_lockstep, FlJob, FlJobConfig, LocalTrainingConfig, WireOptions,
 /// };
 /// use flips_selection::RandomSelector;
 ///
@@ -224,13 +227,10 @@ struct JobState {
 /// let job =
 ///     FlJob::new(parts.parties, balanced_test_set(&profile, 4, 3), config, selector).unwrap();
 ///
-/// let (agg_end, party_end) = MemoryTransport::pair();
-/// let mut driver = MultiJobDriver::new(agg_end);
-/// let (id, endpoints) = driver.add_parts(job.into_parts()).unwrap();
-/// let mut pool = PartyPool::new(party_end);
-/// pool.add_job(id, endpoints);
-///
-/// run_lockstep(&mut driver, &mut pool).unwrap();
+/// let id = job.coordinator().job_id();
+/// let (mut driver, mut pools) =
+///     memory_wire(vec![job.into_parts()], &WireOptions::new(2)).unwrap();
+/// run_lockstep(&mut driver, &mut pools).unwrap();
 /// assert_eq!(driver.history(id).unwrap().len(), 1);
 /// ```
 pub struct MultiJobDriver<T: Transport> {
@@ -241,9 +241,9 @@ pub struct MultiJobDriver<T: Transport> {
     stats: DriverStats,
     /// Per-link, per-job payload codec state (sender side of global
     /// models), one map per transport link: the delta reference is
-    /// *link* state — two shards of a sharded wire see different frame
-    /// subsets, so sharing one reference across links would desync the
-    /// moment a broadcast skips a shard (see [`Transport::links`]).
+    /// *link* state — two links of a multi-link wire see different
+    /// frame subsets, so sharing one reference across links would desync
+    /// the moment a broadcast skips a link (see [`Transport::links`]).
     /// Doubles as the per-link negotiation table: a link whose
     /// registered codec differs from the job-wide default
     /// ([`MultiJobDriver::set_link_codec`]) gets its selection notices
@@ -424,8 +424,8 @@ impl<T: Transport> MultiJobDriver<T> {
     /// Registers a split [`crate::FlJob`] (see [`crate::FlJob::into_parts`]),
     /// routing it to the deadline source its configuration asks for, and
     /// returns the job id together with the endpoints the caller must
-    /// hand to the party side ([`crate::PartyPool::add_job`] or a sharded
-    /// runtime).
+    /// hand to the party side ([`crate::PartyPool::add_job`]; a
+    /// multi-link wire goes through [`crate::split`] instead).
     ///
     /// # Errors
     ///
@@ -554,8 +554,8 @@ impl<T: Transport> MultiJobDriver<T> {
     /// codecs on one job never share a delta reference.
     ///
     /// Like [`crate::PartyPool::pin_codec`], the pin is out-of-band
-    /// configuration: both sides must agree (the sharded runtime threads
-    /// one table to both — see [`crate::WireOptions::link_codecs`]),
+    /// configuration: both sides must agree (the wire plan hands one
+    /// table to both — see [`crate::WireOptions::link_codecs`]),
     /// and a wire notice can never renegotiate it.
     ///
     /// # Errors
@@ -705,8 +705,8 @@ impl<T: Transport> MultiJobDriver<T> {
             // decision compares two deterministic quantities (seeded
             // training duration vs. a deadline derived from the closed
             // rounds' sample multiset), so it is independent of arrival
-            // order — which is what keeps sharded runs equivalent to
-            // single-threaded ones. Samples are deduplicated per
+            // order — which is what keeps multi-link runs equivalent to
+            // single-link ones. Samples are deduplicated per
             // `(round, party)` so replayed frames cannot perturb the
             // multiset, and only this round's cohort contributes.
             if let DeadlineSource::Observed { observed, .. } = &mut state.deadline {

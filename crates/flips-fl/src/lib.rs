@@ -42,17 +42,20 @@
 //!   report (rounds-to-target, peak accuracy, bytes transferred);
 //! - [`aggregator`] — the in-process driver pumping coordinator and
 //!   endpoints;
-//! - [`transport`] — frame-oriented byte transports (in-memory channel,
-//!   length-prefix-framed streams) every message crosses as encoded
-//!   bytes;
+//! - [`transport`] — frame-oriented byte transports (in-memory channel
+//!   and its multi-link router, length-prefix-framed streams) every
+//!   message crosses as encoded bytes;
 //! - [`driver`] — the serialized-transport driver: a
 //!   [`driver::MultiJobDriver`] multiplexing many concurrent jobs over
 //!   one transport, on the deterministic [`wheel::TimerWheel`];
 //! - [`pool`] — the [`pool::PartyPool`] serving the party side of that
-//!   wire (and folding it, in aggregation-tree mode);
+//!   wire (and folding it, in aggregation-tree mode), and
+//!   [`run_lockstep`], the single-threaded loop that runs a driver and
+//!   its pools — one per link — to completion;
 //! - [`plan`] — the wire plan: party placement, per-link codecs and tree
 //!   mode decided once ([`plan::WireOptions`], [`plan::split`]) and
-//!   installed on both wire ends;
+//!   installed on both wire ends ([`plan::memory_wire`] does it over
+//!   in-memory links);
 //! - [`guard`] — the deterministic inbound guard plane: per-party
 //!   token-bucket rate limits, circuit breakers ejecting chronically
 //!   hostile parties, per-round admission control, and graceful drain —
@@ -60,11 +63,11 @@
 //! - [`chaos`] — the seeded fault-injection harness: a replayable
 //!   schedule of drop/duplicate/corrupt/delay/flood actions applied at
 //!   the transport seam, for exercising the guard plane (and everything
-//!   above it) deterministically;
-//! - [`runtime`] — the threaded sharded runtime: party shards training
-//!   in parallel on worker threads, the driver on a dedicated
-//!   coordinator thread, histories bit-identical to the single-threaded
-//!   paths.
+//!   above it) deterministically.
+//!
+//! Everything here is single-threaded except [`FlJob`]'s opt-in
+//! training fan-out (`FlJobConfig::parallel`); protocol frames cross
+//! threads only in `flips-net`, the runtime the binaries ship.
 //!
 //! # Example: one seeded round trip
 //!
@@ -119,7 +122,6 @@ pub mod plan;
 pub mod pool;
 pub mod rans;
 pub mod roster;
-pub mod runtime;
 pub mod server;
 pub mod straggler;
 pub mod transport;
@@ -142,12 +144,11 @@ pub use guard::{
 pub use history::{History, RoundRecord};
 pub use latency::{LatencyModel, ObservedLatency};
 pub use message::WireMessage;
-pub use plan::{split, LinkShare, ShareJob, WireOptions, WithWire};
+pub use plan::{memory_wire, split, LinkShare, MemoryWire, ShareJob, WireOptions, WithWire};
 pub use pool::{run_lockstep, PartyPool};
 pub use roster::{PartyRecord, RosterBuilder, RosterStore};
-pub use runtime::{run_sharded, RuntimeOptions, ShardedOutcome};
 pub use straggler::{Clock, ScriptedClock, StragglerInjector};
-pub use transport::{duplex, MemoryTransport, StreamTransport, Transport};
+pub use transport::{duplex, MemoryRouter, MemoryTransport, StreamTransport, Transport};
 pub use wheel::TimerWheel;
 
 /// Errors produced by the FL runtime.

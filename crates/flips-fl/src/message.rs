@@ -494,7 +494,7 @@ pub fn frame_into(dest: u64, msg: &WireMessage, codec: &mut PayloadCodec, out: &
 /// (`dest ‖ magic ‖ tag ‖ job`). Returns `None` for frames too short to
 /// hold one. Drivers use this to attribute an undecodable frame (e.g. a
 /// codec mismatch) to the right counter — unknown job vs bad payload —
-/// and the sharded runtime's router peeks before routing.
+/// and the chaos seam peeks it to scope a schedule to one job.
 pub fn frame_job_of(frame: &[u8]) -> Option<u64> {
     let job = frame.get(FRAME_HEADER + HEADER..FRAME_HEADER + HEADER + 8)?;
     Some(u64::from_le_bytes(job.try_into().expect("8 bytes")))

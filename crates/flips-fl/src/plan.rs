@@ -2,10 +2,11 @@
 //! link speaks, and who folds what — decided once, here, and handed to
 //! the mechanisms as data.
 //!
-//! Every multi-link runtime in the workspace ([`crate::run_sharded`],
-//! `flips_net::run_socket` / `serve` / `party_loop_with`, and the
-//! `flips-server` / `flips-party` binaries) is a consumer of this
-//! module. Three deployment decisions live here and nowhere else:
+//! Every multi-link wire in the workspace (the in-memory lockstep
+//! built by [`memory_wire`], `flips_net::run_socket` / `serve` /
+//! `party_loop_with`, and the `flips-server` / `flips-party` binaries)
+//! is a consumer of this module. Three deployment decisions live here
+//! and nowhere else:
 //!
 //! - **Placement** — party `p` of every job lives on link
 //!   `p % links` ([`place`], [`WireOptions::link_of`]). The assignment
@@ -19,31 +20,32 @@
 //!   notice for it.
 //! - **Tree mode** — a two-ended contract: every coordinator folds
 //!   with the exact 256-bit sum and every link's pool acts as a tree
-//!   inner node carrying the coordinator's sketch width.
+//!   inner node carrying the coordinator's sketch width — except for a
+//!   job on latency-derived deadlines, whose pools keep shipping flat
+//!   updates (the driver judges lateness per update).
 //!
 //! [`split`] turns a job set into the coordinator-side parts plus one
 //! [`LinkShare`] per link; [`MultiJobDriver::install`] and
 //! [`PartyPool::install`] are the two install sequences that consume
-//! them.
+//! them, and [`memory_wire`] runs all three over in-memory links.
 
 use crate::chaos::{ChaosSchedule, ChaosTransport};
 use crate::codec::ModelCodec;
 use crate::driver::MultiJobDriver;
 use crate::guard::GuardConfig;
 use crate::pool::PartyPool;
-use crate::transport::Transport;
+use crate::transport::{MemoryRouter, MemoryTransport, Transport};
 use crate::{FlError, JobParts, PartyEndpoint};
 use flips_selection::PartyId;
 
-/// The deployment decisions every multi-link runtime shares. The
-/// transport-specific option structs ([`crate::RuntimeOptions`],
-/// `flips_net::SocketOptions`, `flips_net::ServerOptions`) embed one
-/// and layer their own extras on top; [`WithWire`] gives each of them
-/// the same four builders.
+/// The deployment decisions every multi-link wire shares. The socket
+/// runtime's option structs (`flips_net::SocketOptions`,
+/// `flips_net::ServerOptions`) embed one and layer their own extras on
+/// top; [`WithWire`] gives each of them the same four builders.
 #[derive(Debug, Clone)]
 pub struct WireOptions {
-    /// Links the roster is split across (≥ 1): worker-thread shards,
-    /// TCP connections or party processes.
+    /// Links the roster is split across (≥ 1): in-memory links, TCP
+    /// connections or party processes.
     pub links: usize,
     /// Inbound guard plane installed on the driver (and, for the
     /// frame-size stage, on every link's pool). `None` runs unguarded.
@@ -63,8 +65,10 @@ pub struct WireOptions {
     /// 256-bit sum ([`crate::Coordinator::set_exact_fold`]) and every
     /// link's pool ships one partial per round instead of per-party
     /// update frames ([`PartyPool::enable_tree`]) — coordinator fan-in
-    /// becomes O(links). Histories are pinned bit-identical to the flat
-    /// exact-fold run by `tests/scale_equivalence.rs`.
+    /// becomes O(links). A job on latency-derived deadlines keeps flat
+    /// updates on its links (see [`split`]). Histories are pinned
+    /// bit-identical to the flat exact-fold run by
+    /// `tests/scale_equivalence.rs`.
     pub tree: bool,
 }
 
@@ -111,7 +115,7 @@ impl WireOptions {
 }
 
 /// The placement rule: frame destination `dest` (a party id) travels
-/// link `dest % links`. Both routers ([`crate::runtime::ShardRouter`],
+/// link `dest % links`. Both routers ([`MemoryRouter`],
 /// `flips_net::SocketRouter`) call this with their own link count;
 /// everything else goes through [`WireOptions::link_of`].
 pub fn place(dest: u64, links: usize) -> usize {
@@ -173,7 +177,8 @@ pub struct ShareJob {
     pub endpoints: Vec<PartyEndpoint>,
     /// `Some(sketch_dim)` when the link folds this job as an
     /// aggregation-tree inner node; the width is the coordinator's
-    /// ([`crate::Coordinator::sketch_dim`]).
+    /// ([`crate::Coordinator::sketch_dim`]). `None` in flat mode and
+    /// for a job on latency-derived deadlines.
     pub tree_sketch_dim: Option<usize>,
 }
 
@@ -181,7 +186,7 @@ pub struct ShareJob {
 /// per job it serves, its endpoints, pinned codec and tree role.
 #[derive(Debug)]
 pub struct LinkShare {
-    /// The link index (shard number, TCP link slot).
+    /// The link index (memory link, TCP link slot).
     pub link: usize,
     /// The jobs with at least one endpoint on this link, in job-set
     /// order.
@@ -199,6 +204,13 @@ impl LinkShare {
 /// taken out) and one [`LinkShare`] per link, every endpoint on exactly
 /// the share [`WireOptions::link_of`] names.
 ///
+/// In tree mode a job's pools are armed as inner nodes only when its
+/// deadlines are injected: on a latency-derived policy the driver
+/// judges lateness per update at uplink receive, and a pool that folded
+/// a late update into its partial would hide it from that check. Such a
+/// job ships flat updates to its (still exact-fold) coordinator, which
+/// accepts them — the same bits as the flat exact fold.
+///
 /// # Errors
 ///
 /// [`FlError::InvalidConfig`] for zero links or an empty job set.
@@ -213,7 +225,8 @@ pub fn split(
     for mut parts in jobs {
         let job = parts.coordinator.job_id();
         let job_default = parts.coordinator.codec();
-        let tree_sketch_dim = wire.tree.then(|| parts.coordinator.sketch_dim());
+        let tree_sketch_dim = (wire.tree && !parts.deadline.is_latency_derived())
+            .then(|| parts.coordinator.sketch_dim());
         let mut slices: Vec<Vec<PartyEndpoint>> = (0..wire.links).map(|_| Vec::new()).collect();
         for endpoint in std::mem::take(&mut parts.endpoints) {
             slices[wire.link_of(endpoint.id())].push(endpoint);
@@ -285,11 +298,39 @@ impl<T: Transport> PartyPool<T> {
     }
 }
 
+/// The driver and the per-link pools of a planned in-memory wire.
+pub type MemoryWire =
+    (MultiJobDriver<ChaosTransport<MemoryRouter>>, Vec<PartyPool<MemoryTransport>>);
+
+/// Plans `jobs` over `wire.links` in-memory links and installs both
+/// ends: [`split`], one [`MemoryTransport::pair`] per link, the driver
+/// behind a [`MemoryRouter`] ([`MultiJobDriver::install`]) and one pool
+/// per share ([`PartyPool::install`]), `pools[i]` serving link `i`.
+/// Hand both to [`crate::run_lockstep`] — one thread, so the run
+/// replays down to the chaos draw — then read
+/// [`MultiJobDriver::history`], [`MultiJobDriver::stats`] and the pools'
+/// counters directly.
+///
+/// # Errors
+///
+/// As [`split`] and [`MultiJobDriver::install`].
+pub fn memory_wire(jobs: Vec<JobParts>, wire: &WireOptions) -> Result<MemoryWire, FlError> {
+    let (jobs, shares) = split(jobs, wire)?;
+    let (driver_ends, pool_ends): (Vec<_>, Vec<_>) =
+        shares.iter().map(|_| MemoryTransport::pair()).unzip();
+    let driver = MultiJobDriver::install(MemoryRouter::new(driver_ends), jobs, wire)?;
+    let pools = pool_ends
+        .into_iter()
+        .zip(shares)
+        .map(|(end, share)| PartyPool::install(end, share, wire.guard.as_ref()))
+        .collect();
+    Ok((driver, pools))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::ShardRouter;
-    use crate::{FlJob, FlJobConfig, LocalTrainingConfig, MemoryTransport};
+    use crate::{DeadlinePolicy, FlJob, FlJobConfig, LocalTrainingConfig};
     use flips_data::dataset::{balanced_test_set, generate_population};
     use flips_data::{partition, DatasetProfile, PartitionStrategy};
     use flips_selection::RandomSelector;
@@ -320,8 +361,8 @@ mod tests {
     }
 
     /// A router over fresh memory links, one per share.
-    fn router(shares: &[LinkShare]) -> ShardRouter {
-        ShardRouter::new(shares.iter().map(|_| MemoryTransport::pair().0).collect())
+    fn router(shares: &[LinkShare]) -> MemoryRouter {
+        MemoryRouter::new(shares.iter().map(|_| MemoryTransport::pair().0).collect())
     }
 
     fn codec(tag: u8) -> ModelCodec {
@@ -439,6 +480,27 @@ mod tests {
     }
 
     #[test]
+    fn tree_mode_leaves_a_latency_derived_job_on_flat_updates() {
+        // One injected and one latency-derived job in the same tree-mode
+        // set: only the first arms its pools — the driver must see the
+        // second's updates one by one to judge them late — while both
+        // coordinators fold exactly (an exact coordinator accepts flat
+        // updates).
+        let mut set = job_set(4, 2);
+        set[1].deadline = DeadlinePolicy::LatencyQuantile { q: 0.5, slack: 1.1 };
+        let ids: Vec<u64> = set.iter().map(|p| p.coordinator.job_id()).collect();
+        let injected_dim = set[0].coordinator.sketch_dim();
+        let wire = WireOptions::new(2).with_tree();
+        let (jobs, shares) = split(set, &wire).unwrap();
+        for share in &shares {
+            assert_eq!(share.jobs[0].tree_sketch_dim, Some(injected_dim));
+            assert_eq!(share.jobs[1].tree_sketch_dim, None);
+        }
+        let driver = MultiJobDriver::install(router(&shares), jobs, &wire).unwrap();
+        assert!(ids.iter().all(|&job| driver.coordinator(job).unwrap().exact_fold()));
+    }
+
+    #[test]
     fn zero_links_and_empty_job_sets_are_rejected_once() {
         let message = |r: Result<(), FlError>| match r {
             Err(FlError::InvalidConfig(m)) => m,
@@ -447,9 +509,11 @@ mod tests {
         let zero = WireOptions::new(0);
         let links = "link count must be at least 1";
         assert!(message(split(job_set(2, 1), &zero).map(drop)).starts_with(links));
+        assert!(message(memory_wire(job_set(2, 1), &zero).map(drop)).starts_with(links));
         assert!(message(zero.admit(1)).starts_with(links));
         let two = WireOptions::new(2);
         assert_eq!(message(split(Vec::new(), &two).map(drop)), "no jobs to run");
+        assert_eq!(message(memory_wire(Vec::new(), &two).map(drop)), "no jobs to run");
         assert_eq!(message(two.admit(0)), "no jobs to run");
         assert!(two.admit(1).is_ok());
     }

@@ -2,8 +2,8 @@
 //! job's [`PartyEndpoint`]s keyed by `(job, party)`, decoding inbound
 //! frames, training, and encoding replies — and, in aggregation-tree
 //! mode, folding its endpoints' updates into one exact partial per
-//! round. [`run_lockstep`] alternates one pool and one
-//! [`MultiJobDriver`] on the calling thread.
+//! round. [`run_lockstep`] alternates one [`MultiJobDriver`] and its
+//! pools — one per link — on the calling thread.
 
 use crate::aggtree::ExactWeightedSum;
 use crate::codec::{CodecMap, ModelCodec, Negotiation, Role};
@@ -373,11 +373,20 @@ impl<T: Transport> PartyPool<T> {
     }
 }
 
-/// Runs a driver and an in-process party pool to completion, lock-step:
-/// pump both until the wire is quiet in both directions, then advance
-/// the driver's clock; repeat until every job finishes — or, if the
-/// driver is draining ([`MultiJobDriver::begin_drain`]), until it
-/// reaches quiescence with its partial histories intact.
+/// Runs a driver and its in-process party pools — one per link, a
+/// single-element slice for a point-to-point wire — to completion,
+/// lock-step on the calling thread: pump the driver and every pool, in
+/// slice order, until the wire is quiet in both directions on every
+/// link, then advance the driver's clock; repeat until every job
+/// finishes — or, if the driver is draining
+/// ([`MultiJobDriver::begin_drain`]), until it reaches quiescence with
+/// its partial histories intact.
+///
+/// Simulated time moves only on a provably quiet wire, so a deadline
+/// can never overtake a reply still in flight, and nothing a round
+/// records depends on arrival order (the coordinator's seat map is
+/// ordered by party id): a job's history is the same for every link
+/// count and every pool order, and a rerun replays every counter.
 ///
 /// # Errors
 ///
@@ -387,14 +396,16 @@ impl<T: Transport> PartyPool<T> {
 /// under the wrong job id).
 pub fn run_lockstep<A: Transport, B: Transport>(
     driver: &mut MultiJobDriver<A>,
-    pool: &mut PartyPool<B>,
+    pools: &mut [PartyPool<B>],
 ) -> Result<(), FlError> {
     driver.start()?;
     loop {
         loop {
-            let drove = driver.pump()?;
-            let pooled = pool.pump()?;
-            if !drove && !pooled {
+            let mut progressed = driver.pump()?;
+            for pool in pools.iter_mut() {
+                progressed |= pool.pump()?;
+            }
+            if !progressed {
                 break;
             }
         }

@@ -10,7 +10,8 @@
 //!
 //! - [`MemoryTransport`] — a pair of in-memory frame queues. Frames stay
 //!   intact (the queue is the framing); handles are cloneable so tests
-//!   can inject or observe traffic on a live link.
+//!   can inject or observe traffic on a live link. [`MemoryRouter`]
+//!   fans one logical wire out across N of them.
 //! - [`StreamTransport`] — length-prefix framing over any
 //!   `Read + Write` byte stream: a `std::net::TcpStream` in nonblocking
 //!   mode, or the in-process [`duplex`] pipe for deterministic tests.
@@ -22,6 +23,8 @@
 //! the wire is quiet), which is what makes serialized runs bit-exactly
 //! reproducible.
 
+use crate::message::frame_dest;
+use crate::plan::place;
 use crate::FlError;
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -52,11 +55,12 @@ pub const MAX_FRAME_BYTES: usize = 256 << 20;
 /// ```
 ///
 /// A transport is usually one point-to-point link, but it may
-/// *multiplex several independent links* behind one interface — the
-/// sharded runtime's [`crate::runtime::ShardRouter`] fans one logical
-/// wire out across N worker-shard links. Stateful payload codecs (the
-/// delta reference of [`crate::ModelCodec::DeltaLossless`]) are
-/// per-link state, so multi-link transports must expose their topology:
+/// *multiplex several independent links* behind one interface —
+/// [`MemoryRouter`] fans one logical wire out across N memory links,
+/// `flips_net::SocketRouter` across N TCP connections. Stateful
+/// payload codecs (the delta reference of
+/// [`crate::ModelCodec::DeltaLossless`]) are per-link state, so
+/// multi-link transports must expose their topology:
 /// [`Transport::links`] declares how many links exist,
 /// [`Transport::link_for`] routes an outbound `(job, destination)` to
 /// its link, and [`Transport::try_recv_tagged`] attributes each inbound
@@ -143,11 +147,6 @@ impl MemoryTransport {
             MemoryTransport { outbound: b_to_a, inbound: a_to_b },
         )
     }
-
-    /// Frames waiting to be received on this end.
-    pub fn pending(&self) -> usize {
-        self.inbound.lock().map(|q| q.len()).unwrap_or(0)
-    }
 }
 
 impl Transport for MemoryTransport {
@@ -165,6 +164,70 @@ impl Transport for MemoryTransport {
             .lock()
             .map_err(|_| FlError::Transport("memory channel poisoned".into()))?
             .pop_front())
+    }
+}
+
+/// The coordinator side of a multi-link memory wire: one
+/// [`MemoryTransport`] per link, each outbound frame placed by the
+/// destination word in its header ([`place`] — the rule
+/// [`crate::plan::split`] shares endpoints out by, and the one
+/// `flips_net::SocketRouter` routes by), each inbound frame tagged with
+/// the link it arrived on.
+///
+/// Implements [`Transport`], so the unmodified
+/// [`crate::MultiJobDriver`] drives N pools exactly as it drives one
+/// serialized link. A frame for a party no link registered still
+/// travels to the link its id names, whose pool counts it unroutable.
+#[derive(Debug)]
+pub struct MemoryRouter {
+    /// Driver-side link ends, index = link.
+    links: Vec<MemoryTransport>,
+}
+
+impl MemoryRouter {
+    /// A router over one driver-side link end per link.
+    pub(crate) fn new(links: Vec<MemoryTransport>) -> Self {
+        MemoryRouter { links }
+    }
+
+    /// The driver-side end of `link` — clone it to slip frames onto a
+    /// live downlink, as the fault suites do.
+    pub fn link(&self, link: usize) -> &MemoryTransport {
+        &self.links[link]
+    }
+}
+
+impl Transport for MemoryRouter {
+    fn send(&mut self, frame: &[u8]) -> Result<(), FlError> {
+        let Some(dest) = frame_dest(frame) else {
+            return Err(FlError::Transport("frame too short to route to a link".into()));
+        };
+        let link = place(dest, self.links.len());
+        self.links[link].send(frame)
+    }
+
+    fn try_recv(&mut self) -> Result<Option<Bytes>, FlError> {
+        Ok(self.try_recv_tagged()?.map(|(_, frame)| frame))
+    }
+
+    fn links(&self) -> usize {
+        self.links.len()
+    }
+
+    fn link_for(&self, _job: u64, dest: u64) -> usize {
+        place(dest, self.links.len())
+    }
+
+    fn try_recv_tagged(&mut self) -> Result<Option<(usize, Bytes)>, FlError> {
+        // Sweep the links in fixed order; the driver pumps until no
+        // link yields anything, so fairness is a non-issue and the
+        // fixed order keeps sweeps cheap and predictable.
+        for (i, link) in self.links.iter_mut().enumerate() {
+            if let Some(frame) = link.try_recv()? {
+                return Ok(Some((i, frame)));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -558,12 +621,39 @@ mod tests {
 
     #[test]
     fn memory_clone_shares_the_link() {
-        let (mut a, b) = MemoryTransport::pair();
+        let (mut a, mut b) = MemoryTransport::pair();
         let mut injector = b.clone();
         injector.send(&frame(AGGREGATOR_DEST, &msg(7))).unwrap();
-        assert_eq!(b.pending(), 0, "injection is peer-bound, not self-bound");
+        assert!(b.try_recv().unwrap().is_none(), "injection is peer-bound, not self-bound");
         let (_, m) = deframe(a.try_recv().unwrap().unwrap()).unwrap();
         assert_eq!(m, msg(7));
+    }
+
+    #[test]
+    fn router_rejects_unroutable_frames() {
+        let (a, _b) = MemoryTransport::pair();
+        let mut router = MemoryRouter::new(vec![a]);
+        assert!(matches!(router.send(&[1, 2, 3]), Err(FlError::Transport(_))));
+    }
+
+    #[test]
+    fn router_routes_by_job_and_dest_and_drains_all_links() {
+        let (a0, mut b0) = MemoryTransport::pair();
+        let (a1, mut b1) = MemoryTransport::pair();
+        let mut router = MemoryRouter::new(vec![a0, a1]);
+        let m0 = frame(0, &msg(0));
+        let m1 = frame(1, &msg(1));
+        router.send(m0.as_slice()).unwrap();
+        router.send(m1.as_slice()).unwrap();
+        assert_eq!(b0.try_recv().unwrap().unwrap(), m0);
+        assert_eq!(b1.try_recv().unwrap().unwrap(), m1);
+        // Uplink: both pool ends reply; the router drains both, tagged.
+        let up = frame(AGGREGATOR_DEST, &msg(0));
+        b0.send(up.as_slice()).unwrap();
+        b1.send(up.as_slice()).unwrap();
+        assert_eq!(router.try_recv_tagged().unwrap().unwrap().0, 0);
+        assert_eq!(router.try_recv_tagged().unwrap().unwrap().0, 1);
+        assert!(router.try_recv().unwrap().is_none());
     }
 
     #[test]

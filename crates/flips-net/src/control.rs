@@ -7,8 +7,8 @@
 //! [`NET_CONTROL_DEST`] (`u64::MAX - 1`). Both sides strip control
 //! frames *below* the [`Transport`](flips_fl::Transport) seam, so the
 //! protocol state machines — and the chaos schedule's per-link frame
-//! indices — see exactly the data-frame sequences the in-memory sharded
-//! runtime sees.
+//! indices — see exactly the data-frame sequences the in-memory
+//! multi-link lockstep ([`flips_fl::memory_wire`]) sees.
 //!
 //! Six messages exist:
 //!

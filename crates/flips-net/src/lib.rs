@@ -2,9 +2,9 @@
 //! core served over real TCP by an epoll event loop.
 //!
 //! Every other driver in this workspace — [`flips_fl::FlJob`]'s
-//! in-process loop, [`flips_fl::run_lockstep`], the threaded
-//! [`flips_fl::run_sharded`] — moves frames through memory. This crate
-//! moves the *same* frames through the kernel: length-prefixed TCP
+//! in-process loop, [`flips_fl::run_lockstep`] over one link or N —
+//! moves frames through memory, on one thread. This crate alone moves
+//! the *same* frames across threads and processes: length-prefixed TCP
 //! links between a coordinator process (`flips-server`) and party
 //! worker processes (`flips-party`), multiplexed onto one
 //! [`mio`]-style epoll selector per side, with write-interest-driven
@@ -17,7 +17,7 @@
 //! Because control frames are stripped below the chaos/guard seam, a
 //! seeded run over sockets replays the single-threaded goldens (and
 //! seeded chaos histories) bit-identically; the equivalence suite in
-//! `tests/` holds this against every selector.
+//! `tests/` holds this against every selector at 1, 2 and 4 links.
 //!
 //! Layering, bottom up:
 //!

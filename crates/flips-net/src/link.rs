@@ -6,7 +6,7 @@
 //! and strip the [control protocol](crate::control) *below* the
 //! [`Transport`] seam: the protocol state machines, the driver's wire
 //! counters and the chaos schedule's per-link frame indices all see
-//! exactly the data-frame sequences the in-memory sharded runtime
+//! exactly the data-frame sequences the in-memory multi-link lockstep
 //! sees. Control traffic — quiescence probes, session handshakes,
 //! shutdown — is this module's private business.
 //!
@@ -446,9 +446,9 @@ impl CoordLink {
 ///
 /// Implements [`Transport`], so the unmodified
 /// [`MultiJobDriver`](flips_fl::MultiJobDriver) drives remote parties
-/// exactly as it drives in-memory shards. Frames are placed on links by
-/// [`flips_fl::plan::place`] — the same rule the sharded runtime's plan
-/// uses, so a socket topology and a shard topology carry identical
+/// exactly as it drives in-memory pools. Frames are placed on links by
+/// [`flips_fl::plan::place`] — the rule [`flips_fl::MemoryRouter`]
+/// uses, so a socket topology and an in-memory one carry identical
 /// per-link frame sequences.
 ///
 /// Links live behind `Arc<Mutex<_>>` because the event loop needs them
@@ -493,7 +493,7 @@ impl Transport for SocketRouter {
     }
 
     fn try_recv_tagged(&mut self) -> Result<Option<(usize, Bytes)>, FlError> {
-        // Fixed sweep order, like the sharded router: the driver pumps
+        // Fixed sweep order, like the memory router: the driver pumps
         // until every link runs dry, so fairness is a non-issue.
         for i in 0..self.links.len() {
             if let Some(frame) = self.link(i).try_recv_data()? {

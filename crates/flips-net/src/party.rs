@@ -1,8 +1,8 @@
 //! The party worker's readiness-driven event loop.
 //!
 //! [`party_loop_with`] serves one link slot of the socket wire: a
-//! [`PartyPool`] — the same unmodified pool the lockstep and sharded
-//! drivers use — pumped whenever the connection reads ready, with the
+//! [`PartyPool`] — the same unmodified pool the in-memory lockstep
+//! pumps — pumped whenever the connection reads ready, with the
 //! [control protocol](crate::control) answered in between pumps. The
 //! ordering is the load-bearing part: a quiescence probe is answered
 //! only *after* a full pool pump has processed every pending downlink

@@ -1,11 +1,11 @@
 //! The in-process socket harness: coordinator and party workers as
 //! threads of one process, wired over real TCP loopback sockets.
 //!
-//! [`run_socket`] is to [`crate::serve`]/[`crate::party_loop_with`] what
-//! [`flips_fl::run_sharded`] is to its worker loops: the same code the
-//! deployable binaries run, arranged so a test can drive a complete
-//! multi-process topology — epoll event loops, length-prefixed TCP
-//! framing, quiescence probes and all — in one call and compare the
+//! [`run_socket`] runs [`crate::serve`] and one
+//! [`crate::party_loop_with`] per link, each pool on its own thread —
+//! the same code the deployable binaries run, arranged so a test can
+//! drive a complete multi-process topology (epoll event loops, TCP
+//! framing, quiescence probes and all) in one call and compare the
 //! resulting histories bit-for-bit against the single-threaded goldens.
 
 use crate::backoff::{retry, Backoff, SystemClock};
@@ -57,8 +57,8 @@ impl WithWire for SocketOptions {
     }
 }
 
-/// The outcome of a completed socket run (the socket sibling of
-/// [`flips_fl::ShardedOutcome`]).
+/// The outcome of a completed socket run: the driver's and the
+/// per-link pools' read-outs, collected across the worker threads.
 #[derive(Debug)]
 pub struct SocketOutcome {
     /// Final per-job histories, keyed by job id.

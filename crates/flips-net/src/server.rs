@@ -13,10 +13,11 @@
 //! # Quiescence over real sockets
 //!
 //! Simulated time may only advance when the wire is provably quiet —
-//! the same invariant the sharded runtime enforces with in-memory inbox
-//! probes and busy flags. Sockets offer neither, so quiet is
-//! established with a counting protocol over per-link TCP FIFO (frame
-//! formats in [`crate::control`]):
+//! the invariant [`flips_fl::run_lockstep`] gets for free by pumping
+//! every pool on the calling thread until nothing moves. Across threads
+//! and processes quiet is established with a counting protocol over
+//! per-link TCP FIFO (frame formats in [`crate::control`]) — the only
+//! cross-thread quiescence protocol in the workspace:
 //!
 //! 1. When a pump makes no progress, the loop probes every non-quiet
 //!    link with `StatusReq(seq)` (one probe in flight per link).
@@ -30,13 +31,14 @@
 //!    after the probe left make the answer stale, which re-arms the
 //!    probe — the protocol converges because in-flight frames land.
 //! 4. All links quiet → one defensive pump → the timer wheel fires the
-//!    next deadline, exactly as in the lockstep and sharded drivers.
+//!    next deadline, exactly as in the lockstep driver.
 //!
-//! The destination-modulo-links routing is the same pure assignment the
-//! sharded runtime uses, so a socket run and a shard run carry
-//! identical per-link data-frame sequences — which is what lets the
-//! chaos schedule's per-`(link, index)` actions, and therefore entire
-//! seeded guarded runs, replay bit-identically over TCP.
+//! The destination-modulo-links routing is the same pure assignment
+//! ([`flips_fl::plan::place`]) the in-memory wire uses, so a socket run
+//! and an N-link lockstep run carry identical per-link data-frame
+//! sequences — which is what lets the chaos schedule's
+//! per-`(link, index)` actions, and therefore entire seeded guarded
+//! runs, replay bit-identically over TCP.
 //!
 //! # Failure recovery
 //!
@@ -281,7 +283,7 @@ fn write_checkpoint(dir: &Path, cp: &Checkpoint) -> Result<(), FlError> {
 /// of each job lives in whatever processes connect (see
 /// [`crate::party_loop_with`]); only the coordinator-side pieces run here.
 /// Histories are bit-identical to the same jobs under
-/// [`flips_fl::run_lockstep`] and [`flips_fl::run_sharded`] — see the
+/// [`flips_fl::run_lockstep`] at any link count — see the
 /// [module docs](self) for why, including across parked-and-resumed
 /// links and a checkpoint/restore cycle.
 ///
@@ -504,8 +506,7 @@ pub fn serve(
             flush_links(&links, &fds, &poll, &mut write_registered)?;
             continue;
         }
-        // Provably quiet: one defensive drain, then time advances —
-        // the same order the sharded coordinator uses.
+        // Provably quiet: one defensive drain, then time advances.
         if driver.pump()? {
             continue;
         }
@@ -517,8 +518,7 @@ pub fn serve(
     }
 
     // Final drain (chaos leftovers and post-completion replies are
-    // counted, like the sharded runtime's final pump), then the final
-    // boundary snapshot and shutdown.
+    // counted), then the final boundary snapshot and shutdown.
     while driver.pump()? {}
     if let Some(dir) = &opts.checkpoint_dir {
         if driver.at_round_boundary() {

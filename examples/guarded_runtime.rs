@@ -139,7 +139,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (job_b, _) = bravo().build()?;
     let (ref_b, endpoints) = reference.add_parts(job_b.into_parts())?;
     ref_pool.add_job(ref_b, endpoints);
-    run_lockstep(&mut reference, &mut ref_pool)?;
+    run_lockstep(&mut reference, std::slice::from_mut(&mut ref_pool))?;
 
     assert_eq!(
         reference.history(ref_a).expect("alpha replayed"),

@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     driver.set_guard(GuardConfig::default())?;
 
     println!("\nrunning all jobs to completion over the shared wire ...");
-    run_lockstep(&mut driver, &mut pool)?;
+    run_lockstep(&mut driver, std::slice::from_mut(&mut pool))?;
 
     let stats = driver.stats();
     println!(
@@ -123,12 +123,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Per-link negotiation: one federation split across two shard
-    // links can speak a *different* codec on each — here link 0 stays
-    // on the job-wide lossless delta while link 1 is entropy-coded.
-    // Both are lossless, so the history must match the in-process run
-    // bit for bit.
-    use flips::fl::runtime::{run_sharded, RuntimeOptions};
+    // Per-link negotiation: one federation split across two links can
+    // speak a *different* codec on each — here link 0 stays on the
+    // job-wide lossless delta while link 1 is entropy-coded. Both are
+    // lossless, so the history must match the in-process run bit for
+    // bit.
     println!("\nper-link negotiation: splitting bravo's shape across two links ...");
     let base = SimulationBuilder::new(DatasetProfile::femnist())
         .parties(15)
@@ -142,9 +141,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed(44);
     let golden = base.clone().run()?.history;
     let (job, meta) = base.build()?;
-    let opts = RuntimeOptions::new(2).with_link_codec(meta.job_id, 1, ModelCodec::DeltaEntropy);
-    let outcome = run_sharded(vec![job.into_parts()], &opts)?;
-    let history = outcome.histories.get(&meta.job_id).expect("job ran");
+    let wire = WireOptions::new(2).with_link_codec(meta.job_id, 1, ModelCodec::DeltaEntropy);
+    let (mut driver, mut pools) = memory_wire(vec![job.into_parts()], &wire)?;
+    run_lockstep(&mut driver, &mut pools)?;
+    let history = driver.history(meta.job_id).expect("job ran");
     println!(
         "  link 0 {} / link 1 {} -> {} rounds, histories {} the single-codec run",
         ModelCodec::DeltaLossless.label(),

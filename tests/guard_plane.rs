@@ -6,30 +6,30 @@
 //! 1. **Transparency.** With the default (permissive) [`GuardConfig`]
 //!    installed, every selector's seeded golden history replays
 //!    bit-identically under ≥3 distinct seeded chaos schedules — over
-//!    the single-threaded lockstep wire and the 2-shard threaded
-//!    runtime alike. Guards must never move a protocol-conformant run.
+//!    the single-link lockstep wire and the planned 2-link one alike.
+//!    Guards must never move a protocol-conformant run.
 //! 2. **Ejection ≡ victim injection.** A flooding party tripped by its
 //!    breaker produces exactly the history of a run where the same
 //!    party was scripted as a deadline victim in the same rounds — so
 //!    ejecting a hostile party provably never moves any *other* party's
 //!    history.
 //! 3. **Purity.** Breaker transitions, guard counters and the applied
-//!    chaos log are a pure function of the schedule: run the same
-//!    seeded chaos twice, compare everything. Chaos scoped to one job
-//!    leaves its wire-mates bit-identical to their solo runs.
+//!    chaos log are a pure function of the schedule, on one link or
+//!    several: run the same seeded chaos twice, compare everything.
+//!    Chaos scoped to one job leaves its wire-mates bit-identical to
+//!    their solo runs.
 
 use flips::fl::message::{frame, AGGREGATOR_DEST};
-use flips::fl::runtime::{run_sharded, RuntimeOptions};
 use flips::fl::{BreakerTransition, ChaosEvent, PartyPool};
 use flips::prelude::*;
 use proptest::prelude::*;
 
 const CHAOS_SEEDS: [u64; 3] = [7, 101, 90210];
 
-/// The sharded runtime splits the uplink across two links with their
-/// own frame-index streams, so a seed that perturbs the single-link
+/// A 2-link wire splits the uplink across two links with their own
+/// frame-index streams, so a seed that perturbs the single-link
 /// lockstep wire can draw all-Deliver there; these seeds are verified
-/// non-vacuous on the 2-shard layout for every selector.
+/// non-vacuous on the 2-link layout for every selector.
 const SHARDED_CHAOS_SEEDS: [u64; 3] = [13, 101, 90210];
 
 /// The golden workload of `tests/protocol_equivalence.rs`: its solo
@@ -66,7 +66,7 @@ fn run_guarded_lockstep(
     assert_eq!(id, meta.job_id);
     let mut pool = PartyPool::new(party_end);
     pool.add_job(id, endpoints);
-    run_lockstep(&mut driver, &mut pool).unwrap();
+    run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
     (
         driver.history(id).unwrap().clone(),
         driver.stats(),
@@ -95,26 +95,27 @@ fn guarded_chaos_lockstep_replays_every_selector_golden() {
 
 #[test]
 fn guarded_chaos_sharded_replays_every_selector_golden() {
-    // Same bar, 2-shard threaded mode: schedule and guards ride in
-    // through RuntimeOptions. Which frame draws which action depends on
-    // thread interleaving, but every default-weight action is
-    // non-destructive, so the histories cannot move.
+    // Same bar on the planned 2-link wire: schedule and guards ride in
+    // through `WireOptions`, each link draws from its own frame-index
+    // stream, and every default-weight action is non-destructive, so
+    // the histories cannot move.
     for kind in SelectorKind::all() {
         let clean = solo(kind);
         for seed in SHARDED_CHAOS_SEEDS {
             let (job, meta) = builder(kind).build().unwrap();
-            let opts = RuntimeOptions::new(2)
+            let wire = WireOptions::new(2)
                 .with_guard(GuardConfig::default())
                 .with_chaos(ChaosSchedule::seeded(seed));
-            let outcome = run_sharded(vec![job.into_parts()], &opts).unwrap();
+            let (mut driver, mut pools) = memory_wire(vec![job.into_parts()], &wire).unwrap();
+            run_lockstep(&mut driver, &mut pools).unwrap();
             assert_eq!(
-                outcome.histories.get(&meta.job_id),
+                driver.history(meta.job_id),
                 Some(&clean),
-                "{kind}: chaos seed {seed} moved the 2-shard guarded history"
+                "{kind}: chaos seed {seed} moved the 2-link guarded history"
             );
-            assert_eq!(outcome.stats.parties_ejected, 0, "{kind}: seed {seed}");
-            assert!(outcome.breaker_transitions.is_empty(), "{kind}: seed {seed}");
-            assert!(!outcome.chaos_events.is_empty(), "{kind}: seed {seed} applied no chaos");
+            assert_eq!(driver.stats().parties_ejected, 0, "{kind}: seed {seed}");
+            assert!(driver.guard().unwrap().transitions().is_empty(), "{kind}: seed {seed}");
+            assert!(!driver.transport().log().is_empty(), "{kind}: seed {seed} applied no chaos");
         }
     }
 }
@@ -211,7 +212,7 @@ fn flooding_party_is_ejected_exactly_like_a_scripted_victim() {
     assert_eq!(ref_id, id);
     let mut ref_pool = PartyPool::new(party_end);
     ref_pool.add_job(ref_id, endpoints);
-    run_lockstep(&mut reference, &mut ref_pool).unwrap();
+    run_lockstep(&mut reference, std::slice::from_mut(&mut ref_pool)).unwrap();
     assert_eq!(
         reference.history(ref_id).unwrap(),
         &guarded,
@@ -288,11 +289,14 @@ fn small_builder(seed: u64) -> SimulationBuilder {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Random chaos schedules × breaker configs: (a) jobs the schedule
-    /// does not target stay bit-identical to their solo runs, (b) the
-    /// whole guarded outcome — histories, counters, breaker transitions,
-    /// applied-chaos log — is a pure function of the schedule (replay
-    /// the run, compare everything).
+    /// Random chaos schedules × breaker configs, each on 1, 2 and 3
+    /// links: (a) jobs the schedule does not target stay bit-identical
+    /// to their solo runs, (b) the whole guarded outcome — histories,
+    /// counters, breaker transitions, applied-chaos log — is a pure
+    /// function of the schedule (replay the run, compare everything).
+    /// On several links that includes which `(link, index)` drew which
+    /// action: the lockstep is single-threaded, so nothing is left to
+    /// interleaving.
     #[test]
     fn chaos_outcomes_are_pure_and_scoped_to_the_targeted_job(
         chaos_seed in 0u64..(1 << 48),
@@ -304,7 +308,7 @@ proptest! {
         delay_w in 0u32..3,
         flood_w in 0u32..4,
     ) {
-        let run = || {
+        let run = |links: usize| {
             let (job0, m0) = small_builder(11).build().unwrap();
             let (job1, m1) = small_builder(23).build().unwrap();
             let schedule = ChaosSchedule::seeded(chaos_seed)
@@ -329,15 +333,10 @@ proptest! {
                 }),
                 ..GuardConfig::default()
             };
-            let (agg_end, party_end) = MemoryTransport::pair();
-            let mut driver = MultiJobDriver::new(ChaosTransport::new(agg_end, schedule));
-            driver.set_guard(guard).unwrap();
-            let mut pool = PartyPool::new(party_end);
-            for job in [job0, job1] {
-                let (id, endpoints) = driver.add_parts(job.into_parts()).unwrap();
-                pool.add_job(id, endpoints);
-            }
-            run_lockstep(&mut driver, &mut pool).unwrap();
+            let wire = WireOptions::new(links).with_guard(guard).with_chaos(schedule);
+            let jobs = vec![job0.into_parts(), job1.into_parts()];
+            let (mut driver, mut pools) = memory_wire(jobs, &wire).unwrap();
+            run_lockstep(&mut driver, &mut pools).unwrap();
             (
                 driver.history(m0.job_id).unwrap().clone(),
                 driver.history(m1.job_id).unwrap().clone(),
@@ -347,16 +346,17 @@ proptest! {
             )
         };
 
-        let first = run();
-        let second = run();
-        prop_assert_eq!(&first.0, &second.0, "targeted job's history must replay");
-        prop_assert_eq!(&first.1, &second.1, "untargeted job's history must replay");
-        prop_assert_eq!(first.2, second.2, "guard counters must replay");
-        prop_assert_eq!(&first.3, &second.3, "breaker transitions must replay");
-        prop_assert_eq!(&first.4, &second.4, "the applied-chaos log must replay");
-
         let (mut job1, _) = small_builder(23).build().unwrap();
         let solo1 = job1.run().unwrap();
-        prop_assert_eq!(&first.1, &solo1, "chaos scoped to one job moved its wire-mate");
+        for links in 1..=3 {
+            let first = run(links);
+            let second = run(links);
+            prop_assert_eq!(&first.0, &second.0, "targeted job's history must replay");
+            prop_assert_eq!(&first.1, &second.1, "untargeted job's history must replay");
+            prop_assert_eq!(first.2, second.2, "guard counters must replay");
+            prop_assert_eq!(&first.3, &second.3, "breaker transitions must replay");
+            prop_assert_eq!(&first.4, &second.4, "the applied-chaos log must replay");
+            prop_assert_eq!(&first.1, &solo1, "chaos scoped to one job moved its wire-mate");
+        }
     }
 }

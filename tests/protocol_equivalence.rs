@@ -179,7 +179,7 @@ fn run_over_stream_transport_with(kind: SelectorKind, codec: ModelCodec) -> (His
     assert_eq!(driver.codec_of(job_id), Some(codec));
     let mut pool = PartyPool::new(StreamTransport::new(party_pipe));
     pool.add_job(job_id, endpoints);
-    run_lockstep(&mut driver, &mut pool).unwrap();
+    run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
     assert_eq!(pool.negotiated_codec(job_id), Some(codec), "notice handshake must pin the codec");
     (driver.history(job_id).unwrap().clone(), driver.stats())
 }
@@ -409,7 +409,7 @@ fn three_multiplexed_jobs_complete_with_isolated_deterministic_histories() {
         pool.add_job(id, endpoints);
         ids.push(id);
     }
-    run_lockstep(&mut driver, &mut pool).unwrap();
+    run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
 
     assert!(driver.is_finished());
     for (id, solo_history) in ids.iter().zip(&solo) {

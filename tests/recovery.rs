@@ -17,13 +17,13 @@
 //! 3. **Disconnect replays.** With the `Disconnect` chaos action drawn
 //!    from a seeded schedule — severing a link and backlogging its
 //!    traffic until the wire runs dry — every selector golden is
-//!    bit-identical on the lockstep wire and the 2-shard runtime alike.
+//!    bit-identical on the single-link lockstep wire and the planned
+//!    2-link one alike.
 //! 4. **The scale plane composes.** A run whose selectors stream a
 //!    spill-backed [`RosterStore`] restores from every boundary onto the
 //!    flat golden, and the roster spill/load counters are live gauges of
 //!    the attached store — never checkpoint state.
 
-use flips::fl::runtime::{run_sharded, RuntimeOptions};
 use flips::fl::{ChaosEvent, Checkpoint};
 use flips::prelude::*;
 
@@ -133,7 +133,7 @@ fn restore_and_finish(
             r.ref_round
         );
     }
-    run_lockstep(&mut driver, &mut pool).unwrap();
+    run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
     (driver.history(id).unwrap().clone(), driver.stats(), id)
 }
 
@@ -333,7 +333,7 @@ fn disconnect_chaos_replays_every_selector_golden_lockstep() {
             assert_eq!(id, meta.job_id);
             let mut pool = PartyPool::new(party_end);
             pool.add_job(id, endpoints);
-            run_lockstep(&mut driver, &mut pool).unwrap();
+            run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
             assert_eq!(
                 driver.history(id).unwrap(),
                 &clean,
@@ -349,27 +349,29 @@ fn disconnect_chaos_replays_every_selector_golden_lockstep() {
 
 #[test]
 fn disconnect_chaos_replays_every_selector_golden_sharded() {
-    // Same bar on the 2-shard threaded runtime: each link severs and
+    // Same bar on the planned 2-link wire: each link severs and
     // reconnects independently under its own frame-index stream.
     for kind in SelectorKind::all() {
         let clean = builder(kind).run().unwrap().history;
         let mut severed = 0usize;
         for seed in SHARDED_CHAOS_SEEDS {
             let (job, meta) = builder(kind).build().unwrap();
-            let opts = RuntimeOptions::new(2)
+            let wire = WireOptions::new(2)
                 .with_guard(GuardConfig::default())
                 .with_chaos(ChaosSchedule::seeded(seed).weights(disconnect_weights()));
-            let outcome = run_sharded(vec![job.into_parts()], &opts).unwrap();
+            let (mut driver, mut pools) = memory_wire(vec![job.into_parts()], &wire).unwrap();
+            run_lockstep(&mut driver, &mut pools).unwrap();
             assert_eq!(
-                outcome.histories.get(&meta.job_id),
+                driver.history(meta.job_id),
                 Some(&clean),
-                "{kind}: disconnect seed {seed} moved the 2-shard history"
+                "{kind}: disconnect seed {seed} moved the 2-link history"
             );
-            assert_eq!(outcome.stats.parties_ejected, 0, "{kind}: seed {seed}");
-            assert!(!outcome.chaos_events.is_empty(), "{kind}: seed {seed} applied no chaos");
-            severed += disconnects(&outcome.chaos_events);
+            assert_eq!(driver.stats().parties_ejected, 0, "{kind}: seed {seed}");
+            let log = driver.transport().log();
+            assert!(!log.is_empty(), "{kind}: seed {seed} applied no chaos");
+            severed += disconnects(log);
         }
-        assert!(severed > 0, "{kind}: no 2-shard seed severed a link — the suite is vacuous");
+        assert!(severed > 0, "{kind}: no 2-link seed severed a link — the suite is vacuous");
     }
 }
 
@@ -457,7 +459,7 @@ fn roster_counters_are_live_gauges_not_checkpoint_state() {
     // Attaching a fresh store re-counts from that store's activity only.
     let fresh = spilled_store(&base.join("after"));
     restored.attach_roster(std::sync::Arc::clone(&fresh));
-    run_lockstep(&mut restored, &mut rpool).unwrap();
+    run_lockstep(&mut restored, std::slice::from_mut(&mut rpool)).unwrap();
     assert_eq!(restored.history(rid).unwrap(), &golden);
     let stats = restored.stats();
     assert_eq!(stats.roster_spilled, fresh.spilled());

@@ -13,13 +13,15 @@
 //!    [`flips_selection::CandidateSource`]; whether that store sits in
 //!    memory (the default, the one `tests/protocol_equivalence.rs` pins
 //!    to the five selector goldens) or is paged from disk segments, the
-//!    *same seeded choices* come out — in-process, over the 2-shard
-//!    threaded wire, and over epoll TCP.
+//!    *same seeded choices* come out — in-process, over the 2-link
+//!    lockstep wire, and over epoll TCP.
 //! 2. **Aggregation trees**: a run whose `PartyPool` inner nodes fold
 //!    their parties' updates into one exact integer partial per round
 //!    equals the flat run under the same exact-fold arithmetic — full
 //!    `RoundRecord` equality (byte accounting included) — while moving
-//!    measurably fewer uplink frames.
+//!    measurably fewer uplink frames. On latency-derived deadlines the
+//!    plan keeps the pools flat, so `.with_tree()` is the flat exact
+//!    fold there, late updates included.
 //! 3. **Bounded memory**: a million-registered-party roster streams
 //!    through selection with only a budgeted number of segments
 //!    resident, and the spill/load counters surface through
@@ -82,16 +84,18 @@ fn streaming_selection_replays_every_selector_golden_in_process() {
 
 #[test]
 fn streaming_selection_replays_the_goldens_across_two_shards() {
-    // Leg one over the threaded wire: spilled-roster jobs on the
-    // 2-shard runtime against the default in-process golden.
+    // Leg one over the planned wire: spilled-roster jobs on the 2-link
+    // lockstep against the default in-process golden.
     for kind in SelectorKind::all() {
         let default = golden_builder(kind).run().unwrap().history;
         let dir = SpillDir::new(&format!("sharded-{kind}"));
         let (job, meta) = golden_builder(kind).spill_roster(&dir.0, 1).build().unwrap();
-        let mut outcome = run_sharded(vec![job.into_parts()], &RuntimeOptions::new(2)).unwrap();
-        let history = outcome.histories.remove(&meta.job_id).unwrap();
-        assert_eq!(history, default, "{kind}: spilled roster diverged on the 2-shard wire");
-        assert_eq!(outcome.stats.corrupt_frames, 0, "{kind}");
+        let (mut driver, mut pools) =
+            memory_wire(vec![job.into_parts()], &WireOptions::new(2)).unwrap();
+        run_lockstep(&mut driver, &mut pools).unwrap();
+        let history = driver.history(meta.job_id).unwrap();
+        assert_eq!(history, &default, "{kind}: spilled roster diverged on the 2-link wire");
+        assert_eq!(driver.stats().corrupt_frames, 0, "{kind}");
     }
 }
 
@@ -217,7 +221,7 @@ fn exact_lockstep(builder: &SimulationBuilder, tree: bool) -> (History, DriverSt
     if tree {
         pool.enable_tree(id, sketch_dim);
     }
-    run_lockstep(&mut driver, &mut pool).unwrap();
+    run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
     (driver.history(id).unwrap().clone(), driver.stats())
 }
 
@@ -250,18 +254,60 @@ fn tree_aggregation_equals_flat_exact_fold_for_every_selector() {
 
 #[test]
 fn tree_aggregation_matches_flat_exact_fold_across_two_shards() {
-    // Leg two on the threaded runtime: `RuntimeOptions::with_tree`
-    // turns every shard's pool into an inner node and every coordinator
-    // into an exact-fold merger; the histories must equal the lockstep
+    // Leg two on the planned wire: `WireOptions::with_tree` turns
+    // every link's pool into an inner node and every coordinator into
+    // an exact-fold merger; the histories must equal the single-link
     // flat exact fold for all five selectors.
     for kind in SelectorKind::all() {
         let (flat, _) = exact_lockstep(&golden_builder(kind), false);
-        let (job, meta) = golden_builder(kind).build().unwrap();
-        let opts = RuntimeOptions::new(2).with_tree();
-        let mut outcome = run_sharded(vec![job.into_parts()], &opts).unwrap();
-        let history = outcome.histories.remove(&meta.job_id).unwrap();
-        assert_eq!(history, flat, "{kind}: 2-shard tree diverged from flat exact fold");
+        let (history, _) = tree_lockstep(&golden_builder(kind));
+        assert_eq!(history, flat, "{kind}: 2-link tree diverged from flat exact fold");
     }
+}
+
+/// `builder`'s job over the planned 2-link lockstep in tree mode.
+fn tree_lockstep(builder: &SimulationBuilder) -> (History, DriverStats) {
+    let (job, meta) = builder.build().unwrap();
+    let wire = WireOptions::new(2).with_tree();
+    let (mut driver, mut pools) = memory_wire(vec![job.into_parts()], &wire).unwrap();
+    run_lockstep(&mut driver, &mut pools).unwrap();
+    (driver.history(meta.job_id).unwrap().clone(), driver.stats())
+}
+
+/// The golden workload on a latency-derived deadline tight enough that
+/// the slow tail is late (`tests/sharded_runtime.rs`'s shape).
+fn latency_builder() -> SimulationBuilder {
+    golden_builder(SelectorKind::Random)
+        .straggler_rate(0.0)
+        .deadline(DeadlinePolicy::LatencyQuantile { q: 0.5, slack: 1.1 })
+        .latency_sigma(0.8)
+}
+
+#[test]
+fn tree_mode_on_latency_derived_deadlines_is_the_flat_exact_fold() {
+    // A pool that folds a late update into its partial hides it from
+    // the driver's per-update lateness check, and the round closes with
+    // no stragglers at all. So the plan keeps a latency-derived job's
+    // pools flat, and `.with_tree()` must equal the flat exact fold —
+    // stragglers and the late-update counter included — on the 2-link
+    // lockstep and over TCP.
+    let (flat, flat_stats) = exact_lockstep(&latency_builder(), false);
+    assert!(flat_stats.late_updates > 0, "the deadline must bite, or the test proves nothing");
+    assert_eq!(flat_stats.late_updates as usize, flat.total_stragglers());
+
+    let (tree, tree_stats) = tree_lockstep(&latency_builder());
+    assert_eq!(tree, flat, "2-link tree mode moved a latency-derived history");
+    assert_eq!(tree_stats.late_updates, flat_stats.late_updates);
+
+    let (job, meta) = latency_builder().build().unwrap();
+    let opts = SocketOptions::new(2).with_tree();
+    let mut outcome = run_socket(vec![job.into_parts()], &opts).unwrap();
+    assert_eq!(
+        outcome.histories.remove(&meta.job_id).unwrap(),
+        flat,
+        "TCP tree mode moved a latency-derived history"
+    );
+    assert_eq!(outcome.stats.late_updates, flat_stats.late_updates);
 }
 
 #[test]
@@ -295,7 +341,7 @@ fn default_mode_coordinator_rejects_tree_partials() {
     let mut pool = PartyPool::new(StreamTransport::new(party_pipe));
     pool.add_job(id, endpoints);
     pool.enable_tree(id, sketch_dim);
-    run_lockstep(&mut driver, &mut pool).unwrap();
+    run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
     let stats = driver.stats();
     assert!(stats.rejected_messages > 0, "partials must bounce off a default-mode coordinator");
     // Every round still closes (by deadline), so the history is full

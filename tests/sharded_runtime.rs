@@ -1,15 +1,17 @@
-//! Equivalence of the threaded sharded runtime with the single-threaded
+//! Equivalence of the N-link in-memory lockstep with the single-link
 //! seeded paths, and of latency-derived deadlines with an external
 //! replay of the deadline policy.
 //!
-//! The acceptance bar for the threaded runtime is the same one every
+//! The acceptance bar for a multi-link wire is the same one every
 //! driver in this workspace has had to clear: a seeded run must be
-//! **bit-identical** however it is executed. The single-threaded
-//! in-process [`FlJob`] run is the golden oracle; the serialized
-//! lockstep driver and 1-, 2- and 4-shard threaded runs (with and
-//! without scheduling jitter and hostile frames in flight) must all
-//! reproduce it — per-round accepted-update sets to the element, every
-//! `RoundRecord` field to the bit.
+//! **bit-identical** however it is executed. The in-process [`FlJob`]
+//! run is the golden oracle; the serialized single-link driver and 1-,
+//! 2-, 3- and 4-link runs of [`memory_wire`] + [`run_lockstep`] — in
+//! every pump order, with hostile frames on the wire — must all
+//! reproduce it: per-round accepted-update sets to the element, every
+//! `RoundRecord` field to the bit. The runs are single-threaded, so
+//! the counters and the chaos log replay too; the same wire plan over
+//! real threads and sockets is `crates/flips-net/tests/socket_runtime.rs`.
 //!
 //! On the latency-derived path no victim set is ever injected: the
 //! suite replays the deadline policy outside the runtime (durations are
@@ -17,8 +19,7 @@
 //! stragglers are exactly the parties the policy predicts.
 
 use flips::fl::message::{frame, AGGREGATOR_DEST};
-use flips::fl::runtime::{run_sharded, RuntimeOptions, ShardedOutcome};
-use flips::fl::{ObservedLatency, PartyPool, StreamTransport};
+use flips::fl::{MemoryWire, ObservedLatency, PartyPool, StreamTransport};
 use flips::prelude::*;
 
 /// The shared workload: 12 parties, 4 rounds, heterogeneous latency
@@ -53,31 +54,34 @@ fn injected_builder(seed: u64) -> SimulationBuilder {
         .seed(seed)
 }
 
-fn sharded(builder: &SimulationBuilder, opts: &RuntimeOptions) -> (History, ShardedOutcome) {
+/// Runs `builder`'s job to completion over the in-memory wire `wire`
+/// plans; the driver and `pools[link]` come back for their counters.
+fn lockstep(builder: &SimulationBuilder, wire: &WireOptions) -> (History, MemoryWire) {
     let (job, meta) = builder.build().unwrap();
-    let mut outcome = run_sharded(vec![job.into_parts()], opts).unwrap();
-    let history = outcome.histories.remove(&meta.job_id).unwrap();
-    (history, outcome)
+    let (mut driver, mut pools) = memory_wire(vec![job.into_parts()], wire).unwrap();
+    run_lockstep(&mut driver, &mut pools).unwrap();
+    (driver.history(meta.job_id).unwrap().clone(), (driver, pools))
 }
 
 #[test]
 fn sharded_runs_reproduce_the_single_thread_golden_bit_exactly() {
-    // The tentpole acceptance criterion: 1, 2 and 4 shards, same
-    // history as the seeded single-threaded in-process run — full
-    // `RoundRecord` equality, which subsumes per-round accepted-update
-    // (`completed`) set equality.
+    // The tentpole acceptance criterion: 1, 2 and 4 links, same
+    // history as the seeded in-process run — full `RoundRecord`
+    // equality, which subsumes per-round accepted-update (`completed`)
+    // set equality.
     let golden = latency_builder(11).run().unwrap().history;
     assert!(
         golden.total_stragglers() > 0,
         "the workload must exercise deadline pressure, or the test proves nothing"
     );
-    for shards in [1, 2, 4] {
-        let (history, outcome) = sharded(&latency_builder(11), &RuntimeOptions::new(shards));
-        assert_eq!(history, golden, "{shards}-shard history diverged from the golden");
-        assert_eq!(outcome.stats.corrupt_frames, 0);
-        assert_eq!(outcome.stats.unknown_job_frames, 0);
+    for links in [1, 2, 4] {
+        let (history, (driver, _)) = lockstep(&latency_builder(11), &WireOptions::new(links));
+        assert_eq!(history, golden, "{links}-link history diverged from the golden");
+        let stats = driver.stats();
+        assert_eq!(stats.corrupt_frames, 0);
+        assert_eq!(stats.unknown_job_frames, 0);
         assert!(
-            outcome.stats.late_updates > 0,
+            stats.late_updates > 0,
             "stragglers on this path must come from late updates, not injection"
         );
     }
@@ -86,8 +90,8 @@ fn sharded_runs_reproduce_the_single_thread_golden_bit_exactly() {
 #[test]
 fn lockstep_serialized_driver_agrees_on_the_latency_deadline_path() {
     // The latency-derived deadline is a driver-layer policy; the
-    // single-threaded serialized driver must implement it identically
-    // to both the in-process job and the threaded runtime.
+    // serialized driver on one hand-wired stream link must implement it
+    // identically to both the in-process job and the planned wires.
     let golden = latency_builder(11).run().unwrap().history;
     let (job, meta) = latency_builder(11).build().unwrap();
     let (agg_pipe, party_pipe) = duplex();
@@ -96,17 +100,9 @@ fn lockstep_serialized_driver_agrees_on_the_latency_deadline_path() {
     assert_eq!(id, meta.job_id);
     let mut pool = PartyPool::new(StreamTransport::new(party_pipe));
     pool.add_job(id, endpoints);
-    run_lockstep(&mut driver, &mut pool).unwrap();
+    run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
     assert_eq!(driver.history(id).unwrap(), &golden);
     assert!(driver.stats().late_updates > 0);
-}
-
-#[test]
-fn run_threaded_builder_entry_point_matches_run() {
-    let golden = latency_builder(23).run().unwrap();
-    let threaded = latency_builder(23).run_threaded(2).unwrap();
-    assert_eq!(threaded.history, golden.history);
-    assert_eq!(threaded.meta.job_id, golden.meta.job_id);
 }
 
 #[test]
@@ -122,7 +118,7 @@ fn stragglers_are_exactly_the_parties_the_deadline_policy_predicts() {
     let epochs = DatasetProfile::femnist().local_epochs;
     let duration = |p: usize| latency.duration(p, samples[p], epochs);
 
-    let (history, _) = sharded(&latency_builder(11), &RuntimeOptions::new(2));
+    let (history, _) = lockstep(&latency_builder(11), &WireOptions::new(2));
     let mut observed = ObservedLatency::new();
     let mut saw_straggler_round = false;
     for record in history.records() {
@@ -150,8 +146,8 @@ fn stragglers_are_exactly_the_parties_the_deadline_policy_predicts() {
 fn late_update_count_equals_total_stragglers() {
     // Every straggler on the observed path is a party whose reply
     // arrived and was withheld — the two counters must agree exactly.
-    let (history, outcome) = sharded(&latency_builder(11), &RuntimeOptions::new(4));
-    assert_eq!(outcome.stats.late_updates as usize, history.total_stragglers());
+    let (history, (driver, _)) = lockstep(&latency_builder(11), &WireOptions::new(4));
+    assert_eq!(driver.stats().late_updates as usize, history.total_stragglers());
 }
 
 #[test]
@@ -161,61 +157,61 @@ fn fixed_deadline_policy_runs_and_aborts_the_slow_tail() {
     // warm-up — the window is fixed).
     let builder = latency_builder(31).deadline(DeadlinePolicy::FixedSeconds { secs: 0.12 });
     let golden = builder.run().unwrap().history;
-    let (history, _) = sharded(&builder, &RuntimeOptions::new(3));
+    let (history, _) = lockstep(&builder, &WireOptions::new(3));
     assert_eq!(history, golden);
 }
 
 #[test]
 fn injected_victim_sets_also_shard_identically() {
-    // The legacy path must survive the threading unchanged: the victim
-    // draw happens on the coordinator thread at round open, so the
-    // shard count cannot perturb the injector's RNG stream.
+    // The legacy path must survive the split unchanged: the victim
+    // draw happens in the driver at round open, so the link count
+    // cannot perturb the injector's RNG stream.
     let golden = injected_builder(11).run().unwrap().history;
-    for shards in [1, 2, 4] {
-        let (history, outcome) = sharded(&injected_builder(11), &RuntimeOptions::new(shards));
-        assert_eq!(history, golden, "{shards}-shard injected run diverged");
-        assert_eq!(outcome.stats.late_updates, 0, "no late updates on the injected path");
+    for links in [1, 2, 4] {
+        let (history, (driver, _)) = lockstep(&injected_builder(11), &WireOptions::new(links));
+        assert_eq!(history, golden, "{links}-link injected run diverged");
+        assert_eq!(driver.stats().late_updates, 0, "no late updates on the injected path");
     }
 }
 
 #[test]
 fn entropy_wire_replays_every_selector_golden_across_two_shards() {
-    // The entropy-stage acceptance bar, sharded flavor: all five
-    // selector goldens over a 2-shard wire with `DeltaEntropy`
+    // The entropy-stage acceptance bar, multi-link flavor: all five
+    // selector goldens over a 2-link wire with `DeltaEntropy`
     // negotiated on both links — bit-identical to the in-process run.
     for selector in SelectorKind::all() {
         let base = latency_builder(11).selector(selector);
         let golden = base.clone().run().unwrap().history;
-        let (history, outcome) =
-            sharded(&base.codec(ModelCodec::DeltaEntropy), &RuntimeOptions::new(2));
-        assert_eq!(history, golden, "{selector:?} over the 2-shard entropy wire diverged");
-        assert_eq!(outcome.stats.codec_mismatch_frames, 0, "{selector:?}");
-        assert_eq!(outcome.stats.corrupt_frames, 0, "{selector:?}");
+        let (history, (driver, _)) =
+            lockstep(&base.codec(ModelCodec::DeltaEntropy), &WireOptions::new(2));
+        assert_eq!(history, golden, "{selector:?} over the 2-link entropy wire diverged");
+        assert_eq!(driver.stats().codec_mismatch_frames, 0, "{selector:?}");
+        assert_eq!(driver.stats().corrupt_frames, 0, "{selector:?}");
     }
 }
 
 #[test]
 fn heterogeneous_link_codecs_on_one_job_replay_the_golden() {
-    // Per-link negotiation end to end: one job, two shards, shard 0 on
-    // the job-wide DeltaLossless and shard 1 overridden to DeltaEntropy
+    // Per-link negotiation end to end: one job, two links, link 0 on
+    // the job-wide DeltaLossless and link 1 overridden to DeltaEntropy
     // (both lossless, so the bit-identity oracle still applies). The
-    // driver must rewrite shard 1's selection notices, each pool must
+    // driver must rewrite link 1's selection notices, each pool must
     // pin its own link's codec, and the history must not move.
     let base = latency_builder(11).codec(ModelCodec::DeltaLossless);
     let golden = base.clone().run().unwrap().history;
     let (_, meta) = base.clone().build().unwrap();
-    let opts = RuntimeOptions::new(2).with_link_codec(meta.job_id, 1, ModelCodec::DeltaEntropy);
-    let (history, outcome) = sharded(&base, &opts);
+    let wire = WireOptions::new(2).with_link_codec(meta.job_id, 1, ModelCodec::DeltaEntropy);
+    let (history, (driver, pools)) = lockstep(&base, &wire);
     assert_eq!(history, golden, "heterogeneous per-link codecs moved the history");
-    assert_eq!(outcome.stats.codec_mismatch_frames, 0);
-    assert_eq!(outcome.shard_codec_mismatch, vec![0, 0]);
-    assert_eq!(outcome.shard_unroutable, vec![0, 0]);
+    assert_eq!(driver.stats().codec_mismatch_frames, 0);
+    assert_eq!(pools.iter().map(PartyPool::codec_mismatch).collect::<Vec<_>>(), [0, 0]);
+    assert_eq!(pools.iter().map(PartyPool::unroutable).collect::<Vec<_>>(), [0, 0]);
 }
 
 #[test]
 fn multiple_jobs_with_mixed_policies_and_codecs_share_the_sharded_wire() {
     // Three jobs — different seeds, codecs and deadline models — run
-    // concurrently across the same shard set; each must finish with
+    // concurrently across the same three links; each must finish with
     // exactly its solo history.
     let configs: Vec<SimulationBuilder> = vec![
         latency_builder(11).codec(ModelCodec::DeltaLossless),
@@ -230,13 +226,14 @@ fn multiple_jobs_with_mixed_policies_and_codecs_share_the_sharded_wire() {
         })
         .collect();
     let jobs: Vec<_> = configs.iter().map(|b| b.build().unwrap().0.into_parts()).collect();
-    let outcome = run_sharded(jobs, &RuntimeOptions::new(3)).unwrap();
-    assert_eq!(outcome.histories.len(), 3);
+    let (mut driver, mut pools) = memory_wire(jobs, &WireOptions::new(3)).unwrap();
+    run_lockstep(&mut driver, &mut pools).unwrap();
+    assert_eq!(driver.job_ids().len(), 3);
     for (id, history) in &solo {
         assert_eq!(
-            outcome.histories.get(id),
+            driver.history(*id),
             Some(history),
-            "job {id:#x} diverged under sharded multiplexing"
+            "job {id:#x} diverged under multi-link multiplexing"
         );
     }
 }
@@ -244,7 +241,7 @@ fn multiple_jobs_with_mixed_policies_and_codecs_share_the_sharded_wire() {
 #[test]
 fn ewma_deadline_policy_shards_identically_with_guards_enabled() {
     // The EWMA deadline is sealed per round open (order-independent
-    // batch means), so it must shard exactly like the quantile policy —
+    // batch means), so it must split exactly like the quantile policy —
     // here additionally with the default guard plane installed, which
     // must be invisible on a conformant run.
     let builder = latency_builder(11).deadline(DeadlinePolicy::Ewma { alpha: 0.3, slack: 1.1 });
@@ -253,13 +250,13 @@ fn ewma_deadline_policy_shards_identically_with_guards_enabled() {
         golden.total_stragglers() > 0,
         "the EWMA window must bite the slow tail, or the test proves nothing"
     );
-    for shards in [1, 2, 4] {
-        let opts = RuntimeOptions::new(shards).with_guard(GuardConfig::default());
-        let (history, outcome) = sharded(&builder, &opts);
-        assert_eq!(history, golden, "{shards}-shard EWMA history diverged from the golden");
-        assert_eq!(outcome.stats.parties_ejected, 0);
-        assert_eq!(outcome.stats.rate_limited_frames, 0);
-        assert!(outcome.breaker_transitions.is_empty());
+    for links in [1, 2, 4] {
+        let wire = WireOptions::new(links).with_guard(GuardConfig::default());
+        let (history, (driver, _)) = lockstep(&builder, &wire);
+        assert_eq!(history, golden, "{links}-link EWMA history diverged from the golden");
+        assert_eq!(driver.stats().parties_ejected, 0);
+        assert_eq!(driver.stats().rate_limited_frames, 0);
+        assert!(driver.guard().unwrap().transitions().is_empty());
     }
 }
 
@@ -267,27 +264,67 @@ fn ewma_deadline_policy_shards_identically_with_guards_enabled() {
 fn guards_and_seeded_chaos_leave_sharded_latency_histories_untouched() {
     // The latency-deadline flavor of the guard-plane acceptance bar:
     // seeded chaos schedules (duplicates, corrupt copies, delays and
-    // floods at an unowned job) on the 2-shard uplink, default guards
+    // floods at an unowned job) on the 2-link uplink, default guards
     // installed — bit-identical histories, chaos visible in the log.
     let golden = latency_builder(11).run().unwrap().history;
     for chaos_seed in [5u64, 77, 4242] {
-        let opts = RuntimeOptions::new(2)
+        let wire = WireOptions::new(2)
             .with_guard(GuardConfig::default())
             .with_chaos(ChaosSchedule::seeded(chaos_seed));
-        let (history, outcome) = sharded(&latency_builder(11), &opts);
-        assert_eq!(history, golden, "chaos seed {chaos_seed} moved the 2-shard history");
-        assert_eq!(outcome.stats.parties_ejected, 0, "seed {chaos_seed} tripped a breaker");
-        assert!(outcome.breaker_transitions.is_empty());
+        let (history, (driver, _)) = lockstep(&latency_builder(11), &wire);
+        assert_eq!(history, golden, "chaos seed {chaos_seed} moved the 2-link history");
+        assert_eq!(driver.stats().parties_ejected, 0, "seed {chaos_seed} tripped a breaker");
+        assert!(driver.guard().unwrap().transitions().is_empty());
         assert!(
-            !outcome.chaos_events.is_empty(),
+            !driver.transport().log().is_empty(),
             "seed {chaos_seed} applied no chaos — the run proves nothing"
         );
     }
 }
 
-/// Hostile frames for the chaos thread: a truncated frame, a corrupt
-/// magic, a well-formed frame for a job nobody owns, and a forged
-/// duplicate heartbeat for a real job. All must be dropped, rejected or
+/// Every order in which three pools can be pumped.
+const PUMP_ORDERS: [[usize; 3]; 6] =
+    [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+
+#[test]
+fn every_pump_order_closes_on_one_history_and_one_set_of_counters() {
+    // The exhaustive small scope behind "histories are not a function
+    // of scheduling": three links, all six orders in which
+    // `run_lockstep` can pump their pools, every selector, latency-
+    // derived and injected deadlines, default guards watching. Each
+    // order must close on the in-process golden and on the very same
+    // `DriverStats` — frame, byte and late-update counts included.
+    let wire = WireOptions::new(3).with_guard(GuardConfig::default());
+    for selector in SelectorKind::all() {
+        for base in [latency_builder(11), injected_builder(11)] {
+            let builder = base.selector(selector);
+            let golden = builder.run().unwrap();
+            let mut first: Option<DriverStats> = None;
+            for order in &PUMP_ORDERS {
+                let (job, _) = builder.build().unwrap();
+                let (mut driver, pools) = memory_wire(vec![job.into_parts()], &wire).unwrap();
+                let mut by_link: Vec<_> = pools.into_iter().map(Some).collect();
+                let mut pools: Vec<_> = order.iter().map(|&l| by_link[l].take().unwrap()).collect();
+                run_lockstep(&mut driver, &mut pools).unwrap();
+                assert_eq!(
+                    driver.history(golden.meta.job_id),
+                    Some(&golden.history),
+                    "{selector:?}: pump order {order:?} moved the history"
+                );
+                let stats = driver.stats();
+                assert_eq!(
+                    *first.get_or_insert(stats),
+                    stats,
+                    "{selector:?}: pump order {order:?} moved a wire counter"
+                );
+            }
+        }
+    }
+}
+
+/// Hostile uplink frames: a truncated frame, a corrupt magic, a
+/// well-formed frame for a job nobody owns, and a forged duplicate
+/// heartbeat for a real job. All must be dropped, rejected or
 /// deduplicated without moving any round's state.
 fn chaos_frames(real_job: u64) -> Vec<bytes::Bytes> {
     let whole =
@@ -304,33 +341,43 @@ fn chaos_frames(real_job: u64) -> Vec<bytes::Bytes> {
 
 #[test]
 fn scheduling_jitter_and_chaos_frames_never_move_the_histories() {
-    // The randomized-schedule stress test: perturb every worker with
-    // pseudo-random sleeps while a chaos thread slips hostile frames
-    // onto both directions of the wire at unsynchronized times. The
+    // Hostile frames slipped onto both directions of link 0 through
+    // cloned handles while the pools are pumped in a rotated order. The
     // fault kinds mirror `tests/transport_faults.rs`; the oracle is the
-    // same — bit-identical histories, whatever the interleaving.
-    let golden = latency_builder(11).run().unwrap().history;
-    let (job, meta) = latency_builder(11).build().unwrap();
-    drop(job);
-    for (shards, jitter_seed) in [(2, 7u64), (3, 99), (4, 1234)] {
-        let mut opts = RuntimeOptions::new(shards);
-        opts.jitter_ns = 200_000;
-        opts.jitter_seed = jitter_seed;
-        opts.chaos_uplink = chaos_frames(meta.job_id);
-        opts.chaos_downlink = vec![frame(
-            1,
-            &WireMessage::GlobalModel { job: 0xDEAD_BEEF, round: 0, params: vec![1.0; 4].into() },
-        )];
-        let (history, outcome) = sharded(&latency_builder(11), &opts);
+    // same — bit-identical histories, and every hostile frame visible
+    // in exactly one counter.
+    let golden = latency_builder(11).run().unwrap();
+    for (links, rotation) in [(2, 1), (3, 2), (4, 3)] {
+        let (job, _) = latency_builder(11).build().unwrap();
+        let (mut driver, mut pools) =
+            memory_wire(vec![job.into_parts()], &WireOptions::new(links)).unwrap();
+        let mut to_driver = pools[0].transport().clone();
+        let mut to_pool = driver.transport().inner().link(0).clone();
+        for hostile in chaos_frames(golden.meta.job_id) {
+            to_driver.send(&hostile).unwrap();
+        }
+        to_pool
+            .send(&frame(
+                1,
+                &WireMessage::GlobalModel {
+                    job: 0xDEAD_BEEF,
+                    round: 0,
+                    params: vec![1.0; 4].into(),
+                },
+            ))
+            .unwrap();
+        pools.rotate_left(rotation);
+        run_lockstep(&mut driver, &mut pools).unwrap();
         assert_eq!(
-            history, golden,
-            "jitter seed {jitter_seed} over {shards} shards moved the history"
+            driver.history(golden.meta.job_id),
+            Some(&golden.history),
+            "hostile frames over {links} links (pump order rotated by {rotation}) moved the history"
         );
-        // The chaos traffic must be visible in the counters (dropped,
+        // The hostile traffic must be visible in the counters (dropped,
         // not lost): 2 corrupt/truncated + 1 unknown job on the uplink,
-        // 1 unroutable on some shard's downlink.
-        assert_eq!(outcome.stats.corrupt_frames, 2);
-        assert_eq!(outcome.stats.unknown_job_frames, 1);
-        assert_eq!(outcome.shard_unroutable.iter().sum::<u64>(), 1);
+        // 1 unroutable on link 0's downlink.
+        assert_eq!(driver.stats().corrupt_frames, 2);
+        assert_eq!(driver.stats().unknown_job_frames, 1);
+        assert_eq!(pools.iter().map(PartyPool::unroutable).sum::<u64>(), 1);
     }
 }

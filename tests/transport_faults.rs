@@ -619,8 +619,8 @@ fn compressed_frames_for_unknown_jobs_count_as_unknown_not_codec_mismatch() {
 
 #[test]
 fn corrupt_entropy_frames_on_one_link_leave_sibling_links_untouched() {
-    // The mixed-codec wire under fire: a 2-shard run whose shard link 0
-    // is overridden to `DeltaEntropy` while link 1 stays on the
+    // The mixed-codec wire under fire: a 2-link run whose link 0 is
+    // overridden to `DeltaEntropy` while link 1 stays on the
     // job-wide `DeltaLossless`. Hostile frames aimed at the entropy
     // link — a corrupt entropy payload, a truncated one, and
     // lossless-tagged frames that would be legitimate on the sibling
@@ -628,25 +628,24 @@ fn corrupt_entropy_frames_on_one_link_leave_sibling_links_untouched() {
     // history must stay bit-identical to the fault-free solo run.
     use flips::fl::codec::{PayloadCodec, Role};
     use flips::fl::message::frame_into;
-    use flips::fl::runtime::{run_sharded, RuntimeOptions};
 
     let (mut solo, _) = builder(11).build().unwrap();
     let golden = solo.run().unwrap();
     let (job, meta) = builder(11).codec(ModelCodec::DeltaLossless).build().unwrap();
     let job0 = meta.job_id;
 
-    // Uplink faults, all landing on shard link 0 (the chaos seam): an
-    // entropy update with a clobbered mode byte, a truncated entropy
-    // update, and the sibling link's DeltaLossless dialect — a codec
-    // mismatch on the entropy link even though link 1 would decode it.
+    // Uplink faults, all landing on link 0: an entropy update with a
+    // clobbered mode byte, a truncated entropy update, and the sibling
+    // link's DeltaLossless dialect — a codec mismatch on the entropy
+    // link even though link 1 would decode it.
     let entropy_update = tagged_update_frame(job0, ModelCodec::DeltaEntropy);
     let mut bad_mode = entropy_update.clone();
     bad_mode[70] = 0xEE;
     let truncated = entropy_update[..entropy_update.len() - 4].to_vec();
     let lossless_update = delta_update_frame(job0);
 
-    // Downlink faults, landing in shard 0's inbox: a truncated entropy
-    // model and a lossless-tagged model for the same job.
+    // Downlink faults, landing in link 0's pool inbox: a truncated
+    // entropy model and a lossless-tagged model for the same job.
     let downlink_model = |wire_codec| {
         let msg = WireMessage::GlobalModel { job: job0, round: 0, params: vec![1.0; 8].into() };
         let mut codec = PayloadCodec::new(wire_codec, Role::Sender);
@@ -658,30 +657,40 @@ fn corrupt_entropy_frames_on_one_link_leave_sibling_links_untouched() {
     let truncated_model = entropy_model[..entropy_model.len() - 4].to_vec();
     let lossless_model = downlink_model(ModelCodec::DeltaLossless);
 
-    let mut opts = RuntimeOptions::new(2).with_link_codec(job0, 0, ModelCodec::DeltaEntropy);
-    opts.chaos_uplink = vec![bad_mode.into(), truncated.into(), lossless_update.into()];
-    opts.chaos_downlink = vec![truncated_model.into(), lossless_model.into()];
-    let outcome = run_sharded(vec![job.into_parts()], &opts).unwrap();
+    let wire = WireOptions::new(2).with_link_codec(job0, 0, ModelCodec::DeltaEntropy);
+    let (mut driver, mut pools) = memory_wire(vec![job.into_parts()], &wire).unwrap();
+    let mut to_driver = pools[0].transport().clone();
+    let mut to_pool = driver.transport().inner().link(0).clone();
+    for hostile in [&bad_mode, &truncated, &lossless_update] {
+        to_driver.send(hostile).unwrap();
+    }
+    for hostile in [&truncated_model, &lossless_model] {
+        to_pool.send(hostile).unwrap();
+    }
+    run_lockstep(&mut driver, &mut pools).unwrap();
 
     assert_eq!(
-        outcome.histories.get(&job0),
+        driver.history(job0),
         Some(&golden),
         "faults on the entropy link disturbed the mixed-codec history"
     );
-    assert_eq!(outcome.stats.corrupt_frames, 2, "bad mode byte + truncation on the uplink");
+    let stats = driver.stats();
+    assert_eq!(stats.corrupt_frames, 2, "bad mode byte + truncation on the uplink");
     assert_eq!(
-        outcome.stats.codec_mismatch_frames, 1,
+        stats.codec_mismatch_frames, 1,
         "the sibling link's dialect must mismatch on the entropy link"
     );
+    let per_link =
+        |count: fn(&PartyPool<MemoryTransport>) -> u64| [count(&pools[0]), count(&pools[1])];
     assert_eq!(
-        outcome.shard_codec_mismatch,
-        vec![1, 0],
-        "only the entropy shard may count the lossless-tagged model"
+        per_link(PartyPool::codec_mismatch),
+        [1, 0],
+        "only the entropy link's pool may count the lossless-tagged model"
     );
     assert_eq!(
-        outcome.shard_unroutable,
-        vec![1, 0],
-        "the truncated entropy model must drop on shard 0 alone"
+        per_link(PartyPool::unroutable),
+        [1, 0],
+        "the truncated entropy model must drop on link 0 alone"
     );
-    assert_eq!(outcome.shard_rejected, vec![0, 0]);
+    assert_eq!(per_link(PartyPool::rejected), [0, 0]);
 }
