@@ -12,9 +12,10 @@
 //!
 //! - **Versioned**: a 4-byte magic (`FLCK`) and a `u32` format version
 //!   lead the file; unknown versions are rejected, never guessed at.
-//! - **Checksummed**: an FNV-1a-64 digest of the payload follows the
-//!   header; a flipped bit anywhere fails the load before any field is
-//!   interpreted.
+//! - **Checksummed**: the format layer's envelope ([`crate::format`])
+//!   puts a 64-bit digest after the version; a flipped bit anywhere
+//!   fails the load before any field is interpreted. Version 2 (a word
+//!   digest) is written, version 1 (FNV-1a-64) still opens.
 //! - **Panic-free**: decoding runs on the format layer's bounded
 //!   [`Reader`] — truncation, hostile lengths, bad enum tags and
 //!   trailing garbage all surface as [`FlError::Codec`], and a failed
@@ -26,7 +27,7 @@
 //! (atomically, via tmp-file + rename).
 
 use crate::driver::DriverStats;
-use crate::format::{put_bool, put_f32s, put_map, put_option, put_vec, Reader};
+use crate::format::{put_bool, put_f32s, put_map, put_option, put_vec, seal, unseal, Reader};
 use crate::guard::{
     BreakerState, BreakerTransition, GuardJobSnapshot, GuardPartySnapshot, GuardSnapshot,
 };
@@ -37,8 +38,8 @@ use flips_selection::{PartyId, RoundFeedback};
 
 /// File magic: "FLCK" (FLIPS checkpoint).
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FLCK";
-/// Current format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current format version (1 differs in the envelope's digest alone).
+pub const CHECKPOINT_VERSION: u32 = crate::format::ENVELOPE_VERSION;
 
 /// One link's delta-codec reference at the snapshot boundary: what the
 /// sender must re-key to so the next encoded global is byte-identical
@@ -289,80 +290,26 @@ fn job(r: &mut Reader<'_>) -> Result<JobSnapshot, FlError> {
     })
 }
 
-// ---------------------------------------------------------------------
-// The integrity envelope: magic, version, FNV-1a checksum, payload.
-// ---------------------------------------------------------------------
-
-/// FNV-1a 64 over the payload.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Seals an opaque payload in the integrity envelope. Roster segments
-/// ([`crate::roster`]) reuse it under their own magic, so a damaged
-/// segment file gets the same tamper evidence checkpoints get and can
-/// only ever produce an error, never a silently wrong roster.
-pub(crate) fn seal(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + payload.len());
-    out.put_slice(&magic);
-    out.put_u32_le(version);
-    out.put_u64_le(fnv1a(payload));
-    out.put_slice(payload);
-    out
-}
-
-/// Opens an envelope, rejecting wrong magic, unknown versions (never
-/// guessed at), truncation and — through the checksum, before any field
-/// is interpreted — bit damage anywhere in the payload.
-pub(crate) fn unseal<'a>(
-    bytes: &'a [u8],
-    magic: [u8; 4],
-    version: u32,
-    what: &'static str,
-) -> Result<&'a [u8], FlError> {
-    let mut r = Reader::new(bytes, what);
-    if r.bytes(4)? != magic {
-        return Err(FlError::Codec(format!("not a {what}: bad magic")));
-    }
-    let found = r.u32()?;
-    if found != version {
-        return Err(FlError::Codec(format!(
-            "unsupported {what} version {found} (this build reads {version})"
-        )));
-    }
-    let checksum = r.u64()?;
-    let payload = &bytes[r.position()..];
-    if fnv1a(payload) != checksum {
-        return Err(FlError::Codec(format!("{what} failed its checksum (corrupt or truncated)")));
-    }
-    Ok(payload)
-}
-
 impl Checkpoint {
     /// Serializes the snapshot: header (magic, version, checksum) then
     /// the canonical payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(4096);
-        payload.put_u64_le(self.tick);
-        put_bool(&mut payload, self.draining);
-        let mut stats = self.stats;
-        for word in STATS_WORDS {
-            payload.put_u64_le(*word(&mut stats));
-        }
-        put_vec(&mut payload, &self.jobs, put_job);
-        put_option(&mut payload, self.guard.as_ref(), put_guard);
-        put_vec(&mut payload, &self.codec_refs, |out, r| {
-            out.put_u32_le(r.link);
-            out.put_u64_le(r.job);
-            out.put_u64_le(r.ref_round);
-            put_f32_vec(out, &r.params);
-        });
-        seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &payload)
+        seal(CHECKPOINT_MAGIC, |out| {
+            out.put_u64_le(self.tick);
+            put_bool(out, self.draining);
+            let mut stats = self.stats;
+            for word in STATS_WORDS {
+                out.put_u64_le(*word(&mut stats));
+            }
+            put_vec(out, &self.jobs, put_job);
+            put_option(out, self.guard.as_ref(), put_guard);
+            put_vec(out, &self.codec_refs, |out, r| {
+                out.put_u32_le(r.link);
+                out.put_u64_le(r.job);
+                out.put_u64_le(r.ref_round);
+                put_f32_vec(out, &r.params);
+            });
+        })
     }
 
     /// Deserializes a snapshot, validating magic, version, checksum and
@@ -376,7 +323,7 @@ impl Checkpoint {
     /// version, checksum mismatch, truncation, impossible lengths, bad
     /// enum/option/bool tags, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, FlError> {
-        let payload = unseal(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")?;
+        let payload = unseal(bytes, CHECKPOINT_MAGIC, "checkpoint")?;
         let mut r = Reader::new(payload, "checkpoint");
         let tick = r.u64()?;
         let draining = r.bool()?;
@@ -493,15 +440,31 @@ mod tests {
         assert_eq!(back.jobs[0].observed, Some((vec![0.1, 0.2], vec![2])));
     }
 
-    /// The parent commit's bytes: the header checksum (bytes 8..16) is
-    /// the payload's FNV-1a, so length + one `u64` pin every byte — a
-    /// field moved in both the writer and the reader still fails here.
+    /// The header digest (bytes 8..16) covers the header word, the
+    /// length and every payload byte, so length + one `u64` pin the whole
+    /// image — a field moved in both the writer and the reader still
+    /// fails here.
     #[test]
     fn sample_snapshot_holds_its_golden_bytes() {
         let bytes = sample().encode();
-        assert_eq!(&bytes[..8], b"FLCK\x01\0\0\0");
+        assert_eq!(&bytes[..8], b"FLCK\x02\0\0\0");
         let checksum = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        assert_eq!((bytes.len(), checksum), (809, 10_123_825_977_314_528_017));
+        assert_eq!((bytes.len(), checksum), (809, 2_938_713_306_171_909_841));
+    }
+
+    /// The same snapshot as the parent commit's encoder wrote it —
+    /// version 1, its length and FNV-1a checksum the ones that commit's
+    /// golden test pinned — committed as a file: a `checkpoint.bin` from
+    /// before the upgrade still restores, to the same values.
+    #[test]
+    fn version_1_snapshot_fixture_still_decodes_and_re_encodes_as_version_2() {
+        let v1: &[u8] = include_bytes!("../tests/fixtures/sample.v1.flck");
+        assert_eq!(&v1[..8], b"FLCK\x01\0\0\0");
+        let checksum = u64::from_le_bytes(v1[8..16].try_into().unwrap());
+        assert_eq!((v1.len(), checksum), (809, 10_123_825_977_314_528_017));
+        let v2 = Checkpoint::decode(v1).unwrap().encode();
+        assert_eq!(v2, sample().encode());
+        assert_eq!(v2[16..], v1[16..], "versions differ in the header alone");
     }
 
     #[test]
@@ -553,7 +516,7 @@ mod tests {
             payload.put_u64_le(0);
         }
         payload.put_u64_le(1 << 60); // jobs count
-        let bytes = seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &payload);
+        let bytes = seal(CHECKPOINT_MAGIC, |out| out.put_slice(&payload));
         assert!(Checkpoint::decode(&bytes).is_err());
     }
 }

@@ -18,6 +18,11 @@
 //!
 //! The write side is [`BufMut`] for scalars plus the composite `put_*`
 //! functions here, each the twin of the reader method of the same name.
+//!
+//! `FLCK` and `FLRS` files share one integrity envelope, `seal` /
+//! `unseal`: `magic ‖ u32 version ‖ u64 digest ‖ payload`, the digest
+//! named by the version and checked before a decoder sees a byte
+//! (`docs/WIRE.md` § 8.2).
 
 use crate::FlError;
 use bytes::BufMut;
@@ -262,9 +267,102 @@ pub fn put_f32s(out: &mut impl BufMut, v: &[f32]) {
     }
 }
 
+/// The envelope version [`seal`] writes. Which digest guards a file is
+/// data — this field — never an option: [`unseal`] follows the file.
+pub(crate) const ENVELOPE_VERSION: u32 = 2;
+
+/// Version 1's digest, FNV-1a-64 over the payload, a dependent multiply
+/// per byte. Read-only: old files outlive the binary that wrote them.
+fn fnv1a(_header: &[u8], payload: &[u8]) -> u64 {
+    payload.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Lanes of the version-2 digest; a 64-byte block feeds each one word.
+const LANES: usize = 8;
+/// Its multiplier (odd); lane `i` starts from `(i + 1) · P mod 2⁶⁴`.
+const P: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The digest's one step, a bijection of `h` for a fixed `w` and of `w`
+/// for a fixed `h`: xor is, so is a multiply by an odd constant mod 2⁶⁴,
+/// so is a rotation (high bits go where the next multiply spreads them).
+#[inline]
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(P).rotate_left(29)
+}
+
+/// Version 2's digest. The payload, zero-padded to whole blocks, is read
+/// as little-endian `u64`s (the same value on every host), word `i`
+/// mixed into lane `i mod 8`; the header word (magic ‖ version), the
+/// payload length and the lanes are then folded into one `u64`.
+///
+/// What FNV-1a caught *for certain* still is: damage within one aligned
+/// word — any single-bit or single-byte flip — changes its lane there,
+/// every later step of lane and fold is a bijection, so the digest
+/// changes; so too for the header word, which FNV never covered. Zero
+/// bytes cut off the last block or added to it are lost in the padding
+/// and move only the length, hence the digest. Wider damage passes with
+/// probability 2⁻⁶⁴, as under FNV.
+fn lane_digest(header: &[u8], payload: &[u8]) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let mut lanes: [u64; LANES] = std::array::from_fn(|i| P.wrapping_mul(i as u64 + 1));
+    let mut absorb = |block: &[u8]| {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, word(w));
+        }
+    };
+    let mut blocks = payload.chunks_exact(8 * LANES);
+    blocks.by_ref().for_each(&mut absorb);
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut last = [0; 8 * LANES];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(&last);
+    }
+    [word(header), payload.len() as u64].iter().chain(&lanes).fold(0, |h, &w| mix(h, w))
+}
+
+/// Seals a payload in the envelope shared by `FLCK` and `FLRS` files, in
+/// one buffer: 16 header bytes, what `write_payload` appends, then the
+/// digest patched in.
+pub(crate) fn seal(magic: [u8; 4], write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = [&magic[..], &ENVELOPE_VERSION.to_le_bytes(), &[0; 8]].concat();
+    write_payload(&mut out);
+    let digest = lane_digest(&out[..8], &out[16..]);
+    out[8..16].copy_from_slice(&digest.to_le_bytes());
+    out
+}
+
+/// Opens an envelope: wrong magic, a version other than 1 or 2 (never
+/// guessed at), truncation and — by the digest the version names, over
+/// the whole payload, on every call, before any field is interpreted —
+/// damage anywhere all come back as [`FlError::Codec`].
+pub(crate) fn unseal<'a>(
+    bytes: &'a [u8],
+    magic: [u8; 4],
+    what: &'static str,
+) -> Result<&'a [u8], FlError> {
+    let mut r = Reader::new(bytes, what);
+    if r.bytes(4)? != magic {
+        return Err(r.bad(format_args!("bad magic")));
+    }
+    let digest = match r.u32()? {
+        1 => fnv1a,
+        ENVELOPE_VERSION => lane_digest,
+        v => return Err(r.bad(format_args!("unsupported version {v} (this build reads 1 and 2)"))),
+    };
+    let stored = r.u64()?;
+    let payload = &bytes[16..];
+    if digest(&bytes[..8], payload) != stored {
+        return Err(r.bad(format_args!("failed its checksum (corrupt or truncated)")));
+    }
+    Ok(payload)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flips_ml::rng::seeded;
+    use rand::Rng;
 
     fn is_codec_error<T: std::fmt::Debug>(r: Result<T, FlError>) -> bool {
         matches!(r, Err(FlError::Codec(_)))
@@ -401,5 +499,126 @@ mod tests {
         assert_eq!(r.bytes(2).unwrap(), [1, 2]);
         let err = r.finish().unwrap_err().to_string();
         assert!(err.contains("1 trailing"), "{err}");
+    }
+
+    /// The parent commit's sealed two-record roster segment: version 1.
+    const SEGMENT_V1: &[u8] = include_bytes!("../tests/fixtures/two_records.v1.flrs");
+
+    fn random_bytes(rng: &mut impl Rng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.random::<u32>() as u8).collect()
+    }
+
+    /// Version 2's digest as `docs/WIRE.md` § 8.2 words it, with none of
+    /// production's blocks, slices or iterators: one lane at a time, each
+    /// word assembled byte by byte, a byte past the end reading as zero.
+    fn reference_digest(header: [u8; 8], payload: &[u8]) -> u64 {
+        const P: u64 = 0x9e37_79b9_7f4a_7c15;
+        let step = |h: u64, w: u64| (h ^ w).wrapping_mul(P).rotate_left(29);
+        let byte = |bytes: &[u8], i: usize| u64::from(bytes.get(i).copied().unwrap_or(0));
+        let padded = payload.len().div_ceil(64) * 64;
+        let mut digest = 0;
+        let mut header_word = 0;
+        for i in 0..8 {
+            header_word |= byte(&header, i) << (8 * i);
+        }
+        digest = step(digest, header_word);
+        digest = step(digest, payload.len() as u64);
+        for lane in 0..8 {
+            let mut acc = P.wrapping_mul(lane as u64 + 1);
+            let mut at = 8 * lane;
+            while at < padded {
+                let mut w = 0;
+                for i in 0..8 {
+                    w |= byte(payload, at + i) << (8 * i);
+                }
+                acc = step(acc, w);
+                at += 64;
+            }
+            digest = step(digest, acc);
+        }
+        digest
+    }
+
+    #[test]
+    fn lane_digest_agrees_with_its_scalar_reference_at_every_length() {
+        let mut rng = seeded(0xD16E);
+        let big = [1 << 16, (1 << 16) + 1, (1 << 16) + 63, 196_616];
+        for len in (0..=160).chain(big) {
+            let payload = random_bytes(&mut rng, len);
+            let header: [u8; 8] = random_bytes(&mut rng, 8).try_into().unwrap();
+            assert_eq!(lane_digest(&header, &payload), reference_digest(header, &payload), "{len}");
+            // All zeros: only the folded length tells the lengths apart.
+            let zeros = vec![0; len];
+            assert_eq!(lane_digest(&header, &zeros), reference_digest(header, &zeros), "{len}");
+        }
+    }
+
+    #[test]
+    fn sealed_bytes_refuse_every_flip_cut_and_zero_extension_at_every_small_length() {
+        let mut rng = seeded(0x5EA1);
+        let open = |bytes: &[u8]| unseal(bytes, *b"FLRS", "test").map(<[u8]>::to_vec);
+        // 0..=72 straddles the word (8) and block (64) boundaries. Each
+        // length twice: random bytes, then zeros — the payload the zero
+        // padding cannot be told from.
+        for len in 0..=72 {
+            for payload in [random_bytes(&mut rng, len), vec![0; len]] {
+                let sealed = seal(*b"FLRS", |out| out.put_slice(&payload));
+                assert_eq!(sealed.len(), 16 + len);
+                assert_eq!(open(&sealed).unwrap(), payload);
+                for bit in 0..8 * sealed.len() {
+                    let mut evil = sealed.clone();
+                    evil[bit / 8] ^= 1 << (bit % 8);
+                    assert!(is_codec_error(open(&evil)), "len {len}: bit {bit} flipped, accepted");
+                }
+                for cut in 0..sealed.len() {
+                    assert!(is_codec_error(open(&sealed[..cut])), "len {len}: cut to {cut}");
+                }
+                let mut longer = sealed;
+                for extra in 1..=32 {
+                    longer.push(0);
+                    assert!(is_codec_error(open(&longer)), "len {len}: {extra} zero bytes added");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_version_field_picks_the_digest_and_relabelled_files_are_refused() {
+        let payload = &SEGMENT_V1[16..];
+        let v2 = seal(*b"FLRS", |out| out.put_slice(payload));
+        assert_eq!((&v2[..4], &v2[4..8], &v2[16..]), (&b"FLRS"[..], &[2, 0, 0, 0][..], payload));
+        for (file, version) in [(SEGMENT_V1, 1), (&v2[..], 2)] {
+            assert_eq!(unseal(file, *b"FLRS", "test").unwrap(), payload, "version {version}");
+            for relabel in 0..=9u8 {
+                let mut evil = file.to_vec();
+                evil[4] = relabel;
+                let opened = unseal(&evil, *b"FLRS", "test");
+                assert_eq!(opened.is_ok(), relabel == version, "{version} relabelled {relabel}");
+            }
+        }
+        // Version 2 folds the header in: the same payload under the other
+        // magic is another file (FNV-over-payload never covered this).
+        for (from, to) in [(*b"FLRS", *b"FLCK"), (*b"FLCK", *b"FLRS")] {
+            let mut evil = seal(from, |out| out.put_slice(payload));
+            assert!(is_codec_error(unseal(&evil, to, "test")), "foreign magic accepted");
+            evil[..4].copy_from_slice(&to);
+            assert!(is_codec_error(unseal(&evil, to, "test")), "relabelled magic accepted");
+        }
+        let mut future = v2.clone();
+        future[4] = 3;
+        let err = unseal(&future, *b"FLRS", "test").unwrap_err().to_string();
+        assert!(err.contains("reads 1 and 2"), "{err}");
+    }
+
+    #[test]
+    fn version_1_files_keep_their_every_flip_and_cut_rejection() {
+        for bit in 0..8 * SEGMENT_V1.len() {
+            let mut evil = SEGMENT_V1.to_vec();
+            evil[bit / 8] ^= 1 << (bit % 8);
+            assert!(is_codec_error(unseal(&evil, *b"FLRS", "test")), "bit {bit} flipped");
+        }
+        for cut in 0..SEGMENT_V1.len() {
+            assert!(is_codec_error(unseal(&SEGMENT_V1[..cut], *b"FLRS", "test")), "cut to {cut}");
+        }
     }
 }

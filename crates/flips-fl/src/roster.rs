@@ -8,9 +8,9 @@
 //! job. [`RosterStore`] keeps those descriptors in fixed-size
 //! *segments* ([`SEGMENT_PARTIES`] records each) and, in spill mode,
 //! pages them through a bounded LRU cache of resident segments backed
-//! by sealed files on disk — the same FLCK integrity envelope
-//! checkpoints use ([`crate::checkpoint`]), so a truncated or bit-
-//! flipped segment is rejected, never silently misread.
+//! by sealed files on disk — in the integrity envelope checkpoints use
+//! ([`crate::format`], magic `FLRS`), so a truncated or bit-flipped
+//! segment is rejected on every page-in, never silently misread.
 //!
 //! The store implements [`CandidateSource`], which is how the five
 //! selection policies consume it: streamed per-party reads for Oort and
@@ -24,8 +24,7 @@
 //! roster_loaded}` (via [`crate::MultiJobDriver::attach_roster`]) and
 //! the flips-net Prometheus gauges.
 
-use crate::checkpoint::{seal, unseal};
-use crate::format::{put_vec, Reader};
+use crate::format::{put_vec, seal, unseal, Reader};
 use crate::FlError;
 use bytes::BufMut;
 use flips_selection::streaming::CandidateSource;
@@ -326,8 +325,10 @@ impl RosterStore {
                     cache.touch(seg);
                     return Ok(out);
                 }
-                let mut segment = std::mem::take(&mut cache.spare);
-                self.load_segment(dir, seg, &mut cache.file, &mut segment)?;
+                // Into the spare where it sits: a refused file leaves it.
+                let SegmentCache { file, spare, .. } = &mut *cache;
+                self.load_segment(dir, seg, file, spare)?;
+                let segment = std::mem::take(spare);
                 let out = f(segment.view(off));
                 cache.insert(seg, segment, *budget);
                 Ok(out)
@@ -426,10 +427,10 @@ impl FlatSegment {
 impl SegmentCache {
     /// Marks `seg` most-recently used.
     fn touch(&mut self, seg: usize) {
-        if let Some(pos) = self.order.iter().position(|&s| s == seg) {
-            self.order.remove(pos);
+        if self.order.back() != Some(&seg) {
+            self.order.retain(|&s| s != seg);
+            self.order.push_back(seg);
         }
-        self.order.push_back(seg);
     }
 
     /// Inserts a freshly loaded segment, evicting least-recently used
@@ -447,34 +448,30 @@ impl SegmentCache {
 }
 
 // ---------------------------------------------------------------------
-// Segment codec (sealed in crate::checkpoint's integrity envelope).
+// Segment codec (sealed in crate::format's integrity envelope).
 // ---------------------------------------------------------------------
 
 /// Magic tag of a sealed roster segment.
 const SEGMENT_MAGIC: [u8; 4] = *b"FLRS";
-/// Roster-segment envelope version.
-const SEGMENT_VERSION: u32 = 1;
 
 fn seal_segment(records: &[PartyRecord]) -> Vec<u8> {
-    seal(SEGMENT_MAGIC, SEGMENT_VERSION, &encode_segment(records))
+    seal(SEGMENT_MAGIC, |out| encode_segment(out, records))
 }
 
 fn unseal_segment(bytes: &[u8], into: &mut FlatSegment) -> Result<(), FlError> {
-    decode_segment(unseal(bytes, SEGMENT_MAGIC, SEGMENT_VERSION, "roster segment")?, into)
+    decode_segment(unseal(bytes, SEGMENT_MAGIC, "roster segment")?, into)
 }
 
-fn encode_segment(records: &[PartyRecord]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_vec(&mut out, records, |out, r| {
+fn encode_segment(out: &mut Vec<u8>, records: &[PartyRecord]) {
+    put_vec(out, records, |out, r| {
         out.put_u64_le(r.data_size);
         out.put_f64_le(r.latency_hint);
         put_vec(out, &r.label_counts, |out, &c| out.put_u64_le(c));
     });
-    out
 }
 
 /// Decodes a segment payload into `into`'s columns, replacing what they
-/// held (on an error they hold a prefix; no caller keeps them then).
+/// held (on an error they hold a prefix, which no caller reads).
 fn decode_segment(payload: &[u8], into: &mut FlatSegment) -> Result<(), FlError> {
     let FlatSegment { data_size, latency, label_end, labels } = into;
     data_size.clear();
@@ -535,7 +532,13 @@ mod tests {
     }
 
     fn unseal_segment(bytes: &[u8]) -> Result<Vec<PartyRecord>, FlError> {
-        decode_segment(unseal(bytes, SEGMENT_MAGIC, SEGMENT_VERSION, "roster segment")?)
+        decode_segment(unseal(bytes, SEGMENT_MAGIC, "roster segment")?)
+    }
+
+    fn encode_segment(records: &[PartyRecord]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        super::encode_segment(&mut payload, records);
+        payload
     }
 
     /// The record-at-a-time decoder resident segments had before they
@@ -647,31 +650,53 @@ mod tests {
         }
     }
 
-    /// The parent commit's bytes of one sealed two-record segment: a
-    /// field moved in both the writer and the reader still fails here.
-    #[test]
-    fn sealed_segment_holds_its_golden_bytes() {
-        let records = vec![
+    fn two_records() -> Vec<PartyRecord> {
+        vec![
             PartyRecord { data_size: 7, latency_hint: 0.5, label_counts: vec![1, 2] },
             PartyRecord { data_size: 300, latency_hint: -1.25, label_counts: vec![9] },
-        ];
-        let sealed = seal_segment(&records);
-        let hex: String = sealed.iter().map(|b| format!("{b:02x}")).collect();
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One sealed two-record segment, byte for byte: a field moved in
+    /// both the writer and the reader still fails here.
+    #[test]
+    fn sealed_segment_holds_its_golden_bytes() {
+        let sealed = seal_segment(&two_records());
+        let golden = concat!(
+            "464c525302000000d6eb4f7c1a7c547a02000000000000000700000000000000",
+            "000000000000e03f020000000000000001000000000000000200000000000000",
+            "2c01000000000000000000000000f4bf01000000000000000900000000000000",
+        );
+        assert_eq!(hex(&sealed), golden);
+        assert_eq!(unseal_segment(&sealed).unwrap(), two_records());
+    }
+
+    /// The same segment as the parent commit sealed it — version 1,
+    /// FNV-1a — committed as a file: it still opens, to the same records,
+    /// over the same payload bytes, and reseals as today's version 2.
+    #[test]
+    fn version_1_segment_fixture_still_opens_and_reseals_as_version_2() {
+        let v1: &[u8] = include_bytes!("../tests/fixtures/two_records.v1.flrs");
         let golden = concat!(
             "464c525301000000362a185888e1d50902000000000000000700000000000000",
             "000000000000e03f020000000000000001000000000000000200000000000000",
             "2c01000000000000000000000000f4bf01000000000000000900000000000000",
         );
-        assert_eq!(hex, golden);
-        assert_eq!(unseal_segment(&sealed).unwrap(), records);
+        assert_eq!(hex(v1), golden, "the fixture is the parent commit's golden");
+        let records = unseal_segment(v1).unwrap();
+        assert_eq!(records, two_records());
+        let v2 = seal_segment(&records);
+        assert_eq!(v2, seal_segment(&two_records()));
+        assert_eq!(v2[16..], v1[16..], "versions differ in the header alone");
     }
 
     #[test]
     fn columnar_decode_agrees_with_the_record_decoder_on_any_bytes() {
-        let golden = vec![
-            PartyRecord { data_size: 7, latency_hint: 0.5, label_counts: vec![1, 2] },
-            PartyRecord { data_size: 300, latency_hint: -1.25, label_counts: vec![9] },
-        ];
+        let golden = two_records();
         let mut ragged = sample_records(5);
         ragged[1].label_counts.clear();
         ragged[4].label_counts = vec![u64::MAX; 9];
@@ -724,6 +749,39 @@ mod tests {
         assert!(store.visit_all(&mut |_, _| {}).is_err());
         assert_eq!(store.record(5).unwrap(), sample_records(10)[5], "segment 1 is intact");
         assert_eq!(store.loaded(), 1, "a refused file is not a load");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A refused page-in used to drop the spare it had taken, so the
+    /// next one allocated its columns afresh.
+    #[test]
+    fn a_refused_page_in_keeps_the_spare_columns_and_is_not_a_load() {
+        let dir = test_dir("spare");
+        let mut b = RosterBuilder::spilling(&dir, 1).unwrap().segment_cap(4);
+        for r in sample_records(12) {
+            b.push(r).unwrap();
+        }
+        let store = b.finish().unwrap();
+        let spare_capacity = || {
+            let Backing::Spill { cache, .. } = &store.backing else { unreachable!() };
+            let cache = cache.lock().unwrap();
+            (cache.spare.data_size.capacity(), cache.spare.labels.capacity())
+        };
+        // Segment 1 evicts segment 0, whose columns become the spare.
+        let _ = (store.record(0).unwrap(), store.record(4).unwrap());
+        let before = spare_capacity();
+        assert!(before.0 >= 4 && before.1 >= 12, "{before:?}");
+        let path = segment_path(&dir, 2);
+        let intact = std::fs::read(&path).unwrap();
+        let mut damaged = intact.clone();
+        damaged[20] ^= 0x40;
+        std::fs::write(&path, &damaged).unwrap();
+        assert!(store.record(8).is_err());
+        assert_eq!(spare_capacity(), before, "the refused load dropped the spare");
+        assert_eq!(store.loaded(), 2, "a refused file is not a load");
+        std::fs::write(&path, &intact).unwrap();
+        assert_eq!(store.record(8).unwrap(), sample_records(12)[8]);
+        assert_eq!(store.loaded(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

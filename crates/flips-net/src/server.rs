@@ -262,9 +262,9 @@ fn flush_links(
 
 /// Writes `cp` into `dir/`[`CHECKPOINT_FILE`] atomically: a crash
 /// mid-write leaves the previous snapshot intact, never a truncated
-/// file (the decoder would reject one anyway — checksummed format —
-/// but a complete older snapshot restores; a rejected newer one does
-/// not).
+/// file (the decoder would reject one anyway — the envelope's digest —
+/// but a complete older snapshot restores, a version-1 file from before
+/// an upgrade included; a rejected newer one does not).
 fn write_checkpoint(dir: &Path, cp: &Checkpoint) -> Result<(), FlError> {
     let io = |e: std::io::Error| FlError::Transport(format!("checkpoint write failed: {e}"));
     std::fs::create_dir_all(dir).map_err(io)?;
