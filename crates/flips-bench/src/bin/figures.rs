@@ -1,5 +1,6 @@
-//! Regenerates the paper's Figures 2 and 5–13, plus the DESIGN.md
-//! ablations, as CSV series on stdout.
+//! Regenerates the paper's Figures 2 and 5–13, plus two ablations of
+//! its mechanism (the cluster count `k`; Algorithm 1's straggler
+//! overprovisioning), as CSV series on stdout.
 //!
 //! ```text
 //! cargo run --release -p flips-bench --bin figures -- --figure 2
@@ -7,7 +8,6 @@
 //! cargo run --release -p flips-bench --bin figures -- --figure 13
 //! cargo run --release -p flips-bench --bin figures -- --figure ablation-k
 //! cargo run --release -p flips-bench --bin figures -- --figure ablation-overprovision
-//! cargo run --release -p flips-bench --bin figures -- --figure ablation-distance
 //! ```
 //!
 //! Figure → dataset mapping follows the paper: 5/6 = MIT-BIH ECG,
@@ -21,12 +21,11 @@
 use flips_bench::{dataset, Scale, NO_STRAGGLER_COLUMNS, STRAGGLER_COLUMNS};
 use flips_core::clustering::{optimal_k, ElbowConfig};
 use flips_core::data::dataset::generate_population;
-use flips_core::middleware::LdTransform;
 use flips_core::prelude::*;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures --figure <2|5|6|7|8|9|10|11|12|13|ablation-k|ablation-overprovision|ablation-distance> [--full]"
+        "usage: figures --figure <2|5|6|7|8|9|10|11|12|13|ablation-k|ablation-overprovision> [--full]"
     );
     std::process::exit(2);
 }
@@ -56,7 +55,6 @@ fn main() {
         "13" => figure13(scale),
         "ablation-k" => ablation_k(scale),
         "ablation-overprovision" => ablation_overprovision(scale),
-        "ablation-distance" => ablation_distance(scale),
         _ => usage(),
     }
 }
@@ -245,38 +243,6 @@ fn ablation_overprovision(scale: Scale) {
                     .rounds_to_target()
                     .map(|r| r.to_string())
                     .unwrap_or_else(|| format!(">{}", report.meta.rounds))
-            );
-        }
-    }
-}
-
-/// Ablation: clustering geometry (plain Euclidean vs Hellinger vs
-/// unit-norm/cosine) on ECG and HAM.
-fn ablation_distance(scale: Scale) {
-    println!("# Ablation: label-distribution clustering geometry");
-    println!("dataset,transform,peak_accuracy,rounds_to_target,k");
-    for dataset_idx in [0usize, 1] {
-        for (name, transform) in [
-            ("euclidean", LdTransform::None),
-            ("hellinger", LdTransform::Hellinger),
-            ("unit-norm", LdTransform::UnitNorm),
-        ] {
-            let report = builder(dataset_idx, scale)
-                .alpha(0.3)
-                .participation(0.20)
-                .selector(SelectorKind::Flips)
-                .ld_transform(transform)
-                .run()
-                .expect("ablation run");
-            println!(
-                "{},{name},{:.4},{},{}",
-                dataset(dataset_idx).name,
-                report.peak_accuracy(),
-                report
-                    .rounds_to_target()
-                    .map(|r| r.to_string())
-                    .unwrap_or_else(|| format!(">{}", report.meta.rounds)),
-                report.meta.k.unwrap_or(0)
             );
         }
     }

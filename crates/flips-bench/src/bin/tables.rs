@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 fn usage() -> ! {
     eprintln!("usage: tables [--table N]... [--all] [--full]");
-    eprintln!("  N in 1..=24 (paper numbering; see DESIGN.md experiment index)");
+    eprintln!("  N in 1..=24 (paper numbering; see flips_bench::table_layout)");
     std::process::exit(2);
 }
 

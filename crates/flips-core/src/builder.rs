@@ -8,7 +8,7 @@
 //! grid (dataset, algorithm, α, participation %, straggler rate, seed) is
 //! a builder method.
 
-use crate::middleware::{FlipsMiddleware, LdTransform, MiddlewareConfig};
+use crate::middleware::{FlipsMiddleware, MiddlewareConfig};
 use crate::FlipsError;
 use flips_data::dataset::{balanced_test_set, generate_population};
 use flips_data::{partition, DatasetProfile, PartitionStrategy};
@@ -68,7 +68,6 @@ pub struct SimulationBuilder {
     test_per_class: usize,
     clustering_restarts: usize,
     fixed_k: Option<usize>,
-    ld_transform: LdTransform,
     overprovision: bool,
     tee_overhead: OverheadModel,
     local: Option<LocalTrainingConfig>,
@@ -99,7 +98,6 @@ impl SimulationBuilder {
             test_per_class: 50,
             clustering_restarts: 20,
             fixed_k: None,
-            ld_transform: LdTransform::None,
             overprovision: true,
             tee_overhead: OverheadModel::sev_like(),
             local: None,
@@ -228,14 +226,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the label-distribution transform used before clustering
-    /// (distance-metric ablation).
-    #[must_use]
-    pub fn ld_transform(mut self, transform: LdTransform) -> Self {
-        self.ld_transform = transform;
-        self
-    }
-
     /// Disables FLIPS straggler overprovisioning (ablation).
     #[must_use]
     pub fn without_overprovisioning(mut self) -> Self {
@@ -336,7 +326,6 @@ impl SimulationBuilder {
             restarts: self.clustering_restarts,
             fixed_k: self.fixed_k,
             k_floor: Some((2 * profile.classes).min(parties_per_round)),
-            transform: self.ld_transform,
             overprovision: self.overprovision,
             overhead: self.tee_overhead,
             seed: self.seed,

@@ -36,37 +36,6 @@ use rand::Rng;
 /// enclave binary).
 pub const CLUSTERING_CODE_ID: &[u8] = b"flips-label-distribution-clustering-v1";
 
-/// How a party transforms its normalized label distribution before
-/// provisioning it for clustering (the distance-metric ablation: K-Means
-/// with Euclidean distance on transformed vectors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LdTransform {
-    /// Raw proportions — Euclidean distance on probability vectors (the
-    /// paper's metric).
-    #[default]
-    None,
-    /// Element-wise square root — Euclidean becomes the Hellinger
-    /// distance, which upweights rare-label differences.
-    Hellinger,
-    /// L2 unit normalization — Euclidean becomes a monotone function of
-    /// cosine distance.
-    UnitNorm,
-}
-
-impl LdTransform {
-    /// Applies the transform to a normalized distribution.
-    pub fn apply(&self, normalized: &[f32]) -> Vec<f32> {
-        match self {
-            LdTransform::None => normalized.to_vec(),
-            LdTransform::Hellinger => normalized.iter().map(|p| p.sqrt()).collect(),
-            LdTransform::UnitNorm => {
-                let norm = flips_ml::matrix::l2_norm(normalized).max(1e-9);
-                normalized.iter().map(|p| p / norm).collect()
-            }
-        }
-    }
-}
-
 /// Configuration of the private-clustering ceremony.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MiddlewareConfig {
@@ -91,9 +60,6 @@ pub struct MiddlewareConfig {
     pub overhead: OverheadModel,
     /// Seed for clustering restarts and channel establishment.
     pub seed: u64,
-    /// Pre-clustering transform of the label distributions (distance
-    /// ablation).
-    pub transform: LdTransform,
 }
 
 impl Default for MiddlewareConfig {
@@ -106,7 +72,6 @@ impl Default for MiddlewareConfig {
             overprovision: true,
             overhead: OverheadModel::sev_like(),
             seed: 0,
-            transform: LdTransform::None,
         }
     }
 }
@@ -247,8 +212,7 @@ impl FlipsMiddleware {
                 attestation.verify(&quote, nonce)?;
 
                 let (mut party_end, enclave_end) = SecureChannel::establish(&mut rng);
-                let point = config.transform.apply(&ld.normalized());
-                let sealed = party_end.seal(&encode_distribution(&point));
+                let sealed = party_end.seal(&encode_distribution(&ld.normalized()));
                 enclave
                     .enter(|state| -> Result<(), TeeError> {
                         let plain = enclave_end.open(&sealed)?;

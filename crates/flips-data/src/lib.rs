@@ -8,7 +8,7 @@
 //! - **class-conditional Gaussian generators** whose *label imbalance*
 //!   matches each paper dataset ([`profile`]) — FLIPS's mechanism depends
 //!   only on label distributions, so this preserves the evaluated behaviour
-//!   (see `DESIGN.md` §1);
+//!   (how far the repo checks that claim: `ROADMAP.md` item 6);
 //! - the **Dirichlet partitioner** the paper uses to emulate non-IIDness
 //!   ([`partition()`]), plus IID and pathological one-label partitioners;
 //! - [`LabelDistribution`] — the

@@ -348,6 +348,12 @@ impl<T: Transport> ChaosTransport<T> {
         &self.inner
     }
 
+    /// Mutable access to the wrapped transport — below the seam, where
+    /// a socket event loop's link-control traffic goes.
+    pub fn inner_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
+
     /// Whether an action applies to this frame (the schedule may be
     /// scoped to one job).
     fn targeted(schedule: &ChaosSchedule, raw: &[u8]) -> bool {

@@ -529,6 +529,12 @@ impl<T: Transport> MultiJobDriver<T> {
         &self.transport
     }
 
+    /// Mutable access to the underlying transport — a socket event
+    /// loop reaches the links it flushes and probes through this.
+    pub fn transport_mut(&mut self) -> &mut T {
+        &mut self.transport
+    }
+
     /// The codec a job was registered with — the job-wide default its
     /// coordinator announces. Individual links may override it
     /// ([`MultiJobDriver::set_link_codec`]); what a given link actually

@@ -148,7 +148,7 @@ pub use plan::{memory_wire, split, LinkShare, MemoryWire, ShareJob, WireOptions,
 pub use pool::{run_lockstep, PartyPool};
 pub use roster::{PartyRecord, RosterBuilder, RosterStore};
 pub use straggler::{Clock, ScriptedClock, StragglerInjector};
-pub use transport::{duplex, MemoryRouter, MemoryTransport, StreamTransport, Transport};
+pub use transport::{duplex, MemoryRouter, MemoryTransport, Router, StreamTransport, Transport};
 pub use wheel::TimerWheel;
 
 /// Errors produced by the FL runtime.

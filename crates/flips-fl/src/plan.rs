@@ -115,9 +115,9 @@ impl WireOptions {
 }
 
 /// The placement rule: frame destination `dest` (a party id) travels
-/// link `dest % links`. Both routers ([`MemoryRouter`],
-/// `flips_net::SocketRouter`) call this with their own link count;
-/// everything else goes through [`WireOptions::link_of`].
+/// link `dest % links`. The one [`crate::transport::Router`] calls this
+/// with its own link count, whatever its links are made of; everything
+/// else goes through [`WireOptions::link_of`].
 pub fn place(dest: u64, links: usize) -> usize {
     (dest % links as u64) as usize
 }

@@ -10,8 +10,9 @@
 //!
 //! - [`MemoryTransport`] — a pair of in-memory frame queues. Frames stay
 //!   intact (the queue is the framing); handles are cloneable so tests
-//!   can inject or observe traffic on a live link. [`MemoryRouter`]
-//!   fans one logical wire out across N of them.
+//!   can inject or observe traffic on a live link. [`Router`] fans one
+//!   logical wire out across N links of one type ([`MemoryRouter`]
+//!   across N of these).
 //! - [`StreamTransport`] — length-prefix framing over any
 //!   `Read + Write` byte stream: a `std::net::TcpStream` in nonblocking
 //!   mode, or the in-process [`duplex`] pipe for deterministic tests.
@@ -56,8 +57,8 @@ pub const MAX_FRAME_BYTES: usize = 256 << 20;
 ///
 /// A transport is usually one point-to-point link, but it may
 /// *multiplex several independent links* behind one interface —
-/// [`MemoryRouter`] fans one logical wire out across N memory links,
-/// `flips_net::SocketRouter` across N TCP connections. Stateful
+/// [`Router`] fans one logical wire out across N memory links or
+/// (`flips_net::SocketRouter`) N TCP connections. Stateful
 /// payload codecs (the delta reference of
 /// [`crate::ModelCodec::DeltaLossless`]) are per-link state, so
 /// multi-link transports must expose their topology:
@@ -167,37 +168,49 @@ impl Transport for MemoryTransport {
     }
 }
 
-/// The coordinator side of a multi-link memory wire: one
-/// [`MemoryTransport`] per link, each outbound frame placed by the
-/// destination word in its header ([`place`] — the rule
-/// [`crate::plan::split`] shares endpoints out by, and the one
-/// `flips_net::SocketRouter` routes by), each inbound frame tagged with
-/// the link it arrived on.
+/// The coordinator side of a multi-link wire: one link end of type `L`
+/// per link — [`MemoryTransport`]s in process ([`MemoryRouter`]),
+/// `flips_net::CoordLink`s over TCP (`flips_net::SocketRouter`) — each
+/// outbound frame placed by the destination word in its header
+/// ([`place`], the rule [`crate::plan::split`] shares endpoints out
+/// by), each inbound frame tagged with the link it arrived on. It is the
+/// only router in the workspace, so an in-memory topology and a socket
+/// one carry identical per-link frame sequences by construction.
 ///
 /// Implements [`Transport`], so the unmodified
 /// [`crate::MultiJobDriver`] drives N pools exactly as it drives one
 /// serialized link. A frame for a party no link registered still
 /// travels to the link its id names, whose pool counts it unroutable.
 #[derive(Debug)]
-pub struct MemoryRouter {
+pub struct Router<L> {
     /// Driver-side link ends, index = link.
-    links: Vec<MemoryTransport>,
+    links: Vec<L>,
 }
 
-impl MemoryRouter {
+/// The [`Router`] of the in-memory multi-link wire.
+pub type MemoryRouter = Router<MemoryTransport>;
+
+impl<L: Transport> Router<L> {
     /// A router over one driver-side link end per link.
-    pub(crate) fn new(links: Vec<MemoryTransport>) -> Self {
-        MemoryRouter { links }
+    pub fn new(links: Vec<L>) -> Self {
+        Router { links }
     }
 
-    /// The driver-side end of `link` — clone it to slip frames onto a
-    /// live downlink, as the fault suites do.
-    pub fn link(&self, link: usize) -> &MemoryTransport {
+    /// The driver-side end of `link` — clone a memory end to slip
+    /// frames onto a live downlink, as the fault suites do.
+    pub fn link(&self, link: usize) -> &L {
         &self.links[link]
     }
+
+    /// Every driver-side link end, index = link — a socket event loop
+    /// flushes, probes and resumes its links through this, below
+    /// whatever wraps the router.
+    pub fn links_mut(&mut self) -> &mut [L] {
+        &mut self.links
+    }
 }
 
-impl Transport for MemoryRouter {
+impl<L: Transport> Transport for Router<L> {
     fn send(&mut self, frame: &[u8]) -> Result<(), FlError> {
         let Some(dest) = frame_dest(frame) else {
             return Err(FlError::Transport("frame too short to route to a link".into()));

@@ -23,10 +23,12 @@
 //!
 //! - [`control`] — the link-level control frames (Hello, quiescence
 //!   probes, shutdown), invisible above the framing layer.
-//! - [`link`] — [`CoordLink`]/[`PartyLink`] wrap a nonblocking
-//!   [`flips_fl::StreamTransport`] and speak the control protocol;
-//!   [`SocketRouter`] fans a [`flips_fl::MultiJobDriver`] out across
-//!   links (placement is [`flips_fl::plan`]'s).
+//! - [`link`] — one private session (a nonblocking
+//!   [`flips_fl::StreamTransport`], data counters, retained frames,
+//!   park-and-resume) embedded by [`CoordLink`] and [`PartyLink`], which
+//!   add their half of the control protocol; [`SocketRouter`] is
+//!   [`flips_fl::transport::Router`] over `CoordLink`s — the router the
+//!   in-memory wire uses, so placement is [`flips_fl::plan`]'s.
 //! - [`server`] / [`party`] — the two event loops.
 //! - [`metrics`] — Prometheus text exposition + the `/healthz` and
 //!   `/metrics` plane, served from the same selector.

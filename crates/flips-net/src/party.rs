@@ -18,7 +18,7 @@
 //! [backoff](crate::backoff) schedule), and a deliberate link-death
 //! knob for chaos tests.
 
-use crate::link::{net_err, Fd, PartyLink};
+use crate::link::{net_err, PartyLink};
 use crate::metrics::{render_party_metrics, HealthPlane, PartySnapshot};
 use flips_fl::{FlError, GuardConfig, LinkShare, PartyPool};
 use mio::{Events, Interest, Poll, Token};
@@ -84,13 +84,12 @@ pub fn party_loop_with(
     link.set_resumable(opts.resume_addr.is_some());
     link.send_hello(shard)?;
     link.await_hello_ack(HELLO_TIMEOUT)?;
-    let mut fd = Fd(link.raw_fd());
     let parties = share.parties() as u64;
     let mut pool = PartyPool::install(link, share, guard);
 
     let mut poll = Poll::new().map_err(net_err)?;
     let mut events = Events::with_capacity(16);
-    poll.registry().register(&fd, LINK_TOKEN, Interest::READABLE).map_err(net_err)?;
+    poll.registry().register(pool.transport(), LINK_TOKEN, Interest::READABLE).map_err(net_err)?;
     let mut write_registered = false;
     let mut health_plane = HealthPlane::new(health)?;
     health_plane.register(poll.registry())?;
@@ -159,7 +158,7 @@ pub fn party_loop_with(
         if wants != write_registered {
             let interest =
                 if wants { Interest::READABLE | Interest::WRITABLE } else { Interest::READABLE };
-            poll.registry().reregister(&fd, LINK_TOKEN, interest).map_err(net_err)?;
+            poll.registry().reregister(link, LINK_TOKEN, interest).map_err(net_err)?;
             write_registered = wants;
         }
         if link.is_shutdown() && !wants {
@@ -177,10 +176,9 @@ pub fn party_loop_with(
             // Reconnect-and-resume: dial under the seeded backoff
             // schedule, present the session token and our counters,
             // and retransmit what the ack says the server never saw.
-            let _ = poll.registry().deregister(&fd);
+            let _ = poll.registry().deregister(link);
             let stream = crate::runtime::connect_with_retry(addr, RECONNECT_BUDGET)?;
             crate::link::prepare_stream(&stream)?;
-            let link = pool.transport_mut();
             link.resume_with(stream);
             link.send_hello(shard)?;
             let (received, _sent, fresh) = link.await_hello_ack(HELLO_TIMEOUT)?;
@@ -192,8 +190,7 @@ pub fn party_loop_with(
                 ));
             }
             link.retransmit_from(received)?;
-            fd = Fd(link.raw_fd());
-            poll.registry().register(&fd, LINK_TOKEN, Interest::READABLE).map_err(net_err)?;
+            poll.registry().register(link, LINK_TOKEN, Interest::READABLE).map_err(net_err)?;
             write_registered = false;
         }
     }

@@ -58,18 +58,18 @@
 //! data frame.
 
 use crate::control::{session_token, ControlMsg};
-use crate::link::{net_err, prepare_stream, CoordLink, Fd, SocketRouter};
+use crate::link::{net_err, prepare_stream, CoordLink, SocketRouter};
 use crate::metrics::{render_server_metrics, HealthPlane};
-use flips_fl::chaos::ChaosEvent;
+use flips_fl::chaos::{ChaosEvent, ChaosTransport};
 use flips_fl::guard::BreakerTransition;
 use flips_fl::{
-    Checkpoint, DriverStats, FlError, History, JobParts, MultiJobDriver, WireOptions, WithWire,
+    Checkpoint, DriverStats, FlError, History, JobParts, MultiJobDriver, Transport, WireOptions,
+    WithWire,
 };
 use mio::{Events, Interest, Poll, Token};
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The event loop's safety-net wakeup. All real work is event-driven;
@@ -163,7 +163,7 @@ fn accept_links(
     links: usize,
     resume: bool,
     ref_syncs: &[Vec<ControlMsg>],
-) -> Result<Vec<Arc<Mutex<CoordLink>>>, FlError> {
+) -> Result<Vec<CoordLink>, FlError> {
     listener.set_nonblocking(true).map_err(net_err)?;
     let deadline = Instant::now() + ACCEPT_TIMEOUT;
     let mut slots: Vec<Option<CoordLink>> = (0..links).map(|_| None).collect();
@@ -188,7 +188,7 @@ fn accept_links(
         // a second selector for a handful of handshakes.
         let mut i = 0;
         while i < pending.len() {
-            if let Some(frame) = pending[i].try_recv_data()? {
+            if let Some(frame) = pending[i].try_recv()? {
                 return Err(FlError::Protocol(format!(
                     "party sent a {}-byte data frame before its Hello",
                     frame.len()
@@ -215,8 +215,11 @@ fn accept_links(
                         )));
                     }
                     link.assign_token(session_token(shard));
-                    link.set_resumable(resume);
+                    // Acked while still non-resumable: a party lost
+                    // during start-up is a start-up failure, not a
+                    // parked link.
                     link.send_hello_ack(true, &ref_syncs[shard as usize])?;
+                    link.set_resumable(resume);
                     *slot = Some(link);
                     filled += 1;
                 }
@@ -227,21 +230,26 @@ fn accept_links(
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-    Ok(slots.into_iter().map(|s| Arc::new(Mutex::new(s.expect("all slots filled")))).collect())
+    Ok(slots.into_iter().map(|s| s.expect("all slots filled")).collect())
+}
+
+/// The links of a running driver: the router owns them, the driver the
+/// router, and the event loop reaches them *below* the chaos seam —
+/// where control traffic goes — to flush, probe, resume and shut down.
+fn links_of(driver: &mut MultiJobDriver<ChaosTransport<SocketRouter>>) -> &mut [CoordLink] {
+    driver.transport_mut().inner_mut().links_mut()
 }
 
 /// Flushes every link's staged bytes and keeps each link's epoll write
 /// interest registered exactly while its outbox is non-empty. Returns
 /// whether any link still has staged bytes.
 fn flush_links(
-    links: &[Arc<Mutex<CoordLink>>],
-    fds: &[Fd],
+    links: &mut [CoordLink],
     poll: &Poll,
     write_registered: &mut [bool],
 ) -> Result<bool, FlError> {
     let mut any_pending = false;
-    for (i, link) in links.iter().enumerate() {
-        let mut l = link.lock().expect("coordinator link poisoned");
+    for (i, l) in links.iter_mut().enumerate() {
         if l.is_parked() {
             continue;
         }
@@ -253,7 +261,7 @@ fn flush_links(
         if wants != write_registered[i] {
             let interest =
                 if wants { Interest::READABLE | Interest::WRITABLE } else { Interest::READABLE };
-            poll.registry().reregister(&fds[i], Token(i), interest).map_err(net_err)?;
+            poll.registry().reregister(l, Token(i), interest).map_err(net_err)?;
             write_registered[i] = wants;
         }
     }
@@ -323,13 +331,10 @@ pub fn serve(
         }
     }
     let links = accept_links(listener, wire.links, opts.resume, &ref_syncs)?;
-    let mut fds: Vec<Fd> =
-        links.iter().map(|l| Fd(l.lock().expect("fresh link").raw_fd())).collect();
-
     let job_count = jobs.len() as u64;
     // The endpoints live in the party processes; only the
     // coordinator-side pieces are installed here.
-    let mut driver = MultiJobDriver::install(SocketRouter::new(links.clone()), jobs, wire)?;
+    let mut driver = MultiJobDriver::install(SocketRouter::new(links), jobs, wire)?;
     if let Some(cp) = &opts.restore {
         driver.restore(cp)?;
     }
@@ -342,18 +347,19 @@ pub fn serve(
 
     let mut poll = Poll::new().map_err(net_err)?;
     let mut events = Events::with_capacity(64);
-    for (i, fd) in fds.iter().enumerate() {
-        poll.registry().register(fd, Token(i), Interest::READABLE).map_err(net_err)?;
+    for (i, l) in links_of(&mut driver).iter().enumerate() {
+        poll.registry().register(l, Token(i), Interest::READABLE).map_err(net_err)?;
     }
-    let mut write_registered = vec![false; fds.len()];
+    let mut write_registered = vec![false; wire.links];
     let mut health_plane = HealthPlane::new(health)?;
     health_plane.register(poll.registry())?;
     // Reconnecting parties park here until their Hello arrives.
     let mut reconnects: Vec<CoordLink> = Vec::new();
-    let mut parked_since: Vec<Option<Instant>> = vec![None; links.len()];
+    // When each link went down, while it is down.
+    let mut parked_since: Vec<Option<Instant>> = vec![None; wire.links];
 
     driver.start()?;
-    flush_links(&links, &fds, &poll, &mut write_registered)?;
+    flush_links(links_of(&mut driver), &poll, &mut write_registered)?;
 
     loop {
         // The loop sleeps here: frames, probe answers, write-readiness
@@ -390,7 +396,7 @@ pub fn serve(
             }
             driver.open_pending()?;
         }
-        flush_links(&links, &fds, &poll, &mut write_registered)?;
+        flush_links(links_of(&mut driver), &poll, &mut write_registered)?;
         if driver.is_finished() {
             break;
         }
@@ -398,27 +404,26 @@ pub fn serve(
         // Link-death sweep: a resumable link that died mid-I/O parked
         // itself; one that went EOF cleanly is parked here. Without
         // resume, any dead link aborts the run (the old contract).
-        for (i, link) in links.iter().enumerate() {
-            let mut l = link.lock().expect("coordinator link poisoned");
-            let newly_parked = l.take_just_parked()
-                || (!l.is_parked() && l.is_eof() && {
-                    if !opts.resume {
-                        return Err(FlError::Transport(
-                            "a party closed its link before the run finished".into(),
-                        ));
-                    }
-                    l.park();
-                    let _ = l.take_just_parked();
-                    true
-                });
-            if newly_parked {
-                driver.note_link_lost();
-                parked_since[i] = Some(Instant::now());
+        // Every outage is counted once, here: `parked_since` is empty
+        // exactly until this sweep has seen the link down.
+        for i in 0..wire.links {
+            let l = &mut links_of(&mut driver)[i];
+            if !l.is_parked() && l.is_eof() {
+                if !opts.resume {
+                    return Err(FlError::Transport(
+                        "a party closed its link before the run finished".into(),
+                    ));
+                }
+                l.park();
+            }
+            if l.is_parked() && parked_since[i].is_none() {
                 // The dead socket stays open inside the link until the
                 // resume swaps it out; deregistering keeps its EOF
                 // readiness from busy-looping the poll.
-                let _ = poll.registry().deregister(&fds[i]);
+                let _ = poll.registry().deregister(l);
                 write_registered[i] = false;
+                parked_since[i] = Some(Instant::now());
+                driver.note_link_lost();
             }
         }
         for since in parked_since.iter().flatten() {
@@ -446,7 +451,7 @@ pub fn serve(
             }
             let mut i = 0;
             while i < reconnects.len() {
-                if reconnects[i].try_recv_data()?.is_some() || reconnects[i].is_eof() {
+                if reconnects[i].try_recv()?.is_some() || reconnects[i].is_eof() {
                     // Data before Hello, or died while pending.
                     reconnects.swap_remove(i);
                     continue;
@@ -455,35 +460,33 @@ pub fn serve(
                     i += 1;
                     continue;
                 };
-                let conn = reconnects.swap_remove(i);
                 let slot = hello.shard as usize;
-                let valid = slot < links.len()
-                    && hello.token != 0
-                    && links[slot].lock().expect("coordinator link poisoned").token()
-                        == hello.token;
-                if !valid {
-                    drop(conn);
+                let links = links_of(&mut driver);
+                if hello.token == 0 || links.get(slot).is_none_or(|l| l.token() != hello.token) {
+                    reconnects.swap_remove(i);
                     continue;
                 }
-                let mut l = links[slot].lock().expect("coordinator link poisoned");
-                if !l.is_parked() {
-                    // The party noticed the death first; park the slot
-                    // now so the swap below is the whole story.
-                    let _ = poll.registry().deregister(&fds[slot]);
+                let l = &mut links[slot];
+                if parked_since[slot].is_none() {
+                    // The party noticed the death first. Park the link
+                    // and let the next sweep account for the loss; the
+                    // reconnect waits that one turn of the loop.
                     l.park();
-                    let _ = l.take_just_parked();
-                    write_registered[slot] = false;
-                    driver.note_link_lost();
+                    i += 1;
+                    continue;
                 }
-                l.resume_with(conn.into_stream(), hello);
+                l.resume_with(reconnects.swap_remove(i).into_stream(), hello);
                 l.send_hello_ack(false, &[])?;
                 l.retransmit_unacked()?;
-                fds[slot] = Fd(l.raw_fd());
-                poll.registry()
-                    .register(&fds[slot], Token(slot), Interest::READABLE)
-                    .map_err(net_err)?;
+                if l.is_parked() {
+                    // The party died again mid-handshake and the link
+                    // absorbed it: still the same outage. The slot keeps
+                    // its `parked_since` — `RESUME_TIMEOUT` bounds the
+                    // whole of it — and stays unregistered.
+                    continue;
+                }
+                poll.registry().register(l, Token(slot), Interest::READABLE).map_err(net_err)?;
                 parked_since[slot] = None;
-                drop(l);
                 driver.note_link_resumed();
             }
         }
@@ -493,8 +496,7 @@ pub fn serve(
         // across an outage — deadlines cannot fire against a party
         // that isn't there to answer.
         let mut all_quiet = true;
-        for link in &links {
-            let mut l = link.lock().expect("coordinator link poisoned");
+        for l in links_of(&mut driver) {
             if l.needs_probe() {
                 l.send_probe()?;
             }
@@ -503,7 +505,7 @@ pub fn serve(
         if !all_quiet {
             // Probes may be staged behind a full buffer; keep the write
             // interest honest before sleeping.
-            flush_links(&links, &fds, &poll, &mut write_registered)?;
+            flush_links(links_of(&mut driver), &poll, &mut write_registered)?;
             continue;
         }
         // Provably quiet: one defensive drain, then time advances.
@@ -526,8 +528,8 @@ pub fn serve(
             checkpoint_rounds += 1;
         }
     }
-    for link in &links {
-        link.lock().expect("coordinator link poisoned").send_shutdown()?;
+    for l in links_of(&mut driver) {
+        l.send_shutdown()?;
     }
     // Linger until every party has read the shutdown notice and closed
     // its end: closing first would race in-flight probe answers and can
@@ -536,11 +538,11 @@ pub fn serve(
     // a protocol bug and is surfaced.
     let flush_deadline = Instant::now() + SHUTDOWN_TIMEOUT;
     loop {
-        let pending = flush_links(&links, &fds, &poll, &mut write_registered)?;
+        let links = links_of(&mut driver);
+        let pending = flush_links(links, &poll, &mut write_registered)?;
         let mut all_closed = true;
-        for link in &links {
-            let mut l = link.lock().expect("coordinator link poisoned");
-            if let Some(frame) = l.try_recv_data()? {
+        for l in links {
+            if let Some(frame) = l.try_recv()? {
                 return Err(FlError::Protocol(format!(
                     "party sent a {}-byte data frame after the run finished",
                     frame.len()

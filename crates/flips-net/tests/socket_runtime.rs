@@ -11,7 +11,11 @@
 //! the sharded wire.
 
 use flips_core::prelude::*;
-use flips_net::{run_socket, SocketOptions};
+use flips_fl::{split, FlError, LinkShare};
+use flips_net::link::prepare_stream;
+use flips_net::{connect_with_retry, run_socket, serve, PartyLink, ServerOptions, SocketOptions};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::Duration;
 
 /// The shared workload (the sharded suite's latency shape): 12 parties,
 /// 4 rounds, heterogeneous latency, deadline at 1.1× the observed
@@ -211,6 +215,114 @@ fn a_severed_link_resumes_under_the_delta_entropy_codec() {
     assert_eq!(outcome.stats.links_lost, 1);
     assert_eq!(outcome.stats.links_resumed, 1);
     assert_eq!(outcome.stats.codec_mismatch_frames, 0);
+}
+
+/// How the hand-driven party below loses its first connection — one
+/// variant per road a coordinator link can go down by.
+#[derive(Debug, Clone, Copy)]
+enum Outage {
+    /// The socket closes over unread bytes, which makes the close an
+    /// RST: the server's next read or write fails and the link absorbs
+    /// the I/O error mid-pump.
+    Reset,
+    /// The party half-closes (FIN) and stays away: the server's sweep
+    /// finds a clean EOF.
+    Eof,
+    /// The old connection stays healthy while the party redials: the
+    /// reconnect's Hello is the first the server hears of any outage.
+    Redial,
+}
+
+/// A party worker driven by hand — [`flips_net::party_loop_with`] minus
+/// epoll — so the test chooses *how* the connection goes away once two
+/// data frames are in. (`Reset` and `Eof` steer by waiting 150 ms for
+/// the server to act; should a starved server miss that window the
+/// outage merely travels the `Redial` road instead, and the count under
+/// test is still exactly one.)
+fn flapping_party(addr: SocketAddr, share: LinkShare, outage: Outage) -> Result<(), FlError> {
+    let budget = Duration::from_secs(30);
+    let dial = || -> Result<TcpStream, FlError> {
+        let stream = connect_with_retry(addr, budget)?;
+        prepare_stream(&stream)?;
+        Ok(stream)
+    };
+    let shard = share.link as u32;
+    let stream = dial()?;
+    // A second handle keeps the first connection open until the test
+    // lets go of it, whatever the link does with its own.
+    let mut first = Some(stream.try_clone().expect("dup the socket"));
+    let mut link = PartyLink::new(stream);
+    link.set_resumable(true);
+    link.send_hello(shard)?;
+    link.await_hello_ack(budget)?;
+    let mut pool = PartyPool::install(link, share, None);
+    loop {
+        let mut moved = false;
+        while pool.pump()? {
+            moved = true;
+        }
+        let link = pool.transport_mut();
+        if let Some(first) = first.take_if(|_| link.data_received() >= 2) {
+            match outage {
+                Outage::Reset => {
+                    // Stop reading; the idle server's next probe (or
+                    // frame) lands unread, and closing over it resets.
+                    std::thread::sleep(Duration::from_millis(150));
+                    drop(first);
+                }
+                Outage::Eof => {
+                    link.close();
+                    std::thread::sleep(Duration::from_millis(150));
+                    drop(first);
+                }
+                Outage::Redial => {} // `first` outlives the handshake below
+            }
+            link.resume_with(dial()?);
+            link.send_hello(shard)?;
+            let (received, _sent, fresh) = link.await_hello_ack(budget)?;
+            assert!(!fresh, "{outage:?}: the server lost the session");
+            link.retransmit_from(received)?;
+        }
+        while let Some(seq) = link.take_status_req() {
+            link.send_status(seq)?;
+        }
+        link.flush()?;
+        if link.is_shutdown() && !link.wants_write() {
+            link.close();
+            return Ok(());
+        }
+        if !moved {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+#[test]
+fn an_outage_is_counted_once_on_every_road_a_link_goes_down() {
+    // What the link's one-shot "just parked" flag existed for, asserted
+    // where it matters: however the server comes to know a link is
+    // gone — an absorbed I/O error, the sweep's EOF, or the party's own
+    // reconnect — `links_lost` moves by exactly one, the resume by one,
+    // and the history does not move at all.
+    let golden = latency_builder(SelectorKind::Random, 11).run().unwrap().history;
+    for outage in [Outage::Reset, Outage::Eof, Outage::Redial] {
+        let (job, meta) = latency_builder(SelectorKind::Random, 11).build().unwrap();
+        let opts = ServerOptions { resume: true, ..ServerOptions::new(1) };
+        let (jobs, mut shares) = split(vec![job.into_parts()], &opts.wire).unwrap();
+        let share = shares.pop().expect("one link, one share");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (served, party) = std::thread::scope(|scope| {
+            let party = scope.spawn(move || flapping_party(addr, share, outage));
+            let served = serve(&listener, jobs, &opts, None);
+            (served, party.join().expect("party worker panicked"))
+        });
+        let mut served = served.unwrap_or_else(|e| panic!("{outage:?}: server failed: {e}"));
+        party.unwrap_or_else(|e| panic!("{outage:?}: party failed: {e}"));
+        assert_eq!(served.histories.remove(&meta.job_id).unwrap(), golden, "{outage:?}");
+        assert_eq!(served.stats.links_lost, 1, "{outage:?}: one outage, one loss");
+        assert_eq!(served.stats.links_resumed, 1, "{outage:?}: wrong resume count");
+    }
 }
 
 #[test]

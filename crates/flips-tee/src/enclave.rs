@@ -3,8 +3,9 @@
 //! An [`Enclave`] hosts private state `S` that the host can only touch
 //! through [`Enclave::enter`] — the analog of an ECALL. Each entry applies
 //! a configurable compute-overhead model; the paper measures ≈5% slowdown
-//! for clustering under AMD SEV (105.4 ms vs 100.5 ms, §5.1), and the
-//! `tee_overhead` bench reproduces that ratio against this model. On
+//! for clustering under AMD SEV (105.4 ms vs 100.5 ms, §5.1); the model
+//! *accounts* that penalty per entry ([`Enclave::total_overhead`]) and
+//! never spends it — nothing here busy-waits. On
 //! destruction (explicit or drop) the state is wiped, matching the paper's
 //! "the TEE ... deletes all information at the end of the FL job".
 
@@ -23,36 +24,17 @@ pub struct OverheadModel {
     pub compute_factor: f64,
     /// Fixed per-entry cost (world-switch analog).
     pub entry_cost: Duration,
-    /// When set, each entry actually spins for the modeled penalty so
-    /// wall-clock measurements reproduce the paper's overhead ratio.
-    /// Off by default: the penalty is *accounted* (see
-    /// [`Enclave::total_overhead`]) without burning a core — tests and CI
-    /// must never busy-wait.
-    pub simulate: bool,
 }
 
 impl OverheadModel {
     /// The paper-calibrated model: 5% compute overhead, 2 µs entry cost.
-    /// Accounting-only; chain [`OverheadModel::realtime`] to spin.
     pub fn sev_like() -> Self {
-        OverheadModel {
-            compute_factor: 0.05,
-            entry_cost: Duration::from_micros(2),
-            simulate: false,
-        }
+        OverheadModel { compute_factor: 0.05, entry_cost: Duration::from_micros(2) }
     }
 
     /// No overhead (for tests and non-TEE baselines).
     pub fn none() -> Self {
-        OverheadModel { compute_factor: 0.0, entry_cost: Duration::ZERO, simulate: false }
-    }
-
-    /// Enables wall-clock simulation of the modeled penalty (benchmarks
-    /// reproducing the paper's §5.1 measurement).
-    #[must_use]
-    pub fn realtime(mut self) -> Self {
-        self.simulate = true;
-        self
+        OverheadModel { compute_factor: 0.0, entry_cost: Duration::ZERO }
     }
 }
 
@@ -134,9 +116,6 @@ impl<S> Enclave<S> {
         let result = f(state);
         let elapsed = start.elapsed();
         let penalty = self.overhead.entry_cost + elapsed.mul_f64(self.overhead.compute_factor);
-        if self.overhead.simulate {
-            busy_wait(penalty);
-        }
         *self.overhead_applied.lock() += penalty;
         let mut entries = self.entries.lock();
         *entries += 1;
@@ -162,7 +141,7 @@ impl<S> Enclave<S> {
         *self.entries.lock()
     }
 
-    /// Total overhead the model has injected (diagnostics/benches).
+    /// Total overhead the model has accounted (diagnostics/benches).
     pub fn total_overhead(&self) -> Duration {
         *self.overhead_applied.lock()
     }
@@ -176,18 +155,6 @@ impl<S> Enclave<S> {
 impl<S> Drop for Enclave<S> {
     fn drop(&mut self) {
         self.destroy();
-    }
-}
-
-/// Spin until `d` has elapsed. `thread::sleep` is far too coarse for the
-/// microsecond-scale penalties the overhead model injects.
-fn busy_wait(d: Duration) {
-    if d.is_zero() {
-        return;
-    }
-    let start = Instant::now();
-    while start.elapsed() < d {
-        std::hint::spin_loop();
     }
 }
 
@@ -262,19 +229,12 @@ mod tests {
             b"code",
             (),
             PlatformKey::new(1),
-            OverheadModel {
-                compute_factor: 1.0,
-                entry_cost: Duration::from_micros(50),
-                simulate: true,
-            },
+            OverheadModel { compute_factor: 1.0, entry_cost: Duration::from_micros(50) },
         );
-        let start = Instant::now();
-        e.enter(|_| busy_wait(Duration::from_micros(200))).unwrap();
-        let wall = start.elapsed();
-        // factor 1.0 ⇒ overhead ≈ 200µs + 50µs fixed, actually spun.
+        e.enter(|_| std::thread::sleep(Duration::from_micros(200))).unwrap();
+        // factor 1.0 ⇒ overhead ≈ 200µs + 50µs fixed.
         let overhead = e.total_overhead();
         assert!(overhead >= Duration::from_micros(240), "overhead {overhead:?}");
-        assert!(wall >= Duration::from_micros(440), "simulate must spin ({wall:?})");
     }
 
     #[test]
@@ -283,11 +243,7 @@ mod tests {
             b"code",
             (),
             PlatformKey::new(2),
-            OverheadModel {
-                compute_factor: 1000.0,
-                entry_cost: Duration::from_secs(5),
-                simulate: false,
-            },
+            OverheadModel { compute_factor: 1000.0, entry_cost: Duration::from_secs(5) },
         );
         let start = Instant::now();
         e.enter(|_| ()).unwrap();

@@ -33,14 +33,13 @@
 //! # Example
 //!
 //! The overhead model is the knob the paper's ≈5% TEE cost hangs on —
-//! accounting-only by default, never busy-waiting:
+//! accounting-only, never busy-waiting:
 //!
 //! ```
 //! use flips_tee::OverheadModel;
 //! use std::time::Duration;
 //!
 //! let sev = OverheadModel::sev_like();
-//! assert!(!sev.simulate, "accounting-only: overhead is recorded, not spun");
 //! assert_eq!(sev.compute_factor, 0.05, "the paper's measured ~5%");
 //! assert_eq!(sev.entry_cost, Duration::from_micros(2));
 //! ```

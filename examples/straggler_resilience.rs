@@ -7,7 +7,8 @@
 //!
 //! Drops 0% / 10% / 20% of each round's participants and compares FLIPS
 //! with and without its straggler-overprovisioning mechanism (the
-//! ablation DESIGN.md calls out), plus Oort with its 1.3× rule. FLIPS
+//! ablation `figures --figure ablation-overprovision` sweeps), plus Oort
+//! with its 1.3× rule. FLIPS
 //! replaces stragglers with parties from the *same label-distribution
 //! cluster*, so the round's label mix stays intact.
 //!
