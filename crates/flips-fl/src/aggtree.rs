@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 const SCALE_BITS: i32 = 152;
 
 /// Largest admissible per-update weight (exclusive).
-const MAX_WEIGHT: u64 = 1 << 32;
+pub(crate) const MAX_WEIGHT: u64 = 1 << 32;
 
 /// Largest admissible parameter magnitude (exclusive).
 const MAX_PARAM: f32 = 2_147_483_648.0; // 2^31
@@ -65,35 +65,54 @@ fn add256(acc: &mut Limbs, v: &Limbs, carry_in: bool) {
     }
 }
 
-/// Adds `p · w · 2¹⁵²` (exact) into `acc`, for `p` in the parameter
-/// domain and `w < 2³²`.
+/// Parameters per block of [`ExactWeightedSum`]'s limb columns.
+const LANES: usize = 8;
+/// One limb of a block's [`LANES`] parameters.
+type Lane = [u64; LANES];
+
+/// [`add256`] for a block: `acc[k][l] += v[k][l]`, lane `l`'s chain
+/// starting at `carry[l]` (0 or 1), its carry out of bit 63 read from the
+/// top bits (both addends' set, or one set and the sum's clear).
+#[inline(always)]
+fn add_lanes(acc: [&mut Lane; 4], v: [&Lane; 4], mut carry: Lane) {
+    for k in 0..4 {
+        let (x, y) = (*acc[k], *v[k]);
+        for l in 0..LANES {
+            let s = x[l].wrapping_add(y[l]).wrapping_add(carry[l]);
+            carry[l] = ((x[l] & y[l]) | ((x[l] | y[l]) & !s)) >> 63;
+            acc[k][l] = s;
+        }
+    }
+}
+
+/// Adds `p[l] · w · 2¹⁵²` (exact) into lane `l`, `p` in domain, `w < 2³²`.
 ///
 /// Works from the `f32`'s own fields: a 24-bit mantissa `m` (implicit
 /// bit set unless subnormal) with `p = ±m · 2^(e − 150)`, `e` the biased
-/// exponent (1 for subnormals). The product `m · w` has at most 56 bits
-/// and lands `e + 2` ∈ 3..=159 bits up, so it always spans exactly two
-/// adjacent limbs, the upper one at index ≤ 3. A negative term is added
-/// as `!addend + 1` — the complement folded into the limbs, the `+ 1`
-/// into the chain's carry-in — so there is no branch on the data
-/// (`±0` adds `0`, or `!0 + 1`, which is the same).
+/// exponent (1 for subnormals). The product `m · w` (`u32 × u32 → u64`)
+/// has at most 56 bits and lands `e + 2` ∈ 3..=159 bits up, so it spans
+/// exactly two adjacent limbs, the upper one at index ≤ 3, which each
+/// limb selects by index. A negative term is added as `!addend + 1` — the
+/// complement folded into the limbs, the `+ 1` into the chain's carry-in
+/// — so there is no branch on the data (`±0` adds `0`, or `!0 + 1`, which
+/// is the same), and each step is one vector op across the lanes.
 #[inline(always)]
-fn add_scaled(acc: &mut Limbs, p: f32, w: u64) {
-    debug_assert!(param_in_domain(p) && w < MAX_WEIGHT);
-    let bits = p.to_bits();
-    let negative = bits >> 31 == 1;
-    let sign = u64::from(negative).wrapping_neg(); // 0 or !0
-    let e = (bits >> 23) & 0xFF;
-    let product = (u64::from(bits & 0x7F_FFFF) | u64::from(e != 0) << 23) * w;
-    let shift = e.max(1) + (SCALE_BITS - 150) as u32;
-    let (idx, off) = (shift / 64, shift % 64);
-    let lo = product << off;
-    let hi = product >> 1 >> (63 - off); // `product >> (64 − off)`, defined at `off = 0`
-    let limb = |i: u32| {
-        let at = if i == idx { lo } else { 0 };
-        let above = if i == idx + 1 { hi } else { 0 };
-        (at | above) ^ sign
-    };
-    add256(acc, &[limb(0), limb(1), limb(2), limb(3)], negative);
+fn add_scaled_lanes(acc: [&mut Lane; 4], p: &[f32; LANES], w: u32) {
+    let (mut v, mut negative) = ([[0; LANES]; 4], [0; LANES]);
+    for l in 0..LANES {
+        let bits = u64::from(p[l].to_bits());
+        let sign = (bits >> 31).wrapping_neg(); // 0 or !0
+        let e = bits >> 23 & 0xFF;
+        let product = (bits & 0x7F_FFFF | u64::from(e != 0) << 23) * u64::from(w);
+        let shift = e.max(1) + (SCALE_BITS - 150) as u64;
+        let (idx, off) = (shift / 64, shift % 64);
+        let (lo, hi) = (product << off, product >> 1 >> (63 - off));
+        for (k, limb) in (0..).zip(&mut v) {
+            limb[l] = (if k == idx { lo } else { 0 } | if k == idx + 1 { hi } else { 0 }) ^ sign;
+        }
+        negative[l] = sign & 1;
+    }
+    add_lanes(acc, v.each_ref(), negative);
 }
 
 /// Converts a signed 256-bit fixed-point value back to the nearest
@@ -160,7 +179,10 @@ fn to_f64(limbs: &Limbs) -> f64 {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExactWeightedSum {
-    limbs: Vec<Limbs>,
+    /// Limb-major: `limbs[k][i / LANES][i % LANES]` is limb `k` of parameter
+    /// `i`, padded to whole blocks with lanes that only ever add `+0.0`.
+    limbs: [Vec<Lane>; 4],
+    dim: usize,
     total_weight: u64,
     terms: u64,
 }
@@ -172,12 +194,22 @@ const MAX_TERMS: u64 = 1 << 20;
 impl ExactWeightedSum {
     /// An empty sum over `dim` parameters.
     pub fn new(dim: usize) -> Self {
-        ExactWeightedSum { limbs: vec![[0u64; 4]; dim], total_weight: 0, terms: 0 }
+        let limbs = std::array::from_fn(|_| vec![[0; LANES]; dim.div_ceil(LANES)]);
+        ExactWeightedSum { limbs, dim, total_weight: 0, terms: 0 }
     }
 
     /// The parameter dimension.
     pub fn dim(&self) -> usize {
-        self.limbs.len()
+        self.dim
+    }
+
+    /// Block `b`'s four limb lanes.
+    fn block(&self, b: usize) -> [&Lane; 4] {
+        self.limbs.each_ref().map(|column| &column[b])
+    }
+
+    fn block_mut(&mut self, b: usize) -> [&mut Lane; 4] {
+        self.limbs.each_mut().map(|column| &mut column[b])
     }
 
     /// The summed weight `Σ nᵢ`.
@@ -198,11 +230,11 @@ impl ExactWeightedSum {
     /// non-finite or out-of-range parameter, a weight of zero or
     /// ≥ 2³², or a sum that already folded 2²⁰ terms.
     pub fn fold(&mut self, params: &[f32], weight: u64) -> Result<(), FlError> {
-        if params.len() != self.limbs.len() {
+        if params.len() != self.dim {
             return Err(FlError::InvalidConfig(format!(
                 "update has {} params, sum is over {}",
                 params.len(),
-                self.limbs.len()
+                self.dim
             )));
         }
         if weight == 0 || weight >= MAX_WEIGHT {
@@ -218,8 +250,11 @@ impl ExactWeightedSum {
                 "parameter {bad} is outside the exact-fold domain (finite, |x| < 2^31)"
             )));
         }
-        for (acc, &p) in self.limbs.iter_mut().zip(params) {
-            add_scaled(acc, p, weight);
+        // Whole blocks, the last one zero-padded: `+0.0` adds exactly 0.
+        let (full, tail) = params.as_chunks::<LANES>();
+        let last: [f32; LANES] = std::array::from_fn(|l| tail.get(l).copied().unwrap_or(0.0));
+        for (b, p) in full.iter().chain([&last]).take(self.limbs[0].len()).enumerate() {
+            add_scaled_lanes(self.block_mut(b), p, weight as u32);
         }
         self.total_weight += weight;
         self.terms += 1;
@@ -232,23 +267,25 @@ impl ExactWeightedSum {
     ///
     /// # Errors
     ///
-    /// [`FlError::InvalidConfig`] on a dimension mismatch or a term
-    /// count overflowing the 2²⁰ bound.
+    /// [`FlError::InvalidConfig`] on a dimension mismatch, a term count
+    /// overflowing the 2²⁰ bound or a weight total overflowing `u64`.
     pub fn merge(&mut self, other: &ExactWeightedSum) -> Result<(), FlError> {
-        if other.limbs.len() != self.limbs.len() {
+        if other.dim != self.dim {
             return Err(FlError::InvalidConfig(format!(
                 "cannot merge a {}-dim partial into a {}-dim sum",
-                other.limbs.len(),
-                self.limbs.len()
+                other.dim, self.dim
             )));
         }
         if self.terms + other.terms > MAX_TERMS {
             return Err(FlError::InvalidConfig("exact merge exceeded 2^20 terms".into()));
         }
-        for (acc, v) in self.limbs.iter_mut().zip(&other.limbs) {
-            add256(acc, v, false);
+        let Some(total_weight) = self.total_weight.checked_add(other.total_weight) else {
+            return Err(FlError::InvalidConfig("exact merge overflowed the weight total".into()));
+        };
+        for b in 0..self.limbs[0].len() {
+            add_lanes(self.block_mut(b), other.block(b), [0; LANES]);
         }
-        self.total_weight += other.total_weight;
+        self.total_weight = total_weight;
         self.terms += other.terms;
         Ok(())
     }
@@ -267,14 +304,22 @@ impl ExactWeightedSum {
         }
         let total = self.total_weight as f64;
         accum.clear();
-        accum.extend(self.limbs.iter().map(|l| to_f64(l) / total));
+        // Pushed one by one: as one expression, LLVM vectorizes a block's
+        // eight branchy `to_f64`s across lanes, 2–3× slower than scalar.
+        for b in 0..self.limbs[0].len() {
+            let lanes = self.block(b);
+            for l in 0..LANES {
+                accum.push(to_f64(&lanes.map(|lane| lane[l])) / total);
+            }
+        }
+        accum.truncate(self.dim);
         Ok(())
     }
 
     /// Serializes the accumulator limbs for the wire, little-endian
     /// limb order per parameter (`4 · dim` words).
     pub fn raw_limbs(&self) -> Vec<u64> {
-        self.limbs.iter().flatten().copied().collect()
+        (0..self.dim).flat_map(|i| self.block(i / LANES).map(|lane| lane[i % LANES])).collect()
     }
 
     /// Rebuilds a partial from wire words produced by
@@ -284,7 +329,9 @@ impl ExactWeightedSum {
     /// # Errors
     ///
     /// [`FlError::InvalidConfig`] when the word count is not a multiple
-    /// of 4 or the term count is outside `1..=2²⁰`.
+    /// of 4, the term count is outside `1..=2²⁰` or the weight total is
+    /// one no `terms` admissible weights add up to
+    /// (`terms..=terms · (2³² − 1)`).
     pub fn from_raw(words: &[u64], total_weight: u64, terms: u64) -> Result<Self, FlError> {
         if !words.len().is_multiple_of(4) {
             return Err(FlError::InvalidConfig(format!(
@@ -297,8 +344,16 @@ impl ExactWeightedSum {
                 "partial term count {terms} outside 1..=2^20"
             )));
         }
-        let limbs = words.chunks_exact(4).map(|c| [c[0], c[1], c[2], c[3]]).collect();
-        Ok(ExactWeightedSum { limbs, total_weight, terms })
+        if !(terms..=terms * (MAX_WEIGHT - 1)).contains(&total_weight) {
+            return Err(FlError::InvalidConfig(format!(
+                "partial weight {total_weight} is not the sum of {terms} weights in 1..2^32"
+            )));
+        }
+        let mut sum = ExactWeightedSum { total_weight, terms, ..Self::new(words.len() / 4) };
+        for (i, param) in words.chunks_exact(4).enumerate() {
+            sum.block_mut(i / LANES).into_iter().zip(param).for_each(|(l, &w)| l[i % LANES] = w);
+        }
+        Ok(sum)
     }
 
     /// [`ExactWeightedSum::fold`] plus the update's feedback sketch
@@ -401,6 +456,29 @@ impl RoundSum {
             }
         }
     }
+}
+
+/// Adds `p · w · 2¹⁵²` (exact) into `acc`: [`add_scaled_lanes`]'s
+/// arithmetic for one parameter, the fold's kernel until the lanes
+/// replaced it, kept as the scalar definition they are held to.
+#[cfg(test)]
+fn add_scaled(acc: &mut Limbs, p: f32, w: u64) {
+    debug_assert!(param_in_domain(p) && w < MAX_WEIGHT);
+    let bits = p.to_bits();
+    let negative = bits >> 31 == 1;
+    let sign = u64::from(negative).wrapping_neg(); // 0 or !0
+    let e = (bits >> 23) & 0xFF;
+    let product = (u64::from(bits & 0x7F_FFFF) | u64::from(e != 0) << 23) * w;
+    let shift = e.max(1) + (SCALE_BITS - 150) as u32;
+    let (idx, off) = (shift / 64, shift % 64);
+    let lo = product << off;
+    let hi = product >> 1 >> (63 - off); // `product >> (64 − off)`, defined at `off = 0`
+    let limb = |i: u32| {
+        let at = if i == idx { lo } else { 0 };
+        let above = if i == idx + 1 { hi } else { 0 };
+        (at | above) ^ sign
+    };
+    add256(acc, &[limb(0), limb(1), limb(2), limb(3)], negative);
 }
 
 /// The kernels this module shipped before the two-limb rewrite, kept as
@@ -653,6 +731,27 @@ mod tests {
         assert!(ExactWeightedSum::from_raw(&[1, 2, 3, 4], 1, MAX_TERMS + 1).is_err());
     }
 
+    #[test]
+    fn from_raw_refuses_a_weight_no_admissible_terms_add_up_to() {
+        let words = [0; 4];
+        for terms in [1, 3, MAX_TERMS] {
+            let most = terms * (MAX_WEIGHT - 1);
+            assert!(ExactWeightedSum::from_raw(&words, terms - 1, terms).is_err());
+            assert!(ExactWeightedSum::from_raw(&words, terms, terms).is_ok());
+            assert!(ExactWeightedSum::from_raw(&words, most, terms).is_ok());
+            assert!(ExactWeightedSum::from_raw(&words, most + 1, terms).is_err());
+        }
+        // What used to reach `merge` and overflow its weight add.
+        assert!(ExactWeightedSum::from_raw(&words, u64::MAX, 1).is_err());
+        // `merge` checks that add too, before it touches a limb.
+        let mut sum = ExactWeightedSum::new(1);
+        sum.fold(&[1.0], 5).unwrap();
+        let before = sum.clone();
+        let partial = ExactWeightedSum::from_raw(&[1, 0, 0, 0], 1, 1).unwrap();
+        assert!(sum.merge(&ExactWeightedSum { total_weight: u64::MAX, ..partial }).is_err());
+        assert_eq!(sum, before);
+    }
+
     /// A random signed accumulator with the headroom a real sum has:
     /// magnitude below 2²³⁶, either sign.
     fn random_acc(rng: &mut impl Rng) -> Limbs {
@@ -708,25 +807,172 @@ mod tests {
     }
 
     #[test]
+    fn add_scaled_lanes_is_add_scaled_in_every_lane() {
+        let mut rng = seeded(0x1A_2E5);
+        for case in 0..25_000 {
+            let p: [f32; LANES] = std::array::from_fn(|_| random_param(&mut rng));
+            let w = match case % 3 {
+                0 => 1,
+                1 => MAX_WEIGHT - 1,
+                _ => rng.random_range(1..MAX_WEIGHT),
+            };
+            let start: [Limbs; LANES] = std::array::from_fn(|_| random_acc(&mut rng));
+            let mut lanes: [Lane; 4] = std::array::from_fn(|k| start.map(|acc| acc[k]));
+            add_scaled_lanes(lanes.each_mut(), &p, w as u32);
+            for (l, mut acc) in start.into_iter().enumerate() {
+                add_scaled(&mut acc, p[l], w);
+                assert_eq!(lanes.map(|lane| lane[l]), acc, "lane {l}: p = {:e}, w = {w}", p[l]);
+            }
+        }
+    }
+
+    #[test]
     fn folded_limbs_and_means_match_the_reference_kernels() {
+        // Every block shape the lanes meet: none, partial, whole, several.
         let mut rng = seeded(0xF01D);
-        let dim = 257;
-        let mut sum = ExactWeightedSum::new(dim);
+        for dim in (0..=17).chain([255, 256, 257]) {
+            let updates: Vec<(Vec<f32>, u64)> = (0..40)
+                .map(|t| {
+                    let w =
+                        if t % 4 == 0 { MAX_WEIGHT - 1 } else { rng.random_range(1..MAX_WEIGHT) };
+                    ((0..dim).map(|_| random_param(&mut rng)).collect(), w)
+                })
+                .collect();
+            let oracle = oracle_fold(dim, updates.iter().map(|(p, w)| (p.as_slice(), *w)));
+            let mut flat = ExactWeightedSum::new(dim);
+            let mut halves = [ExactWeightedSum::new(dim), ExactWeightedSum::new(dim)];
+            for (t, (params, w)) in updates.iter().enumerate() {
+                flat.fold(params, *w).unwrap();
+                halves[t % 2].fold(params, *w).unwrap();
+            }
+            let mut merged = ExactWeightedSum::new(dim);
+            merged.merge(&halves[1]).unwrap();
+            merged.merge(&halves[0]).unwrap();
+            assert_matches_oracle(&flat, &oracle, &format!("fold, dim {dim}"));
+            assert_matches_oracle(&merged, &oracle, &format!("merge, dim {dim}"));
+
+            // Arbitrary accumulators: the lane carries against the chain.
+            let (a, b): (Vec<Limbs>, Vec<Limbs>) =
+                (0..dim).map(|_| (random_acc(&mut rng), random_acc(&mut rng))).unzip();
+            let mut sum = ExactWeightedSum::from_raw(&a.concat(), 1, 1).unwrap();
+            sum.merge(&ExactWeightedSum::from_raw(&b.concat(), 1, 1).unwrap()).unwrap();
+            assert_eq!(sum.raw_limbs(), scalar_merge(&a, &b).concat(), "dim {dim}");
+        }
+    }
+
+    /// What the reference kernels make of `updates`, parameter-major.
+    fn oracle_fold<'a>(
+        dim: usize,
+        updates: impl IntoIterator<Item = (&'a [f32], u64)>,
+    ) -> Vec<Limbs> {
         let mut oracle = vec![[0u64; 4]; dim];
-        for _ in 0..40 {
-            let params: Vec<f32> = (0..dim).map(|_| random_param(&mut rng)).collect();
-            let w = rng.random_range(1..MAX_WEIGHT);
-            sum.fold(&params, w).unwrap();
-            for (acc, &p) in oracle.iter_mut().zip(&params) {
+        for (params, w) in updates {
+            for (acc, &p) in oracle.iter_mut().zip(params) {
                 reference::add_scaled(acc, p, w);
             }
         }
-        assert_eq!(sum.raw_limbs(), oracle.concat());
+        oracle
+    }
+
+    /// `sum`'s wire words and finished bits against the oracle's limbs.
+    fn assert_matches_oracle(sum: &ExactWeightedSum, oracle: &[Limbs], what: &str) {
+        assert_eq!(sum.raw_limbs(), oracle.concat(), "{what}");
         let total = sum.total_weight() as f64;
         let want: Vec<u64> =
             oracle.iter().map(|l| (reference::to_f64(l) / total).to_bits()).collect();
-        let got: Vec<u64> = finish(&sum).iter().map(|x| x.to_bits()).collect();
-        assert_eq!(got, want);
+        let got: Vec<u64> = finish(sum).iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want, "{what}");
+    }
+
+    /// `a + b` per parameter through the scalar chain.
+    fn scalar_merge(a: &[Limbs], b: &[Limbs]) -> Vec<Limbs> {
+        let add = |(x, y): (&Limbs, &Limbs)| {
+            let mut s = *x;
+            add256(&mut s, y, false);
+            s
+        };
+        a.iter().zip(b).map(add).collect()
+    }
+
+    #[test]
+    fn one_block_mixes_every_limb_index_class() {
+        // Where each lane's addend lands: ±0 nowhere; subnormals in limb
+        // 0; 1e-20 across limbs 0–1; 2⁻⁶⁵ (e = 62) exactly limb 1; 1e-5
+        // across 1–2; 0.5 (e = 126) exactly limb 2; 2³¹ − ulp across 2–3.
+        // Both signs of each, rotated through every lane, a partial block
+        // behind them.
+        let classes = [
+            0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x7F_FFFF),
+            1e-20,
+            f32::from_bits(62 << 23),
+            1e-5,
+            0.5,
+            f32::from_bits(0x4EFF_FFFF),
+        ];
+        let mut sum = ExactWeightedSum::new(13);
+        let mut updates = Vec::new();
+        for rotation in 0..LANES {
+            for (negate, w) in [(false, 1), (true, MAX_WEIGHT - 1), (rotation % 2 == 0, 12_345)] {
+                let mut params = classes.map(|p| if negate { -p } else { p }).to_vec();
+                params.rotate_left(rotation);
+                params.extend_from_within(..5);
+                sum.fold(&params, w).unwrap();
+                updates.push((params, w));
+                let oracle = oracle_fold(13, updates.iter().map(|(p, w)| (p.as_slice(), *w)));
+                assert_matches_oracle(&sum, &oracle, &format!("rotation {rotation}, w {w}"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_merge_carry_ripples_through_all_four_limbs() {
+        // −1 + 1, 1 + −1 and (5·2¹⁹² + 2¹⁹² − 1) + 1 each carry out of
+        // every limb; their negated twins too. One case a lane, across a
+        // block boundary.
+        let cases =
+            [([!0; 4], [1, 0, 0, 0]), ([1, 0, 0, 0], [!0; 4]), ([!0, !0, !0, 5], [1, 0, 0, 0])];
+        let twins = cases.iter().map(|(a, b)| (negated(a), negated(b)));
+        let (a, b): (Vec<Limbs>, Vec<Limbs>) =
+            cases.into_iter().chain(twins).cycle().take(11).unzip();
+        let mut sum = ExactWeightedSum::from_raw(&a.concat(), 1, 1).unwrap();
+        sum.merge(&ExactWeightedSum::from_raw(&b.concat(), 1, 1).unwrap()).unwrap();
+        let want = scalar_merge(&a, &b);
+        assert_eq!(want[..3], [[0; 4], [0; 4], [0, 0, 0, 6]]);
+        assert_eq!(sum.raw_limbs(), want.concat());
+    }
+
+    #[test]
+    fn the_padding_never_shows() {
+        for dim in [1, 3, 5, 7, 9, 15, 17, 255, 257] {
+            // Three updates and a zero vector after each, all of one sign.
+            let fold = |seed: u64, zero: f32| {
+                let mut rng = seeded(seed);
+                let mut sum = ExactWeightedSum::new(dim);
+                for w in [7, MAX_WEIGHT - 1, 1] {
+                    let params: Vec<f32> = (0..dim).map(|_| random_param(&mut rng)).collect();
+                    sum.fold(&params, w).unwrap();
+                    sum.fold(&vec![zero; dim], w).unwrap();
+                }
+                sum
+            };
+            let seed = dim as u64;
+            let (a, twin, other) = (fold(seed, 0.0), fold(seed, -0.0), fold(!seed, 0.0));
+            let mut sum = a.clone();
+            sum.merge(&other).unwrap();
+            assert_eq!(sum.raw_limbs().len(), 4 * dim);
+            assert!(sum.limbs.iter().all(|c| c.as_flattened()[dim..].iter().all(|&w| w == 0)));
+            let back = ExactWeightedSum::from_raw(&sum.raw_limbs(), sum.total_weight(), sum.terms)
+                .unwrap();
+            // Same weights and term counts, so `==` is `raw_limbs` equality.
+            for (x, y) in [(&sum, &back), (&a, &twin), (&a, &other)] {
+                assert_eq!(x == y, x.raw_limbs() == y.raw_limbs(), "dim {dim}");
+            }
+            assert_eq!(back, sum, "dim {dim}: from_raw(raw_limbs()) is the source");
+            assert_eq!(a, twin, "dim {dim}: +0 and −0 add the same nothing");
+            assert_ne!(a, other, "dim {dim}");
+        }
     }
 
     /// `−v` in two's complement.

@@ -30,7 +30,7 @@
 //! as stragglers — the deadline *is* the straggler mechanism, there is no
 //! separate injection path inside the protocol.
 
-use crate::aggtree::{ExactWeightedSum, RoundSum};
+use crate::aggtree::{ExactWeightedSum, RoundSum, MAX_WEIGHT};
 use crate::codec::ModelCodec;
 use crate::config::FlAlgorithm;
 use crate::events::{Effect, Event, RejectReason};
@@ -714,7 +714,11 @@ impl Coordinator {
                         Ok(_) if !seen.insert(e.party) => {
                             rejections.extend(entry(RejectReason::DuplicateUpdate));
                         }
-                        Ok(_) if e.sketch.len() != sketch_dim => {
+                        // Or a weight a flat update's fold would refuse.
+                        Ok(_)
+                            if e.sketch.len() != sketch_dim
+                                || !(1..MAX_WEIGHT).contains(&e.num_samples) =>
+                        {
                             rejections.extend(entry(RejectReason::WrongModelSize));
                         }
                         Ok(_) => {}

@@ -638,28 +638,32 @@ fn partial(parties: &[u64], dim: usize, tamper: impl FnOnce(&mut Vec<PartialEntr
     })
 }
 
+/// Control: cohort [0, 1, 2, 3] with 3 dropped and 2 already delivered;
+/// 0 and 1 then deliver flat and the round closes. `hostile` is a
+/// partial handed in before they do, refused for `culprit` alone.
+fn round_after(
+    hostile: Option<(Event, u64, RejectReason)>,
+) -> (RoundRecord, Vec<u32>, RoundFeedback) {
+    let mut c = coordinator(1, vec![0, 1, 2, 3]);
+    c.set_exact_fold(true);
+    let dim = c.global_params().len();
+    c.open_round().unwrap();
+    c.handle(Event::PartyDropped(3)).unwrap();
+    assert!(c.handle(distinct_update(2, dim)).unwrap().is_empty());
+    if let Some((partial, culprit, reason)) = hostile {
+        let effects = c.handle(partial).unwrap();
+        let expected = Effect::Rejected { party: Some(culprit as PartyId), round: 0, reason };
+        assert_eq!(effects, [expected], "only the bad entry is named");
+    }
+    assert!(c.handle(distinct_update(0, dim)).unwrap().is_empty(), "0 is still pending");
+    let effects = c.handle(distinct_update(1, dim)).unwrap();
+    let record = closed_record(&effects).expect("1 was still pending, and the last");
+    (record, bits(c.global_params()), c.feedback_log()[0].clone())
+}
+
 #[test]
 fn a_partial_with_one_bad_entry_changes_nothing() {
-    // Control: cohort [0, 1, 2, 3] with 3 dropped and 2 already
-    // delivered; 0 and 1 then deliver flat and the round closes.
-    let run = |hostile: Option<(Event, u64, RejectReason)>| {
-        let mut c = coordinator(1, vec![0, 1, 2, 3]);
-        c.set_exact_fold(true);
-        let dim = c.global_params().len();
-        c.open_round().unwrap();
-        c.handle(Event::PartyDropped(3)).unwrap();
-        assert!(c.handle(distinct_update(2, dim)).unwrap().is_empty());
-        if let Some((partial, culprit, reason)) = hostile {
-            let effects = c.handle(partial).unwrap();
-            let expected = Effect::Rejected { party: Some(culprit as PartyId), round: 0, reason };
-            assert_eq!(effects, [expected], "only the bad entry is named");
-        }
-        assert!(c.handle(distinct_update(0, dim)).unwrap().is_empty(), "0 is still pending");
-        let effects = c.handle(distinct_update(1, dim)).unwrap();
-        let record = closed_record(&effects).expect("1 was still pending, and the last");
-        (record, bits(c.global_params()), c.feedback_log()[0].clone())
-    };
-    let control = run(None);
+    let control = round_after(None);
     let dim = coordinator(1, vec![0]).global_params().len();
     let hostile = [
         // Covers a party outside the cohort.
@@ -675,6 +679,28 @@ fn a_partial_with_one_bad_entry_changes_nothing() {
     ];
     for case in hostile {
         let label = format!("{:?} for party {}", case.2, case.1);
-        assert!(run(Some(case)) == control, "{label}: the refused partial left a trace");
+        assert!(round_after(Some(case)) == control, "{label}: the refused partial left a trace");
+    }
+}
+
+#[test]
+fn a_partial_whose_weights_saturate_is_refused_without_a_panic() {
+    // Party 1's entry declares a weight outside the fold's 1..2³², and the
+    // frame's total is what a saturating sum of the entries reads. Before
+    // the entry check, `u64::MAX` matched the saturated sum, passed
+    // `from_raw` and overflowed the weight add in `merge` (a panic in the
+    // dev profile, a silently skewed mean in release).
+    let control = round_after(None);
+    let dim = coordinator(1, vec![0]).global_params().len();
+    for weight in [u64::MAX, u64::MAX - 7, 1 << 32, 0] {
+        let mut frame = partial(&[0, 1], dim, |e| e[1].num_samples = weight);
+        let Event::UpdateReceived(WireMessage::PartialUpdate { total_weight, entries, .. }) =
+            &mut frame
+        else {
+            unreachable!()
+        };
+        *total_weight = entries.iter().fold(0u64, |s, e| s.saturating_add(e.num_samples));
+        let case = (frame, 1, RejectReason::WrongModelSize);
+        assert!(round_after(Some(case)) == control, "weight {weight}: the partial left a trace");
     }
 }
