@@ -111,11 +111,13 @@ impl SimulationBuilder {
     /// Seals the candidate roster to disk segments under `dir`, with at
     /// most `budget` segments resident in memory while the selectors
     /// stream it, instead of keeping the [`flips_fl::RosterStore`] in
-    /// memory. Every selector is built from the store through
+    /// memory. Every baseline selector is built from the store through
     /// [`flips_selection::CandidateSource`] either way, one party at a
     /// time, exactly as a million-party roster would be; where it lives
     /// never moves a seeded history (the scale-equivalence suite pins
-    /// this).
+    /// this). FLIPS is not built from the store: its clustering ceremony
+    /// takes the label distributions from the parties, and the store
+    /// holds none.
     #[must_use]
     pub fn spill_roster(mut self, dir: impl Into<std::path::PathBuf>, budget: usize) -> Self {
         self.spill = Some((dir.into(), budget));
@@ -345,16 +347,17 @@ impl SimulationBuilder {
             cfg
         };
 
-        // The roster every selector streams its candidates from.
+        // The roster the baselines stream their candidates from. It holds
+        // no label counts: those go from the parties to the enclave only.
         let mut roster = match &self.spill {
             Some((dir, budget)) => flips_fl::RosterBuilder::spilling(dir.clone(), *budget)?,
             None => flips_fl::RosterBuilder::in_memory(),
         };
-        for (i, ld) in parts.label_distributions().iter().enumerate() {
+        for (&samples, &latency_hint) in sample_counts.iter().zip(&profile_times) {
             roster.push(flips_fl::PartyRecord {
-                data_size: sample_counts[i] as u64,
-                latency_hint: profile_times[i],
-                label_counts: ld.counts().to_vec(),
+                data_size: samples as u64,
+                latency_hint,
+                label_counts: Vec::new(),
             })?;
         }
         let store = roster.finish()?;
@@ -362,7 +365,7 @@ impl SimulationBuilder {
         let selector: Box<dyn ParticipantSelector> = match self.selector {
             SelectorKind::Random => Box::new(RandomSelector::from_source(&store, self.seed)),
             SelectorKind::Flips => {
-                let pc = FlipsMiddleware::cluster_from_source(&store, n, &mw_cfg)?;
+                let pc = FlipsMiddleware::cluster_privately(&parts.label_distributions(), &mw_cfg)?;
                 meta.k = Some(pc.k());
                 meta.clustering_tee_overhead = Some(pc.tee_overhead());
                 Box::new(pc.into_selector())

@@ -9,7 +9,9 @@
 //! 2. every party challenges the enclave with a fresh nonce, sends the
 //!    quote to the attestation server, and proceeds only on success;
 //! 3. every party seals its (normalized) label distribution over its own
-//!    secure channel; the ciphertext is opened *inside* the enclave;
+//!    secure channel; the ciphertext is opened *inside* the enclave. The
+//!    distributions come from the parties themselves: the aggregator's
+//!    roster never holds them;
 //! 4. inside the enclave, the Davies-Bouldin elbow picks `k` and
 //!    K-Means++ clusters the distributions (paper §3.1);
 //! 5. the resulting [`flips_selection::FlipsSelector`] lives in enclave
@@ -24,10 +26,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use flips_clustering::{kmeans, optimal_k, ElbowConfig, KMeansConfig};
 use flips_data::LabelDistribution;
 use flips_ml::rng::{derive_seed, seeded};
-use flips_selection::streaming::Reservoir;
-use flips_selection::{
-    CandidateSource, FlipsSelector, ParticipantSelector, PartyId, RoundFeedback, SelectionError,
-};
+use flips_selection::{FlipsSelector, ParticipantSelector, PartyId, RoundFeedback, SelectionError};
 use flips_tee::attestation::PlatformKey;
 use flips_tee::{AttestationServer, Enclave, OverheadModel, SecureChannel, TeeError};
 use rand::Rng;
@@ -79,18 +78,14 @@ impl Default for MiddlewareConfig {
 /// Enclave-guarded state: the provisioned distributions and, after
 /// clustering, the live selector.
 struct EnclaveState {
-    /// Normalized label distributions, indexed by party; `None` until the
-    /// party provisions.
-    distributions: Vec<Option<Vec<f32>>>,
+    /// Normalized label distributions in party order, as provisioned;
+    /// moved into K-Means when clustering runs.
+    distributions: Vec<Vec<f32>>,
     /// The Algorithm 1 selector, built after clustering.
     selector: Option<FlipsSelector>,
     /// Chosen number of clusters.
     k: usize,
 }
-
-/// What the ceremony does with each party's label distribution as the
-/// roster streams past: attest, seal, provision.
-type Provision<'a> = dyn FnMut(PartyId, &LabelDistribution) + 'a;
 
 /// The FLIPS middleware entry points.
 #[derive(Debug, Clone, Copy)]
@@ -98,87 +93,34 @@ pub struct FlipsMiddleware;
 
 impl FlipsMiddleware {
     /// Runs the full private-clustering ceremony over the parties' label
-    /// distributions and returns the enclave-backed clustering.
+    /// distributions (party `i` holds `label_distributions[i]`) and
+    /// returns the enclave-backed clustering.
     ///
     /// # Errors
     ///
     /// Fails if attestation fails, a sealed message is tampered with, or
-    /// clustering cannot run (fewer than two parties, bad `fixed_k`).
+    /// clustering cannot run (fewer than two parties, fewer than three
+    /// with no `fixed_k`, bad `fixed_k`).
     pub fn cluster_privately(
         label_distributions: &[LabelDistribution],
         config: &MiddlewareConfig,
     ) -> Result<PrivateClustering, FlipsError> {
-        let stream = &mut |provision: &mut Provision<'_>| {
-            for (party, ld) in label_distributions.iter().enumerate() {
-                provision(party, ld);
-            }
-        };
-        Self::ceremony(label_distributions.len(), stream, None, config)
-    }
-
-    /// Runs the private-clustering ceremony over a *streamed* roster.
-    ///
-    /// When the roster fits the clustering pool (`n <= pool_cap`) the
-    /// result is bit-identical to [`FlipsMiddleware::cluster_privately`]
-    /// over the same distributions — the scale-equivalence suite pins
-    /// this.
-    ///
-    /// Above the cap, every party still attests and provisions its
-    /// sealed distribution (the privacy protocol is unchanged and
-    /// streams in O(1) per party), but the elbow scan and K-Means — the
-    /// O(n·k²·restarts) part — run on a seeded reservoir subsample of
-    /// `pool_cap` parties inside the enclave; every party is then
-    /// assigned to its nearest centroid, so the clusters still
-    /// partition the full roster. A documented approximation, never
-    /// silently taken below the cap.
-    ///
-    /// A party whose source reports no label counts clusters as an
-    /// empty-data party (uniform over one pseudo-label).
-    ///
-    /// # Errors
-    ///
-    /// As [`FlipsMiddleware::cluster_privately`], plus a configuration
-    /// error for a zero `pool_cap`.
-    pub fn cluster_from_source(
-        source: &dyn CandidateSource,
-        pool_cap: usize,
-        config: &MiddlewareConfig,
-    ) -> Result<PrivateClustering, FlipsError> {
-        if pool_cap == 0 {
-            return Err(FlipsError::InvalidConfig("pool_cap must be positive".into()));
-        }
-        let n = source.num_parties();
-        let sample =
-            (n > pool_cap).then(|| Reservoir::new(pool_cap, derive_seed(config.seed, 0x05EE_DCA9)));
-        let stream = &mut |provision: &mut Provision<'_>| {
-            source.visit_label_distributions(&mut |party, counts| {
-                let counts = if counts.is_empty() { vec![0] } else { counts.to_vec() };
-                provision(party, &LabelDistribution::from_counts(counts));
-            });
-        };
-        Self::ceremony(n, stream, sample, config)
-    }
-
-    /// The one ceremony behind both entry points. `stream` feeds every
-    /// party's label distribution in party-id order. With no `sample`,
-    /// all `n` parties shape the centroids and clusters are K-Means'
-    /// own members; with one, the reservoir's picks shape the centroids
-    /// and every party goes to its nearest.
-    fn ceremony(
-        n: usize,
-        stream: &mut dyn FnMut(&mut Provision<'_>),
-        mut sample: Option<Reservoir<PartyId>>,
-        config: &MiddlewareConfig,
-    ) -> Result<PrivateClustering, FlipsError> {
+        let n = label_distributions.len();
         if n < 2 {
             return Err(FlipsError::InvalidConfig(format!(
                 "private clustering needs at least 2 parties, got {n}"
             )));
         }
-        if let Some(k) = config.fixed_k {
-            if k == 0 || k > n {
+        match config.fixed_k {
+            Some(k) if k == 0 || k > n => {
                 return Err(FlipsError::InvalidConfig(format!("fixed_k = {k} must be in 1..={n}")));
             }
+            None if n < 3 => {
+                return Err(FlipsError::InvalidConfig(
+                    "the elbow needs at least 3 parties; set fixed_k".into(),
+                ));
+            }
+            _ => {}
         }
 
         let mut rng = seeded(derive_seed(config.seed, 0x7EE0));
@@ -188,101 +130,57 @@ impl FlipsMiddleware {
             PlatformKey::new(((rng.random::<u64>() as u128) << 64) | rng.random::<u64>() as u128);
         let enclave = Enclave::load(
             CLUSTERING_CODE_ID,
-            EnclaveState { distributions: vec![None; n], selector: None, k: 0 },
+            EnclaveState { distributions: Vec::with_capacity(n), selector: None, k: 0 },
             platform,
             config.overhead,
         );
         let mut attestation = AttestationServer::new(platform);
         attestation.register(enclave.measurement());
 
-        // (2)+(3) every party attests, then provisions over its channel;
-        // the reservoir concurrently picks which parties will shape the
-        // centroids. The first failure stops the ceremony.
-        let mut provisioned: Result<(), FlipsError> = Ok(());
-        stream(&mut |party, ld| {
-            if provisioned.is_err() {
-                return;
-            }
-            if let Some(sample) = &mut sample {
-                sample.push(party);
-            }
-            provisioned = (|| {
-                let nonce: u64 = rng.random();
-                let quote = enclave.quote(nonce);
-                attestation.verify(&quote, nonce)?;
+        // (2)+(3) every party attests, then provisions over its channel.
+        // The first failure stops the ceremony.
+        for ld in label_distributions {
+            let nonce: u64 = rng.random();
+            let quote = enclave.quote(nonce);
+            attestation.verify(&quote, nonce)?;
 
-                let (mut party_end, enclave_end) = SecureChannel::establish(&mut rng);
-                let sealed = party_end.seal(&encode_distribution(&ld.normalized()));
-                enclave
-                    .enter(|state| -> Result<(), TeeError> {
-                        let plain = enclave_end.open(&sealed)?;
-                        state.distributions[party] = Some(
-                            decode_distribution(plain).map_err(|_| TeeError::IntegrityViolation)?,
-                        );
-                        Ok(())
-                    })
-                    .map_err(FlipsError::Tee)??;
-                Ok(())
-            })();
-        });
-        provisioned?;
-        let sampled = sample.map(|s| {
-            let mut kept = s.into_kept();
-            kept.sort_unstable();
-            kept
-        });
+            let (mut party_end, enclave_end) = SecureChannel::establish(&mut rng);
+            let sealed = party_end.seal(&encode_distribution(&ld.normalized()));
+            enclave
+                .enter(|state| -> Result<(), TeeError> {
+                    let plain = enclave_end.open(&sealed)?;
+                    state.distributions.push(
+                        decode_distribution(plain).map_err(|_| TeeError::IntegrityViolation)?,
+                    );
+                    Ok(())
+                })
+                .map_err(FlipsError::Tee)??;
+        }
 
         // (4)+(5) cluster inside the enclave and stand up the selector.
         let cluster_seed = derive_seed(config.seed, 0xC1F5);
         let cfg = *config;
         let k = enclave
             .enter(move |state| -> Result<usize, FlipsError> {
-                let of = |p: PartyId| state.distributions[p].clone().expect("all provisioned");
-                let points: Vec<Vec<f32>> = match &sampled {
-                    None => (0..n).map(of).collect(),
-                    Some(kept) => kept.iter().copied().map(of).collect(),
-                };
-                let m = points.len();
+                let points = std::mem::take(&mut state.distributions);
                 let k = match cfg.fixed_k {
                     Some(k) => k,
                     None => {
-                        let k_max = cfg.k_max.clamp(2, m - 1);
+                        let k_max = cfg.k_max.clamp(2, n - 1);
                         let elbow_cfg = ElbowConfig {
                             restarts: cfg.restarts.max(1),
                             ..ElbowConfig::new(k_max, cluster_seed)
                         };
                         let elbow_k = optimal_k(&points, elbow_cfg)?.k;
                         match cfg.k_floor {
-                            Some(floor) => elbow_k.max(floor.min(m - 1)),
+                            Some(floor) => elbow_k.max(floor.min(n - 1)),
                             None => elbow_k,
                         }
                     }
                 };
                 let mut krng = seeded(derive_seed(cluster_seed, k as u64));
                 let clustering = kmeans(&mut krng, &points, KMeansConfig::new(k))?;
-                let mut clusters: Vec<Vec<PartyId>> = match sampled {
-                    None => clustering.members(),
-                    // Every party — sampled or not — goes to its nearest
-                    // centroid (ties → lowest cluster id), so the partition
-                    // covers the whole roster under one deterministic rule.
-                    Some(_) => {
-                        let mut clusters = vec![Vec::new(); clustering.k()];
-                        for (party, dist) in state.distributions.iter().enumerate() {
-                            let point = dist.as_ref().expect("all parties provisioned");
-                            let mut best = 0usize;
-                            let mut best_d = f32::INFINITY;
-                            for (c, centroid) in clustering.centroids.iter().enumerate() {
-                                let d = flips_ml::matrix::euclidean_distance(point, centroid);
-                                if d < best_d {
-                                    best_d = d;
-                                    best = c;
-                                }
-                            }
-                            clusters[best].push(party);
-                        }
-                        clusters
-                    }
-                };
+                let mut clusters = clustering.members();
                 clusters.retain(|c| !c.is_empty());
                 let mut selector = FlipsSelector::new(clusters)?;
                 if !cfg.overprovision {
@@ -462,29 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn a_streamed_roster_clusters_like_the_flat_one_up_to_the_cap_and_subsamples_above_it() {
-        use flips_selection::streaming::VecSource;
-        let lds = archetype_lds(4, 8, 10);
-        let source = VecSource {
-            data_sizes: vec![1; lds.len()],
-            latencies: vec![1.0; lds.len()],
-            label_counts: lds.iter().map(|ld| ld.counts().to_vec()).collect(),
-        };
-        let flat = FlipsMiddleware::cluster_privately(&lds, &fast_config(3)).unwrap();
-        let at_cap = FlipsMiddleware::cluster_from_source(&source, 40, &fast_config(3)).unwrap();
-        assert_eq!(at_cap.k(), flat.k());
-        assert_eq!(at_cap.debug_cluster_sizes(), flat.debug_cluster_sizes());
-
-        // Above the cap 16 sampled parties shape the centroids, but the
-        // clusters still partition all 40 and every party provisions.
-        let above = FlipsMiddleware::cluster_from_source(&source, 16, &fast_config(3)).unwrap();
-        assert_eq!(above.debug_cluster_sizes().iter().sum::<usize>(), 40);
-        assert_eq!(above.tee_entries(), flat.tee_entries());
-        let again = FlipsMiddleware::cluster_from_source(&source, 16, &fast_config(3)).unwrap();
-        assert_eq!(above.debug_cluster_sizes(), again.debug_cluster_sizes());
-    }
-
-    #[test]
     fn ceremony_discovers_the_archetype_count() {
         let lds = archetype_lds(5, 10, 8);
         let pc = FlipsMiddleware::cluster_privately(&lds, &fast_config(1)).unwrap();
@@ -542,6 +417,14 @@ mod tests {
         assert!(FlipsMiddleware::cluster_privately(&lds, &cfg).is_err());
         let cfg = MiddlewareConfig { fixed_k: Some(99), ..fast_config(7) };
         assert!(FlipsMiddleware::cluster_privately(&lds, &cfg).is_err());
+        // Two parties leave the elbow no range to scan: refused, not a
+        // panic — but a fixed `k` still clusters them.
+        let two = archetype_lds(2, 4, 1);
+        assert!(FlipsMiddleware::cluster_privately(&two, &fast_config(8)).is_err());
+        for k in 1..=2 {
+            let cfg = MiddlewareConfig { fixed_k: Some(k), ..fast_config(8) };
+            assert_eq!(FlipsMiddleware::cluster_privately(&two, &cfg).unwrap().k(), k);
+        }
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! ([`crate::format`], magic `FLRS`), so a truncated or bit-flipped
 //! segment is rejected on every page-in, never silently misread.
 //!
-//! The store implements [`CandidateSource`], which is how the five
+//! The store implements [`CandidateSource`], which is how the baseline
 //! selection policies consume it: streamed per-party reads for Oort and
-//! TiFL, a single ordered pass for FLIPS's clustering pool, and nothing
-//! at all for Random and GradClus. Selection over a spilled roster is
+//! TiFL, and nothing at all for Random and GradClus. FLIPS never reads
+//! it — label distributions go from the parties to its enclave, not
+//! through the roster. Selection over a spilled roster is
 //! *bit-identical* to selection over the same records held flat — the
 //! scale-equivalence suite pins this.
 //!
@@ -49,8 +50,10 @@ pub struct PartyRecord {
     /// Profiled training latency, seconds (TiFL tiering, Oort's
     /// preferred-duration calibration).
     pub latency_hint: f64,
-    /// Raw per-label datapoint counts (FLIPS's clustering descriptor;
-    /// may be empty when no semantic policy runs).
+    /// Raw per-label datapoint counts. No workspace selector reads them
+    /// and `SimulationBuilder` stores none (FLIPS takes them from the
+    /// parties); the column stays only until the next `FLRS` payload
+    /// version drops it.
     pub label_counts: Vec<u64>,
 }
 
@@ -508,10 +511,6 @@ impl CandidateSource for RosterStore {
     fn latency_hint(&self, party: PartyId) -> f64 {
         self.with_record(party, |r| r.latency_hint).expect("roster read")
     }
-
-    fn visit_label_distributions(&self, visit: &mut dyn FnMut(PartyId, &[u64])) {
-        self.visit_all(&mut |p, r| visit(p, &r.label_counts)).expect("roster scan");
-    }
 }
 
 #[cfg(test)]
@@ -585,8 +584,8 @@ mod tests {
         }
         let mut a = Vec::new();
         let mut bb = Vec::new();
-        flat.visit_label_distributions(&mut |p, c| a.push((p, c.to_vec())));
-        spill.visit_label_distributions(&mut |p, c| bb.push((p, c.to_vec())));
+        flat.visit_all(&mut |p, r| a.push((p, r.clone()))).unwrap();
+        spill.visit_all(&mut |p, r| bb.push((p, r.clone()))).unwrap();
         assert_eq!(a, bb);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -2,33 +2,29 @@
 //! materialized roster.
 //!
 //! The flat path hands every selector dense per-party vectors built by
-//! the caller (sample counts, latency profiles, label distributions).
-//! That is fine at 10³ parties and fatal at 10⁶: the roster no longer
-//! fits in one allocation, and most of it is cold at any given round.
-//! This module inverts the dependency — a [`CandidateSource`] *streams*
-//! per-party descriptors to whoever is constructing a selector, and two
-//! bounded passes ([`BoundedTopK`], [`Reservoir`]) extract what a policy
-//! actually needs from the stream in O(k) memory.
+//! the caller (sample counts, latency profiles). That is fine at 10³
+//! parties and fatal at 10⁶: the roster no longer fits in one
+//! allocation, and most of it is cold at any given round. This module
+//! inverts the dependency — a [`CandidateSource`] *streams* per-party
+//! descriptors to whoever is constructing a selector, and a bounded
+//! top-k pass ([`BoundedTopK`]) extracts what a policy actually needs
+//! from the stream in O(k) memory.
 //!
-//! Determinism contract: every helper here is either *exactly*
-//! equivalent to the dense computation it replaces ([`BoundedTopK`]
-//! yields the same parties in the same order as a full sort;
-//! `from_source` constructors reproduce the flat constructor
-//! bit-for-bit when fed the same descriptors) or is a seeded, documented
-//! approximation ([`Reservoir`] capping the FLIPS clustering pool). The
-//! scale-equivalence suite pins the former against the selector goldens.
+//! Determinism contract: every helper here is *exactly* equivalent to
+//! the dense computation it replaces ([`BoundedTopK`] yields the same
+//! parties in the same order as a full sort; `from_source` constructors
+//! reproduce the flat constructor bit-for-bit when fed the same
+//! descriptors). The scale-equivalence suite pins this against the
+//! selector goldens.
 
 use crate::types::PartyId;
-use flips_ml::rng::seeded;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// A streamed view of the registered-party roster: everything selector
 /// construction needs, fetched per party instead of materialized by the
 /// caller.
 ///
 /// Implementations are expected to be cheap per call and to tolerate
-/// repeated visits (a spill-backed store pages segments in and out —
+/// repeated reads (a spill-backed store pages segments in and out —
 /// see `flips_fl::RosterStore`, the canonical implementation).
 pub trait CandidateSource {
     /// Registered parties; ids are dense in `0..num_parties()`.
@@ -41,43 +37,6 @@ pub trait CandidateSource {
     /// Profiled training latency for `party`, seconds (TiFL's tiering
     /// input and Oort's preferred-duration calibration).
     fn latency_hint(&self, party: PartyId) -> f64;
-
-    /// Streams each party's raw per-label datapoint counts, in party-id
-    /// order. The slice is only valid for the duration of the callback —
-    /// a spill-backed source reuses its segment buffer.
-    fn visit_label_distributions(&self, visit: &mut dyn FnMut(PartyId, &[u64]));
-}
-
-/// Dense in-memory [`CandidateSource`] — the adapter for callers that
-/// already hold flat vectors (tests, small simulations).
-#[derive(Debug, Clone, Default)]
-pub struct VecSource {
-    /// Per-party sample counts.
-    pub data_sizes: Vec<u64>,
-    /// Per-party latency hints, seconds.
-    pub latencies: Vec<f64>,
-    /// Per-party label counts (may be empty when no policy needs them).
-    pub label_counts: Vec<Vec<u64>>,
-}
-
-impl CandidateSource for VecSource {
-    fn num_parties(&self) -> usize {
-        self.data_sizes.len()
-    }
-
-    fn data_size(&self, party: PartyId) -> u64 {
-        self.data_sizes[party]
-    }
-
-    fn latency_hint(&self, party: PartyId) -> f64 {
-        self.latencies[party]
-    }
-
-    fn visit_label_distributions(&self, visit: &mut dyn FnMut(PartyId, &[u64])) {
-        for (p, counts) in self.label_counts.iter().enumerate() {
-            visit(p, counts);
-        }
-    }
 }
 
 /// Streaming top-`k` by `(score descending, id ascending)` — the total
@@ -172,52 +131,11 @@ impl BoundedTopK {
     }
 }
 
-/// Seeded reservoir sampler (Algorithm R): a uniform `k`-subset of a
-/// stream of unknown length in O(k) memory. Used to *cap* the FLIPS
-/// clustering pool when the roster exceeds what private clustering can
-/// hold — a documented approximation, never silently applied below the
-/// cap (the caller collects exactly when `n <= k`).
-#[derive(Debug)]
-pub struct Reservoir<T> {
-    k: usize,
-    seen: u64,
-    kept: Vec<T>,
-    rng: StdRng,
-}
-
-impl<T> Reservoir<T> {
-    /// A reservoir of capacity `k` with its own derived RNG stream.
-    pub fn new(k: usize, seed: u64) -> Self {
-        Reservoir { k, seen: 0, kept: Vec::with_capacity(k.min(1024)), rng: seeded(seed) }
-    }
-
-    /// Offers one item from the stream.
-    pub fn push(&mut self, item: T) {
-        self.seen += 1;
-        if self.kept.len() < self.k {
-            self.kept.push(item);
-            return;
-        }
-        let j = self.rng.random_range(0..self.seen);
-        if (j as usize) < self.k {
-            self.kept[j as usize] = item;
-        }
-    }
-
-    /// Items offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The sampled subset, in retention order.
-    pub fn into_kept(self) -> Vec<T> {
-        self.kept
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flips_ml::rng::seeded;
+    use rand::Rng;
 
     fn dense_rank(mut scored: Vec<(f64, PartyId)>, k: usize) -> Vec<PartyId> {
         scored.sort_by(|a, b| {
@@ -259,61 +177,5 @@ mod tests {
         }
         assert_eq!(topk.len(), 3);
         assert_eq!(topk.into_sorted_ids(), vec![99, 98, 97]);
-    }
-
-    #[test]
-    fn reservoir_is_exhaustive_under_capacity() {
-        let mut r = Reservoir::new(10, 3);
-        for i in 0..7 {
-            r.push(i);
-        }
-        assert_eq!(r.into_kept(), (0..7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reservoir_is_uniform_enough() {
-        // Each of 20 items should land in a k=5 reservoir ~25% of the
-        // time across seeds.
-        let mut hits = [0u32; 20];
-        for seed in 0..2000 {
-            let mut r = Reservoir::new(5, seed);
-            for i in 0..20usize {
-                r.push(i);
-            }
-            for i in r.into_kept() {
-                hits[i] += 1;
-            }
-        }
-        for (i, &h) in hits.iter().enumerate() {
-            assert!((350..=650).contains(&h), "item {i} kept {h}/2000 times");
-        }
-    }
-
-    #[test]
-    fn reservoir_is_seeded() {
-        let run = |seed| {
-            let mut r = Reservoir::new(4, seed);
-            for i in 0..100 {
-                r.push(i);
-            }
-            r.into_kept()
-        };
-        assert_eq!(run(9), run(9));
-        assert_ne!(run(9), run(10));
-    }
-
-    #[test]
-    fn vec_source_round_trips() {
-        let src = VecSource {
-            data_sizes: vec![10, 20],
-            latencies: vec![0.5, 1.5],
-            label_counts: vec![vec![1, 0], vec![0, 3]],
-        };
-        assert_eq!(src.num_parties(), 2);
-        assert_eq!(src.data_size(1), 20);
-        assert_eq!(src.latency_hint(0), 0.5);
-        let mut seen = Vec::new();
-        src.visit_label_distributions(&mut |p, c| seen.push((p, c.to_vec())));
-        assert_eq!(seen, vec![(0, vec![1, 0]), (1, vec![0, 3])]);
     }
 }

@@ -1,6 +1,7 @@
 //! Information-flow tests of the FLIPS privacy architecture (paper §3.3):
-//! attestation gates provisioning, sealed channels resist tampering, and
-//! enclave destruction erases clustering state.
+//! attestation gates provisioning, sealed channels resist tampering,
+//! enclave destruction erases clustering state, and no party's label
+//! counts land in the aggregator's roster.
 
 use flips::middleware::{FlipsMiddleware, MiddlewareConfig, CLUSTERING_CODE_ID};
 use flips::prelude::*;
@@ -111,6 +112,54 @@ fn aggregator_facing_api_never_exposes_label_distributions() {
         for &p in &r.selected {
             assert!(p < 16);
         }
+    }
+}
+
+/// The golden 12-party shape `tests/protocol_equivalence.rs` pins.
+fn golden_builder(kind: SelectorKind) -> SimulationBuilder {
+    SimulationBuilder::new(DatasetProfile::femnist())
+        .parties(12)
+        .rounds(4)
+        .participation(0.25)
+        .alpha(0.3)
+        .selector(kind)
+        .straggler_rate(0.25)
+        .clustering_restarts(3)
+        .test_per_class(8)
+        .seed(11)
+}
+
+#[test]
+fn label_counts_never_reach_the_spilled_roster() {
+    // Paper §3.3: a party's label distribution reaches only the attested
+    // enclave. The aggregator's roster, sealed here to disk segments,
+    // must hold no party's counts, whichever selector the job runs.
+    for kind in SelectorKind::all() {
+        let dir = std::env::temp_dir().join(format!("flips-privacy-{}-{kind}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (job, _) = golden_builder(kind).spill_roster(&dir, 1).build().unwrap();
+        let segments: Vec<Vec<u8>> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "flrs"))
+            .map(|path| std::fs::read(path).unwrap())
+            .collect();
+        assert!(!segments.is_empty(), "{kind}: the roster was not spilled");
+        for (party, endpoint) in job.into_parts().endpoints.iter().enumerate() {
+            // A vector as FLRS writes it: u64 LE length ‖ u64 LE counts.
+            let ld = endpoint.party().label_distribution();
+            let mut needle = (ld.num_labels() as u64).to_le_bytes().to_vec();
+            for count in ld.counts() {
+                needle.extend_from_slice(&count.to_le_bytes());
+            }
+            for segment in &segments {
+                assert!(
+                    !segment.windows(needle.len()).any(|w| w == needle.as_slice()),
+                    "{kind}: party {party}'s label counts are in a roster segment"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
