@@ -14,10 +14,11 @@
 //!   panels (`panel[j/NR][k][j%NR]`), so the micro-kernel streams
 //!   contiguous memory regardless of the transpose flavor — `A·Bᵀ` simply
 //!   packs with swapped indices and reuses the same inner loop;
-//! - the `Aᵀ·B` flavor additionally packs its *left* operand into
-//!   `MR`-wide column panels (`apanel[i/MR][k][i%MR]`): the lhs walk is
-//!   otherwise strided by the full row length per `k` step, which left
-//!   `gemm_tn` ~1.7× over naive before the pack;
+//! - the `Aᵀ·B` flavor transposes its *left* operand once per call, in
+//!   cache-sized tiles, into thread-local row-major scratch and runs the
+//!   `A·B` tiles on that: one micro-kernel serves all three flavors, and
+//!   the lhs is streamed along rows instead of strided by the full row
+//!   length per `k` step;
 //! - the micro-kernel computes an `MR×NR` register tile with explicit
 //!   `f32::mul_add` (FMA), accumulating over `k` in ascending order so
 //!   results are **bit-identical for every blocking/threading
@@ -204,7 +205,7 @@ impl Matrix {
         );
     }
 
-    /// `selfᵀ × rhs` without materializing the transpose.
+    /// `selfᵀ × rhs` without allocating the transpose.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, rhs.cols);
         self.matmul_tn_into(rhs, &mut out);
@@ -275,11 +276,7 @@ impl Matrix {
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
-            }
-        }
+        gemm::transpose_into(self.rows, self.cols, &self.data, self.cols, &mut out.data);
         out
     }
 
@@ -392,12 +389,14 @@ pub mod gemm {
     /// Upper bound on worker threads.
     const MAX_THREADS: usize = 8;
 
+    /// Side of the square tiles [`transpose_into`] copies through.
+    const TILE: usize = 16;
+
     thread_local! {
         /// Reusable rhs pack buffer: steady-state GEMM allocates nothing.
         static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-        /// Reusable lhs pack buffer for the `Aᵀ·B` flavor (per worker
-        /// thread: each packs exactly the output rows it owns).
-        static APACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+        /// Reusable lhs scratch: the `Aᵀ·B` flavor's lhs, transposed.
+        static LHS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Which operand is logically transposed.
@@ -419,7 +418,8 @@ pub mod gemm {
     ///
     /// # Panics
     ///
-    /// Panics if slice lengths disagree with the dimensions.
+    /// Panics if a leading dimension is shorter than the stored row it
+    /// steps over, or slice lengths disagree with the dimensions.
     #[allow(clippy::too_many_arguments)]
     pub fn gemm(
         layout: Layout,
@@ -432,15 +432,17 @@ pub mod gemm {
         ldb: usize,
         out: &mut [f32],
     ) {
+        // (rows, row length) of each operand as stored.
+        let ((a_rows, a_row), (b_rows, b_row)) = match layout {
+            Layout::Nn => ((m, k), (k, n)),
+            Layout::Tn => ((k, m), (k, n)),
+            Layout::Nt => ((m, k), (n, k)),
+        };
+        assert!(lda >= a_row, "gemm {layout:?} m={m} k={k} n={n}: lda {lda} < lhs row {a_row}");
+        assert!(ldb >= b_row, "gemm {layout:?} m={m} k={k} n={n}: ldb {ldb} < rhs row {b_row}");
+        assert_eq!(a.len(), a_rows * lda, "gemm lhs length");
+        assert_eq!(b.len(), b_rows * ldb, "gemm rhs length");
         assert_eq!(out.len(), m * n, "gemm output length");
-        match layout {
-            Layout::Nn | Layout::Nt => assert_eq!(a.len(), m * lda, "gemm lhs length"),
-            Layout::Tn => assert_eq!(a.len(), k * lda, "gemm lhs length"),
-        }
-        match layout {
-            Layout::Nn | Layout::Tn => assert_eq!(b.len(), k * ldb, "gemm rhs length"),
-            Layout::Nt => assert_eq!(b.len(), n * ldb, "gemm rhs length"),
-        }
         if m == 0 || n == 0 {
             return;
         }
@@ -501,85 +503,78 @@ pub mod gemm {
                 1
             };
             let pack: &[f32] = pack;
-            match layout {
-                Layout::Nn | Layout::Nt => {
-                    if threads <= 1 {
-                        compute_rows_nn(0, m, k, n, a, lda, pack, out);
-                    } else {
-                        // Disjoint row panels per thread: identical
-                        // per-element accumulation order at any
-                        // thread count.
-                        let chunk = m.div_ceil(threads);
-                        std::thread::scope(|scope| {
-                            for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
-                                let i0 = t * chunk;
-                                let rows = out_chunk.len() / n;
-                                scope.spawn(move || {
-                                    compute_rows_nn(i0, rows, k, n, a, lda, pack, out_chunk);
-                                });
-                            }
-                        });
+            LHS.with(|cell| {
+                // `Aᵀ·B` is A transposed once into row-major `m×k`
+                // scratch, then the `A·B` tiles: each output is the
+                // same ascending-k `mul_add` chain either way, and the
+                // O(m·k) copy amortizes over the n/NR panel sweeps
+                // that stream its rows instead of striding by lda.
+                let mut scratch = cell.borrow_mut();
+                let (a, lda) = match layout {
+                    Layout::Nn | Layout::Nt => (a, lda),
+                    Layout::Tn => {
+                        if scratch.len() < m * k {
+                            scratch.resize(m * k, 0.0);
+                        }
+                        transpose_into(k, m, a, lda, &mut scratch[..m * k]);
+                        (&scratch[..m * k], k)
                     }
+                };
+                if threads <= 1 {
+                    compute_rows_nn(0, m, k, n, a, lda, pack, out);
+                } else {
+                    // Disjoint row panels per thread: identical
+                    // per-element accumulation order at any thread
+                    // count.
+                    let chunk = m.div_ceil(threads);
+                    std::thread::scope(|scope| {
+                        for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
+                            let i0 = t * chunk;
+                            let rows = out_chunk.len() / n;
+                            scope.spawn(move || {
+                                compute_rows_nn(i0, rows, k, n, a, lda, pack, out_chunk);
+                            });
+                        }
+                    });
                 }
-                Layout::Tn => APACK.with(|acell| {
-                    // Pack the lhs — all m output rows (= lhs
-                    // columns) — into MR-wide panels contiguous in
-                    // k, so the micro-kernel streams both operands
-                    // sequentially instead of striding the lhs by
-                    // lda every k step. Packed once on the calling
-                    // thread (the thread-local buffer is reused
-                    // across calls, like the rhs pack) and shared
-                    // read-only with the workers; the O(m·k) copy
-                    // amortizes over the n/NR panel sweeps.
-                    let mut apack = acell.borrow_mut();
-                    let need = m.div_ceil(MR) * k * MR;
-                    if apack.len() < need {
-                        apack.resize(need, 0.0);
-                    }
-                    let apack = &mut apack[..need];
-                    let mut i = 0;
-                    while i < m {
-                        let mr = MR.min(m - i);
-                        let dst = &mut apack[(i / MR) * k * MR..(i / MR + 1) * k * MR];
-                        if mr < MR {
-                            // Tail lanes are computed and discarded;
-                            // keep them zeroed so stale values
-                            // cannot go subnormal.
-                            dst.fill(0.0);
-                        }
-                        for kk in 0..k {
-                            let src = &a[kk * lda + i..kk * lda + i + mr];
-                            dst[kk * MR..kk * MR + mr].copy_from_slice(src);
-                        }
-                        i += MR;
-                    }
-                    let apack: &[f32] = apack;
-                    if threads <= 1 {
-                        compute_rows_tn(0, m, k, n, apack, pack, out);
-                    } else {
-                        // MR-aligned chunks so every worker's row
-                        // range starts on a pack-tile boundary.
-                        let chunk = m.div_ceil(threads).div_ceil(MR) * MR;
-                        std::thread::scope(|scope| {
-                            for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
-                                let i0 = t * chunk;
-                                let rows = out_chunk.len() / n;
-                                scope.spawn(move || {
-                                    compute_rows_tn(i0, rows, k, n, apack, pack, out_chunk);
-                                });
-                            }
-                        });
-                    }
-                }),
-            }
+            });
         });
     }
 
-    /// The micro-kernels keep an `MR×NR` accumulator tile in registers,
-    /// feed it with `f32::mul_add` (forcing FMA codegen — rustc does not
-    /// contract `a*b + c` on its own), and accumulate `k` in ascending
+    /// Writes the transpose of the `rows×cols` matrix `src` (row stride
+    /// `ld`) into `dst` as a row-major `cols×rows` matrix, one `TILE×TILE`
+    /// block at a time through a local array: row slices in, row slices
+    /// out (about half the time of a per-element strided store).
+    pub(super) fn transpose_into(
+        rows: usize,
+        cols: usize,
+        src: &[f32],
+        ld: usize,
+        dst: &mut [f32],
+    ) {
+        for i0 in (0..rows).step_by(TILE) {
+            let h = TILE.min(rows - i0);
+            for j0 in (0..cols).step_by(TILE) {
+                let w = TILE.min(cols - j0);
+                let mut tile = [[0.0f32; TILE]; TILE];
+                for (i, row) in tile.iter_mut().enumerate().take(h) {
+                    row[..w].copy_from_slice(&src[(i0 + i) * ld + j0..][..w]);
+                }
+                for j in 0..w {
+                    let out = &mut dst[(j0 + j) * rows + i0..][..h];
+                    for (x, row) in out.iter_mut().zip(&tile) {
+                        *x = row[j];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Tile sweep over a row-major lhs (`Aᵀ·B` arrives transposed). The
+    /// micro-kernel keeps an `MR×NR` accumulator tile in registers, feeds
+    /// it with `f32::mul_add` (forcing FMA codegen — rustc does not
+    /// contract `a*b + c` on its own), and accumulates `k` in ascending
     /// order so every element's summation order is fixed.
-    /// Tile sweep for the non-transposed-lhs layouts.
     #[allow(clippy::too_many_arguments)]
     fn compute_rows_nn(
         i0: usize,
@@ -611,43 +606,7 @@ pub mod gemm {
         }
     }
 
-    /// Tile sweep for the transposed-lhs layout over the packed lhs.
-    ///
-    /// `i0` is the global output-row offset of this worker's range and
-    /// must be a multiple of `MR` so the range starts on a pack-tile
-    /// boundary (`apack` covers the full matrix).
-    fn compute_rows_tn(
-        i0: usize,
-        rows: usize,
-        k: usize,
-        n: usize,
-        apack: &[f32],
-        pack: &[f32],
-        out: &mut [f32],
-    ) {
-        debug_assert_eq!(i0 % MR, 0, "worker range must start on a pack tile");
-        let panels = n.div_ceil(NR);
-        let mut i = 0;
-        while i < rows {
-            let mr = MR.min(rows - i);
-            let tile = (i0 + i) / MR;
-            let apanel = &apack[tile * k * MR..(tile + 1) * k * MR];
-            for p in 0..panels {
-                let j0 = p * NR;
-                let w = NR.min(n - j0);
-                let panel = &pack[p * k * NR..(p + 1) * k * NR];
-                let mut acc = [[0.0f32; NR]; MR];
-                micro_tn(&mut acc, mr, apanel, panel);
-                for (ii, acc_row) in acc.iter().enumerate().take(mr) {
-                    let dst = &mut out[(i + ii) * n + j0..(i + ii) * n + j0 + w];
-                    dst.copy_from_slice(&acc_row[..w]);
-                }
-            }
-            i += mr;
-        }
-    }
-
-    /// `MR×NR` micro-kernel for the non-transposed-lhs layouts.
+    /// The `MR×NR` micro-kernel, shared by every layout.
     #[inline]
     fn micro_nn(
         acc: &mut [[f32; NR]; MR],
@@ -678,33 +637,6 @@ pub mod gemm {
             for (ii, acc_row) in acc.iter_mut().enumerate().take(mr) {
                 let ar = &a[(row0 + ii) * lda..(row0 + ii) * lda + k];
                 for (bv, &aik) in panel.chunks_exact(NR).zip(ar) {
-                    for (dst, &bj) in acc_row.iter_mut().zip(bv) {
-                        *dst = aik.mul_add(bj, *dst);
-                    }
-                }
-            }
-        }
-    }
-
-    /// `MR×NR` micro-kernel for the transposed-lhs layout (`Aᵀ·B`) over
-    /// the `MR`-wide lhs panel: both operands stream contiguously, one
-    /// `MR`-chunk and one `NR`-chunk per `k` step.
-    #[inline]
-    fn micro_tn(acc: &mut [[f32; NR]; MR], mr: usize, apanel: &[f32], panel: &[f32]) {
-        if mr == MR {
-            let [acc0, acc1, acc2, acc3] = acc;
-            for (av, bv) in apanel.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
-                for j in 0..NR {
-                    acc0[j] = av[0].mul_add(bv[j], acc0[j]);
-                    acc1[j] = av[1].mul_add(bv[j], acc1[j]);
-                    acc2[j] = av[2].mul_add(bv[j], acc2[j]);
-                    acc3[j] = av[3].mul_add(bv[j], acc3[j]);
-                }
-            }
-        } else {
-            for (av, bv) in apanel.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
-                for (ii, acc_row) in acc.iter_mut().enumerate().take(mr) {
-                    let aik = av[ii];
                     for (dst, &bj) in acc_row.iter_mut().zip(bv) {
                         *dst = aik.mul_add(bj, *dst);
                     }
@@ -927,21 +859,32 @@ mod tests {
         }
     }
 
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `(m, k, n)` shapes straddling every tile boundary: MR=4, NR=32 and
+    /// 16-wide transpose tails, odd dims, tall/wide/degenerate-k cases.
+    const SHAPES: [(usize, usize, usize); 9] = [
+        (1, 1, 1),
+        (3, 5, 7),
+        (4, 16, 16),
+        (5, 17, 33),
+        (8, 1, 31),
+        (17, 64, 15),
+        (64, 64, 64),
+        (33, 129, 65),
+        (2, 300, 3),
+    ];
+
+    /// The weight-gradient products of one mlp256 minibatch (batch 32):
+    /// `(m, k, n)` of each layer's `Xᵀ·δ`.
+    const MLP256_BACKWARD: [(usize, usize, usize); 3] =
+        [(16, 32, 256), (256, 32, 192), (192, 32, 10)];
+
     #[test]
     fn blocked_kernels_match_reference_across_shapes() {
-        // Shapes straddling every tile boundary: MR=4 and NR=32 tails, odd
-        // dims, tall/wide/degenerate-k cases.
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (3, 5, 7),
-            (4, 16, 16),
-            (5, 17, 33),
-            (8, 1, 31),
-            (17, 64, 15),
-            (64, 64, 64),
-            (33, 129, 65),
-            (2, 300, 3),
-        ] {
+        for (m, k, n) in SHAPES {
             let a = patterned(m, k, 1);
             let b = patterned(k, n, 2);
             assert_close(&a.matmul(&b), &reference::matmul(&a, &b), 1e-4);
@@ -952,6 +895,60 @@ mod tests {
             let bt = patterned(n, k, 4);
             assert_close(&a.matmul_nt(&bt), &reference::matmul_nt(&a, &bt), 1e-4);
         }
+    }
+
+    #[test]
+    fn transposed_flavors_are_bit_identical_to_explicit_transposes() {
+        // Every flavor computes each output as one ascending-k `mul_add`
+        // chain from 0.0, so where a transpose happens may not move a bit.
+        // (301, 600, 200) splits its rows across threads when cores allow.
+        for (m, k, n) in SHAPES.into_iter().chain(MLP256_BACKWARD).chain([(301, 600, 200)]) {
+            let at = patterned(k, m, 3);
+            let b = patterned(k, n, 2);
+            assert_eq!(bits(&at.matmul_tn(&b)), bits(&at.transpose().matmul(&b)), "tn {m}x{k}x{n}");
+            let a = patterned(m, k, 1);
+            let bt = patterned(n, k, 4);
+            assert_eq!(bits(&a.matmul_nt(&bt)), bits(&a.matmul(&bt.transpose())), "nt {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn gemm_outputs_hold_their_golden_bits() {
+        // FNV-1a over the output bits of all three flavors at the mlp256
+        // backward shapes. `mul_add` rounds once with or without FMA
+        // hardware, so the constant holds under every codegen; moving it
+        // moves every training history.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (m, k, n) in MLP256_BACKWARD {
+            let (a, at) = (patterned(m, k, 1), patterned(k, m, 3));
+            let (b, bt) = (patterned(k, n, 2), patterned(n, k, 4));
+            for out in [a.matmul(&b), at.matmul_tn(&b), a.matmul_nt(&bt)] {
+                for byte in out.as_slice().iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(hash, 0x4d7f_94ed_7dec_9118, "gemm output bits moved: {hash:#018x}");
+    }
+
+    /// A leading dimension shorter than the row it steps over is refused
+    /// up front, not by an index panic inside a micro-kernel.
+    #[test]
+    #[should_panic(expected = "gemm Nn m=2 k=4 n=3: lda 2 < lhs row 4")]
+    fn gemm_refuses_a_short_lda_nn() {
+        gemm::gemm(gemm::Layout::Nn, 2, 4, 3, &[0.0; 4], 2, &[0.0; 12], 3, &mut [0.0; 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm Tn m=3 k=2 n=2: lda 2 < lhs row 3")]
+    fn gemm_refuses_a_short_lda_tn() {
+        gemm::gemm(gemm::Layout::Tn, 3, 2, 2, &[0.0; 4], 2, &[0.0; 4], 2, &mut [0.0; 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm Nt m=2 k=3 n=2: ldb 2 < rhs row 3")]
+    fn gemm_refuses_a_short_ldb_nt() {
+        gemm::gemm(gemm::Layout::Nt, 2, 3, 2, &[0.0; 6], 3, &[0.0; 4], 2, &mut [0.0; 4]);
     }
 
     #[test]
@@ -998,8 +995,8 @@ mod tests {
     fn large_tn_gemm_is_correct_and_deterministic() {
         // Above PARALLEL_FLOPS with an output-row count (301) that is
         // neither a multiple of the tile size nor of any thread count:
-        // the shared lhs pack must hold up across MR-aligned worker
-        // splits, and repeated calls must be bit-identical.
+        // the shared transposed lhs must hold up across the row split,
+        // and repeated calls must be bit-identical.
         let at = patterned(600, 301, 12);
         let b = patterned(600, 200, 13);
         let first = at.matmul_tn(&b);
