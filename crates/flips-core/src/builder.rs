@@ -188,8 +188,8 @@ impl SimulationBuilder {
     }
 
     /// Sets the round-deadline policy: the paper's injected victim sets
-    /// (default), or a deadline derived from observed round-trip
-    /// latency ([`DeadlinePolicy::LatencyQuantile`] /
+    /// (default), or a deadline derived from observed round-trip latency
+    /// ([`DeadlinePolicy::LatencyQuantile`] / [`DeadlinePolicy::Ewma`] /
     /// [`DeadlinePolicy::FixedSeconds`]) under which who straggles
     /// follows from the platform-heterogeneity model instead of a coin
     /// flip. Latency-derived policies are mutually exclusive with a

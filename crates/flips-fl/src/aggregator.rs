@@ -10,12 +10,12 @@
 //! 1. **transport** — it moves [`WireMessage`]s between the coordinator's
 //!    [`Effect::Send`]s and the endpoints (in-process, so messages travel
 //!    as values; byte counts still come from the wire codec);
-//! 2. **clocks** — it decides when the round deadline fires. The
-//!    configured straggler rate picks the parties whose updates would
-//!    miss that deadline (the paper's §5 emulation); the driver skips
-//!    simulating work whose result never arrives and feeds
-//!    [`Event::DeadlineExpired`] so the coordinator closes them out as
-//!    stragglers;
+//! 2. **clocks** — it decides when the round deadline fires. The job's
+//!    `Stragglers` model picks the parties whose updates miss that
+//!    deadline (the paper's §5 emulation, or a latency-derived
+//!    deadline); the driver skips simulating work whose result never
+//!    arrives and feeds [`Event::DeadlineExpired`] so the coordinator
+//!    closes them out as stragglers;
 //! 3. **scheduling** — local training runs sequentially or across scoped
 //!    threads; either way updates reach the coordinator in deterministic
 //!    order, and aggregation order is fixed by party id regardless.
@@ -29,15 +29,14 @@ use crate::coordinator::{Coordinator, CoordinatorConfig};
 use crate::endpoint::PartyEndpoint;
 use crate::events::{Effect, Event};
 use crate::history::{History, RoundRecord};
-use crate::latency::{LatencyModel, ObservedLatency};
+use crate::latency::LatencyModel;
 use crate::message::WireMessage;
-use crate::straggler::{Clock, StragglerBias, StragglerInjector};
+use crate::straggler::{Arrival, StragglerBias, StragglerInjector, Stragglers};
 use crate::FlError;
 use flips_data::Dataset;
 use flips_ml::model::ModelSpec;
 use flips_ml::rng::derive_seed;
 use flips_selection::{ParticipantSelector, PartyId};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Configuration of one FL job.
@@ -111,9 +110,7 @@ pub struct FlJob {
     coordinator: Coordinator,
     endpoints: Vec<PartyEndpoint>,
     latency: Arc<LatencyModel>,
-    injector: StragglerInjector,
-    deadline: DeadlinePolicy,
-    observed: ObservedLatency,
+    stragglers: Stragglers<StragglerInjector>,
     parallel: bool,
     rounds: usize,
 }
@@ -153,7 +150,9 @@ impl FlJob {
         if !(0.0..1.0).contains(&config.straggler_rate) {
             return Err(FlError::InvalidConfig("straggler_rate must be in [0, 1)".into()));
         }
-        config.deadline.validate()?;
+        let seed = config.seed;
+        let injector = StragglerInjector::new(config.straggler_rate, config.straggler_bias, seed);
+        let stragglers = Stragglers::new(injector, config.deadline)?;
         if config.deadline.is_latency_derived() && config.straggler_rate > 0.0 {
             return Err(FlError::InvalidConfig(
                 "straggler_rate injection and a latency-derived deadline are mutually \
@@ -175,7 +174,6 @@ impl FlJob {
             }
         }
 
-        let seed = config.seed;
         let num_parties = party_datasets.len();
         let latency = match &config.latency_override {
             Some(model) if model.num_parties() == num_parties => model.clone(),
@@ -223,14 +221,11 @@ impl FlJob {
             })
             .collect();
 
-        let injector = StragglerInjector::new(config.straggler_rate, config.straggler_bias, seed);
         Ok(FlJob {
             coordinator,
             endpoints,
             latency,
-            injector,
-            deadline: config.deadline,
-            observed: ObservedLatency::new(),
+            stragglers,
             parallel: config.parallel,
             rounds: config.rounds,
         })
@@ -290,19 +285,12 @@ impl FlJob {
             }
         }
 
-        // The round clock. Injected path: the injector (through the
-        // shared `Clock` contract, the same one the timer-wheel driver
-        // consults) picks the parties whose updates will miss the
-        // deadline; their training is never simulated — the result
-        // would be discarded. Observed path: everyone trains, and the
-        // deadline derived from previously observed round trips decides
-        // post hoc whose reply was too slow.
-        let (victim_set, deadline) = if self.deadline.is_latency_derived() {
-            (HashSet::new(), self.deadline.deadline_secs(&mut self.observed))
-        } else {
-            let victim_idx = Clock::missed_deadline(&mut self.injector, &selected, &self.latency);
-            (victim_idx.iter().map(|&i| selected[i]).collect::<HashSet<PartyId>>(), None)
-        };
+        // The round clock, the same straggler model the timer-wheel
+        // driver consults: withheld parties are never trained — the
+        // result would be discarded — and a reply judged late is
+        // dropped, so the deadline close below turns its sender into a
+        // straggler.
+        let (withheld, _) = self.stragglers.open(&selected, &self.latency);
 
         // Selection notices reach everyone; heartbeat acks flow back.
         let mut inbound: Vec<WireMessage> = Vec::with_capacity(2 * selected.len());
@@ -310,22 +298,14 @@ impl FlJob {
             inbound.extend(self.endpoints[*to].handle(notice)?);
         }
 
-        // Local training on the parties that make the deadline (all of
-        // them, on the observed path).
         let deliveries: Vec<(PartyId, WireMessage)> =
-            broadcasts.into_iter().filter(|(to, _)| !victim_set.contains(to)).collect();
+            broadcasts.into_iter().filter(|(to, _)| !withheld.contains(to)).collect();
         for reply in self.train_endpoints(&deliveries)? {
-            // Latency-derived deadline check, mirroring the serialized
-            // driver: every reply's simulated duration is a sample, and
-            // a reply slower than this round's deadline is withheld —
-            // the deadline close below turns its sender into a
-            // straggler.
-            if self.deadline.is_latency_derived() {
-                if let WireMessage::LocalUpdate { duration, .. } = &reply {
-                    self.observed.record(*duration);
-                    if deadline.is_some_and(|d| *duration > d) {
-                        continue;
-                    }
+            if let WireMessage::LocalUpdate { party, duration, .. } = &reply {
+                if let Arrival::Late { .. } =
+                    self.stragglers.judge(*party as PartyId, *duration, || true)
+                {
+                    continue;
                 }
             }
             inbound.push(reply);
@@ -370,12 +350,13 @@ impl FlJob {
     /// bit-identical seeded state — which is how the transport
     /// equivalence suite pins them to each other.
     pub fn into_parts(self) -> JobParts {
+        let (clock, deadline) = self.stragglers.into_parts();
         JobParts {
             coordinator: self.coordinator,
             endpoints: self.endpoints,
-            clock: self.injector,
+            clock,
             latency: self.latency,
-            deadline: self.deadline,
+            deadline,
         }
     }
 
@@ -626,6 +607,20 @@ mod tests {
         let cfg = FlJobConfig { parties_per_round: 2, ..base.clone() };
         let sel = Box::new(RandomSelector::new(6, 1));
         assert!(FlJob::new(datasets.clone(), other, cfg, sel).is_err());
+
+        // Two straggler models at once: injected victims on top of a
+        // latency-derived deadline.
+        let cfg = FlJobConfig {
+            parties_per_round: 2,
+            straggler_rate: 0.1,
+            deadline: DeadlinePolicy::latency_default(),
+            ..base.clone()
+        };
+        let sel = Box::new(RandomSelector::new(6, 1));
+        assert!(matches!(
+            FlJob::new(datasets.clone(), test.clone(), cfg, sel),
+            Err(FlError::InvalidConfig(_))
+        ));
 
         // Zero rounds.
         let cfg = FlJobConfig { rounds: 0, parties_per_round: 2, ..base };

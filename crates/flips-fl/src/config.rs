@@ -148,8 +148,8 @@ pub const TICKS_PER_SECOND: f64 = 1_000_000.0;
 /// deadline pressure from a synthetic fault injection into a measured
 /// property of the population.
 ///
-/// The policy is *driver* machinery, like the [`crate::StragglerInjector`]
-/// it generalizes: the sans-IO [`crate::Coordinator`] never sees it. It
+/// The policy is *driver* machinery, held by each job's
+/// `Stragglers`: the sans-IO [`crate::Coordinator`] never sees it. It
 /// only learns that a deadline expired and closes whoever has not
 /// delivered as stragglers.
 ///
@@ -161,6 +161,9 @@ pub const TICKS_PER_SECOND: f64 = 1_000_000.0;
 ///   `slack × quantile_q(observed durations)`. A party whose simulated
 ///   round trip exceeds it misses the round — who straggles follows from
 ///   the latency model, not from a coin flip.
+/// - [`DeadlinePolicy::Ewma`] anchors the same way on an exponentially
+///   weighted moving average of per-round mean durations, so the
+///   deadline tracks a drifting population.
 /// - [`DeadlinePolicy::FixedSeconds`] is the degenerate fixed-budget
 ///   policy (useful in tests and for SLA-style rounds).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -275,18 +278,19 @@ impl DeadlinePolicy {
     /// # Panics
     ///
     /// Panics on [`DeadlinePolicy::Injected`]: the injector path decides
-    /// *who* misses, not *when*, and drivers must branch before asking.
+    /// *who* misses, not *when*, and `Stragglers` branches
+    /// before asking.
     pub fn deadline_secs(&self, observed: &mut ObservedLatency) -> Option<f64> {
         match *self {
             DeadlinePolicy::Injected => {
-                panic!("the injected policy has no derived deadline; drivers use the Clock path")
+                panic!("the injected policy has no derived deadline; its Clock picks victims")
             }
             DeadlinePolicy::LatencyQuantile { q, slack } => {
                 observed.quantile(q).map(|anchor| anchor * slack)
             }
             DeadlinePolicy::Ewma { alpha, slack } => {
-                // Called exactly once per round open by every driver, so
-                // sealing here gives each round its own batch — the same
+                // Called exactly once per round open (`Stragglers::open`),
+                // so sealing here gives each round its own batch — the same
                 // boundaries on the in-process, lockstep and sharded
                 // paths, which is what keeps their histories identical.
                 observed.seal_batch();

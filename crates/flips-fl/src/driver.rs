@@ -16,10 +16,10 @@
 //! ids are counted and dropped — they cannot disturb any job's round
 //! state. The party side of the wire is [`crate::PartyPool`] ([`crate::pool`]).
 //!
-//! Who misses a deadline is decided by the job's [`Clock`] (the same
-//! trait the in-process driver's straggler injector implements), so the
-//! two drivers share deadline semantics by construction; a seeded run
-//! over this path is bit-identical to the same seed under `FlJob` (see
+//! Who misses a deadline is decided by the job's `Stragglers` — the
+//! same type the in-process driver holds — so the two drivers share
+//! deadline semantics by construction; a seeded run over this path is
+//! bit-identical to the same seed under `FlJob` (see
 //! `tests/protocol_equivalence.rs`).
 
 use crate::checkpoint::{Checkpoint, CodecRefSnapshot, JobSnapshot};
@@ -29,15 +29,15 @@ use crate::coordinator::Coordinator;
 use crate::events::{Effect, Event, RejectReason};
 use crate::guard::{FrameKind, FrameVerdict, GuardConfig, GuardPlane};
 use crate::history::History;
-use crate::latency::{LatencyModel, ObservedLatency};
+use crate::latency::LatencyModel;
 use crate::message::{deframe_with, frame_into, frame_job_of, frame_party_of, AGGREGATOR_DEST};
-use crate::straggler::Clock;
+use crate::straggler::{Arrival, Clock, Stragglers};
 use crate::transport::Transport;
 use crate::wheel::{Deadline, TimerWheel};
 use crate::{FlError, JobParts, PartyEndpoint, WireMessage};
 use bytes::BytesMut;
 use flips_selection::PartyId;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Counters of what the driver saw on the wire. Purely observational —
@@ -113,79 +113,12 @@ pub struct DrainReport {
     pub open_rounds: Vec<u64>,
 }
 
-/// How a job under the driver decides its round deadlines.
-///
-/// The two variants are the two straggler models this workspace
-/// supports:
-///
-/// - [`DeadlineSource::Injected`] — a seeded [`Clock`] designates each
-///   round's victims up front and their model delivery is withheld (the
-///   paper's §5 emulation; work whose result never arrives is not
-///   simulated).
-/// - [`DeadlineSource::Observed`] — every party trains and replies;
-///   each reply's simulated round-trip duration feeds the job's
-///   [`ObservedLatency`] samples, the [`DeadlinePolicy`] derives the next
-///   round's deadline from them, and an update whose duration exceeds
-///   the open round's deadline is withheld as late. No victim set is
-///   ever injected on this path.
-pub enum DeadlineSource {
-    /// Victim sets decided a priori by a seeded clock.
-    Injected(Box<dyn Clock>),
-    /// Deadlines derived from observed round-trip latency.
-    Observed {
-        /// The policy deriving each round's deadline.
-        policy: DeadlinePolicy,
-        /// Round-trip samples observed so far.
-        observed: ObservedLatency,
-    },
-}
-
-impl DeadlineSource {
-    /// An observed-latency source with no samples yet.
-    ///
-    /// # Errors
-    ///
-    /// [`FlError::InvalidConfig`] if `policy` is invalid or is
-    /// [`DeadlinePolicy::Injected`] (which needs a [`Clock`], not a
-    /// sample set).
-    pub fn observed(policy: DeadlinePolicy) -> Result<Self, FlError> {
-        policy.validate()?;
-        if !policy.is_latency_derived() {
-            return Err(FlError::InvalidConfig(
-                "DeadlinePolicy::Injected needs a Clock; use DeadlineSource::Injected".into(),
-            ));
-        }
-        Ok(DeadlineSource::Observed { policy, observed: ObservedLatency::new() })
-    }
-}
-
-impl std::fmt::Debug for DeadlineSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeadlineSource::Injected(_) => f.write_str("Injected"),
-            DeadlineSource::Observed { policy, observed } => f
-                .debug_struct("Observed")
-                .field("policy", policy)
-                .field("samples", &observed.len())
-                .finish(),
-        }
-    }
-}
-
 /// One job under the driver's management: its protocol state machine
-/// plus the deadline machinery (see [`DeadlineSource`]).
+/// and its straggler model.
 struct JobState {
     coordinator: Coordinator,
-    deadline: DeadlineSource,
     latency: Arc<LatencyModel>,
-    /// The open round's latency-derived deadline in simulated seconds
-    /// (`None` = unbounded). Meaningless on the injected path.
-    current_deadline: Option<f64>,
-    /// Parties whose round-trip sample was already recorded this round —
-    /// an at-least-once transport may redeliver an update, and a
-    /// duplicate must not inflate the sample multiset the next deadline
-    /// derives from.
-    sampled: HashSet<PartyId>,
+    stragglers: Stragglers,
 }
 
 /// The aggregator side of a serialized link: N coordinators multiplexed
@@ -418,11 +351,11 @@ impl<T: Transport> MultiJobDriver<T> {
         clock: Box<dyn Clock>,
         latency: Arc<LatencyModel>,
     ) -> Result<u64, FlError> {
-        self.add_job_with(coordinator, DeadlineSource::Injected(clock), latency)
+        self.add_job_with(coordinator, Stragglers::new(clock, DeadlinePolicy::Injected)?, latency)
     }
 
     /// Registers a split [`crate::FlJob`] (see [`crate::FlJob::into_parts`]),
-    /// routing it to the deadline source its configuration asks for, and
+    /// under the deadline policy its configuration asks for, and
     /// returns the job id together with the endpoints the caller must
     /// hand to the party side ([`crate::PartyPool::add_job`]; a
     /// multi-link wire goes through [`crate::split`] instead).
@@ -432,19 +365,15 @@ impl<T: Transport> MultiJobDriver<T> {
     /// As [`MultiJobDriver::add_job`].
     pub fn add_parts(&mut self, parts: JobParts) -> Result<(u64, Vec<PartyEndpoint>), FlError> {
         let JobParts { coordinator, endpoints, clock, latency, deadline } = parts;
-        let source = if deadline.is_latency_derived() {
-            DeadlineSource::observed(deadline)?
-        } else {
-            DeadlineSource::Injected(Box::new(clock))
-        };
-        let id = self.add_job_with(coordinator, source, latency)?;
+        let stragglers = Stragglers::new(Box::new(clock) as Box<dyn Clock>, deadline)?;
+        let id = self.add_job_with(coordinator, stragglers, latency)?;
         Ok((id, endpoints))
     }
 
     fn add_job_with(
         &mut self,
         coordinator: Coordinator,
-        deadline: DeadlineSource,
+        stragglers: Stragglers,
         latency: Arc<LatencyModel>,
     ) -> Result<u64, FlError> {
         if self.started {
@@ -457,16 +386,7 @@ impl<T: Transport> MultiJobDriver<T> {
         for link_codecs in &mut self.codecs {
             link_codecs.register(id, coordinator.codec());
         }
-        self.jobs.insert(
-            id,
-            JobState {
-                coordinator,
-                deadline,
-                latency,
-                current_deadline: None,
-                sampled: HashSet::new(),
-            },
-        );
+        self.jobs.insert(id, JobState { coordinator, latency, stragglers });
         Ok(id)
     }
 
@@ -704,41 +624,24 @@ impl<T: Transport> MultiJobDriver<T> {
                     }
                 }
             }
-            // The latency-derived deadline check: every cohort member's
-            // simulated round-trip duration is a sample, and an update
-            // slower than the open round's deadline is withheld — the
-            // wheel will close its sender out as a straggler. The
-            // decision compares two deterministic quantities (seeded
-            // training duration vs. a deadline derived from the closed
-            // rounds' sample multiset), so it is independent of arrival
-            // order — which is what keeps multi-link runs equivalent to
-            // single-link ones. Samples are deduplicated per
-            // `(round, party)` so replayed frames cannot perturb the
-            // multiset, and only this round's cohort contributes.
-            if let DeadlineSource::Observed { observed, .. } = &mut state.deadline {
-                if let WireMessage::LocalUpdate { round, party, duration, .. } = &msg {
-                    let pid = *party as PartyId;
-                    let in_open_round = state.coordinator.round() as u64 == *round
-                        && state.coordinator.open_cohort().is_some_and(|c| c.contains(&pid));
-                    if in_open_round {
-                        let first_arrival = state.sampled.insert(pid);
-                        if first_arrival {
-                            observed.record(*duration);
-                        }
-                        if state.current_deadline.is_some_and(|d| *duration > d) {
-                            // Every copy is withheld (a redelivered late
-                            // update reaching the coordinator would be
-                            // *accepted* — the party is still pending),
-                            // but only the first arrival counts, so
-                            // `late_updates` equals the straggler count
-                            // under at-least-once delivery too. (Counted,
-                            // never a breaker strike: see `guard`.)
-                            if first_arrival {
-                                self.stats.late_updates += 1;
-                            }
-                            continue;
-                        }
-                    }
+            // A late update is withheld — the wheel will close its sender
+            // out as a straggler. Every copy is withheld (a redelivered
+            // late update reaching the coordinator would be *accepted* —
+            // the party is still pending), but only the first counts, so
+            // `late_updates` equals the straggler count under
+            // at-least-once delivery too. (Counted, never a breaker
+            // strike: see `guard`.)
+            if let WireMessage::LocalUpdate { round, party, duration, .. } = &msg {
+                let (pid, coordinator) = (*party as PartyId, &state.coordinator);
+                let in_open_round = || {
+                    coordinator.round() as u64 == *round
+                        && coordinator.open_cohort().is_some_and(|c| c.contains(&pid))
+                };
+                if let Arrival::Late { first } =
+                    state.stragglers.judge(pid, *duration, in_open_round)
+                {
+                    self.stats.late_updates += u64::from(first);
+                    continue;
                 }
             }
             let effects = state.coordinator.handle(Event::UpdateReceived(msg))?;
@@ -819,13 +722,9 @@ impl<T: Transport> MultiJobDriver<T> {
 
     /// Opens a job's next round (unless finished): runs selection,
     /// resolves this round's deadline, schedules it on the wheel, and
-    /// sends the round's frames.
-    ///
-    /// On the injected path the clock picks this round's victims and
-    /// their model delivery is withheld (work whose result never arrives
-    /// is not simulated). On the observed path every cohort member gets
-    /// the model — who misses follows from each reply's duration against
-    /// the latency-derived deadline, checked in [`MultiJobDriver::pump`].
+    /// sends the round's frames — except the model, to every party the
+    /// job's `Stragglers` withholds (work whose result never arrives
+    /// is not simulated).
     fn open_next_round(&mut self, job_id: u64) -> Result<(), FlError> {
         let state = self.jobs.get_mut(&job_id).expect("job registered");
         if state.coordinator.is_finished() {
@@ -844,23 +743,7 @@ impl<T: Transport> MultiJobDriver<T> {
                 _ => None,
             })
             .collect();
-        state.sampled.clear();
-        let (mut victims, deadline_ticks) = match &mut state.deadline {
-            DeadlineSource::Injected(clock) => {
-                let victim_idx = clock.missed_deadline(&selected, &state.latency);
-                let victims: HashSet<PartyId> = victim_idx.iter().map(|&i| selected[i]).collect();
-                (victims, clock.deadline_ticks())
-            }
-            DeadlineSource::Observed { policy, observed } => {
-                let deadline = policy.deadline_secs(observed);
-                state.current_deadline = deadline;
-                // An unbounded (warm-up) deadline still schedules an
-                // entry: it only fires if the round somehow stalls, and
-                // a stale entry is skipped harmlessly.
-                let ticks = deadline.map_or(1, DeadlinePolicy::ticks);
-                (HashSet::new(), ticks)
-            }
-        };
+        let (mut victims, deadline_ticks) = state.stragglers.open(&selected, &state.latency);
         // Guard stage 5 — breaker evaluation at the deterministic point.
         // A round open is the one moment every execution mode reaches in
         // the same order with the same accumulated strikes, so breaker
@@ -889,7 +772,7 @@ impl<T: Transport> MultiJobDriver<T> {
     /// seconds (`None` = no such job, injected path, or unbounded
     /// warm-up round).
     pub fn current_deadline(&self, job: u64) -> Option<f64> {
-        self.jobs.get(&job).and_then(|j| j.current_deadline)
+        self.jobs.get(&job).and_then(|j| j.stragglers.deadline())
     }
 
     /// Switches round reopening to deferred mode: a closed round queues
@@ -1007,13 +890,7 @@ impl<T: Transport> MultiJobDriver<T> {
                 active: state.coordinator.active_mask().to_vec(),
                 history: state.coordinator.history().records().to_vec(),
                 feedback: state.coordinator.feedback_log().to_vec(),
-                observed: match &state.deadline {
-                    DeadlineSource::Injected(_) => None,
-                    DeadlineSource::Observed { observed, .. } => {
-                        let (samples, batches) = observed.parts();
-                        Some((samples.to_vec(), batches.to_vec()))
-                    }
-                },
+                observed: state.stragglers.snapshot(),
             })
             .collect();
         let mut codec_refs = Vec::new();
@@ -1043,7 +920,7 @@ impl<T: Transport> MultiJobDriver<T> {
     ///
     /// [`FlError::Protocol`] on a started driver;
     /// [`FlError::InvalidConfig`] when the snapshot does not fit this
-    /// driver's configuration (job set, deadline sources, guard
+    /// driver's configuration (job set, straggler models, guard
     /// presence, link count, codec kinds, model shapes). On error the
     /// driver must be discarded — selectors may be partially replayed.
     pub fn restore(&mut self, cp: &Checkpoint) -> Result<(), FlError> {
@@ -1079,38 +956,7 @@ impl<T: Transport> MultiJobDriver<T> {
                 &snap.optimizer,
                 &snap.active,
             )?;
-            match (&mut state.deadline, &snap.observed) {
-                (DeadlineSource::Injected(clock), None) => {
-                    // The clock is stateful (its RNG advances once per
-                    // round open, in round order) — replay each closed
-                    // round's open against the recorded cohort.
-                    for record in &snap.history {
-                        let _ = clock.missed_deadline(&record.selected, &state.latency);
-                    }
-                }
-                (DeadlineSource::Observed { observed, .. }, Some((samples, batches))) => {
-                    *observed = ObservedLatency::from_parts(samples.clone(), batches.clone())
-                        .ok_or_else(|| {
-                            FlError::InvalidConfig(
-                                "checkpoint observed-latency store is inconsistent".into(),
-                            )
-                        })?;
-                }
-                (DeadlineSource::Injected(_), Some(_)) => {
-                    return Err(FlError::InvalidConfig(format!(
-                        "job {:#x} uses an injected clock but the checkpoint has latency samples",
-                        snap.job
-                    )));
-                }
-                (DeadlineSource::Observed { .. }, None) => {
-                    return Err(FlError::InvalidConfig(format!(
-                        "job {:#x} derives deadlines from latency but the checkpoint has no samples",
-                        snap.job
-                    )));
-                }
-            }
-            state.current_deadline = None;
-            state.sampled.clear();
+            state.stragglers.restore(snap.observed.clone(), &snap.history, &state.latency)?;
         }
         if let (Some(guard), Some(snap)) = (&mut self.guard, &cp.guard) {
             guard.import(snap.clone());

@@ -11,9 +11,10 @@
 //! - *a priori* by selectors that profile device speed (TiFL's tiers,
 //!   Oort's system utility) and by the legacy straggler injector's
 //!   slow-biased victim draw;
-//! - *a posteriori* through [`ObservedLatency`]: drivers feed every
-//!   round-trip duration a party actually reports back into a per-job
-//!   sample set, and the [`crate::config::DeadlinePolicy`] derives the
+//! - *a posteriori* through [`ObservedLatency`]: a job's
+//!   `Stragglers` feeds every round-trip duration a party
+//!   actually reports back into its sample set, and the
+//!   [`crate::config::DeadlinePolicy`] derives the
 //!   next round's deadline from those observations — the straggler model
 //!   the paper injects synthetically becomes an emergent property of the
 //!   measured population.

@@ -34,9 +34,10 @@
 //!   (`GlobalModel` in, `LocalUpdate` out);
 //! - [`party`] — participant-side local training;
 //! - [`latency`] — the platform-heterogeneity model (per-party speeds);
-//! - [`straggler`] — the simulation's deadline model: picks the parties
-//!   whose updates miss each round's deadline (the paper's 10%/20%
-//!   straggler regimes);
+//! - [`straggler`] — the simulation's deadline model: one
+//!   `Stragglers` per job, held by both drivers, decides who misses
+//!   each round's deadline — the paper's injected 10%/20% straggler
+//!   regimes or a deadline derived from observed latency;
 //! - [`server`] — update aggregation and server optimizers;
 //! - [`history`] — per-round records and the metrics the paper's tables
 //!   report (rounds-to-target, peak accuracy, bytes transferred);
@@ -134,7 +135,7 @@ pub use checkpoint::{Checkpoint, CodecRefSnapshot, JobSnapshot};
 pub use codec::{CodecMap, ModelCodec, Negotiation, PayloadCodec};
 pub use config::{DeadlinePolicy, FlAlgorithm, LocalTrainingConfig};
 pub use coordinator::{Coordinator, CoordinatorConfig};
-pub use driver::{DeadlineSource, DrainReport, DriverStats, MultiJobDriver};
+pub use driver::{DrainReport, DriverStats, MultiJobDriver};
 pub use endpoint::PartyEndpoint;
 pub use events::{Effect, Event, RejectReason};
 pub use guard::{

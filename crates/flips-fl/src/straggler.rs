@@ -1,29 +1,30 @@
-//! Straggler fault injection — the simulation driver's deadline model.
+//! The simulation's straggler model — who misses each round's deadline.
 //!
 //! The paper emulates platform heterogeneity "by dropping 10% or 20% of
 //! participants involved in an FL round" (§5). The injector reproduces
 //! that: given the selected cohort it designates `round(rate · |cohort|)`
 //! victims whose updates miss the round deadline. Victims are drawn
 //! uniformly by default, or biased toward slow parties (probability ∝
-//! speed factor) for a more physical failure mode.
+//! speed factor) for a more physical failure mode. A latency-derived
+//! [`DeadlinePolicy`] replaces the coin flip with a deadline computed
+//! from observed round trips; `Stragglers` holds both models.
 //!
-//! Note this is *driver* machinery, not protocol: the coordinator knows
-//! nothing about injection — it just closes the round when the driver's
-//! deadline fires, and whoever has not delivered an update is a
-//! straggler.
+//! This is *driver* machinery, not protocol: the coordinator just closes
+//! the round when the driver's deadline fires, and whoever has not
+//! delivered an update is a straggler.
 
-use crate::latency::LatencyModel;
+use crate::config::DeadlinePolicy;
+use crate::history::RoundRecord;
+use crate::latency::{LatencyModel, ObservedLatency};
+use crate::FlError;
 use flips_data::dist::categorical;
 use flips_ml::rng::{derive_seed, seeded};
 use flips_selection::PartyId;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
-/// The round-deadline clock every FL driver consults.
-///
-/// Both drivers — the in-process [`crate::FlJob`] and the
-/// timer-wheel-based [`crate::driver::MultiJobDriver`] — share the same
-/// deadline semantics through this trait, so they cannot drift:
+/// The seeded victim draw behind [`DeadlinePolicy::Injected`].
 ///
 /// - [`Clock::missed_deadline`] answers **who** — which members of the
 ///   round's cohort will not deliver an update before the collection
@@ -35,6 +36,8 @@ use serde::{Deserialize, Serialize};
 ///   no wheel (it fires the deadline as soon as every surviving update
 ///   is pumped), which is exactly the wheel schedule with every
 ///   completion inside the window, so histories agree bit-for-bit.
+///
+/// Only `Stragglers` calls a clock.
 pub trait Clock: Send {
     /// Indices into `cohort` of the parties whose updates miss this
     /// round's deadline, sorted ascending. Called exactly once per round
@@ -55,6 +58,150 @@ impl Clock for StragglerInjector {
     }
 }
 
+impl<C: Clock + ?Sized> Clock for Box<C> {
+    fn missed_deadline(&mut self, cohort: &[PartyId], latency: &LatencyModel) -> Vec<usize> {
+        (**self).missed_deadline(cohort, latency)
+    }
+
+    fn deadline_ticks(&self) -> u64 {
+        (**self).deadline_ticks()
+    }
+}
+
+/// An arriving update judged against its round's deadline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    /// Deliver it to the coordinator.
+    OnTime,
+    /// Withhold it: the deadline close turns its sender into a straggler.
+    Late {
+        /// False for a redelivered copy of the party's update.
+        first: bool,
+    },
+}
+
+/// One job's straggler model, held by both drivers. Under
+/// [`DeadlinePolicy::Injected`] the clock picks each round's victims,
+/// whose model is withheld. Under a latency-derived policy everyone
+/// trains, each reply's round-trip duration is a sample, and a reply
+/// slower than the deadline derived from earlier rounds' samples is late.
+pub(crate) struct Stragglers<C = Box<dyn Clock>> {
+    clock: C,
+    policy: DeadlinePolicy,
+    observed: ObservedLatency,
+    /// The open round's deadline in simulated seconds (`None` =
+    /// unbounded, or the injected policy).
+    deadline: Option<f64>,
+    /// Parties sampled this round: a redelivered update must not count
+    /// twice in the multiset the next deadline derives from.
+    sampled: HashSet<PartyId>,
+}
+
+impl<C: Clock> Stragglers<C> {
+    /// `clock` is consulted only under [`DeadlinePolicy::Injected`].
+    ///
+    /// # Errors
+    ///
+    /// [`FlError::InvalidConfig`] if `policy` fails validation.
+    pub fn new(clock: C, policy: DeadlinePolicy) -> Result<Self, FlError> {
+        policy.validate()?;
+        let (observed, sampled) = (ObservedLatency::new(), HashSet::new());
+        Ok(Stragglers { clock, policy, observed, deadline: None, sampled })
+    }
+
+    /// The clock and the policy, for a driver that takes the job over.
+    pub fn into_parts(self) -> (C, DeadlinePolicy) {
+        (self.clock, self.policy)
+    }
+
+    /// Opens a round: the parties whose model is withheld, and the
+    /// deadline in timer-wheel ticks. Call exactly once per round open,
+    /// in round order — the clock's RNG and the EWMA batches advance here.
+    pub fn open(&mut self, cohort: &[PartyId], latency: &LatencyModel) -> (HashSet<PartyId>, u64) {
+        self.sampled.clear();
+        if !self.policy.is_latency_derived() {
+            let missed = self.clock.missed_deadline(cohort, latency);
+            return (missed.iter().map(|&i| cohort[i]).collect(), self.clock.deadline_ticks());
+        }
+        self.deadline = self.policy.deadline_secs(&mut self.observed);
+        // An unbounded (warm-up) deadline still schedules an entry: it
+        // only fires if the round somehow stalls.
+        (HashSet::new(), self.deadline.map_or(1, DeadlinePolicy::ticks))
+    }
+
+    /// Judges `party`'s update of simulated round trip `duration`.
+    /// `in_open_round` (asked only under a latency-derived policy) says
+    /// whether it belongs to the open round's cohort; any other update
+    /// is left to the coordinator. A bounded deadline takes an update
+    /// only when `0 ≤ duration ≤ deadline`, so a NaN, infinite or
+    /// negative duration is late. Both sides are seeded quantities, so
+    /// the verdict does not depend on arrival order.
+    pub fn judge(
+        &mut self,
+        party: PartyId,
+        duration: f64,
+        in_open_round: impl FnOnce() -> bool,
+    ) -> Arrival {
+        if !self.policy.is_latency_derived() || !in_open_round() {
+            return Arrival::OnTime;
+        }
+        let first = self.sampled.insert(party);
+        if first {
+            self.observed.record(duration);
+        }
+        match self.deadline {
+            Some(deadline) if !(0.0..=deadline).contains(&duration) => Arrival::Late { first },
+            _ => Arrival::OnTime,
+        }
+    }
+
+    /// The open round's deadline in simulated seconds (`None` on the
+    /// injected policy or an unbounded warm-up round).
+    pub fn deadline(&self) -> Option<f64> {
+        self.deadline
+    }
+
+    /// The sample store `(samples, batch boundaries)` under a
+    /// latency-derived policy; `None` under the injected one.
+    pub fn snapshot(&self) -> Option<(Vec<f64>, Vec<usize>)> {
+        self.policy.is_latency_derived().then(|| {
+            let (samples, batches) = self.observed.parts();
+            (samples.to_vec(), batches.to_vec())
+        })
+    }
+
+    /// Brings a fresh model to a round boundary: the injected policy
+    /// replays its clock against each closed round's cohort, a
+    /// latency-derived one rebuilds its sample store from `snapshot`.
+    ///
+    /// # Errors
+    ///
+    /// [`FlError::InvalidConfig`] for a snapshot of the other straggler
+    /// model or an inconsistent sample store.
+    pub fn restore(
+        &mut self,
+        snapshot: Option<(Vec<f64>, Vec<usize>)>,
+        history: &[RoundRecord],
+        latency: &LatencyModel,
+    ) -> Result<(), FlError> {
+        let refuse = |m: &str| FlError::InvalidConfig(format!("checkpoint latency samples {m}"));
+        match (self.policy.is_latency_derived(), snapshot) {
+            (false, None) => {
+                for record in history {
+                    let _ = self.clock.missed_deadline(&record.selected, latency);
+                }
+            }
+            (true, Some((samples, batches))) => {
+                self.observed = ObservedLatency::from_parts(samples, batches)
+                    .ok_or_else(|| refuse("are inconsistent"))?;
+            }
+            (false, Some(_)) => return Err(refuse("given to an injected clock")),
+            (true, None) => return Err(refuse("missing for a latency-derived deadline")),
+        }
+        Ok(())
+    }
+}
+
 /// A clock replaying an explicit per-round victim script: round `r`'s
 /// victims are exactly `rounds[r] ∩ cohort` (rounds past the script's
 /// end strike nobody).
@@ -69,20 +216,12 @@ impl Clock for StragglerInjector {
 pub struct ScriptedClock {
     rounds: Vec<Vec<PartyId>>,
     cursor: usize,
-    ticks: u64,
 }
 
 impl ScriptedClock {
     /// A clock striking `rounds[r]` at the r-th round open.
     pub fn new(rounds: Vec<Vec<PartyId>>) -> Self {
-        ScriptedClock { rounds, cursor: 0, ticks: 1 }
-    }
-
-    /// Sets the deadline window in virtual ticks (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_ticks(mut self, ticks: u64) -> Self {
-        self.ticks = ticks.max(1);
-        self
+        ScriptedClock { rounds, cursor: 0 }
     }
 }
 
@@ -92,10 +231,6 @@ impl Clock for ScriptedClock {
         self.cursor += 1;
         let Some(victims) = script else { return Vec::new() };
         cohort.iter().enumerate().filter(|(_, p)| victims.contains(p)).map(|(i, _)| i).collect()
-    }
-
-    fn deadline_ticks(&self) -> u64 {
-        self.ticks
     }
 }
 
@@ -222,9 +357,9 @@ mod tests {
 
     #[test]
     fn scripted_clock_replays_its_script_then_goes_quiet() {
-        let mut clock = ScriptedClock::new(vec![vec![3, 7], vec![], vec![5]]).with_ticks(4);
+        let mut clock = ScriptedClock::new(vec![vec![3, 7], vec![], vec![5]]);
         let latency = LatencyModel::uniform(10);
-        assert_eq!(clock.deadline_ticks(), 4);
+        assert_eq!(clock.deadline_ticks(), 1, "deadline on the next quiet tick");
         // Victims resolve to cohort indices; absent parties are ignored.
         assert_eq!(clock.missed_deadline(&[1, 3, 5, 7], &latency), vec![1, 3]);
         assert_eq!(clock.missed_deadline(&[1, 3, 5, 7], &latency), Vec::<usize>::new());
@@ -234,11 +369,6 @@ mod tests {
             Vec::<usize>::new(),
             "past the script's end nobody is struck"
         );
-    }
-
-    #[test]
-    fn scripted_clock_clamps_zero_ticks_forward() {
-        assert_eq!(ScriptedClock::new(vec![]).with_ticks(0).deadline_ticks(), 1);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!    boundary and restored from *any* of those snapshots into a fresh
 //!    driver + party pool finishes with the exact history AND the exact
 //!    final wire counters of the uninterrupted run — for all five
-//!    selectors, and with the delta-entropy codec re-keyed from the
+//!    selectors, on injected and latency-derived deadlines (a checkpoint
+//!    of the other straggler model is refused), and with the
+//!    delta-entropy codec re-keyed from the
 //!    snapshot's reference (so encoded byte counts match to the byte).
 //! 2. **Churn is a roster edit, not a perturbation.** A party retired
 //!    through [`MultiJobDriver::party_left`] is never selected again
@@ -24,7 +26,7 @@
 //!    flat golden, and the roster spill/load counters are live gauges of
 //!    the attached store — never checkpoint state.
 
-use flips::fl::{ChaosEvent, Checkpoint};
+use flips::fl::{ChaosEvent, Checkpoint, FlError};
 use flips::prelude::*;
 
 const CHAOS_SEEDS: [u64; 3] = [7, 101, 90210];
@@ -177,6 +179,57 @@ fn restore_from_every_boundary_replays_the_golden() {
             assert_eq!(history, golden, "{kind}: restore from boundary {i} moved the history");
             assert_eq!(stats, final_stats, "{kind}: restore from boundary {i} moved the counters");
         }
+    }
+}
+
+/// `builder(kind)` on a latency-derived deadline instead of injected
+/// victims — σ = 0.8 gives the slow tail something to miss.
+fn observed_builder(kind: SelectorKind, policy: DeadlinePolicy) -> SimulationBuilder {
+    builder(kind).straggler_rate(0.0).deadline(policy).latency_sigma(0.8)
+}
+
+#[test]
+fn restore_from_every_boundary_replays_the_golden_on_latency_derived_deadlines() {
+    // The same oracle on the observed path, where the per-job state a
+    // checkpoint must carry is the round-trip sample store (and, under
+    // EWMA, its sealed batch boundaries) instead of a clock to replay.
+    let refused = |on: &SimulationBuilder, cp: &Checkpoint| {
+        let (mut driver, _, _) = fresh_pair(on);
+        matches!(driver.restore(cp), Err(FlError::InvalidConfig(_)))
+    };
+    for policy in [
+        DeadlinePolicy::LatencyQuantile { q: 0.5, slack: 1.1 },
+        DeadlinePolicy::Ewma { alpha: 0.3, slack: 1.1 },
+    ] {
+        let mut stragglers = 0;
+        for kind in SelectorKind::all() {
+            let shape = observed_builder(kind, policy);
+            let golden = shape.clone().run().unwrap().history;
+            stragglers += golden.total_stragglers();
+            let (mut driver, mut pool, id) = fresh_pair(&shape);
+            let snapshots = run_lockstep_checkpointing(&mut driver, &mut pool);
+            assert_eq!(driver.history(id).unwrap(), &golden);
+            let final_stats = driver.stats();
+            for (i, cp) in snapshots.iter().enumerate() {
+                assert!(cp.jobs[0].observed.is_some(), "{policy:?}/{kind}: no sample store");
+                let (history, stats, _) = restore_and_finish(&shape, cp, None);
+                assert_eq!(history, golden, "{policy:?}/{kind}: boundary {i} moved the history");
+                assert_eq!(stats, final_stats, "{policy:?}/{kind}: boundary {i} moved a counter");
+            }
+
+            // A checkpoint from the other straggler model, and a sample
+            // store whose batch boundary runs past its samples, are
+            // refused rather than half-restored.
+            let observed = &snapshots[1];
+            let (mut injected, mut pool, _) = fresh_pair(&builder(kind));
+            let injected = run_lockstep_checkpointing(&mut injected, &mut pool).remove(1);
+            assert!(refused(&shape, &injected), "{policy:?}/{kind}: took an injected checkpoint");
+            assert!(refused(&builder(kind), observed), "{policy:?}/{kind}: injected took samples");
+            let mut corrupt = observed.clone();
+            corrupt.jobs[0].observed = Some((vec![0.1], vec![2]));
+            assert!(refused(&shape, &corrupt), "{policy:?}/{kind}: took an inconsistent store");
+        }
+        assert!(stragglers > 0, "{policy:?}: the deadline never bit — the suite is vacuous");
     }
 }
 

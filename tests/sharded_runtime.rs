@@ -18,7 +18,7 @@
 //! a pure function of the latency model) and checks the runtime's
 //! stragglers are exactly the parties the policy predicts.
 
-use flips::fl::message::{frame, AGGREGATOR_DEST};
+use flips::fl::message::{deframe, frame, AGGREGATOR_DEST};
 use flips::fl::{MemoryWire, ObservedLatency, PartyPool, StreamTransport};
 use flips::prelude::*;
 
@@ -159,6 +159,42 @@ fn fixed_deadline_policy_runs_and_aborts_the_slow_tail() {
     let golden = builder.run().unwrap().history;
     let (history, _) = lockstep(&builder, &WireOptions::new(3));
     assert_eq!(history, golden);
+}
+
+#[test]
+fn a_nan_infinite_or_negative_duration_misses_a_bounded_deadline() {
+    // On a bounded deadline an update is on time only when
+    // `0 ≤ duration ≤ deadline`. A duration the sample store refuses as
+    // poison must not pass the comparison either: the update is
+    // withheld — delivered twice, counted once — and its sender closes
+    // as a straggler.
+    let builder = latency_builder(31).deadline(DeadlinePolicy::FixedSeconds { secs: 10.0 });
+    for hostile in [f64::NAN, f64::INFINITY, -1.0] {
+        let (job, _) = builder.build().unwrap();
+        let (agg_end, mut party_end) = MemoryTransport::pair();
+        let mut driver = MultiJobDriver::new(agg_end);
+        let (id, mut endpoints) = driver.add_parts(job.into_parts()).unwrap();
+        driver.start().unwrap();
+        let mut victim = None;
+        while let Some(raw) = party_end.try_recv().unwrap() {
+            let (to, msg) = deframe(raw).unwrap();
+            for mut reply in endpoints[to as usize].handle(&msg).unwrap() {
+                if let WireMessage::LocalUpdate { party, duration, .. } = &mut reply {
+                    if *victim.get_or_insert(*party) == *party {
+                        *duration = hostile;
+                        party_end.send(&frame(AGGREGATOR_DEST, &reply)).unwrap();
+                    }
+                }
+                party_end.send(&frame(AGGREGATOR_DEST, &reply)).unwrap();
+            }
+        }
+        driver.pump().unwrap();
+        assert_eq!(driver.stats().late_updates, 1, "duration {hostile} was not judged late once");
+        assert!(driver.advance_clock().unwrap());
+        let round = &driver.history(id).unwrap().records()[0];
+        assert_eq!(round.stragglers, [victim.unwrap() as PartyId], "duration {hostile}");
+        assert_eq!(round.completed.len(), round.selected.len() - 1, "duration {hostile}");
+    }
 }
 
 #[test]
