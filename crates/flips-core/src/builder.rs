@@ -477,6 +477,7 @@ impl SimulationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flips_ml::model::ModelSpec;
 
     fn tiny(selector: SelectorKind) -> SimulationBuilder {
         SimulationBuilder::new(DatasetProfile::femnist())
@@ -541,6 +542,27 @@ mod tests {
     fn rejects_bad_participation() {
         assert!(tiny(SelectorKind::Random).participation(0.0).run().is_err());
         assert!(tiny(SelectorKind::Random).participation(1.5).run().is_err());
+    }
+
+    #[test]
+    fn an_unbuildable_model_is_an_error_not_a_panic() {
+        // Each profile agrees with its model on classes and input width,
+        // so only the model's own sizes are wrong.
+        let conv = |len, kernel, filters| ModelSpec::Conv1d { len, kernel, filters, classes: 5 };
+        for (model, feature_dim) in [
+            (conv(32, 0, 8), 32),
+            (conv(32, 33, 8), 32),
+            (conv(32, 5, 0), 32),
+            (ModelSpec::Mlp { dims: vec![] }, 32),
+            (ModelSpec::Mlp { dims: vec![5] }, 5),
+            (ModelSpec::Mlp { dims: vec![32, 0, 5] }, 32),
+            (ModelSpec::LogisticRegression { dim: 0, classes: 5 }, 0),
+        ] {
+            let profile =
+                DatasetProfile { model: model.clone(), feature_dim, ..DatasetProfile::ecg() };
+            let built = SimulationBuilder::new(profile).parties(12).rounds(2).build();
+            assert!(built.is_err(), "{model:?} built");
+        }
     }
 
     #[test]

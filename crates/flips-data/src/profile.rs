@@ -181,7 +181,8 @@ impl DatasetProfile {
         p
     }
 
-    /// Validates internal consistency (priors sum to 1, dims agree).
+    /// Validates internal consistency (priors sum to 1, the model can be
+    /// built, dims agree).
     pub fn validate(&self) -> Result<(), crate::DataError> {
         if self.class_priors.len() != self.classes {
             return Err(crate::DataError::InvalidParameter(format!(
@@ -199,6 +200,7 @@ impl DatasetProfile {
         if self.class_priors.iter().any(|&p| p < 0.0) {
             return Err(crate::DataError::InvalidParameter("negative class prior".into()));
         }
+        self.model.validate().map_err(|e| crate::DataError::InvalidParameter(e.to_string()))?;
         if self.model.num_classes() != self.classes {
             return Err(crate::DataError::InvalidParameter(
                 "model class count disagrees with profile".into(),

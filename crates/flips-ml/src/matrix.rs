@@ -397,6 +397,8 @@ pub mod gemm {
         static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
         /// Reusable lhs scratch: the `Aᵀ·B` flavor's lhs, transposed.
         static LHS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+        /// Reusable output scratch: a narrow `Aᵀ·B`'s result, transposed.
+        static OUT_T: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Which operand is logically transposed.
@@ -450,15 +452,22 @@ pub mod gemm {
             out.fill(0.0);
             return;
         }
+        if layout == Layout::Tn && n < NR && m > n {
+            // A narrow `Aᵀ·B` fills n of a tile's NR lanes; `(Bᵀ·A)ᵀ` puts
+            // the m rows there. Each output is the same ascending-k
+            // `mul_add` chain with its multiplicands swapped: equal bits.
+            return OUT_T.with(|cell| {
+                let mut scratch = cell.borrow_mut();
+                let out_t = grown(&mut scratch, m * n);
+                gemm(Layout::Tn, n, k, m, b, ldb, a, lda, out_t);
+                transpose_into(n, m, out_t, m, out);
+            });
+        }
 
         PACK.with(|cell| {
             let mut pack = cell.borrow_mut();
             let panels = n.div_ceil(NR);
-            let need = panels * k * NR;
-            if pack.len() < need {
-                pack.resize(need, 0.0);
-            }
-            let pack = &mut pack[..need];
+            let pack = grown(&mut pack, panels * k * NR);
             match layout {
                 // B indexed [k][j]: panel[p][kk][jj] = B[kk][p·NR+jj].
                 Layout::Nn | Layout::Tn => {
@@ -513,11 +522,9 @@ pub mod gemm {
                 let (a, lda) = match layout {
                     Layout::Nn | Layout::Nt => (a, lda),
                     Layout::Tn => {
-                        if scratch.len() < m * k {
-                            scratch.resize(m * k, 0.0);
-                        }
-                        transpose_into(k, m, a, lda, &mut scratch[..m * k]);
-                        (&scratch[..m * k], k)
+                        let lhs = grown(&mut scratch, m * k);
+                        transpose_into(k, m, a, lda, lhs);
+                        (&*lhs, k)
                     }
                 };
                 if threads <= 1 {
@@ -539,6 +546,14 @@ pub mod gemm {
                 }
             });
         });
+    }
+
+    /// The first `len` floats of a grow-only scratch buffer.
+    fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        &mut buf[..len]
     }
 
     /// Writes the transpose of the `rows×cols` matrix `src` (row stride
@@ -882,9 +897,24 @@ mod tests {
     const MLP256_BACKWARD: [(usize, usize, usize); 3] =
         [(16, 32, 256), (256, 32, 192), (192, 32, 10)];
 
+    /// Either side of the narrow `Aᵀ·B` route (`n < NR && m > n`): the
+    /// ECG model's classifier gradient (224, 32, 5) and the same with `m`
+    /// and `k` swapped, `n` = 1 and 31 (narrow), 32 (not), `m == n` (not
+    /// swapped), and a narrow product large enough to split its rows
+    /// across threads.
+    const NARROW: [(usize, usize, usize); 7] = [
+        (224, 32, 5),
+        (32, 224, 5),
+        (40, 9, 1),
+        (40, 9, 31),
+        (40, 9, 32),
+        (31, 17, 31),
+        (4096, 512, 5),
+    ];
+
     #[test]
     fn blocked_kernels_match_reference_across_shapes() {
-        for (m, k, n) in SHAPES {
+        for (m, k, n) in SHAPES.into_iter().chain(NARROW) {
             let a = patterned(m, k, 1);
             let b = patterned(k, n, 2);
             assert_close(&a.matmul(&b), &reference::matmul(&a, &b), 1e-4);
@@ -902,7 +932,8 @@ mod tests {
         // Every flavor computes each output as one ascending-k `mul_add`
         // chain from 0.0, so where a transpose happens may not move a bit.
         // (301, 600, 200) splits its rows across threads when cores allow.
-        for (m, k, n) in SHAPES.into_iter().chain(MLP256_BACKWARD).chain([(301, 600, 200)]) {
+        let shapes = SHAPES.into_iter().chain(MLP256_BACKWARD).chain(NARROW);
+        for (m, k, n) in shapes.chain([(301, 600, 200)]) {
             let at = patterned(k, m, 3);
             let b = patterned(k, n, 2);
             assert_eq!(bits(&at.matmul_tn(&b)), bits(&at.transpose().matmul(&b)), "tn {m}x{k}x{n}");

@@ -41,10 +41,11 @@ pub struct TrainWorkspace {
     delta_prev: Matrix,
     /// Conv: flattened ReLU feature maps (`rows × filters·positions`).
     feats: Matrix,
-    /// Conv: pre-activation maps in the same flattened layout.
-    pres: Matrix,
     /// Conv: gradient w.r.t. the flattened feature maps.
     dfeats: Matrix,
+    /// Conv: ReLU-masked `dfeats` at `(sample·positions + p)·F′ + f`, `F′`
+    /// the filter count rounded up to whole lane blocks (padding zero).
+    upstream: Vec<f32>,
     /// The flat gradient, laid out exactly like [`Model::params`].
     grad: Vec<f32>,
 }
@@ -162,7 +163,9 @@ pub struct LogisticRegression {
 impl LogisticRegression {
     /// Creates a model with Xavier-initialized weights and zero biases.
     pub fn new<R: Rng + ?Sized>(rng: &mut R, dim: usize, classes: usize) -> Self {
-        assert!(dim > 0 && classes >= 2, "need dim>0 and classes>=2");
+        ModelSpec::LogisticRegression { dim, classes }
+            .validate()
+            .expect("logistic regression sizes");
         LogisticRegression {
             dim,
             classes,
@@ -257,8 +260,7 @@ impl Mlp {
     ///
     /// Panics if fewer than two dims are given or any dim is zero.
     pub fn new<R: Rng + ?Sized>(rng: &mut R, dims: &[usize]) -> Self {
-        assert!(dims.len() >= 2, "MLP needs at least input and output dims");
-        assert!(dims.iter().all(|&d| d > 0), "zero-width layer");
+        ModelSpec::Mlp { dims: dims.to_vec() }.validate().expect("MLP widths");
         let mut weights = Vec::new();
         let mut biases = Vec::new();
         for w in dims.windows(2) {
@@ -395,6 +397,13 @@ impl Model for Mlp {
 /// Parameter order: kernels row-major (`filters × kernel`), kernel biases
 /// (`filters`), classifier `W` row-major (`filters·positions × classes`),
 /// classifier bias (`classes`).
+///
+/// Both conv loops run in vector lanes, bit for bit a scalar loop over one
+/// output at a time: the forward pass along positions (one tap at every
+/// position, then the next, so each output is still `bias + k₀·s[p] + …`),
+/// the kernel gradient along filters (per block of eight and tap, one chain
+/// over (sample, position) in order). Each term is a rounded product then
+/// an add — `f32::mul_add` would round once and move every gradient.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv1dNet {
     len: usize,
@@ -420,8 +429,7 @@ impl Conv1dNet {
         filters: usize,
         classes: usize,
     ) -> Self {
-        assert!(kernel > 0 && kernel <= len, "kernel must fit in the signal");
-        assert!(filters > 0 && classes >= 2 && len > 0, "sizes must be positive");
+        ModelSpec::Conv1d { len, kernel, filters, classes }.validate().expect("conv1d sizes");
         let positions = len - kernel + 1;
         Conv1dNet {
             len,
@@ -443,33 +451,76 @@ impl Conv1dNet {
         self.filters * self.out_positions()
     }
 
-    /// Computes the batch's pre-activation maps into `ws.pres` and the
-    /// flattened ReLU feature maps into `ws.feats`, both laid out
-    /// `rows × filters·positions` with a sample's filter `f`, position
-    /// `p` value at column `f·positions + p`. Allocation-free after
-    /// warm-up.
+    /// Computes the batch's flattened ReLU feature maps into `ws.feats`,
+    /// laid out `rows × filters·positions` with a sample's filter `f`,
+    /// position `p` value at column `f·positions + p`. Allocation-free
+    /// after warm-up. A map is positive exactly where its pre-activation
+    /// is, so the maps are also the backward pass's ReLU mask.
     fn features_into(&self, x: &Matrix, ws: &mut TrainWorkspace) {
         assert_eq!(x.cols(), self.len, "conv1d input length mismatch");
         let positions = self.out_positions();
-        ws.pres.resize(x.rows(), self.feature_dim());
         ws.feats.resize(x.rows(), self.feature_dim());
-        for (i, signal) in x.rows_iter().enumerate() {
-            let pre_row = ws.pres.row_mut(i);
-            for f in 0..self.filters {
-                let kernel = self.kernels.row(f);
-                let dst = &mut pre_row[f * positions..(f + 1) * positions];
-                for (p, slot) in dst.iter_mut().enumerate() {
-                    let mut acc = self.kbias[f];
-                    for (j, &kj) in kernel.iter().enumerate() {
-                        acc += kj * signal[p + j];
+        let rows = ws.feats.as_mut_slice().chunks_exact_mut(self.feature_dim());
+        for (signal, row) in x.rows_iter().zip(rows) {
+            let maps = row.chunks_exact_mut(positions);
+            for ((kernel, &bias), dst) in self.kernels.rows_iter().zip(&self.kbias).zip(maps) {
+                dst.fill(bias);
+                for (j, &kj) in kernel.iter().enumerate() {
+                    for (slot, &s) in dst.iter_mut().zip(&signal[j..j + positions]) {
+                        *slot += kj * s;
                     }
-                    *slot = acc;
+                }
+                for v in dst {
+                    *v = v.max(0.0);
                 }
             }
-            let feat_row = ws.feats.row_mut(i);
-            let pre_row = ws.pres.row(i);
-            for (dst, &v) in feat_row.iter_mut().zip(pre_row) {
-                *dst = v.max(0.0);
+        }
+    }
+
+    /// Kernel and kernel-bias gradients into the front of `ws.grad`. A term
+    /// is `u·s` if the masked upstream `u != 0`, else `+0.0`, which leaves a
+    /// sum started at `+0.0` as it was (only `−0 + −0` rounds to `−0.0`) and
+    /// never multiplies a non-finite signal value seen only where inactive.
+    fn kernel_grad_into(&self, x: &Matrix, ws: &mut TrainWorkspace) {
+        const LANES: usize = 8; // filters per register chain: one 256-bit vector
+        let positions = self.out_positions();
+        let width = self.filters.next_multiple_of(LANES);
+        let upstream = &mut ws.upstream;
+        upstream.clear();
+        upstream.resize(x.rows() * positions * width, 0.0);
+        let (feats, dfeats) = (ws.feats.as_slice(), ws.dfeats.as_slice());
+        let maps = feats.chunks_exact(positions).zip(dfeats.chunks_exact(positions));
+        for (m, (feat, dfeat)) in maps.enumerate() {
+            let (i, f) = (m / self.filters, m % self.filters);
+            let cells = upstream[i * positions * width..].chunks_exact_mut(width);
+            for ((&active, &u), cell) in feat.iter().zip(dfeat).zip(cells) {
+                if active > 0.0 {
+                    cell[f] = u;
+                }
+            }
+        }
+
+        let (dkernels, dkbias) = ws.grad.split_at_mut(self.filters * self.kernel);
+        for f0 in (0..self.filters).step_by(LANES) {
+            let live = LANES.min(self.filters - f0);
+            for j in 0..self.kernel {
+                // The bias sum is an independent chain riding along every
+                // tap's pass: no extra latency, and each pass leaves it equal.
+                let (mut acc, mut bias) = ([0.0f32; LANES], [0.0f32; LANES]);
+                for (signal, block) in x.rows_iter().zip(upstream.chunks_exact(positions * width)) {
+                    let cells = block.chunks_exact(width);
+                    for (&s, cell) in signal[j..j + positions].iter().zip(cells) {
+                        let lanes = &cell[f0..f0 + LANES];
+                        for ((a, b), &u) in acc.iter_mut().zip(&mut bias).zip(lanes) {
+                            *a += if u != 0.0 { u * s } else { 0.0 };
+                            *b += u;
+                        }
+                    }
+                }
+                for (l, &a) in acc[..live].iter().enumerate() {
+                    dkernels[(f0 + l) * self.kernel + j] = a;
+                }
+                dkbias[f0..f0 + live].copy_from_slice(&bias[..live]);
             }
         }
     }
@@ -516,51 +567,23 @@ impl Model for Conv1dNet {
     }
 
     fn loss_and_grad_into(&self, x: &Matrix, y: &[usize], ws: &mut TrainWorkspace) -> f32 {
-        let positions = self.out_positions();
         self.features_into(x, ws);
         ws.feats.matmul_into(&self.w, &mut ws.delta);
         ws.delta.add_row_broadcast(&self.b);
         softmax_rows_inplace(&mut ws.delta);
         let loss = cross_entropy(&ws.delta, y);
         cross_entropy_logit_grad_inplace(&mut ws.delta, y);
-        let dlogits = &ws.delta;
 
         // Classifier gradients land straight in their flat segments.
         ws.grad.resize(self.num_params(), 0.0);
-        let kn = self.filters * self.kernel;
-        let woff = kn + self.filters;
+        let woff = self.filters * self.kernel + self.filters;
         let wn = self.feature_dim() * self.classes;
-        ws.feats.matmul_tn_into_slice(dlogits, &mut ws.grad[woff..woff + wn]);
+        ws.feats.matmul_tn_into_slice(&ws.delta, &mut ws.grad[woff..woff + wn]);
         ws.delta.col_sums_into(&mut ws.grad[woff + wn..]);
 
         // Gradient w.r.t. the flattened feature map: rows × (F·P).
         ws.delta.matmul_nt_into(&self.w, &mut ws.dfeats);
-
-        // Kernel gradients accumulate; zero their segments first.
-        let (dkernels, rest) = ws.grad.split_at_mut(kn);
-        let dkbias = &mut rest[..self.filters];
-        dkernels.fill(0.0);
-        dkbias.fill(0.0);
-        for (i, signal) in x.rows_iter().enumerate() {
-            let pre_row = ws.pres.row(i);
-            let dfeat_row = ws.dfeats.row(i);
-            for f in 0..self.filters {
-                let dk_row = &mut dkernels[f * self.kernel..(f + 1) * self.kernel];
-                let pre = &pre_row[f * positions..(f + 1) * positions];
-                for (p, &pr) in pre.iter().enumerate() {
-                    if pr > 0.0 {
-                        let upstream = dfeat_row[f * positions + p];
-                        if upstream == 0.0 {
-                            continue;
-                        }
-                        dkbias[f] += upstream;
-                        for (j, slot) in dk_row.iter_mut().enumerate() {
-                            *slot += upstream * signal[p + j];
-                        }
-                    }
-                }
-            }
-        }
+        self.kernel_grad_into(x, ws);
         loss
     }
 
@@ -614,6 +637,23 @@ pub enum ModelSpec {
 }
 
 impl ModelSpec {
+    /// Refuses, as [`MlError::InvalidHyperparameter`] rather than the panic
+    /// its constructor raises in [`ModelSpec::build`], a spec with a zero
+    /// size, under two classes or MLP widths, or a kernel over the signal.
+    pub fn validate(&self) -> Result<(), MlError> {
+        let buildable = match self {
+            ModelSpec::LogisticRegression { dim, classes } => *dim > 0 && *classes >= 2,
+            ModelSpec::Mlp { dims } => dims.len() >= 2 && !dims.contains(&0),
+            ModelSpec::Conv1d { len, kernel, filters, classes } => {
+                (1..=*len).contains(kernel) && *filters > 0 && *classes >= 2
+            }
+        };
+        if buildable {
+            return Ok(());
+        }
+        Err(MlError::InvalidHyperparameter(format!("cannot build {self:?}")))
+    }
+
     /// Instantiates the architecture with fresh weights from `rng`.
     pub fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> Box<dyn Model> {
         match self {
@@ -854,5 +894,243 @@ mod tests {
         let a = spec.build(&mut seeded(42));
         let b = spec.build(&mut seeded(42));
         assert_eq!(a.params(), b.params());
+    }
+
+    // -----------------------------------------------------------------------
+    // The scalar conv loops: the definition the vector loops are held to.
+    // -----------------------------------------------------------------------
+
+    /// The forward conv one output at a time: `bias + k₀·s[p] + k₁·s[p+1]
+    /// + …`, a scalar `kernel`-tap reduction per (sample, filter, position)
+    /// into `pres`, and its ReLU into `feats`.
+    fn features_reference(net: &Conv1dNet, x: &Matrix, pres: &mut Matrix, feats: &mut Matrix) {
+        assert_eq!(x.cols(), net.len, "conv1d input length mismatch");
+        let positions = net.out_positions();
+        pres.resize(x.rows(), net.feature_dim());
+        feats.resize(x.rows(), net.feature_dim());
+        for (i, signal) in x.rows_iter().enumerate() {
+            let pre_row = pres.row_mut(i);
+            for f in 0..net.filters {
+                let kernel = net.kernels.row(f);
+                let dst = &mut pre_row[f * positions..(f + 1) * positions];
+                for (p, slot) in dst.iter_mut().enumerate() {
+                    let mut acc = net.kbias[f];
+                    for (j, &kj) in kernel.iter().enumerate() {
+                        acc += kj * signal[p + j];
+                    }
+                    *slot = acc;
+                }
+            }
+            let feat_row = feats.row_mut(i);
+            let pre_row = pres.row(i);
+            for (dst, &v) in feat_row.iter_mut().zip(pre_row) {
+                *dst = v.max(0.0);
+            }
+        }
+    }
+
+    /// The kernel gradient one (sample, filter, active position) at a
+    /// time, skipping a zero upstream: every `dK[f][j]` and `dkbias[f]`
+    /// sums its terms in ascending (sample, position) order from `+0.0`.
+    fn kernel_grad_reference(
+        net: &Conv1dNet,
+        x: &Matrix,
+        pres: &Matrix,
+        dfeats: &Matrix,
+        grad: &mut [f32],
+    ) {
+        let positions = net.out_positions();
+        let kn = net.filters * net.kernel;
+        let (dkernels, rest) = grad.split_at_mut(kn);
+        let dkbias = &mut rest[..net.filters];
+        dkernels.fill(0.0);
+        dkbias.fill(0.0);
+        for (i, signal) in x.rows_iter().enumerate() {
+            let pre_row = pres.row(i);
+            let dfeat_row = dfeats.row(i);
+            for f in 0..net.filters {
+                let dk_row = &mut dkernels[f * net.kernel..(f + 1) * net.kernel];
+                let pre = &pre_row[f * positions..(f + 1) * positions];
+                for (p, &pr) in pre.iter().enumerate() {
+                    if pr > 0.0 {
+                        let upstream = dfeat_row[f * positions + p];
+                        if upstream == 0.0 {
+                            continue;
+                        }
+                        dkbias[f] += upstream;
+                        for (j, slot) in dk_row.iter_mut().enumerate() {
+                            *slot += upstream * signal[p + j];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The whole minibatch step around the two scalar loops, which keep
+    /// the pre-activations in `pres` and mask the gradient on them.
+    fn loss_and_grad_reference(
+        net: &Conv1dNet,
+        x: &Matrix,
+        y: &[usize],
+        ws: &mut TrainWorkspace,
+        pres: &mut Matrix,
+    ) -> f32 {
+        features_reference(net, x, pres, &mut ws.feats);
+        ws.feats.matmul_into(&net.w, &mut ws.delta);
+        ws.delta.add_row_broadcast(&net.b);
+        softmax_rows_inplace(&mut ws.delta);
+        let loss = cross_entropy(&ws.delta, y);
+        cross_entropy_logit_grad_inplace(&mut ws.delta, y);
+        ws.grad.resize(net.num_params(), 0.0);
+        let woff = net.filters * net.kernel + net.filters;
+        let wn = net.feature_dim() * net.classes;
+        ws.feats.matmul_tn_into_slice(&ws.delta, &mut ws.grad[woff..woff + wn]);
+        ws.delta.col_sums_into(&mut ws.grad[woff + wn..]);
+        ws.delta.matmul_nt_into(&net.w, &mut ws.dfeats);
+        kernel_grad_reference(net, x, pres, &ws.dfeats, &mut ws.grad);
+        loss
+    }
+
+    /// `(len, kernel)`: kernels 1, 2, 5 and the whole signal at lengths 32
+    /// and 33, and each short kernel on a signal of its own length.
+    const CONV_SHAPES: [(usize, usize); 11] = [
+        (32, 1),
+        (32, 2),
+        (32, 5),
+        (32, 32),
+        (33, 1),
+        (33, 2),
+        (33, 5),
+        (33, 33),
+        (1, 1),
+        (2, 2),
+        (5, 5),
+    ];
+    /// Filter counts either side of the eight-filter lane blocks.
+    const CONV_FILTERS: [usize; 7] = [1, 3, 7, 8, 9, 16, 17];
+    /// Batch sizes, in an order that grows and shrinks one workspace.
+    const CONV_BATCHES: [usize; 4] = [7, 33, 1, 32];
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn conv1d_step_matches_the_scalar_loops_bit_for_bit() {
+        // One workspace for every shape, so stale buffers from a larger
+        // or wider step are in play.
+        let mut ws = TrainWorkspace::new();
+        let mut oracle = TrainWorkspace::new();
+        let mut pres = Matrix::zeros(0, 0);
+        let (mut negative, mut zero_upstream) = (0, 0);
+        for (len, kernel) in CONV_SHAPES {
+            for filters in CONV_FILTERS {
+                let mut net = Conv1dNet::new(&mut seeded(31), len, kernel, filters, 3);
+                // Kernel biases below zero push maps negative; zeroed
+                // classifier rows give their feature columns a +0.0
+                // upstream.
+                for (f, b) in net.kbias.iter_mut().enumerate() {
+                    *b = 0.25 * (f % 3) as f32 - 0.25;
+                }
+                for (r, row) in net.w.as_mut_slice().chunks_exact_mut(3).enumerate() {
+                    if r % 3 == 1 {
+                        row.fill(0.0);
+                    }
+                }
+                for batch in CONV_BATCHES {
+                    let (mut x, y) = tiny_batch(len, 3, batch);
+                    for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                        match i % 11 {
+                            3 => *v = 0.0,
+                            7 => *v = -0.0,
+                            _ => {}
+                        }
+                    }
+                    let loss = net.loss_and_grad_into(&x, &y, &mut ws);
+                    let want = loss_and_grad_reference(&net, &x, &y, &mut oracle, &mut pres);
+
+                    let at = format!("len {len} kernel {kernel} filters {filters} batch {batch}");
+                    assert_eq!(loss.to_bits(), want.to_bits(), "loss, {at}");
+                    let feats = (bits(ws.feats.as_slice()), bits(oracle.feats.as_slice()));
+                    assert_eq!(feats.0, feats.1, "feats, {at}");
+                    assert_eq!(bits(ws.grad()), bits(oracle.grad()), "gradient, {at}");
+                    negative += pres.as_slice().iter().filter(|&&v| v < 0.0).count();
+                    zero_upstream += (pres.as_slice().iter().zip(ws.dfeats.as_slice()))
+                        .filter(|&(&pr, &u)| pr > 0.0 && u == 0.0)
+                        .count();
+                }
+            }
+        }
+        assert!(negative > 0 && zero_upstream > 0, "{negative} negative, {zero_upstream} zero");
+    }
+
+    #[test]
+    fn conv1d_kernel_gradient_matches_the_scalar_loop_on_hostile_inputs() {
+        // Pre-activations ±0.0, upstream ±0.0, and in every sample one
+        // ±∞ signal entry that only inactive positions see: the scalar
+        // loop never multiplies it, so neither may the lanes.
+        let mut ws = TrainWorkspace::new();
+        for (len, kernel) in CONV_SHAPES {
+            for filters in CONV_FILTERS {
+                let net = Conv1dNet::new(&mut seeded(32), len, kernel, filters, 3);
+                let positions = net.out_positions();
+                for batch in CONV_BATCHES {
+                    let (mut x, _) = tiny_batch(len, 3, batch);
+                    let mut pres = init::gaussian(&mut seeded(33), batch, net.feature_dim(), 1.0);
+                    let mut dfeats = init::gaussian(&mut seeded(34), batch, net.feature_dim(), 1.0);
+                    let cells = pres.as_mut_slice().iter_mut().zip(dfeats.as_mut_slice());
+                    for (c, (pr, u)) in cells.enumerate() {
+                        match c % 13 {
+                            2 => *u = 0.0,
+                            5 => *u = -0.0,
+                            8 => *pr = 0.0,
+                            11 => *pr = -0.0,
+                            _ => {}
+                        }
+                    }
+                    for i in 0..batch {
+                        let q = (5 * i) % len;
+                        x[(i, q)] = if i % 2 == 0 { f32::INFINITY } else { f32::NEG_INFINITY };
+                        for p in q.saturating_sub(kernel - 1)..=q.min(positions - 1) {
+                            for f in 0..filters {
+                                pres[(i, f * positions + p)] = -1.0;
+                            }
+                        }
+                    }
+                    // The maps mask the lanes' gradient as the
+                    // pre-activations mask the scalar loop's: the same
+                    // values serve as both.
+                    ws.feats.copy_from(&pres);
+                    ws.dfeats.copy_from(&dfeats);
+                    ws.grad.clear();
+                    ws.grad.resize(net.num_params(), f32::NAN);
+                    let mut want = ws.grad.clone();
+                    net.kernel_grad_into(&x, &mut ws);
+                    kernel_grad_reference(&net, &x, &pres, &dfeats, &mut want);
+                    let front = filters * kernel + filters;
+                    let at = format!("len {len} kernel {kernel} filters {filters} batch {batch}");
+                    assert_eq!(bits(&ws.grad[..front]), bits(&want[..front]), "{at}");
+                    assert!(ws.grad[..front].iter().all(|g| g.is_finite()), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv1d_gradient_holds_its_golden_bits() {
+        // FNV-1a over the loss and every gradient word of one ECG-shaped
+        // minibatch (signal 32, kernel 5, 8 filters, 5 classes, batch 32).
+        // Moving it moves every converge_flips history.
+        let net = Conv1dNet::new(&mut seeded(7), 32, 5, 8, 5);
+        let (x, y) = tiny_batch(32, 5, 32);
+        let mut ws = TrainWorkspace::new();
+        let loss = net.loss_and_grad_into(&x, &y, &mut ws);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let words = std::iter::once(loss).chain(ws.grad().iter().copied());
+        for byte in words.flat_map(|v| v.to_bits().to_le_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(hash, 0x0666_dc5b_a842_1516, "conv1d gradient bits moved: {hash:#018x}");
     }
 }
