@@ -12,7 +12,6 @@ use crate::middleware::{FlipsMiddleware, MiddlewareConfig};
 use crate::FlipsError;
 use flips_data::dataset::{balanced_test_set, generate_population};
 use flips_data::{partition, DatasetProfile, PartitionStrategy};
-use flips_fl::straggler::StragglerBias;
 use flips_fl::{
     DeadlinePolicy, FlAlgorithm, FlJob, FlJobConfig, History, LatencyModel, LocalTrainingConfig,
     ModelCodec,
@@ -22,11 +21,14 @@ use flips_selection::tifl::TiflConfig;
 use flips_selection::{
     GradClusSelector, OortSelector, ParticipantSelector, RandomSelector, SelectorKind, TiflSelector,
 };
-use flips_tee::OverheadModel;
 use std::time::Duration;
 
 /// Minimum samples each party is guaranteed after partitioning.
 const MIN_SAMPLES_PER_PARTY: usize = 5;
+
+/// Width of the update sketches parties report and GradClus clusters on:
+/// the selector and the job must agree on it.
+const SKETCH_DIM: usize = 32;
 
 /// Builder for one end-to-end FL simulation.
 ///
@@ -62,15 +64,12 @@ pub struct SimulationBuilder {
     algorithm: FlAlgorithm,
     selector: SelectorKind,
     straggler_rate: f64,
-    straggler_bias: StragglerBias,
     deadline: DeadlinePolicy,
     latency_sigma: f64,
     test_per_class: usize,
     clustering_restarts: usize,
     fixed_k: Option<usize>,
     overprovision: bool,
-    tee_overhead: OverheadModel,
-    local: Option<LocalTrainingConfig>,
     codec: ModelCodec,
     parallel: bool,
     /// `(dir, budget)` when the roster store is sealed to disk.
@@ -92,15 +91,12 @@ impl SimulationBuilder {
             algorithm: FlAlgorithm::fedyogi(),
             selector: SelectorKind::Flips,
             straggler_rate: 0.0,
-            straggler_bias: StragglerBias::Uniform,
             deadline: DeadlinePolicy::Injected,
             latency_sigma: 0.4,
             test_per_class: 50,
             clustering_restarts: 20,
             fixed_k: None,
             overprovision: true,
-            tee_overhead: OverheadModel::sev_like(),
-            local: None,
             codec: ModelCodec::Raw,
             parallel: false,
             spill: None,
@@ -152,13 +148,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Uses an explicit partition strategy instead of Dirichlet(α).
-    #[must_use]
-    pub fn partition_strategy(mut self, strategy: PartitionStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Sets the FL algorithm.
     #[must_use]
     pub fn algorithm(mut self, algorithm: FlAlgorithm) -> Self {
@@ -177,13 +166,6 @@ impl SimulationBuilder {
     #[must_use]
     pub fn straggler_rate(mut self, rate: f64) -> Self {
         self.straggler_rate = rate;
-        self
-    }
-
-    /// Sets how straggler victims are chosen.
-    #[must_use]
-    pub fn straggler_bias(mut self, bias: StragglerBias) -> Self {
-        self.straggler_bias = bias;
         self
     }
 
@@ -232,21 +214,6 @@ impl SimulationBuilder {
     #[must_use]
     pub fn without_overprovisioning(mut self) -> Self {
         self.overprovision = false;
-        self
-    }
-
-    /// Overrides the TEE overhead model.
-    #[must_use]
-    pub fn tee_overhead(mut self, overhead: OverheadModel) -> Self {
-        self.tee_overhead = overhead;
-        self
-    }
-
-    /// Overrides local-training hyper-parameters (defaults come from the
-    /// profile).
-    #[must_use]
-    pub fn local_training(mut self, local: LocalTrainingConfig) -> Self {
-        self.local = Some(local);
         self
     }
 
@@ -302,6 +269,8 @@ impl SimulationBuilder {
         let population = generate_population(&profile, profile.default_total_samples, self.seed);
         let parts = partition(&population, n, self.strategy, MIN_SAMPLES_PER_PARTY, self.seed)?;
         let test = balanced_test_set(&profile, self.test_per_class, self.seed);
+        // `FlJob::new` samples the same model from the same σ and seed;
+        // this copy only profiles the roster's latency hints.
         let latency = LatencyModel::sample(n, self.latency_sigma, self.seed);
 
         let parties_per_round = ((self.participation * n as f64).round() as usize).clamp(1, n);
@@ -329,7 +298,6 @@ impl SimulationBuilder {
             fixed_k: self.fixed_k,
             k_floor: Some((2 * profile.classes).min(parties_per_round)),
             overprovision: self.overprovision,
-            overhead: self.tee_overhead,
             seed: self.seed,
             ..Default::default()
         };
@@ -374,19 +342,19 @@ impl SimulationBuilder {
                 Box::new(OortSelector::from_source(&store, oort_cfg(), self.seed))
             }
             SelectorKind::GradClus => {
-                Box::new(GradClusSelector::from_source(&store, 32, self.seed)?)
+                Box::new(GradClusSelector::from_source(&store, SKETCH_DIM, self.seed)?)
             }
             SelectorKind::Tifl => {
                 Box::new(TiflSelector::from_source(&store, TiflConfig::default(), self.seed)?)
             }
         };
 
-        let local = self.local.unwrap_or(LocalTrainingConfig {
+        let local = LocalTrainingConfig {
             epochs: profile.local_epochs,
             batch_size: profile.batch_size,
             lr_schedule: profile.lr_schedule,
             momentum: 0.0,
-        });
+        };
 
         let config = FlJobConfig {
             model: profile.model.clone(),
@@ -395,11 +363,9 @@ impl SimulationBuilder {
             parties_per_round,
             local,
             straggler_rate: self.straggler_rate,
-            straggler_bias: self.straggler_bias,
             deadline: self.deadline,
             latency_sigma: self.latency_sigma,
-            latency_override: Some(latency),
-            sketch_dim: 32,
+            sketch_dim: SKETCH_DIM,
             codec: self.codec,
             parallel: self.parallel,
             seed: self.seed,
@@ -563,6 +529,22 @@ mod tests {
             let built = SimulationBuilder::new(profile).parties(12).rounds(2).build();
             assert!(built.is_err(), "{model:?} built");
         }
+    }
+
+    #[test]
+    fn the_job_samples_its_latency_model_from_sigma_and_seed() {
+        let dir =
+            std::env::temp_dir().join(format!("flips-builder-latency-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let builder = tiny(SelectorKind::Random).latency_sigma(0.7);
+        for builder in [builder.clone(), builder.spill_roster(&dir, 1)] {
+            let (job, meta) = builder.build().unwrap();
+            assert_eq!(
+                *job.latency_model(),
+                LatencyModel::sample(meta.num_parties, 0.7, meta.seed)
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //!    selected for a round").
 
 use crate::FlipsError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::BufMut;
 use flips_clustering::{kmeans, optimal_k, ElbowConfig, KMeansConfig};
 use flips_data::LabelDistribution;
+use flips_fl::format::{put_f32s, Reader};
+use flips_fl::FlError;
 use flips_ml::rng::{derive_seed, seeded};
 use flips_selection::{FlipsSelector, ParticipantSelector, PartyId, RoundFeedback, SelectionError};
 use flips_tee::attestation::PlatformKey;
@@ -149,9 +151,7 @@ impl FlipsMiddleware {
             enclave
                 .enter(|state| -> Result<(), TeeError> {
                     let plain = enclave_end.open(&sealed)?;
-                    state.distributions.push(
-                        decode_distribution(plain).map_err(|_| TeeError::IntegrityViolation)?,
-                    );
+                    state.distributions.push(decode_distribution(&plain)?);
                     Ok(())
                 })
                 .map_err(FlipsError::Tee)??;
@@ -312,24 +312,26 @@ impl ParticipantSelector for TeeBackedSelector {
     }
 }
 
-fn encode_distribution(normalized: &[f32]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + normalized.len() * 4);
+/// The provisioning payload: a `u32` count, then that many `f32`s, all
+/// little-endian.
+fn encode_distribution(normalized: &[f32]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + normalized.len() * 4);
     buf.put_u32_le(normalized.len() as u32);
-    for &p in normalized {
-        buf.put_f32_le(p);
-    }
-    buf.freeze()
+    put_f32s(&mut buf, normalized);
+    buf
 }
 
-fn decode_distribution(mut bytes: Bytes) -> Result<Vec<f32>, ()> {
-    if bytes.remaining() < 4 {
-        return Err(());
-    }
-    let len = bytes.get_u32_le() as usize;
-    if bytes.remaining() != len * 4 {
-        return Err(());
-    }
-    Ok((0..len).map(|_| bytes.get_f32_le()).collect())
+/// Reads [`encode_distribution`]'s bytes back; a payload that does not
+/// decode exactly is an integrity violation inside the enclave.
+fn decode_distribution(bytes: &[u8]) -> Result<Vec<f32>, TeeError> {
+    let read = || -> Result<Vec<f32>, FlError> {
+        let mut r = Reader::new(bytes, "label distribution");
+        let n = r.len32(4)?;
+        let values = r.f32s(n as u64)?.collect();
+        r.finish()?;
+        Ok(values)
+    };
+    read().map_err(|_| TeeError::IntegrityViolation)
 }
 
 #[cfg(test)]
@@ -448,12 +450,30 @@ mod tests {
     #[test]
     fn distribution_codec_round_trips() {
         let d = vec![0.25f32, 0.5, 0.125, 0.125];
-        assert_eq!(decode_distribution(encode_distribution(&d)).unwrap(), d);
-        assert!(decode_distribution(Bytes::from_static(&[1, 2])).is_err());
-        // Length prefix lying about the payload.
-        let mut bad = BytesMut::new();
-        bad.put_u32_le(10);
-        bad.put_f32_le(0.5);
-        assert!(decode_distribution(bad.freeze()).is_err());
+        let bytes = encode_distribution(&d);
+        assert_eq!(bytes.len(), 4 + 4 * d.len());
+        assert_eq!(bytes[..4], 4u32.to_le_bytes());
+        assert_eq!(bytes[4..8], 0.25f32.to_le_bytes());
+        assert_eq!(decode_distribution(&bytes).unwrap(), d);
+    }
+
+    #[test]
+    fn a_malformed_distribution_is_an_integrity_violation() {
+        let good = encode_distribution(&[0.5, 0.5]);
+        let mut lying = 10u32.to_le_bytes().to_vec();
+        lying.extend_from_slice(&0.5f32.to_le_bytes());
+        let mut trailing = good.clone();
+        trailing.push(0);
+        for (name, bytes) in [
+            ("truncated prefix", &good[..2]),
+            ("truncated values", &good[..good.len() - 1]),
+            ("count beyond the payload", &lying[..]),
+            ("trailing bytes", &trailing[..]),
+        ] {
+            assert!(
+                matches!(decode_distribution(bytes), Err(TeeError::IntegrityViolation)),
+                "{name}"
+            );
+        }
     }
 }

@@ -17,11 +17,11 @@ pub use flips_data::{
     partition, Dataset, DatasetProfile, LabelDistribution, PartitionStrategy,
 };
 pub use flips_fl::{
-    memory_wire, run_lockstep, straggler::StragglerBias, transport::duplex, BreakerConfig,
-    BreakerState, ChaosAction, ChaosSchedule, ChaosTransport, ChaosWeights, Clock, Coordinator,
-    CoordinatorConfig, DeadlinePolicy, DriverStats, Effect, Event, FlAlgorithm, FlJob, FlJobConfig,
-    GuardConfig, GuardPlane, History, JobParts, LatencyModel, LocalTrainingConfig, MemoryTransport,
-    ModelCodec, MultiJobDriver, ObservedLatency, PartyEndpoint, PartyPool, PartyRecord, RateLimit,
+    memory_wire, run_lockstep, transport::duplex, BreakerConfig, BreakerState, ChaosAction,
+    ChaosSchedule, ChaosTransport, ChaosWeights, Clock, Coordinator, CoordinatorConfig,
+    DeadlinePolicy, DriverStats, Effect, Event, FlAlgorithm, FlJob, FlJobConfig, GuardConfig,
+    GuardPlane, History, JobParts, LatencyModel, LocalTrainingConfig, MemoryTransport, ModelCodec,
+    MultiJobDriver, ObservedLatency, PartyEndpoint, PartyPool, PartyRecord, RateLimit,
     RejectReason, RosterBuilder, RosterStore, RoundRecord, ScriptedClock, StragglerInjector,
     StreamTransport, TimerWheel, Transport, WireMessage, WireOptions, WithWire,
 };

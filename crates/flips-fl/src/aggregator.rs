@@ -31,7 +31,7 @@ use crate::events::{Effect, Event};
 use crate::history::{History, RoundRecord};
 use crate::latency::LatencyModel;
 use crate::message::WireMessage;
-use crate::straggler::{Arrival, StragglerBias, StragglerInjector, Stragglers};
+use crate::straggler::{Arrival, StragglerInjector, Stragglers};
 use crate::FlError;
 use flips_data::Dataset;
 use flips_ml::model::ModelSpec;
@@ -56,19 +56,15 @@ pub struct FlJobConfig {
     /// (0, 0.10, 0.20 in the paper). Only meaningful under
     /// [`DeadlinePolicy::Injected`].
     pub straggler_rate: f64,
-    /// How straggler victims are chosen (injected path only).
-    pub straggler_bias: StragglerBias,
     /// How each round's collection deadline is decided — the paper's
     /// synthetic victim injection, or a deadline derived from observed
     /// round-trip latency (see [`DeadlinePolicy`]). A latency-derived
     /// policy is mutually exclusive with a non-zero `straggler_rate`.
     pub deadline: DeadlinePolicy,
-    /// Log-normal sigma of the platform-heterogeneity model.
+    /// Log-normal sigma of the platform-heterogeneity model; the job
+    /// samples it with [`LatencyModel::sample`] from `seed`, as
+    /// `SimulationBuilder` does for the selectors' latency hints.
     pub latency_sigma: f64,
-    /// Use this latency model instead of sampling one from
-    /// `latency_sigma` (lets callers share the model with selectors that
-    /// profile latencies, e.g. TiFL).
-    pub latency_override: Option<LatencyModel>,
     /// Dimension of the update sketches reported to GradClus.
     pub sketch_dim: usize,
     /// The model-payload wire codec (announced in selection notices,
@@ -92,10 +88,8 @@ impl FlJobConfig {
             parties_per_round: 10,
             local: LocalTrainingConfig::default(),
             straggler_rate: 0.0,
-            straggler_bias: StragglerBias::Uniform,
             deadline: DeadlinePolicy::Injected,
             latency_sigma: 0.4,
-            latency_override: None,
             sketch_dim: 32,
             codec: ModelCodec::Raw,
             parallel: false,
@@ -151,7 +145,7 @@ impl FlJob {
             return Err(FlError::InvalidConfig("straggler_rate must be in [0, 1)".into()));
         }
         let seed = config.seed;
-        let injector = StragglerInjector::new(config.straggler_rate, config.straggler_bias, seed);
+        let injector = StragglerInjector::new(config.straggler_rate, seed);
         let stragglers = Stragglers::new(injector, config.deadline)?;
         if config.deadline.is_latency_derived() && config.straggler_rate > 0.0 {
             return Err(FlError::InvalidConfig(
@@ -175,16 +169,7 @@ impl FlJob {
         }
 
         let num_parties = party_datasets.len();
-        let latency = match &config.latency_override {
-            Some(model) if model.num_parties() == num_parties => model.clone(),
-            Some(_) => {
-                return Err(FlError::InvalidConfig(
-                    "latency_override sized for a different roster".into(),
-                ))
-            }
-            None => LatencyModel::sample(num_parties, config.latency_sigma, seed),
-        };
-        let latency = Arc::new(latency);
+        let latency = Arc::new(LatencyModel::sample(num_parties, config.latency_sigma, seed));
 
         let job_id = derive_seed(seed, 0x4A0B_F11F);
         let coordinator = Coordinator::new(

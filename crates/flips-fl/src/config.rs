@@ -169,8 +169,7 @@ pub const TICKS_PER_SECOND: f64 = 1_000_000.0;
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum DeadlinePolicy {
     /// Synthetic victim sets from the seeded straggler injector (the
-    /// paper's emulation; configured via `straggler_rate` /
-    /// `straggler_bias`).
+    /// paper's emulation; configured via `straggler_rate`).
     #[default]
     Injected,
     /// Deadline = `slack × quantile_q(observed round-trip durations)`,

@@ -768,13 +768,6 @@ impl<T: Transport> MultiJobDriver<T> {
         Ok(())
     }
 
-    /// The open round's latency-derived deadline for `job`, in simulated
-    /// seconds (`None` = no such job, injected path, or unbounded
-    /// warm-up round).
-    pub fn current_deadline(&self, job: u64) -> Option<f64> {
-        self.jobs.get(&job).and_then(|j| j.stragglers.deadline())
-    }
-
     /// Switches round reopening to deferred mode: a closed round queues
     /// its job on [`MultiJobDriver::open_pending`] instead of opening the
     /// next round inline, exposing the round boundary to the caller

@@ -3,7 +3,8 @@
 //! Every hand-rolled format in this workspace — wire messages and their
 //! params blocks ([`crate::message`], [`crate::codec`]), `FLCK`
 //! snapshots ([`crate::checkpoint`]), `FLRS` roster segments
-//! ([`crate::roster`]) and flips-net's control frames — is read through
+//! ([`crate::roster`]), flips-net's control frames and flips-core's
+//! enclave label-distribution payload — is read through
 //! one [`Reader`], which is where the decoder obligations of
 //! `docs/WIRE.md` § 9 hold:
 //!

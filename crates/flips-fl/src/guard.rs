@@ -26,8 +26,10 @@
 //! refusing stage wins and the frame is counted and dropped — no stage
 //! ever touches round state:
 //!
-//! 1. **frame-size guard** ([`GuardConfig::max_frame_bytes`]) — before
-//!    decode, so an oversized frame cannot cost an allocation;
+//! 1. **frame-size guard** ([`GuardConfig::max_frame_bytes`]) — after
+//!    the transport has reassembled the frame and before decode, so an
+//!    oversized frame costs its buffer (at most the stream's 256 MiB
+//!    ceiling, [`MAX_FRAME_BYTES`]) but never a decoded value;
 //! 2. **decode** (the existing corrupt/codec-mismatch/unknown-job
 //!    handling, unchanged — undecodable frames may still *strike* their
 //!    claimed sender, see below);
@@ -165,11 +167,10 @@ impl std::fmt::Display for BreakerState {
 /// a guarded happy-path run is bit-identical to an unguarded one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardConfig {
-    /// Frames longer than this are dropped before decode (and a
-    /// [`crate::StreamTransport`] built with
-    /// [`crate::StreamTransport::with_frame_cap`] skips them before
-    /// they are even assembled). Clamped to the hard transport ceiling
-    /// [`MAX_FRAME_BYTES`].
+    /// Frames longer than this are dropped after reassembly, before
+    /// decode. Clamped to the hard transport ceiling [`MAX_FRAME_BYTES`],
+    /// the only cap a [`crate::StreamTransport`] itself enforces (see
+    /// [`crate::StreamTransport::new`] for why it skips no frame).
     pub max_frame_bytes: usize,
     /// Per-party token-bucket rate limiting (`None` disables).
     pub rate_limit: Option<RateLimit>,

@@ -9,8 +9,7 @@
 //! The model is consumed from two directions:
 //!
 //! - *a priori* by selectors that profile device speed (TiFL's tiers,
-//!   Oort's system utility) and by the legacy straggler injector's
-//!   slow-biased victim draw;
+//!   Oort's system utility);
 //! - *a posteriori* through [`ObservedLatency`]: a job's
 //!   `Stragglers` feeds every round-trip duration a party
 //!   actually reports back into its sample set, and the
@@ -49,16 +48,6 @@ impl LatencyModel {
     /// A homogeneous model (all parties speed 1).
     pub fn uniform(num_parties: usize) -> Self {
         LatencyModel { per_sample_cost: 1e-4, fixed_cost: 0.05, speed: vec![1.0; num_parties] }
-    }
-
-    /// A model with explicitly given per-party speed factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any speed factor is non-positive.
-    pub fn with_speeds(speed: Vec<f64>) -> Self {
-        assert!(speed.iter().all(|&s| s > 0.0), "speed factors must be positive");
-        LatencyModel { per_sample_cost: 1e-4, fixed_cost: 0.05, speed }
     }
 
     /// Number of parties covered.

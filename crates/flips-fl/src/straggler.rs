@@ -3,11 +3,10 @@
 //! The paper emulates platform heterogeneity "by dropping 10% or 20% of
 //! participants involved in an FL round" (§5). The injector reproduces
 //! that: given the selected cohort it designates `round(rate · |cohort|)`
-//! victims whose updates miss the round deadline. Victims are drawn
-//! uniformly by default, or biased toward slow parties (probability ∝
-//! speed factor) for a more physical failure mode. A latency-derived
-//! [`DeadlinePolicy`] replaces the coin flip with a deadline computed
-//! from observed round trips; `Stragglers` holds both models.
+//! victims whose updates miss the round deadline, drawn uniformly at
+//! random. A latency-derived [`DeadlinePolicy`] replaces the coin flip
+//! with a deadline computed from observed round trips; `Stragglers`
+//! holds both models.
 //!
 //! This is *driver* machinery, not protocol: the coordinator just closes
 //! the round when the driver's deadline fires, and whoever has not
@@ -17,11 +16,9 @@ use crate::config::DeadlinePolicy;
 use crate::history::RoundRecord;
 use crate::latency::{LatencyModel, ObservedLatency};
 use crate::FlError;
-use flips_data::dist::categorical;
 use flips_ml::rng::{derive_seed, seeded};
 use flips_selection::PartyId;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// The seeded victim draw behind [`DeadlinePolicy::Injected`].
@@ -53,8 +50,8 @@ pub trait Clock: Send {
 }
 
 impl Clock for StragglerInjector {
-    fn missed_deadline(&mut self, cohort: &[PartyId], latency: &LatencyModel) -> Vec<usize> {
-        self.strike(cohort, latency)
+    fn missed_deadline(&mut self, cohort: &[PartyId], _latency: &LatencyModel) -> Vec<usize> {
+        self.strike(cohort)
     }
 }
 
@@ -155,12 +152,6 @@ impl<C: Clock> Stragglers<C> {
         }
     }
 
-    /// The open round's deadline in simulated seconds (`None` on the
-    /// injected policy or an unbounded warm-up round).
-    pub fn deadline(&self) -> Option<f64> {
-        self.deadline
-    }
-
     /// The sample store `(samples, batch boundaries)` under a
     /// latency-derived policy; `None` under the injected one.
     pub fn snapshot(&self) -> Option<(Vec<f64>, Vec<usize>)> {
@@ -234,20 +225,11 @@ impl Clock for ScriptedClock {
     }
 }
 
-/// How straggler victims are chosen within a round's cohort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StragglerBias {
-    /// Uniformly at random (the paper's emulation).
-    Uniform,
-    /// Probability proportional to the party's latency speed factor.
-    SlowBiased,
-}
-
-/// Drops a fixed fraction of each round's participants.
+/// Drops a fixed fraction of each round's participants, chosen
+/// uniformly at random (the paper's emulation).
 #[derive(Debug)]
 pub struct StragglerInjector {
     rate: f64,
-    bias: StragglerBias,
     rng: StdRng,
 }
 
@@ -257,9 +239,9 @@ impl StragglerInjector {
     /// # Panics
     ///
     /// Panics if `rate` is outside `[0, 1)`.
-    pub fn new(rate: f64, bias: StragglerBias, seed: u64) -> Self {
+    pub fn new(rate: f64, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&rate), "straggler rate must be in [0, 1), got {rate}");
-        StragglerInjector { rate, bias, rng: seeded(derive_seed(seed, 0x57A6)) }
+        StragglerInjector { rate, rng: seeded(derive_seed(seed, 0x57A6)) }
     }
 
     /// The configured drop rate.
@@ -271,28 +253,14 @@ impl StragglerInjector {
     ///
     /// Returns the *indices into `selected`* of the victims, sorted
     /// ascending.
-    pub fn strike(&mut self, selected: &[PartyId], latency: &LatencyModel) -> Vec<usize> {
+    pub fn strike(&mut self, selected: &[PartyId]) -> Vec<usize> {
         let count = (self.rate * selected.len() as f64).round() as usize;
         if count == 0 || selected.is_empty() {
             return Vec::new();
         }
         let count = count.min(selected.len());
-        let mut victims: Vec<usize> = match self.bias {
-            StragglerBias::Uniform => {
-                flips_ml::rng::sample_without_replacement(&mut self.rng, selected.len(), count)
-            }
-            StragglerBias::SlowBiased => {
-                let mut weights: Vec<f64> =
-                    selected.iter().map(|&p| latency.speed_factor(p)).collect();
-                let mut picked = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let idx = categorical(&mut self.rng, &weights);
-                    weights[idx] = 0.0;
-                    picked.push(idx);
-                }
-                picked
-            }
-        };
+        let mut victims =
+            flips_ml::rng::sample_without_replacement(&mut self.rng, selected.len(), count);
         victims.sort_unstable();
         victims
     }
@@ -304,55 +272,42 @@ mod tests {
 
     #[test]
     fn drops_the_configured_fraction() {
-        let mut inj = StragglerInjector::new(0.2, StragglerBias::Uniform, 1);
+        let mut inj = StragglerInjector::new(0.2, 1);
         let selected: Vec<PartyId> = (0..40).collect();
-        let latency = LatencyModel::uniform(40);
-        let victims = inj.strike(&selected, &latency);
+        let victims = inj.strike(&selected);
         assert_eq!(victims.len(), 8);
         assert!(victims.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
         assert!(victims.iter().all(|&v| v < 40));
     }
 
     #[test]
-    fn zero_rate_never_strikes() {
-        let mut inj = StragglerInjector::new(0.0, StragglerBias::Uniform, 2);
+    fn uniform_victims_hold_their_golden() {
+        let mut inj = StragglerInjector::new(0.2, 7);
         let selected: Vec<PartyId> = (0..10).collect();
-        assert!(inj.strike(&selected, &LatencyModel::uniform(10)).is_empty());
+        let rounds: Vec<Vec<usize>> = (0..8).map(|_| inj.strike(&selected)).collect();
+        let golden = [[0, 3], [1, 4], [2, 6], [5, 7], [5, 7], [1, 7], [1, 2], [2, 4]];
+        assert_eq!(rounds, golden);
+    }
+
+    #[test]
+    fn zero_rate_never_strikes() {
+        let mut inj = StragglerInjector::new(0.0, 2);
+        let selected: Vec<PartyId> = (0..10).collect();
+        assert!(inj.strike(&selected).is_empty());
     }
 
     #[test]
     fn rounds_small_cohorts_sensibly() {
         // 10% of 4 parties rounds to 0; 10% of 6 rounds to 1.
-        let mut inj = StragglerInjector::new(0.1, StragglerBias::Uniform, 3);
-        let latency = LatencyModel::uniform(10);
-        assert!(inj.strike(&[0, 1, 2, 3], &latency).is_empty());
-        assert_eq!(inj.strike(&[0, 1, 2, 3, 4, 5], &latency).len(), 1);
-    }
-
-    #[test]
-    fn slow_bias_prefers_slow_parties() {
-        // Parties 0..5 fast, 5..10 drastically slow.
-        let speeds: Vec<f64> = (0..10).map(|p| if p < 5 { 0.01 } else { 100.0 }).collect();
-        let latency = LatencyModel::with_speeds(speeds);
-        let mut inj = StragglerInjector::new(0.3, StragglerBias::SlowBiased, 4);
-        let selected: Vec<PartyId> = (0..10).collect();
-        let mut slow_hits = 0;
-        let mut total = 0;
-        for _ in 0..50 {
-            for v in inj.strike(&selected, &latency) {
-                total += 1;
-                if selected[v] >= 5 {
-                    slow_hits += 1;
-                }
-            }
-        }
-        assert!(slow_hits as f64 / total as f64 > 0.9, "slow parties hit only {slow_hits}/{total}");
+        let mut inj = StragglerInjector::new(0.1, 3);
+        assert!(inj.strike(&[0, 1, 2, 3]).is_empty());
+        assert_eq!(inj.strike(&[0, 1, 2, 3, 4, 5]).len(), 1);
     }
 
     #[test]
     #[should_panic(expected = "straggler rate")]
     fn rejects_rate_of_one() {
-        let _ = StragglerInjector::new(1.0, StragglerBias::Uniform, 5);
+        let _ = StragglerInjector::new(1.0, 5);
     }
 
     #[test]
@@ -374,10 +329,9 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let run = |seed| {
-            let mut inj = StragglerInjector::new(0.25, StragglerBias::Uniform, seed);
+            let mut inj = StragglerInjector::new(0.25, seed);
             let selected: Vec<PartyId> = (0..20).collect();
-            let latency = LatencyModel::uniform(20);
-            (0..5).map(|_| inj.strike(&selected, &latency)).collect::<Vec<_>>()
+            (0..5).map(|_| inj.strike(&selected)).collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));

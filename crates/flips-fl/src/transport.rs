@@ -264,15 +264,6 @@ pub struct StreamTransport<S> {
     eof: bool,
     /// Scratch buffer for `read` calls.
     chunk: Box<[u8; 16 * 1024]>,
-    /// Receive-side frame cap (≤ [`MAX_FRAME_BYTES`]). A frame between
-    /// this and the hard ceiling is *skipped* (counted, stream
-    /// resynchronized); only a length above the hard ceiling is fatal.
-    max_frame: usize,
-    /// Frames skipped by the configurable cap.
-    oversized: u64,
-    /// Payload bytes of an over-cap frame still to be discarded before
-    /// the next length prefix.
-    skip: usize,
     /// Send-side staging for bytes the kernel would not take: when a
     /// nonblocking write returns [`ErrorKind::WouldBlock`] mid-frame,
     /// the unwritten tail lands here and [`StreamTransport::flush`]
@@ -293,34 +284,23 @@ impl<S: std::fmt::Debug> std::fmt::Debug for StreamTransport<S> {
 }
 
 impl<S: Read + Write> StreamTransport<S> {
-    /// Wraps a nonblocking byte stream (frame cap at the hard ceiling,
-    /// [`MAX_FRAME_BYTES`]).
-    pub fn new(stream: S) -> Self {
-        Self::with_frame_cap(stream, MAX_FRAME_BYTES)
-    }
-
-    /// Wraps a nonblocking byte stream with a configurable receive-side
-    /// frame cap (clamped to [`MAX_FRAME_BYTES`]) — wire it to
-    /// [`crate::GuardConfig::max_frame_bytes`] so the transport enforces
-    /// the same bound the guard plane does, *before* an oversized
-    /// payload is ever assembled in memory.
+    /// Wraps a nonblocking byte stream. A length prefix above
+    /// [`MAX_FRAME_BYTES`], which no conformant sender can produce,
+    /// poisons the stream; every frame within it is reassembled whole.
     ///
-    /// A frame longer than `cap` but within the hard ceiling is not
-    /// fatal: it is counted ([`StreamTransport::oversized_frames`]) and
-    /// its payload is discarded as it streams in, leaving the transport
-    /// resynchronized on the next length prefix. Only a length prefix
-    /// above [`MAX_FRAME_BYTES`] — which no conformant sender can
-    /// produce — still poisons the stream.
-    pub fn with_frame_cap(stream: S, cap: usize) -> Self {
+    /// There is no smaller receive-side cap that skips a frame: the
+    /// sender has already counted it as sent, so the socket runtime's
+    /// quiescence check (`party.sent == received_here`) would never pass
+    /// and the run would stall. The guard plane's
+    /// [`crate::GuardConfig::max_frame_bytes`] drops an over-cap frame
+    /// after reassembly, before decode, where it is counted as received.
+    pub fn new(stream: S) -> Self {
         StreamTransport {
             stream,
             pending: Vec::new(),
             cursor: 0,
             eof: false,
             chunk: Box::new([0u8; 16 * 1024]),
-            max_frame: cap.min(MAX_FRAME_BYTES),
-            oversized: 0,
-            skip: 0,
             outbox: Vec::new(),
             out_cursor: 0,
         }
@@ -395,12 +375,6 @@ impl<S: Read + Write> StreamTransport<S> {
             }
         }
         Ok(())
-    }
-
-    /// Frames skipped by the configurable cap (see
-    /// [`StreamTransport::with_frame_cap`]).
-    pub fn oversized_frames(&self) -> u64 {
-        self.oversized
     }
 
     /// Consumes the transport, returning the underlying stream.
@@ -481,62 +455,34 @@ impl<S: Read + Write> Transport for StreamTransport<S> {
 
     fn try_recv(&mut self) -> Result<Option<Bytes>, FlError> {
         self.fill()?;
-        loop {
-            // Finish discarding an over-cap frame's payload before
-            // looking for the next length prefix — the discard happens
-            // as the bytes stream in, so the oversized payload is never
-            // held in memory whole.
-            if self.skip > 0 {
-                let n = self.skip.min(self.pending.len() - self.cursor);
-                self.cursor += n;
-                self.skip -= n;
-                self.compact();
-                if self.skip > 0 {
-                    return if self.eof {
-                        Err(FlError::Transport("stream closed mid-frame by the peer".into()))
-                    } else {
-                        Ok(None) // rest of the skipped frame still in flight
-                    };
-                }
-            }
-            let buffered = &self.pending[self.cursor..];
-            if buffered.len() < 4 {
-                // A dead peer must not look like a quiet wire: a stream
-                // that ended mid-frame is an error, a cleanly drained one
-                // is distinguishable from idle via `is_eof`.
-                return if self.eof && !buffered.is_empty() {
-                    Err(FlError::Transport("stream closed mid-frame by the peer".into()))
-                } else {
-                    Ok(None)
-                };
-            }
-            let len = u32::from_le_bytes(buffered[..4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_FRAME_BYTES {
-                return Err(FlError::Transport(format!(
-                    "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
-                )));
-            }
-            if len > self.max_frame {
-                // Over the configurable cap but within the hard ceiling:
-                // count it once and skip it, keeping the stream alive
-                // and resynchronized for every other job on the link.
-                self.oversized += 1;
-                self.cursor += 4;
-                self.skip = len;
-                continue;
-            }
-            if buffered.len() < 4 + len {
-                return if self.eof {
-                    Err(FlError::Transport("stream closed mid-frame by the peer".into()))
-                } else {
-                    Ok(None) // frame still in flight
-                };
-            }
-            let frame = Bytes::from(buffered[4..4 + len].to_vec());
-            self.cursor += 4 + len;
-            self.compact();
-            return Ok(Some(frame));
+        let buffered = &self.pending[self.cursor..];
+        if buffered.len() < 4 {
+            // A dead peer must not look like a quiet wire: a stream
+            // that ended mid-frame is an error, a cleanly drained one
+            // is distinguishable from idle via `is_eof`.
+            return if self.eof && !buffered.is_empty() {
+                Err(FlError::Transport("stream closed mid-frame by the peer".into()))
+            } else {
+                Ok(None)
+            };
         }
+        let len = u32::from_le_bytes(buffered[..4].try_into().expect("4 bytes")) as usize;
+        if len > MAX_FRAME_BYTES {
+            return Err(FlError::Transport(format!(
+                "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
+            )));
+        }
+        if buffered.len() < 4 + len {
+            return if self.eof {
+                Err(FlError::Transport("stream closed mid-frame by the peer".into()))
+            } else {
+                Ok(None) // frame still in flight
+            };
+        }
+        let frame = Bytes::from(buffered[4..4 + len].to_vec());
+        self.cursor += 4 + len;
+        self.compact();
+        Ok(Some(frame))
     }
 }
 
@@ -773,62 +719,50 @@ mod tests {
     }
 
     #[test]
-    fn stream_transport_rejects_hostile_length_prefix() {
+    fn configurable_cap_keeps_the_hard_ceiling_fatal() {
+        // The configurable cap is the guard plane's, applied after
+        // reassembly: the stream delivers an over-cap frame whole and stays
+        // in sync, and only a prefix past the hard ceiling is fatal.
+        let guard = crate::GuardPlane::new(crate::GuardConfig {
+            max_frame_bytes: 256,
+            ..Default::default()
+        })
+        .unwrap();
         let (mut raw, b) = duplex();
         let mut rx = StreamTransport::new(b);
-        raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        assert!(matches!(rx.try_recv(), Err(FlError::Transport(_))));
-    }
-
-    #[test]
-    fn configurable_cap_skips_the_frame_and_resynchronizes() {
-        // An over-cap (but under-ceiling) frame must bump exactly one
-        // counter and leave the stream resynchronized: the frames before
-        // and after it deliver untouched.
-        let (mut raw, b) = duplex();
-        let mut rx = StreamTransport::with_frame_cap(b, 256);
-        let write_frame = |raw: &mut PipeEnd, payload: &[u8]| {
+        let big = vec![0xAB; 10_000];
+        let after = frame(2, &msg(2));
+        for payload in [big.as_slice(), after.as_slice()] {
             raw.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
             raw.write_all(payload).unwrap();
-        };
-        let before = frame(1, &msg(1));
-        let after = frame(2, &msg(2));
-        write_frame(&mut raw, before.as_slice());
-        write_frame(&mut raw, &vec![0xAB; 10_000]); // over the 256-byte cap
-        write_frame(&mut raw, after.as_slice());
-        assert_eq!(deframe(rx.try_recv().unwrap().unwrap()).unwrap(), (1, msg(1)));
-        assert_eq!(deframe(rx.try_recv().unwrap().unwrap()).unwrap(), (2, msg(2)));
-        assert!(rx.try_recv().unwrap().is_none());
-        assert_eq!(rx.oversized_frames(), 1, "exactly one counter bump");
-    }
-
-    #[test]
-    fn configurable_cap_discards_a_trickled_oversized_frame() {
-        // The oversized payload arriving in pieces is discarded as it
-        // streams in; the next frame still delivers.
-        let (mut raw, b) = duplex();
-        let mut rx = StreamTransport::with_frame_cap(b, 64);
-        raw.write_all(&1000u32.to_le_bytes()).unwrap();
-        for _ in 0..10 {
-            raw.write_all(&[0xCD; 100]).unwrap();
-            assert!(rx.try_recv().unwrap().is_none());
         }
-        let payload = frame(3, &msg(3));
-        raw.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
-        raw.write_all(payload.as_slice()).unwrap();
-        assert_eq!(deframe(rx.try_recv().unwrap().unwrap()).unwrap(), (3, msg(3)));
-        assert_eq!(rx.oversized_frames(), 1);
-    }
-
-    #[test]
-    fn configurable_cap_keeps_the_hard_ceiling_fatal() {
-        let (mut raw, b) = duplex();
-        let mut rx = StreamTransport::with_frame_cap(b, 256);
+        let got = rx.try_recv().unwrap().unwrap();
+        assert_eq!(got.as_ref(), big.as_slice());
+        assert!(!guard.frame_len_ok(got.len()), "the guard, not the stream, refuses it");
+        assert_eq!(deframe(rx.try_recv().unwrap().unwrap()).unwrap(), (2, msg(2)));
         raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
         assert!(
             matches!(rx.try_recv(), Err(FlError::Transport(_))),
             "a length no conformant sender can produce still poisons the stream"
         );
+    }
+
+    #[test]
+    fn stream_transport_rejects_hostile_length_prefix() {
+        // A prefix at the hard ceiling is a frame still in flight; one
+        // byte past it poisons the stream.
+        for (len, fatal) in
+            [(MAX_FRAME_BYTES as u32, false), (MAX_FRAME_BYTES as u32 + 1, true), (u32::MAX, true)]
+        {
+            let (mut raw, b) = duplex();
+            let mut rx = StreamTransport::new(b);
+            raw.write_all(&len.to_le_bytes()).unwrap();
+            match rx.try_recv() {
+                Err(FlError::Transport(_)) => assert!(fatal, "prefix {len} is not fatal"),
+                Ok(None) => assert!(!fatal, "prefix {len} must poison the stream"),
+                other => panic!("prefix {len}: {other:?}"),
+            }
+        }
     }
 
     #[test]

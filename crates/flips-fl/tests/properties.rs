@@ -5,7 +5,7 @@ use flips_fl::codec::ModelCodec;
 use flips_fl::message::WireMessage;
 use flips_fl::party::LocalUpdate;
 use flips_fl::server::weighted_average;
-use flips_fl::straggler::{StragglerBias, StragglerInjector};
+use flips_fl::straggler::StragglerInjector;
 use flips_fl::LatencyModel;
 use proptest::prelude::*;
 
@@ -161,9 +161,8 @@ proptest! {
         seed in 0u64..500,
     ) {
         let selected: Vec<usize> = (0..cohort).collect();
-        let latency = LatencyModel::uniform(cohort);
-        let mut inj = StragglerInjector::new(rate, StragglerBias::Uniform, seed);
-        let victims = inj.strike(&selected, &latency);
+        let mut inj = StragglerInjector::new(rate, seed);
+        let victims = inj.strike(&selected);
         let expected = (rate * cohort as f64).round() as usize;
         prop_assert_eq!(victims.len(), expected.min(cohort));
         // Sorted, distinct, in-range indices.

@@ -245,11 +245,6 @@ macro_rules! adaptive_optimizer {
             pub fn new(lr: f32) -> Self {
                 $name { state: AdaptiveState::new($rule, lr, 0.9, 0.99, 1e-3) }
             }
-
-            /// Full-control constructor.
-            pub fn with_config(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
-                $name { state: AdaptiveState::new($rule, lr, beta1, beta2, eps) }
-            }
         }
 
         impl Optimizer for $name {

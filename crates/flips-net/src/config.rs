@@ -25,6 +25,7 @@
 //! admission_factor = 16
 //!
 //! [[job]]
+//! dataset = "mit-bih-ecg"  # or "ham10000", "femnist", "fashion-mnist"
 //! seed = 11
 //! parties = 12
 //! rounds = 4
@@ -251,7 +252,9 @@ impl<'a> Fields<'a> {
 /// wire to rebuild bit-identical protocol state machines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// The dataset profile: `"femnist"` or `"fashion-mnist"`.
+    /// The dataset profile, by [`DatasetProfile::by_name`]: one of the
+    /// paper's four, `"mit-bih-ecg"`, `"ham10000"`, `"femnist"` or
+    /// `"fashion-mnist"`.
     pub dataset: String,
     /// Seed of every stream in the job (also determines the job id).
     pub seed: u64,
@@ -300,13 +303,8 @@ impl JobSpec {
     ///
     /// [`FlError::InvalidConfig`] for an unknown dataset name.
     pub fn builder(&self) -> Result<SimulationBuilder, FlError> {
-        let profile = match self.dataset.as_str() {
-            "femnist" => DatasetProfile::femnist(),
-            "fashion-mnist" => DatasetProfile::fashion_mnist(),
-            other => {
-                return Err(FlError::InvalidConfig(format!("unknown dataset {other:?}")));
-            }
-        };
+        let profile = DatasetProfile::by_name(&self.dataset)
+            .ok_or_else(|| FlError::InvalidConfig(format!("unknown dataset {:?}", self.dataset)))?;
         Ok(SimulationBuilder::new(profile)
             .parties(self.parties)
             .rounds(self.rounds)
@@ -705,6 +703,12 @@ clustering_restarts = 3
             let toml = full_with("codec = \"raw\"", &format!("codec = \"{name}\""));
             assert_eq!(NetConfig::parse(&toml).unwrap().jobs[0].codec, codec, "{name}");
         }
+        for name in ["mit-bih-ecg", "ham10000", "femnist", "fashion-mnist"] {
+            let toml = full_with("seed = 11", &format!("dataset = \"{name}\"\nseed = 11"));
+            assert_eq!(NetConfig::parse(&toml).unwrap().jobs[0].dataset, name);
+        }
+        let toml = full_with("seed = 11", "dataset = \"mnist\"\nseed = 11");
+        assert!(matches!(NetConfig::parse(&toml), Err(FlError::InvalidConfig(_))));
     }
 
     #[test]
