@@ -15,25 +15,34 @@
 //! §3.1 describes), so the sharp slope change is located by the **maximum
 //! second difference** of the curve; degenerate flat curves fall back to
 //! the DBI minimum.
+//!
+//! The scan's K-Means runs are independent, so they fan out over the
+//! machine's cores (`flips_ml::parallel`). Inside a real enclave the
+//! number of threads it may run (SGX's TCS count) bounds that fan-out.
 
 use crate::dbi::davies_bouldin_index_flat;
 use crate::kmeans::{kmeans_flat, FlatPoints, KMeansConfig};
 use crate::ClusteringError;
+use flips_ml::parallel;
 use flips_ml::rng::{derive_seed, seeded};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the elbow scan.
+/// Smallest candidate `k`: one cluster has no Davies-Bouldin index.
+const K_MIN: usize = 2;
+/// Minimum second difference that counts as a "sharp" slope change;
+/// flatter curves fall back to the DBI minimum.
+const FLAT_TOLERANCE: f64 = 0.02;
+/// Fewest point-runs (points × K-Means runs) a scan must cost before its
+/// runs fan out: below it a thread's spawn costs more than it saves.
+const PARALLEL_POINT_RUNS: usize = 1 << 12;
+
+/// Configuration of the elbow scan over `k = 2..=k_max`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ElbowConfig {
-    /// Smallest candidate `k` (inclusive); must be ≥ 2.
-    pub k_min: usize,
-    /// Largest candidate `k` (inclusive).
+    /// Largest candidate `k` (inclusive); must be ≥ 2.
     pub k_max: usize,
     /// K-Means restarts averaged per candidate (paper uses `T = 20`).
     pub restarts: usize,
-    /// Minimum second difference that counts as a "sharp" slope change;
-    /// flatter curves fall back to the DBI minimum.
-    pub flat_tolerance: f64,
     /// Seed for the restart RNG streams.
     pub seed: u64,
 }
@@ -41,7 +50,7 @@ pub struct ElbowConfig {
 impl ElbowConfig {
     /// The paper's configuration: scan `2..=k_max`, 20 restarts.
     pub fn new(k_max: usize, seed: u64) -> Self {
-        ElbowConfig { k_min: 2, k_max, restarts: 20, flat_tolerance: 0.02, seed }
+        ElbowConfig { k_max, restarts: 20, seed }
     }
 }
 
@@ -59,16 +68,13 @@ pub struct ElbowResult {
 ///
 /// # Errors
 ///
-/// Propagates K-Means errors; rejects `k_min < 2`, `k_min > k_max`, or a
-/// scan exceeding the point count.
+/// Propagates K-Means errors; rejects `k_max < 2`, zero restarts, or a
+/// scan reaching the point count.
 pub fn optimal_k(points: &[Vec<f32>], config: ElbowConfig) -> Result<ElbowResult, ClusteringError> {
-    if config.k_min < 2 {
-        return Err(ClusteringError::InvalidParameter("k_min must be >= 2".into()));
-    }
-    if config.k_min > config.k_max {
+    if config.k_max < K_MIN {
         return Err(ClusteringError::InvalidParameter(format!(
-            "k_min {} > k_max {}",
-            config.k_min, config.k_max
+            "k_max {} must be >= {K_MIN}",
+            config.k_max
         )));
     }
     if config.k_max >= points.len() {
@@ -84,18 +90,37 @@ pub fn optimal_k(points: &[Vec<f32>], config: ElbowConfig) -> Result<ElbowResult
 
     // Flatten once; every restart of every candidate k reuses the buffer.
     let flat = FlatPoints::new(points)?;
-    let mut curve = Vec::with_capacity(config.k_max - config.k_min + 1);
-    for k in config.k_min..=config.k_max {
-        let mut total = 0.0f64;
-        for t in 0..config.restarts {
-            let mut rng = seeded(derive_seed(config.seed, (k * 1000 + t) as u64));
-            let clustering = kmeans_flat(&mut rng, &flat, KMeansConfig::new(k))?;
-            total += davies_bouldin_index_flat(&flat, &clustering)?;
-        }
-        curve.push((k, total / config.restarts as f64));
-    }
+    let runs = (config.k_max - K_MIN + 1) * config.restarts;
+    let workers =
+        if flat.len() * runs >= PARALLEL_POINT_RUNS { parallel::threads(runs) } else { 1 };
+    scan(&flat, config, workers)
+}
 
-    Ok(ElbowResult { k: pick_elbow(&curve, config.flat_tolerance), curve })
+/// The scan on `workers` threads. Run `(k, t)` draws from its own
+/// `derive_seed(seed, k·1000 + t)` stream and each `k`'s scores are summed
+/// in `t` order, so the curve's bits do not depend on `workers`.
+fn scan(
+    flat: &FlatPoints,
+    config: ElbowConfig,
+    workers: usize,
+) -> Result<ElbowResult, ClusteringError> {
+    let restarts = config.restarts;
+    let runs = (config.k_max - K_MIN + 1) * restarts;
+    let scores = parallel::map(runs, workers, |run| -> Result<f64, ClusteringError> {
+        let (k, t) = (K_MIN + run / restarts, run % restarts);
+        let mut rng = seeded(derive_seed(config.seed, (k * 1000 + t) as u64));
+        let clustering = kmeans_flat(&mut rng, flat, KMeansConfig::new(k))?;
+        davies_bouldin_index_flat(flat, &clustering)
+    });
+    let mut curve = Vec::with_capacity(config.k_max - K_MIN + 1);
+    for (k, restart_scores) in (K_MIN..).zip(scores.chunks(restarts)) {
+        let mut total = 0.0f64;
+        for score in restart_scores {
+            total += score.clone()?;
+        }
+        curve.push((k, total / restarts as f64));
+    }
+    Ok(ElbowResult { k: pick_elbow(&curve), curve })
 }
 
 /// Locates the sharpest slope change of a DBI curve (the elbow).
@@ -103,9 +128,9 @@ pub fn optimal_k(points: &[Vec<f32>], config: ElbowConfig) -> Result<ElbowResult
 /// The elbow is the interior `k` maximizing the second difference
 /// `(dbi(k+1) − dbi(k)) − (dbi(k) − dbi(k−1))` — large exactly where a
 /// steep descent turns into a plateau or a rise. If no second difference
-/// exceeds `flat_tolerance` (a flat, elbow-less curve), the first DBI
+/// exceeds [`FLAT_TOLERANCE`] (a flat, elbow-less curve), the first DBI
 /// minimum is returned instead.
-fn pick_elbow(curve: &[(usize, f64)], flat_tolerance: f64) -> usize {
+fn pick_elbow(curve: &[(usize, f64)]) -> usize {
     let argmin = curve
         .iter()
         .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
@@ -127,7 +152,7 @@ fn pick_elbow(curve: &[(usize, f64)], flat_tolerance: f64) -> usize {
         }
     }
     match best {
-        Some((k, v)) if v > flat_tolerance => k,
+        Some((k, v)) if v > FLAT_TOLERANCE => k,
         _ => argmin,
     }
 }
@@ -135,8 +160,36 @@ fn pick_elbow(curve: &[(usize, f64)], flat_tolerance: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdata::{converge_points, fnv1a, FNV_OFFSET};
     use flips_ml::rng::seeded;
     use rand::Rng;
+
+    /// FNV-1a over a curve's `(k, DBI bits)` pairs.
+    fn curve_digest(curve: &[(usize, f64)]) -> u64 {
+        curve.iter().fold(FNV_OFFSET, |h, &(k, dbi)| {
+            fnv1a(fnv1a(h, &(k as u64).to_le_bytes()), &dbi.to_bits().to_le_bytes())
+        })
+    }
+
+    #[test]
+    fn converge_curve_holds_its_golden() {
+        // Captured from the sequential scan over the `X·Cᵀ` GEMM kernel,
+        // portable and native builds alike.
+        let result = optimal_k(&converge_points(), ElbowConfig::new(30, 7)).unwrap();
+        assert_eq!((result.k, curve_digest(&result.curve)), (28, 0x1dd2_ddb3_10d1_5b66));
+    }
+
+    #[test]
+    fn the_scan_is_bit_identical_on_one_two_and_three_workers() {
+        let flat = FlatPoints::new(&converge_points()).unwrap();
+        let cfg = ElbowConfig { restarts: 6, ..ElbowConfig::new(30, 7) };
+        let one = scan(&flat, cfg, 1).unwrap();
+        for workers in [2, 3] {
+            let many = scan(&flat, cfg, workers).unwrap();
+            assert_eq!(many.k, one.k, "{workers} workers");
+            assert_eq!(curve_digest(&many.curve), curve_digest(&one.curve), "{workers} workers");
+        }
+    }
 
     /// Label-distribution-like data: `archetypes` one-hot distributions
     /// over `labels` labels, with small Dirichlet-ish jitter.
@@ -173,7 +226,7 @@ mod tests {
     #[test]
     fn curve_covers_requested_range() {
         let points = archetype_points(4, 8, 10);
-        let cfg = ElbowConfig { k_min: 2, k_max: 9, restarts: 5, flat_tolerance: 0.1, seed: 1 };
+        let cfg = ElbowConfig { k_max: 9, restarts: 5, seed: 1 };
         let result = optimal_k(&points, cfg).unwrap();
         let ks: Vec<usize> = result.curve.iter().map(|&(k, _)| k).collect();
         assert_eq!(ks, (2..=9).collect::<Vec<_>>());
@@ -183,7 +236,7 @@ mod tests {
     #[test]
     fn dbi_at_archetype_count_is_near_minimum() {
         let points = archetype_points(5, 10, 12);
-        let cfg = ElbowConfig { k_min: 2, k_max: 12, restarts: 8, flat_tolerance: 0.1, seed: 3 };
+        let cfg = ElbowConfig { k_max: 12, restarts: 8, seed: 3 };
         let result = optimal_k(&points, cfg).unwrap();
         let dbi_at = |k: usize| {
             result.curve.iter().find(|&&(kk, _)| kk == k).map(|&(_, d)| d).expect("k in curve")
@@ -195,7 +248,7 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let points = archetype_points(3, 6, 10);
-        let cfg = ElbowConfig { k_min: 2, k_max: 8, restarts: 4, flat_tolerance: 0.1, seed: 5 };
+        let cfg = ElbowConfig { k_max: 8, restarts: 4, seed: 5 };
         assert_eq!(optimal_k(&points, cfg).unwrap(), optimal_k(&points, cfg).unwrap());
     }
 
@@ -203,8 +256,7 @@ mod tests {
     fn rejects_bad_configs() {
         let points = archetype_points(3, 6, 4);
         let base = ElbowConfig::new(5, 0);
-        assert!(optimal_k(&points, ElbowConfig { k_min: 1, ..base }).is_err());
-        assert!(optimal_k(&points, ElbowConfig { k_min: 6, k_max: 5, ..base }).is_err());
+        assert!(optimal_k(&points, ElbowConfig { k_max: 1, ..base }).is_err());
         assert!(optimal_k(&points, ElbowConfig { k_max: 500, ..base }).is_err());
         assert!(optimal_k(&points, ElbowConfig { restarts: 0, ..base }).is_err());
     }
@@ -212,7 +264,7 @@ mod tests {
     #[test]
     fn pick_elbow_flat_curve_returns_first_k() {
         let curve = vec![(2, 1.0), (3, 1.0), (4, 1.0)];
-        assert_eq!(pick_elbow(&curve, 0.1), 2);
+        assert_eq!(pick_elbow(&curve), 2);
     }
 
     #[test]
@@ -220,6 +272,6 @@ mod tests {
         // Steep drop until k = 5, then flat ⇒ elbow at 5.
         let curve =
             vec![(2, 1.00), (3, 0.70), (4, 0.45), (5, 0.20), (6, 0.19), (7, 0.185), (8, 0.18)];
-        assert_eq!(pick_elbow(&curve, 0.1), 5);
+        assert_eq!(pick_elbow(&curve), 5);
     }
 }

@@ -5,42 +5,59 @@
 //! millions of parties. This implementation adds empty-cluster repair
 //! (re-seeding an empty centroid at the point farthest from its assigned
 //! centroid), which matters on the near-discrete label-distribution inputs
-//! FLIPS feeds it.
+//! FLIPS feeds it. A run stops after 100 Lloyd iterations, or sooner once
+//! its centroids move at most 1e-6 in total.
 //!
 //! # Hot-path layout
 //!
 //! Points live in a flat row-major buffer ([`FlatPoints`]) with cached
-//! squared norms. The Lloyd assignment step uses the expansion
-//! `‖x − c‖² = ‖x‖² + ‖c‖² − 2·x·c`, so the `n×k` distance table is one
-//! GEMM (`X·Cᵀ`) against `flips-ml`'s blocked kernels plus an argmin
-//! sweep — no `Vec<Vec<f32>>` pointer chasing and no per-pair `sqrt`.
-//! The final assignment/inertia pass recomputes exact distances for the
-//! winning centroids, keeping reported inertia free of expansion
-//! cancellation error. The seed implementation is retained in
-//! [`reference`] (behind `cfg(test)` / the `reference-impl` feature) as
-//! the equivalence baseline.
+//! squared norms and a column-major copy. One lane kernel computes every
+//! point–centroid distance of a run, eight at a time in fixed-width loops
+//! the compiler vectorizes:
+//!
+//! - **Assignment** (each Lloyd step), centroids in the lanes:
+//!   `‖x‖² + ‖c‖² − 2·x·c`, each dot accumulated over the coordinates in
+//!   ascending order through `f32::mul_add` from `0.0` — the blocked
+//!   GEMM's order, so every score has the bits of the `X·Cᵀ` table this
+//!   kernel replaced — and a strict-`<` running minimum per lane. The
+//!   lanes reduce by (score, index), which is the scalar sweep's first
+//!   minimum. No `n×k` table is formed and the Lloyd loop allocates
+//!   nothing.
+//! - **The final pass**, same shape over exact distances `√Σ(x − c)²`, so
+//!   cancellation error from the expansion never reaches reported
+//!   assignments or inertia.
+//! - **k-means++ seeding**, points in the lanes through the column-major
+//!   copy; each weight is the `f32` distance squared in `f64`, the seed
+//!   implementation's rounding.
+//!
+//! The scalar loops the kernel replaced are its oracle in this module's
+//! tests; the seed implementation is retained in [`reference`] (behind
+//! `cfg(test)` / the `reference-impl` feature) as the equivalence
+//! baseline.
 
 use crate::{validate_points, ClusteringError};
 use flips_ml::matrix::euclidean_distance;
-use flips_ml::matrix::gemm::{gemm, Layout};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+/// Lloyd iterations before a run stops unconverged.
+const MAX_ITERS: usize = 100;
+/// A run has converged once its centroids move at most this far in total.
+const TOLERANCE: f32 = 1e-6;
+/// Distances the lane kernel computes per step.
+const LANES: usize = 8;
 
 /// Configuration for one K-Means run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KMeansConfig {
     /// Number of clusters.
     pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iters: usize,
-    /// Convergence tolerance on total centroid movement.
-    pub tolerance: f32,
 }
 
 impl KMeansConfig {
-    /// Sensible defaults: 100 iterations, 1e-6 tolerance.
+    /// A run of `k` clusters.
     pub fn new(k: usize) -> Self {
-        KMeansConfig { k, max_iters: 100, tolerance: 1e-6 }
+        KMeansConfig { k }
     }
 }
 
@@ -84,7 +101,7 @@ impl Clustering {
 }
 
 /// A point set flattened into one row-major buffer with cached squared
-/// norms — the clustering hot-path representation.
+/// norms and a column-major copy — the clustering hot-path representation.
 ///
 /// Build once, cluster many times (the elbow scan runs `restarts ×
 /// k_max` K-Means passes over the same points).
@@ -94,14 +111,18 @@ pub struct FlatPoints {
     n: usize,
     dim: usize,
     norms_sq: Vec<f32>,
+    /// `columns[d·blocks + b]` holds coordinate `d` of points
+    /// `b·8 .. b·8 + 8`, the last block zero-padded: the seeding kernel's
+    /// points-in-lanes layout.
+    columns: Vec<[f32; LANES]>,
 }
 
 impl FlatPoints {
-    /// Flattens a point set, validating shape.
+    /// Flattens a point set, validating it.
     ///
     /// # Errors
     ///
-    /// Rejects empty or ragged input.
+    /// Rejects empty or ragged input and non-finite coordinates.
     pub fn new(points: &[Vec<f32>]) -> Result<Self, ClusteringError> {
         let dim = validate_points(points)?;
         let n = points.len();
@@ -110,7 +131,14 @@ impl FlatPoints {
             data.extend_from_slice(p);
         }
         let norms_sq = data.chunks_exact(dim).map(|row| row.iter().map(|x| x * x).sum()).collect();
-        Ok(FlatPoints { data, n, dim, norms_sq })
+        let blocks = n.div_ceil(LANES);
+        let mut columns = vec![[0.0; LANES]; dim * blocks];
+        for (i, p) in points.iter().enumerate() {
+            for (column, &v) in columns.chunks_exact_mut(blocks).zip(p) {
+                column[i / LANES][i % LANES] = v;
+            }
+        }
+        Ok(FlatPoints { data, n, dim, norms_sq, columns })
     }
 
     /// Number of points.
@@ -142,13 +170,35 @@ impl FlatPoints {
     pub fn norm_sq(&self, i: usize) -> f32 {
         self.norms_sq[i]
     }
+
+    /// Lowers each `d2[i]` to point `i`'s k-means++ weight against the
+    /// centroid `c` — the `f32` Euclidean distance, squared in `f64` —
+    /// eight points at a time.
+    fn lower_sq_distances(&self, c: &[f32], d2: &mut [f64]) {
+        let blocks = self.n.div_ceil(LANES);
+        for (b, slots) in d2.chunks_mut(LANES).enumerate() {
+            let mut sum = [0.0f32; LANES];
+            for (column, &cd) in self.columns.chunks_exact(blocks).zip(c) {
+                let xs = &column[b];
+                for l in 0..LANES {
+                    let t = xs[l] - cd;
+                    sum[l] += t * t;
+                }
+            }
+            for (slot, s) in slots.iter_mut().zip(sum) {
+                let d = f64::from(s.sqrt());
+                *slot = slot.min(d * d);
+            }
+        }
+    }
 }
 
 /// Runs k-means++ seeding followed by Lloyd iterations.
 ///
 /// # Errors
 ///
-/// Returns an error for empty/ragged input or `k` outside `1..=n`.
+/// Returns an error for empty, ragged or non-finite input, or `k` outside
+/// `1..=n`.
 pub fn kmeans<R: Rng + ?Sized>(
     rng: &mut R,
     points: &[Vec<f32>],
@@ -181,32 +231,17 @@ pub fn kmeans_flat<R: Rng + ?Sized>(
     let mut iterations = 0;
 
     // Reused per-iteration buffers: the Lloyd loop allocates nothing.
-    let mut cnorms_sq = vec![0.0f32; k];
-    let mut dots = vec![0.0f32; n * k];
+    let mut lanes = LaneCentroids::new(k, dim);
     let mut sums = vec![0.0f64; k * dim];
     let mut counts = vec![0usize; k];
 
-    for iter in 0..config.max_iters.max(1) {
+    for iter in 0..MAX_ITERS {
         iterations = iter + 1;
 
-        // Assignment step: one GEMM (X·Cᵀ) plus an argmin sweep over
-        // ‖x‖² + ‖c‖² − 2·x·c.
-        for (c, slot) in cnorms_sq.iter_mut().enumerate() {
-            let row = &centroids[c * dim..(c + 1) * dim];
-            *slot = row.iter().map(|x| x * x).sum();
-        }
-        gemm(Layout::Nt, n, dim, k, points.as_slice(), dim, &centroids, dim, &mut dots);
+        // Assignment step: the first minimum of ‖x‖² + ‖c‖² − 2·x·c.
+        lanes.load(&centroids);
         for (i, slot) in assignments.iter_mut().enumerate() {
-            let xn = points.norm_sq(i);
-            let row = &dots[i * k..(i + 1) * k];
-            let mut best = (0usize, f32::INFINITY);
-            for (c, (&dot, &cn)) in row.iter().zip(&cnorms_sq).enumerate() {
-                let d2 = xn + cn - 2.0 * dot;
-                if d2 < best.1 {
-                    best = (c, d2);
-                }
-            }
-            *slot = best.0;
+            *slot = lanes.nearest_expanded(points.point(i), points.norm_sq(i));
         }
 
         // Update step (f64 accumulation, as the seed implementation).
@@ -253,7 +288,7 @@ pub fn kmeans_flat<R: Rng + ?Sized>(
             }
             movement += delta_sq.sqrt();
         }
-        if movement <= config.tolerance {
+        if movement <= TOLERANCE {
             break;
         }
     }
@@ -261,9 +296,10 @@ pub fn kmeans_flat<R: Rng + ?Sized>(
     // Final assignment against the converged centroids, plus inertia —
     // exact distances so cancellation error from the expansion never
     // reaches reported results.
+    lanes.load(&centroids);
     let mut inertia = 0.0f64;
     for (i, slot) in assignments.iter_mut().enumerate() {
-        let (c, d) = nearest_flat(points.point(i), &centroids, dim);
+        let (c, d) = lanes.nearest_exact(points.point(i));
         *slot = c;
         inertia += (d as f64) * (d as f64);
     }
@@ -281,12 +317,8 @@ fn plus_plus_seed<R: Rng + ?Sized>(rng: &mut R, points: &FlatPoints, k: usize) -
     let dim = points.dim();
     let mut centroids: Vec<f32> = Vec::with_capacity(k * dim);
     centroids.extend_from_slice(points.point(rng.random_range(0..n)));
-    let mut d2: Vec<f64> = (0..n)
-        .map(|i| {
-            let d = euclidean_distance(points.point(i), &centroids[..dim]) as f64;
-            d * d
-        })
-        .collect();
+    let mut d2 = vec![f64::INFINITY; n];
+    points.lower_sq_distances(&centroids, &mut d2);
     while centroids.len() < k * dim {
         let total: f64 = d2.iter().sum();
         let next = if total <= 0.0 {
@@ -305,32 +337,103 @@ fn plus_plus_seed<R: Rng + ?Sized>(rng: &mut R, points: &FlatPoints, k: usize) -
             chosen
         };
         centroids.extend_from_slice(points.point(next));
-        let newest = &centroids[centroids.len() - dim..];
-        for (i, slot) in d2.iter_mut().enumerate() {
-            let d = euclidean_distance(points.point(i), newest) as f64;
-            *slot = slot.min(d * d);
-        }
+        points.lower_sq_distances(&centroids[centroids.len() - dim..], &mut d2);
     }
     centroids
 }
 
-/// Index and exact distance of the nearest centroid (flat layout).
-fn nearest_flat(point: &[f32], centroids: &[f32], dim: usize) -> (usize, f32) {
-    let mut best = (0usize, f32::INFINITY);
-    for (c, centroid) in centroids.chunks_exact(dim).enumerate() {
-        let d = euclidean_distance(point, centroid);
-        if d < best.1 {
-            best = (c, d);
+/// Centroids laid out for the lane kernel: `coords[b·dim + d]` holds
+/// coordinate `d` of centroids `b·8 .. b·8 + 8`. The last block's lanes
+/// past `k` hold `+∞` coordinates and norms, so both kernels score them
+/// `+∞` or NaN and they never win a strict `<`.
+struct LaneCentroids {
+    dim: usize,
+    coords: Vec<[f32; LANES]>,
+    norms_sq: Vec<[f32; LANES]>,
+}
+
+impl LaneCentroids {
+    fn new(k: usize, dim: usize) -> Self {
+        assert!(u32::try_from(k).is_ok(), "k = {k} overflows a lane index");
+        let blocks = k.div_ceil(LANES);
+        let padding = [f32::INFINITY; LANES];
+        LaneCentroids { dim, coords: vec![padding; blocks * dim], norms_sq: vec![padding; blocks] }
+    }
+
+    /// Loads `k × dim` row-major centroids and their squared norms.
+    fn load(&mut self, centroids: &[f32]) {
+        for (c, row) in centroids.chunks_exact(self.dim).enumerate() {
+            let (b, l) = (c / LANES, c % LANES);
+            for (lanes, &v) in self.coords[b * self.dim..].iter_mut().zip(row) {
+                lanes[l] = v;
+            }
+            self.norms_sq[b][l] = row.iter().map(|x| x * x).sum();
         }
     }
-    best
+
+    /// The centroid with the least `‖x‖² + ‖c‖² − 2·x·c`, the first on ties.
+    fn nearest_expanded(&self, x: &[f32], x_norm_sq: f32) -> usize {
+        self.first_min(|block, norms_sq| {
+            let mut dot = [0.0f32; LANES];
+            for (&xd, c) in x.iter().zip(block) {
+                for l in 0..LANES {
+                    dot[l] = xd.mul_add(c[l], dot[l]);
+                }
+            }
+            std::array::from_fn(|l| x_norm_sq + norms_sq[l] - 2.0 * dot[l])
+        })
+        .0
+    }
+
+    /// The nearest centroid by exact Euclidean distance, the first on
+    /// ties, and that distance.
+    fn nearest_exact(&self, x: &[f32]) -> (usize, f32) {
+        self.first_min(|block, _| {
+            let mut sum = [0.0f32; LANES];
+            for (&xd, c) in x.iter().zip(block) {
+                for l in 0..LANES {
+                    let t = xd - c[l];
+                    sum[l] += t * t;
+                }
+            }
+            sum.map(f32::sqrt)
+        })
+    }
+
+    /// The first minimum of `score` over all centroids, and its value.
+    /// `score` maps one block's coordinates and squared norms to its eight
+    /// scores; each lane keeps a branch-free strict-`<` running minimum,
+    /// and the lanes reduce by (score, index) — the scalar sweep's answer.
+    fn first_min(
+        &self,
+        score: impl Fn(&[[f32; LANES]], &[f32; LANES]) -> [f32; LANES],
+    ) -> (usize, f32) {
+        let mut best = [f32::INFINITY; LANES];
+        let mut arg = [0u32; LANES];
+        let blocks = self.coords.chunks_exact(self.dim).zip(&self.norms_sq);
+        for (base, (block, norms_sq)) in (0..).step_by(LANES).zip(blocks) {
+            let s = score(block, norms_sq);
+            for l in 0..LANES {
+                let better = s[l] < best[l];
+                best[l] = if better { s[l] } else { best[l] };
+                arg[l] = if better { base + l as u32 } else { arg[l] };
+            }
+        }
+        let mut win = (arg[0], best[0]);
+        for l in 1..LANES {
+            if best[l] < win.1 || (best[l] == win.1 && arg[l] < win.0) {
+                win = (arg[l], best[l]);
+            }
+        }
+        (win.0 as usize, win.1)
+    }
 }
 
 /// The seed's `Vec<Vec<f32>>` implementation, retained as the behavioral
 /// baseline for equivalence tests and benchmarks.
 #[cfg(any(test, feature = "reference-impl"))]
 pub mod reference {
-    use super::{Clustering, KMeansConfig};
+    use super::{Clustering, KMeansConfig, MAX_ITERS, TOLERANCE};
     use crate::{validate_points, ClusteringError};
     use flips_ml::matrix::euclidean_distance;
     use rand::Rng;
@@ -358,7 +461,7 @@ pub mod reference {
         let mut assignments = vec![0usize; n];
         let mut iterations = 0;
 
-        for iter in 0..config.max_iters.max(1) {
+        for iter in 0..MAX_ITERS {
             iterations = iter + 1;
             for (i, p) in points.iter().enumerate() {
                 assignments[i] = nearest(p, &centroids).0;
@@ -393,7 +496,7 @@ pub mod reference {
                 movement += euclidean_distance(&centroids[c], &new);
                 centroids[c] = new;
             }
-            if movement <= config.tolerance {
+            if movement <= TOLERANCE {
                 break;
             }
         }
@@ -464,7 +567,171 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdata::{converge_points, dirichlet_points, fnv1a, FNV_OFFSET};
     use flips_ml::rng::seeded;
+
+    /// FNV-1a over everything a run reports: assignments, centroid bits,
+    /// inertia bits and the iteration count.
+    fn digest(c: &Clustering) -> u64 {
+        let mut h = FNV_OFFSET;
+        for &a in &c.assignments {
+            h = fnv1a(h, &(a as u64).to_le_bytes());
+        }
+        for x in c.centroids.iter().flatten() {
+            h = fnv1a(h, &x.to_bits().to_le_bytes());
+        }
+        h = fnv1a(h, &c.inertia.to_bits().to_le_bytes());
+        fnv1a(h, &(c.iterations as u64).to_le_bytes())
+    }
+
+    #[test]
+    fn kmeans_holds_its_golden() {
+        // Captured from the `X·Cᵀ` GEMM + argmin implementation, portable
+        // and native builds alike: k ∈ {2, 16, 30} × seeds 1–3 over the
+        // ECG cell's 200 label distributions, then over 10⁴ Dirichlet(0.3)
+        // points in 10 labels.
+        const GOLDEN: [[u64; 9]; 2] = [
+            [
+                0xe65f_a93a_a585_caeb,
+                0x896f_541f_84b7_ec88,
+                0xb9cd_d5d1_a145_0a32,
+                0x62f9_d044_93ea_99a7,
+                0xc5cc_7530_5acb_81cc,
+                0xc988_83c6_bd82_7fda,
+                0x629d_db62_136d_79be,
+                0x6236_ef83_19e2_f4da,
+                0x8f01_758c_f64a_dfb2,
+            ],
+            [
+                0x4509_1d97_7925_46da,
+                0xb322_e5e6_402a_8b83,
+                0x7e26_8a20_5627_ab0d,
+                0xf6b9_4daf_7fab_d7f0,
+                0x1d83_83b5_8c56_03aa,
+                0xd6d5_ed27_9914_11c8,
+                0x47f3_2404_d333_3af3,
+                0x6f57_3d86_482f_db2d,
+                0x3b8e_29cc_ce9e_df96,
+            ],
+        ];
+        for (points, golden) in [converge_points(), dirichlet_points(10_000, 3)].iter().zip(GOLDEN)
+        {
+            let flat = FlatPoints::new(points).unwrap();
+            let mut got = Vec::new();
+            for k in [2, 16, 30] {
+                for seed in 1..=3 {
+                    let run = kmeans_flat(&mut seeded(seed), &flat, KMeansConfig::new(k)).unwrap();
+                    got.push(digest(&run));
+                }
+            }
+            assert_eq!(got, golden, "{} points", points.len());
+        }
+    }
+
+    /// The scalar loops the lane kernel replaced, kept as its oracle.
+    mod scalar {
+        use flips_ml::matrix::euclidean_distance;
+
+        /// The argmin sweep over a row of `X·Cᵀ`, each dot the blocked
+        /// GEMM's ascending `mul_add` chain from `0.0`.
+        pub fn nearest_expanded(x: &[f32], x_norm_sq: f32, centroids: &[f32], dim: usize) -> usize {
+            let mut best = (0usize, f32::INFINITY);
+            for (c, row) in centroids.chunks_exact(dim).enumerate() {
+                let dot = x.iter().zip(row).fold(0.0f32, |acc, (&a, &b)| a.mul_add(b, acc));
+                let norm_sq: f32 = row.iter().map(|v| v * v).sum();
+                let d2 = x_norm_sq + norm_sq - 2.0 * dot;
+                if d2 < best.1 {
+                    best = (c, d2);
+                }
+            }
+            best.0
+        }
+
+        /// Index and exact distance of the nearest centroid.
+        pub fn nearest_exact(x: &[f32], centroids: &[f32], dim: usize) -> (usize, f32) {
+            let mut best = (0usize, f32::INFINITY);
+            for (c, centroid) in centroids.chunks_exact(dim).enumerate() {
+                let d = euclidean_distance(x, centroid);
+                if d < best.1 {
+                    best = (c, d);
+                }
+            }
+            best
+        }
+
+        /// A k-means++ weight: the distance, squared in `f64`.
+        pub fn seed_weight(x: &[f32], c: &[f32]) -> f64 {
+            let d = euclidean_distance(x, c) as f64;
+            d * d
+        }
+    }
+
+    /// A coordinate on a quarter grid (equal distances, hence ties, are
+    /// common) or uniform in [−1, 1) (rounding is exercised).
+    fn coordinate(rng: &mut impl Rng, grid: bool) -> f32 {
+        if grid {
+            rng.random_range(0..4u32) as f32 * 0.25
+        } else {
+            rng.random::<f32>() * 2.0 - 1.0
+        }
+    }
+
+    #[test]
+    fn lane_kernel_matches_the_scalar_loops_bit_for_bit() {
+        let mut rng = seeded(11);
+        let mut ties = 0;
+        for grid in [true, false] {
+            for dim in [1, 2, 5, 10, 17] {
+                for k in [1, 2, 7, 8, 9, 16, 30, 33] {
+                    // 41 points: five whole lane blocks and a tail.
+                    let n = 41;
+                    let points: Vec<Vec<f32>> = (0..n)
+                        .map(|_| (0..dim).map(|_| coordinate(&mut rng, grid)).collect())
+                        .collect();
+                    let centroids: Vec<f32> =
+                        (0..k * dim).map(|_| coordinate(&mut rng, grid)).collect();
+                    let flat = FlatPoints::new(&points).unwrap();
+                    let mut lanes = LaneCentroids::new(k, dim);
+                    lanes.load(&centroids);
+                    let (first, last) = (&centroids[..dim], &centroids[(k - 1) * dim..]);
+                    let mut d2 = vec![f64::INFINITY; n];
+                    flat.lower_sq_distances(first, &mut d2);
+                    flat.lower_sq_distances(last, &mut d2);
+                    for (i, x) in points.iter().enumerate() {
+                        let at = format!("grid {grid}, dim {dim}, k {k}, point {i}");
+                        let norm = flat.norm_sq(i);
+                        assert_eq!(
+                            lanes.nearest_expanded(x, norm),
+                            scalar::nearest_expanded(x, norm, &centroids, dim),
+                            "{at}"
+                        );
+                        let (c, d) = lanes.nearest_exact(x);
+                        let (sc, sd) = scalar::nearest_exact(x, &centroids, dim);
+                        assert_eq!((c, d.to_bits()), (sc, sd.to_bits()), "{at}");
+                        let weight =
+                            scalar::seed_weight(x, first).min(scalar::seed_weight(x, last));
+                        assert_eq!(d2[i].to_bits(), weight.to_bits(), "{at}");
+                        let nearest = centroids.chunks_exact(dim);
+                        if nearest.filter(|c| euclidean_distance(x, c) == sd).count() > 1 {
+                            ties += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ties > 100, "the grid must produce ties, got {ties}");
+    }
+
+    #[test]
+    fn rejects_non_finite_coordinates() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let points = vec![vec![0.0, 1.0], vec![1.0, bad], vec![0.5, 0.5]];
+            assert!(matches!(FlatPoints::new(&points), Err(ClusteringError::BadInput(_))), "{bad}");
+            assert!(kmeans(&mut seeded(7), &points, KMeansConfig::new(2)).is_err(), "{bad}");
+            let elbow = crate::optimal_k(&points, crate::ElbowConfig::new(2, 7));
+            assert!(matches!(elbow, Err(ClusteringError::BadInput(_))), "{bad}");
+        }
+    }
 
     /// Three tight, well-separated blobs in 2-D.
     fn three_blobs() -> (Vec<Vec<f32>>, Vec<usize>) {

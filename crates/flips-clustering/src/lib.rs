@@ -38,6 +38,7 @@ pub mod dbi;
 pub mod elbow;
 pub mod hierarchical;
 pub mod kmeans;
+mod testdata;
 
 pub use dbi::{davies_bouldin_index, davies_bouldin_index_flat};
 pub use elbow::{optimal_k, ElbowConfig};
@@ -64,7 +65,9 @@ impl std::fmt::Display for ClusteringError {
 
 impl std::error::Error for ClusteringError {}
 
-/// Validates a point set: non-empty, equal dimensions.
+/// Validates a point set: non-empty, equal dimensions, finite
+/// coordinates (a NaN or ±∞ would otherwise drag every run to its
+/// iteration cap and every k-means++ draw to the last point).
 pub(crate) fn validate_points(points: &[Vec<f32>]) -> Result<usize, ClusteringError> {
     let first = points.first().ok_or_else(|| ClusteringError::BadInput("no points".into()))?;
     let dim = first.len();
@@ -73,6 +76,9 @@ pub(crate) fn validate_points(points: &[Vec<f32>]) -> Result<usize, ClusteringEr
     }
     if points.iter().any(|p| p.len() != dim) {
         return Err(ClusteringError::BadInput("ragged point dimensions".into()));
+    }
+    if points.iter().flatten().any(|x| !x.is_finite()) {
+        return Err(ClusteringError::BadInput("non-finite coordinate".into()));
     }
     Ok(dim)
 }

@@ -321,8 +321,10 @@ fn encode_distribution(normalized: &[f32]) -> Vec<u8> {
     buf
 }
 
-/// Reads [`encode_distribution`]'s bytes back; a payload that does not
-/// decode exactly is an integrity violation inside the enclave.
+/// Reads [`encode_distribution`]'s bytes back. A payload that does not
+/// decode exactly, or that carries a non-finite or negative entry, is an
+/// integrity violation inside the enclave: no such distribution reaches
+/// the elbow scan or K-Means.
 fn decode_distribution(bytes: &[u8]) -> Result<Vec<f32>, TeeError> {
     let read = || -> Result<Vec<f32>, FlError> {
         let mut r = Reader::new(bytes, "label distribution");
@@ -331,7 +333,10 @@ fn decode_distribution(bytes: &[u8]) -> Result<Vec<f32>, TeeError> {
         r.finish()?;
         Ok(values)
     };
-    read().map_err(|_| TeeError::IntegrityViolation)
+    match read() {
+        Ok(values) if values.iter().all(|v| v.is_finite() && *v >= 0.0) => Ok(values),
+        _ => Err(TeeError::IntegrityViolation),
+    }
 }
 
 #[cfg(test)]
@@ -475,5 +480,15 @@ mod tests {
                 "{name}"
             );
         }
+        // Well-formed bytes, hostile values: one such entry used to reach
+        // K-Means and collapse the elbow.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.25] {
+            let bytes = encode_distribution(&[0.5, bad, 0.5]);
+            assert!(
+                matches!(decode_distribution(&bytes), Err(TeeError::IntegrityViolation)),
+                "entry {bad}"
+            );
+        }
+        assert!(decode_distribution(&encode_distribution(&[0.0, -0.0, 1.0])).is_ok());
     }
 }

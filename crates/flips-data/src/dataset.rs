@@ -3,9 +3,18 @@
 use crate::dist::{categorical, largest_remainder};
 use crate::profile::DatasetProfile;
 use flips_ml::matrix::Matrix;
-use flips_ml::rng::{derive_seed, normal, seeded, shuffle};
+use flips_ml::parallel;
+use flips_ml::rng::{box_muller, derive_seed, normal, seeded, shuffle};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+/// Normals per staged block of uniforms: the staging buffer holds this
+/// many `(u1, u2)` pairs of `f64` (1 MiB), never a population's worth.
+const BLOCK_NORMALS: usize = 1 << 16;
+/// Fewest normals a dataset needs before its transforms fan out: below
+/// it a spawn costs more than it saves. The 16-party mlp256 population
+/// (51 200 normals) and the test sets run inline.
+const PARALLEL_NORMALS: usize = 1 << 17;
 
 /// A labelled dataset: features (rows = samples) and integer labels.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -123,28 +132,82 @@ impl ClassGeometry {
         Dataset::new(Matrix::from_rows(&rows), y, classes)
     }
 
-    /// Generates a dataset with *exact* per-class counts.
+    /// Generates a dataset with *exact* per-class counts, its rows
+    /// shuffled so mini-batches are not label-sorted. `rng` is consumed as
+    /// a row-at-a-time loop would: one [`Self::sample`] per row in label
+    /// order, then the shuffle.
     pub fn generate_counts<R: Rng + ?Sized>(&self, rng: &mut R, counts: &[usize]) -> Dataset {
+        let normals = counts.iter().sum::<usize>() * self.means.cols();
+        let workers = if normals >= PARALLEL_NORMALS { parallel::threads(normals) } else { 1 };
+        self.generate_counts_on(rng, counts, workers)
+    }
+
+    /// [`Self::generate_counts`] with its Box–Muller transforms on
+    /// `workers` threads. The uniforms are drawn on the caller's thread a
+    /// block at a time, so the staging stays bounded and the bits do not
+    /// depend on `workers`; rows are written straight into one buffer.
+    fn generate_counts_on<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        counts: &[usize],
+        workers: usize,
+    ) -> Dataset {
         let classes = self.means.rows();
+        let dim = self.means.cols();
         assert_eq!(counts.len(), classes, "count length mismatch");
-        let total: usize = counts.iter().sum();
-        let mut rows = Vec::with_capacity(total);
-        let mut y = Vec::with_capacity(total);
-        for (label, &c) in counts.iter().enumerate() {
-            for _ in 0..c {
-                rows.push(self.sample(rng, label));
-                y.push(label);
-            }
+        let labels: Vec<usize> = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(label, &c)| std::iter::repeat_n(label, c))
+            .collect();
+        let total = labels.len();
+        let mut x = vec![0.0f32; total * dim];
+        let block_rows = (BLOCK_NORMALS / dim.max(1)).max(1);
+        let mut uniforms: Vec<(f64, f64)> = Vec::with_capacity(block_rows * dim);
+        let blocks = x.chunks_mut((block_rows * dim).max(1)).zip(labels.chunks(block_rows));
+        for (block, block_labels) in blocks {
+            uniforms.clear();
+            // `standard_normal`'s two draws, `u1 = 1 − r` first.
+            uniforms.extend((0..block.len()).map(|_| (1.0 - rng.random::<f64>(), rng.random())));
+            parallel::for_each_chunk(block, dim, workers, |offset, rows| {
+                let first = offset / dim;
+                for (r, row) in rows.chunks_exact_mut(dim).enumerate() {
+                    let mean = self.means.row(block_labels[first + r]);
+                    let draws = &uniforms[(first + r) * dim..][..dim];
+                    for ((slot, &m), &(u1, u2)) in row.iter_mut().zip(mean).zip(draws) {
+                        // `m + normal(rng, 0.0, σ) as f32` on staged draws.
+                        *slot = m + (0.0 + self.noise_std * box_muller(u1, u2)) as f32;
+                    }
+                }
+            });
         }
-        // Shuffle so mini-batches are not label-sorted.
         let mut order: Vec<usize> = (0..total).collect();
         shuffle(rng, &mut order);
-        let rows: Vec<Vec<f32>> = order.iter().map(|&i| rows[i].clone()).collect();
-        let y: Vec<usize> = order.iter().map(|&i| y[i]).collect();
-        if rows.is_empty() {
-            return Dataset::new(Matrix::zeros(0, self.means.cols()), y, classes);
+        gather_rows_in_place(&mut x, dim, &order);
+        let y = order.iter().map(|&i| labels[i]).collect();
+        Dataset::new(Matrix::from_vec(total, dim, x), y, classes)
+    }
+}
+
+/// Rearranges the `dim`-wide rows of `x` so that row `i` becomes the old
+/// row `order[i]` (`order` a permutation), one cycle at a time through a
+/// one-row buffer: a population is never held twice.
+fn gather_rows_in_place(x: &mut [f32], dim: usize, order: &[usize]) {
+    let mut placed = vec![false; order.len()];
+    let mut held = vec![0.0f32; dim];
+    for start in 0..order.len() {
+        if placed[start] {
+            continue;
         }
-        Dataset::new(Matrix::from_rows(&rows), y, classes)
+        held.copy_from_slice(&x[start * dim..][..dim]);
+        let mut i = start;
+        while order[i] != start {
+            x.copy_within(order[i] * dim..(order[i] + 1) * dim, i * dim);
+            placed[i] = true;
+            i = order[i];
+        }
+        x[i * dim..][..dim].copy_from_slice(&held);
+        placed[i] = true;
     }
 }
 
@@ -170,6 +233,36 @@ pub fn balanced_test_set(profile: &DatasetProfile, per_class: usize, seed: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a over a dataset's feature bits, then its labels as `u64`s.
+    fn digest(ds: &Dataset) -> u64 {
+        let bits = ds.x.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes());
+        let labels = ds.y.iter().flat_map(|&l| (l as u64).to_le_bytes());
+        bits.chain(labels)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    #[test]
+    fn population_holds_its_golden() {
+        // The ECG cell's population, captured from the row-at-a-time
+        // generator, portable and native builds alike.
+        let profile = DatasetProfile::ecg().scaled(200, 400);
+        let ds = generate_population(&profile, profile.default_total_samples, 7);
+        assert_eq!(digest(&ds), 0xbdf2_8557_e938_3d2d);
+    }
+
+    #[test]
+    fn populations_are_bit_identical_on_one_two_and_three_workers() {
+        let profile = DatasetProfile::ecg();
+        let geometry = ClassGeometry::for_profile(&profile, 7);
+        // 160 000 normals: two whole staged blocks and a partial one.
+        let counts = largest_remainder(&profile.class_priors, 5_000);
+        let one = digest(&geometry.generate_counts_on(&mut seeded(3), &counts, 1));
+        for workers in [2, 3] {
+            let many = geometry.generate_counts_on(&mut seeded(3), &counts, workers);
+            assert_eq!(digest(&many), one, "{workers} workers");
+        }
+    }
 
     #[test]
     fn population_matches_priors_exactly() {

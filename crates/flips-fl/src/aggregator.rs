@@ -370,36 +370,16 @@ impl FlJob {
             return Ok(replies);
         }
 
-        let threads = std::thread::available_parallelism().map_or(4, |n| n.get()).min(8);
-        let chunk = jobs.len().div_ceil(threads);
-        let mut replies: Vec<WireMessage> = Vec::with_capacity(jobs.len());
-        let mut first_err: Option<FlError> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .chunks_mut(chunk)
-                .map(|chunk_jobs| {
-                    scope.spawn(move || {
-                        let mut out = Vec::with_capacity(chunk_jobs.len());
-                        for (ep, msg) in chunk_jobs {
-                            out.push(ep.handle(msg));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                for result in h.join().expect("training thread panicked") {
-                    match result {
-                        Ok(msgs) => replies.extend(msgs),
-                        Err(e) => first_err = first_err.take().or(Some(e)),
-                    }
-                }
-            }
+        let threads = flips_ml::parallel::threads(jobs.len());
+        let results = flips_ml::parallel::for_each_chunk(&mut jobs, 1, threads, |_, chunk| {
+            chunk.iter_mut().map(|(ep, msg)| ep.handle(msg)).collect::<Vec<_>>()
         });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(replies),
+        // Every party has trained; the first failure in roster order wins.
+        let mut replies = Vec::with_capacity(jobs.len());
+        for result in results.into_iter().flatten() {
+            replies.extend(result?);
         }
+        Ok(replies)
     }
 }
 

@@ -46,6 +46,7 @@ pub mod matrix;
 pub mod metrics;
 pub mod model;
 pub mod optimizer;
+pub mod parallel;
 pub mod rng;
 
 pub use matrix::Matrix;

@@ -386,8 +386,6 @@ pub mod gemm {
     /// Minimum FLOP count (2·m·k·n) before output rows are split across
     /// scoped threads; below this the spawn cost dominates.
     const PARALLEL_FLOPS: usize = 1 << 23;
-    /// Upper bound on worker threads.
-    const MAX_THREADS: usize = 8;
 
     /// Side of the square tiles [`transpose_into`] copies through.
     const TILE: usize = 16;
@@ -506,11 +504,8 @@ pub mod gemm {
                 }
             }
 
-            let threads = if 2 * m * k * n >= PARALLEL_FLOPS {
-                std::thread::available_parallelism().map_or(1, |t| t.get()).min(MAX_THREADS).min(m)
-            } else {
-                1
-            };
+            let threads =
+                if 2 * m * k * n >= PARALLEL_FLOPS { crate::parallel::threads(m) } else { 1 };
             let pack: &[f32] = pack;
             LHS.with(|cell| {
                 // `Aᵀ·B` is A transposed once into row-major `m×k`
@@ -531,17 +526,9 @@ pub mod gemm {
                     compute_rows_nn(0, m, k, n, a, lda, pack, out);
                 } else {
                     // Disjoint row panels per thread: identical
-                    // per-element accumulation order at any thread
-                    // count.
-                    let chunk = m.div_ceil(threads);
-                    std::thread::scope(|scope| {
-                        for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
-                            let i0 = t * chunk;
-                            let rows = out_chunk.len() / n;
-                            scope.spawn(move || {
-                                compute_rows_nn(i0, rows, k, n, a, lda, pack, out_chunk);
-                            });
-                        }
+                    // per-element accumulation order at any thread count.
+                    crate::parallel::for_each_chunk(out, n, threads, |offset, rows| {
+                        compute_rows_nn(offset / n, rows.len() / n, k, n, a, lda, pack, rows);
                     });
                 }
             });

@@ -32,6 +32,13 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by sampling u1 from the open interval (0, 1].
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random::<f64>();
+    box_muller(u1, u2)
+}
+
+/// The Box–Muller transform of `u1 ∈ (0, 1]` and `u2 ∈ [0, 1)` into one
+/// standard normal: [`standard_normal`]'s arithmetic, for callers that
+/// draw the uniforms on one thread and transform them on others.
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
