@@ -21,7 +21,7 @@
 //! number of threads it may run (SGX's TCS count) bounds that fan-out.
 
 use crate::dbi::davies_bouldin_index_flat;
-use crate::kmeans::{kmeans_flat, FlatPoints, KMeansConfig};
+use crate::kmeans::{kmeans_flat, KMeansConfig, KMeansPoints};
 use crate::ClusteringError;
 use flips_ml::parallel;
 use flips_ml::rng::{derive_seed, seeded};
@@ -89,18 +89,18 @@ pub fn optimal_k(points: &[Vec<f32>], config: ElbowConfig) -> Result<ElbowResult
     }
 
     // Flatten once; every restart of every candidate k reuses the buffer.
-    let flat = FlatPoints::new(points)?;
+    let prepared = KMeansPoints::new(points)?;
     let runs = (config.k_max - K_MIN + 1) * config.restarts;
     let workers =
-        if flat.len() * runs >= PARALLEL_POINT_RUNS { parallel::threads(runs) } else { 1 };
-    scan(&flat, config, workers)
+        if points.len() * runs >= PARALLEL_POINT_RUNS { parallel::threads(runs) } else { 1 };
+    scan(&prepared, config, workers)
 }
 
 /// The scan on `workers` threads. Run `(k, t)` draws from its own
 /// `derive_seed(seed, k·1000 + t)` stream and each `k`'s scores are summed
 /// in `t` order, so the curve's bits do not depend on `workers`.
 fn scan(
-    flat: &FlatPoints,
+    points: &KMeansPoints,
     config: ElbowConfig,
     workers: usize,
 ) -> Result<ElbowResult, ClusteringError> {
@@ -109,8 +109,8 @@ fn scan(
     let scores = parallel::map(runs, workers, |run| -> Result<f64, ClusteringError> {
         let (k, t) = (K_MIN + run / restarts, run % restarts);
         let mut rng = seeded(derive_seed(config.seed, (k * 1000 + t) as u64));
-        let clustering = kmeans_flat(&mut rng, flat, KMeansConfig::new(k))?;
-        davies_bouldin_index_flat(flat, &clustering)
+        let clustering = kmeans_flat(&mut rng, points, KMeansConfig::new(k))?;
+        davies_bouldin_index_flat(points.flat(), &clustering)
     });
     let mut curve = Vec::with_capacity(config.k_max - K_MIN + 1);
     for (k, restart_scores) in (K_MIN..).zip(scores.chunks(restarts)) {
@@ -181,11 +181,11 @@ mod tests {
 
     #[test]
     fn the_scan_is_bit_identical_on_one_two_and_three_workers() {
-        let flat = FlatPoints::new(&converge_points()).unwrap();
+        let points = KMeansPoints::new(&converge_points()).unwrap();
         let cfg = ElbowConfig { restarts: 6, ..ElbowConfig::new(30, 7) };
-        let one = scan(&flat, cfg, 1).unwrap();
+        let one = scan(&points, cfg, 1).unwrap();
         for workers in [2, 3] {
-            let many = scan(&flat, cfg, workers).unwrap();
+            let many = scan(&points, cfg, workers).unwrap();
             assert_eq!(many.k, one.k, "{workers} workers");
             assert_eq!(curve_digest(&many.curve), curve_digest(&one.curve), "{workers} workers");
         }

@@ -11,7 +11,8 @@
 //! # Hot-path layout
 //!
 //! Points live in a flat row-major buffer ([`FlatPoints`]) with cached
-//! squared norms and a column-major copy. One lane kernel computes every
+//! squared norms; [`KMeansPoints`] adds a column-major copy for seeding
+//! and admits only finite coordinates. One lane kernel computes every
 //! point–centroid distance of a run, eight at a time in fixed-width loops
 //! the compiler vectorizes:
 //!
@@ -101,28 +102,21 @@ impl Clustering {
 }
 
 /// A point set flattened into one row-major buffer with cached squared
-/// norms and a column-major copy — the clustering hot-path representation.
-///
-/// Build once, cluster many times (the elbow scan runs `restarts ×
-/// k_max` K-Means passes over the same points).
+/// norms — the clustering hot-path representation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatPoints {
     data: Vec<f32>,
     n: usize,
     dim: usize,
     norms_sq: Vec<f32>,
-    /// `columns[d·blocks + b]` holds coordinate `d` of points
-    /// `b·8 .. b·8 + 8`, the last block zero-padded: the seeding kernel's
-    /// points-in-lanes layout.
-    columns: Vec<[f32; LANES]>,
 }
 
 impl FlatPoints {
-    /// Flattens a point set, validating it.
+    /// Flattens a point set, validating its shape.
     ///
     /// # Errors
     ///
-    /// Rejects empty or ragged input and non-finite coordinates.
+    /// Rejects empty or ragged input.
     pub fn new(points: &[Vec<f32>]) -> Result<Self, ClusteringError> {
         let dim = validate_points(points)?;
         let n = points.len();
@@ -131,14 +125,7 @@ impl FlatPoints {
             data.extend_from_slice(p);
         }
         let norms_sq = data.chunks_exact(dim).map(|row| row.iter().map(|x| x * x).sum()).collect();
-        let blocks = n.div_ceil(LANES);
-        let mut columns = vec![[0.0; LANES]; dim * blocks];
-        for (i, p) in points.iter().enumerate() {
-            for (column, &v) in columns.chunks_exact_mut(blocks).zip(p) {
-                column[i / LANES][i % LANES] = v;
-            }
-        }
-        Ok(FlatPoints { data, n, dim, norms_sq, columns })
+        Ok(FlatPoints { data, n, dim, norms_sq })
     }
 
     /// Number of points.
@@ -170,12 +157,55 @@ impl FlatPoints {
     pub fn norm_sq(&self, i: usize) -> f32 {
         self.norms_sq[i]
     }
+}
+
+/// A point set ready for K-Means: [`FlatPoints`] whose coordinates are
+/// all finite, plus the column-major copy k-means++ seeding reads.
+///
+/// Build once, cluster many times (the elbow scan runs `restarts ×
+/// (k_max − 1)` K-Means passes over the same points).
+#[derive(Debug, Clone, PartialEq)]
+pub struct KMeansPoints {
+    flat: FlatPoints,
+    /// `columns[d·blocks + b]` holds coordinate `d` of points
+    /// `b·8 .. b·8 + 8`, the last block zero-padded: the seeding kernel's
+    /// points-in-lanes layout.
+    columns: Vec<[f32; LANES]>,
+}
+
+impl KMeansPoints {
+    /// Flattens a point set for K-Means, validating it.
+    ///
+    /// # Errors
+    ///
+    /// Rejects empty or ragged input and non-finite coordinates: a NaN or
+    /// ±∞ would drag every run to its iteration cap and every k-means++
+    /// draw to the last point.
+    pub fn new(points: &[Vec<f32>]) -> Result<Self, ClusteringError> {
+        let flat = FlatPoints::new(points)?;
+        if flat.data.iter().any(|x| !x.is_finite()) {
+            return Err(ClusteringError::BadInput("non-finite coordinate".into()));
+        }
+        let blocks = flat.n.div_ceil(LANES);
+        let mut columns = vec![[0.0; LANES]; flat.dim * blocks];
+        for (i, p) in flat.data.chunks_exact(flat.dim).enumerate() {
+            for (column, &v) in columns.chunks_exact_mut(blocks).zip(p) {
+                column[i / LANES][i % LANES] = v;
+            }
+        }
+        Ok(KMeansPoints { flat, columns })
+    }
+
+    /// The flattened points.
+    pub fn flat(&self) -> &FlatPoints {
+        &self.flat
+    }
 
     /// Lowers each `d2[i]` to point `i`'s k-means++ weight against the
     /// centroid `c` — the `f32` Euclidean distance, squared in `f64` —
     /// eight points at a time.
     fn lower_sq_distances(&self, c: &[f32], d2: &mut [f64]) {
-        let blocks = self.n.div_ceil(LANES);
+        let blocks = self.flat.n.div_ceil(LANES);
         for (b, slots) in d2.chunks_mut(LANES).enumerate() {
             let mut sum = [0.0f32; LANES];
             for (column, &cd) in self.columns.chunks_exact(blocks).zip(c) {
@@ -204,11 +234,11 @@ pub fn kmeans<R: Rng + ?Sized>(
     points: &[Vec<f32>],
     config: KMeansConfig,
 ) -> Result<Clustering, ClusteringError> {
-    let flat = FlatPoints::new(points)?;
-    kmeans_flat(rng, &flat, config)
+    let points = KMeansPoints::new(points)?;
+    kmeans_flat(rng, &points, config)
 }
 
-/// [`kmeans`] over a pre-flattened point set (lets repeated runs — elbow
+/// [`kmeans`] over a prepared point set (lets repeated runs — elbow
 /// scans, restarts — skip re-flattening).
 ///
 /// # Errors
@@ -216,17 +246,18 @@ pub fn kmeans<R: Rng + ?Sized>(
 /// Rejects `k` outside `1..=n`.
 pub fn kmeans_flat<R: Rng + ?Sized>(
     rng: &mut R,
-    points: &FlatPoints,
+    points: &KMeansPoints,
     config: KMeansConfig,
 ) -> Result<Clustering, ClusteringError> {
-    let n = points.len();
-    let dim = points.dim();
+    let n = points.flat.len();
+    let dim = points.flat.dim();
     let k = config.k;
     if k == 0 || k > n {
         return Err(ClusteringError::InvalidParameter(format!("k = {k} must be in 1..={n}")));
     }
 
     let mut centroids = plus_plus_seed(rng, points, k);
+    let points = &points.flat;
     let mut assignments = vec![0usize; n];
     let mut iterations = 0;
 
@@ -312,11 +343,11 @@ pub fn kmeans_flat<R: Rng + ?Sized>(
 /// with probability proportional to squared distance from the nearest
 /// chosen centroid. Consumes the RNG stream exactly like the seed
 /// implementation, so fixed seeds reproduce historic runs.
-fn plus_plus_seed<R: Rng + ?Sized>(rng: &mut R, points: &FlatPoints, k: usize) -> Vec<f32> {
-    let n = points.len();
-    let dim = points.dim();
+fn plus_plus_seed<R: Rng + ?Sized>(rng: &mut R, points: &KMeansPoints, k: usize) -> Vec<f32> {
+    let n = points.flat.len();
+    let dim = points.flat.dim();
     let mut centroids: Vec<f32> = Vec::with_capacity(k * dim);
-    centroids.extend_from_slice(points.point(rng.random_range(0..n)));
+    centroids.extend_from_slice(points.flat.point(rng.random_range(0..n)));
     let mut d2 = vec![f64::INFINITY; n];
     points.lower_sq_distances(&centroids, &mut d2);
     while centroids.len() < k * dim {
@@ -336,7 +367,7 @@ fn plus_plus_seed<R: Rng + ?Sized>(rng: &mut R, points: &FlatPoints, k: usize) -
             }
             chosen
         };
-        centroids.extend_from_slice(points.point(next));
+        centroids.extend_from_slice(points.flat.point(next));
         points.lower_sq_distances(&centroids[centroids.len() - dim..], &mut d2);
     }
     centroids
@@ -616,11 +647,12 @@ mod tests {
         ];
         for (points, golden) in [converge_points(), dirichlet_points(10_000, 3)].iter().zip(GOLDEN)
         {
-            let flat = FlatPoints::new(points).unwrap();
+            let prepared = KMeansPoints::new(points).unwrap();
             let mut got = Vec::new();
             for k in [2, 16, 30] {
                 for seed in 1..=3 {
-                    let run = kmeans_flat(&mut seeded(seed), &flat, KMeansConfig::new(k)).unwrap();
+                    let run =
+                        kmeans_flat(&mut seeded(seed), &prepared, KMeansConfig::new(k)).unwrap();
                     got.push(digest(&run));
                 }
             }
@@ -690,16 +722,16 @@ mod tests {
                         .collect();
                     let centroids: Vec<f32> =
                         (0..k * dim).map(|_| coordinate(&mut rng, grid)).collect();
-                    let flat = FlatPoints::new(&points).unwrap();
+                    let prepared = KMeansPoints::new(&points).unwrap();
                     let mut lanes = LaneCentroids::new(k, dim);
                     lanes.load(&centroids);
                     let (first, last) = (&centroids[..dim], &centroids[(k - 1) * dim..]);
                     let mut d2 = vec![f64::INFINITY; n];
-                    flat.lower_sq_distances(first, &mut d2);
-                    flat.lower_sq_distances(last, &mut d2);
+                    prepared.lower_sq_distances(first, &mut d2);
+                    prepared.lower_sq_distances(last, &mut d2);
                     for (i, x) in points.iter().enumerate() {
                         let at = format!("grid {grid}, dim {dim}, k {k}, point {i}");
-                        let norm = flat.norm_sq(i);
+                        let norm = prepared.flat().norm_sq(i);
                         assert_eq!(
                             lanes.nearest_expanded(x, norm),
                             scalar::nearest_expanded(x, norm, &centroids, dim),
@@ -726,7 +758,11 @@ mod tests {
     fn rejects_non_finite_coordinates() {
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let points = vec![vec![0.0, 1.0], vec![1.0, bad], vec![0.5, 0.5]];
-            assert!(matches!(FlatPoints::new(&points), Err(ClusteringError::BadInput(_))), "{bad}");
+            let prepared = KMeansPoints::new(&points);
+            assert!(matches!(prepared, Err(ClusteringError::BadInput(_))), "{bad}");
+            // Shape is all `FlatPoints` checks: the pairwise matrices
+            // GradClus builds from reported sketches still take them.
+            assert!(FlatPoints::new(&points).is_ok(), "{bad}");
             assert!(kmeans(&mut seeded(7), &points, KMeansConfig::new(2)).is_err(), "{bad}");
             let elbow = crate::optimal_k(&points, crate::ElbowConfig::new(2, 7));
             assert!(matches!(elbow, Err(ClusteringError::BadInput(_))), "{bad}");

@@ -43,7 +43,7 @@ mod testdata;
 pub use dbi::{davies_bouldin_index, davies_bouldin_index_flat};
 pub use elbow::{optimal_k, ElbowConfig};
 pub use hierarchical::{hierarchical_clusters, Linkage};
-pub use kmeans::{kmeans, kmeans_flat, Clustering, FlatPoints, KMeansConfig};
+pub use kmeans::{kmeans, kmeans_flat, Clustering, FlatPoints, KMeansConfig, KMeansPoints};
 
 /// Errors produced by the clustering substrate.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,9 +65,7 @@ impl std::fmt::Display for ClusteringError {
 
 impl std::error::Error for ClusteringError {}
 
-/// Validates a point set: non-empty, equal dimensions, finite
-/// coordinates (a NaN or ±∞ would otherwise drag every run to its
-/// iteration cap and every k-means++ draw to the last point).
+/// Validates a point set: non-empty, equal dimensions.
 pub(crate) fn validate_points(points: &[Vec<f32>]) -> Result<usize, ClusteringError> {
     let first = points.first().ok_or_else(|| ClusteringError::BadInput("no points".into()))?;
     let dim = first.len();
@@ -76,9 +74,6 @@ pub(crate) fn validate_points(points: &[Vec<f32>]) -> Result<usize, ClusteringEr
     }
     if points.iter().any(|p| p.len() != dim) {
         return Err(ClusteringError::BadInput("ragged point dimensions".into()));
-    }
-    if points.iter().flatten().any(|x| !x.is_finite()) {
-        return Err(ClusteringError::BadInput("non-finite coordinate".into()));
     }
     Ok(dim)
 }

@@ -198,6 +198,23 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_sketch_does_not_stop_selection() {
+        // A diverged party's update can sketch to NaN or ±∞; the hierarchy
+        // over the rest must still be built every round.
+        let mut s = GradClusSelector::new(12, 3, 6).unwrap();
+        let mut fb = RoundFeedback::default();
+        fb.update_sketch.insert(2, vec![f32::NAN, 1.0, 0.0]);
+        fb.update_sketch.insert(5, vec![f32::INFINITY, f32::NEG_INFINITY, 1.0]);
+        s.report(&fb);
+        for round in 0..5 {
+            let picks = s.select(round, 4).unwrap();
+            assert!(!picks.is_empty() && picks.len() <= 4, "round {round}: {picks:?}");
+            let distinct: HashSet<_> = picks.iter().collect();
+            assert_eq!(distinct.len(), picks.len(), "round {round}: {picks:?}");
+        }
+    }
+
+    #[test]
     fn sketch_update_strided_average() {
         let update = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let sk = sketch_update(update, 2);
