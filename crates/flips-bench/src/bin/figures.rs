@@ -66,7 +66,6 @@ fn builder(dataset_idx: usize, scale: Scale) -> SimulationBuilder {
         .rounds(scale.rounds(&profile))
         .clustering_restarts(scale.restarts())
         .test_per_class(scale.test_per_class())
-        .parallel(true)
         .seed(1)
 }
 

@@ -139,7 +139,6 @@ pub fn run_cell(cell: &Cell, scale: Scale) -> CellResult {
             .straggler_rate(cell.straggler_rate)
             .clustering_restarts(scale.restarts())
             .test_per_class(scale.test_per_class())
-            .parallel(true)
             .seed(seed * 7919 + 1)
             .run()
             .expect("cell simulation runs");

@@ -106,7 +106,7 @@ fn scan(
 ) -> Result<ElbowResult, ClusteringError> {
     let restarts = config.restarts;
     let runs = (config.k_max - K_MIN + 1) * restarts;
-    let scores = parallel::map(runs, workers, |run| -> Result<f64, ClusteringError> {
+    let scores = parallel::map((0..runs).collect(), workers, |run: usize| {
         let (k, t) = (K_MIN + run / restarts, run % restarts);
         let mut rng = seeded(derive_seed(config.seed, (k * 1000 + t) as u64));
         let clustering = kmeans_flat(&mut rng, points, KMeansConfig::new(k))?;

@@ -71,7 +71,6 @@ pub struct SimulationBuilder {
     fixed_k: Option<usize>,
     overprovision: bool,
     codec: ModelCodec,
-    parallel: bool,
     /// `(dir, budget)` when the roster store is sealed to disk.
     spill: Option<(std::path::PathBuf, usize)>,
     seed: u64,
@@ -98,7 +97,6 @@ impl SimulationBuilder {
             fixed_k: None,
             overprovision: true,
             codec: ModelCodec::Raw,
-            parallel: false,
             spill: None,
             seed: 0,
         }
@@ -224,15 +222,6 @@ impl SimulationBuilder {
     #[must_use]
     pub fn codec(mut self, codec: ModelCodec) -> Self {
         self.codec = codec;
-        self
-    }
-
-    /// Trains completing parties across threads — the in-process way to
-    /// use more cores (the history does not move). Over the wire
-    /// protocol, `flips_net::run_socket` runs one pool per thread.
-    #[must_use]
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -367,7 +356,6 @@ impl SimulationBuilder {
             latency_sigma: self.latency_sigma,
             sketch_dim: SKETCH_DIM,
             codec: self.codec,
-            parallel: self.parallel,
             seed: self.seed,
         };
         let job = FlJob::new(parts.parties, test, config, selector)?;

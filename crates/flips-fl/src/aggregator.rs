@@ -16,9 +16,9 @@
 //!    deadline); the driver skips simulating work whose result never
 //!    arrives and feeds [`Event::DeadlineExpired`] so the coordinator
 //!    closes them out as stragglers;
-//! 3. **scheduling** — local training runs sequentially or across scoped
-//!    threads; either way updates reach the coordinator in deterministic
-//!    order, and aggregation order is fixed by party id regardless.
+//! 3. **scheduling** — local training runs on one worker per core,
+//!    largest party first; replies reach the coordinator in roster order,
+//!    and aggregation order is fixed by party id regardless.
 //!
 //! Every source of randomness derives from the single job seed, so runs
 //! are bit-reproducible, selector included.
@@ -71,8 +71,6 @@ pub struct FlJobConfig {
     /// used by serialized drivers; `Raw` is the compatibility default
     /// and `F16` is lossy — opt-in only).
     pub codec: ModelCodec,
-    /// Train completing parties across threads.
-    pub parallel: bool,
     /// Master seed; every stream derives from it.
     pub seed: u64,
 }
@@ -92,7 +90,6 @@ impl FlJobConfig {
             latency_sigma: 0.4,
             sketch_dim: 32,
             codec: ModelCodec::Raw,
-            parallel: false,
             seed: 0,
         }
     }
@@ -105,7 +102,6 @@ pub struct FlJob {
     endpoints: Vec<PartyEndpoint>,
     latency: Arc<LatencyModel>,
     stragglers: Stragglers<StragglerInjector>,
-    parallel: bool,
     rounds: usize,
 }
 
@@ -206,14 +202,7 @@ impl FlJob {
             })
             .collect();
 
-        Ok(FlJob {
-            coordinator,
-            endpoints,
-            latency,
-            stragglers,
-            parallel: config.parallel,
-            rounds: config.rounds,
-        })
+        Ok(FlJob { coordinator, endpoints, latency, stragglers, rounds: config.rounds })
     }
 
     /// The current round index (number of completed rounds).
@@ -254,6 +243,12 @@ impl FlJob {
     ///
     /// Propagates selection and aggregation failures.
     pub fn step(&mut self) -> Result<&RoundRecord, FlError> {
+        self.step_on(flips_ml::parallel::threads(self.endpoints.len()))
+    }
+
+    /// [`FlJob::step`], training on at most `workers` threads; the round
+    /// comes out the same at every count.
+    fn step_on(&mut self, workers: usize) -> Result<&RoundRecord, FlError> {
         // Open: selection notices + global-model broadcasts.
         let effects = self.coordinator.open_round()?;
         let mut notices: Vec<WireMessage> = Vec::new();
@@ -285,7 +280,7 @@ impl FlJob {
 
         let deliveries: Vec<(PartyId, WireMessage)> =
             broadcasts.into_iter().filter(|(to, _)| !withheld.contains(to)).collect();
-        for reply in self.train_endpoints(&deliveries)? {
+        for reply in self.train_endpoints(&deliveries, workers)? {
             if let WireMessage::LocalUpdate { party, duration, .. } = &reply {
                 if let Arrival::Late { .. } =
                     self.stragglers.judge(*party as PartyId, *duration, || true)
@@ -345,38 +340,37 @@ impl FlJob {
         }
     }
 
-    /// Delivers `GlobalModel` messages to their endpoints (in parallel
-    /// when configured) and collects the `LocalUpdate` replies.
+    /// Delivers `GlobalModel` messages to their endpoints on up to
+    /// `workers` threads, largest dataset first so no long training starts
+    /// last, and returns the replies — or the first error — in roster
+    /// order. Training is seed-deterministic per (round, party), so
+    /// neither the claim order nor the worker count moves a bit.
     fn train_endpoints(
         &mut self,
         deliveries: &[(PartyId, WireMessage)],
+        workers: usize,
     ) -> Result<Vec<WireMessage>, FlError> {
         let by_party: std::collections::HashMap<PartyId, &WireMessage> =
             deliveries.iter().map(|(p, m)| (*p, m)).collect();
-        // Roster order, as the pre-protocol trainer used; training is
-        // seed-deterministic per (round, party), so order only needs to
-        // be stable, not specific.
-        let mut jobs: Vec<(&mut PartyEndpoint, &WireMessage)> = self
+        let mut jobs: Vec<(usize, (&mut PartyEndpoint, &WireMessage))> = self
             .endpoints
             .iter_mut()
             .filter_map(|ep| by_party.get(&ep.id()).map(|msg| (ep, *msg)))
+            .enumerate()
             .collect();
-
-        if !self.parallel || jobs.len() < 2 {
-            let mut replies = Vec::with_capacity(jobs.len());
-            for (ep, msg) in &mut jobs {
-                replies.extend(ep.handle(msg)?);
-            }
-            return Ok(replies);
+        // Sized here rather than on a worker: a worker allocates from its
+        // thread's own glibc arena, and buffers that outlive the round
+        // would keep that arena's memory resident.
+        for (_, (ep, _)) in &mut jobs {
+            ep.reserve_buffers();
         }
-
-        let threads = flips_ml::parallel::threads(jobs.len());
-        let results = flips_ml::parallel::for_each_chunk(&mut jobs, 1, threads, |_, chunk| {
-            chunk.iter_mut().map(|(ep, msg)| ep.handle(msg)).collect::<Vec<_>>()
-        });
-        // Every party has trained; the first failure in roster order wins.
-        let mut replies = Vec::with_capacity(jobs.len());
-        for result in results.into_iter().flatten() {
+        // Stable, so equal sizes keep roster order.
+        jobs.sort_by_key(|(_, (ep, _))| std::cmp::Reverse(ep.num_samples()));
+        let mut results =
+            flips_ml::parallel::map(jobs, workers, |(slot, (ep, msg))| (slot, ep.handle(msg)));
+        results.sort_unstable_by_key(|(slot, _)| *slot);
+        let mut replies = Vec::with_capacity(results.len());
+        for (_, result) in results {
             replies.extend(result?);
         }
         Ok(replies)
@@ -428,13 +422,12 @@ mod tests {
         (parts.parties, test, profile)
     }
 
-    fn job(parallel: bool, straggler_rate: f64) -> FlJob {
+    fn job(straggler_rate: f64) -> FlJob {
         let (datasets, test, profile) = small_setup(12, 0.5);
         let config = FlJobConfig {
             rounds: 6,
             parties_per_round: 4,
             straggler_rate,
-            parallel,
             local: LocalTrainingConfig { epochs: 1, ..Default::default() },
             ..FlJobConfig::new(profile.model.clone())
         };
@@ -444,7 +437,7 @@ mod tests {
 
     #[test]
     fn runs_the_configured_number_of_rounds() {
-        let mut j = job(false, 0.0);
+        let mut j = job(0.0);
         let history = j.run().unwrap();
         assert_eq!(history.len(), 6);
         assert_eq!(j.round(), 6);
@@ -477,7 +470,7 @@ mod tests {
 
     #[test]
     fn straggler_injection_reduces_completions() {
-        let mut j = job(false, 0.25);
+        let mut j = job(0.25);
         let history = j.run().unwrap();
         for r in history.records() {
             assert_eq!(r.stragglers.len(), 1, "25% of 4 selected");
@@ -486,20 +479,95 @@ mod tests {
         assert_eq!(history.total_stragglers(), 6);
     }
 
+    /// Ten parties whose datasets differ in size by up to 120×, five a
+    /// round, one of them a withheld straggler (20 %).
+    fn uneven_job() -> FlJob {
+        let profile = DatasetProfile::femnist().scaled(10, 30);
+        let sizes = [3usize, 180, 7, 64, 2, 240, 15, 96, 5, 120];
+        let datasets = (0..).zip(sizes).map(|(i, n)| generate_population(&profile, n, i)).collect();
+        let test = balanced_test_set(&profile, 10, 11);
+        let config = FlJobConfig {
+            rounds: 4,
+            parties_per_round: 5,
+            straggler_rate: 0.2,
+            local: LocalTrainingConfig { epochs: 1, batch_size: 16, ..Default::default() },
+            ..FlJobConfig::new(profile.model.clone())
+        };
+        FlJob::new(datasets, test, config, Box::new(RandomSelector::new(10, 5))).unwrap()
+    }
+
+    /// Round 0's model for every party in `to`.
+    fn model_for(job: &FlJob, to: &[PartyId]) -> Vec<(PartyId, WireMessage)> {
+        let params: Arc<[f32]> = job.global_params().into();
+        let msg = WireMessage::GlobalModel { job: job.coordinator.job_id(), round: 0, params };
+        to.iter().map(|&p| (p, msg.clone())).collect()
+    }
+
     #[test]
-    fn parallel_and_sequential_agree() {
-        let mut seq = job(false, 0.1);
-        let mut par = job(true, 0.1);
-        let hs = seq.run().unwrap();
-        let hp = par.run().unwrap();
-        assert_eq!(hs.accuracy_series(), hp.accuracy_series());
-        assert_eq!(seq.global_params(), par.global_params());
+    fn every_worker_count_trains_the_same_bits() {
+        let run_on = |workers: usize| {
+            // By hand: party 4 is withheld, and party 8 was told round 0
+            // is over, so it trains nothing.
+            let mut j = uneven_job();
+            let abort = WireMessage::Abort {
+                job: j.coordinator.job_id(),
+                round: 0,
+                party: 8,
+                reason: "deadline".into(),
+            };
+            j.endpoints[8].handle(&abort).unwrap();
+            let deliveries = model_for(&j, &[9, 5, 0, 8, 1, 2, 3, 6, 7]);
+            let replies = j.train_endpoints(&deliveries, workers).unwrap();
+            let mut j = uneven_job();
+            while j.round() < 4 {
+                let r = j.step_on(workers).unwrap();
+                assert_eq!((r.completed.len(), r.stragglers.len()), (4, 1));
+            }
+            (replies, j.history().clone(), j.global_params().to_vec())
+        };
+        let (replies, history, params) = run_on(1);
+        let senders: Vec<u64> = replies
+            .iter()
+            .map(|m| match m {
+                WireMessage::LocalUpdate { party, .. } => *party,
+                other => panic!("not an update: {other:?}"),
+            })
+            .collect();
+        assert_eq!(senders, [0, 1, 2, 3, 5, 6, 7, 9], "roster order, party 8 aborted");
+        for workers in [2, 3, 8] {
+            let (r, h, p) = run_on(workers);
+            assert!(r == replies, "{workers} workers: replies differ");
+            assert!(h == history, "{workers} workers: history differs");
+            assert!(p == params, "{workers} workers: global params differ");
+        }
+    }
+
+    #[test]
+    fn the_first_error_in_roster_order_wins() {
+        let mut j = uneven_job();
+        let mut deliveries = model_for(&j, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        // Parties 3 (64 samples) and 5 (240, claimed first) get a model
+        // of the wrong length.
+        let short: Arc<[f32]> = vec![0.0; 3].into();
+        for (to, msg) in &mut deliveries {
+            if let WireMessage::GlobalModel { params, .. } = msg {
+                if [3, 5].contains(to) {
+                    *params = Arc::clone(&short);
+                }
+            }
+        }
+        for workers in [1, 2, 3, 8] {
+            match j.train_endpoints(&deliveries, workers) {
+                Err(FlError::Protocol(m)) => assert!(m.contains("party 3 "), "{workers}: {m}"),
+                other => panic!("{workers} workers: expected a protocol error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn runs_are_seed_reproducible() {
-        let mut a = job(false, 0.2);
-        let mut b = job(false, 0.2);
+        let mut a = job(0.2);
+        let mut b = job(0.2);
         assert_eq!(a.run().unwrap(), b.run().unwrap());
     }
 
@@ -508,7 +576,7 @@ mod tests {
         // Down: one selection notice + one model broadcast per selected
         // party. Up: one heartbeat ack + one trained update per party
         // (no stragglers at rate 0).
-        let mut j = job(false, 0.0);
+        let mut j = job(0.0);
         let p = j.global_params().len();
         let r = j.step().unwrap();
         assert_eq!(r.bytes_down, (4 * (selection_notice_bytes() + global_model_bytes(p))) as u64);
@@ -517,7 +585,7 @@ mod tests {
 
     #[test]
     fn straggled_rounds_account_for_abort_messages() {
-        let mut j = job(false, 0.25);
+        let mut j = job(0.25);
         let p = j.global_params().len();
         let r = j.step().unwrap();
         assert_eq!(r.stragglers.len(), 1);

@@ -266,7 +266,7 @@ impl ChaosSchedule {
     /// The forged frame a flood action injects: a heartbeat claiming
     /// the flood target, with round `u64::MAX` so no open round can
     /// ever accept it — it exists to exercise guards, not rounds.
-    pub fn flood_frame(&self) -> Bytes {
+    fn flood_frame(&self) -> Bytes {
         frame(
             AGGREGATOR_DEST,
             &WireMessage::Heartbeat {

@@ -97,6 +97,12 @@ impl PartyEndpoint {
         &self.party
     }
 
+    /// Sizes the party's training buffers on the calling thread (see
+    /// [`Party::reserve_buffers`]).
+    pub fn reserve_buffers(&mut self) {
+        self.party.reserve_buffers(&self.local);
+    }
+
     /// The highest round an abort was received for, if any.
     pub fn aborted_round(&self) -> Option<u64> {
         self.aborted_round

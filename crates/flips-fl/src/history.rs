@@ -105,11 +105,6 @@ impl History {
         Some(self.rounds[..upto].iter().map(|r| r.bytes_down + r.bytes_up).sum())
     }
 
-    /// Total simulated wall-clock time, seconds.
-    pub fn total_duration(&self) -> f64 {
-        self.rounds.iter().map(|r| r.round_duration).sum()
-    }
-
     /// Total straggler events observed.
     pub fn total_stragglers(&self) -> usize {
         self.rounds.iter().map(|r| r.stragglers.len()).sum()
@@ -198,7 +193,6 @@ mod tests {
         let mut r = record(6, 0.5);
         r.stragglers = vec![3, 4];
         h.push(r);
-        assert!((h.total_duration() - 3.5).abs() < 1e-9);
         assert_eq!(h.total_stragglers(), 2);
     }
 }

@@ -66,9 +66,9 @@
 //!   the transport seam, for exercising the guard plane (and everything
 //!   above it) deterministically.
 //!
-//! Everything here is single-threaded except [`FlJob`]'s opt-in
-//! training fan-out (`FlJobConfig::parallel`); protocol frames cross
-//! threads only in `flips-net`, the runtime the binaries ship.
+//! Everything here is single-threaded except [`FlJob`]'s training
+//! fan-out, one worker per core; protocol frames cross threads only in
+//! `flips-net`, the runtime the binaries ship.
 //!
 //! # Example: one seeded round trip
 //!

@@ -32,9 +32,10 @@ pub struct LocalUpdate {
 /// One FL participant.
 ///
 /// Besides its dataset and model, a party owns the reusable training
-/// buffers (workspace, minibatch views, parameter/epoch-order scratch):
-/// after the first full-size minibatch of its first round, local training
-/// performs no heap allocation.
+/// buffers (workspace, minibatch views, parameter/epoch-order scratch),
+/// sized by [`Party::reserve_buffers`]. A round allocates one vector, its
+/// update's parameters — the buffer training writes and then hands over —
+/// plus SGD's velocity when client momentum is on.
 pub struct Party {
     id: PartyId,
     data: Dataset,
@@ -94,6 +95,24 @@ impl Party {
         flips_data::LabelDistribution::from_dataset(&self.data)
     }
 
+    /// Allocates every buffer [`Party::train`] fills under `local` — it
+    /// calls this first — on the calling thread, so a driver that trains
+    /// parties on worker threads can keep their memory in its own
+    /// allocator arena. Once they are sized, only the parameter buffer is
+    /// new each round: the last update took the old one.
+    pub fn reserve_buffers(&mut self, local: &LocalTrainingConfig) {
+        let rows = local.batch_size.min(self.data.len());
+        // `train` refills each of these from empty.
+        self.params.clear();
+        self.params.reserve_exact(self.model.num_params());
+        self.order.clear();
+        self.order.reserve_exact(self.data.len());
+        self.batch_y.clear();
+        self.batch_y.reserve_exact(rows);
+        self.batch_x.reserve(rows, self.data.x.cols());
+        self.model.reserve_workspace(rows, &mut self.ws);
+    }
+
     /// Runs one round of local training from `global_params`.
     ///
     /// `proximal_mu > 0` enables the FedProx pull toward the global model.
@@ -115,6 +134,7 @@ impl Party {
         self.model
             .set_params(global_params)
             .expect("global model must match the agreed architecture");
+        self.reserve_buffers(local);
         let mut rng = seeded(derive_seed(seed, 0x7121 ^ (round as u64) << 24 ^ self.id as u64));
         let lr = local.lr_schedule.at(round);
         let mut opt: Sgd = if local.momentum > 0.0 {
@@ -123,9 +143,6 @@ impl Party {
             Sgd::new(lr)
         };
 
-        // Reusable epoch-order and parameter buffers (no per-round or
-        // per-minibatch allocation after the first round's warm-up).
-        self.params.clear();
         self.params.extend_from_slice(global_params);
         let mut total_loss = 0.0f64;
         let mut steps = 0usize;
@@ -146,7 +163,8 @@ impl Party {
         }
 
         LocalUpdate {
-            params: self.params.clone(),
+            // The trained parameters leave as they are; no copy.
+            params: std::mem::take(&mut self.params),
             num_samples: self.data.len(),
             mean_loss: if steps > 0 { total_loss / steps as f64 } else { 0.0 },
             duration: latency.duration(self.id, self.data.len(), local.epochs),
@@ -246,6 +264,19 @@ mod tests {
         let free = drift(0.0);
         let anchored = drift(1.0);
         assert!(anchored < free, "µ=1 drift {anchored} must be below µ=0 drift {free}");
+    }
+
+    #[test]
+    fn a_round_fits_in_the_reserved_buffers() {
+        let mut party = party_with_data(75);
+        let cfg = LocalTrainingConfig { batch_size: 32, ..Default::default() };
+        party.reserve_buffers(&cfg);
+        let reserved = party.params.as_ptr();
+        assert_eq!(party.params.capacity(), party.num_params());
+        assert_eq!((party.order.capacity(), party.batch_y.capacity()), (75, 32));
+        let up = party.train(&global_params(), 0, &cfg, 0.0, &LatencyModel::uniform(1), 1);
+        assert_eq!(up.params.as_ptr(), reserved, "the update is the reserved buffer");
+        assert_eq!((party.order.capacity(), party.batch_y.capacity()), (75, 32));
     }
 
     #[test]

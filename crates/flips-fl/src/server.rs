@@ -13,7 +13,7 @@
 use crate::config::FlAlgorithm;
 use crate::party::LocalUpdate;
 use crate::FlError;
-use flips_ml::optimizer::{Adagrad, Adam, Optimizer, Sgd, Yogi};
+use flips_ml::optimizer::{Adagrad, Adam, Optimizer, Yogi};
 
 /// Accumulates the sample-weighted average of `updates` — `(nᵢ, xᵢ)`
 /// pairs, folded in the order given — into `accum` (resized to the
@@ -190,16 +190,6 @@ impl ServerState {
     }
 }
 
-/// Convenience: one plain-SGD server step with learning rate 1 is exactly
-/// FedAvg replacement — used by tests to cross-check the two paths.
-pub fn fedavg_as_sgd(global: &mut [f32], updates: &[LocalUpdate]) -> Result<(), FlError> {
-    let avg = weighted_average(updates)?;
-    let mut opt = Sgd::new(1.0);
-    let pseudo_grad: Vec<f32> = global.iter().zip(&avg).map(|(m, a)| m - a).collect();
-    opt.step(global, &pseudo_grad);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,18 +228,6 @@ mod tests {
         let ups = vec![update(vec![1.0, 2.0], 10)];
         state.apply_round(&mut global, &ups).unwrap();
         assert_eq!(global, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn fedavg_equals_sgd_with_unit_lr() {
-        let ups = vec![update(vec![1.0, -4.0], 3), update(vec![5.0, 2.0], 1)];
-        let mut a = vec![0.5, 0.5];
-        let mut b = a.clone();
-        ServerState::new(FlAlgorithm::FedAvg).apply_round(&mut a, &ups).unwrap();
-        fedavg_as_sgd(&mut b, &ups).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-6);
-        }
     }
 
     #[test]

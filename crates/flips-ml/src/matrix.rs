@@ -134,6 +134,12 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Grows the backing buffer to hold `rows × cols` values without
+    /// changing the shape or contents; a no-op once it can.
+    pub fn reserve(&mut self, rows: usize, cols: usize) {
+        self.data.reserve_exact((rows * cols).saturating_sub(self.data.len()));
+    }
+
     /// Borrows row `r` as a slice.
     ///
     /// # Panics
@@ -790,6 +796,14 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// L2 norm of a slice.
 pub fn l2_norm(a: &[f32]) -> f32 {
     a.iter().map(|x| x * x).sum::<f32>().sqrt()
+}
+
+#[cfg(test)]
+impl Matrix {
+    /// Capacity of the backing buffer, in values.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
 }
 
 #[cfg(test)]

@@ -25,10 +25,12 @@ use serde::{Deserialize, Serialize};
 /// A workspace owns every intermediate the training stack needs —
 /// per-layer activations and pre-activations, backprop deltas, the conv
 /// feature maps and the flat gradient — sized lazily on first use and
-/// reused thereafter. A training loop that keeps one workspace per party
-/// performs **zero heap allocation** per minibatch once buffers have
-/// warmed up to the largest batch shape (buffers shrink logically via
-/// [`Matrix::resize`], which never releases capacity).
+/// reused thereafter. [`Model::reserve_workspace`] states every buffer's
+/// size for a batch shape and runs first in each backward pass, so a
+/// training loop that keeps one workspace per party performs **zero heap
+/// allocation** per minibatch once it has run — which the loop may do
+/// ahead of time, on the thread that should own the memory (buffers shrink
+/// logically via [`Matrix::resize`], which never releases capacity).
 #[derive(Debug, Default)]
 pub struct TrainWorkspace {
     /// Post-activation outputs per layer (`acts[l]` for layer `l`).
@@ -73,6 +75,11 @@ impl TrainWorkspace {
         self.grad
     }
 
+    /// Grows the flat gradient to `len` values (see [`Matrix::reserve`]).
+    fn reserve_grad(&mut self, len: usize) {
+        self.grad.reserve_exact(len.saturating_sub(self.grad.len()));
+    }
+
     /// Ensures `acts`/`zs` hold at least `layers` buffers.
     fn ensure_layers(&mut self, layers: usize) {
         while self.acts.len() < layers {
@@ -115,8 +122,15 @@ pub trait Model: Send {
     }
 
     /// Mean cross-entropy loss for a batch; the flat gradient is left in
-    /// `ws.grad()`. Allocation-free once `ws` has warmed up.
+    /// `ws.grad()`. Allocation-free once `ws` has been reserved for a
+    /// batch at least this large.
     fn loss_and_grad_into(&self, x: &Matrix, y: &[usize], ws: &mut TrainWorkspace) -> f32;
+
+    /// Grows every buffer of `ws` that [`Model::loss_and_grad_into`] fills
+    /// to its size for a batch of `rows` samples, without changing shapes
+    /// or contents; a no-op once they hold it. The pass calls this first,
+    /// so the sizes are written here only.
+    fn reserve_workspace(&self, rows: usize, ws: &mut TrainWorkspace);
 
     /// Number of output classes.
     fn num_classes(&self) -> usize;
@@ -210,6 +224,7 @@ impl Model for LogisticRegression {
     }
 
     fn loss_and_grad_into(&self, x: &Matrix, y: &[usize], ws: &mut TrainWorkspace) -> f32 {
+        self.reserve_workspace(x.rows(), ws);
         // Probabilities and the logit gradient share ws.delta.
         x.matmul_into(&self.w, &mut ws.delta);
         ws.delta.add_row_broadcast(&self.b);
@@ -222,6 +237,11 @@ impl Model for LogisticRegression {
         x.matmul_tn_into_slice(&ws.delta, &mut ws.grad[..split]);
         ws.delta.col_sums_into(&mut ws.grad[split..]);
         loss
+    }
+
+    fn reserve_workspace(&self, rows: usize, ws: &mut TrainWorkspace) {
+        ws.delta.reserve(rows, self.classes);
+        ws.reserve_grad(self.num_params());
     }
 
     fn num_classes(&self) -> usize {
@@ -341,6 +361,7 @@ impl Model for Mlp {
     }
 
     fn loss_and_grad_into(&self, x: &Matrix, y: &[usize], ws: &mut TrainWorkspace) -> f32 {
+        self.reserve_workspace(x.rows(), ws);
         self.forward_ws(x, ws);
         let layers = self.weights.len();
         let probs = &ws.acts[layers - 1];
@@ -367,6 +388,20 @@ impl Model for Mlp {
         loss
     }
 
+    fn reserve_workspace(&self, rows: usize, ws: &mut TrainWorkspace) {
+        let widths = &self.dims[1..];
+        ws.ensure_layers(widths.len());
+        for ((z, act), &width) in ws.zs.iter_mut().zip(&mut ws.acts).zip(widths) {
+            z.reserve(rows, width);
+            act.reserve(rows, width);
+        }
+        // The two deltas swap at every layer, so each may hold the widest.
+        let widest = widths.iter().copied().max().expect("at least one layer");
+        ws.delta.reserve(rows, widest);
+        ws.delta_prev.reserve(rows, widest);
+        ws.reserve_grad(self.num_params());
+    }
+
     fn num_classes(&self) -> usize {
         *self.dims.last().expect("non-empty dims")
     }
@@ -383,6 +418,9 @@ impl Model for Mlp {
 // ---------------------------------------------------------------------------
 // 1-D convolutional network
 // ---------------------------------------------------------------------------
+
+/// Filters per register chain of the kernel gradient: one 256-bit vector.
+const LANES: usize = 8;
 
 /// A small 1-D CNN: single-channel convolution → ReLU → flatten → linear
 /// classifier.
@@ -482,7 +520,6 @@ impl Conv1dNet {
     /// sum started at `+0.0` as it was (only `−0 + −0` rounds to `−0.0`) and
     /// never multiplies a non-finite signal value seen only where inactive.
     fn kernel_grad_into(&self, x: &Matrix, ws: &mut TrainWorkspace) {
-        const LANES: usize = 8; // filters per register chain: one 256-bit vector
         let positions = self.out_positions();
         let width = self.filters.next_multiple_of(LANES);
         let upstream = &mut ws.upstream;
@@ -567,6 +604,7 @@ impl Model for Conv1dNet {
     }
 
     fn loss_and_grad_into(&self, x: &Matrix, y: &[usize], ws: &mut TrainWorkspace) -> f32 {
+        self.reserve_workspace(x.rows(), ws);
         self.features_into(x, ws);
         ws.feats.matmul_into(&self.w, &mut ws.delta);
         ws.delta.add_row_broadcast(&self.b);
@@ -585,6 +623,15 @@ impl Model for Conv1dNet {
         ws.delta.matmul_nt_into(&self.w, &mut ws.dfeats);
         self.kernel_grad_into(x, ws);
         loss
+    }
+
+    fn reserve_workspace(&self, rows: usize, ws: &mut TrainWorkspace) {
+        ws.feats.reserve(rows, self.feature_dim());
+        ws.delta.reserve(rows, self.classes);
+        ws.dfeats.reserve(rows, self.feature_dim());
+        let cells = rows * self.out_positions() * self.filters.next_multiple_of(LANES);
+        ws.upstream.reserve_exact(cells.saturating_sub(ws.upstream.len()));
+        ws.reserve_grad(self.num_params());
     }
 
     fn num_classes(&self) -> usize {
@@ -886,6 +933,34 @@ mod tests {
         let (loss_alloc, grad_alloc) = model.loss_and_grad(&small_x, &small_y);
         assert_eq!(loss_ws, loss_alloc);
         assert_eq!(ws.grad(), grad_alloc.as_slice());
+    }
+
+    /// Every buffer's capacity, in a fixed order.
+    fn capacities(ws: &TrainWorkspace) -> Vec<usize> {
+        let fixed = [&ws.delta, &ws.delta_prev, &ws.feats, &ws.dfeats];
+        let matrices = ws.acts.iter().chain(&ws.zs).chain(fixed).map(Matrix::capacity);
+        matrices.chain([ws.upstream.capacity(), ws.grad.capacity()]).collect()
+    }
+
+    #[test]
+    fn a_reserved_workspace_never_grows() {
+        let mut rng = seeded(23);
+        let models: Vec<Box<dyn Model>> = vec![
+            Box::new(LogisticRegression::new(&mut rng, 6, 4)),
+            Box::new(Mlp::new(&mut rng, &[6, 9, 5, 4])),
+            Box::new(Mlp::new(&mut rng, &[6, 3, 11, 4])),
+            Box::new(Conv1dNet::new(&mut rng, 6, 3, 11, 4)),
+        ];
+        for model in &models {
+            let mut ws = TrainWorkspace::new();
+            model.reserve_workspace(9, &mut ws);
+            let reserved = capacities(&ws);
+            for rows in [9, 4, 9, 1] {
+                let (x, y) = tiny_batch(6, 4, rows);
+                model.loss_and_grad_into(&x, &y, &mut ws);
+                assert_eq!(capacities(&ws), reserved, "a batch of {rows}");
+            }
+        }
     }
 
     #[test]

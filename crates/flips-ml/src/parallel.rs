@@ -8,7 +8,7 @@
 //! caller decides when its work is too small to be worth a spawn and
 //! passes one worker, which runs inline.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Most worker threads a fan-out uses.
 const MAX_THREADS: usize = 8;
@@ -54,32 +54,34 @@ where
     })
 }
 
-/// Returns `[f(0), f(1), …, f(count − 1)]`, computed by up to `workers`
-/// threads that each claim the next unclaimed index until none is left,
-/// so pieces of uneven cost balance themselves. One worker runs inline.
+/// Returns `f` of each item, in `items` order, computed by up to `workers`
+/// threads that each claim the next unclaimed item until none is left, so
+/// pieces of uneven cost balance themselves (best with the costliest
+/// first). One worker runs inline.
 ///
 /// # Panics
 ///
 /// Re-raises a worker's panic.
-pub fn map<R, F>(count: usize, workers: usize, f: F) -> Vec<R>
+pub fn map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
+    T: Send,
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(T) -> R + Sync,
 {
+    let count = items.len();
     if workers <= 1 || count <= 1 {
-        return (0..count).map(f).collect();
+        return items.into_iter().map(f).collect();
     }
-    // The counter only hands out indices; results come back through the
-    // joins, so it publishes no data and `Relaxed` suffices.
-    let next = AtomicUsize::new(0);
+    // One lock hands out items; it is held for the claim only, never
+    // while `f` runs, so a panicking `f` cannot poison it.
+    let queue = Mutex::new(items.into_iter().enumerate());
     let work = || {
         let mut done = Vec::new();
         loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= count {
+            let Some((i, item)) = queue.lock().expect("claims never panic").next() else {
                 return done;
-            }
-            done.push((i, f(i)));
+            };
+            done.push((i, f(item)));
         }
     };
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(count).collect();
@@ -90,7 +92,7 @@ where
             slots[i] = Some(r);
         }
     });
-    slots.into_iter().map(|r| r.expect("every index was claimed once")).collect()
+    slots.into_iter().map(|r| r.expect("every item was claimed once")).collect()
 }
 
 /// A worker's result, or its panic re-raised here.
@@ -128,15 +130,28 @@ mod tests {
         for count in [0usize, 1, 2, 9, 100] {
             for workers in 1..=4 {
                 let squares: Vec<usize> = (0..count).map(|i| i * i).collect();
-                assert_eq!(map(count, workers, |i| i * i), squares);
+                assert_eq!(map((0..count).collect(), workers, |i| i * i), squares);
             }
+        }
+    }
+
+    #[test]
+    fn map_hands_each_owned_item_to_one_call() {
+        for workers in 1..=4 {
+            let mut counts = vec![0usize; 23];
+            let order = map(counts.iter_mut().enumerate().collect(), workers, |(i, count)| {
+                *count += 1;
+                i
+            });
+            assert!(counts.iter().all(|&c| c == 1), "{counts:?}");
+            assert_eq!(order, (0..23).collect::<Vec<_>>(), "results in item order");
         }
     }
 
     #[test]
     #[should_panic(expected = "worker 3 fails")]
     fn a_worker_panic_reaches_the_caller() {
-        map(8, 3, |i| assert!(i != 3, "worker {i} fails"));
+        map((0..8).collect(), 3, |i: usize| assert!(i != 3, "worker {i} fails"));
     }
 
     #[test]

@@ -25,7 +25,6 @@ fn run(selector: SelectorKind) -> Result<SimulationReport, FlipsError> {
         .algorithm(FlAlgorithm::fedyogi())
         .selector(selector)
         .clustering_restarts(10)
-        .parallel(true)
         .seed(7)
         .run()
 }

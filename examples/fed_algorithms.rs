@@ -31,7 +31,6 @@ fn main() -> Result<(), FlipsError> {
             .algorithm(algorithm)
             .selector(SelectorKind::Flips)
             .clustering_restarts(8)
-            .parallel(true)
             .seed(31)
             .run()?;
         let rtt = report

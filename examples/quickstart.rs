@@ -20,7 +20,6 @@ fn main() -> Result<(), FlipsError> {
         .algorithm(FlAlgorithm::fedyogi())
         .selector(SelectorKind::Flips)
         .clustering_restarts(10)
-        .parallel(true)
         .seed(42)
         .run()?;
 

@@ -35,7 +35,6 @@ fn main() -> Result<(), FlipsError> {
             .algorithm(FlAlgorithm::fedyogi())
             .selector(kind)
             .clustering_restarts(10)
-            .parallel(true)
             .seed(11)
             .run()?;
 

@@ -34,7 +34,6 @@ fn build(
         .selector(kind)
         .straggler_rate(rate)
         .clustering_restarts(8)
-        .parallel(true)
         .seed(23);
     if !overprovision {
         b = b.without_overprovisioning();

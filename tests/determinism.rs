@@ -5,7 +5,7 @@
 
 use flips::prelude::*;
 
-fn run(kind: SelectorKind, seed: u64, parallel: bool) -> SimulationReport {
+fn run(kind: SelectorKind, seed: u64) -> SimulationReport {
     SimulationBuilder::new(DatasetProfile::femnist())
         .parties(18)
         .rounds(6)
@@ -15,7 +15,6 @@ fn run(kind: SelectorKind, seed: u64, parallel: bool) -> SimulationReport {
         .straggler_rate(0.2)
         .clustering_restarts(3)
         .test_per_class(8)
-        .parallel(parallel)
         .seed(seed)
         .run()
         .unwrap()
@@ -24,8 +23,8 @@ fn run(kind: SelectorKind, seed: u64, parallel: bool) -> SimulationReport {
 #[test]
 fn identical_seeds_replay_identically_for_every_selector() {
     for kind in SelectorKind::all() {
-        let a = run(kind, 11, false);
-        let b = run(kind, 11, false);
+        let a = run(kind, 11);
+        let b = run(kind, 11);
         assert_eq!(a.history, b.history, "{kind} diverged under identical seeds");
         assert_eq!(a.meta.k, b.meta.k);
     }
@@ -33,8 +32,8 @@ fn identical_seeds_replay_identically_for_every_selector() {
 
 #[test]
 fn different_seeds_diverge() {
-    let a = run(SelectorKind::Random, 1, false);
-    let b = run(SelectorKind::Random, 2, false);
+    let a = run(SelectorKind::Random, 1);
+    let b = run(SelectorKind::Random, 2);
     assert_ne!(
         a.history.accuracy_series(),
         b.history.accuracy_series(),
@@ -43,22 +42,11 @@ fn different_seeds_diverge() {
 }
 
 #[test]
-fn parallel_training_matches_sequential() {
-    // Thread scheduling must not leak into results: updates are
-    // aggregated in party-id order regardless of completion order.
-    for kind in [SelectorKind::Flips, SelectorKind::Random] {
-        let seq = run(kind, 7, false);
-        let par = run(kind, 7, true);
-        assert_eq!(seq.history, par.history, "{kind}: parallel execution changed results");
-    }
-}
-
-#[test]
 fn selector_streams_are_independent_of_each_other() {
     // Running FLIPS first must not perturb a later Random run with the
     // same seed (no global RNG state).
-    let first = run(SelectorKind::Random, 5, false);
-    let _ = run(SelectorKind::Flips, 5, false);
-    let second = run(SelectorKind::Random, 5, false);
+    let first = run(SelectorKind::Random, 5);
+    let _ = run(SelectorKind::Flips, 5);
+    let second = run(SelectorKind::Random, 5);
     assert_eq!(first.history, second.history);
 }

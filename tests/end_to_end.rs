@@ -73,7 +73,6 @@ fn flips_beats_random_on_imbalanced_non_iid_data() {
             .selector(kind)
             .clustering_restarts(4)
             .test_per_class(20)
-            .parallel(true)
             .seed(seed)
             .run()
             .unwrap()
@@ -97,7 +96,6 @@ fn flips_lifts_rare_label_recall() {
             .selector(kind)
             .clustering_restarts(4)
             .test_per_class(20)
-            .parallel(true)
             .seed(5)
             .run()
             .unwrap()
@@ -132,7 +130,6 @@ fn higher_alpha_is_easier_for_random_selection() {
             .alpha(alpha)
             .selector(SelectorKind::Random)
             .test_per_class(15)
-            .parallel(true)
             .seed(9)
             .run()
             .unwrap()

@@ -86,7 +86,6 @@ fn flips_still_learns_under_heavy_stragglers() {
         .straggler_rate(0.2)
         .clustering_restarts(3)
         .test_per_class(10)
-        .parallel(true)
         .seed(21)
         .run()
         .unwrap();
