@@ -504,6 +504,24 @@ mod tests {
     }
 
     #[test]
+    fn parallel_and_sequential_agree() {
+        // Whole runs, stragglers included: one worker trains the cohort
+        // in turn, four claim parties largest first.
+        let run_on = |workers: usize| {
+            let mut j = job(0.1);
+            while j.round() < j.rounds {
+                j.step_on(workers).unwrap();
+            }
+            (j.history().clone(), j.global_params().to_vec())
+        };
+        let (hs, ps) = run_on(1);
+        let (hp, pp) = run_on(4);
+        assert_eq!(hs.accuracy_series(), hp.accuracy_series());
+        assert!(hs == hp, "parallel training changed the history");
+        assert_eq!(ps, pp);
+    }
+
+    #[test]
     fn every_worker_count_trains_the_same_bits() {
         let run_on = |workers: usize| {
             // By hand: party 4 is withheld, and party 8 was told round 0

@@ -5,7 +5,7 @@
 
 use flips::prelude::*;
 
-fn run(kind: SelectorKind, seed: u64) -> SimulationReport {
+fn builder(kind: SelectorKind, seed: u64) -> SimulationBuilder {
     SimulationBuilder::new(DatasetProfile::femnist())
         .parties(18)
         .rounds(6)
@@ -16,8 +16,10 @@ fn run(kind: SelectorKind, seed: u64) -> SimulationReport {
         .clustering_restarts(3)
         .test_per_class(8)
         .seed(seed)
-        .run()
-        .unwrap()
+}
+
+fn run(kind: SelectorKind, seed: u64) -> SimulationReport {
+    builder(kind, seed).run().unwrap()
 }
 
 #[test]
@@ -39,6 +41,26 @@ fn different_seeds_diverge() {
         b.history.accuracy_series(),
         "different seeds should explore different trajectories"
     );
+}
+
+#[test]
+fn parallel_training_matches_sequential() {
+    // Thread scheduling must not leak into results: `FlJob` trains each
+    // cohort on every core, while the lockstep party pool trains the
+    // same seeded job's parties one after another on one thread.
+    for kind in [SelectorKind::Flips, SelectorKind::Random] {
+        let par = run(kind, 7);
+        let (job, _) = builder(kind, 7).build().unwrap();
+        let JobParts { coordinator, endpoints, clock, latency, .. } = job.into_parts();
+        let (agg_pipe, party_pipe) = duplex();
+        let mut driver = MultiJobDriver::new(StreamTransport::new(agg_pipe));
+        let id = driver.add_job(coordinator, Box::new(clock), latency).unwrap();
+        let mut pool = PartyPool::new(StreamTransport::new(party_pipe));
+        pool.add_job(id, endpoints);
+        run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
+        let seq = driver.history(id).unwrap();
+        assert_eq!(seq, &par.history, "{kind}: parallel execution changed results");
+    }
 }
 
 #[test]
