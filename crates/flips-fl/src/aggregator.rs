@@ -341,10 +341,8 @@ impl FlJob {
     }
 
     /// Delivers `GlobalModel` messages to their endpoints on up to
-    /// `workers` threads, largest dataset first so no long training starts
-    /// last, and returns the replies — or the first error — in roster
-    /// order. Training is seed-deterministic per (round, party), so
-    /// neither the claim order nor the worker count moves a bit.
+    /// `workers` threads ([`PartyEndpoint::handle_cohort`]) and returns
+    /// the replies — or the first error — in roster order.
     fn train_endpoints(
         &mut self,
         deliveries: &[(PartyId, WireMessage)],
@@ -352,25 +350,13 @@ impl FlJob {
     ) -> Result<Vec<WireMessage>, FlError> {
         let by_party: std::collections::HashMap<PartyId, &WireMessage> =
             deliveries.iter().map(|(p, m)| (*p, m)).collect();
-        let mut jobs: Vec<(usize, (&mut PartyEndpoint, &WireMessage))> = self
+        let cohort = self
             .endpoints
             .iter_mut()
             .filter_map(|ep| by_party.get(&ep.id()).map(|msg| (ep, *msg)))
-            .enumerate()
             .collect();
-        // Sized here rather than on a worker: a worker allocates from its
-        // thread's own glibc arena, and buffers that outlive the round
-        // would keep that arena's memory resident.
-        for (_, (ep, _)) in &mut jobs {
-            ep.reserve_buffers();
-        }
-        // Stable, so equal sizes keep roster order.
-        jobs.sort_by_key(|(_, (ep, _))| std::cmp::Reverse(ep.num_samples()));
-        let mut results =
-            flips_ml::parallel::map(jobs, workers, |(slot, (ep, msg))| (slot, ep.handle(msg)));
-        results.sort_unstable_by_key(|(slot, _)| *slot);
-        let mut replies = Vec::with_capacity(results.len());
-        for (_, result) in results {
+        let mut replies = Vec::with_capacity(deliveries.len());
+        for result in PartyEndpoint::handle_cohort(cohort, workers) {
             replies.extend(result?);
         }
         Ok(replies)

@@ -52,8 +52,8 @@
 //!
 //! # Determinism scope
 //!
-//! Over a single-threaded wire — one link, or N under
-//! [`crate::run_lockstep`] — the whole run is deterministic: the same
+//! Over a lockstep wire — one link, or N under [`crate::run_lockstep`],
+//! one thread moving every frame — the whole run is deterministic: the same
 //! seed applies the same action to the same frame, so the applied-chaos
 //! log, the breaker transitions and every counter replay
 //! (`tests/guard_plane.rs` runs each schedule twice on 1, 2 and 3 links

@@ -51,8 +51,8 @@
 //!   one transport, on the deterministic [`wheel::TimerWheel`];
 //! - [`pool`] — the [`pool::PartyPool`] serving the party side of that
 //!   wire (and folding it, in aggregation-tree mode), and
-//!   [`run_lockstep`], the single-threaded loop that runs a driver and
-//!   its pools — one per link — to completion;
+//!   [`run_lockstep`], the loop that runs a driver and its pools — one
+//!   per link — to completion on one thread (training fans out);
 //! - [`plan`] — the wire plan: party placement, per-link codecs and tree
 //!   mode decided once ([`plan::WireOptions`], [`plan::split`]) and
 //!   installed on both wire ends ([`plan::memory_wire`] does it over
@@ -66,8 +66,9 @@
 //!   the transport seam, for exercising the guard plane (and everything
 //!   above it) deterministically.
 //!
-//! Everything here is single-threaded except [`FlJob`]'s training
-//! fan-out, one worker per core; protocol frames cross threads only in
+//! One thread moves every frame; training fans out: [`FlJob`] and each
+//! [`PartyPool`] train a round's cohort on one worker per core, through
+//! the same cohort trainer. Protocol frames cross threads only in
 //! `flips-net`, the runtime the binaries ship.
 //!
 //! # Example: one seeded round trip

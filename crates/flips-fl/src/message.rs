@@ -519,6 +519,23 @@ pub fn frame_party_of(frame: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(party.try_into().expect("8 bytes")))
 }
 
+/// Peeks the `(job, round)` of a framed `GlobalModel` without decoding
+/// it — decoding may advance the receiver's delta reference. Returns
+/// `None` for every other frame. The party pool uses this to decide
+/// whether a model may join its training batch.
+pub(crate) fn frame_model_of(frame: &[u8]) -> Option<(u64, u64)> {
+    if frame.get(FRAME_HEADER + 4) != Some(&TAG_GLOBAL) {
+        return None;
+    }
+    let round = frame.get(FRAME_HEADER + HEADER + 8..FRAME_HEADER + HEADER + 16)?;
+    Some((frame_job_of(frame)?, u64::from_le_bytes(round.try_into().expect("8 bytes"))))
+}
+
+/// Peeks whether a framed message is a selection notice.
+pub(crate) fn frame_is_notice(frame: &[u8]) -> bool {
+    frame.get(FRAME_HEADER + 4) == Some(&TAG_NOTICE)
+}
+
 /// Peeks whether a framed message is a party's local update — the one
 /// frame kind whose delivery order within a round is provably
 /// irrelevant (accepted updates are re-sorted by party id at round

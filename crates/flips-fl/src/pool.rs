@@ -2,19 +2,25 @@
 //! job's [`PartyEndpoint`]s keyed by `(job, party)`, decoding inbound
 //! frames, training, and encoding replies — and, in aggregation-tree
 //! mode, folding its endpoints' updates into one exact partial per
-//! round. [`run_lockstep`] alternates one [`MultiJobDriver`] and its
-//! pools — one per link — on the calling thread.
+//! round. One thread moves every frame; training fans out: the models
+//! of one drain train together on every core, and their replies go out
+//! in the order the models arrived. [`run_lockstep`] alternates one
+//! [`MultiJobDriver`] and its pools — one per link — on the calling
+//! thread.
 
 use crate::aggtree::ExactWeightedSum;
 use crate::codec::{CodecMap, ModelCodec, Negotiation, Role};
 use crate::driver::MultiJobDriver;
 use crate::guard::GuardConfig;
-use crate::message::{deframe_with, frame_into, frame_job_of, PartialEntry, AGGREGATOR_DEST};
+use crate::message::{
+    deframe_with, frame_dest, frame_into, frame_is_notice, frame_job_of, frame_model_of,
+    PartialEntry, AGGREGATOR_DEST,
+};
 use crate::transport::{Transport, MAX_FRAME_BYTES};
 use crate::{FlError, PartyEndpoint, WireMessage};
 use bytes::BytesMut;
 use flips_selection::PartyId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The party side of a serialized link: every job's endpoints, keyed by
@@ -47,6 +53,68 @@ pub struct PartyPool<T: Transport> {
     /// drain — one [`WireMessage::PartialUpdate`] is emitted per entry
     /// when the drain loop goes quiet, in ascending key order.
     tree_acc: BTreeMap<(u64, u64), (ExactWeightedSum, Vec<PartialEntry>)>,
+    /// The drain's global models awaiting training, and every reply
+    /// behind them ([`PartyPool::pump`]).
+    outbox: Outbox,
+}
+
+/// Replies one drain has not sent yet, in wire order, and the batch of
+/// global models whose training they wait on.
+#[derive(Default)]
+struct Outbox {
+    /// The `(job, round)` every batched model carries.
+    key: Option<(u64, u64)>,
+    /// Endpoints holding a batched model.
+    batched: BTreeSet<PartyId>,
+    /// The first batched model's parameters.
+    params: Option<Arc<[f32]>>,
+    slots: Vec<Slot>,
+}
+
+enum Slot {
+    /// A batched model for an endpoint; its update once trained.
+    Model(PartyId, WireMessage),
+    /// Replies already made.
+    Ready(Vec<WireMessage>),
+}
+
+impl Outbox {
+    /// Batches a global model for `dest`. A model with the first one's
+    /// bits — the same broadcast, decoded again — shares them, so one
+    /// decoded copy per batch waits for the flush, not one per endpoint.
+    fn push_model(&mut self, dest: PartyId, mut msg: WireMessage) {
+        if let WireMessage::GlobalModel { job, round, params } = &mut msg {
+            self.key = Some((*job, *round));
+            match &self.params {
+                Some(first) if same_bits(first, params) => *params = Arc::clone(first),
+                Some(_) => {}
+                None => self.params = Some(Arc::clone(params)),
+            }
+        }
+        self.batched.insert(dest);
+        self.slots.push(Slot::Model(dest, msg));
+    }
+
+    /// Whether `frame` can be taken in without training the batch first:
+    /// a model of the batch's `(job, round)`, or a selection notice, for
+    /// an endpoint not in the batch. Both leave the batch's codec state
+    /// as it is — the receiver's reference moves only on a newer round,
+    /// and a notice moves the batch job's codec only when it pins it
+    /// first — so every batched update encodes as if sent at once.
+    fn admits(&self, frame: &[u8], codecs: &CodecMap) -> bool {
+        let Some((job, round)) = self.key else {
+            return true;
+        };
+        let Some(dest) = frame_dest(frame) else {
+            return false;
+        };
+        let free = !self.batched.contains(&(dest as PartyId));
+        if let Some(model) = frame_model_of(frame) {
+            return model == (job, round) && free;
+        }
+        frame_is_notice(frame)
+            && frame_job_of(frame).is_some_and(|j| j != job || free && codecs.codec_of(j).is_some())
+    }
 }
 
 /// Per-job state for a pool acting as an aggregation-tree inner node.
@@ -58,6 +126,11 @@ struct TreeJob {
     /// downlink so per-party sketches are taken against the exact bits
     /// the coordinator would have used.
     global: Option<(u64, Arc<[f32]>)>,
+}
+
+fn same_bits(a: &Arc<[f32]>, b: &Arc<[f32]>) -> bool {
+    Arc::ptr_eq(a, b)
+        || a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl<T: Transport> std::fmt::Debug for PartyPool<T> {
@@ -86,6 +159,7 @@ impl<T: Transport> PartyPool<T> {
             oversized: 0,
             tree: BTreeMap::new(),
             tree_acc: BTreeMap::new(),
+            outbox: Outbox::default(),
         }
     }
 
@@ -221,6 +295,14 @@ impl<T: Transport> PartyPool<T> {
     /// and send its replies back up the wire. Returns whether any frame
     /// was processed.
     ///
+    /// One thread moves every frame; training fans out. The global
+    /// models of one `(job, round)` that a drain delivers to distinct
+    /// endpoints train together, on every core, through the cohort
+    /// trainer [`crate::FlJob`] uses; any other frame — or the end of the
+    /// drain — trains the batch first. Replies leave in the order their
+    /// frames arrived, so the wire, every endpoint and every codec see
+    /// what they would if each frame were handled in turn.
+    ///
     /// Corrupt, unroutable and protocol-violating frames are counted
     /// and dropped — a bad frame must not take the pool (or any other
     /// job) down. That includes frames that *route* but that the
@@ -233,6 +315,12 @@ impl<T: Transport> PartyPool<T> {
     ///
     /// Only transport failures propagate.
     pub fn pump(&mut self) -> Result<bool, FlError> {
+        self.pump_on(flips_ml::parallel::threads(self.endpoints.len()))
+    }
+
+    /// [`PartyPool::pump`], training on at most `workers` threads; the
+    /// wire carries the same bytes at every count.
+    fn pump_on(&mut self, workers: usize) -> Result<bool, FlError> {
         let mut progressed = false;
         while let Some(raw) = self.transport.try_recv()? {
             progressed = true;
@@ -240,11 +328,14 @@ impl<T: Transport> PartyPool<T> {
                 self.oversized += 1;
                 continue;
             }
+            if !self.outbox.admits(&raw, &self.codecs) {
+                self.flush(workers)?;
+            }
             let peeked_job = frame_job_of(&raw);
-            let msg = match deframe_with(raw, &mut self.codecs) {
+            let (dest, msg) = match deframe_with(raw, &mut self.codecs) {
                 Ok((dest, msg)) => {
                     if self.endpoints.contains_key(&(msg.job(), dest as PartyId)) {
-                        (dest, msg)
+                        (dest as PartyId, msg)
                     } else {
                         self.unroutable += 1;
                         continue;
@@ -265,7 +356,6 @@ impl<T: Transport> PartyPool<T> {
                     continue;
                 }
             };
-            let (dest, msg) = msg;
             // The wire-level half of codec negotiation: the first
             // notice for a job pins the codec its model frames will be
             // decoded with; a conflicting notice is dropped before it
@@ -277,32 +367,17 @@ impl<T: Transport> PartyPool<T> {
                     continue;
                 }
             }
-            // Tree mode captures each dispatched global off the downlink
-            // *before* the endpoint consumes it: folded updates need the
-            // exact broadcast bits as the sketch reference.
-            if let WireMessage::GlobalModel { job, round, params } = &msg {
-                if let Some(tree) = self.tree.get_mut(job) {
-                    tree.global = Some((*round, Arc::clone(params)));
-                }
-            }
-            let endpoint = self.endpoints.get_mut(&(msg.job(), dest as PartyId)).expect("checked");
-            let Ok(replies) = endpoint.handle(&msg) else {
-                self.rejected += 1;
+            if matches!(msg, WireMessage::GlobalModel { .. }) {
+                self.outbox.push_model(dest, msg);
                 continue;
-            };
-            for reply in replies {
-                if self.try_fold_tree(&reply) {
-                    continue;
-                }
-                frame_into(
-                    AGGREGATOR_DEST,
-                    &reply,
-                    self.codecs.for_job(reply.job()),
-                    &mut self.scratch,
-                );
-                self.transport.send(self.scratch.as_slice())?;
+            }
+            let endpoint = self.endpoints.get_mut(&(msg.job(), dest)).expect("checked");
+            match endpoint.handle(&msg) {
+                Ok(replies) => self.outbox.slots.push(Slot::Ready(replies)),
+                Err(_) => self.rejected += 1,
             }
         }
+        self.flush(workers)?;
         // Ship one partial per (job, round) folded during this drain, in
         // deterministic ascending order. Emitting only once the wire is
         // quiet batches every update the drain produced; a round whose
@@ -324,6 +399,60 @@ impl<T: Transport> PartyPool<T> {
             self.transport.send(self.scratch.as_slice())?;
         }
         Ok(progressed)
+    }
+
+    /// Trains the batched models on up to `workers` threads, then sends
+    /// the outbox in order (tree-mode updates fold instead).
+    fn flush(&mut self, workers: usize) -> Result<(), FlError> {
+        let Outbox { key, slots, .. } = std::mem::take(&mut self.outbox);
+        let (job, _) = key.unwrap_or_default();
+        let mut cohort = Vec::new();
+        let mut models = Vec::new();
+        for slot in &slots {
+            if let Slot::Model(party, msg) = slot {
+                cohort.push(self.endpoints.remove(&(job, *party)).expect("batched when routed"));
+                models.push(msg);
+            }
+        }
+        let results =
+            PartyEndpoint::handle_cohort(cohort.iter_mut().zip(models).collect(), workers);
+        for endpoint in cohort {
+            self.endpoints.insert((job, endpoint.id()), endpoint);
+        }
+        let mut results = results.into_iter();
+        for slot in slots {
+            let replies = match slot {
+                Slot::Ready(replies) => replies,
+                Slot::Model(_, msg) => {
+                    // Tree mode captures each dispatched global before
+                    // its update folds: folded updates need the exact
+                    // broadcast bits as the sketch reference.
+                    if let WireMessage::GlobalModel { job, round, params } = msg {
+                        if let Some(tree) = self.tree.get_mut(&job) {
+                            tree.global = Some((round, params));
+                        }
+                    }
+                    let Ok(replies) = results.next().expect("one result per model") else {
+                        self.rejected += 1;
+                        continue;
+                    };
+                    replies
+                }
+            };
+            for reply in replies {
+                if self.try_fold_tree(&reply) {
+                    continue;
+                }
+                frame_into(
+                    AGGREGATOR_DEST,
+                    &reply,
+                    self.codecs.for_job(reply.job()),
+                    &mut self.scratch,
+                );
+                self.transport.send(self.scratch.as_slice())?;
+            }
+        }
+        Ok(())
     }
 
     /// Folds a tree-job local update into the round's partial
@@ -416,6 +545,200 @@ pub fn run_lockstep<A: Transport, B: Transport>(
             return Err(FlError::Protocol(
                 "driver stalled: wire quiet, no live deadline, jobs unfinished".into(),
             ));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aggregator::{FlJob, FlJobConfig};
+    use crate::config::LocalTrainingConfig;
+    use crate::driver::DriverStats;
+    use crate::message::deframe;
+    use crate::transport::{duplex, PipeEnd, StreamTransport};
+    use crate::History;
+    use bytes::Bytes;
+    use flips_data::dataset::{balanced_test_set, generate_population};
+    use flips_data::DatasetProfile;
+    use flips_selection::RandomSelector;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The party end of the wire, recording every uplink frame and
+    /// slipping scripted frames into the downlink behind the frame that
+    /// prompted them.
+    struct Tap<F> {
+        inner: StreamTransport<PipeEnd>,
+        script: F,
+        pending: std::collections::VecDeque<Bytes>,
+        sent: Vec<Vec<u8>>,
+    }
+
+    impl<F: FnMut(&[u8]) -> Vec<Bytes>> Transport for Tap<F> {
+        fn send(&mut self, frame: &[u8]) -> Result<(), FlError> {
+            self.sent.push(frame.to_vec());
+            self.inner.send(frame)
+        }
+
+        fn try_recv(&mut self) -> Result<Option<Bytes>, FlError> {
+            if let Some(frame) = self.pending.pop_front() {
+                return Ok(Some(frame));
+            }
+            let frame = self.inner.try_recv()?;
+            if let Some(frame) = &frame {
+                self.pending.extend((self.script)(frame));
+            }
+            Ok(frame)
+        }
+    }
+
+    /// Ten parties of 2–240 samples, four a round.
+    fn job(seed: u64, codec: ModelCodec, straggler_rate: f64) -> FlJob {
+        let profile = DatasetProfile::femnist().scaled(10, 30);
+        let sizes = [3usize, 180, 7, 64, 2, 240, 15, 96, 5, 120];
+        let datasets = (0..).zip(sizes).map(|(i, n)| generate_population(&profile, n, i)).collect();
+        let config = FlJobConfig {
+            rounds: 4,
+            parties_per_round: 4,
+            straggler_rate,
+            codec,
+            local: LocalTrainingConfig { epochs: 1, batch_size: 16, ..Default::default() },
+            seed,
+            ..FlJobConfig::new(profile.model.clone())
+        };
+        let test = balanced_test_set(&profile, 10, 11);
+        FlJob::new(datasets, test, config, Box::new(RandomSelector::new(10, seed))).unwrap()
+    }
+
+    /// What one pump leaves behind: uplink frames so far and every pool
+    /// counter.
+    type Snapshot = (usize, [u64; 5]);
+
+    /// Three jobs on one pool: `flat` (raw codec, 20 % stragglers, the
+    /// scripted frames), `delta` (DeltaEntropy) and `tree` (an
+    /// aggregation-tree inner node), driven to the end on `workers`.
+    fn run_on(workers: usize) -> (Vec<Vec<u8>>, Vec<Snapshot>, Vec<History>, DriverStats) {
+        let (agg_end, party_end) = duplex();
+        let mut driver = MultiJobDriver::new(StreamTransport::new(agg_end));
+        let mut jobs = Vec::new();
+        for (seed, codec, rate, tree) in [
+            (1, ModelCodec::Raw, 0.2, false),
+            (2, ModelCodec::DeltaEntropy, 0.0, false),
+            (3, ModelCodec::Raw, 0.0, true),
+        ] {
+            let mut parts = job(seed, codec, rate).into_parts();
+            parts.coordinator.set_exact_fold(tree);
+            let sketch_dim = parts.coordinator.sketch_dim();
+            let (id, endpoints) = driver.add_parts(parts).unwrap();
+            jobs.push((id, endpoints, tree.then_some(sketch_dim)));
+        }
+        let flat = jobs[0].0;
+
+        // Each mid-drain, behind the first model of a flat-job round:
+        // round 1 aborts that model's party, round 2 sends a model of
+        // the wrong length to the next party, round 3 repeats the model.
+        let firsts = Rc::new(RefCell::new(BTreeMap::new()));
+        let seen = Rc::clone(&firsts);
+        let script = move |frame: &[u8]| -> Vec<Bytes> {
+            let Some((job, round)) = frame_model_of(frame).filter(|(job, _)| *job == flat) else {
+                return Vec::new();
+            };
+            let party = frame_dest(frame).unwrap();
+            if *seen.borrow_mut().entry(round).or_insert(party) != party {
+                return Vec::new();
+            }
+            let mut codecs = CodecMap::new(Role::Sender);
+            let mut out = BytesMut::new();
+            match round {
+                1 => {
+                    let abort = WireMessage::Abort { job, round, party, reason: "test".into() };
+                    frame_into(party, &abort, codecs.for_job(job), &mut out);
+                }
+                2 => {
+                    let short =
+                        WireMessage::GlobalModel { job, round, params: vec![0.5; 3].into() };
+                    frame_into((party + 1) % 10, &short, codecs.for_job(job), &mut out);
+                }
+                3 => return vec![Bytes::from(frame.to_vec())],
+                _ => return Vec::new(),
+            }
+            vec![Bytes::from(out.as_slice().to_vec())]
+        };
+        let tap = Tap {
+            inner: StreamTransport::new(party_end),
+            script,
+            pending: Default::default(),
+            sent: Vec::new(),
+        };
+        let mut pool = PartyPool::new(tap);
+        for (id, endpoints, tree) in jobs {
+            pool.add_job(id, endpoints);
+            if let Some(sketch_dim) = tree {
+                pool.enable_tree(id, sketch_dim);
+            }
+        }
+
+        let mut snapshots = Vec::new();
+        driver.start().unwrap();
+        while !driver.is_finished() {
+            loop {
+                let mut progressed = driver.pump().unwrap();
+                progressed |= pool.pump_on(workers).unwrap();
+                snapshots.push((
+                    pool.transport().sent.len(),
+                    [
+                        pool.unroutable(),
+                        pool.rejected(),
+                        pool.codec_mismatch(),
+                        pool.renegotiations_rejected(),
+                        pool.oversized(),
+                    ],
+                ));
+                if !progressed {
+                    break;
+                }
+            }
+            if !driver.is_finished() {
+                assert!(driver.advance_clock().unwrap(), "stalled");
+            }
+        }
+        let sent = std::mem::take(&mut pool.transport_mut().sent);
+        // Each frame took effect in turn: the model the abort followed
+        // still trained, and the repeated one trained twice.
+        let updates = |round: u64| {
+            let party = firsts.borrow()[&round];
+            let of = |f: &Vec<u8>| match deframe(Bytes::from(f.clone())) {
+                Ok((_, WireMessage::LocalUpdate { job, round: r, party: p, .. })) => {
+                    (job, r, p) == (flat, round, party)
+                }
+                _ => false,
+            };
+            sent.iter().filter(|f| of(f)).count()
+        };
+        assert_eq!((updates(1), updates(3)), (1, 2), "{workers} workers");
+        let histories =
+            driver.job_ids().into_iter().map(|j| driver.history(j).unwrap().clone()).collect();
+        (sent, snapshots, histories, driver.stats())
+    }
+
+    #[test]
+    fn every_worker_count_sends_the_same_bytes() {
+        let (sent, snapshots, histories, stats) = run_on(1);
+        assert!(histories.iter().all(|h| h.len() == 4), "every job ran its budget");
+        let (_, last) = snapshots.last().unwrap();
+        assert_eq!(*last, [0, 1, 0, 0, 0], "the wrong-length model is the one rejected frame");
+        assert!(stats.rejected_messages > 0, "the repeated model trains twice");
+        let partial = |f: &Vec<u8>| {
+            matches!(deframe(Bytes::from(f.clone())), Ok((_, WireMessage::PartialUpdate { .. })))
+        };
+        assert!(sent.iter().any(partial), "the tree job ships partials");
+        for workers in [2, 3, 8] {
+            let (s, n, h, d) = run_on(workers);
+            assert!(s == sent, "{workers} workers: the uplink differs");
+            assert!(n == snapshots, "{workers} workers: counters differ after some pump");
+            assert!(h == histories, "{workers} workers: histories differ");
+            assert_eq!(d, stats, "{workers} workers");
         }
     }
 }

@@ -7,15 +7,6 @@ pub fn relu_inplace(m: &mut Matrix) {
     m.map_inplace(|x| if x > 0.0 { x } else { 0.0 });
 }
 
-/// Element-wise derivative mask of ReLU evaluated at the *pre-activation*.
-///
-/// Entry is 1.0 where the input was positive, else 0.0.
-pub fn relu_grad_mask(pre_activation: &Matrix) -> Matrix {
-    let mut m = pre_activation.clone();
-    m.map_inplace(|x| if x > 0.0 { 1.0 } else { 0.0 });
-    m
-}
-
 /// Multiplies `delta` in place by ReLU's derivative at `pre_activation`
 /// (zeroing entries whose pre-activation was non-positive) without
 /// materializing the mask matrix.
@@ -30,16 +21,6 @@ pub fn relu_grad_mask_mul(delta: &mut Matrix, pre_activation: &Matrix) {
             *d = 0.0;
         }
     }
-}
-
-/// Logistic sigmoid applied element-wise in place.
-pub fn sigmoid_inplace(m: &mut Matrix) {
-    m.map_inplace(|x| 1.0 / (1.0 + (-x).exp()));
-}
-
-/// Hyperbolic tangent applied element-wise in place.
-pub fn tanh_inplace(m: &mut Matrix) {
-    m.map_inplace(f32::tanh);
 }
 
 /// Row-wise numerically-stable softmax.
@@ -73,13 +54,6 @@ mod tests {
     }
 
     #[test]
-    fn relu_grad_mask_is_indicator() {
-        let pre = Matrix::from_rows(&[vec![-1.0, 0.0, 2.0]]);
-        let mask = relu_grad_mask(&pre);
-        assert_eq!(mask.as_slice(), &[0.0, 0.0, 1.0]);
-    }
-
-    #[test]
     fn softmax_rows_sum_to_one() {
         let mut m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![-5.0, 0.0, 5.0]]);
         softmax_rows_inplace(&mut m);
@@ -104,21 +78,5 @@ mod tests {
         softmax_rows_inplace(&mut m);
         assert!(m[(0, 1)] > m[(0, 2)]);
         assert!(m[(0, 2)] > m[(0, 0)]);
-    }
-
-    #[test]
-    fn sigmoid_midpoint_and_limits() {
-        let mut m = Matrix::from_rows(&[vec![0.0, 20.0, -20.0]]);
-        sigmoid_inplace(&mut m);
-        assert!((m[(0, 0)] - 0.5).abs() < 1e-6);
-        assert!(m[(0, 1)] > 0.999);
-        assert!(m[(0, 2)] < 0.001);
-    }
-
-    #[test]
-    fn tanh_is_odd() {
-        let mut m = Matrix::from_rows(&[vec![1.3, -1.3]]);
-        tanh_inplace(&mut m);
-        assert!((m[(0, 0)] + m[(0, 1)]).abs() < 1e-6);
     }
 }

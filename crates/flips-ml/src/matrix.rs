@@ -346,11 +346,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Index of the maximum entry in each row (ties resolve to the first).
     pub fn argmax_rows(&self) -> Vec<usize> {
         self.rows_iter()
@@ -1083,11 +1078,5 @@ mod tests {
     #[test]
     fn euclidean_distance_pythagoras() {
         assert!((euclidean_distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn frobenius_norm_known_value() {
-        let m = Matrix::from_rows(&[vec![3.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 }

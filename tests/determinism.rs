@@ -43,11 +43,33 @@ fn different_seeds_diverge() {
     );
 }
 
+/// The party end of a wire that hands the pool at most one frame per
+/// pump: `try_recv` reports the wire quiet after every frame it yields.
+struct OneFramePerPump<T> {
+    inner: T,
+    yielded: bool,
+}
+
+impl<T: Transport> Transport for OneFramePerPump<T> {
+    fn send(&mut self, frame: &[u8]) -> Result<(), flips::fl::FlError> {
+        self.inner.send(frame)
+    }
+    fn try_recv(&mut self) -> Result<Option<bytes::Bytes>, flips::fl::FlError> {
+        if std::mem::take(&mut self.yielded) {
+            return Ok(None);
+        }
+        let frame = self.inner.try_recv()?;
+        self.yielded = frame.is_some();
+        Ok(frame)
+    }
+}
+
 #[test]
 fn parallel_training_matches_sequential() {
     // Thread scheduling must not leak into results: `FlJob` trains each
-    // cohort on every core, while the lockstep party pool trains the
-    // same seeded job's parties one after another on one thread.
+    // cohort on every core, while here the lockstep party pool sees one
+    // frame per pump, so every batch it trains holds one party and the
+    // same seeded job's parties train one after another on one thread.
     for kind in [SelectorKind::Flips, SelectorKind::Random] {
         let par = run(kind, 7);
         let (job, _) = builder(kind, 7).build().unwrap();
@@ -55,7 +77,8 @@ fn parallel_training_matches_sequential() {
         let (agg_pipe, party_pipe) = duplex();
         let mut driver = MultiJobDriver::new(StreamTransport::new(agg_pipe));
         let id = driver.add_job(coordinator, Box::new(clock), latency).unwrap();
-        let mut pool = PartyPool::new(StreamTransport::new(party_pipe));
+        let party_end = OneFramePerPump { inner: StreamTransport::new(party_pipe), yielded: false };
+        let mut pool = PartyPool::new(party_end);
         pool.add_job(id, endpoints);
         run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
         let seq = driver.history(id).unwrap();
