@@ -3,24 +3,13 @@
 //! The GradClus baseline (Fraboni et al., ICML'21 — "Clustered Sampling")
 //! builds a similarity matrix across party gradients and cuts a hierarchy
 //! into `S(r)` clusters, then samples one party per cluster (paper §4.1).
-//! This module provides the substrate: bottom-up merging under a choice of
-//! linkage until the requested number of clusters remains.
+//! This module provides the substrate: bottom-up merging under average
+//! linkage (UPGMA, GradClus's choice) until the requested number of
+//! clusters remains.
 
 use crate::kmeans::FlatPoints;
 use crate::ClusteringError;
 use flips_ml::matrix::gemm::{gemm, Layout};
-use serde::{Deserialize, Serialize};
-
-/// Inter-cluster distance definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Linkage {
-    /// Mean pairwise distance between members (UPGMA) — GradClus's choice.
-    Average,
-    /// Minimum pairwise distance.
-    Single,
-    /// Maximum pairwise distance.
-    Complete,
-}
 
 /// Cuts an agglomerative hierarchy over `points` into `num_clusters`
 /// groups using Euclidean distance.
@@ -34,10 +23,9 @@ pub enum Linkage {
 pub fn hierarchical_clusters(
     points: &[Vec<f32>],
     num_clusters: usize,
-    linkage: Linkage,
 ) -> Result<Vec<usize>, ClusteringError> {
     let matrix = pairwise_euclidean(points)?;
-    hierarchical_from_distances(&matrix, num_clusters, linkage)
+    hierarchical_from_distances(&matrix, num_clusters)
 }
 
 /// Pairwise Euclidean distance matrix (`n × n`, symmetric, zero diagonal).
@@ -111,7 +99,6 @@ fn gram_matrix(flat: &FlatPoints) -> Vec<f32> {
 pub fn hierarchical_from_distances(
     distances: &[Vec<f32>],
     num_clusters: usize,
-    linkage: Linkage,
 ) -> Result<Vec<usize>, ClusteringError> {
     let n = distances.len();
     if n == 0 {
@@ -131,7 +118,7 @@ pub fn hierarchical_from_distances(
     let mut alive = n;
 
     while alive > num_clusters {
-        // Find the closest pair of live clusters under the linkage.
+        // Find the closest pair of live clusters under average linkage.
         let mut best: Option<(usize, usize, f32)> = None;
         let live: Vec<usize> = (0..n).filter(|&c| active[c].is_some()).collect();
         for (ai, &a) in live.iter().enumerate() {
@@ -140,7 +127,6 @@ pub fn hierarchical_from_distances(
                     distances,
                     active[a].as_ref().expect("live"),
                     active[b].as_ref().expect("live"),
-                    linkage,
                 );
                 if best.is_none_or(|(_, _, bd)| d < bd) {
                     best = Some((a, b, d));
@@ -164,36 +150,15 @@ pub fn hierarchical_from_distances(
     Ok(labels)
 }
 
-fn cluster_distance(distances: &[Vec<f32>], a: &[usize], b: &[usize], linkage: Linkage) -> f32 {
-    match linkage {
-        Linkage::Average => {
-            let mut total = 0.0f64;
-            for &i in a {
-                for &j in b {
-                    total += distances[i][j] as f64;
-                }
-            }
-            (total / (a.len() * b.len()) as f64) as f32
-        }
-        Linkage::Single => {
-            let mut best = f32::INFINITY;
-            for &i in a {
-                for &j in b {
-                    best = best.min(distances[i][j]);
-                }
-            }
-            best
-        }
-        Linkage::Complete => {
-            let mut worst = 0.0f32;
-            for &i in a {
-                for &j in b {
-                    worst = worst.max(distances[i][j]);
-                }
-            }
-            worst
+/// Mean pairwise distance between the members of `a` and `b`.
+fn cluster_distance(distances: &[Vec<f32>], a: &[usize], b: &[usize]) -> f32 {
+    let mut total = 0.0f64;
+    for &i in a {
+        for &j in b {
+            total += distances[i][j] as f64;
         }
     }
+    (total / (a.len() * b.len()) as f64) as f32
 }
 
 #[cfg(test)]
@@ -215,22 +180,20 @@ mod tests {
     }
 
     #[test]
-    fn separates_two_blobs_under_every_linkage() {
+    fn separates_two_blobs() {
         let (points, truth) = two_blobs();
-        for linkage in [Linkage::Average, Linkage::Single, Linkage::Complete] {
-            let labels = hierarchical_clusters(&points, 2, linkage).unwrap();
-            // Consistent partition: all of blob 0 together, all of blob 1
-            // together.
-            for (l, t) in labels.iter().zip(&truth) {
-                assert_eq!(*l == labels[0], *t == truth[0], "linkage {linkage:?} split a blob");
-            }
+        let labels = hierarchical_clusters(&points, 2).unwrap();
+        // Consistent partition: all of blob 0 together, all of blob 1
+        // together.
+        for (l, t) in labels.iter().zip(&truth) {
+            assert_eq!(*l == labels[0], *t == truth[0], "split a blob");
         }
     }
 
     #[test]
     fn k_equals_n_gives_singletons() {
         let (points, _) = two_blobs();
-        let labels = hierarchical_clusters(&points, points.len(), Linkage::Average).unwrap();
+        let labels = hierarchical_clusters(&points, points.len()).unwrap();
         let mut sorted = labels.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -240,14 +203,14 @@ mod tests {
     #[test]
     fn k_one_merges_everything() {
         let (points, _) = two_blobs();
-        let labels = hierarchical_clusters(&points, 1, Linkage::Complete).unwrap();
+        let labels = hierarchical_clusters(&points, 1).unwrap();
         assert!(labels.iter().all(|&l| l == 0));
     }
 
     #[test]
     fn labels_are_densely_numbered() {
         let (points, _) = two_blobs();
-        let labels = hierarchical_clusters(&points, 5, Linkage::Average).unwrap();
+        let labels = hierarchical_clusters(&points, 5).unwrap();
         let max = *labels.iter().max().unwrap();
         for expect in 0..=max {
             assert!(labels.contains(&expect), "label {expect} missing");
@@ -274,7 +237,7 @@ mod tests {
     fn from_distances_respects_matrix_not_geometry() {
         // A crafted matrix where 0-2 are close and 1 is far from both.
         let d = vec![vec![0.0, 9.0, 1.0], vec![9.0, 0.0, 8.0], vec![1.0, 8.0, 0.0]];
-        let labels = hierarchical_from_distances(&d, 2, Linkage::Average).unwrap();
+        let labels = hierarchical_from_distances(&d, 2).unwrap();
         assert_eq!(labels[0], labels[2]);
         assert_ne!(labels[0], labels[1]);
     }
@@ -282,13 +245,13 @@ mod tests {
     #[test]
     fn rejects_invalid_inputs() {
         let (points, _) = two_blobs();
-        assert!(hierarchical_clusters(&points, 0, Linkage::Average).is_err());
-        assert!(hierarchical_clusters(&points, points.len() + 1, Linkage::Average).is_err());
+        assert!(hierarchical_clusters(&points, 0).is_err());
+        assert!(hierarchical_clusters(&points, points.len() + 1).is_err());
         let empty: Vec<Vec<f32>> = Vec::new();
-        assert!(hierarchical_clusters(&empty, 1, Linkage::Average).is_err());
+        assert!(hierarchical_clusters(&empty, 1).is_err());
         let ragged = vec![vec![0.0], vec![0.0, 1.0]];
-        assert!(hierarchical_clusters(&ragged, 1, Linkage::Average).is_err());
+        assert!(hierarchical_clusters(&ragged, 1).is_err());
         let nonsquare = vec![vec![0.0, 1.0]];
-        assert!(hierarchical_from_distances(&nonsquare, 1, Linkage::Average).is_err());
+        assert!(hierarchical_from_distances(&nonsquare, 1).is_err());
     }
 }

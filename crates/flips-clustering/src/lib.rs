@@ -42,7 +42,7 @@ mod testdata;
 
 pub use dbi::{davies_bouldin_index, davies_bouldin_index_flat};
 pub use elbow::{optimal_k, ElbowConfig};
-pub use hierarchical::{hierarchical_clusters, Linkage};
+pub use hierarchical::hierarchical_clusters;
 pub use kmeans::{kmeans, kmeans_flat, Clustering, FlatPoints, KMeansConfig, KMeansPoints};
 
 /// Errors produced by the clustering substrate.

@@ -66,15 +66,6 @@ impl Dataset {
             classes: self.classes,
         }
     }
-
-    /// Samples a mini-batch of `size` indices uniformly without
-    /// replacement (or the whole set if `size >= len`).
-    pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, size: usize) -> Vec<usize> {
-        if size >= self.len() {
-            return (0..self.len()).collect();
-        }
-        flips_ml::rng::sample_without_replacement(rng, self.len(), size)
-    }
 }
 
 /// The class-mean geometry shared by a training population and its test
@@ -334,18 +325,6 @@ mod tests {
         assert_eq!(sub.len(), 3);
         assert_eq!(sub.y[1], ds.y[10]);
         assert_eq!(sub.x.row(2), ds.x.row(20));
-    }
-
-    #[test]
-    fn sample_batch_bounds() {
-        let profile = DatasetProfile::femnist();
-        let ds = generate_population(&profile, 20, 1);
-        let mut rng = seeded(0);
-        let b = ds.sample_batch(&mut rng, 8);
-        assert_eq!(b.len(), 8);
-        assert!(b.iter().all(|&i| i < 20));
-        let all = ds.sample_batch(&mut rng, 100);
-        assert_eq!(all.len(), 20);
     }
 
     #[test]

@@ -28,16 +28,6 @@ impl LabelDistribution {
         LabelDistribution { counts: ds.label_counts() }
     }
 
-    /// Tallies a raw label slice over `classes` labels.
-    pub fn from_labels(labels: &[usize], classes: usize) -> Self {
-        let mut counts = vec![0u64; classes];
-        for &l in labels {
-            assert!(l < classes, "label {l} out of range");
-            counts[l] += 1;
-        }
-        LabelDistribution { counts }
-    }
-
     /// Raw counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -70,16 +60,6 @@ impl LabelDistribution {
         flips_ml::matrix::euclidean_distance(&self.normalized(), &other.normalized())
     }
 
-    /// The label with the most datapoints (ties → lowest label).
-    pub fn dominant_label(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-            .expect("non-empty counts")
-    }
-
     /// Shannon entropy (nats) of the normalized distribution — a diversity
     /// measure used in tests and diagnostics.
     pub fn entropy(&self) -> f64 {
@@ -110,19 +90,6 @@ mod tests {
         let a = LabelDistribution::from_counts(vec![1, 1]);
         let b = LabelDistribution::from_counts(vec![1000, 1000]);
         assert!(a.distance(&b) < 1e-6);
-    }
-
-    #[test]
-    fn from_labels_counts_correctly() {
-        let ld = LabelDistribution::from_labels(&[0, 1, 1, 2, 2, 2], 4);
-        assert_eq!(ld.counts(), &[1, 2, 3, 0]);
-        assert_eq!(ld.total(), 6);
-    }
-
-    #[test]
-    fn dominant_label_picks_mode() {
-        let ld = LabelDistribution::from_counts(vec![5, 9, 2]);
-        assert_eq!(ld.dominant_label(), 1);
     }
 
     #[test]

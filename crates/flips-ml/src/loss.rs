@@ -53,13 +53,6 @@ pub fn mse(pred: &[f32], target: &[f32]) -> f32 {
     pred.iter().zip(target).map(|(p, t)| (p - t) * (p - t)).sum::<f32>() / pred.len() as f32
 }
 
-/// FedProx proximal penalty value: `µ/2 · ‖w − w_global‖²`.
-pub fn proximal_penalty(w: &[f32], w_global: &[f32], mu: f32) -> f32 {
-    assert_eq!(w.len(), w_global.len(), "proximal length mismatch");
-    let sq: f32 = w.iter().zip(w_global).map(|(a, b)| (a - b) * (a - b)).sum();
-    0.5 * mu * sq
-}
-
 /// Adds the FedProx proximal gradient `µ · (w − w_global)` into `grad`.
 pub fn add_proximal_grad(grad: &mut [f32], w: &[f32], w_global: &[f32], mu: f32) {
     assert_eq!(grad.len(), w.len(), "proximal grad length mismatch");
@@ -103,20 +96,6 @@ mod tests {
         cross_entropy_logit_grad_inplace(&mut probs, &[0, 0]);
         assert!((probs[(0, 0)] - (-0.25)).abs() < 1e-6);
         assert!((probs[(0, 1)] - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn proximal_penalty_zero_at_anchor() {
-        let w = [1.0, 2.0, 3.0];
-        assert_eq!(proximal_penalty(&w, &w, 0.1), 0.0);
-    }
-
-    #[test]
-    fn proximal_penalty_known_value() {
-        let w = [1.0, 1.0];
-        let g = [0.0, 0.0];
-        // 0.5 * 0.1 * (1 + 1) = 0.1
-        assert!((proximal_penalty(&w, &g, 0.1) - 0.1).abs() < 1e-7);
     }
 
     #[test]

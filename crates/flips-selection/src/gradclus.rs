@@ -12,7 +12,6 @@
 
 use crate::types::{validate_request, ParticipantSelector, PartyId, RoundFeedback, SelectionError};
 use flips_clustering::hierarchical::{hierarchical_from_distances, pairwise_cosine_distance};
-use flips_clustering::Linkage;
 use flips_ml::rng::{normal, seeded};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -22,7 +21,6 @@ use rand::Rng;
 pub struct GradClusSelector {
     sketches: Vec<Vec<f32>>,
     sketch_dim: usize,
-    linkage: Linkage,
     rng: StdRng,
 }
 
@@ -44,7 +42,7 @@ impl GradClusSelector {
         let sketches = (0..num_parties)
             .map(|_| (0..sketch_dim).map(|_| normal(&mut rng, 0.0, 1.0) as f32).collect())
             .collect();
-        Ok(GradClusSelector { sketches, sketch_dim, linkage: Linkage::Average, rng })
+        Ok(GradClusSelector { sketches, sketch_dim, rng })
     }
 
     /// Creates a selector over a streamed roster — identical to
@@ -87,7 +85,7 @@ impl ParticipantSelector for GradClusSelector {
         // not its magnitude).
         let distances = pairwise_cosine_distance(&self.sketches)
             .map_err(|e| SelectionError::InvalidConfiguration(e.to_string()))?;
-        let labels = hierarchical_from_distances(&distances, target, self.linkage)
+        let labels = hierarchical_from_distances(&distances, target)
             .map_err(|e| SelectionError::InvalidConfiguration(e.to_string()))?;
         let mut clusters: Vec<Vec<PartyId>> = vec![Vec::new(); target];
         for (party, &c) in labels.iter().enumerate() {

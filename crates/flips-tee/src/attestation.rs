@@ -76,11 +76,6 @@ impl AttestationServer {
         self.trusted.insert(measurement);
     }
 
-    /// Revokes a previously trusted measurement.
-    pub fn revoke(&mut self, measurement: &Measurement) -> bool {
-        self.trusted.remove(measurement)
-    }
-
     /// Verifies a quote for a verifier who supplied `expected_nonce`.
     ///
     /// # Errors
@@ -163,14 +158,5 @@ mod tests {
         let mut quote = platform.quote(m, 7);
         quote.measurement = Measurement(quote.measurement.0 ^ 1);
         assert!(server.verify(&quote, 7).is_err());
-    }
-
-    #[test]
-    fn revocation_takes_effect() {
-        let (platform, mut server, m) = setup();
-        assert!(server.revoke(&m));
-        let quote = platform.quote(m, 9);
-        assert!(server.verify(&quote, 9).is_err());
-        assert!(!server.revoke(&m), "double revoke reports absence");
     }
 }

@@ -38,25 +38,11 @@ impl OverheadModel {
     }
 }
 
-/// Lifecycle events recorded by an enclave (auditable, as attestation
-/// services can audit enclave software — paper §2.4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EnclaveEvent {
-    /// The enclave was created with the given measurement (hex).
-    Loaded(String),
-    /// A quote was produced for a verifier nonce.
-    Quoted(u64),
-    /// The guarded state was entered (ECALL count so far).
-    Entered(u64),
-    /// The enclave was destroyed and its state erased.
-    Destroyed,
-}
-
 /// A simulated secure enclave holding private state `S`.
 ///
 /// The host-visible surface is deliberately narrow: quote generation,
-/// guarded entry, destruction, and the audit log. There is no accessor
-/// that returns `&S` to the host.
+/// guarded entry and destruction. There is no accessor that returns `&S`
+/// to the host.
 #[derive(Debug)]
 pub struct Enclave<S> {
     measurement: Measurement,
@@ -65,7 +51,6 @@ pub struct Enclave<S> {
     state: Mutex<Option<S>>,
     entries: Mutex<u64>,
     overhead_applied: Mutex<Duration>,
-    events: Mutex<Vec<EnclaveEvent>>,
 }
 
 impl<S> Enclave<S> {
@@ -77,18 +62,14 @@ impl<S> Enclave<S> {
         platform: PlatformKey,
         overhead: OverheadModel,
     ) -> Self {
-        let measurement = Measurement::of_code(code_identity);
-        let enclave = Enclave {
-            measurement,
+        Enclave {
+            measurement: Measurement::of_code(code_identity),
             platform,
             overhead,
             state: Mutex::new(Some(initial_state)),
             entries: Mutex::new(0),
             overhead_applied: Mutex::new(Duration::ZERO),
-            events: Mutex::new(Vec::new()),
-        };
-        enclave.events.lock().push(EnclaveEvent::Loaded(measurement.to_hex()));
-        enclave
+        }
     }
 
     /// The enclave's launch measurement (public — it is what attestation
@@ -99,7 +80,6 @@ impl<S> Enclave<S> {
 
     /// Produces an attestation quote bound to a verifier nonce.
     pub fn quote(&self, nonce: u64) -> Quote {
-        self.events.lock().push(EnclaveEvent::Quoted(nonce));
         self.platform.quote(self.measurement, nonce)
     }
 
@@ -117,23 +97,13 @@ impl<S> Enclave<S> {
         let elapsed = start.elapsed();
         let penalty = self.overhead.entry_cost + elapsed.mul_f64(self.overhead.compute_factor);
         *self.overhead_applied.lock() += penalty;
-        let mut entries = self.entries.lock();
-        *entries += 1;
-        self.events.lock().push(EnclaveEvent::Entered(*entries));
+        *self.entries.lock() += 1;
         Ok(result)
     }
 
     /// Destroys the enclave, erasing all guarded state. Idempotent.
     pub fn destroy(&self) {
-        let mut guard = self.state.lock();
-        if guard.take().is_some() {
-            self.events.lock().push(EnclaveEvent::Destroyed);
-        }
-    }
-
-    /// Whether the enclave is still alive.
-    pub fn is_alive(&self) -> bool {
-        self.state.lock().is_some()
+        self.state.lock().take();
     }
 
     /// Number of guarded entries so far.
@@ -144,11 +114,6 @@ impl<S> Enclave<S> {
     /// Total overhead the model has accounted (diagnostics/benches).
     pub fn total_overhead(&self) -> Duration {
         *self.overhead_applied.lock()
-    }
-
-    /// A copy of the audit log.
-    pub fn audit_log(&self) -> Vec<EnclaveEvent> {
-        self.events.lock().clone()
     }
 }
 
@@ -186,7 +151,6 @@ mod tests {
         let e = enclave();
         e.enter(|s| s.push(1)).unwrap();
         e.destroy();
-        assert!(!e.is_alive());
         assert_eq!(e.enter(|s| s.len()).unwrap_err(), TeeError::EnclaveDestroyed);
     }
 
@@ -195,9 +159,7 @@ mod tests {
         let e = enclave();
         e.destroy();
         e.destroy();
-        let destroyed =
-            e.audit_log().iter().filter(|ev| matches!(ev, EnclaveEvent::Destroyed)).count();
-        assert_eq!(destroyed, 1);
+        assert_eq!(e.enter(|_| ()).unwrap_err(), TeeError::EnclaveDestroyed);
     }
 
     #[test]
@@ -208,19 +170,6 @@ mod tests {
         server.register(e.measurement());
         let quote = e.quote(42);
         assert!(server.verify(&quote, 42).is_ok());
-    }
-
-    #[test]
-    fn audit_log_records_lifecycle() {
-        let e = enclave();
-        e.quote(1);
-        e.enter(|_| ()).unwrap();
-        e.destroy();
-        let log = e.audit_log();
-        assert!(matches!(log[0], EnclaveEvent::Loaded(_)));
-        assert!(log.contains(&EnclaveEvent::Quoted(1)));
-        assert!(log.contains(&EnclaveEvent::Entered(1)));
-        assert_eq!(log.last(), Some(&EnclaveEvent::Destroyed));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod measurement;
 
 pub use attestation::{AttestationServer, Quote};
 pub use channel::{SealedMessage, SecureChannel};
-pub use enclave::{Enclave, EnclaveEvent, OverheadModel};
+pub use enclave::{Enclave, OverheadModel};
 pub use measurement::Measurement;
 
 /// Errors produced by the TEE substrate.
