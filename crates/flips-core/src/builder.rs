@@ -14,7 +14,7 @@ use flips_data::dataset::{balanced_test_set, generate_population};
 use flips_data::{partition, DatasetProfile, PartitionStrategy};
 use flips_fl::{
     DeadlinePolicy, FlAlgorithm, FlJob, FlJobConfig, History, LatencyModel, LocalTrainingConfig,
-    ModelCodec,
+    ModelCodec, SKETCH_DIM,
 };
 use flips_selection::oort::OortConfig;
 use flips_selection::tifl::TiflConfig;
@@ -25,10 +25,6 @@ use std::time::Duration;
 
 /// Minimum samples each party is guaranteed after partitioning.
 const MIN_SAMPLES_PER_PARTY: usize = 5;
-
-/// Width of the update sketches parties report and GradClus clusters on:
-/// the selector and the job must agree on it.
-const SKETCH_DIM: usize = 32;
 
 /// Builder for one end-to-end FL simulation.
 ///
@@ -325,7 +321,7 @@ impl SimulationBuilder {
                 let pc = FlipsMiddleware::cluster_privately(&parts.label_distributions(), &mw_cfg)?;
                 meta.k = Some(pc.k());
                 meta.clustering_tee_overhead = Some(pc.tee_overhead());
-                Box::new(pc.into_selector())
+                Box::new(pc)
             }
             SelectorKind::Oort => {
                 Box::new(OortSelector::from_source(&store, oort_cfg(), self.seed))
@@ -354,7 +350,6 @@ impl SimulationBuilder {
             straggler_rate: self.straggler_rate,
             deadline: self.deadline,
             latency_sigma: self.latency_sigma,
-            sketch_dim: SKETCH_DIM,
             codec: self.codec,
             seed: self.seed,
         };

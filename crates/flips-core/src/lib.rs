@@ -39,7 +39,7 @@ pub mod middleware;
 pub mod prelude;
 
 pub use builder::{SimulationBuilder, SimulationReport};
-pub use middleware::{FlipsMiddleware, MiddlewareConfig, PrivateClustering};
+pub use middleware::{Ceremony, FlipsMiddleware, MiddlewareConfig, PrivateClustering};
 
 /// Errors produced by the FLIPS middleware.
 #[derive(Debug)]
@@ -56,6 +56,9 @@ pub enum FlipsError {
     Fl(flips_fl::FlError),
     /// The middleware was configured inconsistently.
     InvalidConfig(String),
+    /// The ceremony refused this party's challenge or registration, and
+    /// is as it was before the call.
+    Refused(flips_selection::PartyId, String),
 }
 
 impl std::fmt::Display for FlipsError {
@@ -67,6 +70,7 @@ impl std::fmt::Display for FlipsError {
             FlipsError::Selection(e) => write!(f, "selection: {e}"),
             FlipsError::Fl(e) => write!(f, "fl runtime: {e}"),
             FlipsError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
+            FlipsError::Refused(party, why) => write!(f, "ceremony refused party {party}: {why}"),
         }
     }
 }
@@ -79,7 +83,7 @@ impl std::error::Error for FlipsError {
             FlipsError::Tee(e) => Some(e),
             FlipsError::Selection(e) => Some(e),
             FlipsError::Fl(e) => Some(e),
-            FlipsError::InvalidConfig(_) => None,
+            FlipsError::InvalidConfig(_) | FlipsError::Refused(..) => None,
         }
     }
 }

@@ -7,9 +7,7 @@
 //! ```
 
 pub use crate::builder::{SimulationBuilder, SimulationMeta, SimulationReport};
-pub use crate::middleware::{
-    FlipsMiddleware, MiddlewareConfig, PrivateClustering, TeeBackedSelector,
-};
+pub use crate::middleware::{Ceremony, FlipsMiddleware, MiddlewareConfig, PrivateClustering};
 pub use crate::FlipsError;
 
 pub use flips_data::{

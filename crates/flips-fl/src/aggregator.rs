@@ -65,8 +65,6 @@ pub struct FlJobConfig {
     /// samples it with [`LatencyModel::sample`] from `seed`, as
     /// `SimulationBuilder` does for the selectors' latency hints.
     pub latency_sigma: f64,
-    /// Dimension of the update sketches reported to GradClus.
-    pub sketch_dim: usize,
     /// The model-payload wire codec (announced in selection notices,
     /// used by serialized drivers; `Raw` is the compatibility default
     /// and `F16` is lossy — opt-in only).
@@ -88,7 +86,6 @@ impl FlJobConfig {
             straggler_rate: 0.0,
             deadline: DeadlinePolicy::Injected,
             latency_sigma: 0.4,
-            sketch_dim: 32,
             codec: ModelCodec::Raw,
             seed: 0,
         }
@@ -175,7 +172,6 @@ impl FlJob {
                 algorithm: config.algorithm,
                 rounds: config.rounds,
                 parties_per_round: config.parties_per_round,
-                sketch_dim: config.sketch_dim,
                 codec: config.codec,
                 seed,
             },

@@ -369,18 +369,22 @@ impl ExactWeightedSum {
         params: &[f32],
         weight: u64,
         global: &[f32],
-        sketch_dim: usize,
     ) -> Result<Vec<f32>, FlError> {
         self.fold(params, weight)?;
-        Ok(sketch_of(params, global, sketch_dim))
+        Ok(sketch_of(params, global))
     }
 }
+
+/// Width of the update sketches in every party's round feedback: the
+/// coordinator takes flat updates' sketches at it, tree inner nodes take
+/// the ones they ship at it, and GradClus clusters on it.
+pub const SKETCH_DIM: usize = 32;
 
 /// The selector-feedback sketch of one update: `x − m` against the
 /// global `m` its round *dispatched* — what Fraboni et al. cluster on,
 /// and the only reference a tree inner node ever sees.
-fn sketch_of(params: &[f32], global: &[f32], sketch_dim: usize) -> Vec<f32> {
-    sketch_update(params.iter().zip(global).map(|(x, g)| x - g), sketch_dim)
+fn sketch_of(params: &[f32], global: &[f32]) -> Vec<f32> {
+    sketch_update(params.iter().zip(global).map(|(x, g)| x - g), SKETCH_DIM)
 }
 
 /// The running aggregate of one open round, and the only place the
@@ -417,15 +421,14 @@ impl RoundSum {
         params: Vec<f32>,
         weight: u64,
         global: &[f32],
-        sketch_dim: usize,
     ) -> Result<Vec<f32>, FlError> {
         if params.len() != global.len() {
             return Err(FlError::InvalidConfig("update length != model length".into()));
         }
         match self {
-            RoundSum::Exact(sum) => sum.fold_sketched(&params, weight, global, sketch_dim),
+            RoundSum::Exact(sum) => sum.fold_sketched(&params, weight, global),
             RoundSum::Ordered(kept) => {
-                let sketch = sketch_of(&params, global, sketch_dim);
+                let sketch = sketch_of(&params, global);
                 kept.insert(party, (weight, params));
                 Ok(sketch)
             }

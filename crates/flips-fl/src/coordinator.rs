@@ -30,7 +30,7 @@
 //! as stragglers — the deadline *is* the straggler mechanism, there is no
 //! separate injection path inside the protocol.
 
-use crate::aggtree::{ExactWeightedSum, RoundSum, MAX_WEIGHT};
+use crate::aggtree::{ExactWeightedSum, RoundSum, MAX_WEIGHT, SKETCH_DIM};
 use crate::codec::ModelCodec;
 use crate::config::FlAlgorithm;
 use crate::events::{Effect, Event, RejectReason};
@@ -59,8 +59,6 @@ pub struct CoordinatorConfig {
     pub rounds: usize,
     /// Parties per round (`Nr`; selectors may overprovision beyond it).
     pub parties_per_round: usize,
-    /// Dimension of the update sketches reported to GradClus.
-    pub sketch_dim: usize,
     /// The model-payload wire codec announced in every selection notice
     /// (negotiated once per job; serialized drivers encode model frames
     /// with it). Byte *accounting* stays raw-canonical regardless.
@@ -164,7 +162,6 @@ impl OpenRound {
 ///     algorithm: FlAlgorithm::fedyogi(),
 ///     rounds: 1,
 ///     parties_per_round: 2,
-///     sketch_dim: 8,
 ///     codec: ModelCodec::Raw,
 ///     seed: 7,
 /// };
@@ -255,9 +252,6 @@ impl Coordinator {
         if config.rounds == 0 {
             return Err(FlError::InvalidConfig("zero rounds".into()));
         }
-        if config.sketch_dim == 0 {
-            return Err(FlError::InvalidConfig("sketch_dim must be positive".into()));
-        }
         if selector.num_parties() != num_parties {
             return Err(FlError::InvalidConfig(format!(
                 "selector sized for {} parties, roster has {num_parties}",
@@ -318,13 +312,6 @@ impl Coordinator {
     /// Whether the exact-fold aggregation path is active.
     pub fn exact_fold(&self) -> bool {
         self.exact_fold
-    }
-
-    /// The dimension of the update sketches reported to the selector —
-    /// tree inner nodes must compute shipped sketches at exactly this
-    /// width.
-    pub fn sketch_dim(&self) -> usize {
-        self.config.sketch_dim
     }
 
     /// The job identifier stamped on every outbound message.
@@ -656,7 +643,6 @@ impl Coordinator {
     /// rejected message has changed nothing.
     fn book(&mut self, msg: WireMessage) -> Result<bool, Vec<Effect>> {
         let round = msg.round();
-        let sketch_dim = self.config.sketch_dim;
         match msg {
             WireMessage::LocalUpdate {
                 job,
@@ -675,7 +661,7 @@ impl Coordinator {
                 // instead of erroring the whole round at close.
                 let sketch = open
                     .sum
-                    .accept(party as PartyId, params, num_samples, &open.dispatched, sketch_dim)
+                    .accept(party as PartyId, params, num_samples, &open.dispatched)
                     .map_err(|_| rejected(Some(party), round, RejectReason::WrongModelSize))?;
                 let entry = PartialEntry { party, num_samples, mean_loss, duration, sketch };
                 Ok(open.settle(party, Slot::Done(entry)))
@@ -716,7 +702,7 @@ impl Coordinator {
                         }
                         // Or a weight a flat update's fold would refuse.
                         Ok(_)
-                            if e.sketch.len() != sketch_dim
+                            if e.sketch.len() != SKETCH_DIM
                                 || !(1..MAX_WEIGHT).contains(&e.num_samples) =>
                         {
                             rejections.extend(entry(RejectReason::WrongModelSize));

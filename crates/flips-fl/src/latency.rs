@@ -55,11 +55,6 @@ impl LatencyModel {
         self.speed.len()
     }
 
-    /// The speed factor of a party.
-    pub fn speed_factor(&self, party: usize) -> f64 {
-        self.speed[party]
-    }
-
     /// Simulated duration of `epochs` local epochs over `num_samples`
     /// samples at `party`.
     pub fn duration(&self, party: usize, num_samples: usize, epochs: usize) -> f64 {
@@ -240,7 +235,9 @@ mod tests {
     #[test]
     fn sampled_model_is_heterogeneous_and_positive() {
         let m = LatencyModel::sample(100, 0.5, 42);
-        let speeds: Vec<f64> = (0..100).map(|p| m.speed_factor(p)).collect();
+        // Above the fixed cost, a party's duration is proportional to
+        // its speed factor.
+        let speeds: Vec<f64> = (0..100).map(|p| m.duration(p, 1000, 1) - m.fixed_cost).collect();
         assert!(speeds.iter().all(|&s| s > 0.0));
         let min = speeds.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = speeds.iter().cloned().fold(0.0, f64::max);
@@ -249,9 +246,9 @@ mod tests {
 
     #[test]
     fn sigma_zero_degenerates_to_uniform() {
-        let m = LatencyModel::sample(10, 0.0, 1);
+        let (m, uniform) = (LatencyModel::sample(10, 0.0, 1), LatencyModel::uniform(10));
         for p in 0..10 {
-            assert!((m.speed_factor(p) - 1.0).abs() < 1e-12);
+            assert!((m.duration(p, 100, 2) - uniform.duration(p, 100, 2)).abs() < 1e-12);
         }
     }
 

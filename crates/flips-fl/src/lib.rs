@@ -130,7 +130,7 @@ pub mod transport;
 pub mod wheel;
 
 pub use aggregator::{FlJob, FlJobConfig, JobParts};
-pub use aggtree::ExactWeightedSum;
+pub use aggtree::{ExactWeightedSum, SKETCH_DIM};
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule, ChaosTransport, ChaosWeights};
 pub use checkpoint::{Checkpoint, CodecRefSnapshot, JobSnapshot};
 pub use codec::{CodecMap, ModelCodec, Negotiation, PayloadCodec};

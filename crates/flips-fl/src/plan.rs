@@ -175,11 +175,10 @@ pub struct ShareJob {
     pub codec: ModelCodec,
     /// The endpoints this link owns, roster order.
     pub endpoints: Vec<PartyEndpoint>,
-    /// `Some(sketch_dim)` when the link folds this job as an
-    /// aggregation-tree inner node; the width is the coordinator's
-    /// ([`crate::Coordinator::sketch_dim`]). `None` in flat mode and
-    /// for a job on latency-derived deadlines.
-    pub tree_sketch_dim: Option<usize>,
+    /// Whether the link folds this job as an aggregation-tree inner
+    /// node: never in flat mode or for a job on latency-derived
+    /// deadlines.
+    pub tree: bool,
 }
 
 /// Everything the party side of one link needs: which link it is and,
@@ -225,8 +224,7 @@ pub fn split(
     for mut parts in jobs {
         let job = parts.coordinator.job_id();
         let job_default = parts.coordinator.codec();
-        let tree_sketch_dim = (wire.tree && !parts.deadline.is_latency_derived())
-            .then(|| parts.coordinator.sketch_dim());
+        let tree = wire.tree && !parts.deadline.is_latency_derived();
         let mut slices: Vec<Vec<PartyEndpoint>> = (0..wire.links).map(|_| Vec::new()).collect();
         for endpoint in std::mem::take(&mut parts.endpoints) {
             slices[wire.link_of(endpoint.id())].push(endpoint);
@@ -234,7 +232,7 @@ pub fn split(
         for (share, endpoints) in shares.iter_mut().zip(slices) {
             if !endpoints.is_empty() {
                 let codec = wire.codec_for(job, share.link, job_default);
-                share.jobs.push(ShareJob { job, codec, endpoints, tree_sketch_dim });
+                share.jobs.push(ShareJob { job, codec, endpoints, tree });
             }
         }
         coordinator_side.push(parts);
@@ -287,11 +285,11 @@ impl<T: Transport> PartyPool<T> {
         if let Some(guard) = guard {
             pool.set_guard(guard);
         }
-        for ShareJob { job, codec, endpoints, tree_sketch_dim } in share.jobs {
+        for ShareJob { job, codec, endpoints, tree } in share.jobs {
             pool.pin_codec(job, codec);
             pool.add_job(job, endpoints);
-            if let Some(sketch_dim) = tree_sketch_dim {
-                pool.enable_tree(job, sketch_dim);
+            if tree {
+                pool.enable_tree(job);
             }
         }
         pool
@@ -337,7 +335,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// `jobs` seeded jobs of `parties` parties each; job `i` is seeded
-    /// `i + 1` (distinct ids) and sketches at width `8 + i`.
+    /// `i + 1` (distinct ids).
     fn job_set(parties: usize, jobs: usize) -> Vec<JobParts> {
         let profile = DatasetProfile::femnist().scaled(parties, 2);
         let pop = generate_population(&profile, profile.default_total_samples, 3);
@@ -347,7 +345,6 @@ mod tests {
                 let config = FlJobConfig {
                     rounds: 1,
                     parties_per_round: 1,
-                    sketch_dim: 8 + i,
                     seed: i as u64 + 1,
                     local: LocalTrainingConfig { epochs: 1, ..Default::default() },
                     ..FlJobConfig::new(profile.model.clone())
@@ -460,21 +457,18 @@ mod tests {
             let mut wire = WireOptions::new(2);
             wire.tree = tree;
             let set = job_set(4, 2);
-            let dims: Vec<(u64, usize)> =
-                set.iter().map(|p| (p.coordinator.job_id(), p.coordinator.sketch_dim())).collect();
-            assert_ne!(dims[0].1, dims[1].1, "the two jobs must sketch at different widths");
+            let ids: Vec<u64> = set.iter().map(|p| p.coordinator.job_id()).collect();
             let (jobs, shares) = split(set, &wire).unwrap();
             let driver = MultiJobDriver::install(router(&shares), jobs, &wire).unwrap();
-            for &(job, dim) in &dims {
+            for &job in &ids {
                 assert_eq!(driver.coordinator(job).unwrap().exact_fold(), tree);
                 for share in &shares {
-                    let slice = share.jobs.iter().find(|s| s.job == job).unwrap();
-                    assert_eq!(slice.tree_sketch_dim, tree.then_some(dim));
+                    assert_eq!(share.jobs.iter().find(|s| s.job == job).unwrap().tree, tree);
                 }
             }
             for share in shares {
                 let pool = PartyPool::install(MemoryTransport::pair().1, share, None);
-                assert!(dims.iter().all(|&(job, _)| pool.tree_enabled(job) == tree));
+                assert!(ids.iter().all(|job| pool.tree.contains_key(job) == tree));
             }
         }
     }
@@ -489,12 +483,11 @@ mod tests {
         let mut set = job_set(4, 2);
         set[1].deadline = DeadlinePolicy::LatencyQuantile { q: 0.5, slack: 1.1 };
         let ids: Vec<u64> = set.iter().map(|p| p.coordinator.job_id()).collect();
-        let injected_dim = set[0].coordinator.sketch_dim();
         let wire = WireOptions::new(2).with_tree();
         let (jobs, shares) = split(set, &wire).unwrap();
         for share in &shares {
-            assert_eq!(share.jobs[0].tree_sketch_dim, Some(injected_dim));
-            assert_eq!(share.jobs[1].tree_sketch_dim, None);
+            assert!(share.jobs[0].tree);
+            assert!(!share.jobs[1].tree);
         }
         let driver = MultiJobDriver::install(router(&shares), jobs, &wire).unwrap();
         assert!(ids.iter().all(|&job| driver.coordinator(job).unwrap().exact_fold()));

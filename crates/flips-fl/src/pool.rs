@@ -47,8 +47,11 @@ pub struct PartyPool<T: Transport> {
     /// Frames dropped by the size cap.
     oversized: u64,
     /// Jobs this pool folds as an aggregation-tree inner node
-    /// ([`PartyPool::enable_tree`]), keyed by job id.
-    tree: BTreeMap<u64, TreeJob>,
+    /// ([`PartyPool::enable_tree`]), keyed by job id, each with the last
+    /// dispatched global this node saw: captured off the downlink so
+    /// per-party sketches are taken against the exact bits the
+    /// coordinator would have used.
+    pub(crate) tree: BTreeMap<u64, Option<Dispatched>>,
     /// Per-`(job, round)` partial fold accumulated since the last pump
     /// drain — one [`WireMessage::PartialUpdate`] is emitted per entry
     /// when the drain loop goes quiet, in ascending key order.
@@ -117,16 +120,8 @@ impl Outbox {
     }
 }
 
-/// Per-job state for a pool acting as an aggregation-tree inner node.
-struct TreeJob {
-    /// Selector-feedback sketch width the coordinator expects
-    /// ([`crate::coordinator::Coordinator::sketch_dim`]).
-    sketch_dim: usize,
-    /// The last dispatched global this node saw, captured off the
-    /// downlink so per-party sketches are taken against the exact bits
-    /// the coordinator would have used.
-    global: Option<(u64, Arc<[f32]>)>,
-}
+/// A global model as a round dispatched it: `(round, parameters)`.
+type Dispatched = (u64, Arc<[f32]>);
 
 fn same_bits(a: &Arc<[f32]>, b: &Arc<[f32]>) -> bool {
     Arc::ptr_eq(a, b)
@@ -171,23 +166,17 @@ impl<T: Transport> PartyPool<T> {
     /// becomes O(inner nodes).
     ///
     /// The receiving coordinator must be in exact-fold mode
-    /// ([`crate::Coordinator::set_exact_fold`]); `sketch_dim` must match
-    /// its configured sketch width, because selector-feedback sketches
-    /// are computed *here*, against the dispatched global, and shipped
-    /// inside the partial.
+    /// ([`crate::Coordinator::set_exact_fold`]). Selector-feedback
+    /// sketches are computed *here*, [`crate::SKETCH_DIM`] wide against
+    /// the dispatched global, and shipped inside the partial.
     ///
     /// Safety valve: an update the node cannot fold (no captured global
     /// yet, round mismatch after a resume, parameters outside the exact
     /// domain) is forwarded flat, unchanged — the exact coordinator
     /// merges mixed flat + partial cohorts bit-identically, so falling
     /// back never forks the history.
-    pub fn enable_tree(&mut self, job: u64, sketch_dim: usize) {
-        self.tree.insert(job, TreeJob { sketch_dim, global: None });
-    }
-
-    /// Whether `job` is folded at this node ([`PartyPool::enable_tree`]).
-    pub fn tree_enabled(&self, job: u64) -> bool {
-        self.tree.contains_key(&job)
+    pub fn enable_tree(&mut self, job: u64) {
+        self.tree.insert(job, None);
     }
 
     /// Applies the guard plane's frame-size cap to this pool's inbound
@@ -428,8 +417,8 @@ impl<T: Transport> PartyPool<T> {
                     // its update folds: folded updates need the exact
                     // broadcast bits as the sketch reference.
                     if let WireMessage::GlobalModel { job, round, params } = msg {
-                        if let Some(tree) = self.tree.get_mut(&job) {
-                            tree.global = Some((round, params));
+                        if let Some(global) = self.tree.get_mut(&job) {
+                            *global = Some((round, params));
                         }
                     }
                     let Ok(replies) = results.next().expect("one result per model") else {
@@ -472,10 +461,7 @@ impl<T: Transport> PartyPool<T> {
         else {
             return false;
         };
-        let Some(tree) = self.tree.get(job) else {
-            return false;
-        };
-        let Some((g_round, global)) = tree.global.as_ref() else {
+        let Some(Some((g_round, global))) = self.tree.get(job) else {
             return false;
         };
         if g_round != round || global.len() != params.len() {
@@ -488,7 +474,7 @@ impl<T: Transport> PartyPool<T> {
         // The fold validates everything (dimension, weight bounds, param
         // domain) before touching the limbs, so a refusal leaves the
         // accumulated partial intact and this one update goes up flat.
-        let Ok(sketch) = sum.fold_sketched(params, *num_samples, global, tree.sketch_dim) else {
+        let Ok(sketch) = sum.fold_sketched(params, *num_samples, global) else {
             return false;
         };
         entries.push(PartialEntry {
@@ -629,9 +615,8 @@ mod tests {
         ] {
             let mut parts = job(seed, codec, rate).into_parts();
             parts.coordinator.set_exact_fold(tree);
-            let sketch_dim = parts.coordinator.sketch_dim();
             let (id, endpoints) = driver.add_parts(parts).unwrap();
-            jobs.push((id, endpoints, tree.then_some(sketch_dim)));
+            jobs.push((id, endpoints, tree));
         }
         let flat = jobs[0].0;
 
@@ -674,8 +659,8 @@ mod tests {
         let mut pool = PartyPool::new(tap);
         for (id, endpoints, tree) in jobs {
             pool.add_job(id, endpoints);
-            if let Some(sketch_dim) = tree {
-                pool.enable_tree(id, sketch_dim);
+            if tree {
+                pool.enable_tree(id);
             }
         }
 

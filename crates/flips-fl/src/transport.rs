@@ -313,11 +313,6 @@ impl<S: Read + Write> StreamTransport<S> {
         self.out_cursor < self.outbox.len()
     }
 
-    /// Bytes currently staged in the send buffer.
-    pub fn outbox_len(&self) -> usize {
-        self.outbox.len() - self.out_cursor
-    }
-
     /// Pushes staged send-side bytes into the stream until it reports
     /// [`ErrorKind::WouldBlock`] or the buffer drains. Returns whether
     /// the buffer is now empty (`true` = nothing left to write; an
@@ -859,10 +854,11 @@ mod tests {
         }
         let mut tx = StreamTransport::new(Throttled { taken: Vec::new(), budget: 6 });
         tx.send(b"abcdef").unwrap(); // 4-byte prefix + 2 payload bytes fit
-        assert!(tx.wants_write());
-        assert_eq!(tx.outbox_len(), 4, "4 payload bytes staged");
+        assert!(tx.wants_write(), "4 payload bytes staged");
+        assert_eq!(tx.stream.taken.len(), 6);
         tx.send(b"gh").unwrap(); // fully staged behind the first tail
-        assert_eq!(tx.outbox_len(), 4 + 4 + 2);
+        assert!(tx.wants_write());
+        assert_eq!(tx.stream.taken.len(), 6, "staged, not written");
         assert!(!tx.flush().unwrap(), "no budget: nothing moves");
         tx.stream.budget = usize::MAX;
         assert!(tx.flush().unwrap(), "budget restored: everything drains");

@@ -13,7 +13,7 @@ use flips_fl::coordinator::{Coordinator, CoordinatorConfig};
 use flips_fl::events::{Effect, Event, RejectReason};
 use flips_fl::history::RoundRecord;
 use flips_fl::message::{PartialEntry, WireMessage};
-use flips_fl::FlError;
+use flips_fl::{FlError, SKETCH_DIM};
 use flips_selection::{ParticipantSelector, PartyId, RoundFeedback, SelectionError};
 
 const JOB: u64 = 0xF00D;
@@ -57,7 +57,6 @@ fn coordinator(rounds: usize, cohort: Vec<PartyId>) -> Coordinator {
             algorithm: FlAlgorithm::FedAvg,
             rounds,
             parties_per_round: cohort.len().max(1),
-            sketch_dim: 8,
             codec: ModelCodec::Raw,
             seed: 7,
         },
@@ -347,7 +346,6 @@ fn selector_feedback_flows_through_round_close() {
             algorithm: FlAlgorithm::FedAvg,
             rounds: 2,
             parties_per_round: 2,
-            sketch_dim: 8,
             codec: ModelCodec::Raw,
             seed: 7,
         },
@@ -624,7 +622,7 @@ fn partial(parties: &[u64], dim: usize, tamper: impl FnOnce(&mut Vec<PartialEntr
             num_samples,
             mean_loss,
             duration,
-            sketch: vec![0.0; 8],
+            sketch: vec![0.0; SKETCH_DIM],
         });
     }
     tamper(&mut entries);

@@ -53,7 +53,7 @@ use std::collections::BTreeMap;
 
 /// A scalar TOML value (the subset the binaries need).
 #[derive(Debug, Clone, PartialEq)]
-pub enum TomlValue {
+enum TomlValue {
     /// A double-quoted string.
     Str(String),
     /// A signed integer.
@@ -68,11 +68,11 @@ type Table = BTreeMap<String, TomlValue>;
 
 /// A parsed TOML document: the root/named tables plus arrays-of-tables.
 #[derive(Debug, Default, Clone, PartialEq)]
-pub struct TomlDoc {
+struct TomlDoc {
     /// Named tables; the root table lives under `""`.
-    pub tables: BTreeMap<String, Table>,
+    tables: BTreeMap<String, Table>,
     /// `[[name]]` arrays, in declaration order.
-    pub arrays: BTreeMap<String, Vec<Table>>,
+    arrays: BTreeMap<String, Vec<Table>>,
 }
 
 fn bad(line_no: usize, msg: impl std::fmt::Display) -> FlError {
@@ -119,7 +119,7 @@ fn parse_value(raw: &str, line_no: usize) -> Result<TomlValue, FlError> {
 ///
 /// [`FlError::InvalidConfig`] naming the offending line for any syntax
 /// outside the subset.
-pub fn parse_toml(text: &str) -> Result<TomlDoc, FlError> {
+fn parse_toml(text: &str) -> Result<TomlDoc, FlError> {
     enum Cursor {
         Table(String),
         Array(String),

@@ -40,15 +40,6 @@ impl SocketOptions {
     pub fn new(links: usize) -> Self {
         SocketOptions { wire: WireOptions::new(links), resume: false, party_drop: None }
     }
-
-    /// Severs worker `slot`'s connection after `after` received data
-    /// frames and lets the resume plane recover it.
-    #[must_use]
-    pub fn with_party_drop(mut self, slot: usize, after: u64) -> Self {
-        self.party_drop = Some((slot, after));
-        self.resume = true;
-        self
-    }
 }
 
 impl WithWire for SocketOptions {

@@ -189,7 +189,7 @@ fn a_severed_link_resumes_its_session_and_replays_the_golden() {
     for selector in [SelectorKind::Random, SelectorKind::Flips] {
         let golden = latency_builder(selector, 11).run().unwrap().history;
         let (job, meta) = latency_builder(selector, 11).build().unwrap();
-        let opts = SocketOptions::new(2).with_party_drop(1, 2);
+        let opts = SocketOptions { party_drop: Some((1, 2)), ..SocketOptions::new(2) };
         let mut outcome = run_socket(vec![job.into_parts()], &opts).unwrap();
         let history = outcome.histories.remove(&meta.job_id).unwrap();
         assert_eq!(history, golden, "{selector:?}: the resumed link moved the TCP history");
@@ -208,7 +208,7 @@ fn a_severed_link_resumes_under_the_delta_entropy_codec() {
     let golden = latency_builder(SelectorKind::Random, 11).run().unwrap().history;
     let (job, meta) =
         latency_builder(SelectorKind::Random, 11).codec(ModelCodec::DeltaEntropy).build().unwrap();
-    let opts = SocketOptions::new(2).with_party_drop(0, 3);
+    let opts = SocketOptions { party_drop: Some((0, 3)), ..SocketOptions::new(2) };
     let mut outcome = run_socket(vec![job.into_parts()], &opts).unwrap();
     let history = outcome.histories.remove(&meta.job_id).unwrap();
     assert_eq!(history, golden, "the resumed delta-entropy link moved the TCP history");

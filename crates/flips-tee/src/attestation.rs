@@ -62,13 +62,12 @@ impl PlatformKey {
 pub struct AttestationServer {
     platform: PlatformKey,
     trusted: HashSet<Measurement>,
-    verifications: u64,
 }
 
 impl AttestationServer {
     /// Creates a server trusting the given platform key.
     pub fn new(platform: PlatformKey) -> Self {
-        AttestationServer { platform, trusted: HashSet::new(), verifications: 0 }
+        AttestationServer { platform, trusted: HashSet::new() }
     }
 
     /// Registers a code measurement as trusted (job setup).
@@ -82,8 +81,7 @@ impl AttestationServer {
     ///
     /// Fails when the nonce is stale, the signature is invalid (wrong
     /// platform), or the measurement is not registered (unexpected code).
-    pub fn verify(&mut self, quote: &Quote, expected_nonce: u64) -> Result<(), TeeError> {
-        self.verifications += 1;
+    pub fn verify(&self, quote: &Quote, expected_nonce: u64) -> Result<(), TeeError> {
         if quote.nonce != expected_nonce {
             return Err(TeeError::AttestationFailed(format!(
                 "nonce mismatch: quote has {}, verifier expected {}",
@@ -101,11 +99,6 @@ impl AttestationServer {
         }
         Ok(())
     }
-
-    /// Number of verification requests served (diagnostics).
-    pub fn verifications(&self) -> u64 {
-        self.verifications
-    }
 }
 
 #[cfg(test)]
@@ -122,15 +115,14 @@ mod tests {
 
     #[test]
     fn valid_quote_verifies() {
-        let (platform, mut server, m) = setup();
+        let (platform, server, m) = setup();
         let quote = platform.quote(m, 12345);
         assert!(server.verify(&quote, 12345).is_ok());
-        assert_eq!(server.verifications(), 1);
     }
 
     #[test]
     fn stale_nonce_is_rejected() {
-        let (platform, mut server, m) = setup();
+        let (platform, server, m) = setup();
         let quote = platform.quote(m, 1);
         let err = server.verify(&quote, 2).unwrap_err();
         assert!(matches!(err, TeeError::AttestationFailed(_)));
@@ -138,7 +130,7 @@ mod tests {
 
     #[test]
     fn unregistered_measurement_is_rejected() {
-        let (platform, mut server, _) = setup();
+        let (platform, server, _) = setup();
         let rogue = Measurement::of_code(b"malicious-code");
         let quote = platform.quote(rogue, 7);
         assert!(server.verify(&quote, 7).is_err());
@@ -146,7 +138,7 @@ mod tests {
 
     #[test]
     fn forged_signature_is_rejected() {
-        let (_, mut server, m) = setup();
+        let (_, server, m) = setup();
         let other_platform = PlatformKey::new(0xBAD);
         let quote = other_platform.quote(m, 7);
         assert!(server.verify(&quote, 7).is_err());
@@ -154,7 +146,7 @@ mod tests {
 
     #[test]
     fn tampered_measurement_breaks_signature() {
-        let (platform, mut server, m) = setup();
+        let (platform, server, m) = setup();
         let mut quote = platform.quote(m, 7);
         quote.measurement = Measurement(quote.measurement.0 ^ 1);
         assert!(server.verify(&quote, 7).is_err());

@@ -63,7 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             algorithm: FlAlgorithm::FedAvg,
             rounds: 3,
             parties_per_round: 3,
-            sketch_dim: 16,
             codec: ModelCodec::Raw,
             seed,
         },

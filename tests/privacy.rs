@@ -19,13 +19,7 @@ fn sample_lds() -> Vec<LabelDistribution> {
 }
 
 fn fast_config(seed: u64) -> MiddlewareConfig {
-    MiddlewareConfig {
-        restarts: 3,
-        k_max: 6,
-        overhead: OverheadModel::none(),
-        seed,
-        ..Default::default()
-    }
+    MiddlewareConfig { restarts: 3, k_max: 6, seed, ..Default::default() }
 }
 
 #[test]
@@ -69,9 +63,8 @@ fn sealed_label_distributions_resist_tampering_in_transit() {
 
 #[test]
 fn ceremony_produces_selector_and_destroy_erases_it() {
-    let pc = FlipsMiddleware::cluster_privately(&sample_lds(), &fast_config(1)).unwrap();
-    assert!(pc.k() >= 2);
-    let mut selector = pc.into_selector();
+    let mut selector = FlipsMiddleware::cluster_privately(&sample_lds(), &fast_config(1)).unwrap();
+    assert!(selector.k() >= 2);
     assert_eq!(selector.select(0, 4).unwrap().len(), 4);
     selector.destroy();
     assert!(selector.select(1, 4).is_err(), "selection must fail after enclave destruction");
@@ -85,8 +78,8 @@ fn dropping_the_selector_wipes_enclave_state() {
     // dropped selector cannot be observed — so assert the Drop impl runs
     // without leaking by constructing and dropping many.
     for seed in 0..5 {
-        let pc = FlipsMiddleware::cluster_privately(&sample_lds(), &fast_config(seed)).unwrap();
-        let _selector = pc.into_selector();
+        let _selector =
+            FlipsMiddleware::cluster_privately(&sample_lds(), &fast_config(seed)).unwrap();
         // dropped here
     }
 }
@@ -94,7 +87,7 @@ fn dropping_the_selector_wipes_enclave_state() {
 #[test]
 fn aggregator_facing_api_never_exposes_label_distributions() {
     // Compile-time-ish check expressed at runtime: the public surface of
-    // TeeBackedSelector yields only party ids and counts. What we *can*
+    // PrivateClustering yields only party ids and counts. What we *can*
     // assert: selection output contains ids only, and the only clustering
     // fact the report carries is k.
     let report = SimulationBuilder::new(DatasetProfile::ecg())
@@ -165,14 +158,7 @@ fn label_counts_never_reach_the_spilled_roster() {
 
 #[test]
 fn tee_overhead_is_accounted_when_enabled() {
-    let cfg = MiddlewareConfig {
-        restarts: 3,
-        k_max: 6,
-        overhead: OverheadModel::sev_like(),
-        seed: 4,
-        ..Default::default()
-    };
-    let pc = FlipsMiddleware::cluster_privately(&sample_lds(), &cfg).unwrap();
+    let pc = FlipsMiddleware::cluster_privately(&sample_lds(), &fast_config(4)).unwrap();
     assert!(pc.tee_overhead() > std::time::Duration::ZERO);
     assert!(pc.tee_entries() >= 13, "12 provisions + clustering");
 }

@@ -211,7 +211,6 @@ fn exact_lockstep(builder: &SimulationBuilder, tree: bool) -> (History, DriverSt
     let (job, meta) = builder.build().unwrap();
     let mut parts = job.into_parts();
     parts.coordinator.set_exact_fold(true);
-    let sketch_dim = parts.coordinator.sketch_dim();
     let (agg_pipe, party_pipe) = duplex();
     let mut driver = MultiJobDriver::new(StreamTransport::new(agg_pipe));
     let (id, endpoints) = driver.add_parts(parts).unwrap();
@@ -219,7 +218,7 @@ fn exact_lockstep(builder: &SimulationBuilder, tree: bool) -> (History, DriverSt
     let mut pool = PartyPool::new(StreamTransport::new(party_pipe));
     pool.add_job(id, endpoints);
     if tree {
-        pool.enable_tree(id, sketch_dim);
+        pool.enable_tree(id);
     }
     run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
     (driver.history(id).unwrap().clone(), driver.stats())
@@ -333,14 +332,13 @@ fn default_mode_coordinator_rejects_tree_partials() {
     // as stragglers rather than folding unverifiable bits.
     let (job, meta) = golden_builder(SelectorKind::Random).build().unwrap();
     let parts = job.into_parts();
-    let sketch_dim = parts.coordinator.sketch_dim();
     let (agg_pipe, party_pipe) = duplex();
     let mut driver = MultiJobDriver::new(StreamTransport::new(agg_pipe));
     let (id, endpoints) = driver.add_parts(parts).unwrap();
     assert_eq!(id, meta.job_id);
     let mut pool = PartyPool::new(StreamTransport::new(party_pipe));
     pool.add_job(id, endpoints);
-    pool.enable_tree(id, sketch_dim);
+    pool.enable_tree(id);
     run_lockstep(&mut driver, std::slice::from_mut(&mut pool)).unwrap();
     let stats = driver.stats();
     assert!(stats.rejected_messages > 0, "partials must bounce off a default-mode coordinator");
