@@ -352,7 +352,8 @@ impl FlJob {
             .filter_map(|ep| by_party.get(&ep.id()).map(|msg| (ep, *msg)))
             .collect();
         let mut replies = Vec::with_capacity(deliveries.len());
-        for result in PartyEndpoint::handle_cohort(cohort, workers) {
+        for result in PartyEndpoint::handle_cohort(cohort, &mut vec![(); workers.max(1)], |_, r| r)
+        {
             replies.extend(result?);
         }
         Ok(replies)

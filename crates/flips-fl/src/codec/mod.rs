@@ -20,7 +20,7 @@
 //!   planes in place of the zero-RLE: still **bit-exact**, and the
 //!   literal bytes the RLE ships at full width now cost their entropy.
 //!   A per-block inline fallback keeps hostile-entropy payloads inside
-//!   the same reserve-ahead bound the RLE honors.
+//!   the same worst-case block bound the RLE honors.
 //! - [`ModelCodec::TopK`] — a *lossy* sparsification tier: only the `k`
 //!   largest-magnitude delta coordinates against the reference travel,
 //!   as `(index, value)` pairs with deterministic tie-breaking by
@@ -92,6 +92,7 @@ mod tests;
 mod topk;
 
 pub use f16::{f16_bits_to_f32, f32_to_f16_bits};
+pub(crate) use payload::CodecScratch;
 pub use payload::PayloadCodec;
 
 use crate::format::Reader;
@@ -218,7 +219,8 @@ impl ModelCodec {
     }
 
     /// Worst-case bytes of one encoded params block of `n` parameters
-    /// (codec tag + count + payload) — what an encoder reserves ahead.
+    /// (codec tag + count + payload) — the bound every encoding of `n`
+    /// parameters stays within.
     pub fn max_params_block_bytes(self, n: usize) -> usize {
         let head = 1 + 8; // codec tag + count
         match self {
@@ -380,6 +382,12 @@ impl CodecMap {
             Some(pc) => pc,
             None => &mut self.fallback,
         }
+    }
+
+    /// [`CodecMap::for_job`] read-only: what the update paths need, so
+    /// several threads can encode or decode one job's updates at once.
+    pub(crate) fn get(&self, job: u64) -> &PayloadCodec {
+        self.jobs.get(&job).unwrap_or(&self.fallback)
     }
 
     /// Re-keys a registered job's reference (see

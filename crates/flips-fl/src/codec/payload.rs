@@ -16,10 +16,12 @@ pub(super) const MODE_INLINE: u8 = 0;
 /// Delta payload sub-mode: a stage body against the reference.
 pub(super) const MODE_DELTA: u8 = 1;
 
-/// One job's payload codec state: the negotiated codec, the reference
-/// model, and reused compression scratch (grow-only, like the GEMM pack
-/// buffers — steady-state encode/decode allocates nothing but the
-/// decoded payload itself).
+/// One job's payload codec state on one end of the wire: the negotiated
+/// codec and the reference model. The compression scratch is apart from
+/// it (a `CodecScratch`): the update paths read the reference through
+/// `&self`, so any number of threads can encode or decode updates
+/// against one reference at once, each in its own scratch. The
+/// global-model paths move the reference and use the codec's own.
 pub struct PayloadCodec {
     codec: ModelCodec,
     role: Role,
@@ -27,6 +29,9 @@ pub struct PayloadCodec {
     /// Round of the reference (replay guard: never regress).
     ref_round: u64,
     has_reference: bool,
+    /// Bumped whenever the reference's bits move: an update decoded
+    /// ahead of time is good only while this stays where it was.
+    epoch: u64,
     /// The reference as a receiver last handed it out: a same-round
     /// rebroadcast decodes to the reference itself, and answers with a
     /// clone of this `Arc` instead of a fresh copy of the model. `None`
@@ -40,45 +45,57 @@ pub struct PayloadCodec {
     /// Architecture bound on reference commits (see
     /// [`PayloadCodec::set_expected_len`]).
     expected_len: Option<usize>,
-    /// Decoded-parameter scratch for global models.
-    decoded: Vec<f32>,
-    /// The delta body on its way from the stage into the envelope.
+    /// Top-k only: the true (pre-sparsification) parameters last
+    /// offered as a global model — same-round rebroadcast detection
+    /// must compare against what was *offered*, not against the lossy
+    /// reconstruction the reference holds.
+    offered: Vec<f32>,
+    /// The global-model paths' scratch.
+    scratch: CodecScratch,
+}
+
+/// Grow-only compression scratch (like the GEMM pack buffers): with one
+/// reused per thread, steady-state encode and decode allocate nothing
+/// but the decoded parameters themselves. Which buffers a codec touches
+/// is its own business — a scratch serves every codec.
+#[derive(Default)]
+pub(crate) struct CodecScratch {
+    /// Byte-plane shuffle of a delta (4·n bytes).
+    planes: Vec<u8>,
+    /// rANS renorm bytes and symbol tables.
+    coder: rans::Scratch,
+    /// The delta body on its way from the stage into the envelope; on
+    /// decode, the canonical all-zero container.
     body: Vec<u8>,
-    stage: Stage,
+    /// Top-k's candidates and picks.
+    picks: topk::Picks,
 }
 
-/// What the codecs do not share: the body of a delta block and the
-/// scratch producing it. Each stage keeps its own quirks — the envelope
-/// only asks for a body and hands one back.
-enum Stage {
-    /// Raw and f16: no reference, no delta mode.
-    Plain,
-    /// Byte-plane shuffle (scratch, 4·n bytes) + zero-RLE.
-    Rle { planes: Vec<u8> },
-    /// Byte-plane shuffle + rANS (renorm bytes and symbol tables).
-    Rans { planes: Vec<u8>, coder: rans::Scratch },
-    /// Sparse `(index, value)` pairs.
-    TopK(topk::TopK),
-}
-
-impl Stage {
-    fn new(codec: ModelCodec) -> Self {
+impl CodecScratch {
+    /// Sizes, on the calling thread, the model-sized buffers encoding an
+    /// `n`-param update under `codec` touches (the body grows to what
+    /// the codec ships). A buffer a worker thread first sizes lands in
+    /// that thread's allocator arena, which keeps the memory resident
+    /// after the buffer moves on.
+    pub(crate) fn reserve_encode(&mut self, codec: ModelCodec, n: usize) {
         match codec {
-            ModelCodec::Raw | ModelCodec::F16 => Stage::Plain,
-            ModelCodec::DeltaLossless => Stage::Rle { planes: Vec::new() },
+            ModelCodec::Raw | ModelCodec::F16 => {}
+            ModelCodec::DeltaLossless => reserve_to(&mut self.planes, 4 * n),
             ModelCodec::DeltaEntropy => {
-                Stage::Rans { planes: Vec::new(), coder: rans::Scratch::default() }
+                reserve_to(&mut self.planes, 4 * n);
+                self.coder.reserve_encode(n);
             }
-            ModelCodec::TopK { k } => Stage::TopK(topk::TopK::new(k)),
+            ModelCodec::TopK { k } => self.picks.reserve(n, k as usize),
         }
     }
 
-    /// What one unit of the envelope's `u32` is worth in body bytes:
-    /// the compressed stages count bytes, top-k counts pairs.
-    fn unit(&self) -> usize {
-        match self {
-            Stage::TopK(_) => topk::PAIR_BYTES,
-            _ => 1,
+    /// [`CodecScratch::reserve_encode`] for decoding an update.
+    pub(crate) fn reserve_decode(&mut self, codec: ModelCodec, n: usize) {
+        if matches!(codec, ModelCodec::DeltaLossless | ModelCodec::DeltaEntropy) {
+            reserve_to(&mut self.planes, 4 * n);
+        }
+        if codec == ModelCodec::DeltaEntropy {
+            self.coder.reserve_decode();
         }
     }
 
@@ -87,11 +104,11 @@ impl Stage {
     /// a few zero-run tokens, four single-symbol rANS streams (one
     /// symbol at the full frequency budget never moves the coder
     /// state), or no pairs at all.
-    fn zero_body(&self, n: usize, body: &mut Vec<u8>) {
-        match self {
-            Stage::Rle { .. } => rle::put_zero_run(4 * n, body),
-            Stage::Rans { .. } => rans::encode_zero_planes(n, body),
-            Stage::Plain | Stage::TopK(_) => {}
+    fn zero_body(&mut self, codec: ModelCodec, n: usize) {
+        match codec {
+            ModelCodec::DeltaLossless => rle::put_zero_run(4 * n, &mut self.body),
+            ModelCodec::DeltaEntropy => rans::encode_zero_planes(n, &mut self.body),
+            _ => {}
         }
     }
 
@@ -99,24 +116,24 @@ impl Stage {
     /// Returns `false` when the block should go inline instead: a body
     /// that would not undercut the raw image (a hostile-entropy delta
     /// can RLE-expand ~1.4×, the rANS header alone is up to 544 bytes)
-    /// must not exceed the reserve-ahead bound.
-    fn delta_body(&mut self, params: &[f32], reference: &[f32], body: &mut Vec<u8>) -> bool {
+    /// must not exceed the block's worst-case bound.
+    fn delta_body(&mut self, codec: ModelCodec, params: &[f32], reference: &[f32]) -> bool {
         let n = params.len();
-        match self {
-            Stage::Plain => false,
-            Stage::Rle { planes } => {
-                build_delta_planes(params, reference, planes);
-                rle::compress(planes, body);
-                body.len() < 4 * n
+        match codec {
+            ModelCodec::Raw | ModelCodec::F16 => false,
+            ModelCodec::DeltaLossless => {
+                build_delta_planes(params, reference, &mut self.planes);
+                rle::compress(&self.planes, &mut self.body);
+                self.body.len() < 4 * n
             }
             // An empty model has no planes to code.
-            Stage::Rans { .. } if n == 0 => false,
-            Stage::Rans { planes, coder } => {
-                build_delta_planes(params, reference, planes);
-                rans::encode_planes(planes, n, coder, body);
-                body.len() < 4 * n
+            ModelCodec::DeltaEntropy if n == 0 => false,
+            ModelCodec::DeltaEntropy => {
+                build_delta_planes(params, reference, &mut self.planes);
+                rans::encode_planes(&self.planes, n, &mut self.coder, &mut self.body);
+                self.body.len() < 4 * n
             }
-            Stage::TopK(topk) => topk.select(params, reference, body),
+            ModelCodec::TopK { k } => self.picks.select(k, params, reference, &mut self.body),
         }
     }
 
@@ -124,39 +141,53 @@ impl Stage {
     /// returns `true` with `out` untouched when the body is the
     /// all-zero delta, whose answer is the reference itself. The RLE
     /// recognizes *any* stream of only zero runs, the entropy stage
-    /// exactly the one canonical container (built in `scratch`).
+    /// exactly the one canonical container.
     fn apply(
         &mut self,
+        codec: ModelCodec,
         body: &[u8],
         reference: &[f32],
-        scratch: &mut Vec<u8>,
         out: &mut Vec<f32>,
     ) -> Result<bool, FlError> {
         let n = reference.len();
-        match self {
-            Stage::Plain => unreachable!("plain payloads have no delta mode"),
-            Stage::Rle { planes } => {
+        match codec {
+            ModelCodec::Raw | ModelCodec::F16 => unreachable!("plain payloads have no delta mode"),
+            ModelCodec::DeltaLossless => {
                 if rle::zero_only_stream_len(body) == Some(4 * n) {
                     return Ok(true);
                 }
                 // (Zero runs of any other total fail here, like every
                 // stream that does not fill the planes exactly.)
-                rle::decompress(body, 4 * n, planes)?;
-                gather_from_planes(planes, reference, out);
+                rle::decompress(body, 4 * n, &mut self.planes)?;
+                gather_from_planes(&self.planes, reference, out);
             }
-            Stage::Rans { planes, coder } => {
-                scratch.clear();
-                rans::encode_zero_planes(n, scratch);
-                if body == scratch.as_slice() {
+            ModelCodec::DeltaEntropy => {
+                self.body.clear();
+                rans::encode_zero_planes(n, &mut self.body);
+                if body == self.body.as_slice() {
                     return Ok(true);
                 }
-                rans::decode_planes(body, n, coder, planes)?;
-                gather_from_planes(planes, reference, out);
+                rans::decode_planes(body, n, &mut self.coder, &mut self.planes)?;
+                gather_from_planes(&self.planes, reference, out);
             }
-            Stage::TopK(_) => topk::apply_pairs(body, reference, out)?,
+            ModelCodec::TopK { .. } => topk::apply_pairs(body, reference, out)?,
         }
         Ok(false)
     }
+}
+
+/// What one unit of the envelope's `u32` is worth in body bytes: the
+/// compressed stages count bytes, top-k counts pairs.
+fn unit(codec: ModelCodec) -> usize {
+    match codec {
+        ModelCodec::TopK { .. } => topk::PAIR_BYTES,
+        _ => 1,
+    }
+}
+
+/// Grows `v`'s capacity to at least `cap` elements.
+fn reserve_to<T>(v: &mut Vec<T>, cap: usize) {
+    v.reserve(cap.saturating_sub(v.len()));
 }
 
 impl std::fmt::Debug for PayloadCodec {
@@ -178,12 +209,12 @@ impl PayloadCodec {
             reference: Vec::new(),
             ref_round: 0,
             has_reference: false,
+            epoch: 0,
             ref_arc: None,
             ref_src: (0, 0),
             expected_len: None,
-            decoded: Vec::new(),
-            body: Vec::new(),
-            stage: Stage::new(codec),
+            offered: Vec::new(),
+            scratch: CodecScratch::default(),
         }
     }
 
@@ -197,6 +228,12 @@ impl PayloadCodec {
         self.has_reference
     }
 
+    /// Counts the moves of the reference's bits: two equal readings
+    /// bracket a stretch in which every update decoded the same.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// Pins the parameter count references must have. A receiver that
     /// knows the job's architecture (the party pool does — its
     /// endpoints hold the agreed model) refuses to let any other-sized
@@ -204,6 +241,15 @@ impl PayloadCodec {
     /// inline frame cannot poison the delta state of a live job.
     pub fn set_expected_len(&mut self, len: usize) {
         self.expected_len = Some(len);
+    }
+
+    /// Runs `f` on this codec with its own scratch lent out — how a
+    /// `&mut` caller reaches the `&self` update paths.
+    pub(crate) fn with_scratch<R>(&mut self, f: impl FnOnce(&Self, &mut CodecScratch) -> R) -> R {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = f(self, &mut scratch);
+        self.scratch = scratch;
+        out
     }
 
     /// Appends one encoded params block for a `GlobalModel` payload.
@@ -219,34 +265,47 @@ impl PayloadCodec {
         let rebroadcast = self.role == Role::Sender
             && !params.is_empty()
             && self.is_reference_rebroadcast(round, params);
-        let delta = self.encode_block(params, rebroadcast, out);
+        let delta = self.with_scratch(|pc, s| pc.encode_block(params, rebroadcast, s, out));
         if rebroadcast || self.role != Role::Sender || !self.codec.tracks_reference() {
             return;
         }
-        match &mut self.stage {
+        match self.codec {
             // An inline image reconstructs to the true model, whatever
             // the stage.
-            Stage::TopK(topk) if delta => {
+            ModelCodec::TopK { .. } if delta => {
                 // Advance to the reconstruction the receiver will now
                 // hold: the old reference with the shipped pairs
                 // applied.
-                topk.apply_sent(&mut self.reference);
+                self.scratch.picks.apply_sent(&mut self.reference);
                 self.ref_round = round;
+                self.epoch += 1;
                 self.ref_src = (params.as_ptr() as usize, params.len());
             }
             _ => self.set_reference(round, params),
         }
-        if let Stage::TopK(topk) = &mut self.stage {
+        if let ModelCodec::TopK { .. } = self.codec {
             // `params` itself is remembered separately so a same-round
             // rebroadcast of the same buffer is recognized.
-            topk.set_offered(params);
+            self.offered.clear();
+            self.offered.extend_from_slice(params);
         }
     }
 
     /// Appends one encoded params block for a `LocalUpdate` payload
     /// (uses the reference, never advances it).
     pub fn encode_update(&mut self, params: &[f32], out: &mut BytesMut) {
-        let _ = self.encode_block(params, false, out);
+        self.with_scratch(|pc, s| pc.encode_update_with(params, s, out));
+    }
+
+    /// [`PayloadCodec::encode_update`] in a caller's scratch: the same
+    /// bytes, from any thread.
+    pub(crate) fn encode_update_with(
+        &self,
+        params: &[f32],
+        scratch: &mut CodecScratch,
+        out: &mut BytesMut,
+    ) {
+        let _ = self.encode_block(params, false, scratch, out);
     }
 
     /// Decodes a `GlobalModel` params block. A [`Role::Receiver`]
@@ -281,9 +340,9 @@ impl PayloadCodec {
         round: u64,
         r: &mut Reader<'_>,
     ) -> Result<Arc<[f32]>, FlError> {
-        let mut decoded = std::mem::take(&mut self.decoded);
-        decoded.clear();
-        let arc = self.read_params(r, &mut decoded).map(|is_reference| {
+        let mut decoded = Vec::with_capacity(self.reference.len());
+        let is_reference = self.with_scratch(|pc, s| pc.read_params(r, s, &mut decoded));
+        is_reference.map(|is_reference| {
             let len = if is_reference { self.reference.len() } else { decoded.len() };
             let fresh = !self.has_reference || round > self.ref_round;
             let len_ok = self.expected_len.is_none_or(|l| l == len)
@@ -305,9 +364,7 @@ impl PayloadCodec {
                 }
                 arc
             }
-        });
-        self.decoded = decoded;
-        arc
+        })
     }
 
     /// Decodes a `LocalUpdate` params block (uses the reference, never
@@ -318,16 +375,21 @@ impl PayloadCodec {
     /// As [`PayloadCodec::decode_global`].
     pub fn decode_update(&mut self, buf: &mut Bytes) -> Result<Vec<f32>, FlError> {
         let mut r = Reader::new(buf.as_slice(), "params block");
-        let out = self.read_update(&mut r);
+        let out = self.with_scratch(|pc, s| pc.read_update(&mut r, s));
         let used = r.position();
         let _ = buf.split_to(used);
         out
     }
 
-    /// [`PayloadCodec::decode_update`] from a message's own reader.
-    pub(crate) fn read_update(&mut self, r: &mut Reader<'_>) -> Result<Vec<f32>, FlError> {
+    /// [`PayloadCodec::decode_update`] from a message's own reader, in a
+    /// caller's scratch.
+    pub(crate) fn read_update(
+        &self,
+        r: &mut Reader<'_>,
+        scratch: &mut CodecScratch,
+    ) -> Result<Vec<f32>, FlError> {
         let mut out = Vec::with_capacity(self.reference.len());
-        if self.read_params(r, &mut out)? {
+        if self.read_params(r, scratch, &mut out)? {
             out.extend_from_slice(&self.reference);
         }
         Ok(out)
@@ -366,6 +428,7 @@ impl PayloadCodec {
         self.reference.extend_from_slice(params);
         self.ref_round = round;
         self.has_reference = true;
+        self.epoch += 1;
         self.ref_arc = None;
         self.ref_src = (params.as_ptr() as usize, params.len());
     }
@@ -383,8 +446,8 @@ impl PayloadCodec {
         // Top-k's stored reference is the lossy reconstruction; the
         // bits to compare against are the true params of the last
         // encode.
-        let baseline: &[f32] = match &self.stage {
-            Stage::TopK(topk) => topk.offered(),
+        let baseline: &[f32] = match self.codec {
+            ModelCodec::TopK { .. } => &self.offered,
             _ => &self.reference,
         };
         self.has_reference
@@ -397,38 +460,51 @@ impl PayloadCodec {
     /// The one encode path: `tag ‖ count`, then the plain image, or the
     /// delta envelope — the stage's body when there is a same-length
     /// reference and the body undercuts raw (`zero` forces the all-zero
-    /// body of a rebroadcast), the inline image otherwise. Returns
-    /// whether a delta body was shipped.
-    fn encode_block(&mut self, params: &[f32], zero: bool, out: &mut BytesMut) -> bool {
+    /// body of a rebroadcast), the inline image otherwise. Reserves the
+    /// block's exact size before writing it. Returns whether a delta
+    /// body was shipped.
+    fn encode_block(
+        &self,
+        params: &[f32],
+        zero: bool,
+        s: &mut CodecScratch,
+        out: &mut BytesMut,
+    ) -> bool {
         let n = params.len();
-        out.reserve(self.codec.max_params_block_bytes(n));
+        let delta = self.codec.tracks_reference() && {
+            s.body.clear();
+            if zero {
+                s.zero_body(self.codec, n);
+                true
+            } else {
+                self.has_reference
+                    && self.reference.len() == n
+                    && s.delta_body(self.codec, params, &self.reference)
+            }
+        };
+        let image = match self.codec {
+            ModelCodec::Raw => 4 * n,
+            ModelCodec::F16 => 2 * n,
+            _ if delta => 1 + 4 + s.body.len(),
+            _ => 1 + 4 + 4 * n,
+        };
+        out.reserve(1 + 8 + image);
         out.put_u8(self.codec.tag());
         out.put_u64_le(n as u64);
         match self.codec {
             ModelCodec::Raw => put_f32s(out, params),
             ModelCodec::F16 => f16::put_f16s(out, params),
+            _ if delta => {
+                out.put_u8(MODE_DELTA);
+                out.put_u32_le((s.body.len() / unit(self.codec)) as u32);
+                out.put_slice(&s.body);
+            }
             _ => {
-                self.body.clear();
-                let delta = if zero {
-                    self.stage.zero_body(n, &mut self.body);
-                    true
-                } else {
-                    self.has_reference
-                        && self.reference.len() == n
-                        && self.stage.delta_body(params, &self.reference, &mut self.body)
-                };
-                if delta {
-                    out.put_u8(MODE_DELTA);
-                    out.put_u32_le((self.body.len() / self.stage.unit()) as u32);
-                    out.put_slice(&self.body);
-                } else {
-                    out.put_u8(MODE_INLINE);
-                    put_f32s(out, params);
-                }
-                return delta;
+                out.put_u8(MODE_INLINE);
+                put_f32s(out, params);
             }
         }
-        false
+        delta
     }
 
     /// The one decode path: decodes a params block onto the (empty)
@@ -436,7 +512,12 @@ impl PayloadCodec {
     /// an all-zero delta, whose answer is the reference itself (a
     /// rebroadcast costs its receiver no plane expansion, XOR gather or
     /// model copy).
-    fn read_params(&mut self, r: &mut Reader<'_>, out: &mut Vec<f32>) -> Result<bool, FlError> {
+    fn read_params(
+        &self,
+        r: &mut Reader<'_>,
+        s: &mut CodecScratch,
+        out: &mut Vec<f32>,
+    ) -> Result<bool, FlError> {
         let (tag, count) = (r.u8()?, r.u64()?);
         if tag != self.codec.tag() {
             return Err(FlError::CodecMismatch(match ModelCodec::tag_name(tag) {
@@ -468,10 +549,10 @@ impl PayloadCodec {
                         "delta payload for {count} params, reference holds {n}"
                     )));
                 }
-                let unit = self.stage.unit();
+                let unit = unit(self.codec);
                 let len = r.len32(unit)? * unit;
                 let body = r.bytes(len)?;
-                return self.stage.apply(body, &self.reference, &mut self.body, out);
+                return s.apply(self.codec, body, &self.reference, out);
             }
         }
         Ok(false)

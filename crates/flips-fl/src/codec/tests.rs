@@ -196,7 +196,7 @@ fn hostile_entropy_delta_falls_back_to_inline_within_the_reserve() {
     // A period-5 plane pattern (one literal byte, then a 4-byte
     // zero run) makes the RLE token stream ~1.4× the plane bytes;
     // the encoder must fall back to the inline image so no block
-    // exceeds its reserve-ahead bound (and the scratch never
+    // exceeds its worst-case bound (and the scratch never
     // reallocates mid-encode).
     let (mut tx, mut rx) = pair(ModelCodec::DeltaLossless);
     let reference: Vec<f32> = vec![0.0; 4096];
@@ -690,4 +690,53 @@ fn topk_is_not_lossless_and_the_delta_codecs_are() {
 #[test]
 fn replayed_stale_entropy_global_does_not_regress_the_reference() {
     stale_replay_leaves_the_reference(ModelCodec::DeltaEntropy);
+}
+
+#[test]
+fn updates_in_any_scratch_on_any_thread_match_the_codecs_own() {
+    use crate::format::Reader;
+    for codec in [
+        ModelCodec::Raw,
+        ModelCodec::DeltaLossless,
+        ModelCodec::F16,
+        ModelCodec::DeltaEntropy,
+        ModelCodec::TopK { k: 16 },
+    ] {
+        // The aggregator (`tx`) and a party (`rx`) share a reference;
+        // the party encodes updates against it, the aggregator decodes.
+        let (mut tx, mut rx) = pair(codec);
+        let global: Vec<f32> = (0..256).map(|i| (i as f32 * 0.37).sin()).collect();
+        roundtrip(&mut tx, &mut rx, &global);
+        let updates: Vec<Vec<f32>> = (1..4)
+            .map(|u| {
+                global.iter().enumerate().map(|(i, x)| x + (i % (5 * u)) as f32 * 1e-3).collect()
+            })
+            .collect();
+        let own: Vec<(Vec<u8>, Vec<u32>)> = updates
+            .iter()
+            .map(|update| {
+                let mut buf = BytesMut::new();
+                rx.encode_update(update, &mut buf);
+                let decoded = tx.decode_update(&mut Bytes::from(buf.as_slice().to_vec())).unwrap();
+                (buf.as_slice().to_vec(), bits(&decoded))
+            })
+            .collect();
+        // Two scratch sets, each through every update in turn (warm from
+        // the update before), then both at once on two threads.
+        let (tx, rx) = (&tx, &rx);
+        let check = |scratch: &mut CodecScratch, i: usize| {
+            let mut buf = BytesMut::new();
+            rx.encode_update_with(&updates[i], scratch, &mut buf);
+            assert_eq!(buf.as_slice(), own[i].0.as_slice(), "{codec} bytes");
+            let mut r = Reader::new(buf.as_slice(), "params block");
+            let decoded = tx.read_update(&mut r, scratch).unwrap();
+            assert_eq!(bits(&decoded), own[i].1, "{codec} bits");
+        };
+        let mut scratches = [CodecScratch::default(), CodecScratch::default()];
+        for scratch in &mut scratches {
+            (0..updates.len()).for_each(|i| check(scratch, i));
+        }
+        let turns = (0..4 * updates.len()).map(|t| t % updates.len()).collect();
+        flips_ml::parallel::map_with(turns, &mut scratches, check);
+    }
 }

@@ -9,28 +9,24 @@ use crate::FlError;
 /// Bytes of one `(index, value bits)` pair.
 pub(super) const PAIR_BYTES: usize = 8;
 
-/// The sender-side state of the sparsifier.
+/// The sparsifier's scratch: candidates, and the picks of the last
+/// [`Picks::select`].
 #[derive(Default)]
-pub(super) struct TopK {
-    /// Coordinates transmitted per model frame.
-    k: usize,
+pub(super) struct Picks {
     /// Candidate scratch: `(magnitude key, index)`.
     cands: Vec<(u32, u32)>,
-    /// Selected pairs of the last [`TopK::select`], `(index, value
+    /// Selected pairs of the last [`Picks::select`], `(index, value
     /// bits)` ascending by index — what the sender applies to advance
     /// its reference to the *reconstruction* (the model the receiver
     /// now holds), not to the true parameters.
     pairs: Vec<(u32, u32)>,
-    /// The true (pre-sparsification) parameters last offered as a
-    /// global model — same-round rebroadcast detection must compare
-    /// against what was *offered*, not against the lossy reconstruction
-    /// the reference holds.
-    offered: Vec<f32>,
 }
 
-impl TopK {
-    pub(super) fn new(k: u32) -> Self {
-        TopK { k: k as usize, ..TopK::default() }
+impl Picks {
+    /// Sizes the candidates for `n` params and the picks for `k`.
+    pub(super) fn reserve(&mut self, n: usize, k: usize) {
+        self.cands.reserve(n.saturating_sub(self.cands.len()));
+        self.pairs.reserve(k.min(n).saturating_sub(self.pairs.len()));
     }
 
     /// Selects the `k` largest-magnitude coordinates of `params −
@@ -38,7 +34,14 @@ impl TopK {
     /// inline — for dense deltas (or tiny models) whose pair list would
     /// not undercut the raw image; inline is also bit-exact, so the
     /// fallback only ever *improves* fidelity.
-    pub(super) fn select(&mut self, params: &[f32], reference: &[f32], body: &mut Vec<u8>) -> bool {
+    pub(super) fn select(
+        &mut self,
+        k: u32,
+        params: &[f32],
+        reference: &[f32],
+        body: &mut Vec<u8>,
+    ) -> bool {
+        let k = k as usize;
         // Candidates: coordinates whose bits differ from the reference,
         // keyed by |params − reference| (NaN deltas key as the largest
         // magnitudes — a NaN-poisoned coordinate must not be silently
@@ -53,9 +56,9 @@ impl TopK {
         // Keep the k largest keys; the comparator's index tie-break
         // makes it a total order, so the selected *set* is a pure
         // function of the input regardless of partition internals.
-        if self.cands.len() > self.k {
-            self.cands.select_nth_unstable_by(self.k, |a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            self.cands.truncate(self.k);
+        if self.cands.len() > k {
+            self.cands.select_nth_unstable_by(k, |a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            self.cands.truncate(k);
         }
         self.pairs.clear();
         self.pairs.extend(self.cands.iter().map(|&(_, i)| (i, params[i as usize].to_bits())));
@@ -70,24 +73,13 @@ impl TopK {
         true
     }
 
-    /// Applies the pairs of the last [`TopK::select`] to the sender's
+    /// Applies the pairs of the last [`Picks::select`] to the sender's
     /// reference: the old reference with the shipped pairs applied is
     /// the reconstruction the receiver now holds.
     pub(super) fn apply_sent(&self, reference: &mut [f32]) {
         for &(i, bits) in &self.pairs {
             reference[i as usize] = f32::from_bits(bits);
         }
-    }
-
-    /// Remembers the true parameters behind the reference.
-    pub(super) fn set_offered(&mut self, params: &[f32]) {
-        self.offered.clear();
-        self.offered.extend_from_slice(params);
-    }
-
-    /// The true parameters of the last global-model encode.
-    pub(super) fn offered(&self) -> &[f32] {
-        &self.offered
     }
 }
 

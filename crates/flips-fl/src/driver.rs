@@ -23,19 +23,22 @@
 //! `tests/protocol_equivalence.rs`).
 
 use crate::checkpoint::{Checkpoint, CodecRefSnapshot, JobSnapshot};
-use crate::codec::{CodecMap, ModelCodec, Role};
+use crate::codec::{CodecMap, CodecScratch, ModelCodec, Role};
 use crate::config::DeadlinePolicy;
 use crate::coordinator::Coordinator;
 use crate::events::{Effect, Event, RejectReason};
 use crate::guard::{FrameKind, FrameVerdict, GuardConfig, GuardPlane};
 use crate::history::History;
 use crate::latency::LatencyModel;
-use crate::message::{deframe_with, frame_into, frame_job_of, frame_party_of, AGGREGATOR_DEST};
+use crate::message::{
+    deframe_update, deframe_with, frame_into, frame_is_update, frame_job_of, frame_party_of,
+    AGGREGATOR_DEST,
+};
 use crate::straggler::{Arrival, Clock, Stragglers};
 use crate::transport::Transport;
 use crate::wheel::{Deadline, TimerWheel};
 use crate::{FlError, JobParts, PartyEndpoint, WireMessage};
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use flips_selection::PartyId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -111,6 +114,16 @@ pub struct DrainReport {
     /// Jobs that still have a round open — empty once the drain is
     /// complete ([`MultiJobDriver::is_quiescent`]).
     pub open_rounds: Vec<u64>,
+}
+
+/// Frames [`MultiJobDriver::pump`] reads ahead per decode worker.
+const WINDOW_PER_WORKER: usize = 2;
+
+/// An update frame decoded ahead of its turn, and the epoch of the
+/// reference it decoded against.
+struct Ahead {
+    epoch: u64,
+    decoded: Result<(u64, WireMessage), FlError>,
 }
 
 /// One job under the driver's management: its protocol state machine
@@ -523,6 +536,17 @@ impl<T: Transport> MultiJobDriver<T> {
     /// resulting effects. Rounds that complete early (full cohort
     /// delivered) close and reopen inline.
     ///
+    /// Frames are read a small window at a time (a few per core, never a
+    /// whole drain, so a flood holds no more decoded models than that).
+    /// The window's delta-codec updates that pass the guard's size cap
+    /// decode first, one worker per frame, each against its link's
+    /// read-only reference; then every frame of the window takes its
+    /// turn in arrival order, exactly as if read alone. A frame whose
+    /// `(link, job)` reference moved since its decode (a round closed
+    /// earlier in the window) decodes again in its turn, so nothing
+    /// depends on the worker count. Raw and f16 updates decode in their
+    /// turn: their codec is a copy.
+    ///
     /// Returns whether any frame was processed — pump until `false`
     /// (the wire is quiet), then [`MultiJobDriver::advance_clock`].
     ///
@@ -533,121 +557,207 @@ impl<T: Transport> MultiJobDriver<T> {
     /// they are counted in [`DriverStats`] and dropped, leaving every
     /// job's round state untouched.
     pub fn pump(&mut self) -> Result<bool, FlError> {
+        self.pump_on(flips_ml::parallel::threads(usize::MAX))
+    }
+
+    /// [`MultiJobDriver::pump`], decoding on at most `workers` threads.
+    fn pump_on(&mut self, workers: usize) -> Result<bool, FlError> {
         let mut progressed = false;
-        while let Some((link, raw)) = self.transport.try_recv_tagged()? {
-            progressed = true;
-            self.stats.frames_received += 1;
-            self.stats.bytes_received += raw.len() as u64;
-            // Guard stage 1 — size cap, before any decode work touches
-            // the payload. The claimed sender is struck like a corrupt
-            // frame's: an oversized frame is hostile framing either way.
-            if let Some(guard) = &self.guard {
-                if !guard.frame_len_ok(raw.len()) {
-                    self.stats.oversized_frames += 1;
-                    let (job, party) = (frame_job_of(&raw), frame_party_of(&raw));
-                    self.strike_claimed_sender(job, party);
-                    continue;
+        let mut window = Vec::new();
+        loop {
+            let mut failed = None;
+            while window.len() < WINDOW_PER_WORKER * workers {
+                match self.transport.try_recv_tagged() {
+                    Ok(Some(frame)) => window.push(frame),
+                    Ok(None) => break,
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
                 }
             }
-            let peeked_job = frame_job_of(&raw);
-            let peeked_party = frame_party_of(&raw);
-            let Some(link_codecs) = self.codecs.get_mut(link) else {
-                return Err(FlError::Transport(format!(
-                    "transport tagged a frame with link {link}, but only {} exist",
-                    self.codecs.len()
-                )));
-            };
-            let msg = match deframe_with(raw, link_codecs) {
-                Ok((AGGREGATOR_DEST, msg)) => msg,
-                // A party-addressed frame on the uplink is misrouted;
-                // treat like any other malformed traffic.
-                Ok(_) | Err(FlError::Codec(_)) => {
-                    self.stats.corrupt_frames += 1;
-                    self.strike_claimed_sender(peeked_job, peeked_party);
-                    continue;
-                }
-                Err(FlError::CodecMismatch(_)) => {
-                    // A compressed frame for a job nobody owns fails
-                    // the raw-fallback tag check before it can reach
-                    // the unknown-job check below — attribute it to
-                    // the routing counter, not the codec one.
-                    if peeked_job.is_some_and(|j| self.jobs.contains_key(&j)) {
-                        self.stats.codec_mismatch_frames += 1;
-                        self.strike_claimed_sender(peeked_job, peeked_party);
-                    } else {
-                        self.stats.unknown_job_frames += 1;
-                    }
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let job_id = msg.job();
-            let Some(state) = self.jobs.get_mut(&job_id) else {
-                self.stats.unknown_job_frames += 1;
+            // A transport failure ends the pump once the frames read
+            // before it have had their turn.
+            if window.is_empty() {
+                return failed.map_or(Ok(progressed), Err);
+            }
+            progressed = true;
+            let decoded = self.decode_ahead(&window, workers);
+            for ((link, raw), decoded) in window.drain(..).zip(decoded) {
+                self.take_frame(link, raw, decoded)?;
+            }
+            if let Some(e) = failed {
+                return Err(e);
+            }
+        }
+    }
+
+    /// Decodes the delta-codec updates of `window` that pass the size
+    /// cap on up to `workers` threads: each frame's result with the
+    /// epoch of the reference it decoded against, `None` for every
+    /// other frame. One worker decodes nothing ahead.
+    fn decode_ahead(&mut self, window: &[(usize, Bytes)], workers: usize) -> Vec<Option<Ahead>> {
+        let mut ahead: Vec<Option<Ahead>> = window.iter().map(|_| None).collect();
+        let mut work = Vec::new();
+        for (i, (link, raw)) in window.iter().enumerate() {
+            let (Some(map), Some(job)) = (self.codecs.get(*link), frame_job_of(raw)) else {
                 continue;
             };
-            // Guard stages 2–4 — breaker, rate limit, admission — for
-            // any message claiming a sender. The checks run in that
-            // order: an ejected party's traffic never consumes tokens or
-            // admission budget, and a rate-limited frame never consumes
-            // admission budget. All three verdicts are pure functions of
-            // the per-party frame sequence and round opens, so they are
-            // identical under any transport interleaving that preserves
-            // per-party order.
-            if let Some(guard) = &mut self.guard {
-                let party = match &msg {
-                    WireMessage::LocalUpdate { party, .. }
-                    | WireMessage::Heartbeat { party, .. }
-                    | WireMessage::Abort { party, .. } => Some(*party),
-                    _ => None,
+            let codec = map.get(job);
+            if frame_is_update(raw)
+                && codec.codec().tracks_reference()
+                && self.guard.as_ref().is_none_or(|g| g.frame_len_ok(raw.len()))
+            {
+                work.push((i, *link, job, raw.clone()));
+            }
+        }
+        let workers = workers.min(work.len());
+        if workers <= 1 {
+            return ahead;
+        }
+        // One scratch per worker, sized here (a buffer a worker first
+        // sizes stays in its thread's allocator arena) and held for this
+        // window only, so the pool's turn can reuse the memory.
+        let mut scratches: Vec<CodecScratch> = (0..workers).map(|_| Default::default()).collect();
+        for &(_, link, job, _) in &work {
+            let codec = self.codecs[link].get(job);
+            let n = codec.reference_snapshot().map_or(0, |(_, params)| params.len());
+            for scratch in &mut scratches {
+                scratch.reserve_decode(codec.codec(), n);
+            }
+        }
+        let codecs = &self.codecs;
+        let done =
+            flips_ml::parallel::map_with(work, &mut scratches, |scratch, (i, link, job, raw)| {
+                let decoded = deframe_update(raw, &codecs[link], scratch);
+                (i, Ahead { epoch: codecs[link].get(job).epoch(), decoded })
+            });
+        for (i, decoded) in done {
+            ahead[i] = Some(decoded);
+        }
+        ahead
+    }
+
+    /// One frame's turn: guard, decode (unless decoded ahead against the
+    /// reference still in place), late-update judgment, coordinator.
+    fn take_frame(&mut self, link: usize, raw: Bytes, ahead: Option<Ahead>) -> Result<(), FlError> {
+        self.stats.frames_received += 1;
+        self.stats.bytes_received += raw.len() as u64;
+        // Guard stage 1 — size cap, before any decode work touches
+        // the payload. The claimed sender is struck like a corrupt
+        // frame's: an oversized frame is hostile framing either way.
+        if let Some(guard) = &self.guard {
+            if !guard.frame_len_ok(raw.len()) {
+                self.stats.oversized_frames += 1;
+                let (job, party) = (frame_job_of(&raw), frame_party_of(&raw));
+                self.strike_claimed_sender(job, party);
+                return Ok(());
+            }
+        }
+        let peeked_job = frame_job_of(&raw);
+        let peeked_party = frame_party_of(&raw);
+        let Some(link_codecs) = self.codecs.get_mut(link) else {
+            return Err(FlError::Transport(format!(
+                "transport tagged a frame with link {link}, but only {} exist",
+                self.codecs.len()
+            )));
+        };
+        let decoded = match ahead {
+            Some(Ahead { epoch, decoded })
+                if peeked_job.is_some_and(|job| link_codecs.get(job).epoch() == epoch) =>
+            {
+                decoded
+            }
+            _ => deframe_with(raw, link_codecs),
+        };
+        let msg = match decoded {
+            Ok((AGGREGATOR_DEST, msg)) => msg,
+            // A party-addressed frame on the uplink is misrouted;
+            // treat like any other malformed traffic.
+            Ok(_) | Err(FlError::Codec(_)) => {
+                self.stats.corrupt_frames += 1;
+                self.strike_claimed_sender(peeked_job, peeked_party);
+                return Ok(());
+            }
+            Err(FlError::CodecMismatch(_)) => {
+                // A compressed frame for a job nobody owns fails
+                // the raw-fallback tag check before it can reach
+                // the unknown-job check below — attribute it to
+                // the routing counter, not the codec one.
+                if peeked_job.is_some_and(|j| self.jobs.contains_key(&j)) {
+                    self.stats.codec_mismatch_frames += 1;
+                    self.strike_claimed_sender(peeked_job, peeked_party);
+                } else {
+                    self.stats.unknown_job_frames += 1;
+                }
+                return Ok(());
+            }
+            Err(e) => return Err(e),
+        };
+        let job_id = msg.job();
+        let Some(state) = self.jobs.get_mut(&job_id) else {
+            self.stats.unknown_job_frames += 1;
+            return Ok(());
+        };
+        // Guard stages 2–4 — breaker, rate limit, admission — for
+        // any message claiming a sender. The checks run in that
+        // order: an ejected party's traffic never consumes tokens or
+        // admission budget, and a rate-limited frame never consumes
+        // admission budget. All three verdicts are pure functions of
+        // the per-party frame sequence and round opens, so they are
+        // identical under any transport interleaving that preserves
+        // per-party order.
+        if let Some(guard) = &mut self.guard {
+            let party = match &msg {
+                WireMessage::LocalUpdate { party, .. }
+                | WireMessage::Heartbeat { party, .. }
+                | WireMessage::Abort { party, .. } => Some(*party),
+                _ => None,
+            };
+            if let Some(party) = party {
+                let kind = if matches!(msg, WireMessage::LocalUpdate { .. }) {
+                    FrameKind::Update
+                } else {
+                    FrameKind::Control
                 };
-                if let Some(party) = party {
-                    let kind = if matches!(msg, WireMessage::LocalUpdate { .. }) {
-                        FrameKind::Update
-                    } else {
-                        FrameKind::Control
-                    };
-                    match guard.admit(job_id, party, kind) {
-                        FrameVerdict::Admit => {}
-                        FrameVerdict::BreakerOpen => {
-                            self.stats.breaker_dropped_frames += 1;
-                            continue;
-                        }
-                        FrameVerdict::RateLimited => {
-                            self.stats.rate_limited_frames += 1;
-                            continue;
-                        }
-                        FrameVerdict::RoundFull => {
-                            self.stats.admission_refused_frames += 1;
-                            continue;
-                        }
+                match guard.admit(job_id, party, kind) {
+                    FrameVerdict::Admit => {}
+                    FrameVerdict::BreakerOpen => {
+                        self.stats.breaker_dropped_frames += 1;
+                        return Ok(());
+                    }
+                    FrameVerdict::RateLimited => {
+                        self.stats.rate_limited_frames += 1;
+                        return Ok(());
+                    }
+                    FrameVerdict::RoundFull => {
+                        self.stats.admission_refused_frames += 1;
+                        return Ok(());
                     }
                 }
             }
-            // A late update is withheld — the wheel will close its sender
-            // out as a straggler. Every copy is withheld (a redelivered
-            // late update reaching the coordinator would be *accepted* —
-            // the party is still pending), but only the first counts, so
-            // `late_updates` equals the straggler count under
-            // at-least-once delivery too. (Counted, never a breaker
-            // strike: see `guard`.)
-            if let WireMessage::LocalUpdate { round, party, duration, .. } = &msg {
-                let (pid, coordinator) = (*party as PartyId, &state.coordinator);
-                let in_open_round = || {
-                    coordinator.round() as u64 == *round
-                        && coordinator.open_cohort().is_some_and(|c| c.contains(&pid))
-                };
-                if let Arrival::Late { first } =
-                    state.stragglers.judge(pid, *duration, in_open_round)
-                {
-                    self.stats.late_updates += u64::from(first);
-                    continue;
-                }
-            }
-            let effects = state.coordinator.handle(Event::UpdateReceived(msg))?;
-            self.apply_effects(job_id, effects)?;
         }
-        Ok(progressed)
+        // A late update is withheld — the wheel will close its sender
+        // out as a straggler. Every copy is withheld (a redelivered
+        // late update reaching the coordinator would be *accepted* —
+        // the party is still pending), but only the first counts, so
+        // `late_updates` equals the straggler count under
+        // at-least-once delivery too. (Counted, never a breaker
+        // strike: see `guard`.)
+        if let WireMessage::LocalUpdate { round, party, duration, .. } = &msg {
+            let (pid, coordinator) = (*party as PartyId, &state.coordinator);
+            let in_open_round = || {
+                coordinator.round() as u64 == *round
+                    && coordinator.open_cohort().is_some_and(|c| c.contains(&pid))
+            };
+            if let Arrival::Late { first } = state.stragglers.judge(pid, *duration, in_open_round) {
+                self.stats.late_updates += u64::from(first);
+                return Ok(());
+            }
+        }
+        let effects = state.coordinator.handle(Event::UpdateReceived(msg))?;
+        self.apply_effects(job_id, effects)?;
+        Ok(())
     }
 
     /// Advances the timer wheel to the next live deadline and fires it
@@ -1018,7 +1128,178 @@ impl<T: Transport> MultiJobDriver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::MemoryTransport;
+    use crate::codec::PayloadCodec;
+    use crate::guard::BreakerTransition;
+    use crate::message::FRAME_HEADER;
+    use crate::plan::{place, split};
+    use crate::transport::{MemoryRouter, MemoryTransport};
+    use crate::{FlJob, FlJobConfig, LocalTrainingConfig, PartyPool, WireOptions};
+    use flips_data::dataset::{balanced_test_set, generate_population};
+    use flips_data::DatasetProfile;
+    use flips_selection::RandomSelector;
+    use std::collections::VecDeque;
+
+    /// The driver end of a memory wire, slipping scripted frames into
+    /// the uplink right behind the frame that prompted them.
+    struct Tap<F> {
+        inner: MemoryRouter,
+        script: F,
+        pending: VecDeque<(usize, Bytes)>,
+    }
+
+    impl<F: FnMut(usize, &[u8]) -> Vec<(usize, Bytes)>> Transport for Tap<F> {
+        fn send(&mut self, frame: &[u8]) -> Result<(), FlError> {
+            self.inner.send(frame)
+        }
+
+        fn try_recv(&mut self) -> Result<Option<Bytes>, FlError> {
+            Ok(self.try_recv_tagged()?.map(|(_, frame)| frame))
+        }
+
+        fn links(&self) -> usize {
+            self.inner.links()
+        }
+
+        fn link_for(&self, job: u64, dest: u64) -> usize {
+            self.inner.link_for(job, dest)
+        }
+
+        fn try_recv_tagged(&mut self) -> Result<Option<(usize, Bytes)>, FlError> {
+            if let Some(frame) = self.pending.pop_front() {
+                return Ok(Some(frame));
+            }
+            let frame = self.inner.try_recv_tagged()?;
+            if let Some((link, frame)) = &frame {
+                self.pending.extend((self.script)(*link, frame));
+            }
+            Ok(frame)
+        }
+    }
+
+    /// Ten parties of 2–240 samples, four a round, no stragglers.
+    fn job(seed: u64, codec: ModelCodec) -> JobParts {
+        let profile = DatasetProfile::femnist().scaled(10, 30);
+        let sizes = [3usize, 180, 7, 64, 2, 240, 15, 96, 5, 120];
+        let datasets = (0..).zip(sizes).map(|(i, n)| generate_population(&profile, n, i)).collect();
+        let config = FlJobConfig {
+            rounds: 4,
+            parties_per_round: 4,
+            codec,
+            local: LocalTrainingConfig { epochs: 1, batch_size: 16, ..Default::default() },
+            seed,
+            ..FlJobConfig::new(profile.model.clone())
+        };
+        let test = balanced_test_set(&profile, 10, 11);
+        let selector = Box::new(RandomSelector::new(10, seed));
+        FlJob::new(datasets, test, config, selector).unwrap().into_parts()
+    }
+
+    /// A DeltaEntropy update whose params block is the all-zero delta:
+    /// it decodes to whatever reference its link holds for `job`.
+    fn zero_update(job: u64, round: u64, party: u64, n: usize) -> Bytes {
+        let params = vec![0.0; n];
+        let mut codec = PayloadCodec::new(ModelCodec::DeltaEntropy, Role::Receiver);
+        assert!(codec.force_reference(0, &params));
+        let msg = WireMessage::LocalUpdate {
+            job,
+            round,
+            party,
+            num_samples: 5,
+            mean_loss: 0.5,
+            duration: 0.1,
+            params,
+        };
+        let mut out = BytesMut::new();
+        frame_into(AGGREGATOR_DEST, &msg, &mut codec, &mut out);
+        Bytes::from(out.as_slice().to_vec())
+    }
+
+    /// DeltaEntropy, Raw and TopK jobs on two guarded links, with
+    /// scripted uplink frames, driven to the end on `workers` decode
+    /// workers: every history, the counters and the breaker log.
+    fn run_on(workers: usize) -> (Vec<History>, DriverStats, Vec<BreakerTransition>) {
+        let jobs: Vec<JobParts> =
+            [(1, ModelCodec::DeltaEntropy), (2, ModelCodec::Raw), (3, ModelCodec::TopK { k: 64 })]
+                .into_iter()
+                .map(|(seed, codec)| job(seed, codec))
+                .collect();
+        let delta = jobs[0].coordinator.job_id();
+        let n = jobs[0].endpoints[0].party().num_params();
+        let cap = 4 * n + 256;
+        let guard = GuardConfig { max_frame_bytes: cap, ..GuardConfig::default() };
+        let wire = WireOptions { guard: Some(guard), ..WireOptions::new(2) };
+        let (jobs, shares) = split(jobs, &wire).unwrap();
+
+        // Round 1 of the delta job: behind its first update, a truncated
+        // copy and a copy padded past the size cap; behind the update
+        // completing its cohort, every party's all-zero delta for round
+        // 2 on that party's link — round 2's cohort is seated by them,
+        // decoded against the reference round 2's open just moved.
+        let mut seen = BTreeMap::<u64, usize>::new();
+        let script = move |link: usize, frame: &[u8]| -> Vec<(usize, Bytes)> {
+            if !frame_is_update(frame) || frame_job_of(frame) != Some(delta) {
+                return Vec::new();
+            }
+            // dest ‖ magic ‖ tag ‖ job ‖ round
+            let round = frame[FRAME_HEADER + 13..FRAME_HEADER + 21].try_into().unwrap();
+            let count = seen.entry(u64::from_le_bytes(round)).or_default();
+            *count += 1;
+            match (u64::from_le_bytes(round), *count) {
+                (1, 1) => {
+                    let mut long = frame.to_vec();
+                    long.resize(cap + 1, 0);
+                    let short = frame[..frame.len() - 1].to_vec();
+                    vec![(link, Bytes::from(short)), (link, Bytes::from(long))]
+                }
+                (1, 4) => (0..10).map(|p| (place(p, 2), zero_update(delta, 2, p, n))).collect(),
+                _ => Vec::new(),
+            }
+        };
+        let (driver_ends, pool_ends): (Vec<_>, Vec<_>) =
+            shares.iter().map(|_| MemoryTransport::pair()).unzip();
+        let tap = Tap { inner: MemoryRouter::new(driver_ends), script, pending: VecDeque::new() };
+        let mut driver = MultiJobDriver::install(tap, jobs, &wire).unwrap();
+        let mut pools: Vec<_> = pool_ends
+            .into_iter()
+            .zip(shares)
+            .map(|(end, share)| PartyPool::install(end, share, wire.guard.as_ref()))
+            .collect();
+
+        driver.start().unwrap();
+        while !driver.is_finished() {
+            loop {
+                let mut progressed = driver.pump_on(workers).unwrap();
+                for pool in &mut pools {
+                    progressed |= pool.pump().unwrap();
+                }
+                if !progressed {
+                    break;
+                }
+            }
+            if !driver.is_finished() {
+                assert!(driver.advance_clock().unwrap(), "stalled");
+            }
+        }
+        let histories =
+            driver.job_ids().into_iter().map(|j| driver.history(j).unwrap().clone()).collect();
+        let transitions = driver.guard().unwrap().transitions().to_vec();
+        (histories, driver.stats(), transitions)
+    }
+
+    #[test]
+    fn every_worker_count_decodes_the_same() {
+        let (histories, stats, transitions) = run_on(1);
+        assert!(histories.iter().all(|h| h.len() == 4), "every job ran its budget");
+        assert_eq!(stats.oversized_frames, 1, "the padded copy");
+        assert_eq!(stats.corrupt_frames, 1, "the truncated copy");
+        assert!(stats.rejected_messages >= 6, "the zero updates of unselected parties");
+        for workers in [2, 3, 8] {
+            let (h, s, t) = run_on(workers);
+            assert!(h == histories, "{workers} workers: histories differ");
+            assert_eq!(s, stats, "{workers} workers");
+            assert_eq!(t, transitions, "{workers} workers");
+        }
+    }
 
     #[test]
     fn empty_driver_refuses_to_start() {

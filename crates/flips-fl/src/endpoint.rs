@@ -124,26 +124,34 @@ impl PartyEndpoint {
     }
 
     /// Hands each endpoint of `cohort` its message ([`PartyEndpoint::handle`])
-    /// on up to `workers` threads and returns each result in `cohort`
-    /// order: the one cohort trainer of both drivers ([`crate::FlJob`] and
-    /// [`crate::PartyPool`]). Buffers are sized on the calling thread
-    /// first: a worker allocates from its thread's own glibc arena, and
-    /// buffers that outlive the round would keep that arena's memory
-    /// resident. Workers claim the largest dataset first, so no long
-    /// training starts last. Training is seed-deterministic per (round,
-    /// party), so neither the claim order nor the worker count moves a bit.
-    pub(crate) fn handle_cohort(
+    /// on one worker per entry of `states` and returns `finish` of each
+    /// result's replies, in `cohort` order: the one cohort trainer of both
+    /// drivers ([`crate::FlJob`] and [`crate::PartyPool`], which frames its
+    /// updates in `finish`, each worker in its own state). Buffers are
+    /// sized on the calling thread first: a worker allocates from its
+    /// thread's own glibc arena, and buffers that outlive the round would
+    /// keep that arena's memory resident. Workers claim the largest
+    /// dataset first, so no long training starts last. Training is
+    /// seed-deterministic per (round, party), so neither the claim order
+    /// nor the worker count moves a bit.
+    pub(crate) fn handle_cohort<S, R>(
         cohort: Vec<(&mut PartyEndpoint, &WireMessage)>,
-        workers: usize,
-    ) -> Vec<Result<Vec<WireMessage>, FlError>> {
+        states: &mut [S],
+        finish: impl Fn(&mut S, Vec<WireMessage>) -> R + Sync,
+    ) -> Vec<Result<R, FlError>>
+    where
+        S: Send,
+        R: Send,
+    {
         let mut jobs: Vec<_> = cohort.into_iter().enumerate().collect();
         for (_, (ep, _)) in &mut jobs {
             ep.reserve_buffers();
         }
         // Stable, so equal sizes keep cohort order.
         jobs.sort_by_key(|(_, (ep, _))| std::cmp::Reverse(ep.num_samples()));
-        let mut results =
-            flips_ml::parallel::map(jobs, workers, |(slot, (ep, msg))| (slot, ep.handle(msg)));
+        let mut results = flips_ml::parallel::map_with(jobs, states, |state, (slot, (ep, msg))| {
+            (slot, ep.handle(msg).map(|replies| finish(state, replies)))
+        });
         results.sort_unstable_by_key(|(slot, _)| *slot);
         results.into_iter().map(|(_, result)| result).collect()
     }

@@ -52,7 +52,8 @@
 //! - [`pool`] — the [`pool::PartyPool`] serving the party side of that
 //!   wire (and folding it, in aggregation-tree mode), and
 //!   [`run_lockstep`], the loop that runs a driver and its pools — one
-//!   per link — to completion on one thread (training fans out);
+//!   per link — to completion on one thread (training and the
+//!   delta-codec uplink fan out);
 //! - [`plan`] — the wire plan: party placement, per-link codecs and tree
 //!   mode decided once ([`plan::WireOptions`], [`plan::split`]) and
 //!   installed on both wire ends ([`plan::memory_wire`] does it over
@@ -66,10 +67,15 @@
 //!   the transport seam, for exercising the guard plane (and everything
 //!   above it) deterministically.
 //!
-//! One thread moves every frame; training fans out: [`FlJob`] and each
-//! [`PartyPool`] train a round's cohort on one worker per core, through
-//! the same cohort trainer. Protocol frames cross threads only in
-//! `flips-net`, the runtime the binaries ship.
+//! One thread moves every frame; three kinds of work fan out through
+//! `flips_ml::parallel`. [`FlJob`] and each [`PartyPool`] train a
+//! round's cohort on one worker per core, through the same cohort
+//! trainer. Each pool worker also encodes the delta-codec updates it
+//! trains. The [`MultiJobDriver`] decodes a few delta-codec update
+//! frames at a time, one worker per frame, before it takes them in
+//! arrival order. Raw and f16 payloads, whose codec is a copy, stay on
+//! the one thread. Protocol frames cross threads only in `flips-net`,
+//! the runtime the binaries ship.
 //!
 //! # Example: one seeded round trip
 //!

@@ -39,7 +39,7 @@
 //! (Only the `serde` *traits* are permitted in this workspace — no format
 //! crate — so the codec is hand-rolled on `bytes`.)
 
-use crate::codec::{CodecMap, ModelCodec, PayloadCodec, Role};
+use crate::codec::{CodecMap, CodecScratch, ModelCodec, PayloadCodec, Role};
 use crate::format::{put_f32s, Reader};
 use crate::FlError;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -188,6 +188,16 @@ pub struct PartialEntry {
     pub sketch: Vec<f32>,
 }
 
+/// Where a decode finds the codec state of its model payloads.
+enum Payloads<'a> {
+    /// The receiving end's own map: a global model may move its
+    /// reference.
+    Owned(&'a mut CodecMap),
+    /// A read-only map and a caller's scratch: local updates, from any
+    /// thread.
+    Shared(&'a CodecMap, &'a mut CodecScratch),
+}
+
 impl WireMessage {
     /// The job identifier every message carries.
     pub fn job(&self) -> u64 {
@@ -225,12 +235,25 @@ impl WireMessage {
     }
 
     /// Appends the binary wire format to `buf`, encoding model payloads
-    /// through `codec`. The buffer is reserved ahead, so with a reused
-    /// (grow-only) scratch the steady-state encode performs **no heap
-    /// allocation** — the symmetric fix to the decode path's
-    /// allocation-free scalar reads.
+    /// through `codec`. Each part reserves its exact size before it is
+    /// written, so with a reused (grow-only) scratch the steady-state
+    /// encode performs **no heap allocation** — the symmetric fix to the
+    /// decode path's allocation-free scalar reads.
     pub fn encode_into(&self, codec: &mut PayloadCodec, buf: &mut BytesMut) {
-        buf.reserve(self.max_encoded_size(codec.codec()));
+        self.put_fields(buf);
+        match self {
+            WireMessage::GlobalModel { round, params, .. } => {
+                codec.encode_global(*round, params, buf);
+            }
+            WireMessage::LocalUpdate { params, .. } => codec.encode_update(params, buf),
+            _ => {}
+        }
+    }
+
+    /// Appends everything [`WireMessage::encode_into`] writes but the
+    /// params block.
+    fn put_fields(&self, buf: &mut BytesMut) {
+        buf.reserve(self.fields_size());
         buf.put_u32_le(MAGIC);
         match self {
             WireMessage::SelectionNotice { job, round, party, codec: announced } => {
@@ -240,11 +263,10 @@ impl WireMessage {
                 buf.put_u64_le(*party);
                 announced.encode_announcement(buf);
             }
-            WireMessage::GlobalModel { job, round, params } => {
+            WireMessage::GlobalModel { job, round, .. } => {
                 buf.put_u8(TAG_GLOBAL);
                 buf.put_u64_le(*job);
                 buf.put_u64_le(*round);
-                codec.encode_global(*round, params, buf);
             }
             WireMessage::LocalUpdate {
                 job,
@@ -253,7 +275,7 @@ impl WireMessage {
                 num_samples,
                 mean_loss,
                 duration,
-                params,
+                ..
             } => {
                 buf.put_u8(TAG_UPDATE);
                 buf.put_u64_le(*job);
@@ -262,7 +284,6 @@ impl WireMessage {
                 buf.put_u64_le(*num_samples);
                 buf.put_f64_le(*mean_loss);
                 buf.put_f64_le(*duration);
-                codec.encode_update(params, buf);
             }
             WireMessage::PartialUpdate { job, round, total_weight, entries, dim, limbs } => {
                 debug_assert_eq!(limbs.len(), *dim as usize * 4, "limb block / dim mismatch");
@@ -333,6 +354,10 @@ impl WireMessage {
     /// corrupt or disagrees with the job's negotiated codec. Neither
     /// touches any round state — drivers count and drop.
     pub fn decode_with(buf: Bytes, codecs: &mut CodecMap) -> Result<Self, FlError> {
+        Self::decode_from(buf, Payloads::Owned(codecs))
+    }
+
+    fn decode_from(buf: Bytes, mut payloads: Payloads<'_>) -> Result<Self, FlError> {
         let mut r = Reader::new(buf.as_slice(), "message");
         let magic = r.u32()?;
         if magic != MAGIC {
@@ -354,13 +379,25 @@ impl WireMessage {
             }
             TAG_GLOBAL => {
                 let (job, round) = (r.u64()?, r.u64()?);
+                let Payloads::Owned(codecs) = &mut payloads else {
+                    return Err(FlError::Codec(
+                        "a global model decodes only against its receiver's own codec state".into(),
+                    ));
+                };
                 let params = codecs.for_job(job).read_global(round, &mut r)?;
                 WireMessage::GlobalModel { job, round, params }
             }
             TAG_UPDATE => {
                 let (job, round, party, num_samples) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
                 let (mean_loss, duration) = (r.f64()?, r.f64()?);
-                let params = codecs.for_job(job).read_update(&mut r)?;
+                let params = match &mut payloads {
+                    Payloads::Owned(codecs) => {
+                        codecs.for_job(job).with_scratch(|pc, s| pc.read_update(&mut r, s))
+                    }
+                    Payloads::Shared(codecs, scratch) => {
+                        codecs.get(job).read_update(&mut r, scratch)
+                    }
+                }?;
                 WireMessage::LocalUpdate {
                     job,
                     round,
@@ -441,16 +478,12 @@ impl WireMessage {
         }
     }
 
-    /// Worst-case encoded size under `codec` (what [`Self::encode_into`]
-    /// reserves ahead).
-    fn max_encoded_size(&self, codec: ModelCodec) -> usize {
+    /// Encoded size of everything but a model's params block (what
+    /// [`Self::encode_into`] reserves before the block reserves its own).
+    fn fields_size(&self) -> usize {
         match self {
-            WireMessage::GlobalModel { params, .. } => {
-                HEADER + 8 * 2 + codec.max_params_block_bytes(params.len())
-            }
-            WireMessage::LocalUpdate { params, .. } => {
-                HEADER + 8 * 3 + 8 + 8 + 8 + codec.max_params_block_bytes(params.len())
-            }
+            WireMessage::GlobalModel { .. } => HEADER + 8 * 2,
+            WireMessage::LocalUpdate { .. } => HEADER + 8 * 3 + 8 + 8 + 8,
             other => other.wire_size(),
         }
     }
@@ -487,6 +520,25 @@ pub fn frame_into(dest: u64, msg: &WireMessage, codec: &mut PayloadCodec, out: &
     out.reserve(FRAME_HEADER);
     out.put_u64_le(dest);
     msg.encode_into(codec, out);
+}
+
+/// [`frame_into`] for a local update, against a read-only `codec` in a
+/// caller's scratch: the same bytes, from any thread. Returns `false`,
+/// writing nothing, for any other message.
+pub(crate) fn frame_update_into(
+    dest: u64,
+    msg: &WireMessage,
+    codec: &PayloadCodec,
+    scratch: &mut CodecScratch,
+    out: &mut BytesMut,
+) -> bool {
+    let WireMessage::LocalUpdate { params, .. } = msg else { return false };
+    out.clear();
+    out.reserve(FRAME_HEADER);
+    out.put_u64_le(dest);
+    msg.put_fields(out);
+    codec.encode_update_with(params, scratch, out);
+    true
 }
 
 /// Peeks the job id of a framed message without decoding it: every
@@ -580,6 +632,23 @@ pub fn deframe_with(
     let dest = Reader::new(frame.as_slice(), "frame header").u64()?;
     let _ = frame.split_to(FRAME_HEADER);
     Ok((dest, WireMessage::decode_with(frame, codecs)?))
+}
+
+/// [`deframe_with`] against a read-only map, in a caller's scratch: the
+/// same result, from any thread — except for a global model, whose
+/// decode may move its receiver's reference ([`FlError::Codec`]).
+///
+/// # Errors
+///
+/// As [`deframe_with`].
+pub(crate) fn deframe_update(
+    mut frame: Bytes,
+    codecs: &CodecMap,
+    scratch: &mut CodecScratch,
+) -> Result<(u64, WireMessage), FlError> {
+    let dest = Reader::new(frame.as_slice(), "frame header").u64()?;
+    let _ = frame.split_to(FRAME_HEADER);
+    Ok((dest, WireMessage::decode_from(frame, Payloads::Shared(codecs, scratch))?))
 }
 
 /// Wire size of one selection notice whose codec announcement is a bare

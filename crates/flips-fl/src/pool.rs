@@ -2,19 +2,20 @@
 //! job's [`PartyEndpoint`]s keyed by `(job, party)`, decoding inbound
 //! frames, training, and encoding replies — and, in aggregation-tree
 //! mode, folding its endpoints' updates into one exact partial per
-//! round. One thread moves every frame; training fans out: the models
-//! of one drain train together on every core, and their replies go out
-//! in the order the models arrived. [`run_lockstep`] alternates one
-//! [`MultiJobDriver`] and its pools — one per link — on the calling
-//! thread.
+//! round. One thread moves every frame; training and the delta-codec
+//! uplink encode fan out: the models of one drain train together on
+//! every core, each worker encoding the updates it trains, and the
+//! replies go out in the order the models arrived. [`run_lockstep`]
+//! alternates one [`MultiJobDriver`] and its pools — one per link — on
+//! the calling thread.
 
 use crate::aggtree::ExactWeightedSum;
-use crate::codec::{CodecMap, ModelCodec, Negotiation, Role};
+use crate::codec::{CodecMap, CodecScratch, ModelCodec, Negotiation, Role};
 use crate::driver::MultiJobDriver;
 use crate::guard::GuardConfig;
 use crate::message::{
     deframe_with, frame_dest, frame_into, frame_is_notice, frame_job_of, frame_model_of,
-    PartialEntry, AGGREGATOR_DEST,
+    frame_update_into, PartialEntry, AGGREGATOR_DEST,
 };
 use crate::transport::{Transport, MAX_FRAME_BYTES};
 use crate::{FlError, PartyEndpoint, WireMessage};
@@ -59,6 +60,14 @@ pub struct PartyPool<T: Transport> {
     /// The drain's global models awaiting training, and every reply
     /// behind them ([`PartyPool::pump`]).
     outbox: Outbox,
+}
+
+/// One reply of a trained model.
+enum Reply {
+    /// Framed by its worker, ready to send.
+    Framed(BytesMut),
+    /// Left to the pump thread to frame, or to fold.
+    Message(WireMessage),
 }
 
 /// Replies one drain has not sent yet, in wire order, and the batch of
@@ -284,10 +293,13 @@ impl<T: Transport> PartyPool<T> {
     /// and send its replies back up the wire. Returns whether any frame
     /// was processed.
     ///
-    /// One thread moves every frame; training fans out. The global
-    /// models of one `(job, round)` that a drain delivers to distinct
-    /// endpoints train together, on every core, through the cohort
-    /// trainer [`crate::FlJob`] uses; any other frame — or the end of the
+    /// One thread moves every frame; training and the delta-codec
+    /// update encode fan out. The global models of one `(job, round)`
+    /// that a drain delivers to distinct endpoints train together, on
+    /// every core, through the cohort trainer [`crate::FlJob`] uses, and
+    /// each worker frames the flat updates it trains when the job's
+    /// codec keeps a reference (raw and f16 updates, and tree-mode
+    /// folds, stay on this thread); any other frame — or the end of the
     /// drain — trains the batch first. Replies leave in the order their
     /// frames arrived, so the wire, every endpoint and every codec see
     /// what they would if each frame were handled in turn.
@@ -392,6 +404,13 @@ impl<T: Transport> PartyPool<T> {
 
     /// Trains the batched models on up to `workers` threads, then sends
     /// the outbox in order (tree-mode updates fold instead).
+    ///
+    /// A delta codec's flat updates are framed in their training task,
+    /// each worker in a scratch of its own, sized here (a buffer a worker
+    /// first sizes stays in its thread's allocator arena) and held for
+    /// this flush only, so the driver's turn can reuse the memory. Raw
+    /// and f16 framing is a copy: those updates are framed here, like
+    /// tree-mode updates that fail to fold.
     fn flush(&mut self, workers: usize) -> Result<(), FlError> {
         let Outbox { key, slots, .. } = std::mem::take(&mut self.outbox);
         let (job, _) = key.unwrap_or_default();
@@ -403,15 +422,53 @@ impl<T: Transport> PartyPool<T> {
                 models.push(msg);
             }
         }
-        let results =
-            PartyEndpoint::handle_cohort(cohort.iter_mut().zip(models).collect(), workers);
+        let workers = workers.clamp(1, models.len().max(1));
+        let n = cohort.first().map_or(0, |ep| ep.party().num_params());
+        let codec = self.codecs.get(job);
+        let framed =
+            (codec.codec().tracks_reference() && !self.tree.contains_key(&job)).then_some(codec);
+        let mut scratches: Vec<CodecScratch> = (0..workers).map(|_| Default::default()).collect();
+        if let Some(codec) = framed {
+            for scratch in &mut scratches {
+                scratch.reserve_encode(codec.codec(), n);
+            }
+        }
+        let results = PartyEndpoint::handle_cohort(
+            cohort.iter_mut().zip(models).collect(),
+            &mut scratches,
+            |scratch, replies| -> Vec<Reply> {
+                let encode = |reply| {
+                    let mut frame = BytesMut::new();
+                    match framed {
+                        Some(codec)
+                            if frame_update_into(
+                                AGGREGATOR_DEST,
+                                &reply,
+                                codec,
+                                scratch,
+                                &mut frame,
+                            ) =>
+                        {
+                            Reply::Framed(frame)
+                        }
+                        _ => Reply::Message(reply),
+                    }
+                };
+                replies.into_iter().map(encode).collect()
+            },
+        );
         for endpoint in cohort {
             self.endpoints.insert((job, endpoint.id()), endpoint);
         }
         let mut results = results.into_iter();
         for slot in slots {
             let replies = match slot {
-                Slot::Ready(replies) => replies,
+                Slot::Ready(replies) => {
+                    for reply in replies {
+                        self.send_reply(reply)?;
+                    }
+                    continue;
+                }
                 Slot::Model(_, msg) => {
                     // Tree mode captures each dispatched global before
                     // its update folds: folded updates need the exact
@@ -429,19 +486,23 @@ impl<T: Transport> PartyPool<T> {
                 }
             };
             for reply in replies {
-                if self.try_fold_tree(&reply) {
-                    continue;
+                match reply {
+                    Reply::Framed(frame) => self.transport.send(frame.as_slice())?,
+                    Reply::Message(reply) => self.send_reply(reply)?,
                 }
-                frame_into(
-                    AGGREGATOR_DEST,
-                    &reply,
-                    self.codecs.for_job(reply.job()),
-                    &mut self.scratch,
-                );
-                self.transport.send(self.scratch.as_slice())?;
             }
         }
         Ok(())
+    }
+
+    /// Folds `reply` if it is a tree-mode update, frames and sends it
+    /// otherwise.
+    fn send_reply(&mut self, reply: WireMessage) -> Result<(), FlError> {
+        if self.try_fold_tree(&reply) {
+            return Ok(());
+        }
+        frame_into(AGGREGATOR_DEST, &reply, self.codecs.for_job(reply.job()), &mut self.scratch);
+        self.transport.send(self.scratch.as_slice())
     }
 
     /// Folds a tree-job local update into the round's partial

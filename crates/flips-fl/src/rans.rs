@@ -82,8 +82,8 @@ const KIND_RAW: u8 = 1;
 /// Planes per container: the four bytes of an `f32` delta.
 const PLANES: usize = 4;
 
-/// Grow-only coder scratch, owned by the
-/// [`PayloadCodec`](crate::codec::PayloadCodec) so steady-state coding
+/// Grow-only coder scratch, part of a
+/// [`CodecScratch`](crate::codec::CodecScratch) so steady-state coding
 /// allocates nothing: the encoder's renorm bytes and symbol tables, the
 /// decoder's slot tables.
 #[derive(Default)]
@@ -94,6 +94,19 @@ pub(crate) struct Scratch {
     enc: Vec<[EncSym; 256]>,
     /// One table per plane.
     dec: Vec<[u32; M as usize]>,
+}
+
+impl Scratch {
+    /// Sizes what [`encode_planes`] of `n`-byte planes grows.
+    pub(crate) fn reserve_encode(&mut self, n: usize) {
+        self.renorm.reserve((PLANES * renorm_cap(n)).saturating_sub(self.renorm.len()));
+        self.enc.reserve(PLANES.saturating_sub(self.enc.len()));
+    }
+
+    /// Sizes what [`decode_planes`] grows.
+    pub(crate) fn reserve_decode(&mut self) {
+        self.dec.reserve(PLANES.saturating_sub(self.dec.len()));
+    }
 }
 
 /// Symbol counts of `src`. Four sub-tables, because the delta planes

@@ -1,12 +1,13 @@
 //! The workspace's one fan-out: scoped worker threads, joined before the
 //! call returns, a worker's panic re-raised in the caller.
 //!
-//! GEMM's row panels, `FlJob`'s party training, the elbow scan's K-Means
-//! restarts and the population's normal transforms each split their work
-//! into pieces whose results do not depend on the thread that computes
-//! them, so their output bits are the same at every thread count. Each
-//! caller decides when its work is too small to be worth a spawn and
-//! passes one worker, which runs inline.
+//! GEMM's row panels, `FlJob`'s and the party pool's training, the wire
+//! driver's update decodes, the elbow scan's K-Means restarts and the
+//! population's normal transforms each split their work into pieces
+//! whose results do not depend on the thread that computes them, so
+//! their output bits are the same at every thread count. Each caller
+//! decides when its work is too small to be worth a spawn and passes one
+//! worker, which runs inline.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -72,26 +73,50 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
+    map_with(items, &mut vec![(); workers.max(1)], |_, item| f(item))
+}
+
+/// [`map`] with one piece of state per worker: `states.len()` workers
+/// (at most one per item), each handing its own `&mut S` to every `f`
+/// it runs — scratch the caller sized on its own thread. The first
+/// state is the calling thread's.
+///
+/// # Panics
+///
+/// Panics if `states` is empty; re-raises a worker's panic.
+pub fn map_with<S, T, R, F>(items: Vec<T>, states: &mut [S], f: F) -> Vec<R>
+where
+    S: Send,
+    T: Send,
+    R: Send,
+    F: Fn(&mut S, T) -> R + Sync,
+{
     let count = items.len();
-    if workers <= 1 || count <= 1 {
-        return items.into_iter().map(f).collect();
+    let (mine, others) = states.split_first_mut().expect("at least one worker");
+    if others.is_empty() || count <= 1 {
+        return items.into_iter().map(|item| f(mine, item)).collect();
     }
     // One lock hands out items; it is held for the claim only, never
     // while `f` runs, so a panicking `f` cannot poison it.
     let queue = Mutex::new(items.into_iter().enumerate());
-    let work = || {
+    let work = |state: &mut S| {
         let mut done = Vec::new();
         loop {
             let Some((i, item)) = queue.lock().expect("claims never panic").next() else {
                 return done;
             };
-            done.push((i, f(item)));
+            done.push((i, f(state, item)));
         }
     };
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(count).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers.min(count)).map(|_| scope.spawn(work)).collect();
-        let mine = work();
+        let work = &work;
+        let handles: Vec<_> = others
+            .iter_mut()
+            .take(count - 1)
+            .map(|state| scope.spawn(move || work(state)))
+            .collect();
+        let mine = work(mine);
         for (i, r) in mine.into_iter().chain(handles.into_iter().flat_map(join)) {
             slots[i] = Some(r);
         }
@@ -149,6 +174,19 @@ mod tests {
             });
             assert!(counts.iter().all(|&c| c == 1), "{counts:?}");
             assert_eq!(order, (0..23).collect::<Vec<_>>(), "results in item order");
+        }
+    }
+
+    #[test]
+    fn map_with_hands_each_worker_its_own_state() {
+        for workers in 1..=4 {
+            let mut claims = vec![0usize; workers];
+            let squares = map_with((0..23).collect(), &mut claims, |claimed, i: usize| {
+                *claimed += 1;
+                i * i
+            });
+            assert_eq!(squares, (0..23).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(claims.iter().sum::<usize>(), 23, "every item ran on one worker");
         }
     }
 

@@ -292,7 +292,7 @@ pub struct JobSpec {
 impl JobSpec {
     /// The codec link `slot` speaks for this job: the per-link override
     /// when `link_codecs` is configured, the job-wide default otherwise.
-    pub fn link_codec(&self, slot: usize) -> ModelCodec {
+    fn link_codec(&self, slot: usize) -> ModelCodec {
         self.link_codecs.get(slot).copied().unwrap_or(self.codec)
     }
 

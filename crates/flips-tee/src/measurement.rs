@@ -33,7 +33,7 @@ impl Measurement {
     }
 
     /// Renders the measurement as lowercase hex, as attestation reports do.
-    pub fn to_hex(self) -> String {
+    fn to_hex(self) -> String {
         format!("{:032x}", self.0)
     }
 }

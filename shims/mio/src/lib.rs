@@ -171,6 +171,12 @@ mod sys {
 
         fn ctl(&self, op: i32, fd: RawFd, mask: u32, token: Token) -> io::Result<()> {
             let mut ev = EpollEvent { events: mask, data: token.0 as u64 };
+            // SAFETY: `epoll_ctl` reads one `EpollEvent` through the
+            // pointer (ignored for `EPOLL_CTL_DEL`) and keeps no
+            // reference to it after returning; `ev` is a live, properly
+            // initialized `#[repr(C)]` value with the kernel's
+            // `struct epoll_event` layout for this call's duration. Bad
+            // fds come back as an error code, not undefined behavior.
             let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
             if rc < 0 {
                 return Err(io::Error::last_os_error());
@@ -217,6 +223,9 @@ mod sys {
         ///
         /// Surfaces `epoll_create1` failure (fd exhaustion).
         pub fn new() -> io::Result<Poll> {
+            // SAFETY: `epoll_create1` takes only a flags word and touches
+            // no caller memory; failure is reported as a negative return,
+            // checked below.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
@@ -245,6 +254,12 @@ mod sys {
                 Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
             };
             let mut raw = vec![EpollEvent { events: 0, data: 0 }; events.capacity];
+            // SAFETY: `raw` is a live, initialized buffer of `raw.len()`
+            // `EpollEvent`s (at least one: `Events` clamps its capacity),
+            // exclusively borrowed for the call, and `maxevents` is that
+            // length, so the kernel writes at most `raw.len()` entries
+            // into it. The return value `n` (≤ `maxevents`) bounds the
+            // slice read below; a negative `n` is handled before it.
             let n = unsafe {
                 epoll_wait(self.registry.epfd, raw.as_mut_ptr(), raw.len() as i32, timeout_ms)
             };
@@ -270,6 +285,10 @@ mod sys {
 
     impl Drop for Poll {
         fn drop(&mut self) {
+            // SAFETY: `epfd` came from `epoll_create1` in `Poll::new`, is
+            // owned by this `Poll` alone (the `Registry` handed out by
+            // reference cannot outlive it) and is closed exactly once,
+            // here; `close` touches no caller memory.
             unsafe { close(self.registry.epfd) };
         }
     }
