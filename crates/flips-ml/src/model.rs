@@ -15,6 +15,7 @@
 use crate::activation::{relu_grad_mask_mul, relu_inplace, softmax_rows_inplace};
 use crate::init;
 use crate::loss::{cross_entropy, cross_entropy_logit_grad_inplace};
+use crate::matrix::gemm::{self, Layout};
 use crate::matrix::Matrix;
 use crate::MlError;
 use rand::Rng;
@@ -41,15 +42,22 @@ pub struct TrainWorkspace {
     delta: Matrix,
     /// Double buffer for the next layer's delta.
     delta_prev: Matrix,
-    /// Conv: flattened ReLU feature maps (`rows × filters·positions`).
+    /// Conv: ReLU feature maps, a sample's filter `f` at position `p` in
+    /// column `p·F′ + f`, `F′` the filter count rounded up to whole lane
+    /// blocks (padding zero).
     feats: Matrix,
-    /// Conv: gradient w.r.t. the flattened feature maps.
-    dfeats: Matrix,
-    /// Conv: ReLU-masked `dfeats` at `(sample·positions + p)·F′ + f`, `F′`
-    /// the filter count rounded up to whole lane blocks (padding zero).
+    /// Conv: the ReLU-masked gradient w.r.t. the maps, laid out like them.
     upstream: Vec<f32>,
+    /// Conv: the parameters laid out for the lanes (see
+    /// `Conv1dNet::relay_forward`), then the classifier's backward operand.
+    relaid: Vec<f32>,
     /// The flat gradient, laid out exactly like [`Model::params`].
     grad: Vec<f32>,
+}
+
+/// Grows `buf` to hold `len` values (see [`Matrix::reserve`]).
+fn reserve_len(buf: &mut Vec<f32>, len: usize) {
+    buf.reserve_exact(len.saturating_sub(buf.len()));
 }
 
 impl TrainWorkspace {
@@ -73,11 +81,6 @@ impl TrainWorkspace {
     /// Consumes the workspace, returning the gradient buffer.
     pub fn into_grad(self) -> Vec<f32> {
         self.grad
-    }
-
-    /// Grows the flat gradient to `len` values (see [`Matrix::reserve`]).
-    fn reserve_grad(&mut self, len: usize) {
-        self.grad.reserve_exact(len.saturating_sub(self.grad.len()));
     }
 
     /// Ensures `acts`/`zs` hold at least `layers` buffers.
@@ -241,7 +244,7 @@ impl Model for LogisticRegression {
 
     fn reserve_workspace(&self, rows: usize, ws: &mut TrainWorkspace) {
         ws.delta.reserve(rows, self.classes);
-        ws.reserve_grad(self.num_params());
+        reserve_len(&mut ws.grad, self.num_params());
     }
 
     fn num_classes(&self) -> usize {
@@ -278,7 +281,8 @@ impl Mlp {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two dims are given or any dim is zero.
+    /// Panics if fewer than two dims are given, any dim is zero or the
+    /// last (the class count) is under two.
     pub fn new<R: Rng + ?Sized>(rng: &mut R, dims: &[usize]) -> Self {
         ModelSpec::Mlp { dims: dims.to_vec() }.validate().expect("MLP widths");
         let mut weights = Vec::new();
@@ -399,7 +403,7 @@ impl Model for Mlp {
         let widest = widths.iter().copied().max().expect("at least one layer");
         ws.delta.reserve(rows, widest);
         ws.delta_prev.reserve(rows, widest);
-        ws.reserve_grad(self.num_params());
+        reserve_len(&mut ws.grad, self.num_params());
     }
 
     fn num_classes(&self) -> usize {
@@ -419,8 +423,13 @@ impl Model for Mlp {
 // 1-D convolutional network
 // ---------------------------------------------------------------------------
 
-/// Filters per register chain of the kernel gradient: one 256-bit vector.
+/// Filters per lane block of the maps, and classes per lane block of the
+/// logits tile: one 256-bit vector.
 const LANES: usize = 8;
+/// Positions per forward-conv tile.
+const TILE_POSITIONS: usize = 4;
+/// Samples per logits tile.
+const TILE_ROWS: usize = 8;
 
 /// A small 1-D CNN: single-channel convolution → ReLU → flatten → linear
 /// classifier.
@@ -436,12 +445,16 @@ const LANES: usize = 8;
 /// (`filters`), classifier `W` row-major (`filters·positions × classes`),
 /// classifier bias (`classes`).
 ///
-/// Both conv loops run in vector lanes, bit for bit a scalar loop over one
-/// output at a time: the forward pass along positions (one tap at every
-/// position, then the next, so each output is still `bias + k₀·s[p] + …`),
-/// the kernel gradient along filters (per block of eight and tap, one chain
-/// over (sample, position) in order). Each term is a rounded product then
-/// an add — `f32::mul_add` would round once and move every gradient.
+/// The maps are kept position-major with the filters in vector lanes
+/// (`[p·F′ + f]`, `F′` the filter count rounded up to eight), and every
+/// pass is written against that layout, bit for bit the scalar loops over
+/// filter-major maps (`[f·P + p]`): the forward conv per sample, tile of
+/// positions and block of eight filters, the logits per tile of samples ×
+/// eight classes, and the kernel gradient per block of eight filters and
+/// tap, one chain over (sample, position) in order. Each conv term is a
+/// rounded product then an add — `f32::mul_add` would round once and move
+/// every gradient; the classifier's sums are the `mul_add` chains
+/// [`Matrix::matmul`] computes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv1dNet {
     len: usize,
@@ -489,30 +502,182 @@ impl Conv1dNet {
         self.filters * self.out_positions()
     }
 
-    /// Computes the batch's flattened ReLU feature maps into `ws.feats`,
-    /// laid out `rows × filters·positions` with a sample's filter `f`,
-    /// position `p` value at column `f·positions + p`. Allocation-free
-    /// after warm-up. A map is positive exactly where its pre-activation
-    /// is, so the maps are also the backward pass's ReLU mask.
+    /// `F′`: the filter count rounded up to whole lane blocks.
+    fn lane_width(&self) -> usize {
+        self.filters.next_multiple_of(LANES)
+    }
+
+    /// One sample's maps, padding included: `P·F′`.
+    fn map_dim(&self) -> usize {
+        self.out_positions() * self.lane_width()
+    }
+
+    /// `C′`: the class count rounded up to whole lane blocks.
+    fn class_width(&self) -> usize {
+        self.classes.next_multiple_of(LANES)
+    }
+
+    /// Length of the conv's biases and taps as
+    /// [`Conv1dNet::relay_forward`] lays them out.
+    fn conv_len(&self) -> usize {
+        (1 + self.kernel) * self.lane_width()
+    }
+
+    /// Length of the tables [`Conv1dNet::relay_forward`] writes.
+    fn forward_len(&self) -> usize {
+        self.conv_len() + self.feature_dim() * self.class_width()
+    }
+
+    /// Lays out what the forward pass reads in `relaid`, padding zero: the
+    /// kernel biases at `[f]`, every filter's tap `j` at `[(1 + j)·F′ + f]`,
+    /// then the classifier row `k` at `[(1 + kernel)·F′ + k·C′ + c]`.
+    fn relay_forward(&self, relaid: &mut Vec<f32>) {
+        let width = self.lane_width();
+        relaid.clear();
+        relaid.resize(self.forward_len(), 0.0);
+        let (conv, classifier) = relaid.split_at_mut(self.conv_len());
+        conv[..self.filters].copy_from_slice(&self.kbias);
+        for (f, kernel) in self.kernels.rows_iter().enumerate() {
+            for (j, &kj) in kernel.iter().enumerate() {
+                conv[(1 + j) * width + f] = kj;
+            }
+        }
+        for (dst, w) in classifier.chunks_exact_mut(self.class_width()).zip(self.w.rows_iter()) {
+            dst[..self.classes].copy_from_slice(w);
+        }
+    }
+
+    /// Lays out the parameters, computes the batch's maps into `ws.feats`
+    /// and leaves the logits in `ws.delta`. Allocation-free once `ws` has
+    /// been reserved for the batch.
+    fn forward_into(&self, x: &Matrix, ws: &mut TrainWorkspace) {
+        self.relay_forward(&mut ws.relaid);
+        self.features_into(x, ws);
+        let rows = x.rows();
+        ws.delta.resize(rows, self.classes);
+        let whole = rows - rows % TILE_ROWS;
+        for i in (0..whole).step_by(TILE_ROWS) {
+            self.logit_tile::<TILE_ROWS>(i, ws);
+        }
+        for i in whole..rows {
+            self.logit_tile::<1>(i, ws);
+        }
+    }
+
+    /// The ReLU feature maps into `ws.feats`. A map is positive exactly
+    /// where its pre-activation is, so the maps are also the backward
+    /// pass's ReLU mask; padding lanes are `+0.0`.
     fn features_into(&self, x: &Matrix, ws: &mut TrainWorkspace) {
         assert_eq!(x.cols(), self.len, "conv1d input length mismatch");
-        let positions = self.out_positions();
-        ws.feats.resize(x.rows(), self.feature_dim());
-        let rows = ws.feats.as_mut_slice().chunks_exact_mut(self.feature_dim());
-        for (signal, row) in x.rows_iter().zip(rows) {
-            let maps = row.chunks_exact_mut(positions);
-            for ((kernel, &bias), dst) in self.kernels.rows_iter().zip(&self.kbias).zip(maps) {
-                dst.fill(bias);
-                for (j, &kj) in kernel.iter().enumerate() {
-                    for (slot, &s) in dst.iter_mut().zip(&signal[j..j + positions]) {
-                        *slot += kj * s;
-                    }
+        let (positions, dim) = (self.out_positions(), self.map_dim());
+        let conv = &ws.relaid[..self.conv_len()];
+        ws.feats.resize(x.rows(), dim);
+        let whole = positions - positions % TILE_POSITIONS;
+        for (signal, row) in x.rows_iter().zip(ws.feats.as_mut_slice().chunks_exact_mut(dim)) {
+            for p in (0..whole).step_by(TILE_POSITIONS) {
+                self.conv_tile::<TILE_POSITIONS>(signal, p, conv, row);
+            }
+            for p in whole..positions {
+                self.conv_tile::<1>(signal, p, conv, row);
+            }
+        }
+    }
+
+    /// One sample's maps at positions `p0..p0 + Q` into its `row`, a lane
+    /// block of eight filters at a time: each output is `bias + k₀·s[p] +
+    /// k₁·s[p+1] + …` in tap order, then its ReLU. The `Q` positions are
+    /// independent chains, which the core overlaps.
+    fn conv_tile<const Q: usize>(&self, signal: &[f32], p0: usize, conv: &[f32], row: &mut [f32]) {
+        let width = self.lane_width();
+        let (bias, taps) = conv.split_at(width);
+        for f0 in (0..width).step_by(LANES) {
+            let start: [f32; LANES] = bias[f0..f0 + LANES].try_into().expect("a lane block");
+            let mut acc = [start; Q];
+            for (j, tap) in taps.chunks_exact(width).enumerate() {
+                let k = &tap[f0..f0 + LANES];
+                let s: [f32; Q] = std::array::from_fn(|q| signal[p0 + q + j]);
+                acc = std::array::from_fn(|q| std::array::from_fn(|l| acc[q][l] + k[l] * s[q]));
+            }
+            for (q, lanes) in acc.iter().enumerate() {
+                let dst = &mut row[(p0 + q) * width + f0..][..LANES];
+                dst.copy_from_slice(&lanes.map(|v| v.max(0.0)));
+            }
+        }
+    }
+
+    /// Logits of samples `i0..i0 + R` into `ws.delta`, eight classes at a
+    /// time: each is the `mul_add` chain from `0.0` over `k = f·P + p` in
+    /// ascending order that `A·B` computes on filter-major maps, then `+ b`.
+    fn logit_tile<const R: usize>(&self, i0: usize, ws: &mut TrainWorkspace) {
+        let (positions, width, cwidth) =
+            (self.out_positions(), self.lane_width(), self.class_width());
+        let classifier = &ws.relaid[self.conv_len()..self.forward_len()];
+        let maps: [&[f32]; R] = std::array::from_fn(|r| ws.feats.row(i0 + r));
+        for c0 in (0..self.classes).step_by(LANES) {
+            // Array-valued accumulators: the form that keeps the chains
+            // in vector registers across the two loops.
+            let mut acc = [[0.0f32; LANES]; R];
+            for (f, block) in classifier.chunks_exact(positions * cwidth).enumerate() {
+                for (p, row) in block.chunks_exact(cwidth).enumerate() {
+                    let w = &row[c0..c0 + LANES];
+                    let x: [f32; R] = std::array::from_fn(|r| maps[r][p * width + f]);
+                    acc = std::array::from_fn(|r| {
+                        std::array::from_fn(|l| x[r].mul_add(w[l], acc[r][l]))
+                    });
                 }
-                for v in dst {
-                    *v = v.max(0.0);
+            }
+            let live = LANES.min(self.classes - c0);
+            for (r, lanes) in acc.iter().enumerate() {
+                let dst = &mut ws.delta.row_mut(i0 + r)[c0..c0 + live];
+                for ((z, &v), &b) in dst.iter_mut().zip(lanes).zip(&self.b[c0..]) {
+                    *z = v + b;
                 }
             }
         }
+    }
+
+    /// The gradient w.r.t. the maps into `ws.upstream`, laid out like them:
+    /// `δ·M` with `M[c][p·F′ + f] = W[f·P + p][c]` laid out behind the
+    /// forward tables (padding zero), so each value is the ascending-class
+    /// `mul_add` chain `δ·Wᵀ` computes. Zeroed wherever the map is not
+    /// positive, padding lanes included.
+    fn upstream_into(&self, ws: &mut TrainWorkspace) {
+        let (positions, width, dim) = (self.out_positions(), self.lane_width(), self.map_dim());
+        let front = self.forward_len();
+        ws.relaid.resize(front + self.classes * dim, 0.0);
+        let m = &mut ws.relaid[front..];
+        for (f, block) in self.w.as_slice().chunks_exact(positions * self.classes).enumerate() {
+            for (p, w) in block.chunks_exact(self.classes).enumerate() {
+                for (c, &v) in w.iter().enumerate() {
+                    m[c * dim + p * width + f] = v;
+                }
+            }
+        }
+        let (rows, c) = (ws.delta.rows(), self.classes);
+        ws.upstream.resize(rows * dim, 0.0);
+        gemm::gemm(Layout::Nn, rows, c, dim, ws.delta.as_slice(), c, m, dim, &mut ws.upstream);
+        mask_upstream(ws.feats.as_slice(), &mut ws.upstream);
+    }
+
+    /// Classifier gradients into their flat segments: `δᵀ·maps` into the
+    /// slot behind the forward tables, whose `M` [`Conv1dNet::upstream_into`]
+    /// has used — each value the ascending-sample `mul_add` chain
+    /// `mapsᵀ·δ` computes, multiplicands swapped — then scattered to `W`'s
+    /// order; the bias gradient is `δ`'s column sums.
+    fn classifier_grad_into(&self, ws: &mut TrainWorkspace) {
+        let (positions, width, dim) = (self.out_positions(), self.lane_width(), self.map_dim());
+        let scratch = &mut ws.relaid[self.forward_len()..];
+        ws.delta.matmul_tn_into_slice(&ws.feats, scratch);
+        let woff = self.filters * self.kernel + self.filters;
+        let (dw, db) = ws.grad[woff..].split_at_mut(self.feature_dim() * self.classes);
+        for (c, grad) in scratch.chunks_exact(dim).enumerate() {
+            for (p, cell) in grad.chunks_exact(width).enumerate() {
+                for (f, &g) in cell[..self.filters].iter().enumerate() {
+                    dw[(f * positions + p) * self.classes + c] = g;
+                }
+            }
+        }
+        ws.delta.col_sums_into(db);
     }
 
     /// Kernel and kernel-bias gradients into the front of `ws.grad`. A term
@@ -520,23 +685,8 @@ impl Conv1dNet {
     /// sum started at `+0.0` as it was (only `−0 + −0` rounds to `−0.0`) and
     /// never multiplies a non-finite signal value seen only where inactive.
     fn kernel_grad_into(&self, x: &Matrix, ws: &mut TrainWorkspace) {
-        let positions = self.out_positions();
-        let width = self.filters.next_multiple_of(LANES);
-        let upstream = &mut ws.upstream;
-        upstream.clear();
-        upstream.resize(x.rows() * positions * width, 0.0);
-        let (feats, dfeats) = (ws.feats.as_slice(), ws.dfeats.as_slice());
-        let maps = feats.chunks_exact(positions).zip(dfeats.chunks_exact(positions));
-        for (m, (feat, dfeat)) in maps.enumerate() {
-            let (i, f) = (m / self.filters, m % self.filters);
-            let cells = upstream[i * positions * width..].chunks_exact_mut(width);
-            for ((&active, &u), cell) in feat.iter().zip(dfeat).zip(cells) {
-                if active > 0.0 {
-                    cell[f] = u;
-                }
-            }
-        }
-
+        let (positions, width) = (self.out_positions(), self.lane_width());
+        let upstream = &ws.upstream;
         let (dkernels, dkbias) = ws.grad.split_at_mut(self.filters * self.kernel);
         for f0 in (0..self.filters).step_by(LANES) {
             let live = LANES.min(self.filters - f0);
@@ -560,6 +710,13 @@ impl Conv1dNet {
                 dkbias[f0..f0 + live].copy_from_slice(&bias[..live]);
             }
         }
+    }
+}
+
+/// Zeroes the upstream wherever its map is not positive (NaN included).
+fn mask_upstream(feats: &[f32], upstream: &mut [f32]) {
+    for (u, &active) in upstream.iter_mut().zip(feats) {
+        *u = if active > 0.0 { *u } else { 0.0 };
     }
 }
 
@@ -596,42 +753,32 @@ impl Model for Conv1dNet {
 
     fn predict_proba(&self, x: &Matrix) -> Matrix {
         let mut ws = TrainWorkspace::new();
-        self.features_into(x, &mut ws);
-        let mut z = ws.feats.matmul(&self.w);
-        z.add_row_broadcast(&self.b);
-        softmax_rows_inplace(&mut z);
-        z
+        self.forward_into(x, &mut ws);
+        softmax_rows_inplace(&mut ws.delta);
+        ws.delta
     }
 
     fn loss_and_grad_into(&self, x: &Matrix, y: &[usize], ws: &mut TrainWorkspace) -> f32 {
         self.reserve_workspace(x.rows(), ws);
-        self.features_into(x, ws);
-        ws.feats.matmul_into(&self.w, &mut ws.delta);
-        ws.delta.add_row_broadcast(&self.b);
+        self.forward_into(x, ws);
         softmax_rows_inplace(&mut ws.delta);
         let loss = cross_entropy(&ws.delta, y);
         cross_entropy_logit_grad_inplace(&mut ws.delta, y);
 
-        // Classifier gradients land straight in their flat segments.
         ws.grad.resize(self.num_params(), 0.0);
-        let woff = self.filters * self.kernel + self.filters;
-        let wn = self.feature_dim() * self.classes;
-        ws.feats.matmul_tn_into_slice(&ws.delta, &mut ws.grad[woff..woff + wn]);
-        ws.delta.col_sums_into(&mut ws.grad[woff + wn..]);
-
-        // Gradient w.r.t. the flattened feature map: rows × (F·P).
-        ws.delta.matmul_nt_into(&self.w, &mut ws.dfeats);
+        // The classifier gradient reuses the slot `M` held: upstream first.
+        self.upstream_into(ws);
+        self.classifier_grad_into(ws);
         self.kernel_grad_into(x, ws);
         loss
     }
 
     fn reserve_workspace(&self, rows: usize, ws: &mut TrainWorkspace) {
-        ws.feats.reserve(rows, self.feature_dim());
+        ws.feats.reserve(rows, self.map_dim());
         ws.delta.reserve(rows, self.classes);
-        ws.dfeats.reserve(rows, self.feature_dim());
-        let cells = rows * self.out_positions() * self.filters.next_multiple_of(LANES);
-        ws.upstream.reserve_exact(cells.saturating_sub(ws.upstream.len()));
-        ws.reserve_grad(self.num_params());
+        reserve_len(&mut ws.upstream, rows * self.map_dim());
+        reserve_len(&mut ws.relaid, self.forward_len() + self.classes * self.map_dim());
+        reserve_len(&mut ws.grad, self.num_params());
     }
 
     fn num_classes(&self) -> usize {
@@ -690,7 +837,9 @@ impl ModelSpec {
     pub fn validate(&self) -> Result<(), MlError> {
         let buildable = match self {
             ModelSpec::LogisticRegression { dim, classes } => *dim > 0 && *classes >= 2,
-            ModelSpec::Mlp { dims } => dims.len() >= 2 && !dims.contains(&0),
+            ModelSpec::Mlp { dims } => {
+                dims.len() >= 2 && !dims.contains(&0) && dims.last().is_some_and(|&c| c >= 2)
+            }
             ModelSpec::Conv1d { len, kernel, filters, classes } => {
                 (1..=*len).contains(kernel) && *filters > 0 && *classes >= 2
             }
@@ -889,6 +1038,34 @@ mod tests {
     }
 
     #[test]
+    fn model_spec_refuses_what_it_cannot_build() {
+        let conv =
+            |len, kernel, filters, classes| ModelSpec::Conv1d { len, kernel, filters, classes };
+        for spec in [
+            ModelSpec::LogisticRegression { dim: 0, classes: 3 },
+            ModelSpec::LogisticRegression { dim: 4, classes: 1 },
+            ModelSpec::Mlp { dims: vec![4] },
+            ModelSpec::Mlp { dims: vec![4, 0, 3] },
+            ModelSpec::Mlp { dims: vec![4, 6, 1] },
+            ModelSpec::Mlp { dims: vec![4, 1] },
+            conv(32, 0, 8, 5),
+            conv(32, 33, 8, 5),
+            conv(32, 5, 0, 5),
+            conv(32, 5, 8, 1),
+        ] {
+            assert!(spec.validate().is_err(), "{spec:?} validated");
+        }
+        for spec in [
+            ModelSpec::LogisticRegression { dim: 4, classes: 2 },
+            ModelSpec::Mlp { dims: vec![4, 2] },
+            ModelSpec::Mlp { dims: vec![4, 1, 2] },
+            conv(5, 5, 1, 2),
+        ] {
+            assert_eq!(spec.validate(), Ok(()), "{spec:?}");
+        }
+    }
+
+    #[test]
     fn model_spec_conv_dimensions() {
         let spec = ModelSpec::Conv1d { len: 32, kernel: 5, filters: 8, classes: 5 };
         let mut rng = seeded(10);
@@ -937,9 +1114,10 @@ mod tests {
 
     /// Every buffer's capacity, in a fixed order.
     fn capacities(ws: &TrainWorkspace) -> Vec<usize> {
-        let fixed = [&ws.delta, &ws.delta_prev, &ws.feats, &ws.dfeats];
+        let fixed = [&ws.delta, &ws.delta_prev, &ws.feats];
         let matrices = ws.acts.iter().chain(&ws.zs).chain(fixed).map(Matrix::capacity);
-        matrices.chain([ws.upstream.capacity(), ws.grad.capacity()]).collect()
+        let flat = [&ws.upstream, &ws.relaid, &ws.grad].map(Vec::capacity);
+        matrices.chain(flat).collect()
     }
 
     #[test]
@@ -1043,13 +1221,15 @@ mod tests {
     }
 
     /// The whole minibatch step around the two scalar loops, which keep
-    /// the pre-activations in `pres` and mask the gradient on them.
+    /// the pre-activations in `pres` and mask the gradient w.r.t. the maps,
+    /// `dfeats`, on them. Maps and gradients are filter-major.
     fn loss_and_grad_reference(
         net: &Conv1dNet,
         x: &Matrix,
         y: &[usize],
         ws: &mut TrainWorkspace,
         pres: &mut Matrix,
+        dfeats: &mut Matrix,
     ) -> f32 {
         features_reference(net, x, pres, &mut ws.feats);
         ws.feats.matmul_into(&net.w, &mut ws.delta);
@@ -1062,9 +1242,31 @@ mod tests {
         let wn = net.feature_dim() * net.classes;
         ws.feats.matmul_tn_into_slice(&ws.delta, &mut ws.grad[woff..woff + wn]);
         ws.delta.col_sums_into(&mut ws.grad[woff + wn..]);
-        ws.delta.matmul_nt_into(&net.w, &mut ws.dfeats);
-        kernel_grad_reference(net, x, pres, &ws.dfeats, &mut ws.grad);
+        ws.delta.matmul_nt_into(&net.w, dfeats);
+        kernel_grad_reference(net, x, pres, dfeats, &mut ws.grad);
         loss
+    }
+
+    /// Filter-major maps (`[i][f·P + p]`) laid out like the lanes
+    /// (`[i][p·F′ + f]`), with `pad` in the padding lanes.
+    fn to_lanes(net: &Conv1dNet, maps: &Matrix, pad: f32) -> Vec<f32> {
+        let (positions, width) = (net.out_positions(), net.lane_width());
+        let mut out = vec![pad; maps.rows() * net.map_dim()];
+        for (i, row) in maps.rows_iter().enumerate() {
+            for (m, &v) in row.iter().enumerate() {
+                out[(i * positions + m % positions) * width + m / positions] = v;
+            }
+        }
+        out
+    }
+
+    /// `dfeats` where its pre-activation is positive, `+0.0` elsewhere.
+    fn masked_reference(pres: &Matrix, dfeats: &Matrix) -> Matrix {
+        let mut masked = dfeats.clone();
+        for (u, &pr) in masked.as_mut_slice().iter_mut().zip(pres.as_slice()) {
+            *u = if pr > 0.0 { *u } else { 0.0 };
+        }
+        masked
     }
 
     /// `(len, kernel)`: kernels 1, 2, 5 and the whole signal at lengths 32
@@ -1097,24 +1299,27 @@ mod tests {
         // or wider step are in play.
         let mut ws = TrainWorkspace::new();
         let mut oracle = TrainWorkspace::new();
-        let mut pres = Matrix::zeros(0, 0);
+        let (mut pres, mut dfeats) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         let (mut negative, mut zero_upstream) = (0, 0);
-        for (len, kernel) in CONV_SHAPES {
+        // 10 classes fill a second block of class lanes.
+        for (len, kernel, classes) in
+            CONV_SHAPES.into_iter().flat_map(|(l, k)| [(l, k, 3), (l, k, 10)])
+        {
             for filters in CONV_FILTERS {
-                let mut net = Conv1dNet::new(&mut seeded(31), len, kernel, filters, 3);
+                let mut net = Conv1dNet::new(&mut seeded(31), len, kernel, filters, classes);
                 // Kernel biases below zero push maps negative; zeroed
                 // classifier rows give their feature columns a +0.0
                 // upstream.
                 for (f, b) in net.kbias.iter_mut().enumerate() {
                     *b = 0.25 * (f % 3) as f32 - 0.25;
                 }
-                for (r, row) in net.w.as_mut_slice().chunks_exact_mut(3).enumerate() {
+                for (r, row) in net.w.as_mut_slice().chunks_exact_mut(classes).enumerate() {
                     if r % 3 == 1 {
                         row.fill(0.0);
                     }
                 }
                 for batch in CONV_BATCHES {
-                    let (mut x, y) = tiny_batch(len, 3, batch);
+                    let (mut x, y) = tiny_batch(len, classes, batch);
                     for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
                         match i % 11 {
                             3 => *v = 0.0,
@@ -1123,16 +1328,21 @@ mod tests {
                         }
                     }
                     let loss = net.loss_and_grad_into(&x, &y, &mut ws);
-                    let want = loss_and_grad_reference(&net, &x, &y, &mut oracle, &mut pres);
+                    let want =
+                        loss_and_grad_reference(&net, &x, &y, &mut oracle, &mut pres, &mut dfeats);
 
-                    let at = format!("len {len} kernel {kernel} filters {filters} batch {batch}");
+                    let at = format!(
+                        "len {len} kernel {kernel} filters {filters} classes {classes} batch {batch}"
+                    );
                     assert_eq!(loss.to_bits(), want.to_bits(), "loss, {at}");
-                    let feats = (bits(ws.feats.as_slice()), bits(oracle.feats.as_slice()));
-                    assert_eq!(feats.0, feats.1, "feats, {at}");
+                    let feats = to_lanes(&net, &oracle.feats, 0.0);
+                    assert_eq!(bits(ws.feats.as_slice()), bits(&feats), "feats, {at}");
+                    let upstream = to_lanes(&net, &masked_reference(&pres, &dfeats), 0.0);
+                    assert_eq!(bits(&ws.upstream), bits(&upstream), "upstream, {at}");
                     assert_eq!(bits(ws.grad()), bits(oracle.grad()), "gradient, {at}");
                     negative += pres.as_slice().iter().filter(|&&v| v < 0.0).count();
-                    zero_upstream += (pres.as_slice().iter().zip(ws.dfeats.as_slice()))
-                        .filter(|&(&pr, &u)| pr > 0.0 && u == 0.0)
+                    zero_upstream += (ws.feats.as_slice().iter().zip(&ws.upstream))
+                        .filter(|&(&map, &u)| map > 0.0 && u == 0.0)
                         .count();
                 }
             }
@@ -1175,9 +1385,14 @@ mod tests {
                     }
                     // The maps mask the lanes' gradient as the
                     // pre-activations mask the scalar loop's: the same
-                    // values serve as both.
-                    ws.feats.copy_from(&pres);
-                    ws.dfeats.copy_from(&dfeats);
+                    // values serve as both, laid out like the lanes. The
+                    // padding lanes hold +0.0 maps, as the forward pass
+                    // leaves them, and a NaN upstream the mask must clear.
+                    ws.feats.resize(batch, net.map_dim());
+                    ws.feats.as_mut_slice().copy_from_slice(&to_lanes(&net, &pres, 0.0));
+                    ws.upstream = to_lanes(&net, &dfeats, f32::NAN);
+                    mask_upstream(ws.feats.as_slice(), &mut ws.upstream);
+                    let masked = to_lanes(&net, &masked_reference(&pres, &dfeats), 0.0);
                     ws.grad.clear();
                     ws.grad.resize(net.num_params(), f32::NAN);
                     let mut want = ws.grad.clone();
@@ -1185,8 +1400,42 @@ mod tests {
                     kernel_grad_reference(&net, &x, &pres, &dfeats, &mut want);
                     let front = filters * kernel + filters;
                     let at = format!("len {len} kernel {kernel} filters {filters} batch {batch}");
+                    assert_eq!(bits(&ws.upstream), bits(&masked), "upstream, {at}");
                     assert_eq!(bits(&ws.grad[..front]), bits(&want[..front]), "{at}");
                     assert!(ws.grad[..front].iter().all(|g| g.is_finite()), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv1d_predict_proba_matches_the_scalar_forward_bit_for_bit() {
+        // Batch 250 is converge_flips' test set; 10 classes fill a second
+        // block of class lanes.
+        let (mut pres, mut feats) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        for (len, kernel) in CONV_SHAPES {
+            for filters in CONV_FILTERS {
+                for classes in [5, 10] {
+                    let mut net = Conv1dNet::new(&mut seeded(35), len, kernel, filters, classes);
+                    for (f, b) in net.kbias.iter_mut().enumerate() {
+                        *b = 0.25 * (f % 3) as f32 - 0.25;
+                    }
+                    for (c, b) in net.b.iter_mut().enumerate() {
+                        *b = 0.125 * c as f32 - 0.5;
+                    }
+                    for batch in [1, 7, 33, 250] {
+                        let (x, _) = tiny_batch(len, classes, batch);
+                        features_reference(&net, &x, &mut pres, &mut feats);
+                        let mut want = feats.matmul(&net.w);
+                        want.add_row_broadcast(&net.b);
+                        softmax_rows_inplace(&mut want);
+                        let got = net.predict_proba(&x);
+                        let at = format!(
+                            "len {len} kernel {kernel} filters {filters} classes {classes} batch {batch}"
+                        );
+                        assert_eq!(got.shape(), want.shape(), "{at}");
+                        assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{at}");
+                    }
                 }
             }
         }
