@@ -12,8 +12,10 @@
 //!
 //! - the right-hand operand is packed once per call into `NR`-wide column
 //!   panels (`panel[j/NR][k][j%NR]`), so the micro-kernel streams
-//!   contiguous memory regardless of the transpose flavor — `A·Bᵀ` simply
-//!   packs with swapped indices and reuses the same inner loop;
+//!   contiguous memory regardless of the transpose flavor — `A·Bᵀ`
+//!   packs each panel through the same tiled transpose the `Aᵀ·B` lhs
+//!   takes and reuses the same inner loop; row tiles sweep inside each
+//!   panel, so the panel stays in L1d across them;
 //! - the `Aᵀ·B` flavor transposes its *left* operand once per call, in
 //!   cache-sized tiles, into thread-local row-major scratch and runs the
 //!   `A·B` tiles on that: one micro-kernel serves all three flavors, and
@@ -282,7 +284,7 @@ impl Matrix {
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        gemm::transpose_into(self.rows, self.cols, &self.data, self.cols, &mut out.data);
+        gemm::transpose_into(self.rows, self.cols, &self.data, self.cols, &mut out.data, self.rows);
         out
     }
 
@@ -382,7 +384,10 @@ pub mod gemm {
 
     /// Rows per register micro-tile.
     const MR: usize = 4;
-    /// Columns per register micro-tile (two AVX-512 lane sets; four AVX2).
+    /// Columns per register micro-tile: two 16-lane `zmm` registers per
+    /// row on an AVX-512 host built with `.cargo/config.toml`'s
+    /// `target-feature=-prefer-256-bit`, four 8-lane `ymm` ones on AVX2
+    /// (and on AVX-512 under `target-cpu=native` alone).
     const NR: usize = 32;
     /// Minimum FLOP count (2·m·k·n) before output rows are split across
     /// scoped threads; below this the spawn cost dominates.
@@ -459,7 +464,7 @@ pub mod gemm {
                 let mut scratch = cell.borrow_mut();
                 let out_t = grown(&mut scratch, m * n);
                 gemm(Layout::Tn, n, k, m, b, ldb, a, lda, out_t);
-                transpose_into(n, m, out_t, m, out);
+                transpose_into(n, m, out_t, m, out, n);
             });
         }
 
@@ -467,41 +472,25 @@ pub mod gemm {
             let mut pack = cell.borrow_mut();
             let panels = n.div_ceil(NR);
             let pack = grown(&mut pack, panels * k * NR);
-            match layout {
-                // B indexed [k][j]: panel[p][kk][jj] = B[kk][p·NR+jj].
-                Layout::Nn | Layout::Tn => {
-                    for p in 0..panels {
-                        let j0 = p * NR;
-                        let w = NR.min(n - j0);
-                        let dst = &mut pack[p * k * NR..(p + 1) * k * NR];
-                        if w < NR {
-                            // Keep tail lanes zeroed so stale values
-                            // from earlier calls cannot go subnormal
-                            // (the lanes are computed, then discarded).
-                            dst.fill(0.0);
-                        }
-                        for kk in 0..k {
-                            let src = &b[kk * ldb + j0..kk * ldb + j0 + w];
-                            dst[kk * NR..kk * NR + w].copy_from_slice(src);
-                        }
-                    }
+            for p in 0..panels {
+                let j0 = p * NR;
+                let w = NR.min(n - j0);
+                let dst = &mut pack[p * k * NR..(p + 1) * k * NR];
+                if w < NR {
+                    // Keep tail lanes zeroed so stale values from earlier
+                    // calls cannot go subnormal (the lanes are computed,
+                    // then discarded).
+                    dst.fill(0.0);
                 }
-                // B indexed [j][k]: packing transposes on the fly.
-                Layout::Nt => {
-                    for p in 0..panels {
-                        let j0 = p * NR;
-                        let w = NR.min(n - j0);
-                        let dst = &mut pack[p * k * NR..(p + 1) * k * NR];
-                        if w < NR {
-                            dst.fill(0.0);
-                        }
-                        for jj in 0..w {
-                            let src = &b[(j0 + jj) * ldb..(j0 + jj) * ldb + k];
-                            for (kk, &v) in src.iter().enumerate() {
-                                dst[kk * NR + jj] = v;
-                            }
+                match layout {
+                    // B indexed [k][j]: panel[p][kk][jj] = B[kk][p·NR+jj].
+                    Layout::Nn | Layout::Tn => {
+                        for kk in 0..k {
+                            dst[kk * NR..kk * NR + w].copy_from_slice(&b[kk * ldb + j0..][..w]);
                         }
                     }
+                    // B indexed [j][k]: the panel is rows j0.. of B, transposed.
+                    Layout::Nt => transpose_into(w, k, &b[j0 * ldb..], ldb, dst, NR),
                 }
             }
 
@@ -519,7 +508,7 @@ pub mod gemm {
                     Layout::Nn | Layout::Nt => (a, lda),
                     Layout::Tn => {
                         let lhs = grown(&mut scratch, m * k);
-                        transpose_into(k, m, a, lda, lhs);
+                        transpose_into(k, m, a, lda, lhs, k);
                         (&*lhs, k)
                     }
                 };
@@ -545,15 +534,16 @@ pub mod gemm {
     }
 
     /// Writes the transpose of the `rows×cols` matrix `src` (row stride
-    /// `ld`) into `dst` as a row-major `cols×rows` matrix, one `TILE×TILE`
-    /// block at a time through a local array: row slices in, row slices
-    /// out (about half the time of a per-element strided store).
+    /// `ld`) into `dst` as a `cols×rows` matrix (row stride `ld_dst`), one
+    /// `TILE×TILE` block at a time through a local array: row slices in,
+    /// row slices out (about half the time of a per-element strided store).
     pub(super) fn transpose_into(
         rows: usize,
         cols: usize,
         src: &[f32],
         ld: usize,
         dst: &mut [f32],
+        ld_dst: usize,
     ) {
         for i0 in (0..rows).step_by(TILE) {
             let h = TILE.min(rows - i0);
@@ -564,7 +554,7 @@ pub mod gemm {
                     row[..w].copy_from_slice(&src[(i0 + i) * ld + j0..][..w]);
                 }
                 for j in 0..w {
-                    let out = &mut dst[(j0 + j) * rows + i0..][..h];
+                    let out = &mut dst[(j0 + j) * ld_dst + i0..][..h];
                     for (x, row) in out.iter_mut().zip(&tile) {
                         *x = row[j];
                     }
@@ -589,23 +579,21 @@ pub mod gemm {
         pack: &[f32],
         out: &mut [f32],
     ) {
-        let panels = n.div_ceil(NR);
-        let mut i = 0;
-        while i < rows {
-            let mr = MR.min(rows - i);
-            for p in 0..panels {
-                let j0 = p * NR;
-                let w = NR.min(n - j0);
-                let panel = &pack[p * k * NR..(p + 1) * k * NR];
+        // Panels outside, row tiles inside: one `k×NR` panel (32 KB at
+        // k = 256) stays in L1d across the row tiles instead of the whole
+        // pack streaming from L2 once per tile.
+        for (p, panel) in pack.chunks_exact(k * NR).enumerate() {
+            let j0 = p * NR;
+            let w = NR.min(n - j0);
+            for i in (0..rows).step_by(MR) {
+                let mr = MR.min(rows - i);
                 let mut acc = [[0.0f32; NR]; MR];
                 // A rows are contiguous in k; broadcast a[i][k].
                 micro_nn(&mut acc, mr, a, lda, i0 + i, k, panel);
                 for (ii, acc_row) in acc.iter().enumerate().take(mr) {
-                    let dst = &mut out[(i + ii) * n + j0..(i + ii) * n + j0 + w];
-                    dst.copy_from_slice(&acc_row[..w]);
+                    out[(i + ii) * n + j0..][..w].copy_from_slice(&acc_row[..w]);
                 }
             }
-            i += mr;
         }
     }
 
@@ -893,6 +881,12 @@ mod tests {
     const MLP256_BACKWARD: [(usize, usize, usize); 3] =
         [(16, 32, 256), (256, 32, 192), (192, 32, 10)];
 
+    /// The same step's other products: each layer's forward `X·W` (`Nn`)
+    /// and the two hidden deltas' `δ·Wᵀ` (`Nt`).
+    const MLP256_FORWARD: [(usize, usize, usize); 3] =
+        [(32, 16, 256), (32, 256, 192), (32, 192, 10)];
+    const MLP256_DELTA: [(usize, usize, usize); 2] = [(32, 10, 192), (32, 192, 256)];
+
     /// Either side of the narrow `Aᵀ·B` route (`n < NR && m > n`): the
     /// ECG model's classifier gradient (224, 32, 5) and the same with `m`
     /// and `k` swapped, `n` = 1 and 31 (narrow), 32 (not), `m == n` (not
@@ -928,7 +922,8 @@ mod tests {
         // Every flavor computes each output as one ascending-k `mul_add`
         // chain from 0.0, so where a transpose happens may not move a bit.
         // (301, 600, 200) splits its rows across threads when cores allow.
-        let shapes = SHAPES.into_iter().chain(MLP256_BACKWARD).chain(NARROW);
+        let mlp256 = MLP256_BACKWARD.into_iter().chain(MLP256_FORWARD).chain(MLP256_DELTA);
+        let shapes = SHAPES.into_iter().chain(mlp256).chain(NARROW);
         for (m, k, n) in shapes.chain([(301, 600, 200)]) {
             let at = patterned(k, m, 3);
             let b = patterned(k, n, 2);
@@ -945,17 +940,68 @@ mod tests {
         // backward shapes. `mul_add` rounds once with or without FMA
         // hardware, so the constant holds under every codegen; moving it
         // moves every training history.
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut hash = FNV_OFFSET;
         for (m, k, n) in MLP256_BACKWARD {
             let (a, at) = (patterned(m, k, 1), patterned(k, m, 3));
             let (b, bt) = (patterned(k, n, 2), patterned(n, k, 4));
             for out in [a.matmul(&b), at.matmul_tn(&b), a.matmul_nt(&bt)] {
-                for byte in out.as_slice().iter().flat_map(|x| x.to_bits().to_le_bytes()) {
-                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-                }
+                hash = fnv1a(hash, &out);
             }
         }
         assert_eq!(hash, 0x4d7f_94ed_7dec_9118, "gemm output bits moved: {hash:#018x}");
+    }
+
+    #[test]
+    fn mlp256_step_products_hold_their_golden_bits() {
+        // The rest of the step: the forward `Nn` and delta `Nt` products.
+        let mut hash = FNV_OFFSET;
+        for (m, k, n) in MLP256_FORWARD {
+            hash = fnv1a(hash, &patterned(m, k, 1).matmul(&patterned(k, n, 2)));
+        }
+        for (m, k, n) in MLP256_DELTA {
+            hash = fnv1a(hash, &patterned(m, k, 1).matmul_nt(&patterned(n, k, 4)));
+        }
+        assert_eq!(hash, 0xf691_b3dd_da1f_f676, "mlp256 step output bits moved: {hash:#018x}");
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Folds `out`'s bits, little-endian, into an FNV-1a hash.
+    fn fnv1a(mut hash: u64, out: &Matrix) -> u64 {
+        for byte in out.as_slice().iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+        hash
+    }
+
+    #[test]
+    fn padded_leading_dimensions_match_the_naive_kernels_bit_for_bit() {
+        // Quarter-integers in [-2, 2) make every product and partial sum
+        // exact, so any summation order gives the same bits; NaN in the
+        // padding shows if a kernel reads past a row.
+        let padded = |rows: usize, row: usize, ld: usize, salt: u32| -> Vec<f32> {
+            let value = |i: usize| {
+                let h = (i as u32).wrapping_mul(2654435761).wrapping_add(salt);
+                (h >> 28) as f32 / 4.0 - 2.0
+            };
+            (0..rows * ld).map(|i| if i % ld < row { value(i) } else { f32::NAN }).collect()
+        };
+        for (m, k, n) in [(5, 17, 33), (33, 129, 65), (40, 9, 5)] {
+            for layout in [gemm::Layout::Nn, gemm::Layout::Tn, gemm::Layout::Nt] {
+                let ((a_rows, a_row), (b_rows, b_row)) = match layout {
+                    gemm::Layout::Nn => ((m, k), (k, n)),
+                    gemm::Layout::Tn => ((k, m), (k, n)),
+                    gemm::Layout::Nt => ((m, k), (n, k)),
+                };
+                let (lda, ldb) = (a_row + 3, b_row + 5);
+                let (a, b) = (padded(a_rows, a_row, lda, 1), padded(b_rows, b_row, ldb, 2));
+                let (mut got, mut want) = (vec![0.0; m * n], vec![0.0; m * n]);
+                gemm::gemm(layout, m, k, n, &a, lda, &b, ldb, &mut got);
+                reference::gemm_naive(layout, m, k, n, &a, lda, &b, ldb, &mut want);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{layout:?} {m}x{k}x{n}");
+            }
+        }
     }
 
     /// A leading dimension shorter than the row it steps over is refused
