@@ -32,9 +32,8 @@
 //!   implementation's rounding.
 //!
 //! The scalar loops the kernel replaced are its oracle in this module's
-//! tests; the seed implementation is retained in [`reference`] (behind
-//! `cfg(test)` / the `reference-impl` feature) as the equivalence
-//! baseline.
+//! tests; the seed implementation is retained in `kmeans::reference`
+//! (under `cfg(test)`) as the equivalence baseline.
 
 use crate::{validate_points, ClusteringError};
 use flips_ml::matrix::euclidean_distance;
@@ -462,8 +461,8 @@ impl LaneCentroids {
 
 /// The seed's `Vec<Vec<f32>>` implementation, retained as the behavioral
 /// baseline for equivalence tests and benchmarks.
-#[cfg(any(test, feature = "reference-impl"))]
-pub mod reference {
+#[cfg(test)]
+mod reference {
     use super::{Clustering, KMeansConfig, MAX_ITERS, TOLERANCE};
     use crate::{validate_points, ClusteringError};
     use flips_ml::matrix::euclidean_distance;
@@ -600,6 +599,7 @@ mod tests {
     use super::*;
     use crate::testdata::{converge_points, dirichlet_points, fnv1a, FNV_OFFSET};
     use flips_ml::rng::seeded;
+    use proptest::prelude::*;
 
     /// FNV-1a over everything a run reports: assignments, centroid bits,
     /// inertia bits and the iteration count.
@@ -912,5 +912,57 @@ mod tests {
         assert_eq!(flat.point(1), &[3.0, 4.0]);
         assert_eq!(flat.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
         assert!((flat.norm_sq(1) - 25.0).abs() < 1e-6);
+    }
+
+    /// Gaussian blobs with centers far apart relative to their spread, so
+    /// nearest-centroid decisions never ride on float rounding.
+    fn blobs(seed: u64, archetypes: usize, dim: usize, per: usize, spread: f64) -> Vec<Vec<f32>> {
+        let mut rng = seeded(seed);
+        let mut centers = Vec::new();
+        for a in 0..archetypes {
+            let mut c = vec![0.0f32; dim];
+            c[a % dim] = 40.0 + 10.0 * (a / dim) as f32;
+            centers.push(c);
+        }
+        let mut points = Vec::new();
+        for c in &centers {
+            for _ in 0..per {
+                points.push(
+                    c.iter()
+                        .map(|&x| x + flips_ml::rng::normal(&mut rng, 0.0, spread) as f32)
+                        .collect(),
+                );
+            }
+        }
+        points
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn flat_kmeans_assignments_match_seed_implementation(
+            seed in 0u64..10_000,
+            archetypes in 2usize..6,
+            dim in 2usize..10,
+            per in 3usize..12,
+        ) {
+            let points = blobs(seed, archetypes, dim, per, 0.6);
+            let k = archetypes.min(points.len());
+            let flat = kmeans(&mut seeded(seed ^ 0xF1A7), &points, KMeansConfig::new(k)).unwrap();
+            let refr =
+                reference::kmeans(&mut seeded(seed ^ 0xF1A7), &points, KMeansConfig::new(k)).unwrap();
+            // Identical RNG stream + well-separated data ⇒ identical
+            // trajectories: assignments must agree exactly.
+            prop_assert_eq!(&flat.assignments, &refr.assignments);
+            prop_assert_eq!(flat.iterations, refr.iterations);
+            prop_assert!(
+                (flat.inertia - refr.inertia).abs() <= 1e-3 * (1.0 + refr.inertia),
+                "inertia {} vs {}", flat.inertia, refr.inertia
+            );
+            for (a, b) in flat.centroids.iter().zip(&refr.centroids) {
+                prop_assert!(euclidean_distance(a, b) < 1e-3);
+            }
+        }
     }
 }

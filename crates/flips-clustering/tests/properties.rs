@@ -1,63 +1,16 @@
-//! Property tests: the flat-buffer clustering hot path is behaviorally
-//! equivalent to the seed (`Vec<Vec<f32>>`) implementation.
+//! Property tests of the flat-buffer clustering hot path: determinism,
+//! the pairwise matrices against direct computation, the flat point
+//! layout. Its equivalence to the seed (`Vec<Vec<f32>>`) implementation
+//! is a unit test in `kmeans::tests`, beside that retained oracle.
 
-use flips_clustering::kmeans::reference;
 use flips_clustering::{kmeans, FlatPoints, KMeansConfig};
 use flips_ml::matrix::euclidean_distance;
 use flips_ml::rng::seeded;
 use proptest::prelude::*;
 use rand::Rng;
 
-/// Gaussian blobs with centers far apart relative to their spread, so
-/// nearest-centroid decisions never ride on float rounding.
-fn blobs(seed: u64, archetypes: usize, dim: usize, per: usize, spread: f64) -> Vec<Vec<f32>> {
-    let mut rng = seeded(seed);
-    let mut centers = Vec::new();
-    for a in 0..archetypes {
-        let mut c = vec![0.0f32; dim];
-        c[a % dim] = 40.0 + 10.0 * (a / dim) as f32;
-        centers.push(c);
-    }
-    let mut points = Vec::new();
-    for c in &centers {
-        for _ in 0..per {
-            points.push(
-                c.iter()
-                    .map(|&x| x + flips_ml::rng::normal(&mut rng, 0.0, spread) as f32)
-                    .collect(),
-            );
-        }
-    }
-    points
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn flat_kmeans_assignments_match_seed_implementation(
-        seed in 0u64..10_000,
-        archetypes in 2usize..6,
-        dim in 2usize..10,
-        per in 3usize..12,
-    ) {
-        let points = blobs(seed, archetypes, dim, per, 0.6);
-        let k = archetypes.min(points.len());
-        let flat = kmeans(&mut seeded(seed ^ 0xF1A7), &points, KMeansConfig::new(k)).unwrap();
-        let refr =
-            reference::kmeans(&mut seeded(seed ^ 0xF1A7), &points, KMeansConfig::new(k)).unwrap();
-        // Identical RNG stream + well-separated data ⇒ identical
-        // trajectories: assignments must agree exactly.
-        prop_assert_eq!(&flat.assignments, &refr.assignments);
-        prop_assert_eq!(flat.iterations, refr.iterations);
-        prop_assert!(
-            (flat.inertia - refr.inertia).abs() <= 1e-3 * (1.0 + refr.inertia),
-            "inertia {} vs {}", flat.inertia, refr.inertia
-        );
-        for (a, b) in flat.centroids.iter().zip(&refr.centroids) {
-            prop_assert!(euclidean_distance(a, b) < 1e-3);
-        }
-    }
 
     #[test]
     fn flat_kmeans_is_deterministic_and_valid(

@@ -28,9 +28,7 @@
 
 use crate::driver::DriverStats;
 use crate::format::{put_bool, put_f32s, put_map, put_option, put_vec, seal, unseal, Reader};
-use crate::guard::{
-    BreakerState, BreakerTransition, GuardJobSnapshot, GuardPartySnapshot, GuardSnapshot,
-};
+use crate::guard::{BreakerState, BreakerTransition, GuardState, JobGuard, PartyGuard};
 use crate::history::RoundRecord;
 use crate::FlError;
 use bytes::BufMut;
@@ -91,7 +89,7 @@ pub struct Checkpoint {
     /// Per-job protocol state, ascending by job id.
     pub jobs: Vec<JobSnapshot>,
     /// The guard plane's mutable state, if a guard was installed.
-    pub guard: Option<GuardSnapshot>,
+    pub guard: Option<GuardState>,
     /// Per-link delta references, ascending by `(link, job)`.
     pub codec_refs: Vec<CodecRefSnapshot>,
 }
@@ -188,21 +186,23 @@ fn breaker_state(r: &mut Reader<'_>) -> Result<BreakerState, FlError> {
     r.tag("breaker state", |b| BREAKER_STATES.get(usize::from(b)).copied())
 }
 
-fn put_guard(out: &mut Vec<u8>, g: &GuardSnapshot) {
-    put_vec(out, &g.parties, |out, p| {
-        out.put_u64_le(p.job);
-        out.put_u64_le(p.party);
+fn put_guard(out: &mut Vec<u8>, g: &GuardState) {
+    out.put_u64_le(g.parties.len() as u64);
+    for (&(job, party), p) in &g.parties {
+        out.put_u64_le(job);
+        out.put_u64_le(party);
         put_breaker_state(out, p.state);
         out.put_u32_le(p.strikes);
         out.put_u64_le(p.opens_left);
         put_option(out, p.tokens, |out, t| out.put_u32_le(t));
-    });
-    put_vec(out, &g.jobs, |out, j| {
-        out.put_u64_le(j.job);
+    }
+    out.put_u64_le(g.jobs.len() as u64);
+    for (&job, j) in &g.jobs {
+        out.put_u64_le(job);
         out.put_u32_le(j.admitted);
         put_option(out, j.budget, |out, b| out.put_u32_le(b));
         out.put_u64_le(j.opens);
-    });
+    }
     put_vec(out, &g.transitions, |out, t| {
         out.put_u64_le(t.job);
         out.put_u64_le(t.party);
@@ -211,59 +211,38 @@ fn put_guard(out: &mut Vec<u8>, g: &GuardSnapshot) {
     });
 }
 
-fn guard(r: &mut Reader<'_>) -> Result<GuardSnapshot, FlError> {
-    Ok(GuardSnapshot {
-        parties: r.vec(1, |r| {
-            Ok(GuardPartySnapshot {
-                job: r.u64()?,
-                party: r.u64()?,
-                state: breaker_state(r)?,
-                strikes: r.u32()?,
-                opens_left: r.u64()?,
-                tokens: r.option(Reader::u32)?,
-            })
-        })?,
-        jobs: r.vec(1, |r| {
-            Ok(GuardJobSnapshot {
-                job: r.u64()?,
-                admitted: r.u32()?,
-                budget: r.option(Reader::u32)?,
-                opens: r.u64()?,
-            })
-        })?,
-        transitions: r.vec(25, |r| {
-            Ok(BreakerTransition {
-                job: r.u64()?,
-                party: r.u64()?,
-                open_index: r.u64()?,
-                to: breaker_state(r)?,
-            })
-        })?,
-    })
+fn guard(r: &mut Reader<'_>) -> Result<GuardState, FlError> {
+    let mut state = GuardState::default();
+    for _ in 0..r.len(1)? {
+        let key = (r.u64()?, r.u64()?);
+        let party = PartyGuard {
+            state: breaker_state(r)?,
+            strikes: r.u32()?,
+            opens_left: r.u64()?,
+            tokens: r.option(Reader::u32)?,
+        };
+        if state.parties.insert(key, party).is_some() {
+            return Err(r.bad(format_args!("guard state repeats party {key:?}")));
+        }
+    }
+    for _ in 0..r.len(1)? {
+        let job = r.u64()?;
+        let guard =
+            JobGuard { admitted: r.u32()?, budget: r.option(Reader::u32)?, opens: r.u64()? };
+        if state.jobs.insert(job, guard).is_some() {
+            return Err(r.bad(format_args!("guard state repeats job {job:#x}")));
+        }
+    }
+    state.transitions = r.vec(25, |r| {
+        Ok(BreakerTransition {
+            job: r.u64()?,
+            party: r.u64()?,
+            open_index: r.u64()?,
+            to: breaker_state(r)?,
+        })
+    })?;
+    Ok(state)
 }
-
-/// The persisted wire counters, in file order — one list drives both
-/// directions. Roster spill counters are live-computed from attached
-/// stores, never persisted (see `DriverStats::roster_spilled`).
-const STATS_WORDS: [fn(&mut DriverStats) -> &mut u64; 17] = [
-    |s| &mut s.frames_sent,
-    |s| &mut s.frames_received,
-    |s| &mut s.bytes_sent,
-    |s| &mut s.bytes_received,
-    |s| &mut s.corrupt_frames,
-    |s| &mut s.codec_mismatch_frames,
-    |s| &mut s.unknown_job_frames,
-    |s| &mut s.rejected_messages,
-    |s| &mut s.late_updates,
-    |s| &mut s.oversized_frames,
-    |s| &mut s.rate_limited_frames,
-    |s| &mut s.breaker_dropped_frames,
-    |s| &mut s.admission_refused_frames,
-    |s| &mut s.parties_ejected,
-    |s| &mut s.drain_refused_selections,
-    |s| &mut s.links_lost,
-    |s| &mut s.links_resumed,
-];
 
 fn put_job(out: &mut Vec<u8>, job: &JobSnapshot) {
     out.put_u64_le(job.job);
@@ -298,8 +277,8 @@ impl Checkpoint {
             out.put_u64_le(self.tick);
             put_bool(out, self.draining);
             let mut stats = self.stats;
-            for word in STATS_WORDS {
-                out.put_u64_le(*word(&mut stats));
+            for c in &DriverStats::COUNTERS[..DriverStats::PERSISTED] {
+                out.put_u64_le(*(c.word)(&mut stats));
             }
             put_vec(out, &self.jobs, put_job);
             put_option(out, self.guard.as_ref(), put_guard);
@@ -328,8 +307,8 @@ impl Checkpoint {
         let tick = r.u64()?;
         let draining = r.bool()?;
         let mut stats = DriverStats::default();
-        for word in STATS_WORDS {
-            *word(&mut stats) = r.u64()?;
+        for c in &DriverStats::COUNTERS[..DriverStats::PERSISTED] {
+            *(c.word)(&mut stats) = r.u64()?;
         }
         let checkpoint = Checkpoint {
             tick,
@@ -354,6 +333,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn sample() -> Checkpoint {
         let mut fb = RoundFeedback::for_round(0, vec![2, 0, 1], vec![0, 2], vec![1], 0.5);
@@ -393,21 +373,20 @@ mod tests {
                 feedback: vec![fb],
                 observed: Some((vec![0.1, 0.2], vec![2])),
             }],
-            guard: Some(GuardSnapshot {
-                parties: vec![GuardPartySnapshot {
-                    job: 0xF11F,
-                    party: 1,
-                    state: BreakerState::Open,
-                    strikes: 3,
-                    opens_left: 2,
-                    tokens: Some(7),
-                }],
-                jobs: vec![GuardJobSnapshot {
-                    job: 0xF11F,
-                    admitted: 5,
-                    budget: Some(48),
-                    opens: 1,
-                }],
+            guard: Some(GuardState {
+                parties: BTreeMap::from([(
+                    (0xF11F, 1),
+                    PartyGuard {
+                        state: BreakerState::Open,
+                        strikes: 3,
+                        opens_left: 2,
+                        tokens: Some(7),
+                    },
+                )]),
+                jobs: BTreeMap::from([(
+                    0xF11F,
+                    JobGuard { admitted: 5, budget: Some(48), opens: 1 },
+                )]),
                 transitions: vec![BreakerTransition {
                     job: 0xF11F,
                     party: 1,
@@ -505,6 +484,54 @@ mod tests {
         assert!(Checkpoint::decode(&bytes).is_err());
     }
 
+    /// `guard` as the one state of an otherwise empty checkpoint, with
+    /// byte `at` of the guard section (which starts after the tick, the
+    /// draining flag, the counters, the empty job list and the option
+    /// tag) set to `to`.
+    fn guard_with_byte(guard: GuardState, at: usize, to: u8) -> Vec<u8> {
+        let cp = Checkpoint {
+            tick: 0,
+            draining: false,
+            stats: DriverStats::default(),
+            jobs: Vec::new(),
+            guard: Some(guard),
+            codec_refs: Vec::new(),
+        };
+        let bytes = cp.encode();
+        let mut payload = unseal(&bytes, CHECKPOINT_MAGIC, "checkpoint").unwrap().to_vec();
+        payload[8 + 1 + 8 * DriverStats::PERSISTED + 8 + 1 + at] = to;
+        seal(CHECKPOINT_MAGIC, |out| out.put_slice(&payload))
+    }
+
+    /// A guard section naming one `(job, party)` or one job twice has no
+    /// state to restore to — keeping either entry would apply something
+    /// other than the file's contents — so it fails the decode.
+    #[test]
+    fn a_guard_section_repeating_a_key_is_refused() {
+        let party = PartyGuard::default();
+        let parties = GuardState {
+            parties: BTreeMap::from([((7, 1), party.clone()), ((7, 2), party)]),
+            ..GuardState::default()
+        };
+        // Count, then 30-byte entries (job, party, state, strikes,
+        // opens_left, an empty bucket): the second entry's party id.
+        let at = 8 + 30 + 8;
+        assert!(Checkpoint::decode(&guard_with_byte(parties.clone(), at, 2)).is_ok());
+        let repeated = Checkpoint::decode(&guard_with_byte(parties, at, 1));
+        assert!(matches!(repeated, Err(FlError::Codec(_))), "{repeated:?}");
+
+        let jobs = GuardState {
+            jobs: BTreeMap::from([(7, JobGuard::default()), (8, JobGuard::default())]),
+            ..GuardState::default()
+        };
+        // No parties, then the job count and 21-byte entries (job,
+        // admitted, no budget, opens): the second entry's job id.
+        let at = 8 + 8 + 21;
+        assert!(Checkpoint::decode(&guard_with_byte(jobs.clone(), at, 8)).is_ok());
+        let repeated = Checkpoint::decode(&guard_with_byte(jobs, at, 7));
+        assert!(matches!(repeated, Err(FlError::Codec(_))), "{repeated:?}");
+    }
+
     #[test]
     fn hostile_length_prefixes_cannot_force_allocation() {
         // A payload claiming 2^60 jobs must fail fast on the length
@@ -512,7 +539,7 @@ mod tests {
         let mut payload = Vec::new();
         payload.put_u64_le(0); // tick
         payload.push(0); // draining
-        for _ in 0..17 {
+        for _ in 0..DriverStats::PERSISTED {
             payload.put_u64_le(0);
         }
         payload.put_u64_le(1 << 60); // jobs count

@@ -101,6 +101,66 @@ pub struct DriverStats {
     pub roster_loaded: u64,
 }
 
+/// One `field => name, help;` row per [`DriverStats`] counter.
+macro_rules! counters {
+    ($($field:ident => $name:literal, $help:literal;)*) => {
+        [$(StatCounter { word: |s| &mut s.$field, name: $name, help: $help }),*]
+    };
+}
+
+/// One [`DriverStats`] counter: its field, and the name and help text
+/// it is exposed under as a Prometheus counter.
+#[derive(Clone, Copy)]
+pub struct StatCounter {
+    /// The counter's field.
+    pub word: fn(&mut DriverStats) -> &mut u64,
+    /// The Prometheus metric name.
+    pub name: &'static str,
+    /// The Prometheus help text.
+    pub help: &'static str,
+}
+
+impl DriverStats {
+    /// Every counter once, in checkpoint word order: a checkpoint writes
+    /// and reads the first [`DriverStats::PERSISTED`], and `/metrics`
+    /// renders them all. The two roster counters come last — computed
+    /// live from attached stores, never persisted.
+    pub const COUNTERS: [StatCounter; 19] = counters! {
+        frames_sent => "flips_frames_sent_total", "Frames sent (downlink).";
+        frames_received => "flips_frames_received_total", "Frames received (uplink).";
+        bytes_sent => "flips_bytes_sent_total", "Bytes sent (downlink), as encoded.";
+        bytes_received => "flips_bytes_received_total", "Bytes received (uplink).";
+        corrupt_frames => "flips_corrupt_frames_total", "Frames that failed deframing.";
+        codec_mismatch_frames => "flips_codec_mismatch_frames_total",
+            "Model payloads disagreeing with the negotiated codec.";
+        unknown_job_frames => "flips_unknown_job_frames_total",
+            "Well-formed frames for a job nobody owns.";
+        rejected_messages => "flips_rejected_messages_total", "Messages a coordinator bounced.";
+        late_updates => "flips_late_updates_total", "Updates withheld past their round deadline.";
+        oversized_frames => "flips_oversized_frames_total", "Frames dropped by the guard size cap.";
+        rate_limited_frames => "flips_rate_limited_frames_total",
+            "Frames refused by per-party rate limits.";
+        breaker_dropped_frames => "flips_breaker_dropped_frames_total",
+            "Frames dropped while a sender's breaker was open.";
+        admission_refused_frames => "flips_admission_refused_frames_total",
+            "Frames refused by per-round admission control.";
+        parties_ejected => "flips_parties_ejected_total", "Breaker trips ejecting a party.";
+        drain_refused_selections => "flips_drain_refused_selections_total",
+            "Round opens refused while draining.";
+        links_lost => "flips_links_lost_total",
+            "Links whose peer died mid-run (slot parked for resume).";
+        links_resumed => "flips_link_resumes_total",
+            "Parked links a reconnecting peer re-attached to.";
+        roster_spilled => "flips_roster_segments_spilled_total",
+            "Roster segments sealed to the spill directory.";
+        roster_loaded => "flips_roster_segments_loaded_total",
+            "Spilled roster segments paged back into memory.";
+    };
+
+    /// How many leading [`DriverStats::COUNTERS`] a checkpoint persists.
+    pub const PERSISTED: usize = 17;
+}
+
 /// The final snapshot a drained driver reports (see
 /// [`MultiJobDriver::drain_report`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1007,7 +1067,7 @@ impl<T: Transport> MultiJobDriver<T> {
             draining: self.draining,
             stats: self.stats,
             jobs,
-            guard: self.guard.as_ref().map(GuardPlane::export),
+            guard: self.guard.as_ref().map(|g| g.state().clone()),
             codec_refs,
         })
     }
@@ -1062,7 +1122,7 @@ impl<T: Transport> MultiJobDriver<T> {
             state.stragglers.restore(snap.observed.clone(), &snap.history, &state.latency)?;
         }
         if let (Some(guard), Some(snap)) = (&mut self.guard, &cp.guard) {
-            guard.import(snap.clone());
+            guard.restore(snap.clone());
         }
         for r in &cp.codec_refs {
             let links = self.codecs.len();

@@ -76,7 +76,7 @@ impl<'a> Reader<'a> {
     }
 
     #[cold]
-    fn bad(&self, msg: std::fmt::Arguments<'_>) -> FlError {
+    pub(crate) fn bad(&self, msg: std::fmt::Arguments<'_>) -> FlError {
         FlError::Codec(format!("{}: {msg}", self.what))
     }
 

@@ -269,27 +269,43 @@ pub struct BreakerTransition {
 }
 
 /// Per-`(job, party)` guard state.
-#[derive(Debug, Default)]
-struct PartyGuard {
-    state: BreakerState,
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PartyGuard {
+    /// The breaker state.
+    pub state: BreakerState,
     /// Strikes since the job's last round open.
-    strikes: u32,
+    pub strikes: u32,
     /// Rounds left before an open breaker half-opens.
-    opens_left: u64,
+    pub opens_left: u64,
     /// Token bucket; `None` until first sight (filled to burst).
-    tokens: Option<u32>,
+    pub tokens: Option<u32>,
 }
 
 /// Per-job guard state.
-#[derive(Debug, Default)]
-struct JobGuard {
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JobGuard {
     /// Frames admitted into the open round so far.
-    admitted: u32,
+    pub admitted: u32,
     /// The open round's admission budget (`None` = unlimited).
-    budget: Option<u32>,
+    pub budget: Option<u32>,
     /// Round opens seen (drives breaker cooldowns and the transition
     /// log's `open_index`).
-    opens: u64,
+    pub opens: u64,
+}
+
+/// The full mutable state of a [`GuardPlane`] — what a checkpoint
+/// carries so a restored run's guard verdicts replay bit-identically
+/// (open breakers, partial admission budgets and half-spent token
+/// buckets included). The configuration is not part of it: a restore
+/// re-validates that through [`GuardPlane::new`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GuardState {
+    /// Per-`(job, party)` breaker and bucket state.
+    pub parties: BTreeMap<(u64, u64), PartyGuard>,
+    /// Per-job admission and open state.
+    pub jobs: BTreeMap<u64, JobGuard>,
+    /// The transition log so far, in firing order.
+    pub transitions: Vec<BreakerTransition>,
 }
 
 /// The outcome of evaluating a job's guards at a round open.
@@ -313,9 +329,7 @@ pub struct OpenOutcome {
 #[derive(Debug)]
 pub struct GuardPlane {
     config: GuardConfig,
-    parties: BTreeMap<(u64, u64), PartyGuard>,
-    jobs: BTreeMap<u64, JobGuard>,
-    transitions: Vec<BreakerTransition>,
+    state: GuardState,
 }
 
 impl GuardPlane {
@@ -328,12 +342,7 @@ impl GuardPlane {
     pub fn new(mut config: GuardConfig) -> Result<Self, FlError> {
         config.validate()?;
         config.max_frame_bytes = config.max_frame_bytes.min(MAX_FRAME_BYTES);
-        Ok(GuardPlane {
-            config,
-            parties: BTreeMap::new(),
-            jobs: BTreeMap::new(),
-            transitions: Vec::new(),
-        })
+        Ok(GuardPlane { config, state: GuardState::default() })
     }
 
     /// The enforced configuration (frame cap already clamped to the
@@ -354,7 +363,7 @@ impl GuardPlane {
     pub fn admit(&mut self, job: u64, party: u64, kind: FrameKind) -> FrameVerdict {
         let breaker = self.config.breaker;
         let rate = self.config.rate_limit;
-        let guard = self.parties.entry((job, party)).or_default();
+        let guard = self.state.parties.entry((job, party)).or_default();
         if breaker.is_some() && guard.state == BreakerState::Open && kind == FrameKind::Update {
             return FrameVerdict::BreakerOpen;
         }
@@ -366,7 +375,7 @@ impl GuardPlane {
             }
             *tokens -= 1;
         }
-        let job_guard = self.jobs.entry(job).or_default();
+        let job_guard = self.state.jobs.entry(job).or_default();
         if let Some(budget) = job_guard.budget {
             if job_guard.admitted >= budget {
                 return FrameVerdict::RoundFull;
@@ -384,7 +393,7 @@ impl GuardPlane {
         if self.config.breaker.is_none() {
             return;
         }
-        let guard = self.parties.entry((job, party)).or_default();
+        let guard = self.state.parties.entry((job, party)).or_default();
         guard.strikes = guard.strikes.saturating_add(1);
     }
 
@@ -400,7 +409,7 @@ impl GuardPlane {
     /// currently ejected are returned.
     pub fn on_round_open(&mut self, job: u64, cohort: &[PartyId]) -> OpenOutcome {
         let open_index = {
-            let job_guard = self.jobs.entry(job).or_default();
+            let job_guard = self.state.jobs.entry(job).or_default();
             job_guard.admitted = 0;
             job_guard.budget =
                 self.config.admission_factor.map(|f| f.saturating_mul(cohort.len().max(1) as u32));
@@ -410,7 +419,7 @@ impl GuardPlane {
         };
         let mut tripped = 0u32;
         if let Some(cfg) = self.config.breaker {
-            for ((j, party), guard) in self.parties.range_mut((job, 0)..=(job, u64::MAX)) {
+            for ((j, party), guard) in self.state.parties.range_mut((job, 0)..=(job, u64::MAX)) {
                 debug_assert_eq!(*j, job);
                 let strikes = std::mem::take(&mut guard.strikes);
                 let next = match guard.state {
@@ -437,12 +446,17 @@ impl GuardPlane {
                         tripped += 1;
                     }
                     guard.state = to;
-                    self.transitions.push(BreakerTransition { job, party: *party, open_index, to });
+                    self.state.transitions.push(BreakerTransition {
+                        job,
+                        party: *party,
+                        open_index,
+                        to,
+                    });
                 }
             }
         }
         if let Some(rl) = self.config.rate_limit {
-            for (_, guard) in self.parties.range_mut((job, 0)..=(job, u64::MAX)) {
+            for (_, guard) in self.state.parties.range_mut((job, 0)..=(job, u64::MAX)) {
                 let tokens = guard.tokens.get_or_insert(rl.burst);
                 *tokens = tokens.saturating_add(rl.per_round).min(rl.burst);
             }
@@ -451,7 +465,10 @@ impl GuardPlane {
             .iter()
             .copied()
             .filter(|&p| {
-                self.parties.get(&(job, p as u64)).is_some_and(|g| g.state == BreakerState::Open)
+                self.state
+                    .parties
+                    .get(&(job, p as u64))
+                    .is_some_and(|g| g.state == BreakerState::Open)
             })
             .collect();
         OpenOutcome { ejected, tripped }
@@ -460,13 +477,13 @@ impl GuardPlane {
     /// The breaker state of `(job, party)` (untracked pairs are
     /// [`BreakerState::Closed`]).
     pub fn breaker_state(&self, job: u64, party: u64) -> BreakerState {
-        self.parties.get(&(job, party)).map_or(BreakerState::Closed, |g| g.state)
+        self.state.parties.get(&(job, party)).map_or(BreakerState::Closed, |g| g.state)
     }
 
     /// Every breaker transition so far, in firing order — a pure
     /// function of the strike schedule.
     pub fn transitions(&self) -> &[BreakerTransition] {
-        &self.transitions
+        &self.state.transitions
     }
 
     /// Retires a party's guard state: its breaker, strike count and
@@ -474,111 +491,19 @@ impl GuardPlane {
     /// starts from a clean slate, exactly like a party seen for the
     /// first time.
     pub fn retire(&mut self, job: u64, party: u64) {
-        self.parties.remove(&(job, party));
+        self.state.parties.remove(&(job, party));
     }
 
-    /// Snapshots the full mutable guard state (per-party breakers and
-    /// buckets, per-job budgets, the transition log) for a checkpoint.
-    /// The configuration is not included — a restore re-validates it
-    /// through [`GuardPlane::new`].
-    pub fn export(&self) -> GuardSnapshot {
-        GuardSnapshot {
-            parties: self
-                .parties
-                .iter()
-                .map(|(&(job, party), g)| GuardPartySnapshot {
-                    job,
-                    party,
-                    state: g.state,
-                    strikes: g.strikes,
-                    opens_left: g.opens_left,
-                    tokens: g.tokens,
-                })
-                .collect(),
-            jobs: self
-                .jobs
-                .iter()
-                .map(|(&job, j)| GuardJobSnapshot {
-                    job,
-                    admitted: j.admitted,
-                    budget: j.budget,
-                    opens: j.opens,
-                })
-                .collect(),
-            transitions: self.transitions.clone(),
-        }
+    /// The full mutable guard state, as a checkpoint stores it.
+    pub fn state(&self) -> &GuardState {
+        &self.state
     }
 
-    /// Replaces the mutable guard state with a snapshot previously
-    /// produced by [`GuardPlane::export`] on a plane with the same
-    /// configuration.
-    pub fn import(&mut self, snapshot: GuardSnapshot) {
-        self.parties = snapshot
-            .parties
-            .into_iter()
-            .map(|p| {
-                (
-                    (p.job, p.party),
-                    PartyGuard {
-                        state: p.state,
-                        strikes: p.strikes,
-                        opens_left: p.opens_left,
-                        tokens: p.tokens,
-                    },
-                )
-            })
-            .collect();
-        self.jobs = snapshot
-            .jobs
-            .into_iter()
-            .map(|j| (j.job, JobGuard { admitted: j.admitted, budget: j.budget, opens: j.opens }))
-            .collect();
-        self.transitions = snapshot.transitions;
+    /// Replaces the mutable guard state with one previously read through
+    /// [`GuardPlane::state`] on a plane with the same configuration.
+    pub fn restore(&mut self, state: GuardState) {
+        self.state = state;
     }
-}
-
-/// One party's guard state inside a [`GuardSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GuardPartySnapshot {
-    /// The job the guard belongs to.
-    pub job: u64,
-    /// The claimed sender the guard watches.
-    pub party: u64,
-    /// The breaker state.
-    pub state: BreakerState,
-    /// Strikes since the job's last round open.
-    pub strikes: u32,
-    /// Rounds left before an open breaker half-opens.
-    pub opens_left: u64,
-    /// Token bucket level (`None` = party not yet seen).
-    pub tokens: Option<u32>,
-}
-
-/// One job's guard state inside a [`GuardSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GuardJobSnapshot {
-    /// The job.
-    pub job: u64,
-    /// Frames admitted into the open round so far.
-    pub admitted: u32,
-    /// The open round's admission budget (`None` = unlimited).
-    pub budget: Option<u32>,
-    /// Round opens seen.
-    pub opens: u64,
-}
-
-/// The full mutable state of a [`GuardPlane`], as captured by
-/// [`GuardPlane::export`] — everything a checkpoint must carry so a
-/// restored run's guard verdicts replay bit-identically (open breakers,
-/// partial admission budgets and half-spent token buckets included).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GuardSnapshot {
-    /// Per-`(job, party)` breaker/bucket state, ascending by key.
-    pub parties: Vec<GuardPartySnapshot>,
-    /// Per-job admission/open state, ascending by job.
-    pub jobs: Vec<GuardJobSnapshot>,
-    /// The transition log so far.
-    pub transitions: Vec<BreakerTransition>,
 }
 
 #[cfg(test)]

@@ -147,7 +147,7 @@ pub use endpoint::PartyEndpoint;
 pub use events::{Effect, Event, RejectReason};
 pub use guard::{
     BreakerConfig, BreakerState, BreakerTransition, FrameKind, FrameVerdict, GuardConfig,
-    GuardJobSnapshot, GuardPartySnapshot, GuardPlane, GuardSnapshot, OpenOutcome, RateLimit,
+    GuardPlane, GuardState, JobGuard, OpenOutcome, PartyGuard, RateLimit,
 };
 pub use history::{History, RoundRecord};
 pub use latency::{LatencyModel, ObservedLatency};

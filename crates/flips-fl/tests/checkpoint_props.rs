@@ -7,9 +7,7 @@
 //! truncated byte string may decode into anything, panic included.
 
 use flips_fl::driver::DriverStats;
-use flips_fl::guard::{
-    BreakerState, BreakerTransition, GuardJobSnapshot, GuardPartySnapshot, GuardSnapshot,
-};
+use flips_fl::guard::{BreakerState, BreakerTransition, GuardState, JobGuard, PartyGuard};
 use flips_fl::history::RoundRecord;
 use flips_fl::{Checkpoint, CodecRefSnapshot, JobSnapshot};
 use flips_selection::{PartyId, RoundFeedback};
@@ -115,18 +113,20 @@ fn breaker_state() -> impl Strategy<Value = BreakerState> {
     })
 }
 
-fn guard_snapshot() -> impl Strategy<Value = GuardSnapshot> {
+/// Keys repeat freely in the drawn vectors; collecting them into the
+/// state's maps keeps the last value per key.
+fn guard_state() -> impl Strategy<Value = GuardState> {
     (
         vec(
             ((any_u64(), 0u64..16, breaker_state()), (any_u32(), any_u64(), opt(any_u32())))
                 .prop_map(|((job, party, state), (strikes, opens_left, tokens))| {
-                    GuardPartySnapshot { job, party, state, strikes, opens_left, tokens }
+                    ((job, party), PartyGuard { state, strikes, opens_left, tokens })
                 }),
             0..5,
         ),
         vec(
             (any_u64(), any_u32(), opt(any_u32()), any_u64()).prop_map(
-                |(job, admitted, budget, opens)| GuardJobSnapshot { job, admitted, budget, opens },
+                |(job, admitted, budget, opens)| (job, JobGuard { admitted, budget, opens }),
             ),
             0..4,
         ),
@@ -137,33 +137,24 @@ fn guard_snapshot() -> impl Strategy<Value = GuardSnapshot> {
             0..4,
         ),
     )
-        .prop_map(|(parties, jobs, transitions)| GuardSnapshot { parties, jobs, transitions })
+        .prop_map(|(parties, jobs, transitions)| GuardState {
+            parties: parties.into_iter().collect(),
+            jobs: jobs.into_iter().collect(),
+            transitions,
+        })
 }
 
+/// The persisted counters drawn at random; the two roster counters are
+/// live gauges of attached stores — the snapshot codec neither writes
+/// nor restores them, so the round-trip property holds only at their
+/// reset value.
 fn stats() -> impl Strategy<Value = DriverStats> {
-    vec(any_u64(), 17).prop_map(|w| DriverStats {
-        frames_sent: w[0],
-        frames_received: w[1],
-        bytes_sent: w[2],
-        bytes_received: w[3],
-        corrupt_frames: w[4],
-        codec_mismatch_frames: w[5],
-        unknown_job_frames: w[6],
-        rejected_messages: w[7],
-        late_updates: w[8],
-        oversized_frames: w[9],
-        rate_limited_frames: w[10],
-        breaker_dropped_frames: w[11],
-        admission_refused_frames: w[12],
-        parties_ejected: w[13],
-        drain_refused_selections: w[14],
-        links_lost: w[15],
-        links_resumed: w[16],
-        // Live gauges of attached roster stores — the snapshot codec
-        // neither writes nor restores them, so the round-trip property
-        // holds only at their reset value.
-        roster_spilled: 0,
-        roster_loaded: 0,
+    vec(any_u64(), DriverStats::PERSISTED).prop_map(|words| {
+        let mut stats = DriverStats::default();
+        for (c, w) in DriverStats::COUNTERS.iter().zip(words) {
+            *(c.word)(&mut stats) = w;
+        }
+        stats
     })
 }
 
@@ -172,7 +163,7 @@ fn checkpoint() -> impl Strategy<Value = Checkpoint> {
         (any_u64(), any_bool(), stats()),
         (
             vec(job_snapshot(), 0..3),
-            opt(guard_snapshot()),
+            opt(guard_state()),
             vec(
                 (any_u32(), any_u64(), any_u64(), f32_vec()).prop_map(
                     |(link, job, ref_round, params)| CodecRefSnapshot {

@@ -33,9 +33,9 @@
 //!   steady-state GEMM performs **zero heap allocation** when callers use
 //!   the `*_into` variants.
 //!
-//! The seed's naive kernels are retained in `matrix::reference` (behind
-//! `cfg(test)` / the `reference-kernels` feature) as the test oracle the
-//! blocked kernels are compared against.
+//! The seed's naive kernels are retained in `matrix::reference` (under
+//! `cfg(test)`) as the test oracle the blocked kernels are compared
+//! against.
 
 use serde::{Deserialize, Serialize};
 
@@ -637,10 +637,31 @@ pub mod gemm {
     }
 }
 
+/// Euclidean (L2) distance between two equal-length slices.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn euclidean_distance(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "euclidean_distance length mismatch");
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f32>().sqrt()
+}
+
+/// Dot product of two equal-length slices.
+pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "dot length mismatch");
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// L2 norm of a slice.
+pub fn l2_norm(a: &[f32]) -> f32 {
+    a.iter().map(|x| x * x).sum::<f32>().sqrt()
+}
+
 /// The seed's naive triple-loop kernels, retained as the correctness and
 /// performance baseline for the blocked engine.
-#[cfg(any(test, feature = "reference-kernels"))]
-pub mod reference {
+#[cfg(test)]
+mod reference {
     use super::gemm::Layout;
     use super::Matrix;
 
@@ -760,27 +781,6 @@ pub mod reference {
     }
 }
 
-/// Euclidean (L2) distance between two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn euclidean_distance(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "euclidean_distance length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f32>().sqrt()
-}
-
-/// Dot product of two equal-length slices.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// L2 norm of a slice.
-pub fn l2_norm(a: &[f32]) -> f32 {
-    a.iter().map(|x| x * x).sum::<f32>().sqrt()
-}
-
 #[cfg(test)]
 impl Matrix {
     /// Capacity of the backing buffer, in values.
@@ -792,6 +792,8 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::seeded;
+    use proptest::prelude::*;
 
     #[test]
     fn zeros_has_shape_and_is_zero() {
@@ -1124,5 +1126,47 @@ mod tests {
     #[test]
     fn euclidean_distance_pythagoras() {
         assert!((euclidean_distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-6);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn blocked_gemm_matches_naive_reference(
+            m in 1usize..40,
+            k in 1usize..48,
+            n in 1usize..70,
+            seed in 0u64..1000,
+        ) {
+            // Random shapes straddling the MR=4 / NR=32 tile boundaries,
+            // including tall, wide and non-square cases; the blocked kernels
+            // must agree with the retained naive ones within 1e-5 (relative
+            // to accumulated magnitude).
+            let a = crate::init::gaussian(&mut seeded(seed), m, k, 1.0);
+            let b = crate::init::gaussian(&mut seeded(seed ^ 0xA5A5), k, n, 1.0);
+            let tol = |x: f32, y: f32| (x - y).abs() <= 1e-5 * (1.0 + x.abs().max(y.abs()));
+
+            let fast = a.matmul(&b);
+            let slow = reference::matmul(&a, &b);
+            for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
+                prop_assert!(tol(*x, *y), "nn mismatch {x} vs {y}");
+            }
+
+            // Transposed variants share the engine but exercise different
+            // packing/streaming paths.
+            let at = crate::init::gaussian(&mut seeded(seed ^ 0x1111), k, m, 1.0);
+            let fast = at.matmul_tn(&b);
+            let slow = reference::matmul_tn(&at, &b);
+            for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
+                prop_assert!(tol(*x, *y), "tn mismatch {x} vs {y}");
+            }
+
+            let bt = crate::init::gaussian(&mut seeded(seed ^ 0x2222), n, k, 1.0);
+            let fast = a.matmul_nt(&bt);
+            let slow = reference::matmul_nt(&a, &bt);
+            for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
+                prop_assert!(tol(*x, *y), "nt mismatch {x} vs {y}");
+            }
+        }
     }
 }

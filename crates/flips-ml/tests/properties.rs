@@ -146,44 +146,6 @@ proptest! {
     }
 
     #[test]
-    fn blocked_gemm_matches_naive_reference(
-        m in 1usize..40,
-        k in 1usize..48,
-        n in 1usize..70,
-        seed in 0u64..1000,
-    ) {
-        // Random shapes straddling the MR=4 / NR=32 tile boundaries,
-        // including tall, wide and non-square cases; the blocked kernels
-        // must agree with the retained naive ones within 1e-5 (relative
-        // to accumulated magnitude).
-        let a = flips_ml::init::gaussian(&mut seeded(seed), m, k, 1.0);
-        let b = flips_ml::init::gaussian(&mut seeded(seed ^ 0xA5A5), k, n, 1.0);
-        let tol = |x: f32, y: f32| (x - y).abs() <= 1e-5 * (1.0 + x.abs().max(y.abs()));
-
-        let fast = a.matmul(&b);
-        let slow = flips_ml::matrix::reference::matmul(&a, &b);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            prop_assert!(tol(*x, *y), "nn mismatch {x} vs {y}");
-        }
-
-        // Transposed variants share the engine but exercise different
-        // packing/streaming paths.
-        let at = flips_ml::init::gaussian(&mut seeded(seed ^ 0x1111), k, m, 1.0);
-        let fast = at.matmul_tn(&b);
-        let slow = flips_ml::matrix::reference::matmul_tn(&at, &b);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            prop_assert!(tol(*x, *y), "tn mismatch {x} vs {y}");
-        }
-
-        let bt = flips_ml::init::gaussian(&mut seeded(seed ^ 0x2222), n, k, 1.0);
-        let fast = a.matmul_nt(&bt);
-        let slow = flips_ml::matrix::reference::matmul_nt(&a, &bt);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            prop_assert!(tol(*x, *y), "nt mismatch {x} vs {y}");
-        }
-    }
-
-    #[test]
     fn into_variants_match_allocating_kernels(
         m in 1usize..20,
         k in 1usize..20,

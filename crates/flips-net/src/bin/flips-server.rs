@@ -19,11 +19,11 @@
 
 #![forbid(unsafe_code)]
 
-use flips_net::{render_server_metrics, request_path, serve, NetConfig, ServerOptions};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use flips_net::{render_server_metrics, serve, HealthPlane, NetConfig, ServerOptions};
+use mio::{Events, Poll};
+use std::io::Write;
+use std::net::TcpListener;
 use std::path::PathBuf;
-use std::time::Duration;
 
 const USAGE: &str = "usage: flips-server <config.toml> [--checkpoint-dir <dir>] [--restore]";
 
@@ -91,8 +91,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         opts.checkpoint_dir = Some(dir);
     }
     // The health listener is cloned so scrapes keep working after the
-    // run: the event loop serves it while jobs are live, the tail loop
-    // below serves it once they finish.
+    // run: the event loop's health plane serves it while jobs are live,
+    // a plane of its own in the tail loop below once they finish.
     let in_loop_health = health.as_ref().map(TcpListener::try_clone).transpose()?;
     let outcome = serve(&listener, jobs, &opts, in_loop_health)?;
 
@@ -116,39 +116,16 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             jobs,
             true,
         );
-        listener.set_nonblocking(false)?;
-        for conn in listener.incoming() {
-            let Ok(stream) = conn else { continue };
-            let _ = answer(stream, &body);
+        let mut plane = HealthPlane::new(Some(listener))?;
+        let mut poll = Poll::new()?;
+        let mut events = Events::with_capacity(16);
+        plane.register(poll.registry())?;
+        loop {
+            poll.poll(&mut events, None)?;
+            for event in events.iter() {
+                plane.handle(poll.registry(), event.token().0, &mut || body.clone())?;
+            }
         }
     }
-    Ok(())
-}
-
-/// Answers one post-run health request with the final metrics.
-fn answer(stream: TcpStream, metrics: &str) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream);
-    let mut request = String::new();
-    reader.read_line(&mut request)?;
-    // Drain the headers so the peer is not mid-write when we respond.
-    let mut line = String::new();
-    while reader.read_line(&mut line).is_ok() && !line.trim_end().is_empty() {
-        line.clear();
-    }
-    let (status, body) = match request_path(request.as_bytes()).as_deref() {
-        Some("/healthz") => ("200 OK", "ok\n".to_string()),
-        Some("/metrics") => ("200 OK", metrics.to_string()),
-        _ => ("404 Not Found", "not found\n".to_string()),
-    };
-    let mut stream = reader.into_inner();
-    write!(
-        stream,
-        "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()?;
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = std::io::copy(&mut stream, &mut std::io::sink());
     Ok(())
 }

@@ -54,9 +54,7 @@ pub mod server;
 pub use backoff::{retry, Backoff, RetryClock, SystemClock};
 pub use config::{JobSpec, NetConfig};
 pub use link::{CoordLink, HelloInfo, PartyLink, SocketRouter};
-pub use metrics::{
-    render_party_metrics, render_server_metrics, request_path, HealthPlane, PartySnapshot,
-};
+pub use metrics::{render_party_metrics, render_server_metrics, HealthPlane, PartySnapshot};
 pub use party::{party_loop_with, PartyOptions};
 pub use runtime::{connect_with_retry, run_socket, SocketOptions, SocketOutcome};
 pub use server::{serve, ServerOptions, ServerOutcome, CHECKPOINT_FILE};

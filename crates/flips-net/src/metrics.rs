@@ -40,8 +40,9 @@ fn metric(out: &mut String, name: &str, kind: &str, help: &str, value: u64) {
     out.push('\n');
 }
 
-/// Renders the coordinator's counters — the full [`DriverStats`] set,
-/// the guard's breaker-transition count, and run-level gauges.
+/// Renders the coordinator's counters — every [`DriverStats::COUNTERS`]
+/// row, the guard's breaker-transition count and the checkpoint count —
+/// and run-level gauges.
 pub fn render_server_metrics(
     stats: &DriverStats,
     breaker_transitions: u64,
@@ -50,92 +51,24 @@ pub fn render_server_metrics(
     finished: bool,
 ) -> String {
     let mut out = String::with_capacity(2048);
-    let counters: [(&str, &str, u64); 21] = [
-        ("flips_frames_sent_total", "Frames sent (downlink).", stats.frames_sent),
-        ("flips_frames_received_total", "Frames received (uplink).", stats.frames_received),
-        ("flips_bytes_sent_total", "Bytes sent (downlink), as encoded.", stats.bytes_sent),
-        ("flips_bytes_received_total", "Bytes received (uplink).", stats.bytes_received),
-        ("flips_corrupt_frames_total", "Frames that failed deframing.", stats.corrupt_frames),
-        (
-            "flips_codec_mismatch_frames_total",
-            "Model payloads disagreeing with the negotiated codec.",
-            stats.codec_mismatch_frames,
-        ),
-        (
-            "flips_unknown_job_frames_total",
-            "Well-formed frames for a job nobody owns.",
-            stats.unknown_job_frames,
-        ),
-        (
-            "flips_rejected_messages_total",
-            "Messages a coordinator bounced.",
-            stats.rejected_messages,
-        ),
-        (
-            "flips_late_updates_total",
-            "Updates withheld past their round deadline.",
-            stats.late_updates,
-        ),
-        (
-            "flips_oversized_frames_total",
-            "Frames dropped by the guard size cap.",
-            stats.oversized_frames,
-        ),
-        (
-            "flips_rate_limited_frames_total",
-            "Frames refused by per-party rate limits.",
-            stats.rate_limited_frames,
-        ),
-        (
-            "flips_breaker_dropped_frames_total",
-            "Frames dropped while a sender's breaker was open.",
-            stats.breaker_dropped_frames,
-        ),
-        (
-            "flips_admission_refused_frames_total",
-            "Frames refused by per-round admission control.",
-            stats.admission_refused_frames,
-        ),
-        ("flips_parties_ejected_total", "Breaker trips ejecting a party.", stats.parties_ejected),
-        (
-            "flips_drain_refused_selections_total",
-            "Round opens refused while draining.",
-            stats.drain_refused_selections,
-        ),
-        (
-            "flips_breaker_transitions_total",
-            "Guard-plane breaker state transitions.",
-            breaker_transitions,
-        ),
-        (
-            "flips_links_lost_total",
-            "Links whose peer died mid-run (slot parked for resume).",
-            stats.links_lost,
-        ),
-        (
-            "flips_link_resumes_total",
-            "Parked links a reconnecting peer re-attached to.",
-            stats.links_resumed,
-        ),
-        (
-            "flips_checkpoint_rounds_total",
-            "Round boundaries snapshotted to the checkpoint directory.",
-            checkpoint_rounds,
-        ),
-        (
-            "flips_roster_segments_spilled_total",
-            "Roster segments sealed to the spill directory.",
-            stats.roster_spilled,
-        ),
-        (
-            "flips_roster_segments_loaded_total",
-            "Spilled roster segments paged back into memory.",
-            stats.roster_loaded,
-        ),
-    ];
-    for (name, help, value) in counters {
-        metric(&mut out, name, "counter", help, value);
+    let mut words = *stats;
+    for c in &DriverStats::COUNTERS {
+        metric(&mut out, c.name, "counter", c.help, *(c.word)(&mut words));
     }
+    metric(
+        &mut out,
+        "flips_breaker_transitions_total",
+        "counter",
+        "Guard-plane breaker state transitions.",
+        breaker_transitions,
+    );
+    metric(
+        &mut out,
+        "flips_checkpoint_rounds_total",
+        "counter",
+        "Round boundaries snapshotted to the checkpoint directory.",
+        checkpoint_rounds,
+    );
     metric(&mut out, "flips_jobs", "gauge", "Jobs registered on this coordinator.", jobs);
     metric(
         &mut out,
@@ -345,7 +278,7 @@ impl HealthPlane {
 }
 
 /// Extracts the request path from an HTTP request head.
-pub fn request_path(head: &[u8]) -> Option<String> {
+fn request_path(head: &[u8]) -> Option<String> {
     let text = std::str::from_utf8(head).ok()?;
     let line = text.lines().next()?;
     let mut parts = line.split_whitespace();
@@ -406,6 +339,64 @@ mod tests {
         assert!(text.contains("flips_roster_segments_loaded_total 37\n"));
         assert!(text.contains("flips_jobs 3\n"));
         assert!(text.contains("flips_run_complete 1\n"));
+    }
+
+    /// A literal names every field, so adding one to [`DriverStats`]
+    /// without a table row fails to compile here or fails the asserts:
+    /// each of the 19 distinct values is read through the table once,
+    /// the checkpoint keeps the 17 persisted ones and zeroes the roster
+    /// pair, and the exposition carries each counter's family once.
+    #[test]
+    fn every_driver_counter_has_one_row_one_checkpoint_word_and_one_family() {
+        let stats = DriverStats {
+            frames_sent: 1,
+            frames_received: 2,
+            bytes_sent: 3,
+            bytes_received: 4,
+            corrupt_frames: 5,
+            codec_mismatch_frames: 6,
+            unknown_job_frames: 7,
+            rejected_messages: 8,
+            late_updates: 9,
+            oversized_frames: 10,
+            rate_limited_frames: 11,
+            breaker_dropped_frames: 12,
+            admission_refused_frames: 13,
+            parties_ejected: 14,
+            drain_refused_selections: 15,
+            links_lost: 16,
+            links_resumed: 17,
+            roster_spilled: 18,
+            roster_loaded: 19,
+        };
+        let read = |mut s: DriverStats| -> Vec<u64> {
+            DriverStats::COUNTERS.iter().map(|c| *(c.word)(&mut s)).collect()
+        };
+        let mut values = read(stats);
+        values.sort_unstable();
+        assert_eq!(values, (1..=19).collect::<Vec<u64>>());
+
+        let cp = flips_fl::Checkpoint {
+            tick: 0,
+            draining: false,
+            stats,
+            jobs: Vec::new(),
+            guard: None,
+            codec_refs: Vec::new(),
+        };
+        let back = flips_fl::Checkpoint::decode(&cp.encode()).unwrap().stats;
+        let mut expected = read(stats);
+        expected[DriverStats::PERSISTED..].fill(0);
+        assert_eq!(read(back), expected, "the roster pair is last and never persisted");
+
+        let text = render_server_metrics(&stats, 0, 0, 0, false);
+        let mut s = stats;
+        for c in &DriverStats::COUNTERS {
+            let sample = format!("{} {}", c.name, (c.word)(&mut s));
+            assert_eq!(text.lines().filter(|l| *l == sample).count(), 1, "{sample}");
+            let kind = format!("# TYPE {} counter", c.name);
+            assert_eq!(text.lines().filter(|l| *l == kind).count(), 1, "{kind}");
+        }
     }
 
     #[test]

@@ -197,7 +197,7 @@ link_codecs = "delta-lossless,delta-entropy"
     // One Prometheus scrape against the finished server.
     let health_addr = format!("127.0.0.1:{health_port}");
     let metrics = scrape(&health_addr, "/metrics");
-    assert!(metrics.starts_with("HTTP/1.0 200 OK"), "scrape failed: {metrics}");
+    assert!(metrics.starts_with("HTTP/1.1 200 OK"), "scrape failed: {metrics}");
     for needle in [
         "# TYPE flips_frames_received_total counter",
         "flips_run_complete 1",
