@@ -27,7 +27,6 @@
 
 use crate::server::weighted_average_into;
 use crate::FlError;
-use flips_selection::gradclus::sketch_update;
 use flips_selection::PartyId;
 use std::collections::BTreeMap;
 
@@ -49,6 +48,18 @@ const MAX_PARAM: f32 = 2_147_483_648.0; // 2^31
 /// patterns, and every infinity and NaN sits above `2³¹`'s.
 pub fn param_in_domain(x: f32) -> bool {
     x.to_bits() & 0x7FFF_FFFF < MAX_PARAM.to_bits()
+}
+
+/// Parameters per chunk of [`all_in_domain`]'s check.
+const DOMAIN_CHUNK: usize = 64;
+
+/// Whether every parameter passes [`param_in_domain`]: each chunk's
+/// verdicts are OR-ed without a branch, so the check runs in vector
+/// lanes, and only a chunk boundary can stop it early.
+fn all_in_domain(params: &[f32]) -> bool {
+    let outside = |chunk: &[f32]| chunk.iter().fold(false, |any, &x| any | !param_in_domain(x));
+    let (chunks, tail) = params.as_chunks::<DOMAIN_CHUNK>();
+    !chunks.iter().any(|c| outside(c)) && !outside(tail)
 }
 
 /// A signed 256-bit accumulator per parameter: little-endian `u64`
@@ -245,7 +256,8 @@ impl ExactWeightedSum {
         if self.terms >= MAX_TERMS {
             return Err(FlError::InvalidConfig("exact fold exceeded 2^20 terms".into()));
         }
-        if let Some(bad) = params.iter().find(|x| !param_in_domain(**x)) {
+        if !all_in_domain(params) {
+            let bad = params.iter().find(|x| !param_in_domain(**x)).expect("all_in_domain saw one");
             return Err(FlError::InvalidConfig(format!(
                 "parameter {bad} is outside the exact-fold domain (finite, |x| < 2^31)"
             )));
@@ -383,8 +395,33 @@ pub const SKETCH_DIM: usize = 32;
 /// The selector-feedback sketch of one update: `x − m` against the
 /// global `m` its round *dispatched* — what Fraboni et al. cluster on,
 /// and the only reference a tree inner node ever sees.
+///
+/// Strided averaging onto [`SKETCH_DIM`] buckets: bucket `j` averages
+/// `xᵢ − mᵢ` over `i ≡ j (mod SKETCH_DIM)`, and a bucket no index reaches
+/// stays `0.0`. One pass over `SKETCH_DIM`-wide chunks, bucket `j` a
+/// vector lane adding its elements in ascending index order — the order
+/// a scalar `out[i % dim] += xᵢ − mᵢ` adds them, so the bits are that
+/// loop's, without its division per parameter.
 fn sketch_of(params: &[f32], global: &[f32]) -> Vec<f32> {
-    sketch_update(params.iter().zip(global).map(|(x, g)| x - g), SKETCH_DIM)
+    let n = params.len().min(global.len());
+    let (xs, tail_x) = params[..n].as_chunks::<SKETCH_DIM>();
+    let (ms, tail_m) = global[..n].as_chunks::<SKETCH_DIM>();
+    let mut sum = [0.0f32; SKETCH_DIM];
+    for (x, m) in xs.iter().zip(ms) {
+        for j in 0..SKETCH_DIM {
+            sum[j] += x[j] - m[j];
+        }
+    }
+    for (j, (x, m)) in tail_x.iter().zip(tail_m).enumerate() {
+        sum[j] += x - m;
+    }
+    for (j, s) in sum.iter_mut().enumerate() {
+        let count = xs.len() + usize::from(j < tail_x.len());
+        if count > 0 {
+            *s /= count as f32;
+        }
+    }
+    sum.to_vec()
 }
 
 /// The running aggregate of one open round, and the only place the
@@ -1068,6 +1105,127 @@ mod tests {
             }
             for v in [limbs, negated(&limbs)] {
                 assert_eq!(to_f64(&v).to_bits(), reference::to_f64(&v).to_bits(), "{v:x?}");
+            }
+        }
+    }
+
+    /// A fold of `good` with `params[at] = bad` for each `(at, bad)`, which
+    /// must be refused for `named`, leaving `sum` as it was.
+    fn assert_refused(sum: &mut ExactWeightedSum, good: &[f32], bad: &[(usize, f32)], named: f32) {
+        let before = sum.clone();
+        let mut params = good.to_vec();
+        for &(at, x) in bad {
+            params[at] = x;
+        }
+        let want =
+            format!("parameter {named} is outside the exact-fold domain (finite, |x| < 2^31)");
+        match sum.fold(&params, 3) {
+            Err(FlError::InvalidConfig(m)) => assert_eq!(m, want, "{bad:?}"),
+            other => panic!("{bad:?}: {other:?}"),
+        }
+        assert_eq!(*sum, before, "a refused update left a trace ({bad:?})");
+    }
+
+    #[test]
+    fn a_fold_refused_at_a_chunk_edge_changes_nothing() {
+        // 200 parameters: three whole check chunks and a tail of 8.
+        let mut rng = seeded(0xED6E);
+        let good: Vec<f32> = (0..200).map(|_| random_param(&mut rng)).collect();
+        let mut sum = ExactWeightedSum::new(200);
+        sum.fold(&good, 5).unwrap();
+        for at in [0, 63, 64, 199] {
+            for bad in [f32::NAN, f32::INFINITY, -MAX_PARAM, 3.0e9] {
+                assert_refused(&mut sum, &good, &[(at, bad)], bad);
+            }
+        }
+        // Two offenders in different chunks: the message names the first.
+        assert_refused(&mut sum, &good, &[(70, -4.0e9), (130, f32::NAN)], -4.0e9);
+        assert_refused(&mut sum, &good, &[(5, f32::NAN), (199, 5.0e9)], f32::NAN);
+        assert_refused(&mut sum, &good, &[(199, f32::INFINITY), (63, 3.0e9)], 3.0e9);
+        sum.fold(&good, 5).unwrap();
+        assert_eq!(sum.total_weight(), 10);
+    }
+
+    /// Projects a flat model update onto `dim` buckets by strided
+    /// averaging: the scalar loop [`sketch_of`] was until its lanes
+    /// replaced it, kept as the oracle they are held to bit for bit.
+    fn sketch_update<I>(update: I, dim: usize) -> Vec<f32>
+    where
+        I: IntoIterator,
+        I::Item: std::borrow::Borrow<f32>,
+    {
+        use std::borrow::Borrow;
+        assert!(dim > 0, "sketch dimension must be positive");
+        let mut out = vec![0.0f32; dim];
+        let mut counts = vec![0u32; dim];
+        for (i, v) in update.into_iter().enumerate() {
+            out[i % dim] += v.borrow();
+            counts[i % dim] += 1;
+        }
+        for (o, c) in out.iter_mut().zip(counts) {
+            if c > 0 {
+                *o /= c as f32;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sketch_update_strided_average() {
+        let update = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let sk = sketch_update(update, 2);
+        // Bucket 0: (1+3+5)/3, bucket 1: (2+4+6)/3.
+        assert_eq!(sk, vec![3.0, 4.0]);
+    }
+
+    #[test]
+    fn sketch_update_handles_short_input() {
+        let sk = sketch_update([2.0], 4);
+        assert_eq!(sk, vec![2.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn similar_updates_produce_similar_sketches() {
+        let a: Vec<f32> = (0..100).map(|i| (i as f32).sin()).collect();
+        let mut b = a.clone();
+        b[0] += 0.01;
+        let sa = sketch_update(&a, 8);
+        let sb = sketch_update(&b, 8);
+        assert!(flips_ml::matrix::euclidean_distance(&sa, &sb) < 0.01);
+    }
+
+    #[test]
+    fn the_lane_sketch_gives_the_scalar_sketch_bits() {
+        // Lane by lane: one NaN; every element −0.0; subnormals on both
+        // sides; one +∞; one −∞ (from the global); +∞ then −∞, a NaN
+        // made in the sum; a sum that overflows to +∞. The rest are
+        // drawn over every exponent the domain has. Each lane meets at
+        // most one NaN, so no bit depends on which NaN an add keeps.
+        let mut rng = seeded(0x5CE7);
+        let subnormal = |rng: &mut rand::rngs::StdRng| {
+            f32::from_bits(rng.random_range(1..0x0080_0000) | rng.random_range(0..2u32) << 31)
+        };
+        for len in [0, 1, 31, 32, 33, 55_626] {
+            let (params, global): (Vec<f32>, Vec<f32>) = (0..len)
+                .map(|i| match (i % SKETCH_DIM, i / SKETCH_DIM) {
+                    (0, 0) => (f32::NAN, 1.5),
+                    (1, _) => (-0.0, 0.0),
+                    (2, _) => (subnormal(&mut rng), subnormal(&mut rng)),
+                    (3, 0) => (f32::INFINITY, -2.0),
+                    (4, 0) => (0.25, f32::INFINITY),
+                    (5, 0) => (f32::INFINITY, 0.0),
+                    (5, 1) => (f32::NEG_INFINITY, 0.0),
+                    (6, _) => (3.0e38, -1.0e38),
+                    _ => (random_param(&mut rng), random_param(&mut rng)),
+                })
+                .unzip();
+            let want = sketch_update(params.iter().zip(&global).map(|(x, g)| x - g), SKETCH_DIM);
+            let got = sketch_of(&params, &global);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{len} params");
+            if len > 2 * SKETCH_DIM {
+                assert!(got[0].is_nan() && got[5].is_nan() && got[3] == f32::INFINITY);
+                assert!(got[4] == f32::NEG_INFINITY && got[6] == f32::INFINITY);
             }
         }
     }

@@ -51,7 +51,7 @@ macro_rules! scalar_readers {
         #[doc = concat!("Reads a little-endian `", stringify!($name), "`.")]
         #[inline]
         pub fn $name(&mut self) -> Result<$name, FlError> {
-            Ok($name::from_le_bytes(self.bytes(size_of::<$name>())?.try_into().expect("sized")))
+            Ok($name::from_le_bytes(*self.array()?))
         }
     )*};
 }
@@ -80,12 +80,17 @@ impl<'a> Reader<'a> {
         FlError::Codec(format!("{}: {msg}", self.what))
     }
 
+    #[cold]
+    fn truncated(&self, n: usize) -> FlError {
+        let (pos, have) = (self.position(), self.remaining());
+        self.bad(format_args!("truncated: need {n} bytes at {pos}, have {have}"))
+    }
+
     /// Requires `n` more bytes without consuming them.
     #[inline]
     pub fn need(&self, n: usize) -> Result<(), FlError> {
         if n > self.remaining() {
-            let (pos, have) = (self.position(), self.remaining());
-            return Err(self.bad(format_args!("truncated: need {n} bytes at {pos}, have {have}")));
+            return Err(self.truncated(n));
         }
         Ok(())
     }
@@ -95,6 +100,17 @@ impl<'a> Reader<'a> {
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], FlError> {
         self.need(n)?;
         let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// Consumes the next `N` bytes as an array: one bounds check, and
+    /// no length left for the caller to check again.
+    #[inline]
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<&'a [u8; N], FlError> {
+        let Some((head, rest)) = self.rest.split_first_chunk() else {
+            return Err(self.truncated(N));
+        };
         self.rest = rest;
         Ok(head)
     }

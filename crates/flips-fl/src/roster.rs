@@ -475,6 +475,11 @@ fn encode_segment(out: &mut Vec<u8>, records: &[PartyRecord]) {
 
 /// Decodes a segment payload into `into`'s columns, replacing what they
 /// held (on an error they hold a prefix, which no caller reads).
+///
+/// One walk over the payload: each record is a 24-byte head (size,
+/// latency, label count) and its label words. Each column is reserved
+/// once, the label column for the words a well-formed payload holds
+/// once its heads are set aside.
 fn decode_segment(payload: &[u8], into: &mut FlatSegment) -> Result<(), FlError> {
     let FlatSegment { data_size, latency, label_end, labels } = into;
     data_size.clear();
@@ -485,15 +490,18 @@ fn decode_segment(payload: &[u8], into: &mut FlatSegment) -> Result<(), FlError>
     // Each record is at least 24 bytes, each label count 8: a hostile
     // count is refused before anything is reserved for it.
     let records = r.len(24)?;
-    data_size.reserve(records);
-    latency.reserve(records);
-    label_end.reserve(records);
+    data_size.reserve_exact(records);
+    latency.reserve_exact(records);
+    label_end.reserve_exact(records);
+    labels.reserve_exact((r.remaining() - 24 * records) / 8);
     for _ in 0..records {
-        data_size.push(r.u64()?);
-        latency.push(r.f64()?);
-        let counts = r.len(8)?;
-        let raw = r.bytes(8 * counts)?.chunks_exact(8);
-        labels.extend(raw.map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))));
+        let head = r.array::<24>()?;
+        let word = |k: usize| u64::from_le_bytes(head[8 * k..8 * k + 8].try_into().expect("8"));
+        data_size.push(word(0));
+        latency.push(f64::from_bits(word(1)));
+        let counts = r.count(word(2), 8)?;
+        let (words, _) = r.bytes(8 * counts)?.as_chunks::<8>();
+        labels.extend(words.iter().map(|&w| u64::from_le_bytes(w)));
         label_end.push(labels.len());
     }
     r.finish()
@@ -723,6 +731,45 @@ mod tests {
                 agree(&damaged, &format_args!("bit {bit} flipped"));
             }
         }
+    }
+
+    /// A production-size segment, with ragged label columns, paged in
+    /// through a spilled store: every record as the record decoder reads
+    /// the file, and the label column holding exactly its words.
+    #[test]
+    fn a_full_segment_pages_in_as_the_record_decoder_reads_it() {
+        let dir = test_dir("full");
+        let n = SEGMENT_PARTIES + 5;
+        let records: Vec<PartyRecord> = (0..n)
+            .map(|p| PartyRecord {
+                data_size: p as u64 * 31 + 1,
+                latency_hint: p as f64 / 7.0 - 100.0,
+                label_counts: (0..[0, 1, 3, 9][p % 4]).map(|l| (p * 10 + l) as u64).collect(),
+            })
+            .collect();
+        let mut b = RosterBuilder::spilling(&dir, 1).unwrap();
+        for r in records.clone() {
+            b.push(r).unwrap();
+        }
+        let store = b.finish().unwrap();
+        let mut read = Vec::new();
+        for seg in 0..2 {
+            let sealed = std::fs::read(segment_path(&dir, seg)).unwrap();
+            let oracle =
+                decode_records(unseal(&sealed, SEGMENT_MAGIC, "roster segment").unwrap()).unwrap();
+            let first = seg * SEGMENT_PARTIES;
+            for (i, want) in oracle.iter().enumerate() {
+                assert_eq!(&store.record(first + i).unwrap(), want, "party {}", first + i);
+            }
+            let Backing::Spill { cache, .. } = &store.backing else { unreachable!() };
+            let labels = &cache.lock().unwrap().resident[&seg].labels;
+            let words: usize = oracle.iter().map(|r| r.label_counts.len()).sum();
+            assert_eq!((labels.len(), labels.capacity()), (words, words), "segment {seg}");
+            read.extend(oracle);
+        }
+        assert_eq!(read, records);
+        assert_eq!(store.loaded(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A checksum-valid file in the wrong place: the short last segment

@@ -3,7 +3,8 @@
 //!
 //! GradClus maintains a per-party *gradient sketch*. Sketches start as
 //! random vectors and are replaced by (a low-dimensional projection of)
-//! the party's real model update whenever the party participates — the
+//! the party's real model update whenever the party participates, as the
+//! FL runtime reports it in [`RoundFeedback::update_sketch`] — the
 //! paper: "The gradients assigned in the beginning are random numbers and
 //! get iteratively updated as the party gets picked." Each round it
 //! performs hierarchical clustering over the pairwise similarity matrix of
@@ -112,34 +113,6 @@ impl ParticipantSelector for GradClusSelector {
     }
 }
 
-/// Projects a flat model update onto `dim` buckets by strided averaging —
-/// the sketch the FL runtime reports for GradClus.
-///
-/// Deterministic and cheap: bucket `b` averages coordinates
-/// `b, b+dim, b+2·dim, ...`, preserving coarse update direction. Takes
-/// the update as a stream, so a caller holding `x` and the model it was
-/// trained from sketches `x − m` without materializing the difference.
-pub fn sketch_update<I>(update: I, dim: usize) -> Vec<f32>
-where
-    I: IntoIterator,
-    I::Item: std::borrow::Borrow<f32>,
-{
-    use std::borrow::Borrow;
-    assert!(dim > 0, "sketch dimension must be positive");
-    let mut out = vec![0.0f32; dim];
-    let mut counts = vec![0u32; dim];
-    for (i, v) in update.into_iter().enumerate() {
-        out[i % dim] += v.borrow();
-        counts[i % dim] += 1;
-    }
-    for (o, c) in out.iter_mut().zip(counts) {
-        if c > 0 {
-            *o /= c as f32;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,30 +183,6 @@ mod tests {
             let distinct: HashSet<_> = picks.iter().collect();
             assert_eq!(distinct.len(), picks.len(), "round {round}: {picks:?}");
         }
-    }
-
-    #[test]
-    fn sketch_update_strided_average() {
-        let update = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let sk = sketch_update(update, 2);
-        // Bucket 0: (1+3+5)/3, bucket 1: (2+4+6)/3.
-        assert_eq!(sk, vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn sketch_update_handles_short_input() {
-        let sk = sketch_update([2.0], 4);
-        assert_eq!(sk, vec![2.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn similar_updates_produce_similar_sketches() {
-        let a: Vec<f32> = (0..100).map(|i| (i as f32).sin()).collect();
-        let mut b = a.clone();
-        b[0] += 0.01;
-        let sa = sketch_update(&a, 8);
-        let sb = sketch_update(&b, 8);
-        assert!(flips_ml::matrix::euclidean_distance(&sa, &sb) < 0.01);
     }
 
     #[test]
