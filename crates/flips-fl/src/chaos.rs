@@ -313,15 +313,7 @@ pub struct ChaosTransport<T: Transport> {
 impl<T: Transport> ChaosTransport<T> {
     /// Wraps `inner` under `schedule`.
     pub fn new(inner: T, schedule: ChaosSchedule) -> Self {
-        let links = inner.links().max(1);
-        ChaosTransport {
-            inner,
-            schedule: Some(schedule),
-            seen: vec![0; links],
-            backlog: VecDeque::new(),
-            down: vec![false; links],
-            log: Vec::new(),
-        }
+        ChaosTransport { schedule: Some(schedule), ..Self::inert(inner) }
     }
 
     /// Wraps `inner` with no schedule: a pure passthrough. Lets callers
@@ -382,37 +374,38 @@ impl<T: Transport> Transport for ChaosTransport<T> {
     }
 
     fn try_recv_tagged(&mut self) -> Result<Option<(usize, Bytes)>, FlError> {
-        let Some(schedule) = self.schedule.clone() else {
-            return self.inner.try_recv_tagged();
+        let ChaosTransport { inner, schedule, seen, backlog, down, log } = self;
+        let Some(schedule) = schedule.as_ref() else {
+            return inner.try_recv_tagged();
         };
         loop {
-            let Some((link, raw)) = self.inner.try_recv_tagged()? else {
+            let Some((link, raw)) = inner.try_recv_tagged()? else {
                 // Inner dry: severed links reconnect, then the backlog
                 // is released (delayed frames, injected copies, and a
                 // dead link's held traffic arrive here, still inside
                 // the pump window).
-                self.down.fill(false);
-                return Ok(self.backlog.pop_front());
+                down.fill(false);
+                return Ok(backlog.pop_front());
             };
             let index = {
-                if link >= self.seen.len() {
-                    self.seen.resize(link + 1, 0);
+                if link >= seen.len() {
+                    seen.resize(link + 1, 0);
                 }
-                let i = self.seen[link];
-                self.seen[link] += 1;
+                let i = seen[link];
+                seen[link] += 1;
                 i
             };
-            if link >= self.down.len() {
-                self.down.resize(link + 1, false);
+            if link >= down.len() {
+                down.resize(link + 1, false);
             }
-            if self.down[link] {
+            if down[link] {
                 // The link is severed: hold the frame (its chaos index
                 // is consumed above, so the schedule's draw stream for
                 // later frames is unaffected by the outage).
-                self.backlog.push_back((link, raw));
+                backlog.push_back((link, raw));
                 continue;
             }
-            let mut action = if Self::targeted(&schedule, &raw) {
+            let mut action = if Self::targeted(schedule, &raw) {
                 schedule.action_for(link, index)
             } else {
                 ChaosAction::Deliver
@@ -428,13 +421,13 @@ impl<T: Transport> Transport for ChaosTransport<T> {
                 action = ChaosAction::Deliver;
             }
             if action != ChaosAction::Deliver {
-                self.log.push(ChaosEvent { link, index, action });
+                log.push(ChaosEvent { link, index, action });
             }
             match action {
                 ChaosAction::Deliver => return Ok(Some((link, raw))),
                 ChaosAction::Drop => continue,
                 ChaosAction::Duplicate => {
-                    self.backlog.push_back((link, raw.clone()));
+                    backlog.push_back((link, raw.clone()));
                     return Ok(Some((link, raw)));
                 }
                 ChaosAction::CorruptCopy => {
@@ -445,23 +438,23 @@ impl<T: Transport> Transport for ChaosTransport<T> {
                     if let Some(byte) = copy.get_mut(crate::message::FRAME_HEADER) {
                         *byte ^= 0xFF;
                     }
-                    self.backlog.push_back((link, Bytes::from(copy)));
+                    backlog.push_back((link, Bytes::from(copy)));
                     return Ok(Some((link, raw)));
                 }
                 ChaosAction::Delay => {
-                    self.backlog.push_back((link, raw));
+                    backlog.push_back((link, raw));
                     continue;
                 }
                 ChaosAction::Flood(n) => {
                     let forged = schedule.flood_frame();
                     for _ in 0..n {
-                        self.backlog.push_back((link, forged.clone()));
+                        backlog.push_back((link, forged.clone()));
                     }
                     return Ok(Some((link, raw)));
                 }
                 ChaosAction::Disconnect => {
-                    self.down[link] = true;
-                    self.backlog.push_back((link, raw));
+                    down[link] = true;
+                    backlog.push_back((link, raw));
                     continue;
                 }
             }

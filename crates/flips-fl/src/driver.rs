@@ -205,7 +205,7 @@ struct JobState {
 ///
 /// # Example
 ///
-/// Serve one seeded job over two in-memory frame links — every message
+/// Serve one seeded job over two in-memory links — every message
 /// crosses the wire as encoded bytes ([`crate::memory_wire`] is
 /// [`crate::split`] + [`MultiJobDriver::install`] + one
 /// [`crate::PartyPool::install`] per link; over a single link,

@@ -43,9 +43,9 @@
 //!   report (rounds-to-target, peak accuracy, bytes transferred);
 //! - [`aggregator`] — the in-process driver pumping coordinator and
 //!   endpoints;
-//! - [`transport`] — frame-oriented byte transports (in-memory channel
-//!   and its multi-link router, length-prefix-framed streams) every
-//!   message crosses as encoded bytes;
+//! - [`transport`] — length-prefix framing over byte streams (a TCP
+//!   socket or the in-memory [`transport::duplex`] pipe) and its
+//!   multi-link router: every message crosses as encoded bytes;
 //! - [`driver`] — the serialized-transport driver: a
 //!   [`driver::MultiJobDriver`] multiplexing many concurrent jobs over
 //!   one transport, on the deterministic [`wheel::TimerWheel`];

@@ -301,7 +301,8 @@ pub type MemoryWire =
     (MultiJobDriver<ChaosTransport<MemoryRouter>>, Vec<PartyPool<MemoryTransport>>);
 
 /// Plans `jobs` over `wire.links` in-memory links and installs both
-/// ends: [`split`], one [`MemoryTransport::pair`] per link, the driver
+/// ends: [`split`], one [`MemoryTransport::pair`] per link (framed over
+/// a [`crate::duplex`] pipe, as a TCP link is), the driver
 /// behind a [`MemoryRouter`] ([`MultiJobDriver::install`]) and one pool
 /// per share ([`PartyPool::install`]), `pools[i]` serving link `i`.
 /// Hand both to [`crate::run_lockstep`] — one thread, so the run

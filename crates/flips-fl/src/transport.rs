@@ -6,16 +6,13 @@
 //! message that crosses a transport exists as serialized bytes, so the
 //! codec (and its rejection of corrupt traffic) is exercised end to end.
 //!
-//! Two implementations are provided:
-//!
-//! - [`MemoryTransport`] — a pair of in-memory frame queues. Frames stay
-//!   intact (the queue is the framing); handles are cloneable so tests
-//!   can inject or observe traffic on a live link. [`Router`] fans one
-//!   logical wire out across N links of one type ([`MemoryRouter`]
-//!   across N of these).
-//! - [`StreamTransport`] — length-prefix framing over any
-//!   `Read + Write` byte stream: a `std::net::TcpStream` in nonblocking
-//!   mode, or the in-process [`duplex`] pipe for deterministic tests.
+//! One implementation carries every link: [`StreamTransport`],
+//! length-prefix framing over any `Read + Write` byte stream — a
+//! `std::net::TcpStream` in nonblocking mode, or the in-process
+//! [`duplex`] pipe ([`MemoryTransport`] is that pairing). An in-memory
+//! link therefore crosses the same framing and partial-frame
+//! reassembly as a TCP one. [`Router`] fans one logical wire out across
+//! N links of one type ([`MemoryRouter`] across N in-memory ones).
 //!
 //! All transports here are *polled*: [`Transport::try_recv`] returns
 //! `Ok(None)` when no complete frame is available instead of blocking.
@@ -28,7 +25,6 @@ use crate::message::frame_dest;
 use crate::plan::place;
 use crate::FlError;
 use bytes::Bytes;
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::sync::{Arc, Mutex};
 
@@ -41,9 +37,9 @@ pub const MAX_FRAME_BYTES: usize = 256 << 20;
 ///
 /// # Example
 ///
-/// The in-memory pair is the simplest implementation — frames travel
-/// intact and in order, and an empty queue reads as `None` rather than
-/// blocking:
+/// The in-memory pair — [`StreamTransport`] over a [`duplex`] pipe —
+/// delivers frames intact and in order, and an empty pipe reads as
+/// `None` rather than blocking:
 ///
 /// ```
 /// use flips_fl::{MemoryTransport, Transport};
@@ -71,9 +67,8 @@ pub trait Transport {
     /// Queues one frame for the peer.
     ///
     /// Takes a borrowed frame so senders can encode into a reused
-    /// scratch buffer: a transport that must own the bytes (the
-    /// in-memory queue) copies once here, while a stream transport
-    /// writes them straight through with no allocation at all.
+    /// scratch buffer: a stream transport writes it straight through
+    /// and copies only the bytes the stream will not take yet.
     ///
     /// # Errors
     ///
@@ -115,59 +110,6 @@ pub trait Transport {
     }
 }
 
-/// Shared queue of one direction of a memory link.
-type FrameQueue = Arc<Mutex<VecDeque<Bytes>>>;
-
-/// An in-memory transport endpoint: what this end sends, the peer
-/// receives, in order, intact.
-///
-/// Cloning an endpoint yields another handle onto the *same* queues —
-/// the fault-injection tests use a clone to slip corrupt or duplicate
-/// frames onto a live link without disturbing the real endpoints.
-#[derive(Clone)]
-pub struct MemoryTransport {
-    outbound: FrameQueue,
-    inbound: FrameQueue,
-}
-
-impl std::fmt::Debug for MemoryTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemoryTransport")
-            .field("queued_in", &self.inbound.lock().map(|q| q.len()).unwrap_or(0))
-            .finish()
-    }
-}
-
-impl MemoryTransport {
-    /// Creates a connected pair of endpoints.
-    pub fn pair() -> (MemoryTransport, MemoryTransport) {
-        let a_to_b: FrameQueue = Arc::new(Mutex::new(VecDeque::new()));
-        let b_to_a: FrameQueue = Arc::new(Mutex::new(VecDeque::new()));
-        (
-            MemoryTransport { outbound: Arc::clone(&a_to_b), inbound: Arc::clone(&b_to_a) },
-            MemoryTransport { outbound: b_to_a, inbound: a_to_b },
-        )
-    }
-}
-
-impl Transport for MemoryTransport {
-    fn send(&mut self, frame: &[u8]) -> Result<(), FlError> {
-        self.outbound
-            .lock()
-            .map_err(|_| FlError::Transport("memory channel poisoned".into()))?
-            .push_back(Bytes::from(frame.to_vec()));
-        Ok(())
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Bytes>, FlError> {
-        Ok(self
-            .inbound
-            .lock()
-            .map_err(|_| FlError::Transport("memory channel poisoned".into()))?
-            .pop_front())
-    }
-}
-
 /// The coordinator side of a multi-link wire: one link end of type `L`
 /// per link — [`MemoryTransport`]s in process ([`MemoryRouter`]),
 /// `flips_net::CoordLink`s over TCP (`flips_net::SocketRouter`) — each
@@ -196,8 +138,9 @@ impl<L: Transport> Router<L> {
         Router { links }
     }
 
-    /// The driver-side end of `link` — clone a memory end to slip
-    /// frames onto a live downlink, as the fault suites do.
+    /// The driver-side end of `link` — frame through a clone of a
+    /// memory end's pipe (`StreamTransport::new(end.get_ref().clone())`)
+    /// to slip frames onto a live downlink, as the fault suites do.
     pub fn link(&self, link: usize) -> &L {
         &self.links[link]
     }
@@ -492,6 +435,12 @@ type ByteQueue = Arc<Mutex<Vec<u8>>>;
 /// it stands in for a socket in deterministic single-threaded tests and
 /// benchmarks, where "peer not scheduled yet" is the only reason bytes
 /// linger.
+///
+/// A clone is another handle onto the *same* pipe. Wrapped in its own
+/// [`StreamTransport`], it is how a fault suite slips whole frames onto
+/// a live in-memory link: they arrive behind what is already in flight.
+/// (A clone that reads takes the bytes from the end it was cloned from.)
+#[derive(Clone)]
 pub struct PipeEnd {
     read_from: ByteQueue,
     write_to: ByteQueue,
@@ -516,6 +465,18 @@ pub fn duplex() -> (PipeEnd, PipeEnd) {
         PipeEnd { read_from: Arc::clone(&b_to_a), write_to: Arc::clone(&a_to_b) },
         PipeEnd { read_from: a_to_b, write_to: b_to_a },
     )
+}
+
+/// An in-memory link end: length-prefix framing over a [`duplex`] pipe,
+/// byte for byte what a TCP link carries.
+pub type MemoryTransport = StreamTransport<PipeEnd>;
+
+impl MemoryTransport {
+    /// Creates a connected pair of in-memory link ends.
+    pub fn pair() -> (MemoryTransport, MemoryTransport) {
+        let (a, b) = duplex();
+        (StreamTransport::new(a), StreamTransport::new(b))
+    }
 }
 
 impl Read for PipeEnd {
@@ -575,12 +536,22 @@ mod tests {
 
     #[test]
     fn memory_clone_shares_the_link() {
+        // The fault suites' injection path: a clone of a live end's pipe,
+        // framed by its own StreamTransport. An injected frame (larger
+        // than one read chunk) arrives whole, behind the frames already
+        // sent, exactly once, and never on the injecting end.
         let (mut a, mut b) = MemoryTransport::pair();
-        let mut injector = b.clone();
-        injector.send(&frame(AGGREGATOR_DEST, &msg(7))).unwrap();
+        b.send(&frame(AGGREGATOR_DEST, &msg(1))).unwrap();
+        b.send(&frame(AGGREGATOR_DEST, &msg(2))).unwrap();
+        let mut injector = StreamTransport::new(b.get_ref().clone());
+        let big = WireMessage::GlobalModel { job: 3, round: 0, params: vec![0.5; 10_000].into() };
+        injector.send(&frame(AGGREGATOR_DEST, &big)).unwrap();
+        b.send(&frame(AGGREGATOR_DEST, &msg(3))).unwrap();
+        let got: Vec<WireMessage> =
+            std::iter::from_fn(|| a.try_recv().unwrap()).map(|f| deframe(f).unwrap().1).collect();
+        assert_eq!(got, [msg(1), msg(2), big, msg(3)]);
         assert!(b.try_recv().unwrap().is_none(), "injection is peer-bound, not self-bound");
-        let (_, m) = deframe(a.try_recv().unwrap().unwrap()).unwrap();
-        assert_eq!(m, msg(7));
+        assert!(injector.try_recv().unwrap().is_none());
     }
 
     #[test]

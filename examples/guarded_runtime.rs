@@ -56,7 +56,7 @@ fn bravo() -> SimulationBuilder {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Guarded run, flood on the wire -----------------------------
     let (agg_pipe, party_pipe) = MemoryTransport::pair();
-    let mut hostile_handle = party_pipe.clone();
+    let mut hostile_handle = StreamTransport::new(party_pipe.get_ref().clone());
     let mut driver = MultiJobDriver::new(agg_pipe);
     driver.set_guard(GuardConfig {
         rate_limit: Some(RateLimit::default()),

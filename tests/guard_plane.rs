@@ -146,7 +146,7 @@ fn flooding_party_is_ejected_exactly_like_a_scripted_victim() {
     // Guarded run with the flood on the wire.
     let (job, _) = build();
     let (agg_end, party_end) = MemoryTransport::pair();
-    let mut to_driver = party_end.clone();
+    let mut to_driver = StreamTransport::new(party_end.get_ref().clone());
     let mut driver = MultiJobDriver::new(agg_end);
     driver.set_guard(strict_breaker(4)).unwrap();
     let (id, endpoints) = driver.add_parts(job.into_parts()).unwrap();

@@ -378,7 +378,7 @@ fn chaos_frames(real_job: u64) -> Vec<bytes::Bytes> {
 #[test]
 fn scheduling_jitter_and_chaos_frames_never_move_the_histories() {
     // Hostile frames slipped onto both directions of link 0 through
-    // cloned handles while the pools are pumped in a rotated order. The
+    // cloned pipe ends while the pools are pumped in a rotated order. The
     // fault kinds mirror `tests/transport_faults.rs`; the oracle is the
     // same — bit-identical histories, and every hostile frame visible
     // in exactly one counter.
@@ -387,8 +387,9 @@ fn scheduling_jitter_and_chaos_frames_never_move_the_histories() {
         let (job, _) = latency_builder(11).build().unwrap();
         let (mut driver, mut pools) =
             memory_wire(vec![job.into_parts()], &WireOptions::new(links)).unwrap();
-        let mut to_driver = pools[0].transport().clone();
-        let mut to_pool = driver.transport().inner().link(0).clone();
+        let mut to_driver = StreamTransport::new(pools[0].transport().get_ref().clone());
+        let mut to_pool =
+            StreamTransport::new(driver.transport().inner().link(0).get_ref().clone());
         for hostile in chaos_frames(golden.meta.job_id) {
             to_driver.send(&hostile).unwrap();
         }

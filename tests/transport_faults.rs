@@ -3,12 +3,12 @@
 //! job's round state.
 //!
 //! The suite runs two concurrent jobs over one [`MemoryTransport`] link
-//! (frame boundaries are explicit there, so a "truncated frame" is a
-//! well-defined artifact; on the stream transport a short frame simply
-//! never completes) and slips faults onto the wire through cloned
-//! handles while legitimate traffic is in flight. The oracle is always
-//! the same: each job's final history equals its fault-free solo run,
-//! bit for bit.
+//! and slips faults onto the wire while legitimate traffic is in
+//! flight, through a [`StreamTransport`] over a clone of a live end's
+//! pipe. The injector frames what it sends, so a "truncated frame" is a
+//! whole frame whose payload is cut short (unframed short bytes would
+//! simply never complete). The oracle is always the same: each job's
+//! final history equals its fault-free solo run, bit for bit.
 
 use flips::fl::message::{frame, AGGREGATOR_DEST};
 use flips::prelude::*;
@@ -84,8 +84,8 @@ fn two_job_delta_link() -> Link {
 
 fn link_from(make: fn(u64) -> SimulationBuilder) -> Link {
     let (agg_end, party_end) = MemoryTransport::pair();
-    let to_driver = party_end.clone();
-    let to_pool = agg_end.clone();
+    let to_driver = StreamTransport::new(party_end.get_ref().clone());
+    let to_pool = StreamTransport::new(agg_end.get_ref().clone());
     let uplink = Arc::new(Mutex::new(Vec::new()));
     let mut driver = MultiJobDriver::new(agg_end);
     let mut pool = PartyPool::new(Tap { inner: party_end, sent: Arc::clone(&uplink) });
@@ -659,8 +659,8 @@ fn corrupt_entropy_frames_on_one_link_leave_sibling_links_untouched() {
 
     let wire = WireOptions::new(2).with_link_codec(job0, 0, ModelCodec::DeltaEntropy);
     let (mut driver, mut pools) = memory_wire(vec![job.into_parts()], &wire).unwrap();
-    let mut to_driver = pools[0].transport().clone();
-    let mut to_pool = driver.transport().inner().link(0).clone();
+    let mut to_driver = StreamTransport::new(pools[0].transport().get_ref().clone());
+    let mut to_pool = StreamTransport::new(driver.transport().inner().link(0).get_ref().clone());
     for hostile in [&bad_mode, &truncated, &lossless_update] {
         to_driver.send(hostile).unwrap();
     }
