@@ -67,6 +67,7 @@ use crate::message::{frame, AGGREGATOR_DEST};
 use crate::transport::Transport;
 use crate::{FlError, WireMessage};
 use bytes::Bytes;
+use flips_ml::rng::splitmix64;
 use std::collections::{BTreeMap, VecDeque};
 
 /// What the schedule does to one inbound frame.
@@ -369,8 +370,8 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         self.inner.links()
     }
 
-    fn link_for(&self, job: u64, party: u64) -> usize {
-        self.inner.link_for(job, party)
+    fn link_for(&self, party: u64) -> usize {
+        self.inner.link_for(party)
     }
 
     fn try_recv_tagged(&mut self) -> Result<Option<(usize, Bytes)>, FlError> {
@@ -460,15 +461,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             }
         }
     }
-}
-
-/// SplitMix64: the standard 64-bit finalizer — enough mixing that
-/// consecutive frame indices draw independent-looking actions.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -1149,7 +1149,7 @@ impl<T: Transport> MultiJobDriver<T> {
         // Encode with the job's negotiated codec — against the codec
         // state of the link this frame will travel on — into the reused
         // scratch: zero allocation once the scratch has warmed up.
-        let link = self.transport.link_for(msg.job(), to as u64);
+        let link = self.transport.link_for(to as u64);
         let Some(link_codecs) = self.codecs.get_mut(link) else {
             // Same contract violation `pump` hard-errors on: encoding
             // against the wrong link's CodecMap would silently desync
@@ -1220,8 +1220,8 @@ mod tests {
             self.inner.links()
         }
 
-        fn link_for(&self, job: u64, dest: u64) -> usize {
-            self.inner.link_for(job, dest)
+        fn link_for(&self, dest: u64) -> usize {
+            self.inner.link_for(dest)
         }
 
         fn try_recv_tagged(&mut self) -> Result<Option<(usize, Bytes)>, FlError> {

@@ -7,7 +7,6 @@
 //! into a trained [`WireMessage::LocalUpdate`]. Like the coordinator it
 //! performs no I/O itself; the driver moves the messages.
 
-use crate::codec::ModelCodec;
 use crate::config::LocalTrainingConfig;
 use crate::latency::LatencyModel;
 use crate::message::WireMessage;
@@ -29,16 +28,6 @@ pub struct PartyEndpoint {
     /// monotonic, so any `GlobalModel` at or below this high-water mark
     /// is stale and skipped without training.
     aborted_round: Option<u64>,
-    /// The model-payload codec pinned by the first selection notice
-    /// (negotiated once; a conflicting later notice is refused).
-    negotiated: Option<ModelCodec>,
-    /// Round of the last acked selection notice — detects redelivery.
-    last_notice_round: Option<u64>,
-    /// Redelivered selection notices (same round, same codec): acked
-    /// again — an at-least-once transport may retransmit — but counted.
-    duplicate_notices: u64,
-    /// Notices refused because they tried to renegotiate the codec.
-    rejected_renegotiations: u64,
 }
 
 impl std::fmt::Debug for PartyEndpoint {
@@ -75,10 +64,6 @@ impl PartyEndpoint {
             latency,
             seed,
             aborted_round: None,
-            negotiated: None,
-            last_notice_round: None,
-            duplicate_notices: 0,
-            rejected_renegotiations: 0,
         }
     }
 
@@ -106,21 +91,6 @@ impl PartyEndpoint {
     /// The highest round an abort was received for, if any.
     pub fn aborted_round(&self) -> Option<u64> {
         self.aborted_round
-    }
-
-    /// The model-payload codec pinned by the first selection notice.
-    pub fn negotiated_codec(&self) -> Option<ModelCodec> {
-        self.negotiated
-    }
-
-    /// Redelivered selection notices seen (acked again, but counted).
-    pub fn duplicate_notices(&self) -> u64 {
-        self.duplicate_notices
-    }
-
-    /// Selection notices refused for trying to renegotiate the codec.
-    pub fn rejected_renegotiations(&self) -> u64 {
-        self.rejected_renegotiations
     }
 
     /// Hands each endpoint of `cohort` its message ([`PartyEndpoint::handle`])
@@ -158,11 +128,10 @@ impl PartyEndpoint {
 
     /// Consumes one aggregator message and produces the party's replies.
     ///
-    /// - `SelectionNotice` → `Heartbeat` ack. The first notice pins the
-    ///   job's model-payload codec; redelivered notices are idempotent
-    ///   (acked again, counted) and a notice carrying a *different*
-    ///   codec is refused without a reply — a job's codec is negotiated
-    ///   exactly once;
+    /// - `SelectionNotice` → `Heartbeat` ack, every time: a redelivered
+    ///   notice is acked again. The codec it announces is pinned where
+    ///   the bytes are decoded — the pool's [`crate::codec::CodecMap`],
+    ///   which drops a conflicting notice before it reaches an endpoint;
     /// - `GlobalModel` → local training → `LocalUpdate`;
     /// - `Abort` → no reply (the round is noted as aborted);
     /// - messages stamped with a foreign job id are dropped without a
@@ -182,22 +151,7 @@ impl PartyEndpoint {
             return Ok(Vec::new());
         }
         match msg {
-            WireMessage::SelectionNotice { round, codec, .. } => {
-                match self.negotiated {
-                    None => self.negotiated = Some(*codec),
-                    Some(pinned) if pinned == *codec => {}
-                    Some(_) => {
-                        // Codec renegotiation mid-job: refuse without a
-                        // reply (answering would ack a handshake this
-                        // endpoint did not accept).
-                        self.rejected_renegotiations += 1;
-                        return Ok(Vec::new());
-                    }
-                }
-                if self.last_notice_round == Some(*round) {
-                    self.duplicate_notices += 1;
-                }
-                self.last_notice_round = Some(*round);
+            WireMessage::SelectionNotice { round, .. } => {
                 Ok(vec![WireMessage::Heartbeat { job: self.job_id, round: *round, party: me }])
             }
             WireMessage::GlobalModel { round, params, .. } => {
@@ -249,6 +203,7 @@ impl PartyEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ModelCodec;
     use flips_data::dataset::generate_population;
     use flips_data::DatasetProfile;
     use flips_ml::rng::seeded;
@@ -364,51 +319,23 @@ mod tests {
         assert!(matches!(ep.handle(&hb), Err(FlError::Protocol(_))));
     }
 
-    fn notice(round: u64, codec: ModelCodec) -> WireMessage {
-        WireMessage::SelectionNotice { job: 7, round, party: 4, codec }
+    fn notice(round: u64) -> WireMessage {
+        WireMessage::SelectionNotice { job: 7, round, party: 4, codec: ModelCodec::DeltaLossless }
     }
 
     #[test]
-    fn first_notice_pins_the_codec() {
-        let mut ep = endpoint(7);
-        assert_eq!(ep.negotiated_codec(), None);
-        ep.handle(&notice(0, ModelCodec::DeltaLossless)).unwrap();
-        assert_eq!(ep.negotiated_codec(), Some(ModelCodec::DeltaLossless));
-    }
-
-    #[test]
-    fn duplicate_notices_are_idempotent_and_counted() {
+    fn duplicate_notices_are_idempotent() {
         // An at-least-once transport may redeliver the notice within the
         // round window: the endpoint must re-ack (the lost-heartbeat
-        // recovery path) while counting the redelivery — and the
-        // coordinator's byte accounting already dedups the re-ack.
+        // recovery path) — and the coordinator's byte accounting already
+        // dedups the re-ack.
         let mut ep = endpoint(7);
-        let n = notice(2, ModelCodec::DeltaLossless);
-        assert_eq!(ep.handle(&n).unwrap().len(), 1);
-        assert_eq!(ep.duplicate_notices(), 0);
-        for dup in 1..=3 {
-            let replies = ep.handle(&n).unwrap();
-            assert_eq!(replies.len(), 1, "redelivered notice must still be acked");
-            assert_eq!(ep.duplicate_notices(), dup);
+        for _ in 0..4 {
+            let replies = ep.handle(&notice(2)).unwrap();
+            assert_eq!(replies, [WireMessage::Heartbeat { job: 7, round: 2, party: 4 }]);
         }
-        // The next round's notice is not a duplicate.
-        assert_eq!(ep.handle(&notice(3, ModelCodec::DeltaLossless)).unwrap().len(), 1);
-        assert_eq!(ep.duplicate_notices(), 3);
-    }
-
-    #[test]
-    fn codec_renegotiation_is_refused_without_a_reply() {
-        let mut ep = endpoint(7);
-        ep.handle(&notice(0, ModelCodec::DeltaLossless)).unwrap();
-        let replies = ep.handle(&notice(1, ModelCodec::F16)).unwrap();
-        assert!(replies.is_empty(), "a renegotiating notice must not be acked");
-        assert_eq!(ep.rejected_renegotiations(), 1);
-        assert_eq!(
-            ep.negotiated_codec(),
-            Some(ModelCodec::DeltaLossless),
-            "the pinned codec must survive the renegotiation attempt"
-        );
-        // Matching notices keep working.
-        assert_eq!(ep.handle(&notice(1, ModelCodec::DeltaLossless)).unwrap().len(), 1);
+        // The next round's notice is acked for its own round.
+        let replies = ep.handle(&notice(3)).unwrap();
+        assert_eq!(replies, [WireMessage::Heartbeat { job: 7, round: 3, party: 4 }]);
     }
 }

@@ -361,7 +361,8 @@ impl<T: Transport> PartyPool<T> {
             // notice for a job pins the codec its model frames will be
             // decoded with; a conflicting notice is dropped before it
             // can reach (and confuse) an endpoint. Idempotent repeats
-            // pass through — the endpoint re-acks and counts them.
+            // pass through — the endpoint re-acks them. This map is the
+            // party side's one codec table.
             if let WireMessage::SelectionNotice { job, codec, .. } = &msg {
                 if self.codecs.negotiate(*job, *codec) == Negotiation::Conflict {
                     self.renegotiations_rejected += 1;

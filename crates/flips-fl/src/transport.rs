@@ -11,7 +11,10 @@
 //! `std::net::TcpStream` in nonblocking mode, or the in-process
 //! [`duplex`] pipe ([`MemoryTransport`] is that pairing). An in-memory
 //! link therefore crosses the same framing and partial-frame
-//! reassembly as a TCP one. [`Router`] fans one logical wire out across
+//! reassembly as a TCP one. The byte handling is std's: a pipe
+//! direction is a `VecDeque<u8>`, a receive is one `read_to_end` into
+//! the reassembly buffer, and bytes a full stream refuses wait in a
+//! `VecDeque<u8>` outbox. [`Router`] fans one logical wire out across
 //! N links of one type ([`MemoryRouter`] across N in-memory ones).
 //!
 //! All transports here are *polled*: [`Transport::try_recv`] returns
@@ -25,8 +28,9 @@ use crate::message::frame_dest;
 use crate::plan::place;
 use crate::FlError;
 use bytes::Bytes;
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Frames larger than this are rejected before allocation — no legal
 /// message in this workspace approaches 256 MiB, so a corrupt length
@@ -59,7 +63,7 @@ pub const MAX_FRAME_BYTES: usize = 256 << 20;
 /// [`crate::ModelCodec::DeltaLossless`]) are per-link state, so
 /// multi-link transports must expose their topology:
 /// [`Transport::links`] declares how many links exist,
-/// [`Transport::link_for`] routes an outbound `(job, destination)` to
+/// [`Transport::link_for`] routes an outbound frame's destination to
 /// its link, and [`Transport::try_recv_tagged`] attributes each inbound
 /// frame to the link it arrived on. Point-to-point transports keep the
 /// defaults (a single link `0`).
@@ -92,9 +96,9 @@ pub trait Transport {
         1
     }
 
-    /// The link that will carry an outbound frame for `(job, dest)`.
-    /// Must be below [`Transport::links`].
-    fn link_for(&self, _job: u64, _dest: u64) -> usize {
+    /// The link that will carry an outbound frame for `dest`. Must be
+    /// below [`Transport::links`].
+    fn link_for(&self, _dest: u64) -> usize {
         0
     }
 
@@ -170,7 +174,7 @@ impl<L: Transport> Transport for Router<L> {
         self.links.len()
     }
 
-    fn link_for(&self, _job: u64, dest: u64) -> usize {
+    fn link_for(&self, dest: u64) -> usize {
         place(dest, self.links.len())
     }
 
@@ -198,22 +202,19 @@ impl<L: Transport> Transport for Router<L> {
 /// decodes exactly once, whole.
 pub struct StreamTransport<S> {
     stream: S,
-    /// Reassembly buffer; consumed frames advance `cursor` instead of
-    /// shifting the buffer, so a burst of frames is extracted in O(n)
-    /// total (the buffer compacts once fully drained).
+    /// Reassembly buffer, filled by `read_to_end`; consumed frames
+    /// advance `cursor` instead of shifting the buffer, so a burst of
+    /// frames is extracted in O(n) total (the buffer compacts once
+    /// fully drained).
     pending: Vec<u8>,
     cursor: usize,
     /// The stream reported end-of-file: the peer is gone for good.
     eof: bool,
-    /// Scratch buffer for `read` calls.
-    chunk: Box<[u8; 16 * 1024]>,
     /// Send-side staging for bytes the kernel would not take: when a
     /// nonblocking write returns [`ErrorKind::WouldBlock`] mid-frame,
-    /// the unwritten tail lands here and [`StreamTransport::flush`]
-    /// resumes it — a frame is never torn on the wire. Consumed bytes
-    /// advance `out_cursor`; the buffer compacts once drained.
-    outbox: Vec<u8>,
-    out_cursor: usize,
+    /// the unwritten tail queues here and [`StreamTransport::flush`]
+    /// resumes it from the front — a frame is never torn on the wire.
+    outbox: VecDeque<u8>,
 }
 
 impl<S: std::fmt::Debug> std::fmt::Debug for StreamTransport<S> {
@@ -243,9 +244,7 @@ impl<S: Read + Write> StreamTransport<S> {
             pending: Vec::new(),
             cursor: 0,
             eof: false,
-            chunk: Box::new([0u8; 16 * 1024]),
-            outbox: Vec::new(),
-            out_cursor: 0,
+            outbox: VecDeque::new(),
         }
     }
 
@@ -253,7 +252,7 @@ impl<S: Read + Write> StreamTransport<S> {
     /// them ([`StreamTransport::flush`] has work to do). An event loop
     /// registers write interest exactly while this holds.
     pub fn wants_write(&self) -> bool {
-        self.out_cursor < self.outbox.len()
+        !self.outbox.is_empty()
     }
 
     /// Pushes staged send-side bytes into the stream until it reports
@@ -266,21 +265,17 @@ impl<S: Read + Write> StreamTransport<S> {
     /// Returns [`FlError::Transport`] on any I/O failure other than
     /// `WouldBlock`.
     pub fn flush(&mut self) -> Result<bool, FlError> {
-        while self.out_cursor < self.outbox.len() {
-            match self.stream.write(&self.outbox[self.out_cursor..]) {
-                Ok(0) => {
-                    return Err(FlError::Transport(
-                        "stream refused buffered bytes (peer closed?)".into(),
-                    ))
-                }
-                Ok(n) => self.out_cursor += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(FlError::Transport(format!("stream write failed: {e}"))),
+        // The ring's front slice is the oldest bytes; once it drains, the
+        // back slice (if the ring wrapped) becomes the front.
+        while !self.outbox.is_empty() {
+            let front = self.outbox.as_slices().0;
+            let n = write_until_blocked(&mut self.stream, front)?;
+            let blocked = n < front.len();
+            self.outbox.drain(..n);
+            if blocked {
+                return Ok(false);
             }
         }
-        self.outbox.clear();
-        self.out_cursor = 0;
         let _ = self.stream.flush();
         Ok(true)
     }
@@ -290,28 +285,12 @@ impl<S: Read + Write> StreamTransport<S> {
     /// staged, the new ones queue behind them).
     fn write_or_stage(&mut self, bytes: &[u8]) -> Result<(), FlError> {
         // Anything already staged must go first, or frames interleave.
-        if self.wants_write() {
-            self.flush()?;
-            if self.wants_write() {
-                self.outbox.extend_from_slice(bytes);
-                return Ok(());
-            }
-        }
-        let mut written = 0;
-        while written < bytes.len() {
-            match self.stream.write(&bytes[written..]) {
-                Ok(0) => {
-                    return Err(FlError::Transport("stream refused bytes (peer closed?)".into()))
-                }
-                Ok(n) => written += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    self.outbox.extend_from_slice(&bytes[written..]);
-                    return Ok(());
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(FlError::Transport(format!("stream write failed: {e}"))),
-            }
-        }
+        let written = if !self.wants_write() || self.flush()? {
+            write_until_blocked(&mut self.stream, bytes)?
+        } else {
+            0
+        };
+        self.outbox.extend(&bytes[written..]);
         Ok(())
     }
 
@@ -333,22 +312,18 @@ impl<S: Read + Write> StreamTransport<S> {
     }
 
     /// Pulls whatever the stream has ready into the reassembly buffer.
+    /// `read_to_end` retries `Interrupted` itself and keeps what it read
+    /// when it meets `WouldBlock`; only `Ok` means end-of-file.
     fn fill(&mut self) -> Result<(), FlError> {
         if self.eof {
             return Ok(());
         }
-        loop {
-            match self.stream.read(&mut self.chunk[..]) {
-                Ok(0) => {
-                    self.eof = true;
-                    return Ok(());
-                }
-                Ok(n) => self.pending.extend_from_slice(&self.chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(FlError::Transport(format!("stream read failed: {e}"))),
-            }
+        match self.stream.read_to_end(&mut self.pending) {
+            Ok(_) => self.eof = true,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            Err(e) => return Err(FlError::Transport(format!("stream read failed: {e}"))),
         }
+        Ok(())
     }
 
     /// Reclaims the consumed prefix of the reassembly buffer when it
@@ -424,17 +399,39 @@ impl<S: Read + Write> Transport for StreamTransport<S> {
     }
 }
 
+/// Writes `bytes` until they are all through or the stream reports
+/// [`ErrorKind::WouldBlock`], and returns how many it took.
+fn write_until_blocked(stream: &mut impl Write, bytes: &[u8]) -> Result<usize, FlError> {
+    let mut written = 0;
+    while written < bytes.len() {
+        match stream.write(&bytes[written..]) {
+            Ok(0) => return Err(FlError::Transport("stream refused bytes (peer closed?)".into())),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(FlError::Transport(format!("stream write failed: {e}"))),
+        }
+    }
+    Ok(written)
+}
+
 /// One direction of an in-process byte pipe.
-type ByteQueue = Arc<Mutex<Vec<u8>>>;
+type ByteQueue = Arc<Mutex<VecDeque<u8>>>;
+
+/// Locks one direction of a pipe.
+fn lock(queue: &ByteQueue) -> std::io::Result<MutexGuard<'_, VecDeque<u8>>> {
+    queue.lock().map_err(|_| std::io::Error::new(ErrorKind::BrokenPipe, "pipe poisoned"))
+}
 
 /// One end of an in-process duplex byte pipe (see [`duplex`]).
 ///
-/// Reads drain whatever the peer has written (returning
-/// [`ErrorKind::WouldBlock`] when empty, like a nonblocking socket);
-/// writes always succeed. The pipe deliberately has no backpressure —
-/// it stands in for a socket in deterministic single-threaded tests and
-/// benchmarks, where "peer not scheduled yet" is the only reason bytes
-/// linger.
+/// Each direction is a `VecDeque<u8>` behind a mutex, read and written
+/// through std's `Read` / `Write` for it, except that an empty pipe
+/// reads as [`ErrorKind::WouldBlock`] (like a nonblocking socket), not
+/// as end-of-file; writes always succeed. The pipe deliberately has no
+/// backpressure — it stands in for a socket in deterministic
+/// single-threaded tests and benchmarks, where "peer not scheduled yet"
+/// is the only reason bytes linger.
 ///
 /// A clone is another handle onto the *same* pipe. Wrapped in its own
 /// [`StreamTransport`], it is how a fault suite slips whole frames onto
@@ -449,7 +446,7 @@ pub struct PipeEnd {
 impl std::fmt::Debug for PipeEnd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipeEnd")
-            .field("readable", &self.read_from.lock().map(|b| b.len()).unwrap_or(0))
+            .field("readable", &lock(&self.read_from).map(|b| b.len()).unwrap_or(0))
             .finish()
     }
 }
@@ -459,8 +456,8 @@ impl std::fmt::Debug for PipeEnd {
 /// boundaries — that is [`StreamTransport`]'s job, which is exactly why
 /// the pair exercises real framing).
 pub fn duplex() -> (PipeEnd, PipeEnd) {
-    let a_to_b: ByteQueue = Arc::new(Mutex::new(Vec::new()));
-    let b_to_a: ByteQueue = Arc::new(Mutex::new(Vec::new()));
+    let a_to_b = ByteQueue::default();
+    let b_to_a = ByteQueue::default();
     (
         PipeEnd { read_from: Arc::clone(&b_to_a), write_to: Arc::clone(&a_to_b) },
         PipeEnd { read_from: a_to_b, write_to: b_to_a },
@@ -481,27 +478,19 @@ impl MemoryTransport {
 
 impl Read for PipeEnd {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let mut queue = self
-            .read_from
-            .lock()
-            .map_err(|_| std::io::Error::new(ErrorKind::BrokenPipe, "pipe poisoned"))?;
+        let mut queue = lock(&self.read_from)?;
         if queue.is_empty() {
+            // An empty `VecDeque` reads as end-of-file; an empty pipe
+            // is a quiet one.
             return Err(std::io::Error::new(ErrorKind::WouldBlock, "pipe empty"));
         }
-        let n = queue.len().min(buf.len());
-        buf[..n].copy_from_slice(&queue[..n]);
-        queue.drain(..n);
-        Ok(n)
+        queue.read(buf)
     }
 }
 
 impl Write for PipeEnd {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.write_to
-            .lock()
-            .map_err(|_| std::io::Error::new(ErrorKind::BrokenPipe, "pipe poisoned"))?
-            .extend_from_slice(buf);
-        Ok(buf.len())
+        lock(&self.write_to)?.write(buf)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
@@ -537,9 +526,9 @@ mod tests {
     #[test]
     fn memory_clone_shares_the_link() {
         // The fault suites' injection path: a clone of a live end's pipe,
-        // framed by its own StreamTransport. An injected frame (larger
-        // than one read chunk) arrives whole, behind the frames already
-        // sent, exactly once, and never on the injecting end.
+        // framed by its own StreamTransport. An injected 40 KB frame
+        // arrives whole, behind the frames already sent, exactly once,
+        // and never on the injecting end.
         let (mut a, mut b) = MemoryTransport::pair();
         b.send(&frame(AGGREGATOR_DEST, &msg(1))).unwrap();
         b.send(&frame(AGGREGATOR_DEST, &msg(2))).unwrap();
@@ -552,6 +541,21 @@ mod tests {
         assert_eq!(got, [msg(1), msg(2), big, msg(3)]);
         assert!(b.try_recv().unwrap().is_none(), "injection is peer-bound, not self-bound");
         assert!(injector.try_recv().unwrap().is_none());
+    }
+
+    #[test]
+    fn pipe_reads_front_first_then_would_block() {
+        // Reads into buffers smaller than what is queued take the bytes
+        // from the front; an empty pipe is quiet, not closed.
+        let (mut a, mut b) = duplex();
+        a.write_all(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]).unwrap();
+        let mut buf = [0u8; 4];
+        for want in [&[0, 1, 2, 3][..], &[4, 5, 6, 7], &[8, 9]] {
+            let n = b.read(&mut buf).unwrap();
+            assert_eq!(&buf[..n], want);
+        }
+        let err = b.read(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WouldBlock);
     }
 
     #[test]
@@ -799,7 +803,8 @@ mod tests {
     #[test]
     fn staged_sends_queue_behind_each_other_in_order() {
         // A stream that accepts a few bytes then blocks: successive
-        // sends must stage in order and flush() must resume mid-frame.
+        // sends must stage in order and flush() must resume mid-frame,
+        // also once the outbox ring has wrapped.
         struct Throttled {
             taken: Vec<u8>,
             budget: usize,
@@ -827,9 +832,13 @@ mod tests {
         tx.send(b"abcdef").unwrap(); // 4-byte prefix + 2 payload bytes fit
         assert!(tx.wants_write(), "4 payload bytes staged");
         assert_eq!(tx.stream.taken.len(), 6);
+        tx.stream.budget = 2;
+        assert!(!tx.flush().unwrap(), "a partial flush: \"cd\" moves, \"ef\" stays");
+        assert_eq!(tx.stream.taken.len(), 8);
         tx.send(b"gh").unwrap(); // fully staged behind the first tail
         assert!(tx.wants_write());
-        assert_eq!(tx.stream.taken.len(), 6, "staged, not written");
+        assert_eq!(tx.stream.taken.len(), 8, "staged, not written");
+        assert!(!tx.outbox.as_slices().1.is_empty(), "the outbox ring wrapped");
         assert!(!tx.flush().unwrap(), "no budget: nothing moves");
         tx.stream.budget = usize::MAX;
         assert!(tx.flush().unwrap(), "budget restored: everything drains");

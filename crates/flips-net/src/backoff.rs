@@ -15,6 +15,7 @@
 //! them against any [`RetryClock`] (the real [`SystemClock`] in the
 //! binaries, a scripted one in tests).
 
+use flips_core::ml::rng::splitmix64;
 use std::time::Duration;
 
 /// Capped exponential backoff with deterministic jitter: attempt `n`
@@ -149,15 +150,6 @@ pub fn retry<T, E>(
             }
         }
     }
-}
-
-/// SplitMix64 — the same finalizer the chaos schedule uses; enough
-/// mixing that consecutive attempts draw independent-looking jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -41,6 +41,7 @@
 //! - [`ControlMsg::Shutdown`] — the coordinator's end-of-run notice.
 
 use bytes::BufMut;
+use flips_core::ml::rng::splitmix64;
 use flips_fl::format::{put_bool, put_f32s, Reader};
 use flips_fl::FlError;
 
@@ -223,12 +224,7 @@ impl ControlMsg {
 /// tokens (token 0 is reserved to mean "fresh connection" in a
 /// [`ControlMsg::Hello`]).
 pub fn session_token(slot: u32) -> u64 {
-    let mut x = 0x5E55_1011_u64 ^ u64::from(slot);
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x.max(1)
+    splitmix64(0x5E55_1011_u64 ^ u64::from(slot)).max(1)
 }
 
 #[cfg(test)]

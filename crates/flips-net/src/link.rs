@@ -818,7 +818,7 @@ mod tests {
         assert_eq!(router.links(), 2);
         let wire = flips_fl::WireOptions::new(2);
         for party in 0..64usize {
-            assert_eq!(router.link_for(9, party as u64), wire.link_of(party));
+            assert_eq!(router.link_for(party as u64), wire.link_of(party));
         }
 
         let even = frame(4, &WireMessage::Heartbeat { job: 9, round: 0, party: 4 });
