@@ -102,8 +102,8 @@ impl SimulationBuilder {
     /// most `budget` segments resident in memory while the selectors
     /// stream it, instead of keeping the [`flips_fl::RosterStore`] in
     /// memory. Every baseline selector is built from the store through
-    /// [`flips_selection::CandidateSource`] either way, one party at a
-    /// time, exactly as a million-party roster would be; where it lives
+    /// [`flips_selection::CandidateSource`] either way, one column read
+    /// at a time, exactly as a million-party roster would be; where it lives
     /// never moves a seeded history (the scale-equivalence suite pins
     /// this). FLIPS is not built from the store: its clustering ceremony
     /// takes the label distributions from the parties, and the store

@@ -13,8 +13,8 @@
 //! segment is rejected on every page-in, never silently misread.
 //!
 //! The store implements [`CandidateSource`], which is how the baseline
-//! selection policies consume it: streamed per-party reads for Oort and
-//! TiFL, and nothing at all for Random and GradClus. FLIPS never reads
+//! selection policies consume it: one bulk column read each for Oort
+//! and TiFL, and nothing at all for Random and GradClus. FLIPS never reads
 //! it — label distributions go from the parties to its enclave, not
 //! through the roster. Selection over a spilled roster is
 //! *bit-identical* to selection over the same records held flat — the
@@ -28,7 +28,7 @@
 use crate::format::{put_vec, seal, unseal, Reader};
 use crate::FlError;
 use bytes::BufMut;
-use flips_selection::streaming::CandidateSource;
+use flips_selection::streaming::{CandidateSource, SourceError};
 use flips_selection::PartyId;
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -322,21 +322,35 @@ impl RosterStore {
         match &self.backing {
             Backing::Memory(segments) => Ok(f(segments[seg][off].view())),
             Backing::Spill { dir, budget, cache } => {
-                let mut cache = cache.lock().expect("roster lock");
-                if let Some(segment) = cache.resident.get(&seg) {
-                    let out = f(segment.view(off));
-                    cache.touch(seg);
-                    return Ok(out);
-                }
-                // Into the spare where it sits: a refused file leaves it.
-                let SegmentCache { file, spare, .. } = &mut *cache;
-                self.load_segment(dir, seg, file, spare)?;
-                let segment = std::mem::take(spare);
-                let out = f(segment.view(off));
-                cache.insert(seg, segment, *budget);
-                Ok(out)
+                self.with_segment(dir, *budget, cache, seg, |s| f(s.view(off)))
             }
         }
+    }
+
+    /// Runs `f` over spilled segment `seg` where it is resident, paging
+    /// it in on a miss (evicting least-recently used down to `budget`),
+    /// and marks it most-recently used.
+    fn with_segment<R>(
+        &self,
+        dir: &Path,
+        budget: usize,
+        cache: &Mutex<SegmentCache>,
+        seg: usize,
+        f: impl FnOnce(&FlatSegment) -> R,
+    ) -> Result<R, FlError> {
+        let mut cache = cache.lock().expect("roster lock");
+        if let Some(segment) = cache.resident.get(&seg) {
+            let out = f(segment);
+            cache.touch(seg);
+            return Ok(out);
+        }
+        // Into the spare where it sits: a refused file leaves it.
+        let SegmentCache { file, spare, .. } = &mut *cache;
+        self.load_segment(dir, seg, file, spare)?;
+        let segment = std::mem::take(spare);
+        let out = f(&segment);
+        cache.insert(seg, segment, budget);
+        Ok(out)
     }
 
     /// Streams every segment (and record) in party-id order through
@@ -375,6 +389,33 @@ impl RosterStore {
                 Ok(())
             }
         }
+    }
+
+    /// One field of every record, in party-id order: `of_record` over a
+    /// resident record, `of_segment`'s column of a paged one. Spill mode
+    /// walks the segments in ascending order through the cache, as
+    /// reading each party through [`RosterStore::with_record`] does: a
+    /// resident segment is touched, a missing one paged in (evicting
+    /// least-recently used), so `loaded()`, the resident set and the LRU
+    /// order come out as that walk leaves them, at one lock and one
+    /// column copy per segment instead of one lookup per party.
+    fn column<T: Copy>(
+        &self,
+        of_record: fn(&PartyRecord) -> T,
+        of_segment: fn(&FlatSegment) -> &[T],
+    ) -> Result<Vec<T>, FlError> {
+        let mut out = Vec::with_capacity(self.num_parties);
+        match &self.backing {
+            Backing::Memory(segments) => out.extend(segments.iter().flatten().map(of_record)),
+            Backing::Spill { dir, budget, cache } => {
+                for seg in 0..self.num_parties.div_ceil(self.segment_cap()) {
+                    self.with_segment(dir, *budget, cache, seg, |s| {
+                        out.extend_from_slice(of_segment(s))
+                    })?;
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// The records-per-segment geometry this store was built with.
@@ -512,12 +553,12 @@ impl CandidateSource for RosterStore {
         self.num_parties
     }
 
-    fn data_size(&self, party: PartyId) -> u64 {
-        self.with_record(party, |r| r.data_size).expect("roster read")
+    fn data_sizes(&self) -> Result<Vec<u64>, SourceError> {
+        Ok(self.column(|r| r.data_size, |s| &s.data_size)?)
     }
 
-    fn latency_hint(&self, party: PartyId) -> f64 {
-        self.with_record(party, |r| r.latency_hint).expect("roster read")
+    fn latency_hints(&self) -> Result<Vec<f64>, SourceError> {
+        Ok(self.column(|r| r.latency_hint, |s| &s.latency)?)
     }
 }
 
@@ -587,8 +628,7 @@ mod tests {
         assert_eq!(spill.spilled(), 7, "ceil(25/4) segments written");
         for (p, want) in records.iter().enumerate() {
             assert_eq!(&spill.record(p).unwrap(), want);
-            assert_eq!(spill.data_size(p), flat.data_size(p));
-            assert_eq!(spill.latency_hint(p), flat.latency_hint(p));
+            assert_eq!(&flat.record(p).unwrap(), want);
         }
         let mut a = Vec::new();
         let mut bb = Vec::new();
@@ -848,6 +888,85 @@ mod tests {
         let mut ok = encode_segment(&sample_records(2));
         ok.push(0);
         assert!(decode_segment(&ok).is_err());
+    }
+
+    /// The resident segments, least-recently used first.
+    fn lru(store: &RosterStore) -> Vec<usize> {
+        let Backing::Spill { cache, .. } = &store.backing else { unreachable!() };
+        let cache = cache.lock().unwrap();
+        let mut resident: Vec<usize> = cache.resident.keys().copied().collect();
+        resident.sort_unstable();
+        let mut order: Vec<usize> = cache.order.iter().copied().collect();
+        order.sort_unstable();
+        assert_eq!(resident, order, "the LRU lists exactly the resident segments");
+        cache.order.iter().copied().collect()
+    }
+
+    /// A bulk read gives each party's value and leaves the cache as the
+    /// per-party walk it replaces leaves it: the same `loaded()` count,
+    /// resident segments and LRU order, from a cold cache and from warm
+    /// ones (a resident segment first, last or in the middle).
+    #[test]
+    fn bulk_reads_leave_the_cache_as_the_per_party_walk_does() {
+        let records: Vec<PartyRecord> = sample_records(27);
+        let spill = |name: &str| {
+            let mut b = RosterBuilder::spilling(test_dir(name), 3).unwrap().segment_cap(4);
+            for r in records.clone() {
+                b.push(r).unwrap();
+            }
+            b.finish().unwrap()
+        };
+        let sizes: Vec<u64> = records.iter().map(|r| r.data_size).collect();
+        let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let hints: Vec<f64> = records.iter().map(|r| r.latency_hint).collect();
+        let flat = RosterStore::from_records(records.clone());
+        assert_eq!(flat.data_sizes().unwrap(), sizes);
+        assert_eq!(bits(&flat.latency_hints().unwrap()), bits(&hints));
+        for (case, warm) in [&[][..], &[0], &[26], &[9, 2, 20], &[5, 25, 13, 1]].iter().enumerate()
+        {
+            let (walked, bulk) = (spill(&format!("walk-{case}")), spill(&format!("bulk-{case}")));
+            for store in [&walked, &bulk] {
+                for &p in warm.iter() {
+                    store.record(p).unwrap();
+                }
+            }
+            let by_party = |f: fn(RecordView<'_>) -> u64| {
+                (0..records.len()).map(|p| walked.with_record(p, f).unwrap()).collect::<Vec<_>>()
+            };
+            assert_eq!(by_party(|r| r.latency_hint.to_bits()), bits(&hints), "case {case}");
+            assert_eq!(bits(&bulk.latency_hints().unwrap()), bits(&hints), "case {case}");
+            assert_eq!((bulk.loaded(), lru(&bulk)), (walked.loaded(), lru(&walked)), "case {case}");
+            assert_eq!(by_party(|r| r.data_size), sizes, "case {case}");
+            assert_eq!(bulk.data_sizes().unwrap(), sizes, "case {case}");
+            assert_eq!((bulk.loaded(), lru(&bulk)), (walked.loaded(), lru(&walked)), "case {case}");
+            for store in [walked, bulk] {
+                let Backing::Spill { dir, .. } = &store.backing else { unreachable!() };
+                std::fs::remove_dir_all(dir).unwrap();
+            }
+        }
+    }
+
+    /// A bit-flipped segment used to panic inside the roster read that
+    /// builds TiFL's tiers; the bulk read refuses it, and so does
+    /// `from_source`.
+    #[test]
+    fn a_tampered_segment_fails_selector_construction_without_a_panic() {
+        use flips_selection::tifl::{TiflConfig, TiflSelector};
+        let dir = test_dir("tampered");
+        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4);
+        for r in sample_records(10) {
+            b.push(r).unwrap();
+        }
+        let store = b.finish().unwrap();
+        let path = segment_path(&dir, 1);
+        let mut damaged = std::fs::read(&path).unwrap();
+        damaged[30] ^= 0x08;
+        std::fs::write(&path, &damaged).unwrap();
+        assert!(store.latency_hints().is_err());
+        assert!(store.data_sizes().is_err());
+        let err = TiflSelector::from_source(&store, TiflConfig::default(), 1).unwrap_err();
+        assert!(err.to_string().contains("cannot read the roster"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

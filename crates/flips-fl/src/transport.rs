@@ -392,7 +392,7 @@ impl<S: Read + Write> Transport for StreamTransport<S> {
                 Ok(None) // frame still in flight
             };
         }
-        let frame = Bytes::from(buffered[4..4 + len].to_vec());
+        let frame = Bytes::copy_from_slice(&buffered[4..4 + len]);
         self.cursor += 4 + len;
         self.compact();
         Ok(Some(frame))

@@ -111,14 +111,21 @@ impl OortSelector {
     /// sample count from the source — bit-identical to
     /// [`OortSelector::new`] fed the same counts. Oort's online state
     /// stays dense (≈48 B/party: the score inputs must survive between
-    /// rounds), but no caller-side roster vector is materialized.
+    /// rounds), but no caller-side roster vector is materialized: the
+    /// counts come in one [`CandidateSource::data_sizes`] read.
+    ///
+    /// [`CandidateSource::data_sizes`]: crate::streaming::CandidateSource::data_sizes
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source cannot read its roster.
     pub fn from_source(
         source: &dyn crate::streaming::CandidateSource,
         config: OortConfig,
         seed: u64,
     ) -> Self {
-        let data_sizes = (0..source.num_parties()).map(|p| source.data_size(p) as usize).collect();
-        OortSelector::new(data_sizes, config, seed)
+        let data_sizes = source.data_sizes().expect("roster read");
+        OortSelector::new(data_sizes.into_iter().map(|n| n as usize).collect(), config, seed)
     }
 
     /// Current exploration fraction ε.

@@ -5,8 +5,8 @@
 //! the caller (sample counts, latency profiles). That is fine at 10³
 //! parties and fatal at 10⁶: the roster no longer fits in one
 //! allocation, and most of it is cold at any given round. This module
-//! inverts the dependency — a [`CandidateSource`] *streams* per-party
-//! descriptors to whoever is constructing a selector, and a bounded
+//! inverts the dependency — a [`CandidateSource`] hands whoever is
+//! constructing a selector the per-party columns it asks for, and a bounded
 //! top-k pass ([`BoundedTopK`]) extracts what a policy actually needs
 //! from the stream in O(k) memory.
 //!
@@ -20,24 +20,38 @@
 use crate::types::PartyId;
 
 /// A streamed view of the registered-party roster: everything selector
-/// construction needs, fetched per party instead of materialized by the
-/// caller.
+/// construction needs, read from the source instead of materialized by
+/// the caller.
 ///
-/// Implementations are expected to be cheap per call and to tolerate
-/// repeated reads (a spill-backed store pages segments in and out —
-/// see `flips_fl::RosterStore`, the canonical implementation).
+/// A constructor that needs one field of every party takes it in one
+/// bulk read, in id order; a paged store answers it with one walk over
+/// its pages (see `flips_fl::RosterStore`, the canonical
+/// implementation).
 pub trait CandidateSource {
     /// Registered parties; ids are dense in `0..num_parties()`.
     fn num_parties(&self) -> usize;
 
-    /// Party `party`'s local sample count (Oort's public metadata and
-    /// the FedAvg weight).
-    fn data_size(&self, party: PartyId) -> u64;
+    /// Every party's local sample count (Oort's public metadata and the
+    /// FedAvg weight), in id order.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the source's storage refuses (an unreadable or tampered
+    /// page, say).
+    fn data_sizes(&self) -> Result<Vec<u64>, SourceError>;
 
-    /// Profiled training latency for `party`, seconds (TiFL's tiering
-    /// input and Oort's preferred-duration calibration).
-    fn latency_hint(&self, party: PartyId) -> f64;
+    /// Every party's profiled training latency, seconds (TiFL's tiering
+    /// input), in id order.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the source's storage refuses.
+    fn latency_hints(&self) -> Result<Vec<f64>, SourceError>;
 }
+
+/// Why a [`CandidateSource`]'s bulk read failed, in the source's own
+/// error type.
+pub type SourceError = Box<dyn std::error::Error + Send + Sync>;
 
 /// Streaming top-`k` by `(score descending, id ascending)` — the total
 /// order Oort's exploit ranking uses. Pushing all `n` candidates and

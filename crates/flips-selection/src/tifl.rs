@@ -13,6 +13,7 @@
 //!   re-tiers parties from freshly observed durations on the fly.
 
 use crate::types::{validate_request, ParticipantSelector, PartyId, RoundFeedback, SelectionError};
+use flips_ml::parallel;
 use flips_ml::rng::{sample_without_replacement, seeded};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -44,8 +45,9 @@ pub struct TiflSelector {
     /// Latest latency estimate per party (profiled, then updated online).
     latencies: Vec<f64>,
     /// Every party in `(latency, id)` order; tier `t` (0 = fastest) is
-    /// its `t`-th of `credits.len()` equal bands.
-    order: Vec<PartyId>,
+    /// its `t`-th of `credits.len()` equal bands. Ids are held as `u32`
+    /// (a roster has at most 2³² parties), half the memory of `usize`.
+    order: Vec<u32>,
     /// Parties whose estimate [`ParticipantSelector::report`] changed
     /// since `order` was last sorted — all a re-tier has to move.
     touched: Vec<PartyId>,
@@ -64,17 +66,24 @@ impl TiflSelector {
     ///
     /// # Errors
     ///
-    /// Rejects an empty profile or a zero tier count.
+    /// Rejects an empty profile, one of more than 2³² parties or a zero
+    /// tier count.
     pub fn new(latencies: Vec<f64>, config: TiflConfig, seed: u64) -> Result<Self, SelectionError> {
         if latencies.is_empty() {
             return Err(SelectionError::InvalidConfiguration("no parties profiled".into()));
+        }
+        if u32::try_from(latencies.len() - 1).is_err() {
+            return Err(SelectionError::InvalidConfiguration("more than 2^32 parties".into()));
         }
         if config.num_tiers == 0 {
             return Err(SelectionError::InvalidConfiguration("zero tiers".into()));
         }
         let num_tiers = config.num_tiers.min(latencies.len());
-        let mut order: Vec<PartyId> = (0..latencies.len()).collect();
-        order.sort_by(|&a, &b| by_latency(&latencies, a, b));
+        let workers = match latencies.len() {
+            n if n < PARALLEL_SORT_PARTIES => 1,
+            n => parallel::threads(n),
+        };
+        let order = tier_order(&latencies, workers);
         Ok(TiflSelector {
             credits: vec![config.credits_per_tier; num_tiers],
             tier_accuracy: vec![None; num_tiers],
@@ -90,24 +99,34 @@ impl TiflSelector {
     /// Creates a selector over a streamed roster, pulling each party's
     /// profiled latency from the source — bit-identical to
     /// [`TiflSelector::new`] fed the same profile. The tier order and
-    /// the latency estimates stay dense (16 B/party: TiFL re-tiers from
-    /// them online), but no caller-side profile vector is materialized.
+    /// the latency estimates stay dense (12 B/party: TiFL re-tiers from
+    /// them online), but no caller-side profile vector is materialized:
+    /// the profile comes in one [`CandidateSource::latency_hints`] read.
+    ///
+    /// [`CandidateSource::latency_hints`]: crate::streaming::CandidateSource::latency_hints
     ///
     /// # Errors
     ///
-    /// Rejects an empty roster or a zero tier count.
+    /// Rejects a roster the source cannot read, an empty one or a zero
+    /// tier count.
     pub fn from_source(
         source: &dyn crate::streaming::CandidateSource,
         config: TiflConfig,
         seed: u64,
     ) -> Result<Self, SelectionError> {
-        let latencies = (0..source.num_parties()).map(|p| source.latency_hint(p)).collect();
+        let latencies = source.latency_hints().map_err(|e| {
+            SelectionError::InvalidConfiguration(format!("cannot read the roster: {e}"))
+        })?;
         TiflSelector::new(latencies, config, seed)
     }
 
     /// Current tier membership (diagnostics; tier 0 is fastest).
-    pub fn tiers(&self) -> Vec<&[PartyId]> {
-        (0..self.credits.len()).map(|t| band(&self.order, self.credits.len(), t)).collect()
+    pub fn tiers(&self) -> Vec<Vec<PartyId>> {
+        (0..self.credits.len())
+            .map(|t| {
+                band(&self.order, self.credits.len(), t).iter().map(|&p| p as PartyId).collect()
+            })
+            .collect()
     }
 
     /// Remaining credits per tier.
@@ -155,17 +174,17 @@ impl TiflSelector {
             return; // same estimates, same order
         }
         let (latencies, order) = (&self.latencies, &mut self.order);
+        let place = |p: usize| (latency_key(latencies[p]), p);
         let mut is_moved = vec![false; latencies.len()];
         moved.retain(|&p| !std::mem::replace(&mut is_moved[p], true));
-        moved.sort_by(|&a, &b| by_latency(latencies, a, b));
-        order.retain(|&p| !is_moved[p]);
+        moved.sort_unstable_by_key(|&p| place(p));
+        order.retain(|&p| !is_moved[p as usize]);
         let mut unplaced = order.len();
         order.resize(latencies.len(), 0);
         for (below, &party) in moved.iter().enumerate().rev() {
-            let at =
-                order[..unplaced].partition_point(|&p| by_latency(latencies, p, party).is_lt());
+            let at = order[..unplaced].partition_point(|&p| place(p as usize) < place(party));
             order.copy_within(at..unplaced, at + below + 1);
-            order[at + below] = party;
+            order[at + below] = party as u32;
             unplaced = at;
         }
     }
@@ -174,18 +193,73 @@ impl TiflSelector {
 /// Tier `t` of `num_tiers` over `order`: its `t`-th band of
 /// `⌈n / num_tiers⌉` parties, the last bands short (or empty) when the
 /// roster does not divide.
-fn band(order: &[PartyId], num_tiers: usize, t: usize) -> &[PartyId] {
+fn band(order: &[u32], num_tiers: usize, t: usize) -> &[u32] {
     let n = order.len();
     let per_tier = n.div_ceil(num_tiers);
     &order[(t * per_tier).min(n)..((t + 1) * per_tier).min(n)]
 }
 
-/// The tiering order: latency ascending, ties by party id. A NaN
-/// estimate counts as slower than any number, which keeps this a total
-/// order — what the sort requires and the re-tier's search relies on.
-fn by_latency(latencies: &[f64], a: PartyId, b: PartyId) -> std::cmp::Ordering {
-    let (la, lb) = (latencies[a], latencies[b]);
-    la.partial_cmp(&lb).unwrap_or_else(|| la.is_nan().cmp(&lb.is_nan())).then(a.cmp(&b))
+/// Rosters at least this large sort their tier order on two cores;
+/// below it the spawn and the merge cost what the second core saves
+/// (PERFORMANCE.md, TiFL's set-up: level at 2¹⁴, 23–31 % faster at 2¹⁵).
+const PARALLEL_SORT_PARTIES: usize = 1 << 15;
+
+/// An estimate's key in the tiering order (latency ascending, ties by
+/// party id): the float's bits, a negative's flipped whole and a
+/// positive's sign bit set, so the keys order as unsigned integers the
+/// way the latencies do. `-0.0` keys as `+0.0`, and every NaN above
+/// `+∞`, slower than any number, which keeps the order total — what the
+/// re-tier's binary search relies on.
+fn latency_key(latency: f64) -> u64 {
+    if latency.is_nan() {
+        return u64::MAX;
+    }
+    let bits = if latency == 0.0 { 0 } else { latency.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// One party's place in the tiering order, 12 bytes: its key's halves,
+/// then its id.
+type Entry = [u32; 3];
+
+/// An [`Entry`]'s `(key, id)` as one number, so a sort compares once.
+fn rank(entry: &Entry) -> u128 {
+    u128::from(entry[0]) << 64 | u128::from(entry[1]) << 32 | u128::from(entry[2])
+}
+
+/// Every party in tiering order, sorted on up to two of `workers`
+/// threads: each keys and sorts a contiguous run of entries, and one
+/// two-way merge writes the runs' ids. A third run would need a k-way
+/// merge, whose cost on distinct latencies eats what a third core saves.
+fn tier_order(latencies: &[f64], workers: usize) -> Vec<u32> {
+    let mut entries = vec![[0; 3]; latencies.len()];
+    let lens = parallel::for_each_chunk(&mut entries, 1, workers.min(2), |offset, run| {
+        let parties = latencies[offset..].iter().zip(offset as u32..);
+        for (entry, (&latency, p)) in run.iter_mut().zip(parties) {
+            let key = latency_key(latency);
+            *entry = [(key >> 32) as u32, key as u32, p];
+        }
+        run.sort_unstable_by_key(rank);
+        run.len()
+    });
+    let (a, b) = entries.split_at(lens[0]);
+    let (mut i, mut j) = (0, 0);
+    let mut order = Vec::with_capacity(entries.len());
+    while i < a.len() && j < b.len() {
+        if rank(&b[j]) < rank(&a[i]) {
+            order.push(b[j][2]);
+            j += 1;
+        } else {
+            order.push(a[i][2]);
+            i += 1;
+        }
+    }
+    order.extend(a[i..].iter().chain(&b[j..]).map(|entry| entry[2]));
+    order
 }
 
 impl ParticipantSelector for TiflSelector {
@@ -229,7 +303,7 @@ impl ParticipantSelector for TiflSelector {
                 continue;
             }
             let picks = sample_without_replacement(&mut self.rng, members.len(), want);
-            selected.extend(picks.into_iter().map(|i| members[i]));
+            selected.extend(picks.into_iter().map(|i| members[i] as PartyId));
         }
         Ok(selected)
     }
@@ -273,6 +347,20 @@ impl ParticipantSelector for TiflSelector {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// The tiering order as a comparator — what `new` sorted by before
+    /// the keyed sort, and its oracle: latency ascending, ties by id, a
+    /// NaN slower than any number.
+    fn by_latency(latencies: &[f64], a: PartyId, b: PartyId) -> std::cmp::Ordering {
+        let (la, lb) = (latencies[a], latencies[b]);
+        la.partial_cmp(&lb).unwrap_or_else(|| la.is_nan().cmp(&lb.is_nan())).then(a.cmp(&b))
+    }
+
+    fn oracle_order(latencies: &[f64]) -> Vec<u32> {
+        let mut order: Vec<PartyId> = (0..latencies.len()).collect();
+        order.sort_by(|&a, &b| by_latency(latencies, a, b));
+        order.into_iter().map(|p| p as u32).collect()
+    }
 
     /// The tier `party` sits in (0 = fastest).
     fn tier_of(s: &TiflSelector, party: PartyId) -> usize {
@@ -386,6 +474,7 @@ mod tests {
                 if round > 0 && round % cfg.retier_every == 0 {
                     let fresh = TiflSelector::new(s.latencies.clone(), cfg, 0).unwrap();
                     assert_eq!(s.tiers(), fresh.tiers(), "case {case}, round {round}");
+                    assert_eq!(s.order, oracle_order(&s.latencies), "case {case}, round {round}");
                 }
                 let mut feedback = RoundFeedback { round, ..Default::default() };
                 for &p in &cohort {
@@ -401,6 +490,52 @@ mod tests {
                 feedback.duration.insert(rng.random_range(0..n + 3), -0.0);
                 s.report(&feedback);
             }
+        }
+    }
+
+    /// The keyed sort against the comparator sort it replaced, on the
+    /// floats that order oddly — NaNs of both signs, ±0.0, ±∞, subnormals
+    /// and the extremes — among heavy duplicates, at sizes below and
+    /// above the parallel threshold, on 1 and 2 workers, and through
+    /// `new`, which picks the workers itself.
+    #[test]
+    fn keyed_order_equals_the_comparator_sort() {
+        use rand::Rng;
+        let odd = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+        ];
+        let mut rng = seeded(0x50_27);
+        for n in [1, 2, 3, 17, 1000, PARALLEL_SORT_PARTIES - 1, PARALLEL_SORT_PARTIES + 1001] {
+            let latencies: Vec<f64> = (0..n)
+                .map(|_| match rng.random_range(0..4) {
+                    0 => odd[rng.random_range(0..odd.len())],
+                    1 => rng.random_range(0..8) as f64 * 0.25,
+                    _ => rng.random::<f64>() * 4.0 - 2.0,
+                })
+                .collect();
+            let oracle = oracle_order(&latencies);
+            for workers in 1..=2 {
+                assert_eq!(
+                    tier_order(&latencies, workers),
+                    oracle,
+                    "{n} parties, {workers} workers"
+                );
+            }
+            let s = TiflSelector::new(latencies, TiflConfig::default(), 1).unwrap();
+            assert_eq!(s.order, oracle, "{n} parties through new");
         }
     }
 

@@ -87,7 +87,14 @@ impl Bytes {
 
     /// Wraps a static slice (copied — the stand-in keeps one storage kind).
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::from(bytes.to_vec())
+        Bytes::copy_from_slice(bytes)
+    }
+
+    /// A buffer holding a copy of `data`, made in one allocation and one
+    /// copy (a `Vec` first would cost a second: the shared storage is an
+    /// `Arc<[u8]>`, which cannot adopt a `Vec`'s allocation).
+    pub fn copy_from_slice(data: &[u8]) -> Self {
+        Bytes { data: data.into(), start: 0, end: data.len() }
     }
 
     /// Length of the unconsumed view.
@@ -348,6 +355,14 @@ mod tests {
         let s = b.slice(1..4);
         assert_eq!(s.as_slice(), &[2, 3, 4]);
         assert_eq!(b.len(), 5, "slicing must not consume the parent");
+    }
+
+    #[test]
+    fn copy_from_slice_holds_the_slice() {
+        let mut b = Bytes::copy_from_slice(&[1, 2, 3][1..]);
+        assert_eq!(b.as_slice(), &[2, 3]);
+        assert_eq!(b.get_u8(), 2);
+        assert_eq!(Bytes::copy_from_slice(&[]), Bytes::new());
     }
 
     #[test]
