@@ -324,7 +324,7 @@ impl SimulationBuilder {
                 Box::new(pc)
             }
             SelectorKind::Oort => {
-                Box::new(OortSelector::from_source(&store, oort_cfg(), self.seed))
+                Box::new(OortSelector::from_source(&store, oort_cfg(), self.seed)?)
             }
             SelectorKind::GradClus => {
                 Box::new(GradClusSelector::from_source(&store, SKETCH_DIM, self.seed)?)

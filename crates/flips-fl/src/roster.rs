@@ -5,12 +5,12 @@
 //! whole roster (sample counts, latency profiles, label distributions)
 //! as dense vectors. At 10⁶ registered parties that is hundreds of
 //! megabytes of mostly-cold descriptors held for the lifetime of the
-//! job. [`RosterStore`] keeps those descriptors in fixed-size
-//! *segments* ([`SEGMENT_PARTIES`] records each) and, in spill mode,
-//! pages them through a bounded LRU cache of resident segments backed
-//! by sealed files on disk — in the integrity envelope checkpoints use
-//! ([`crate::format`], magic `FLRS`), so a truncated or bit-flipped
-//! segment is rejected on every page-in, never silently misread.
+//! job. [`RosterStore`] keeps those descriptors in fixed-size columnar
+//! *segments* ([`SEGMENT_PARTIES`] records each, one column per field
+//! from `push` on) and, in spill mode, pages them through a bounded LRU
+//! of resident segments backed by sealed files on disk — in the
+//! integrity envelope checkpoints use ([`crate::format`], magic `FLRS`),
+//! so a truncated or bit-flipped segment is rejected on every page-in.
 //!
 //! The store implements [`CandidateSource`], which is how the baseline
 //! selection policies consume it: one bulk column read each for Oort
@@ -57,43 +57,10 @@ pub struct PartyRecord {
     pub label_counts: Vec<u64>,
 }
 
-/// One party's record, borrowed from wherever it is resident — what
-/// [`RosterStore::with_record`] hands out, so a read clones nothing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecordView<'a> {
-    /// [`PartyRecord::data_size`].
-    pub data_size: u64,
-    /// [`PartyRecord::latency_hint`].
-    pub latency_hint: f64,
-    /// [`PartyRecord::label_counts`].
-    pub label_counts: &'a [u64],
-}
-
-impl RecordView<'_> {
-    /// An owned copy.
-    pub fn to_record(&self) -> PartyRecord {
-        PartyRecord {
-            data_size: self.data_size,
-            latency_hint: self.latency_hint,
-            label_counts: self.label_counts.to_vec(),
-        }
-    }
-}
-
-impl PartyRecord {
-    fn view(&self) -> RecordView<'_> {
-        RecordView {
-            data_size: self.data_size,
-            latency_hint: self.latency_hint,
-            label_counts: &self.label_counts,
-        }
-    }
-}
-
 /// Where a store keeps its segments.
 enum Backing {
     /// Every segment resident — the flat path, zero I/O.
-    Memory(Vec<Vec<PartyRecord>>),
+    Memory(Vec<FlatSegment>),
     /// Sealed segment files under `dir`, paged through a bounded LRU.
     Spill { dir: PathBuf, budget: usize, cache: Box<Mutex<SegmentCache>> },
 }
@@ -112,9 +79,9 @@ struct SegmentCache {
     spare: FlatSegment,
 }
 
-/// A spilled segment as it is resident: one column per field, every
-/// label count in one buffer. Record `i`'s counts are
-/// `labels[label_end[i − 1]..label_end[i]]`.
+/// A segment as it is held, in either backing and while it is built:
+/// one column per field, every label count in one buffer. Record `i`'s
+/// counts are `labels[label_end[i − 1]..label_end[i]]`.
 #[derive(Default)]
 struct FlatSegment {
     data_size: Vec<u64>,
@@ -159,10 +126,12 @@ pub struct RosterBuilder {
     /// budget.
     spill: Option<(PathBuf, usize)>,
     segment_cap: usize,
-    pending: Vec<PartyRecord>,
+    /// The segment being filled; spill mode seals it and reuses its
+    /// columns for the next one.
+    pending: FlatSegment,
     /// Completed segments (in-memory mode) — spill mode flushes to disk
     /// instead.
-    done: Vec<Vec<PartyRecord>>,
+    done: Vec<FlatSegment>,
     written: u64,
     count: usize,
 }
@@ -173,7 +142,7 @@ impl RosterBuilder {
         RosterBuilder {
             spill: None,
             segment_cap: SEGMENT_PARTIES,
-            pending: Vec::new(),
+            pending: FlatSegment::default(),
             done: Vec::new(),
             written: 0,
             count: 0,
@@ -207,7 +176,7 @@ impl RosterBuilder {
     ///
     /// Propagates segment-file write failures (spill mode).
     pub fn push(&mut self, record: PartyRecord) -> Result<(), FlError> {
-        self.pending.push(record);
+        self.pending.push(&record);
         self.count += 1;
         if self.pending.len() >= self.segment_cap {
             self.flush()?;
@@ -221,7 +190,7 @@ impl RosterBuilder {
     ///
     /// Propagates segment-file write failures (spill mode).
     pub fn finish(mut self) -> Result<RosterStore, FlError> {
-        if !self.pending.is_empty() {
+        if self.pending.len() > 0 {
             self.flush()?;
         }
         let backing = match self.spill {
@@ -238,15 +207,14 @@ impl RosterBuilder {
     }
 
     fn flush(&mut self) -> Result<(), FlError> {
-        let segment = std::mem::take(&mut self.pending);
         match &self.spill {
-            None => self.done.push(segment),
+            None => self.done.push(std::mem::take(&mut self.pending)),
             Some((dir, _)) => {
-                let sealed = seal_segment(&segment);
-                let path = segment_path(dir, self.done.len() + self.written as usize);
-                std::fs::write(&path, sealed)
+                let path = segment_path(dir, self.written as usize);
+                std::fs::write(&path, seal_segment(&self.pending))
                     .map_err(|e| FlError::Codec(format!("cannot write segment {path:?}: {e}")))?;
                 self.written += 1;
+                self.pending.clear();
             }
         }
         Ok(())
@@ -298,46 +266,25 @@ impl RosterStore {
     ///
     /// Out-of-range ids, unreadable or tampered segment files.
     pub fn record(&self, party: PartyId) -> Result<PartyRecord, FlError> {
-        self.with_record(party, |r| r.to_record())
-    }
-
-    /// Runs `f` over one party's record where it is resident, cloning
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range ids, unreadable or tampered segment files.
-    pub fn with_record<R>(
-        &self,
-        party: PartyId,
-        f: impl FnOnce(RecordView<'_>) -> R,
-    ) -> Result<R, FlError> {
         if party >= self.num_parties {
             return Err(FlError::Codec(format!(
                 "party {party} out of range for roster of {}",
                 self.num_parties
             )));
         }
-        let (seg, off) = (party / self.segment_cap(), party % self.segment_cap());
-        match &self.backing {
-            Backing::Memory(segments) => Ok(f(segments[seg][off].view())),
-            Backing::Spill { dir, budget, cache } => {
-                self.with_segment(dir, *budget, cache, seg, |s| f(s.view(off)))
-            }
-        }
+        let mut record = PartyRecord::default();
+        self.with_segment(party / self.cap, |s| s.copy_record(party % self.cap, &mut record))?;
+        Ok(record)
     }
 
-    /// Runs `f` over spilled segment `seg` where it is resident, paging
-    /// it in on a miss (evicting least-recently used down to `budget`),
+    /// Runs `f` over segment `seg` where it is resident. Spill mode pages
+    /// it in on a miss (evicting least-recently used down to the budget)
     /// and marks it most-recently used.
-    fn with_segment<R>(
-        &self,
-        dir: &Path,
-        budget: usize,
-        cache: &Mutex<SegmentCache>,
-        seg: usize,
-        f: impl FnOnce(&FlatSegment) -> R,
-    ) -> Result<R, FlError> {
+    fn with_segment<R>(&self, seg: usize, f: impl FnOnce(&FlatSegment) -> R) -> Result<R, FlError> {
+        let (dir, budget, cache) = match &self.backing {
+            Backing::Memory(segments) => return Ok(f(&segments[seg])),
+            Backing::Spill { dir, budget, cache } => (dir, *budget, cache),
+        };
         let mut cache = cache.lock().expect("roster lock");
         if let Some(segment) = cache.resident.get(&seg) {
             let out = f(segment);
@@ -362,65 +309,36 @@ impl RosterStore {
     ///
     /// Unreadable or tampered segment files.
     pub fn visit_all(&self, visit: &mut dyn FnMut(PartyId, &PartyRecord)) -> Result<(), FlError> {
-        let cap = self.segment_cap();
-        match &self.backing {
-            Backing::Memory(segments) => {
-                for (s, records) in segments.iter().enumerate() {
-                    for (i, r) in records.iter().enumerate() {
-                        visit(s * cap + i, r);
-                    }
+        let (mut file, mut paged, mut record) = Default::default();
+        for s in 0..self.num_parties.div_ceil(self.cap) {
+            let segment = match &self.backing {
+                Backing::Memory(segments) => &segments[s],
+                Backing::Spill { dir, .. } => {
+                    self.load_segment(dir, s, &mut file, &mut paged)?;
+                    &paged
                 }
-                Ok(())
-            }
-            Backing::Spill { dir, .. } => {
-                let (mut file, mut segment) = (Vec::new(), FlatSegment::default());
-                let mut record = PartyRecord::default();
-                for s in 0..self.num_parties.div_ceil(cap) {
-                    self.load_segment(dir, s, &mut file, &mut segment)?;
-                    for i in 0..segment.len() {
-                        let view = segment.view(i);
-                        record.data_size = view.data_size;
-                        record.latency_hint = view.latency_hint;
-                        record.label_counts.clear();
-                        record.label_counts.extend_from_slice(view.label_counts);
-                        visit(s * cap + i, &record);
-                    }
-                }
-                Ok(())
+            };
+            for i in 0..segment.len() {
+                segment.copy_record(i, &mut record);
+                visit(s * self.cap + i, &record);
             }
         }
+        Ok(())
     }
 
-    /// One field of every record, in party-id order: `of_record` over a
-    /// resident record, `of_segment`'s column of a paged one. Spill mode
-    /// walks the segments in ascending order through the cache, as
-    /// reading each party through [`RosterStore::with_record`] does: a
+    /// One column of every record, in party-id order, through
+    /// [`RosterStore::with_segment`] segment by segment, ascending — as
+    /// reading each party through [`RosterStore::record`] does: a
     /// resident segment is touched, a missing one paged in (evicting
     /// least-recently used), so `loaded()`, the resident set and the LRU
     /// order come out as that walk leaves them, at one lock and one
     /// column copy per segment instead of one lookup per party.
-    fn column<T: Copy>(
-        &self,
-        of_record: fn(&PartyRecord) -> T,
-        of_segment: fn(&FlatSegment) -> &[T],
-    ) -> Result<Vec<T>, FlError> {
+    fn column<T: Copy>(&self, of_segment: fn(&FlatSegment) -> &[T]) -> Result<Vec<T>, FlError> {
         let mut out = Vec::with_capacity(self.num_parties);
-        match &self.backing {
-            Backing::Memory(segments) => out.extend(segments.iter().flatten().map(of_record)),
-            Backing::Spill { dir, budget, cache } => {
-                for seg in 0..self.num_parties.div_ceil(self.segment_cap()) {
-                    self.with_segment(dir, *budget, cache, seg, |s| {
-                        out.extend_from_slice(of_segment(s))
-                    })?;
-                }
-            }
+        for seg in 0..self.num_parties.div_ceil(self.cap) {
+            self.with_segment(seg, |s| out.extend_from_slice(of_segment(s)))?;
         }
         Ok(out)
-    }
-
-    /// The records-per-segment geometry this store was built with.
-    fn segment_cap(&self) -> usize {
-        self.cap
     }
 
     /// Reads segment `seg`'s file through `file` into `into` (both
@@ -458,13 +376,34 @@ impl FlatSegment {
         self.data_size.len()
     }
 
-    fn view(&self, i: usize) -> RecordView<'_> {
+    /// Record `i`'s label counts.
+    fn labels(&self, i: usize) -> &[u64] {
         let start = if i == 0 { 0 } else { self.label_end[i - 1] };
-        RecordView {
-            data_size: self.data_size[i],
-            latency_hint: self.latency[i],
-            label_counts: &self.labels[start..self.label_end[i]],
-        }
+        &self.labels[start..self.label_end[i]]
+    }
+
+    /// Copies record `i` into `into`, reusing its label buffer.
+    fn copy_record(&self, i: usize, into: &mut PartyRecord) {
+        into.data_size = self.data_size[i];
+        into.latency_hint = self.latency[i];
+        into.label_counts.clear();
+        into.label_counts.extend_from_slice(self.labels(i));
+    }
+
+    /// Appends one record.
+    fn push(&mut self, record: &PartyRecord) {
+        self.data_size.push(record.data_size);
+        self.latency.push(record.latency_hint);
+        self.labels.extend_from_slice(&record.label_counts);
+        self.label_end.push(self.labels.len());
+    }
+
+    /// Empties every column, keeping its capacity.
+    fn clear(&mut self) {
+        self.data_size.clear();
+        self.latency.clear();
+        self.label_end.clear();
+        self.labels.clear();
     }
 }
 
@@ -498,20 +437,23 @@ impl SegmentCache {
 /// Magic tag of a sealed roster segment.
 const SEGMENT_MAGIC: [u8; 4] = *b"FLRS";
 
-fn seal_segment(records: &[PartyRecord]) -> Vec<u8> {
-    seal(SEGMENT_MAGIC, |out| encode_segment(out, records))
+fn seal_segment(segment: &FlatSegment) -> Vec<u8> {
+    seal(SEGMENT_MAGIC, |out| encode_segment(out, segment))
 }
 
 fn unseal_segment(bytes: &[u8], into: &mut FlatSegment) -> Result<(), FlError> {
     decode_segment(unseal(bytes, SEGMENT_MAGIC, "roster segment")?, into)
 }
 
-fn encode_segment(out: &mut Vec<u8>, records: &[PartyRecord]) {
-    put_vec(out, records, |out, r| {
-        out.put_u64_le(r.data_size);
-        out.put_f64_le(r.latency_hint);
-        put_vec(out, &r.label_counts, |out, &c| out.put_u64_le(c));
-    });
+/// Writes a segment from its columns, record by record: the count, then
+/// each record's size, latency and `u64`-prefixed label counts.
+fn encode_segment(out: &mut Vec<u8>, segment: &FlatSegment) {
+    out.put_u64_le(segment.len() as u64);
+    for i in 0..segment.len() {
+        out.put_u64_le(segment.data_size[i]);
+        out.put_f64_le(segment.latency[i]);
+        put_vec(out, segment.labels(i), |out, &c| out.put_u64_le(c));
+    }
 }
 
 /// Decodes a segment payload into `into`'s columns, replacing what they
@@ -522,11 +464,8 @@ fn encode_segment(out: &mut Vec<u8>, records: &[PartyRecord]) {
 /// once, the label column for the words a well-formed payload holds
 /// once its heads are set aside.
 fn decode_segment(payload: &[u8], into: &mut FlatSegment) -> Result<(), FlError> {
+    into.clear();
     let FlatSegment { data_size, latency, label_end, labels } = into;
-    data_size.clear();
-    latency.clear();
-    label_end.clear();
-    labels.clear();
     let mut r = Reader::new(payload, "roster segment");
     // Each record is at least 24 bytes, each label count 8: a hostile
     // count is refused before anything is reserved for it.
@@ -554,11 +493,11 @@ impl CandidateSource for RosterStore {
     }
 
     fn data_sizes(&self) -> Result<Vec<u64>, SourceError> {
-        Ok(self.column(|r| r.data_size, |s| &s.data_size)?)
+        Ok(self.column(|s| &s.data_size)?)
     }
 
     fn latency_hints(&self) -> Result<Vec<f64>, SourceError> {
-        Ok(self.column(|r| r.latency_hint, |s| &s.latency)?)
+        Ok(self.column(|s| &s.latency)?)
     }
 }
 
@@ -572,21 +511,47 @@ mod tests {
         dir
     }
 
+    /// `records` pushed into one segment, as the builder pushes them.
+    fn flat(records: &[PartyRecord]) -> FlatSegment {
+        let mut segment = FlatSegment::default();
+        records.iter().for_each(|r| segment.push(r));
+        segment
+    }
+
     /// The production (columnar) decoders, read back as records.
     fn decode_segment(payload: &[u8]) -> Result<Vec<PartyRecord>, FlError> {
-        let mut flat = FlatSegment::default();
-        super::decode_segment(payload, &mut flat)?;
-        Ok((0..flat.len()).map(|i| flat.view(i).to_record()).collect())
+        let mut segment = FlatSegment::default();
+        super::decode_segment(payload, &mut segment)?;
+        let mut records = vec![PartyRecord::default(); segment.len()];
+        records.iter_mut().enumerate().for_each(|(i, r)| segment.copy_record(i, r));
+        Ok(records)
     }
 
     fn unseal_segment(bytes: &[u8]) -> Result<Vec<PartyRecord>, FlError> {
         decode_segment(unseal(bytes, SEGMENT_MAGIC, "roster segment")?)
     }
 
+    /// The production (columnar) encoders, fed records.
+    fn seal_segment(records: &[PartyRecord]) -> Vec<u8> {
+        super::seal_segment(&flat(records))
+    }
+
     fn encode_segment(records: &[PartyRecord]) -> Vec<u8> {
         let mut payload = Vec::new();
-        super::encode_segment(&mut payload, records);
+        super::encode_segment(&mut payload, &flat(records));
         payload
+    }
+
+    /// The record-at-a-time encoder segments had before they were
+    /// columnar from `push` on — the oracle for the one above.
+    fn encode_records(records: &[PartyRecord]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_vec(&mut out, records, |out, r| {
+            out.put_u64_le(r.data_size);
+            out.put_f64_le(r.latency_hint);
+            put_vec(out, &r.label_counts, |out, &c| out.put_u64_le(c));
+        });
+        out
     }
 
     /// The record-at-a-time decoder resident segments had before they
@@ -741,13 +706,25 @@ mod tests {
         assert_eq!(v2[16..], v1[16..], "versions differ in the header alone");
     }
 
-    #[test]
-    fn columnar_decode_agrees_with_the_record_decoder_on_any_bytes() {
-        let golden = two_records();
+    /// The golden two records, a ragged five (one empty and one
+    /// nine-word label list) and the empty segment.
+    fn codec_inputs() -> [Vec<PartyRecord>; 3] {
         let mut ragged = sample_records(5);
         ragged[1].label_counts.clear();
         ragged[4].label_counts = vec![u64::MAX; 9];
-        for records in [golden, ragged, Vec::new()] {
+        [two_records(), ragged, Vec::new()]
+    }
+
+    #[test]
+    fn column_encoder_writes_the_record_encoders_bytes() {
+        for records in codec_inputs() {
+            assert_eq!(encode_segment(&records), encode_records(&records), "{records:?}");
+        }
+    }
+
+    #[test]
+    fn columnar_decode_agrees_with_the_record_decoder_on_any_bytes() {
+        for records in codec_inputs() {
             let payload = encode_segment(&records);
             assert_eq!(decode_segment(&payload).unwrap(), records);
             let agree = |bytes: &[u8], what: &dyn std::fmt::Display| {
@@ -930,8 +907,8 @@ mod tests {
                     store.record(p).unwrap();
                 }
             }
-            let by_party = |f: fn(RecordView<'_>) -> u64| {
-                (0..records.len()).map(|p| walked.with_record(p, f).unwrap()).collect::<Vec<_>>()
+            let by_party = |f: fn(PartyRecord) -> u64| {
+                (0..records.len()).map(|p| f(walked.record(p).unwrap())).collect::<Vec<_>>()
             };
             assert_eq!(by_party(|r| r.latency_hint.to_bits()), bits(&hints), "case {case}");
             assert_eq!(bits(&bulk.latency_hints().unwrap()), bits(&hints), "case {case}");
@@ -946,11 +923,12 @@ mod tests {
         }
     }
 
-    /// A bit-flipped segment used to panic inside the roster read that
-    /// builds TiFL's tiers; the bulk read refuses it, and so does
-    /// `from_source`.
+    /// A bit-flipped segment used to panic inside the roster reads that
+    /// build TiFL's tiers and Oort's sample counts; the bulk reads refuse
+    /// it, and so do both `from_source`s.
     #[test]
     fn a_tampered_segment_fails_selector_construction_without_a_panic() {
+        use flips_selection::oort::{OortConfig, OortSelector};
         use flips_selection::tifl::{TiflConfig, TiflSelector};
         let dir = test_dir("tampered");
         let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4);
@@ -965,6 +943,8 @@ mod tests {
         assert!(store.latency_hints().is_err());
         assert!(store.data_sizes().is_err());
         let err = TiflSelector::from_source(&store, TiflConfig::default(), 1).unwrap_err();
+        assert!(err.to_string().contains("cannot read the roster"), "{err}");
+        let err = OortSelector::from_source(&store, OortConfig::default(), 1).unwrap_err();
         assert!(err.to_string().contains("cannot read the roster"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

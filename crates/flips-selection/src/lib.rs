@@ -43,6 +43,6 @@ pub use flips::FlipsSelector;
 pub use gradclus::GradClusSelector;
 pub use oort::OortSelector;
 pub use random::RandomSelector;
-pub use streaming::{BoundedTopK, CandidateSource};
+pub use streaming::CandidateSource;
 pub use tifl::TiflSelector;
 pub use types::{ParticipantSelector, PartyId, RoundFeedback, SelectionError, SelectorKind};

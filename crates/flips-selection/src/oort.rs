@@ -116,16 +116,18 @@ impl OortSelector {
     ///
     /// [`CandidateSource::data_sizes`]: crate::streaming::CandidateSource::data_sizes
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the source cannot read its roster.
+    /// Rejects a roster the source cannot read.
     pub fn from_source(
         source: &dyn crate::streaming::CandidateSource,
         config: OortConfig,
         seed: u64,
-    ) -> Self {
-        let data_sizes = source.data_sizes().expect("roster read");
-        OortSelector::new(data_sizes.into_iter().map(|n| n as usize).collect(), config, seed)
+    ) -> Result<Self, SelectionError> {
+        let data_sizes = source.data_sizes().map_err(|e| {
+            SelectionError::InvalidConfiguration(format!("cannot read the roster: {e}"))
+        })?;
+        Ok(OortSelector::new(data_sizes.into_iter().map(|n| n as usize).collect(), config, seed))
     }
 
     /// Current exploration fraction ε.
@@ -189,15 +191,14 @@ impl ParticipantSelector for OortSelector {
         let mut selected: Vec<PartyId> = Vec::with_capacity(total);
         let mut chosen: HashSet<PartyId> = HashSet::with_capacity(total);
 
-        // Exploit: top-scoring explored parties via a bounded streaming
-        // pass — same (score desc, id asc) total order as a full sort,
-        // O(exploit_want) memory instead of an O(n) ranked vector.
+        // Exploit: the best-scoring explored parties (score descending, id ascending).
         let clip = self.clip_threshold();
-        let mut ranked = crate::streaming::BoundedTopK::new(exploit_want);
-        for &p in &explored {
-            ranked.push(self.score(p, round, clip), p);
-        }
-        for p in ranked.into_sorted_ids() {
+        let mut ranked: Vec<_> =
+            explored.iter().map(|&p| (self.score(p, round, clip), p)).collect();
+        ranked.sort_unstable_by(|a, b| {
+            b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
+        });
+        for &(_, p) in ranked.iter().take(exploit_want) {
             if chosen.insert(p) {
                 selected.push(p);
             }

@@ -24,6 +24,9 @@ use flips::fl::{BreakerTransition, ChaosEvent, PartyPool};
 use flips::prelude::*;
 use proptest::prelude::*;
 
+mod common;
+use common::golden_builder as builder;
+
 const CHAOS_SEEDS: [u64; 3] = [7, 101, 90210];
 
 /// A 2-link wire splits the uplink across two links with their own
@@ -31,21 +34,6 @@ const CHAOS_SEEDS: [u64; 3] = [7, 101, 90210];
 /// lockstep wire can draw all-Deliver there; these seeds are verified
 /// non-vacuous on the 2-link layout for every selector.
 const SHARDED_CHAOS_SEEDS: [u64; 3] = [13, 101, 90210];
-
-/// The golden workload of `tests/protocol_equivalence.rs`: its solo
-/// run is the oracle every guarded/chaotic variant must reproduce.
-fn builder(kind: SelectorKind) -> SimulationBuilder {
-    SimulationBuilder::new(DatasetProfile::femnist())
-        .parties(12)
-        .rounds(4)
-        .participation(0.25)
-        .alpha(0.3)
-        .selector(kind)
-        .straggler_rate(0.25)
-        .clustering_restarts(3)
-        .test_per_class(8)
-        .seed(11)
-}
 
 fn solo(kind: SelectorKind) -> History {
     builder(kind).run().unwrap().history

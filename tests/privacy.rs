@@ -8,6 +8,9 @@ use flips::prelude::*;
 use flips::tee::attestation::PlatformKey;
 use flips::tee::{AttestationServer, Enclave, Measurement, SecureChannel, TeeError};
 
+mod common;
+use common::golden_builder;
+
 fn sample_lds() -> Vec<LabelDistribution> {
     (0..12)
         .map(|i| {
@@ -106,20 +109,6 @@ fn aggregator_facing_api_never_exposes_label_distributions() {
             assert!(p < 16);
         }
     }
-}
-
-/// The golden 12-party shape `tests/protocol_equivalence.rs` pins.
-fn golden_builder(kind: SelectorKind) -> SimulationBuilder {
-    SimulationBuilder::new(DatasetProfile::femnist())
-        .parties(12)
-        .rounds(4)
-        .participation(0.25)
-        .alpha(0.3)
-        .selector(kind)
-        .straggler_rate(0.25)
-        .clustering_restarts(3)
-        .test_per_class(8)
-        .seed(11)
 }
 
 #[test]

@@ -25,6 +25,9 @@ use flips::fl::message::{
 };
 use flips::prelude::*;
 
+mod common;
+use common::golden_builder as builder;
+
 /// One golden round: accuracy bits, mean-train-loss bits, duration bits,
 /// selected, completed, stragglers.
 type GoldenRound = (u64, u64, u64, &'static [usize], &'static [usize], &'static [usize]);
@@ -146,19 +149,6 @@ fn golden(kind: SelectorKind) -> &'static [GoldenRound] {
             (0x3fd8cccccccccccd, 0x3fffa49d9ac16c16, 0x3fc16cde88e8ead0, &[2, 4, 7], &[4, 7], &[2]),
         ],
     }
-}
-
-fn builder(kind: SelectorKind) -> SimulationBuilder {
-    SimulationBuilder::new(DatasetProfile::femnist())
-        .parties(12)
-        .rounds(4)
-        .participation(0.25)
-        .alpha(0.3)
-        .selector(kind)
-        .straggler_rate(0.25)
-        .clustering_restarts(3)
-        .test_per_class(8)
-        .seed(11)
 }
 
 fn run(kind: SelectorKind) -> SimulationReport {

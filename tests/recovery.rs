@@ -29,23 +29,11 @@
 use flips::fl::{ChaosEvent, Checkpoint, FlError};
 use flips::prelude::*;
 
+mod common;
+use common::golden_builder as builder;
+
 const CHAOS_SEEDS: [u64; 3] = [7, 101, 90210];
 const SHARDED_CHAOS_SEEDS: [u64; 3] = [13, 101, 90210];
-
-/// The golden workload shared with `tests/guard_plane.rs`: its solo run
-/// is the oracle every recovered variant must reproduce.
-fn builder(kind: SelectorKind) -> SimulationBuilder {
-    SimulationBuilder::new(DatasetProfile::femnist())
-        .parties(12)
-        .rounds(4)
-        .participation(0.25)
-        .alpha(0.3)
-        .selector(kind)
-        .straggler_rate(0.25)
-        .clustering_restarts(3)
-        .test_per_class(8)
-        .seed(11)
-}
 
 /// Chaos weights with the link-severing action live (drops stay off:
 /// `Disconnect` must be the only new perturbation under test).

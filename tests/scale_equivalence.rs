@@ -31,21 +31,8 @@ use flips::prelude::*;
 use flips_net::{run_socket, SocketOptions};
 use std::sync::Arc;
 
-/// The golden workload (the protocol-equivalence suite's shape): the
-/// histories pinned in `tests/protocol_equivalence.rs` come from exactly
-/// this builder.
-fn golden_builder(kind: SelectorKind) -> SimulationBuilder {
-    SimulationBuilder::new(DatasetProfile::femnist())
-        .parties(12)
-        .rounds(4)
-        .participation(0.25)
-        .alpha(0.3)
-        .selector(kind)
-        .straggler_rate(0.25)
-        .clustering_restarts(3)
-        .test_per_class(8)
-        .seed(11)
-}
+mod common;
+use common::golden_builder;
 
 /// A unique, self-cleaning spill directory per test.
 struct SpillDir(std::path::PathBuf);
@@ -148,8 +135,8 @@ fn multi_segment_spill_streams_the_same_candidates_as_memory() {
             Box::new(RandomSelector::from_source(&spilled, 11)),
         ),
         (
-            Box::new(OortSelector::from_source(&memory, OortConfig::default(), 11)),
-            Box::new(OortSelector::from_source(&spilled, OortConfig::default(), 11)),
+            Box::new(OortSelector::from_source(&memory, OortConfig::default(), 11).unwrap()),
+            Box::new(OortSelector::from_source(&spilled, OortConfig::default(), 11).unwrap()),
         ),
         (
             Box::new(GradClusSelector::from_source(&memory, 8, 11).unwrap()),

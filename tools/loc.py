@@ -31,7 +31,7 @@ for crate in crates:
         cut = next((i for i, l in enumerate(lines) if l.strip() in ("#[cfg(test)]", "#![cfg(test)]")), len(lines))
         code += cut
         in_file_tests += len(lines) - cut
-    suites = sum(len(p.read_text().splitlines()) for p in (crate / "tests").glob("*.rs"))
+    suites = sum(len(p.read_text().splitlines()) for p in (crate / "tests").rglob("*.rs"))
     name = "flips (facade)" if crate == root else crate.name
     print(f"{name:<18} {code:>7} {in_file_tests:>10} {suites:>7}")
     src[crate.name] = code
