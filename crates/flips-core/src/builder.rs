@@ -505,7 +505,7 @@ mod tests {
             (ModelSpec::Mlp { dims: vec![] }, 32),
             (ModelSpec::Mlp { dims: vec![5] }, 5),
             (ModelSpec::Mlp { dims: vec![32, 0, 5] }, 32),
-            (ModelSpec::LogisticRegression { dim: 0, classes: 5 }, 0),
+            (ModelSpec::Mlp { dims: vec![0, 5] }, 0),
         ] {
             let profile =
                 DatasetProfile { model: model.clone(), feature_dim, ..DatasetProfile::ecg() };

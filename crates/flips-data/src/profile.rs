@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn validate_rejects_model_mismatch() {
         let mut p = DatasetProfile::ecg();
-        p.model = ModelSpec::LogisticRegression { dim: 32, classes: 9 };
+        p.model = ModelSpec::Mlp { dims: vec![32, 9] };
         assert!(p.validate().is_err());
     }
 }

@@ -11,7 +11,7 @@ use crate::latency::LatencyModel;
 use flips_data::Dataset;
 use flips_ml::loss::add_proximal_grad;
 use flips_ml::model::{Model, ModelSpec, TrainWorkspace};
-use flips_ml::optimizer::{Optimizer, Sgd};
+use flips_ml::optimizer::Sgd;
 use flips_ml::rng::{derive_seed, seeded};
 use flips_ml::Matrix;
 use flips_selection::PartyId;

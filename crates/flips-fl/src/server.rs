@@ -13,7 +13,7 @@
 use crate::config::FlAlgorithm;
 use crate::party::LocalUpdate;
 use crate::FlError;
-use flips_ml::optimizer::{Adagrad, Adam, Optimizer, Yogi};
+use flips_ml::optimizer::{Adaptive, Rule};
 
 /// Accumulates the sample-weighted average of `updates` — `(nᵢ, xᵢ)`
 /// pairs, folded in the order given — into `accum` (resized to the
@@ -80,7 +80,7 @@ pub fn weighted_average(updates: &[LocalUpdate]) -> Result<Vec<f32>, FlError> {
 /// the first round.
 pub struct ServerState {
     algorithm: FlAlgorithm,
-    optimizer: Option<Box<dyn Optimizer>>,
+    optimizer: Option<Adaptive>,
     accum: Vec<f64>,
     scratch: Vec<f32>,
 }
@@ -94,11 +94,11 @@ impl std::fmt::Debug for ServerState {
 impl ServerState {
     /// Creates the server state for an algorithm.
     pub fn new(algorithm: FlAlgorithm) -> Self {
-        let optimizer: Option<Box<dyn Optimizer>> = match algorithm {
+        let optimizer = match algorithm {
             FlAlgorithm::FedAvg | FlAlgorithm::FedProx { .. } => None,
-            FlAlgorithm::FedYogi { server_lr } => Some(Box::new(Yogi::new(server_lr))),
-            FlAlgorithm::FedAdam { server_lr } => Some(Box::new(Adam::new(server_lr))),
-            FlAlgorithm::FedAdagrad { server_lr } => Some(Box::new(Adagrad::new(server_lr))),
+            FlAlgorithm::FedYogi { server_lr } => Some(Adaptive::new(Rule::Yogi, server_lr)),
+            FlAlgorithm::FedAdam { server_lr } => Some(Adaptive::new(Rule::Adam, server_lr)),
+            FlAlgorithm::FedAdagrad { server_lr } => Some(Adaptive::new(Rule::Adagrad, server_lr)),
         };
         ServerState { algorithm, optimizer, accum: Vec::new(), scratch: Vec::new() }
     }
@@ -162,20 +162,13 @@ impl ServerState {
         Ok(())
     }
 
-    /// Resets optimizer state (new job on the same architecture).
-    pub fn reset(&mut self) {
-        if let Some(opt) = &mut self.optimizer {
-            opt.reset();
-        }
-    }
-
     /// Exports the aggregation plane's persistent state: the server
     /// optimizer's accumulated moments/velocity, bit-exactly. The
     /// averaging buffers (`accum`, `scratch`) are per-call scratch and
     /// carry nothing across rounds, so the optimizer words are the
     /// complete snapshot; FedAvg/FedProx (no optimizer) export empty.
     pub fn export_optimizer(&self) -> Vec<f32> {
-        self.optimizer.as_ref().map_or_else(Vec::new, |o| o.export_state())
+        self.optimizer.as_ref().map_or_else(Vec::new, Adaptive::export_state)
     }
 
     /// Restores state previously produced by
@@ -275,20 +268,5 @@ mod tests {
         let mut global = vec![0.0; 3];
         let ups = vec![update(vec![1.0], 1)];
         assert!(state.apply_round(&mut global, &ups).is_err());
-    }
-
-    #[test]
-    fn reset_restores_fresh_adaptive_behavior() {
-        let ups = vec![update(vec![0.0], 1)];
-        let mut fresh = ServerState::new(FlAlgorithm::fedyogi());
-        let mut reused = ServerState::new(FlAlgorithm::fedyogi());
-        let mut g1 = vec![1.0f32];
-        reused.apply_round(&mut g1, &ups).unwrap();
-        reused.reset();
-        let mut a = vec![1.0f32];
-        let mut b = vec![1.0f32];
-        reused.apply_round(&mut a, &ups).unwrap();
-        fresh.apply_round(&mut b, &ups).unwrap();
-        assert_eq!(a, b);
     }
 }

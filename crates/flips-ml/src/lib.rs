@@ -3,19 +3,20 @@
 //! A small, dependency-light machine-learning stack built for the FLIPS
 //! reproduction. The paper trains a 1-D CNN (MIT-BIH ECG), DenseNet-121
 //! (HAM10000) and LeNet-5 (FEMNIST / FashionMNIST) on GPUs; this crate
-//! provides CPU-friendly stand-ins — multinomial logistic regression, a
-//! configurable multi-layer perceptron and a small 1-D CNN — whose accuracy
-//! is sensitive to the label distribution of their training data, which is
-//! the property the FLIPS evaluation exercises.
+//! provides CPU-friendly stand-ins — a configurable multi-layer perceptron
+//! (with one layer, `dims = [d, c]`, it is multinomial logistic regression)
+//! and a small 1-D CNN — whose accuracy is sensitive to the label
+//! distribution of their training data, which is the property the FLIPS
+//! evaluation exercises.
 //!
 //! Design decisions:
 //!
 //! - **Flat parameter vectors.** Every [`Model`] exposes its
 //!   parameters as one flattened `Vec<f32>`. Federated-learning servers
 //!   aggregate flat vectors, FedProx adds a proximal pull toward a flat
-//!   global vector, and adaptive server optimizers (Yogi/Adam/Adagrad) keep
-//!   flat moment estimates. Flattening once at the model boundary keeps all
-//!   of that trivial.
+//!   global vector, and the adaptive server optimizer ([`Adaptive`], one
+//!   [`Rule`] each for Yogi/Adam/Adagrad) keeps flat moment estimates.
+//!   Flattening once at the model boundary keeps all of that trivial.
 //! - **Deterministic by construction.** All randomness flows through caller
 //!   supplied [`rand`] RNGs; seeding a simulation reproduces it bit-for-bit.
 //! - **Balanced accuracy.** The paper's accuracy metric is the mean of
@@ -51,8 +52,8 @@ pub mod rng;
 
 pub use matrix::Matrix;
 pub use metrics::{balanced_accuracy, ConfusionMatrix};
-pub use model::{Conv1dNet, LogisticRegression, Mlp, Model};
-pub use optimizer::{Adagrad, Adam, Optimizer, Sgd, Yogi};
+pub use model::{Conv1dNet, Mlp, Model};
+pub use optimizer::{Adaptive, Rule, Sgd};
 
 /// Errors produced by the ML substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]

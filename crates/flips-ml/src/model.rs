@@ -1,12 +1,15 @@
 //! Classification models with flat-parameter access.
 //!
-//! Three architectures stand in for the paper's GPU models (§4.2):
+//! Two architectures stand in for the paper's GPU models (§4.2):
 //!
 //! | paper                         | here                      |
 //! |-------------------------------|---------------------------|
 //! | 1-D CNN (MIT-BIH ECG)         | [`Conv1dNet`]             |
 //! | DenseNet-121 (HAM10000)       | [`Mlp`]                   |
-//! | LeNet-5 (FEMNIST / Fashion)   | [`Mlp`] / [`LogisticRegression`] |
+//! | LeNet-5 (FEMNIST / Fashion)   | [`Mlp`]                   |
+//!
+//! A one-layer [`Mlp`] (`dims = [d, c]`) is multinomial logistic
+//! regression, `softmax(X·W + b)`, He-initialized.
 //!
 //! All models expose parameters as a single flat vector so that federated
 //! aggregation, FedProx proximal pulls and adaptive server optimizers can
@@ -159,105 +162,6 @@ pub fn predict(model: &dyn Model, x: &Matrix) -> Vec<usize> {
 /// Mean cross-entropy of a model on a labelled batch, without gradients.
 pub fn evaluate_loss(model: &dyn Model, x: &Matrix, y: &[usize]) -> f32 {
     cross_entropy(&model.predict_proba(x), y)
-}
-
-// ---------------------------------------------------------------------------
-// Logistic regression
-// ---------------------------------------------------------------------------
-
-/// Multinomial logistic regression: `softmax(X·W + b)`.
-///
-/// Parameter order: `W` row-major (`dim × classes`) followed by `b`
-/// (`classes`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LogisticRegression {
-    dim: usize,
-    classes: usize,
-    w: Matrix,
-    b: Vec<f32>,
-}
-
-impl LogisticRegression {
-    /// Creates a model with Xavier-initialized weights and zero biases.
-    pub fn new<R: Rng + ?Sized>(rng: &mut R, dim: usize, classes: usize) -> Self {
-        ModelSpec::LogisticRegression { dim, classes }
-            .validate()
-            .expect("logistic regression sizes");
-        LogisticRegression {
-            dim,
-            classes,
-            w: init::xavier(rng, dim, classes),
-            b: vec![0.0; classes],
-        }
-    }
-
-    fn logits(&self, x: &Matrix) -> Matrix {
-        let mut z = x.matmul(&self.w);
-        z.add_row_broadcast(&self.b);
-        z
-    }
-}
-
-impl Model for LogisticRegression {
-    fn num_params(&self) -> usize {
-        self.dim * self.classes + self.classes
-    }
-
-    fn params(&self) -> Vec<f32> {
-        let mut p = Vec::with_capacity(self.num_params());
-        p.extend_from_slice(self.w.as_slice());
-        p.extend_from_slice(&self.b);
-        p
-    }
-
-    fn set_params(&mut self, params: &[f32]) -> Result<(), MlError> {
-        if params.len() != self.num_params() {
-            return Err(MlError::ParamLength { expected: self.num_params(), got: params.len() });
-        }
-        let split = self.dim * self.classes;
-        self.w.as_mut_slice().copy_from_slice(&params[..split]);
-        self.b.copy_from_slice(&params[split..]);
-        Ok(())
-    }
-
-    fn predict_proba(&self, x: &Matrix) -> Matrix {
-        let mut z = self.logits(x);
-        softmax_rows_inplace(&mut z);
-        z
-    }
-
-    fn loss_and_grad_into(&self, x: &Matrix, y: &[usize], ws: &mut TrainWorkspace) -> f32 {
-        self.reserve_workspace(x.rows(), ws);
-        // Probabilities and the logit gradient share ws.delta.
-        x.matmul_into(&self.w, &mut ws.delta);
-        ws.delta.add_row_broadcast(&self.b);
-        softmax_rows_inplace(&mut ws.delta);
-        let loss = cross_entropy(&ws.delta, y);
-        cross_entropy_logit_grad_inplace(&mut ws.delta, y);
-
-        ws.grad.resize(self.num_params(), 0.0);
-        let split = self.dim * self.classes;
-        x.matmul_tn_into_slice(&ws.delta, &mut ws.grad[..split]);
-        ws.delta.col_sums_into(&mut ws.grad[split..]);
-        loss
-    }
-
-    fn reserve_workspace(&self, rows: usize, ws: &mut TrainWorkspace) {
-        ws.delta.reserve(rows, self.classes);
-        reserve_len(&mut ws.grad, self.num_params());
-    }
-
-    fn num_classes(&self) -> usize {
-        self.classes
-    }
-
-    fn input_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn clone_box(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -805,14 +709,8 @@ impl Model for Conv1dNet {
 /// architecture") and each party instantiates it locally.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ModelSpec {
-    /// Multinomial logistic regression.
-    LogisticRegression {
-        /// Input feature dimension.
-        dim: usize,
-        /// Number of classes.
-        classes: usize,
-    },
-    /// Fully-connected network; `dims = [in, h1, ..., out]`.
+    /// Fully-connected network; `dims = [in, h1, ..., out]` (`[in, out]`
+    /// is multinomial logistic regression).
     Mlp {
         /// Layer widths.
         dims: Vec<usize>,
@@ -836,7 +734,6 @@ impl ModelSpec {
     /// size, under two classes or MLP widths, or a kernel over the signal.
     pub fn validate(&self) -> Result<(), MlError> {
         let buildable = match self {
-            ModelSpec::LogisticRegression { dim, classes } => *dim > 0 && *classes >= 2,
             ModelSpec::Mlp { dims } => {
                 dims.len() >= 2 && !dims.contains(&0) && dims.last().is_some_and(|&c| c >= 2)
             }
@@ -853,9 +750,6 @@ impl ModelSpec {
     /// Instantiates the architecture with fresh weights from `rng`.
     pub fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> Box<dyn Model> {
         match self {
-            ModelSpec::LogisticRegression { dim, classes } => {
-                Box::new(LogisticRegression::new(rng, *dim, *classes))
-            }
             ModelSpec::Mlp { dims } => Box::new(Mlp::new(rng, dims)),
             ModelSpec::Conv1d { len, kernel, filters, classes } => {
                 Box::new(Conv1dNet::new(rng, *len, *kernel, *filters, *classes))
@@ -866,7 +760,6 @@ impl ModelSpec {
     /// Number of output classes of the architecture.
     pub fn num_classes(&self) -> usize {
         match self {
-            ModelSpec::LogisticRegression { classes, .. } => *classes,
             ModelSpec::Mlp { dims } => *dims.last().expect("non-empty dims"),
             ModelSpec::Conv1d { classes, .. } => *classes,
         }
@@ -875,7 +768,6 @@ impl ModelSpec {
     /// Input feature dimension of the architecture.
     pub fn input_dim(&self) -> usize {
         match self {
-            ModelSpec::LogisticRegression { dim, .. } => *dim,
             ModelSpec::Mlp { dims } => dims[0],
             ModelSpec::Conv1d { len, .. } => *len,
         }
@@ -921,11 +813,37 @@ mod tests {
     }
 
     #[test]
-    fn logreg_gradient_check() {
+    fn single_layer_mlp_gradient_check() {
         let mut rng = seeded(1);
-        let mut m = LogisticRegression::new(&mut rng, 5, 3);
+        let mut m = Mlp::new(&mut rng, &[5, 3]);
         let (x, y) = tiny_batch(5, 3, 7);
         check_gradients(&mut m, &x, &y);
+    }
+
+    #[test]
+    fn one_layer_mlp_is_multinomial_logistic_regression() {
+        // softmax(X·W + b) and its gradient [Xᵀ·δ ‖ col_sums(δ)], δ the
+        // logit gradient, built by hand from the model's own parameters
+        // (`W` row-major, then `b`).
+        let (d, c) = (7, 4);
+        let m = Mlp::new(&mut seeded(11), &[d, c]);
+        let (x, y) = tiny_batch(d, c, 13);
+        let params = m.params();
+        let (w, b) = params.split_at(d * c);
+        let mut probs = x.matmul(&Matrix::from_vec(d, c, w.to_vec()));
+        probs.add_row_broadcast(b);
+        softmax_rows_inplace(&mut probs);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(m.predict_proba(&x).as_slice()), bits(probs.as_slice()));
+
+        let (loss, grad) = m.loss_and_grad(&x, &y);
+        assert_eq!(loss.to_bits(), cross_entropy(&probs, &y).to_bits());
+        let mut delta = probs;
+        cross_entropy_logit_grad_inplace(&mut delta, &y);
+        let mut want = vec![0.0; d * c + c];
+        x.matmul_tn_into_slice(&delta, &mut want[..d * c]);
+        delta.col_sums_into(&mut want[d * c..]);
+        assert_eq!(bits(&grad), bits(&want));
     }
 
     #[test]
@@ -956,7 +874,7 @@ mod tests {
     fn params_set_params_round_trip() {
         let mut rng = seeded(5);
         for mut model in [
-            Box::new(LogisticRegression::new(&mut rng, 6, 4)) as Box<dyn Model>,
+            Box::new(Mlp::new(&mut rng, &[6, 4])) as Box<dyn Model>,
             Box::new(Mlp::new(&mut rng, &[6, 8, 4])),
             Box::new(Conv1dNet::new(&mut rng, 12, 3, 5, 4)),
         ] {
@@ -976,7 +894,7 @@ mod tests {
     #[test]
     fn set_params_rejects_wrong_length() {
         let mut rng = seeded(6);
-        let mut m = LogisticRegression::new(&mut rng, 3, 2);
+        let mut m = Mlp::new(&mut rng, &[3, 2]);
         let err = m.set_params(&[0.0; 3]).unwrap_err();
         assert_eq!(err, MlError::ParamLength { expected: 8, got: 3 });
     }
@@ -995,7 +913,8 @@ mod tests {
 
     #[test]
     fn sgd_training_reduces_loss_and_learns_separable_data() {
-        // Two well-separated Gaussian blobs; logistic regression must fit.
+        // Two well-separated Gaussian blobs; a one-layer MLP (logistic
+        // regression) must fit.
         let mut rng = seeded(8);
         let n = 100;
         let mut rows = Vec::new();
@@ -1010,13 +929,13 @@ mod tests {
             y.push(cls);
         }
         let x = Matrix::from_rows(&rows);
-        let mut model = LogisticRegression::new(&mut rng, 2, 2);
+        let mut model = Mlp::new(&mut rng, &[2, 2]);
         let mut opt = crate::optimizer::Sgd::new(0.5);
         let initial = evaluate_loss(&model, &x, &y);
         for _ in 0..100 {
             let (_, grad) = model.loss_and_grad(&x, &y);
             let mut p = model.params();
-            crate::optimizer::Optimizer::step(&mut opt, &mut p, &grad);
+            opt.step(&mut p, &grad);
             model.set_params(&p).unwrap();
         }
         let fin = evaluate_loss(&model, &x, &y);
@@ -1042,8 +961,7 @@ mod tests {
         let conv =
             |len, kernel, filters, classes| ModelSpec::Conv1d { len, kernel, filters, classes };
         for spec in [
-            ModelSpec::LogisticRegression { dim: 0, classes: 3 },
-            ModelSpec::LogisticRegression { dim: 4, classes: 1 },
+            ModelSpec::Mlp { dims: vec![0, 3] },
             ModelSpec::Mlp { dims: vec![4] },
             ModelSpec::Mlp { dims: vec![4, 0, 3] },
             ModelSpec::Mlp { dims: vec![4, 6, 1] },
@@ -1056,7 +974,6 @@ mod tests {
             assert!(spec.validate().is_err(), "{spec:?} validated");
         }
         for spec in [
-            ModelSpec::LogisticRegression { dim: 4, classes: 2 },
             ModelSpec::Mlp { dims: vec![4, 2] },
             ModelSpec::Mlp { dims: vec![4, 1, 2] },
             conv(5, 5, 1, 2),
@@ -1078,7 +995,7 @@ mod tests {
     fn workspace_path_matches_allocating_path() {
         let mut rng = seeded(21);
         let models: Vec<Box<dyn Model>> = vec![
-            Box::new(LogisticRegression::new(&mut rng, 6, 4)),
+            Box::new(Mlp::new(&mut rng, &[6, 4])),
             Box::new(Mlp::new(&mut rng, &[6, 9, 5, 4])),
             Box::new(Conv1dNet::new(&mut rng, 6, 3, 3, 4)),
         ];
@@ -1124,7 +1041,7 @@ mod tests {
     fn a_reserved_workspace_never_grows() {
         let mut rng = seeded(23);
         let models: Vec<Box<dyn Model>> = vec![
-            Box::new(LogisticRegression::new(&mut rng, 6, 4)),
+            Box::new(Mlp::new(&mut rng, &[6, 4])),
             Box::new(Mlp::new(&mut rng, &[6, 9, 5, 4])),
             Box::new(Mlp::new(&mut rng, &[6, 3, 11, 4])),
             Box::new(Conv1dNet::new(&mut rng, 6, 3, 11, 4)),
@@ -1143,7 +1060,7 @@ mod tests {
 
     #[test]
     fn two_parties_same_seed_build_identical_models() {
-        let spec = ModelSpec::LogisticRegression { dim: 4, classes: 3 };
+        let spec = ModelSpec::Mlp { dims: vec![4, 3] };
         let a = spec.build(&mut seeded(42));
         let b = spec.build(&mut seeded(42));
         assert_eq!(a.params(), b.params());

@@ -1,95 +1,47 @@
 //! First-order optimizers over flat parameter vectors.
 //!
-//! The same trait serves both sides of federated learning:
+//! One of each serves the two sides of federated learning:
 //!
 //! - **client side** — parties run [`Sgd`] steps on local mini-batch
 //!   gradients (paper Algorithm 1, lines 4–6);
 //! - **server side** — FL algorithms apply the aggregated *pseudo-gradient*
 //!   (global model minus averaged client model) through a server optimizer:
-//!   plain averaging for FedAvg/FedProx, [`Yogi`] for FedYogi, [`Adam`] for
-//!   FedAdam, [`Adagrad`] for FedAdagrad (paper §2.1).
+//!   plain averaging for FedAvg/FedProx, and one [`Adaptive`] step for the
+//!   FedOpt family, whose [`Rule`] picks FedYogi, FedAdam or FedAdagrad
+//!   (paper §2.1).
 
 use serde::{Deserialize, Serialize};
 
-/// A stateful first-order optimizer over a flat `f32` parameter vector.
-///
-/// Implementations update `params` in place given a gradient of the same
-/// length; they own any moment/velocity state and lazily size it on first
-/// use.
-pub trait Optimizer: Send {
-    /// Applies one update step: conceptually `params ← params − f(grad)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad.len() != params.len()`, or if the optimizer was
-    /// previously stepped with a different parameter length.
-    fn step(&mut self, params: &mut [f32], grad: &[f32]);
-
-    /// The current base learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the base learning rate (used by decay schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-
-    /// Clears all accumulated state (moments, velocity).
-    fn reset(&mut self);
-
-    /// A short human-readable name, e.g. `"sgd"`.
-    fn name(&self) -> &'static str;
-
-    /// Serializes the optimizer's accumulated state (moments, velocity,
-    /// step counters) as a flat `f32` word vector, bit-exactly. A
-    /// stateless optimizer exports an empty vector. The layout is
-    /// implementation-private: only [`Optimizer::import_state`] of the
-    /// same implementation understands it.
-    fn export_state(&self) -> Vec<f32> {
-        Vec::new()
-    }
-
-    /// Restores state previously produced by [`Optimizer::export_state`]
-    /// on an optimizer of the same kind and configuration. Returns
-    /// `false` (leaving the optimizer untouched) when the words cannot
-    /// be this implementation's layout.
-    fn import_state(&mut self, state: &[f32]) -> bool {
-        state.is_empty()
-    }
-}
-
-/// Stochastic gradient descent with optional classical momentum and weight
-/// decay.
+/// Stochastic gradient descent with optional classical momentum.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
     velocity: Vec<f32>,
 }
 
 impl Sgd {
     /// Plain SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Sgd { lr, momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
+        Sgd { lr, momentum: 0.0, velocity: Vec::new() }
     }
 
     /// SGD with classical momentum `beta`.
     pub fn with_momentum(lr: f32, beta: f32) -> Self {
-        Sgd { lr, momentum: beta, weight_decay: 0.0, velocity: Vec::new() }
+        Sgd { lr, momentum: beta, velocity: Vec::new() }
     }
 
-    /// Adds L2 weight decay `lambda` (applied as `grad + λ·w`).
-    #[must_use]
-    pub fn weight_decay(mut self, lambda: f32) -> Self {
-        self.weight_decay = lambda;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f32], grad: &[f32]) {
+    /// Applies one update step, `params ← params − lr·v` with
+    /// `v ← β·v + grad` (`v = grad` without momentum).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad.len() != params.len()`, or if the optimizer was
+    /// previously stepped with a different parameter length.
+    pub fn step(&mut self, params: &mut [f32], grad: &[f32]) {
         assert_eq!(params.len(), grad.len(), "sgd: grad/param length mismatch");
         if self.momentum == 0.0 {
             for (p, &g) in params.iter_mut().zip(grad) {
-                let g = g + self.weight_decay * *p;
                 *p -= self.lr * g;
             }
             return;
@@ -99,74 +51,60 @@ impl Optimizer for Sgd {
             self.velocity = vec![0.0; params.len()];
         }
         for ((p, &g), v) in params.iter_mut().zip(grad).zip(&mut self.velocity) {
-            let g = g + self.weight_decay * *p;
             *v = self.momentum * *v + g;
             *p -= self.lr * *v;
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
-
-    fn name(&self) -> &'static str {
-        "sgd"
-    }
-
-    fn export_state(&self) -> Vec<f32> {
-        self.velocity.clone()
-    }
-
-    fn import_state(&mut self, state: &[f32]) -> bool {
-        self.velocity = state.to_vec();
-        true
-    }
 }
 
-/// Shared implementation of the adaptive family (Adam / Yogi / Adagrad).
-///
-/// All three maintain a first moment `m` and a second-moment accumulator `v`
-/// and update `p ← p − lr · m̂ / (√v̂ + ε)`; they differ only in how `v` is
-/// accumulated:
-///
-/// - **Adam**: `v ← β₂·v + (1−β₂)·g²` (exponential moving average),
-/// - **Yogi**: `v ← v − (1−β₂)·sign(v − g²)·g²` (additive, so `v` reacts
-///   slowly when gradients shrink — the property that makes FedYogi robust
-///   to heterogeneous client updates),
-/// - **Adagrad**: `v ← v + g²` (monotone accumulation, no β₂).
+/// How the adaptive family accumulates its second moment `v` — the one
+/// thing FedYogi, FedAdam and FedAdagrad's server steps disagree on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum AdaptiveRule {
+pub enum Rule {
+    /// Adam (Kingma & Ba), the server optimizer of FedAdam:
+    /// `v ← β₂·v + (1−β₂)·g²`, an exponential moving average.
     Adam,
+    /// Yogi (Zaheer et al.), the server optimizer of FedYogi, which the
+    /// paper reports as the best-performing FL algorithm on non-IID data
+    /// (§2.1): `v ← v − (1−β₂)·sign(v − g²)·g²`, additive, so `v` reacts
+    /// slowly when gradients shrink.
     Yogi,
+    /// Adagrad (Duchi et al.), the server optimizer of FedAdagrad:
+    /// `v ← v + g²`, monotone accumulation with no β₂ and no bias
+    /// correction of `v`.
     Adagrad,
 }
 
+/// The adaptive server optimizer: a first moment `m` and a second-moment
+/// accumulator `v` per parameter, and `p ← p − lr · m̂ / (√v̂ + ε)` with
+/// `v` accumulated by its [`Rule`], under the paper-standard `β₁ = 0.9`,
+/// `β₂ = 0.99` and `ε = 1e-3`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct AdaptiveState {
-    rule: AdaptiveRule,
+pub struct Adaptive {
+    rule: Rule,
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     t: u64,
     m: Vec<f32>,
     v: Vec<f32>,
 }
 
-impl AdaptiveState {
-    fn new(rule: AdaptiveRule, lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
-        AdaptiveState { rule, lr, beta1, beta2, eps, t: 0, m: Vec::new(), v: Vec::new() }
+const BETA1: f32 = 0.9;
+const BETA2: f32 = 0.99;
+const EPS: f32 = 1e-3;
+
+impl Adaptive {
+    /// The optimizer for `rule` with learning rate `lr`.
+    pub fn new(rule: Rule, lr: f32) -> Self {
+        Adaptive { rule, lr, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
-    fn step(&mut self, params: &mut [f32], grad: &[f32]) {
+    /// Applies one update step; the moments are sized on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad.len() != params.len()`, or if the optimizer was
+    /// previously stepped with a different parameter length.
+    pub fn step(&mut self, params: &mut [f32], grad: &[f32]) {
         assert_eq!(params.len(), grad.len(), "adaptive: grad/param length mismatch");
         if self.m.len() != params.len() {
             assert!(self.m.is_empty(), "adaptive: parameter length changed mid-run");
@@ -174,43 +112,38 @@ impl AdaptiveState {
             self.v = vec![0.0; params.len()];
         }
         self.t += 1;
-        let bias1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bias2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bias1 = 1.0 - BETA1.powi(self.t as i32);
+        let bias2 = 1.0 - BETA2.powi(self.t as i32);
         for i in 0..params.len() {
             let g = grad[i];
             let g2 = g * g;
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g;
             match self.rule {
-                AdaptiveRule::Adam => {
-                    self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g2;
+                Rule::Adam => {
+                    self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g2;
                 }
-                AdaptiveRule::Yogi => {
+                Rule::Yogi => {
                     let sign = (self.v[i] - g2).signum();
-                    self.v[i] -= (1.0 - self.beta2) * sign * g2;
+                    self.v[i] -= (1.0 - BETA2) * sign * g2;
                 }
-                AdaptiveRule::Adagrad => {
+                Rule::Adagrad => {
                     self.v[i] += g2;
                 }
             }
             let (m_hat, v_hat) = match self.rule {
                 // Adagrad traditionally applies no bias correction.
-                AdaptiveRule::Adagrad => (self.m[i] / bias1, self.v[i]),
+                Rule::Adagrad => (self.m[i] / bias1, self.v[i]),
                 _ => (self.m[i] / bias1, self.v[i] / bias2),
             };
-            params[i] -= self.lr * m_hat / (v_hat.max(0.0).sqrt() + self.eps);
+            params[i] -= self.lr * m_hat / (v_hat.max(0.0).sqrt() + EPS);
         }
     }
 
-    fn reset(&mut self) {
-        self.t = 0;
-        self.m.clear();
-        self.v.clear();
-    }
-
-    /// Layout: `[t_lo_bits, t_hi_bits, m…, v…]` — the step counter split
-    /// across two f32 bit patterns so the round-trip is exact for any
-    /// `u64`, followed by the two moment vectors (equal lengths).
-    fn export(&self) -> Vec<f32> {
+    /// The accumulated state as flat `f32` words, bit-exactly:
+    /// `[t_lo_bits, t_hi_bits, m…, v…]` — the step counter split across
+    /// two f32 bit patterns so the round-trip is exact for any `u64`,
+    /// followed by the two moment vectors (equal lengths).
+    pub fn export_state(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(2 + self.m.len() + self.v.len());
         out.push(f32::from_bits(self.t as u32));
         out.push(f32::from_bits((self.t >> 32) as u32));
@@ -219,7 +152,11 @@ impl AdaptiveState {
         out
     }
 
-    fn import(&mut self, state: &[f32]) -> bool {
+    /// Restores state produced by [`Adaptive::export_state`] on an
+    /// optimizer of the same rule and learning rate. Returns `false`
+    /// (leaving the optimizer untouched) when the words cannot be that
+    /// layout.
+    pub fn import_state(&mut self, state: &[f32]) -> bool {
         if state.len() < 2 || !(state.len() - 2).is_multiple_of(2) {
             return false;
         }
@@ -230,80 +167,6 @@ impl AdaptiveState {
         true
     }
 }
-
-macro_rules! adaptive_optimizer {
-    ($(#[$doc:meta])* $name:ident, $rule:expr, $label:literal) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Serialize, Deserialize)]
-        pub struct $name {
-            state: AdaptiveState,
-        }
-
-        impl $name {
-            /// Creates the optimizer with the paper-standard defaults
-            /// `β₁ = 0.9`, `β₂ = 0.99`, `ε = 1e-3`.
-            pub fn new(lr: f32) -> Self {
-                $name { state: AdaptiveState::new($rule, lr, 0.9, 0.99, 1e-3) }
-            }
-        }
-
-        impl Optimizer for $name {
-            fn step(&mut self, params: &mut [f32], grad: &[f32]) {
-                self.state.step(params, grad);
-            }
-
-            fn learning_rate(&self) -> f32 {
-                self.state.lr
-            }
-
-            fn set_learning_rate(&mut self, lr: f32) {
-                self.state.lr = lr;
-            }
-
-            fn reset(&mut self) {
-                self.state.reset();
-            }
-
-            fn name(&self) -> &'static str {
-                $label
-            }
-
-            fn export_state(&self) -> Vec<f32> {
-                self.state.export()
-            }
-
-            fn import_state(&mut self, state: &[f32]) -> bool {
-                self.state.import(state)
-            }
-        }
-    };
-}
-
-adaptive_optimizer!(
-    /// Adam (Kingma & Ba) — exponential moving averages of the gradient and
-    /// its square. Used as the server optimizer of FedAdam.
-    Adam,
-    AdaptiveRule::Adam,
-    "adam"
-);
-
-adaptive_optimizer!(
-    /// Yogi (Zaheer et al.) — Adam with an additive second-moment update
-    /// that shrinks `v` only slowly. The server optimizer of FedYogi, which
-    /// the paper reports as the best-performing FL algorithm on non-IID
-    /// data (§2.1).
-    Yogi,
-    AdaptiveRule::Yogi,
-    "yogi"
-);
-
-adaptive_optimizer!(
-    /// Adagrad (Duchi et al.) — monotone second-moment accumulation. The
-    /// server optimizer of FedAdagrad.
-    Adagrad,
-    AdaptiveRule::Adagrad,
-    "adagrad"
-);
 
 /// Step-decay learning-rate schedule: multiply the rate by `factor` every
 /// `every` rounds (the paper decays its client LR every 20–30 rounds, §4.2).
@@ -341,11 +204,11 @@ mod tests {
         params.iter().map(|&w| 2.0 * w).collect()
     }
 
-    fn converges_on_quadratic(opt: &mut dyn Optimizer) -> f32 {
+    fn converges_on_quadratic(mut step: impl FnMut(&mut [f32], &[f32])) -> f32 {
         let mut w = vec![5.0f32, -3.0, 2.0];
         for _ in 0..500 {
             let g = quadratic_grad(&w);
-            opt.step(&mut w, &g);
+            step(&mut w, &g);
         }
         w.iter().map(|x| x.abs()).fold(0.0, f32::max)
     }
@@ -353,31 +216,31 @@ mod tests {
     #[test]
     fn sgd_converges_on_quadratic() {
         let mut opt = Sgd::new(0.1);
-        assert!(converges_on_quadratic(&mut opt) < 1e-3);
+        assert!(converges_on_quadratic(|w, g| opt.step(w, g)) < 1e-3);
     }
 
     #[test]
     fn sgd_momentum_converges_on_quadratic() {
         let mut opt = Sgd::with_momentum(0.05, 0.9);
-        assert!(converges_on_quadratic(&mut opt) < 1e-3);
+        assert!(converges_on_quadratic(|w, g| opt.step(w, g)) < 1e-3);
     }
 
     #[test]
     fn adam_converges_on_quadratic() {
-        let mut opt = Adam::new(0.05);
-        assert!(converges_on_quadratic(&mut opt) < 1e-2);
+        let mut opt = Adaptive::new(Rule::Adam, 0.05);
+        assert!(converges_on_quadratic(|w, g| opt.step(w, g)) < 1e-2);
     }
 
     #[test]
     fn yogi_converges_on_quadratic() {
-        let mut opt = Yogi::new(0.05);
-        assert!(converges_on_quadratic(&mut opt) < 1e-2);
+        let mut opt = Adaptive::new(Rule::Yogi, 0.05);
+        assert!(converges_on_quadratic(|w, g| opt.step(w, g)) < 1e-2);
     }
 
     #[test]
     fn adagrad_converges_on_quadratic() {
-        let mut opt = Adagrad::new(0.5);
-        assert!(converges_on_quadratic(&mut opt) < 1e-1);
+        let mut opt = Adaptive::new(Rule::Adagrad, 0.5);
+        assert!(converges_on_quadratic(|w, g| opt.step(w, g)) < 1e-1);
     }
 
     #[test]
@@ -389,42 +252,17 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_params_with_zero_grad() {
-        let mut opt = Sgd::new(0.1).weight_decay(0.5);
-        let mut w = vec![1.0];
-        opt.step(&mut w, &[0.0]);
-        assert!((w[0] - 0.95).abs() < 1e-7);
-    }
-
-    #[test]
     fn yogi_second_moment_is_additive() {
         // After one step from v=0, Yogi: v = -(1-β₂)·sign(0-g²)·g² =
         // (1-β₂)·g², identical to Adam's first step; they diverge later when
         // gradients shrink. Check both take the identical first step.
-        let mut yogi = Yogi::new(0.1);
-        let mut adam = Adam::new(0.1);
+        let mut yogi = Adaptive::new(Rule::Yogi, 0.1);
+        let mut adam = Adaptive::new(Rule::Adam, 0.1);
         let mut wy = vec![1.0f32];
         let mut wa = vec![1.0f32];
         yogi.step(&mut wy, &[0.5]);
         adam.step(&mut wa, &[0.5]);
         assert!((wy[0] - wa[0]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reset_clears_momentum() {
-        let mut opt = Sgd::with_momentum(0.1, 0.9);
-        let mut w = vec![1.0];
-        opt.step(&mut w, &[1.0]);
-        opt.reset();
-        let mut w2 = vec![1.0];
-        let mut fresh = Sgd::with_momentum(0.1, 0.9);
-        fresh.step(&mut w2, &[1.0]);
-        let mut w1 = vec![w[0]];
-        opt.step(&mut w1, &[1.0]);
-        let mut w3 = vec![w[0]];
-        fresh.reset();
-        fresh.step(&mut w3, &[1.0]);
-        assert_eq!(w1, w3, "reset optimizer must behave like a fresh one");
     }
 
     #[test]
@@ -440,37 +278,27 @@ mod tests {
         // Stepping an optimizer k times, exporting, importing into a
         // fresh instance and stepping both once more must agree bitwise
         // — the property the coordinator checkpoint rests on.
-        let fresh: [Box<dyn Optimizer>; 4] = [
-            Box::new(Sgd::with_momentum(0.05, 0.9)),
-            Box::new(Adam::new(0.05)),
-            Box::new(Yogi::new(0.05)),
-            Box::new(Adagrad::new(0.5)),
-        ];
-        for mut opt in fresh {
+        for (rule, lr) in [(Rule::Adam, 0.05), (Rule::Yogi, 0.05), (Rule::Adagrad, 0.5)] {
+            let mut opt = Adaptive::new(rule, lr);
             let mut w = vec![5.0f32, -3.0, 2.0];
             for _ in 0..7 {
                 let g = quadratic_grad(&w);
                 opt.step(&mut w, &g);
             }
-            let mut twin: Box<dyn Optimizer> = match opt.name() {
-                "sgd" => Box::new(Sgd::with_momentum(0.05, 0.9)),
-                "adam" => Box::new(Adam::new(0.05)),
-                "yogi" => Box::new(Yogi::new(0.05)),
-                _ => Box::new(Adagrad::new(0.5)),
-            };
-            assert!(twin.import_state(&opt.export_state()), "{} state imports", opt.name());
+            let mut twin = Adaptive::new(rule, lr);
+            assert!(twin.import_state(&opt.export_state()), "{rule:?} state imports");
             let mut w_twin = w.clone();
             let g = quadratic_grad(&w);
             opt.step(&mut w, &g);
             twin.step(&mut w_twin, &g);
             let same = w.iter().zip(&w_twin).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "{} resumed step diverged", opt.name());
+            assert!(same, "{rule:?} resumed step diverged");
         }
     }
 
     #[test]
     fn import_state_rejects_malformed_words() {
-        let mut adam = Adam::new(0.05);
+        let mut adam = Adaptive::new(Rule::Adam, 0.05);
         assert!(!adam.import_state(&[1.0]), "adaptive state needs the counter pair");
         assert!(!adam.import_state(&[0.0, 0.0, 1.0]), "odd moment split rejected");
         assert!(adam.import_state(&[0.0, 0.0]), "empty moments are a fresh optimizer");

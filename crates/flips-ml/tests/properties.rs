@@ -4,7 +4,7 @@ use flips_ml::activation::softmax_rows_inplace;
 use flips_ml::matrix::{euclidean_distance, Matrix};
 use flips_ml::metrics::ConfusionMatrix;
 use flips_ml::model::ModelSpec;
-use flips_ml::optimizer::{Optimizer, Sgd};
+use flips_ml::optimizer::Sgd;
 use flips_ml::rng::seeded;
 use proptest::prelude::*;
 
@@ -86,7 +86,7 @@ proptest! {
         classes in 2usize..5,
     ) {
         let specs = [
-            ModelSpec::LogisticRegression { dim, classes },
+            ModelSpec::Mlp { dims: vec![dim, classes] },
             ModelSpec::Mlp { dims: vec![dim, dim + 2, classes] },
             ModelSpec::Conv1d { len: dim + 6, kernel: 3, filters: 2, classes },
         ];

@@ -62,17 +62,6 @@ impl Backoff {
         self.attempt = self.attempt.saturating_add(1);
         d
     }
-
-    /// Attempts drawn so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
-    /// Resets the schedule to attempt 0 (after a successful connect, so
-    /// the *next* outage starts fast again).
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
 }
 
 /// `u64::checked_shl` that saturates instead of wrapping — 2^attempt
@@ -269,16 +258,5 @@ mod tests {
         let budget = 150 * MS;
         let _: Result<(), &str> = retry(budget, &mut backoff, &mut clock, || Err("down"));
         assert_eq!(clock.now, budget, "clipped sleeps land exactly on the deadline");
-    }
-
-    #[test]
-    fn reset_restarts_the_schedule() {
-        let mut b = Backoff::new(10 * MS, 500 * MS, 7);
-        let first = b.next_delay();
-        let _ = b.next_delay();
-        assert_eq!(b.attempts(), 2);
-        b.reset();
-        assert_eq!(b.attempts(), 0);
-        assert_eq!(b.next_delay(), first);
     }
 }

@@ -218,6 +218,12 @@ impl<'a> Fields<'a> {
         self.uint_opt(key)?.ok_or_else(|| self.missing(key))
     }
 
+    /// A `u32` setting: a value past `u32::MAX` is refused, not wrapped.
+    fn u32_opt(&self, key: &str) -> Result<Option<u32>, FlError> {
+        let value = self.uint_opt(key)?.map(u32::try_from).transpose();
+        value.map_err(|_| self.wrong(key, "non-negative integer up to 4294967295"))
+    }
+
     fn float_opt(&self, key: &str) -> Result<Option<f64>, FlError> {
         match self.table.get(key) {
             None => Ok(None),
@@ -460,17 +466,17 @@ fn guard_from_table(table: &Table) -> Result<GuardConfig, FlError> {
         "admission_factor",
     ])?;
     let defaults = GuardConfig::default();
-    let rate_limit = match (f.uint_opt("rate_burst")?, f.uint_opt("rate_per_round")?) {
+    let rate_limit = match (f.u32_opt("rate_burst")?, f.u32_opt("rate_per_round")?) {
         (None, None) => None,
         (burst, per_round) => Some(RateLimit {
-            burst: burst.unwrap_or(RateLimit::default().burst.into()) as u32,
-            per_round: per_round.unwrap_or(RateLimit::default().per_round.into()) as u32,
+            burst: burst.unwrap_or(RateLimit::default().burst),
+            per_round: per_round.unwrap_or(RateLimit::default().per_round),
         }),
     };
-    let breaker = match f.uint_opt("breaker_strikes")? {
+    let breaker = match f.u32_opt("breaker_strikes")? {
         None => None,
         Some(strikes) => Some(BreakerConfig {
-            strike_threshold: strikes as u32,
+            strike_threshold: strikes,
             cooldown_rounds: f
                 .uint_opt("breaker_cooldown_rounds")?
                 .unwrap_or(BreakerConfig::default().cooldown_rounds),
@@ -484,7 +490,7 @@ fn guard_from_table(table: &Table) -> Result<GuardConfig, FlError> {
             .map_or(defaults.max_frame_bytes, |v| v as usize),
         rate_limit,
         breaker,
-        admission_factor: f.uint_opt("admission_factor")?.map(|v| v as u32),
+        admission_factor: f.u32_opt("admission_factor")?,
     };
     guard.validate().map(|()| guard)
 }
@@ -779,6 +785,27 @@ clustering_restarts = 3
         ] {
             let err = NetConfig::parse(&snippet).unwrap_err();
             assert!(err.to_string().contains(needle), "{snippet:?} -> {err}");
+        }
+    }
+
+    #[test]
+    fn guard_integers_past_u32_are_refused_by_name() {
+        type Read = fn(&GuardConfig) -> u32;
+        let keys: [(&str, &str, Read); 4] = [
+            ("rate_burst = 64", "rate_burst", |g| g.rate_limit.unwrap().burst),
+            ("rate_per_round = 16", "rate_per_round", |g| g.rate_limit.unwrap().per_round),
+            ("breaker_strikes = 3", "breaker_strikes", |g| g.breaker.unwrap().strike_threshold),
+            ("admission_factor = 16", "admission_factor", |g| g.admission_factor.unwrap()),
+        ];
+        for (line, key, read) in keys {
+            // A cast `as u32` would read 2³² as 0 and 2³² + 1 as 1.
+            for past in [4_294_967_296u64, 4_294_967_297] {
+                let err = NetConfig::parse(&full_with(line, &format!("{key} = {past}")));
+                let err = err.unwrap_err().to_string();
+                assert!(err.contains(key) && err.contains("4294967295"), "{key} = {past}: {err}");
+            }
+            let cfg = NetConfig::parse(&full_with(line, &format!("{key} = 4294967295"))).unwrap();
+            assert_eq!(read(&cfg.guard.expect("guard parsed")), u32::MAX, "{key}");
         }
     }
 

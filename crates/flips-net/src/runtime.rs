@@ -21,24 +21,23 @@ use std::time::Duration;
 
 /// Options of one loopback socket run: the shared [`WireOptions`] (one
 /// TCP link and party worker thread per link; builders via
-/// [`WithWire`]) plus the session-resume knobs.
+/// [`WithWire`]) plus the session-resume test knob.
 #[derive(Debug, Clone)]
 pub struct SocketOptions {
     /// Placement, guard, chaos schedule, link codecs and tree mode.
     pub wire: WireOptions,
-    /// Run the session-resume plane: the server parks dead links and
-    /// every worker reconnects and resumes instead of failing.
-    pub resume: bool,
     /// Test knob: worker `slot` severs its connection after receiving
     /// `after` data frames (one-shot), exercising a real mid-run TCP
-    /// link death. Implies [`SocketOptions::resume`].
+    /// link death. Setting it runs the session-resume plane: the server
+    /// parks dead links and every worker reconnects and resumes instead
+    /// of failing.
     pub party_drop: Option<(usize, u64)>,
 }
 
 impl SocketOptions {
     /// Options for `links` TCP links, no guard, no chaos.
     pub fn new(links: usize) -> Self {
-        SocketOptions { wire: WireOptions::new(links), resume: false, party_drop: None }
+        SocketOptions { wire: WireOptions::new(links), party_drop: None }
     }
 }
 
@@ -115,7 +114,7 @@ pub fn run_socket(jobs: Vec<JobParts>, opts: &SocketOptions) -> Result<SocketOut
     let listener = TcpListener::bind("127.0.0.1:0").map_err(net_err)?;
     let addr = listener.local_addr().map_err(net_err)?;
 
-    let resume = opts.resume || opts.party_drop.is_some();
+    let resume = opts.party_drop.is_some();
     let server_opts =
         ServerOptions { wire: opts.wire.clone(), resume, ..ServerOptions::new(opts.wire.links) };
 
