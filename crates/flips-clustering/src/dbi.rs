@@ -8,7 +8,8 @@ use crate::kmeans::{Clustering, FlatPoints};
 use crate::ClusteringError;
 use flips_ml::matrix::euclidean_distance;
 
-/// Computes the Davies-Bouldin index of a clustering over its points.
+/// Computes the Davies-Bouldin index of a clustering over its flattened
+/// points (the elbow scan re-scores the same points `restarts × k` times).
 ///
 /// `DBI = (1/k) Σ_i max_{j≠i} (S_i + S_j) / d(c_i, c_j)` where `S_i` is the
 /// mean distance of cluster `i`'s members to its centroid. Singleton and
@@ -17,23 +18,8 @@ use flips_ml::matrix::euclidean_distance;
 ///
 /// # Errors
 ///
-/// Propagates input-validation errors; also rejects assignment/point
-/// length mismatches.
-pub fn davies_bouldin_index(
-    points: &[Vec<f32>],
-    clustering: &Clustering,
-) -> Result<f64, ClusteringError> {
-    let flat = FlatPoints::new(points)?;
-    davies_bouldin_index_flat(&flat, clustering)
-}
-
-/// [`davies_bouldin_index`] over a pre-flattened point set — the form the
-/// elbow scan drives, re-scoring the same points `restarts × k` times.
-///
-/// # Errors
-///
 /// Rejects assignment/point length mismatches.
-pub fn davies_bouldin_index_flat(
+pub fn davies_bouldin_index(
     points: &FlatPoints,
     clustering: &Clustering,
 ) -> Result<f64, ClusteringError> {
@@ -89,10 +75,10 @@ pub fn davies_bouldin_index_flat(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kmeans::{kmeans, KMeansConfig};
+    use crate::kmeans::{kmeans, KMeansPoints};
     use flips_ml::rng::seeded;
 
-    fn blobs(spread: f64) -> Vec<Vec<f32>> {
+    fn blobs(spread: f64) -> KMeansPoints {
         let mut rng = seeded(1);
         let centers = [[0.0f32, 0.0], [10.0, 0.0], [0.0, 10.0]];
         let mut points = Vec::new();
@@ -104,7 +90,7 @@ mod tests {
                 ]);
             }
         }
-        points
+        KMeansPoints::new(&points).unwrap()
     }
 
     #[test]
@@ -112,10 +98,10 @@ mod tests {
         let tight = blobs(0.2);
         let loose = blobs(2.5);
         let mut rng = seeded(2);
-        let ct = kmeans(&mut rng, &tight, KMeansConfig::new(3)).unwrap();
-        let cl = kmeans(&mut rng, &loose, KMeansConfig::new(3)).unwrap();
-        let dbi_tight = davies_bouldin_index(&tight, &ct).unwrap();
-        let dbi_loose = davies_bouldin_index(&loose, &cl).unwrap();
+        let ct = kmeans(&mut rng, &tight, 3).unwrap();
+        let cl = kmeans(&mut rng, &loose, 3).unwrap();
+        let dbi_tight = davies_bouldin_index(tight.flat(), &ct).unwrap();
+        let dbi_loose = davies_bouldin_index(loose.flat(), &cl).unwrap();
         assert!(dbi_tight < dbi_loose, "tight {dbi_tight} should beat loose {dbi_loose}");
     }
 
@@ -123,36 +109,34 @@ mod tests {
     fn correct_k_scores_lower_than_wrong_k() {
         let points = blobs(0.3);
         let mut rng = seeded(3);
-        let right = kmeans(&mut rng, &points, KMeansConfig::new(3)).unwrap();
-        let wrong = kmeans(&mut rng, &points, KMeansConfig::new(2)).unwrap();
-        let dbi_right = davies_bouldin_index(&points, &right).unwrap();
-        let dbi_wrong = davies_bouldin_index(&points, &wrong).unwrap();
+        let right = kmeans(&mut rng, &points, 3).unwrap();
+        let wrong = kmeans(&mut rng, &points, 2).unwrap();
+        let dbi_right = davies_bouldin_index(points.flat(), &right).unwrap();
+        let dbi_wrong = davies_bouldin_index(points.flat(), &wrong).unwrap();
         assert!(dbi_right < dbi_wrong);
     }
 
     #[test]
     fn single_cluster_scores_zero() {
         let points = blobs(0.3);
-        let mut rng = seeded(4);
-        let c = kmeans(&mut rng, &points, KMeansConfig::new(1)).unwrap();
-        assert_eq!(davies_bouldin_index(&points, &c).unwrap(), 0.0);
+        let c = kmeans(&mut seeded(4), &points, 1).unwrap();
+        assert_eq!(davies_bouldin_index(points.flat(), &c).unwrap(), 0.0);
     }
 
     #[test]
     fn perfectly_separated_singletons_score_zero_scatter() {
         // k = n: every cluster is a singleton, scatter 0 ⇒ DBI 0.
         let points: Vec<Vec<f32>> = (0..4).map(|i| vec![i as f32 * 5.0]).collect();
-        let mut rng = seeded(5);
-        let c = kmeans(&mut rng, &points, KMeansConfig::new(4)).unwrap();
-        assert!(davies_bouldin_index(&points, &c).unwrap() < 1e-12);
+        let points = KMeansPoints::new(&points).unwrap();
+        let c = kmeans(&mut seeded(5), &points, 4).unwrap();
+        assert!(davies_bouldin_index(points.flat(), &c).unwrap() < 1e-12);
     }
 
     #[test]
     fn rejects_mismatched_assignments() {
         let points = blobs(0.3);
-        let mut rng = seeded(6);
-        let mut c = kmeans(&mut rng, &points, KMeansConfig::new(3)).unwrap();
+        let mut c = kmeans(&mut seeded(6), &points, 3).unwrap();
         c.assignments.pop();
-        assert!(davies_bouldin_index(&points, &c).is_err());
+        assert!(davies_bouldin_index(points.flat(), &c).is_err());
     }
 }

@@ -20,8 +20,8 @@
 //! machine's cores (`flips_ml::parallel`). Inside a real enclave the
 //! number of threads it may run (SGX's TCS count) bounds that fan-out.
 
-use crate::dbi::davies_bouldin_index_flat;
-use crate::kmeans::{kmeans_flat, KMeansConfig, KMeansPoints};
+use crate::dbi::davies_bouldin_index;
+use crate::kmeans::{kmeans, KMeansPoints};
 use crate::ClusteringError;
 use flips_ml::parallel;
 use flips_ml::rng::{derive_seed, seeded};
@@ -109,8 +109,8 @@ fn scan(
     let scores = parallel::map((0..runs).collect(), workers, |run: usize| {
         let (k, t) = (K_MIN + run / restarts, run % restarts);
         let mut rng = seeded(derive_seed(config.seed, (k * 1000 + t) as u64));
-        let clustering = kmeans_flat(&mut rng, points, KMeansConfig::new(k))?;
-        davies_bouldin_index_flat(points.flat(), &clustering)
+        let clustering = kmeans(&mut rng, points, k)?;
+        davies_bouldin_index(points.flat(), &clustering)
     });
     let mut curve = Vec::with_capacity(config.k_max - K_MIN + 1);
     for (k, restart_scores) in (K_MIN..).zip(scores.chunks(restarts)) {

@@ -11,101 +11,49 @@ use crate::kmeans::FlatPoints;
 use crate::ClusteringError;
 use flips_ml::matrix::gemm::{gemm, Layout};
 
-/// Cuts an agglomerative hierarchy over `points` into `num_clusters`
-/// groups using Euclidean distance.
+/// Pairwise cosine-*distance* matrix (`1 − cos`), the similarity GradClus
+/// uses on gradients: `n × n` row-major, symmetric, zero diagonal. Zero
+/// vectors are treated as orthogonal to everything.
+///
+/// The dot products come from one Gram-matrix GEMM over the flat buffer,
+/// and each distance is written over its dot product in place.
+pub fn pairwise_cosine_distance(points: &[Vec<f32>]) -> Result<Vec<f32>, ClusteringError> {
+    let flat = FlatPoints::new(points)?;
+    let (n, dim) = (flat.len(), flat.dim());
+    let mut m = vec![0.0f32; n * n];
+    gemm(Layout::Nt, n, dim, n, flat.as_slice(), dim, flat.as_slice(), dim, &mut m);
+    let norms: Vec<f32> = (0..n).map(|i| flat.norm_sq(i).sqrt()).collect();
+    for i in 0..n {
+        m[i * n + i] = 0.0;
+        // Only the upper triangle's dot products are read, so the lower
+        // triangle is free to take the mirrored distances.
+        for j in (i + 1)..n {
+            let denom = norms[i] * norms[j];
+            let cos = if denom > 0.0 { m[i * n + j] / denom } else { 0.0 };
+            let d = 1.0 - cos.clamp(-1.0, 1.0);
+            m[i * n + j] = d;
+            m[j * n + i] = d;
+        }
+    }
+    Ok(m)
+}
+
+/// Agglomerative clustering from a precomputed `n × n` row-major distance
+/// matrix, such as [`pairwise_cosine_distance`] returns.
 ///
 /// Returns the cluster id of every point (ids are `0..num_clusters`,
 /// densely re-numbered).
 ///
 /// # Errors
 ///
-/// Rejects empty/ragged input and `num_clusters` outside `1..=n`.
-pub fn hierarchical_clusters(
-    points: &[Vec<f32>],
-    num_clusters: usize,
-) -> Result<Vec<usize>, ClusteringError> {
-    let matrix = pairwise_euclidean(points)?;
-    hierarchical_from_distances(&matrix, num_clusters)
-}
-
-/// Pairwise Euclidean distance matrix (`n × n`, symmetric, zero diagonal).
-///
-/// Computed from a flat point buffer via the norm expansion
-/// `‖x − y‖² = ‖x‖² + ‖y‖² − 2·x·y`: the full Gram matrix `X·Xᵀ` is one
-/// blocked GEMM, turning the `O(n²·d)` pair loop into an array sweep.
-pub fn pairwise_euclidean(points: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, ClusteringError> {
-    let flat = FlatPoints::new(points)?;
-    let n = flat.len();
-    let gram = gram_matrix(&flat);
-    let mut m = vec![vec![0.0f32; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            // Cancellation in the expansion can dip below zero for
-            // near-identical points; clamp before the square root.
-            let d2 = (flat.norm_sq(i) + flat.norm_sq(j) - 2.0 * gram[i * n + j]).max(0.0);
-            let d = d2.sqrt();
-            m[i][j] = d;
-            m[j][i] = d;
-        }
-    }
-    Ok(m)
-}
-
-/// Pairwise cosine-*distance* matrix (`1 − cos`), the similarity GradClus
-/// uses on gradients. Zero vectors are treated as orthogonal to everything.
-///
-/// The dot products come from one Gram-matrix GEMM over the flat buffer.
-pub fn pairwise_cosine_distance(points: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, ClusteringError> {
-    let flat = FlatPoints::new(points)?;
-    let n = flat.len();
-    let gram = gram_matrix(&flat);
-    let norms: Vec<f32> = (0..n).map(|i| flat.norm_sq(i).sqrt()).collect();
-    let mut m = vec![vec![0.0f32; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let denom = norms[i] * norms[j];
-            let cos = if denom > 0.0 { gram[i * n + j] / denom } else { 0.0 };
-            let d = 1.0 - cos.clamp(-1.0, 1.0);
-            m[i][j] = d;
-            m[j][i] = d;
-        }
-    }
-    Ok(m)
-}
-
-/// `X·Xᵀ` over the flat point buffer.
-fn gram_matrix(flat: &FlatPoints) -> Vec<f32> {
-    let n = flat.len();
-    let mut gram = vec![0.0f32; n * n];
-    gemm(
-        Layout::Nt,
-        n,
-        flat.dim(),
-        n,
-        flat.as_slice(),
-        flat.dim(),
-        flat.as_slice(),
-        flat.dim(),
-        &mut gram,
-    );
-    gram
-}
-
-/// Agglomerative clustering directly from a precomputed distance matrix.
-///
-/// # Errors
-///
-/// Rejects non-square matrices and out-of-range `num_clusters`.
+/// Rejects empty or non-square matrices and `num_clusters` outside `1..=n`.
 pub fn hierarchical_from_distances(
-    distances: &[Vec<f32>],
+    distances: &[f32],
     num_clusters: usize,
 ) -> Result<Vec<usize>, ClusteringError> {
-    let n = distances.len();
-    if n == 0 {
-        return Err(ClusteringError::BadInput("empty distance matrix".into()));
-    }
-    if distances.iter().any(|row| row.len() != n) {
-        return Err(ClusteringError::BadInput("distance matrix must be square".into()));
+    let n = distances.len().isqrt();
+    if n == 0 || n * n != distances.len() {
+        return Err(ClusteringError::BadInput("distance matrix must be square, not empty".into()));
     }
     if num_clusters == 0 || num_clusters > n {
         return Err(ClusteringError::InvalidParameter(format!(
@@ -125,6 +73,7 @@ pub fn hierarchical_from_distances(
             for &b in &live[ai + 1..] {
                 let d = cluster_distance(
                     distances,
+                    n,
                     active[a].as_ref().expect("live"),
                     active[b].as_ref().expect("live"),
                 );
@@ -151,11 +100,11 @@ pub fn hierarchical_from_distances(
 }
 
 /// Mean pairwise distance between the members of `a` and `b`.
-fn cluster_distance(distances: &[Vec<f32>], a: &[usize], b: &[usize]) -> f32 {
+fn cluster_distance(distances: &[f32], n: usize, a: &[usize], b: &[usize]) -> f32 {
     let mut total = 0.0f64;
     for &i in a {
         for &j in b {
-            total += distances[i][j] as f64;
+            total += distances[i * n + j] as f64;
         }
     }
     (total / (a.len() * b.len()) as f64) as f32
@@ -164,9 +113,17 @@ fn cluster_distance(distances: &[Vec<f32>], a: &[usize], b: &[usize]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flips_ml::matrix::euclidean_distance;
     use flips_ml::rng::seeded;
 
-    fn two_blobs() -> (Vec<Vec<f32>>, Vec<usize>) {
+    /// The `n × n` row-major Euclidean distance matrix of `points`.
+    fn euclidean_matrix(points: &[Vec<f32>]) -> Vec<f32> {
+        points.iter().flat_map(|p| points.iter().map(|q| euclidean_distance(p, q))).collect()
+    }
+
+    /// Two 1-D blobs of 12 points each, as their distance matrix, and the
+    /// blob of every point.
+    fn two_blobs() -> (Vec<f32>, Vec<usize>) {
         let mut rng = seeded(1);
         let mut points = Vec::new();
         let mut truth = Vec::new();
@@ -176,13 +133,13 @@ mod tests {
                 truth.push(label);
             }
         }
-        (points, truth)
+        (euclidean_matrix(&points), truth)
     }
 
     #[test]
     fn separates_two_blobs() {
-        let (points, truth) = two_blobs();
-        let labels = hierarchical_clusters(&points, 2).unwrap();
+        let (distances, truth) = two_blobs();
+        let labels = hierarchical_from_distances(&distances, 2).unwrap();
         // Consistent partition: all of blob 0 together, all of blob 1
         // together.
         for (l, t) in labels.iter().zip(&truth) {
@@ -192,25 +149,25 @@ mod tests {
 
     #[test]
     fn k_equals_n_gives_singletons() {
-        let (points, _) = two_blobs();
-        let labels = hierarchical_clusters(&points, points.len()).unwrap();
+        let (distances, truth) = two_blobs();
+        let labels = hierarchical_from_distances(&distances, truth.len()).unwrap();
         let mut sorted = labels.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(sorted.len(), points.len());
+        assert_eq!(sorted.len(), truth.len());
     }
 
     #[test]
     fn k_one_merges_everything() {
-        let (points, _) = two_blobs();
-        let labels = hierarchical_clusters(&points, 1).unwrap();
+        let (distances, _) = two_blobs();
+        let labels = hierarchical_from_distances(&distances, 1).unwrap();
         assert!(labels.iter().all(|&l| l == 0));
     }
 
     #[test]
     fn labels_are_densely_numbered() {
-        let (points, _) = two_blobs();
-        let labels = hierarchical_clusters(&points, 5).unwrap();
+        let (distances, _) = two_blobs();
+        let labels = hierarchical_from_distances(&distances, 5).unwrap();
         let max = *labels.iter().max().unwrap();
         for expect in 0..=max {
             assert!(labels.contains(&expect), "label {expect} missing");
@@ -222,13 +179,15 @@ mod tests {
     fn cosine_distance_matrix_properties() {
         let points = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![2.0, 0.0], vec![-1.0, 0.0]];
         let m = pairwise_cosine_distance(&points).unwrap();
-        assert!((m[0][2] - 0.0).abs() < 1e-6, "parallel vectors distance 0");
-        assert!((m[0][1] - 1.0).abs() < 1e-6, "orthogonal vectors distance 1");
-        assert!((m[0][3] - 2.0).abs() < 1e-6, "opposite vectors distance 2");
-        for (i, row) in m.iter().enumerate() {
-            assert_eq!(row[i], 0.0);
-            for (j, &v) in row.iter().enumerate() {
-                assert_eq!(v, m[j][i]);
+        let n = points.len();
+        assert_eq!(m.len(), n * n);
+        assert!((m[2] - 0.0).abs() < 1e-6, "parallel vectors distance 0");
+        assert!((m[1] - 1.0).abs() < 1e-6, "orthogonal vectors distance 1");
+        assert!((m[3] - 2.0).abs() < 1e-6, "opposite vectors distance 2");
+        for i in 0..n {
+            assert_eq!(m[i * n + i], 0.0);
+            for j in 0..n {
+                assert_eq!(m[i * n + j], m[j * n + i]);
             }
         }
     }
@@ -236,7 +195,7 @@ mod tests {
     #[test]
     fn from_distances_respects_matrix_not_geometry() {
         // A crafted matrix where 0-2 are close and 1 is far from both.
-        let d = vec![vec![0.0, 9.0, 1.0], vec![9.0, 0.0, 8.0], vec![1.0, 8.0, 0.0]];
+        let d = [0.0, 9.0, 1.0, 9.0, 0.0, 8.0, 1.0, 8.0, 0.0];
         let labels = hierarchical_from_distances(&d, 2).unwrap();
         assert_eq!(labels[0], labels[2]);
         assert_ne!(labels[0], labels[1]);
@@ -244,14 +203,14 @@ mod tests {
 
     #[test]
     fn rejects_invalid_inputs() {
-        let (points, _) = two_blobs();
-        assert!(hierarchical_clusters(&points, 0).is_err());
-        assert!(hierarchical_clusters(&points, points.len() + 1).is_err());
+        let (distances, truth) = two_blobs();
+        assert!(hierarchical_from_distances(&distances, 0).is_err());
+        assert!(hierarchical_from_distances(&distances, truth.len() + 1).is_err());
+        assert!(hierarchical_from_distances(&[], 1).is_err());
+        assert!(hierarchical_from_distances(&[0.0, 1.0], 1).is_err());
+        assert!(hierarchical_from_distances(&[0.0, 1.0, 1.0], 1).is_err());
         let empty: Vec<Vec<f32>> = Vec::new();
-        assert!(hierarchical_clusters(&empty, 1).is_err());
-        let ragged = vec![vec![0.0], vec![0.0, 1.0]];
-        assert!(hierarchical_clusters(&ragged, 1).is_err());
-        let nonsquare = vec![vec![0.0, 1.0]];
-        assert!(hierarchical_from_distances(&nonsquare, 1).is_err());
+        assert!(pairwise_cosine_distance(&empty).is_err());
+        assert!(pairwise_cosine_distance(&[vec![0.0], vec![0.0, 1.0]]).is_err());
     }
 }

@@ -8,6 +8,10 @@
 //! FLIPS feeds it. A run stops after 100 Lloyd iterations, or sooner once
 //! its centroids move at most 1e-6 in total.
 //!
+//! There is one entry point, [`kmeans`]`(rng, &KMeansPoints, k)`: a
+//! caller flattens and checks its points once with [`KMeansPoints::new`]
+//! and may then cluster them any number of times.
+//!
 //! # Hot-path layout
 //!
 //! Points live in a flat row-major buffer ([`FlatPoints`]) with cached
@@ -47,20 +51,6 @@ const TOLERANCE: f32 = 1e-6;
 /// Distances the lane kernel computes per step.
 const LANES: usize = 8;
 
-/// Configuration for one K-Means run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct KMeansConfig {
-    /// Number of clusters.
-    pub k: usize,
-}
-
-impl KMeansConfig {
-    /// A run of `k` clusters.
-    pub fn new(k: usize) -> Self {
-        KMeansConfig { k }
-    }
-}
-
 /// A completed clustering: assignments, centroids and diagnostics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Clustering {
@@ -88,15 +78,6 @@ impl Clustering {
             groups[c].push(i);
         }
         groups
-    }
-
-    /// Number of points in each cluster.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0; self.k()];
-        for &c in &self.assignments {
-            sizes[c] += 1;
-        }
-        sizes
     }
 }
 
@@ -222,35 +203,20 @@ impl KMeansPoints {
     }
 }
 
-/// Runs k-means++ seeding followed by Lloyd iterations.
-///
-/// # Errors
-///
-/// Returns an error for empty, ragged or non-finite input, or `k` outside
-/// `1..=n`.
-pub fn kmeans<R: Rng + ?Sized>(
-    rng: &mut R,
-    points: &[Vec<f32>],
-    config: KMeansConfig,
-) -> Result<Clustering, ClusteringError> {
-    let points = KMeansPoints::new(points)?;
-    kmeans_flat(rng, &points, config)
-}
-
-/// [`kmeans`] over a prepared point set (lets repeated runs — elbow
-/// scans, restarts — skip re-flattening).
+/// Runs k-means++ seeding followed by Lloyd iterations into `k` clusters
+/// over a prepared point set (shape and finiteness are checked once, by
+/// [`KMeansPoints::new`]).
 ///
 /// # Errors
 ///
 /// Rejects `k` outside `1..=n`.
-pub fn kmeans_flat<R: Rng + ?Sized>(
+pub fn kmeans<R: Rng + ?Sized>(
     rng: &mut R,
     points: &KMeansPoints,
-    config: KMeansConfig,
+    k: usize,
 ) -> Result<Clustering, ClusteringError> {
     let n = points.flat.len();
     let dim = points.flat.dim();
-    let k = config.k;
     if k == 0 || k > n {
         return Err(ClusteringError::InvalidParameter(format!("k = {k} must be in 1..={n}")));
     }
@@ -463,7 +429,7 @@ impl LaneCentroids {
 /// baseline for equivalence tests and benchmarks.
 #[cfg(test)]
 mod reference {
-    use super::{Clustering, KMeansConfig, MAX_ITERS, TOLERANCE};
+    use super::{Clustering, MAX_ITERS, TOLERANCE};
     use crate::{validate_points, ClusteringError};
     use flips_ml::matrix::euclidean_distance;
     use rand::Rng;
@@ -476,18 +442,15 @@ mod reference {
     pub fn kmeans<R: Rng + ?Sized>(
         rng: &mut R,
         points: &[Vec<f32>],
-        config: KMeansConfig,
+        k: usize,
     ) -> Result<Clustering, ClusteringError> {
         let dim = validate_points(points)?;
         let n = points.len();
-        if config.k == 0 || config.k > n {
-            return Err(ClusteringError::InvalidParameter(format!(
-                "k = {} must be in 1..={n}",
-                config.k
-            )));
+        if k == 0 || k > n {
+            return Err(ClusteringError::InvalidParameter(format!("k = {k} must be in 1..={n}")));
         }
 
-        let mut centroids = plus_plus_seed(rng, points, config.k);
+        let mut centroids = plus_plus_seed(rng, points, k);
         let mut assignments = vec![0usize; n];
         let mut iterations = 0;
 
@@ -496,8 +459,8 @@ mod reference {
             for (i, p) in points.iter().enumerate() {
                 assignments[i] = nearest(p, &centroids).0;
             }
-            let mut sums = vec![vec![0.0f64; dim]; config.k];
-            let mut counts = vec![0usize; config.k];
+            let mut sums = vec![vec![0.0f64; dim]; k];
+            let mut counts = vec![0usize; k];
             for (p, &c) in points.iter().zip(&assignments) {
                 counts[c] += 1;
                 for (s, &v) in sums[c].iter_mut().zip(p) {
@@ -505,7 +468,7 @@ mod reference {
                 }
             }
             let mut movement = 0.0f32;
-            for c in 0..config.k {
+            for c in 0..k {
                 if counts[c] == 0 {
                     let far = points
                         .iter()
@@ -651,9 +614,7 @@ mod tests {
             let mut got = Vec::new();
             for k in [2, 16, 30] {
                 for seed in 1..=3 {
-                    let run =
-                        kmeans_flat(&mut seeded(seed), &prepared, KMeansConfig::new(k)).unwrap();
-                    got.push(digest(&run));
+                    got.push(digest(&kmeans(&mut seeded(seed), &prepared, k).unwrap()));
                 }
             }
             assert_eq!(got, golden, "{} points", points.len());
@@ -760,10 +721,9 @@ mod tests {
             let points = vec![vec![0.0, 1.0], vec![1.0, bad], vec![0.5, 0.5]];
             let prepared = KMeansPoints::new(&points);
             assert!(matches!(prepared, Err(ClusteringError::BadInput(_))), "{bad}");
-            // Shape is all `FlatPoints` checks: the pairwise matrices
-            // GradClus builds from reported sketches still take them.
+            // Shape is all `FlatPoints` checks: the pairwise matrix
+            // GradClus builds from reported sketches still takes them.
             assert!(FlatPoints::new(&points).is_ok(), "{bad}");
-            assert!(kmeans(&mut seeded(7), &points, KMeansConfig::new(2)).is_err(), "{bad}");
             let elbow = crate::optimal_k(&points, crate::ElbowConfig::new(2, 7));
             assert!(matches!(elbow, Err(ClusteringError::BadInput(_))), "{bad}");
         }
@@ -806,19 +766,18 @@ mod tests {
     #[test]
     fn recovers_well_separated_blobs() {
         let (points, truth) = three_blobs();
-        let mut rng = seeded(2);
-        let result = kmeans(&mut rng, &points, KMeansConfig::new(3)).unwrap();
+        let result = kmeans(&mut seeded(2), &KMeansPoints::new(&points).unwrap(), 3).unwrap();
         assert!(rand_index(&result.assignments, &truth) > 0.99);
-        assert_eq!(result.sizes().iter().sum::<usize>(), points.len());
+        assert_eq!(result.assignments.len(), points.len());
     }
 
     #[test]
     fn inertia_decreases_with_k() {
         let (points, _) = three_blobs();
+        let prepared = KMeansPoints::new(&points).unwrap();
         let mut inertias = Vec::new();
         for k in 1..=5 {
-            let mut rng = seeded(3);
-            inertias.push(kmeans(&mut rng, &points, KMeansConfig::new(k)).unwrap().inertia);
+            inertias.push(kmeans(&mut seeded(3), &prepared, k).unwrap().inertia);
         }
         for w in inertias.windows(2) {
             assert!(w[1] <= w[0] + 1e-6, "inertia must be non-increasing: {inertias:?}");
@@ -828,64 +787,54 @@ mod tests {
     #[test]
     fn k_equals_n_gives_zero_inertia() {
         let points: Vec<Vec<f32>> = (0..6).map(|i| vec![i as f32 * 3.0, -(i as f32)]).collect();
-        let mut rng = seeded(4);
-        let result = kmeans(&mut rng, &points, KMeansConfig::new(6)).unwrap();
+        let result = kmeans(&mut seeded(4), &KMeansPoints::new(&points).unwrap(), 6).unwrap();
         assert!(result.inertia < 1e-9);
-        let mut sizes = result.sizes();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1; 6]);
+        assert!(result.members().iter().all(|m| m.len() == 1));
     }
 
     #[test]
     fn handles_duplicate_points() {
-        let points = vec![vec![1.0, 1.0]; 10];
-        let mut rng = seeded(5);
-        let result = kmeans(&mut rng, &points, KMeansConfig::new(3)).unwrap();
+        let points = KMeansPoints::new(&vec![vec![1.0, 1.0]; 10]).unwrap();
+        let result = kmeans(&mut seeded(5), &points, 3).unwrap();
         assert_eq!(result.assignments.len(), 10);
         assert!(result.inertia < 1e-9);
     }
 
     #[test]
     fn rejects_invalid_k() {
-        let points = vec![vec![0.0], vec![1.0]];
+        let points = KMeansPoints::new(&[vec![0.0], vec![1.0]]).unwrap();
         let mut rng = seeded(6);
-        assert!(kmeans(&mut rng, &points, KMeansConfig::new(0)).is_err());
-        assert!(kmeans(&mut rng, &points, KMeansConfig::new(3)).is_err());
+        assert!(kmeans(&mut rng, &points, 0).is_err());
+        assert!(kmeans(&mut rng, &points, 3).is_err());
     }
 
     #[test]
     fn rejects_empty_and_ragged_input() {
-        let mut rng = seeded(7);
-        let empty: Vec<Vec<f32>> = Vec::new();
-        assert!(kmeans(&mut rng, &empty, KMeansConfig::new(1)).is_err());
-        let ragged = vec![vec![0.0], vec![0.0, 1.0]];
-        assert!(kmeans(&mut rng, &ragged, KMeansConfig::new(1)).is_err());
+        assert!(KMeansPoints::new(&[]).is_err());
+        assert!(KMeansPoints::new(&[vec![0.0], vec![0.0, 1.0]]).is_err());
     }
 
     #[test]
     fn is_seed_deterministic() {
-        let (points, _) = three_blobs();
-        let a = kmeans(&mut seeded(8), &points, KMeansConfig::new(3)).unwrap();
-        let b = kmeans(&mut seeded(8), &points, KMeansConfig::new(3)).unwrap();
+        let points = KMeansPoints::new(&three_blobs().0).unwrap();
+        let a = kmeans(&mut seeded(8), &points, 3).unwrap();
+        let b = kmeans(&mut seeded(8), &points, 3).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn members_partition_points() {
-        let (points, _) = three_blobs();
-        let mut rng = seeded(9);
-        let result = kmeans(&mut rng, &points, KMeansConfig::new(3)).unwrap();
-        let members = result.members();
-        let mut all: Vec<usize> = members.into_iter().flatten().collect();
+        let points = KMeansPoints::new(&three_blobs().0).unwrap();
+        let result = kmeans(&mut seeded(9), &points, 3).unwrap();
+        let mut all: Vec<usize> = result.members().into_iter().flatten().collect();
         all.sort_unstable();
-        assert_eq!(all, (0..points.len()).collect::<Vec<_>>());
+        assert_eq!(all, (0..points.flat().len()).collect::<Vec<_>>());
     }
 
     #[test]
     fn assignments_match_nearest_centroid() {
         let (points, _) = three_blobs();
-        let mut rng = seeded(10);
-        let result = kmeans(&mut rng, &points, KMeansConfig::new(3)).unwrap();
+        let result = kmeans(&mut seeded(10), &KMeansPoints::new(&points).unwrap(), 3).unwrap();
         for (p, &c) in points.iter().zip(&result.assignments) {
             let (nearest_c, _) = reference::nearest(p, &result.centroids);
             assert_eq!(c, nearest_c);
@@ -895,9 +844,10 @@ mod tests {
     #[test]
     fn flat_and_reference_agree_on_blobs() {
         let (points, _) = three_blobs();
+        let prepared = KMeansPoints::new(&points).unwrap();
         for seed in 0..8 {
-            let flat = kmeans(&mut seeded(seed), &points, KMeansConfig::new(3)).unwrap();
-            let refr = reference::kmeans(&mut seeded(seed), &points, KMeansConfig::new(3)).unwrap();
+            let flat = kmeans(&mut seeded(seed), &prepared, 3).unwrap();
+            let refr = reference::kmeans(&mut seeded(seed), &points, 3).unwrap();
             assert_eq!(flat.assignments, refr.assignments, "seed {seed}");
             assert!((flat.inertia - refr.inertia).abs() < 1e-3);
         }
@@ -949,9 +899,9 @@ mod tests {
         ) {
             let points = blobs(seed, archetypes, dim, per, 0.6);
             let k = archetypes.min(points.len());
-            let flat = kmeans(&mut seeded(seed ^ 0xF1A7), &points, KMeansConfig::new(k)).unwrap();
-            let refr =
-                reference::kmeans(&mut seeded(seed ^ 0xF1A7), &points, KMeansConfig::new(k)).unwrap();
+            let prepared = KMeansPoints::new(&points).unwrap();
+            let flat = kmeans(&mut seeded(seed ^ 0xF1A7), &prepared, k).unwrap();
+            let refr = reference::kmeans(&mut seeded(seed ^ 0xF1A7), &points, k).unwrap();
             // Identical RNG stream + well-separated data ⇒ identical
             // trajectories: assignments must agree exactly.
             prop_assert_eq!(&flat.assignments, &refr.assignments);

@@ -6,27 +6,32 @@
 //! solves it heuristically:
 //!
 //! - [`mod@kmeans`] — Lloyd's algorithm with **k-means++** seeding and
-//!   empty-cluster repair;
+//!   empty-cluster repair: [`kmeans()`]`(rng, &KMeansPoints, k)`, over
+//!   points flattened and checked once by [`KMeansPoints::new`];
 //! - [`dbi`] — the **Davies-Bouldin index**, the purity metric used to pick
-//!   the number of clusters;
+//!   the number of clusters: [`davies_bouldin_index`]`(&FlatPoints,
+//!   &Clustering)`;
 //! - [`elbow`] — the elbow-point criterion of Eq. (3): run K-Means for
 //!   every candidate `k`, average DBI over `T` restarts, pick the first
 //!   sharp slope change (Figure 2);
 //! - [`hierarchical`] — average-linkage agglomerative clustering over a
-//!   similarity matrix, the substrate of the GradClus baseline (Fraboni et
-//!   al., ICML'21).
+//!   row-major `n × n` distance matrix
+//!   ([`hierarchical::hierarchical_from_distances`]), the substrate of the
+//!   GradClus baseline (Fraboni et al., ICML'21), which builds that matrix
+//!   with [`hierarchical::pairwise_cosine_distance`].
 //!
 //! # Example
 //!
 //! Two well-separated blobs cluster cleanly at `k = 2`:
 //!
 //! ```
-//! use flips_clustering::kmeans::{kmeans, KMeansConfig};
+//! use flips_clustering::{kmeans, KMeansPoints};
 //! use flips_ml::rng::seeded;
 //!
-//! let points: Vec<Vec<f32>> =
-//!     vec![vec![0.0, 0.0], vec![0.1, 0.0], vec![5.0, 5.0], vec![5.1, 5.0]];
-//! let clustering = kmeans(&mut seeded(7), &points, KMeansConfig::new(2)).unwrap();
+//! let points =
+//!     KMeansPoints::new(&[vec![0.0, 0.0], vec![0.1, 0.0], vec![5.0, 5.0], vec![5.1, 5.0]])
+//!         .unwrap();
+//! let clustering = kmeans(&mut seeded(7), &points, 2).unwrap();
 //! assert_eq!(clustering.assignments[0], clustering.assignments[1]);
 //! assert_eq!(clustering.assignments[2], clustering.assignments[3]);
 //! assert_ne!(clustering.assignments[0], clustering.assignments[2]);
@@ -40,10 +45,9 @@ pub mod hierarchical;
 pub mod kmeans;
 mod testdata;
 
-pub use dbi::{davies_bouldin_index, davies_bouldin_index_flat};
+pub use dbi::davies_bouldin_index;
 pub use elbow::{optimal_k, ElbowConfig};
-pub use hierarchical::hierarchical_clusters;
-pub use kmeans::{kmeans, kmeans_flat, Clustering, FlatPoints, KMeansConfig, KMeansPoints};
+pub use kmeans::{kmeans, Clustering, FlatPoints, KMeansPoints};
 
 /// Errors produced by the clustering substrate.
 #[derive(Debug, Clone, PartialEq)]

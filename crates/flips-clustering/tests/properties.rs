@@ -1,10 +1,9 @@
 //! Property tests of the flat-buffer clustering hot path: determinism,
-//! the pairwise matrices against direct computation, the flat point
+//! the pairwise cosine matrix against direct computation, the flat point
 //! layout. Its equivalence to the seed (`Vec<Vec<f32>>`) implementation
 //! is a unit test in `kmeans::tests`, beside that retained oracle.
 
-use flips_clustering::{kmeans, FlatPoints, KMeansConfig};
-use flips_ml::matrix::euclidean_distance;
+use flips_clustering::{kmeans, FlatPoints, KMeansPoints};
 use flips_ml::rng::seeded;
 use proptest::prelude::*;
 use rand::Rng;
@@ -26,12 +25,13 @@ proptest! {
             .map(|_| (0..dim).map(|_| rng.random::<f32>() * 10.0 - 5.0).collect())
             .collect();
         let k = k.min(n);
-        let a = kmeans(&mut seeded(seed), &points, KMeansConfig::new(k)).unwrap();
-        let b = kmeans(&mut seeded(seed), &points, KMeansConfig::new(k)).unwrap();
+        let prepared = KMeansPoints::new(&points).unwrap();
+        let a = kmeans(&mut seeded(seed), &prepared, k).unwrap();
+        let b = kmeans(&mut seeded(seed), &prepared, k).unwrap();
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.assignments.len(), n);
         prop_assert!(a.assignments.iter().all(|&c| c < k));
-        prop_assert_eq!(a.sizes().iter().sum::<usize>(), n);
+        prop_assert_eq!(a.members().iter().map(Vec::len).sum::<usize>(), n);
         prop_assert!(a.inertia >= 0.0);
     }
 
@@ -41,7 +41,7 @@ proptest! {
         n in 2usize..20,
         dim in 1usize..10,
     ) {
-        use flips_clustering::hierarchical::{pairwise_cosine_distance, pairwise_euclidean};
+        use flips_clustering::hierarchical::pairwise_cosine_distance;
         use flips_ml::matrix::{dot, l2_norm};
 
         let mut rng = seeded(seed);
@@ -49,19 +49,12 @@ proptest! {
             .map(|_| (0..dim).map(|_| rng.random::<f32>() * 4.0 - 2.0).collect())
             .collect();
 
-        let eu = pairwise_euclidean(&points).unwrap();
         let co = pairwise_cosine_distance(&points).unwrap();
+        prop_assert_eq!(co.len(), n * n);
         for i in 0..n {
-            prop_assert_eq!(eu[i][i], 0.0);
-            prop_assert_eq!(co[i][i], 0.0);
+            prop_assert_eq!(co[i * n + i], 0.0);
             for j in 0..n {
-                prop_assert_eq!(eu[i][j], eu[j][i]);
-                prop_assert_eq!(co[i][j], co[j][i]);
-                let direct = euclidean_distance(&points[i], &points[j]);
-                prop_assert!(
-                    (eu[i][j] - direct).abs() <= 1e-4 * (1.0 + direct),
-                    "euclidean mismatch at ({}, {}): {} vs {}", i, j, eu[i][j], direct
-                );
+                prop_assert_eq!(co[i * n + j], co[j * n + i]);
                 let denom = l2_norm(&points[i]) * l2_norm(&points[j]);
                 let direct_cos = if denom > 0.0 {
                     1.0 - (dot(&points[i], &points[j]) / denom).clamp(-1.0, 1.0)
@@ -70,8 +63,8 @@ proptest! {
                 };
                 if i != j {
                     prop_assert!(
-                        (co[i][j] - direct_cos).abs() <= 1e-4,
-                        "cosine mismatch at ({}, {}): {} vs {}", i, j, co[i][j], direct_cos
+                        (co[i * n + j] - direct_cos).abs() <= 1e-4,
+                        "cosine mismatch at ({}, {}): {} vs {}", i, j, co[i * n + j], direct_cos
                     );
                 }
             }

@@ -22,7 +22,7 @@
 
 use crate::FlipsError;
 use bytes::BufMut;
-use flips_clustering::{kmeans, optimal_k, ElbowConfig, KMeansConfig};
+use flips_clustering::{kmeans, optimal_k, ElbowConfig, KMeansPoints};
 use flips_data::LabelDistribution;
 use flips_fl::format::{put_f32s, Reader};
 use flips_fl::FlError;
@@ -296,7 +296,7 @@ impl Ceremony {
                     }
                 };
                 let mut krng = seeded(derive_seed(cluster_seed, k as u64));
-                let clustering = kmeans(&mut krng, &points, KMeansConfig::new(k))?;
+                let clustering = kmeans(&mut krng, &KMeansPoints::new(&points)?, k)?;
                 let mut clusters = clustering.members();
                 clusters.retain(|c| !c.is_empty());
                 let mut selector = FlipsSelector::new(clusters)?;

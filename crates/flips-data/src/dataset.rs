@@ -1,6 +1,6 @@
 //! Labelled datasets and the class-conditional Gaussian generator.
 
-use crate::dist::{categorical, largest_remainder};
+use crate::dist::largest_remainder;
 use crate::profile::DatasetProfile;
 use flips_ml::matrix::Matrix;
 use flips_ml::parallel;
@@ -107,20 +107,6 @@ impl ClassGeometry {
     /// Draws one sample of class `label`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, label: usize) -> Vec<f32> {
         self.means.row(label).iter().map(|&m| m + normal(rng, 0.0, self.noise_std) as f32).collect()
-    }
-
-    /// Generates `n` samples with labels drawn i.i.d. from `priors`.
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, priors: &[f64], n: usize) -> Dataset {
-        let classes = self.means.rows();
-        assert_eq!(priors.len(), classes, "prior length mismatch");
-        let mut rows = Vec::with_capacity(n);
-        let mut y = Vec::with_capacity(n);
-        for _ in 0..n {
-            let label = categorical(rng, priors);
-            rows.push(self.sample(rng, label));
-            y.push(label);
-        }
-        Dataset::new(Matrix::from_rows(&rows), y, classes)
     }
 
     /// Generates a dataset with *exact* per-class counts, its rows

@@ -435,7 +435,7 @@ impl Coordinator {
                 )));
             }
         }
-        if !self.server.import_optimizer(optimizer_state) {
+        if !self.server.import_optimizer(optimizer_state, self.global.len()) {
             return Err(FlError::InvalidConfig(
                 "snapshot optimizer state does not fit the algorithm".into(),
             ));

@@ -126,15 +126,11 @@ pub struct BreakerConfig {
     /// Round opens an [`BreakerState::Open`] party sits ejected before
     /// the breaker half-opens for a probe round (≥ 1).
     pub cooldown_rounds: u64,
-    /// Whether a corrupt or codec-mismatched frame strikes the sender
-    /// its header claims (on by default; the claim is unauthenticated,
-    /// see the module docs).
-    pub strike_on_corrupt: bool,
 }
 
 impl Default for BreakerConfig {
     fn default() -> Self {
-        BreakerConfig { strike_threshold: 32, cooldown_rounds: 2, strike_on_corrupt: true }
+        BreakerConfig { strike_threshold: 32, cooldown_rounds: 2 }
     }
 }
 
@@ -398,9 +394,10 @@ impl GuardPlane {
     }
 
     /// Whether corrupt/codec-mismatched frames strike the sender their
-    /// header claims.
+    /// header claims: they do whenever a breaker is installed (the claim
+    /// is unauthenticated, see the module docs).
     pub fn strikes_on_corrupt(&self) -> bool {
-        self.config.breaker.is_some_and(|b| b.strike_on_corrupt)
+        self.config.breaker.is_some()
     }
 
     /// Evaluates a job's guards at a round open: breaker transitions
@@ -521,7 +518,7 @@ mod tests {
     }
 
     fn strict() -> BreakerConfig {
-        BreakerConfig { strike_threshold: 2, cooldown_rounds: 2, ..BreakerConfig::default() }
+        BreakerConfig { strike_threshold: 2, cooldown_rounds: 2 }
     }
 
     #[test]

@@ -173,11 +173,13 @@ impl ServerState {
 
     /// Restores state previously produced by
     /// [`ServerState::export_optimizer`] on a server built for the same
-    /// algorithm. Returns `false` (state untouched) on a layout the
-    /// algorithm's optimizer rejects.
-    pub fn import_optimizer(&mut self, state: &[f32]) -> bool {
+    /// algorithm and a model of `params` parameters. Returns `false`
+    /// (state untouched) on a layout the algorithm's optimizer rejects,
+    /// or on moments that are neither empty (no step taken yet) nor one
+    /// word per parameter — the next step would panic on them.
+    pub fn import_optimizer(&mut self, state: &[f32], params: usize) -> bool {
         match &mut self.optimizer {
-            Some(opt) => opt.import_state(state),
+            Some(opt) => [2, 2 + 2 * params].contains(&state.len()) && opt.import_state(state),
             None => state.is_empty(),
         }
     }
@@ -260,6 +262,20 @@ mod tests {
             state.apply_round(&mut global, &ups).unwrap();
             assert!(global[0] < 1.0 && global[1] > -1.0, "{algo}: {global:?}");
         }
+    }
+
+    #[test]
+    fn optimizer_words_must_fit_the_model() {
+        let mut state = ServerState::new(FlAlgorithm::fedyogi());
+        let mut global = vec![1.0f32, -1.0];
+        state.apply_round(&mut global, &[update(vec![0.0, 0.0], 1)]).unwrap();
+        let words = state.export_optimizer();
+        let mut twin = ServerState::new(FlAlgorithm::fedyogi());
+        assert!(!twin.import_optimizer(&[0.0, 0.0, 1.0, 1.0], 2), "moments of 1 for 2 params");
+        assert!(!twin.import_optimizer(&words, 3), "moments of 2 for 3 params");
+        assert!(twin.import_optimizer(&[0.0, 0.0], 2), "no step taken yet");
+        assert!(twin.import_optimizer(&words, 2));
+        assert!(!ServerState::new(FlAlgorithm::FedAvg).import_optimizer(&words, 2));
     }
 
     #[test]

@@ -48,13 +48,17 @@ impl ParticipantSelector for Scripted {
 }
 
 fn coordinator(rounds: usize, cohort: Vec<PartyId>) -> Coordinator {
+    coordinator_running(FlAlgorithm::FedAvg, rounds, cohort)
+}
+
+fn coordinator_running(algorithm: FlAlgorithm, rounds: usize, cohort: Vec<PartyId>) -> Coordinator {
     let profile = DatasetProfile::femnist();
     let test = balanced_test_set(&profile, 4, 5);
     Coordinator::new(
         CoordinatorConfig {
             job_id: JOB,
             model: profile.model.clone(),
-            algorithm: FlAlgorithm::FedAvg,
+            algorithm,
             rounds,
             parties_per_round: cohort.len().max(1),
             codec: ModelCodec::Raw,
@@ -312,6 +316,25 @@ fn round_lifecycle_is_enforced() {
     c.handle(Event::DeadlineExpired).unwrap();
     assert!(c.is_finished());
     assert!(matches!(c.open_round(), Err(FlError::Protocol(_))), "open after finish");
+}
+
+#[test]
+fn restore_refuses_optimizer_words_that_misfit_the_model() {
+    // Moments one word long for a model of many more parameters are
+    // refused at restore, not a panic in the first round after it.
+    let mut c = coordinator_running(FlAlgorithm::fedyogi(), 2, vec![0, 1]);
+    let global = c.global_params().to_vec();
+    let restored =
+        c.restore(Vec::new(), Vec::new(), global.clone(), &[0.0, 0.0, 1.0, 1.0], &[true; 8]);
+    assert!(matches!(restored, Err(FlError::InvalidConfig(_))), "{restored:?}");
+
+    // Fresh moments fit any model; the job then runs a round.
+    let mut c = coordinator_running(FlAlgorithm::fedyogi(), 2, vec![0, 1]);
+    c.restore(Vec::new(), Vec::new(), global.clone(), &[0.0, 0.0], &[true; 8]).unwrap();
+    c.open_round().unwrap();
+    c.handle(update(0, 0, global.len(), 1.0)).unwrap();
+    c.handle(Event::DeadlineExpired).unwrap();
+    assert_eq!(c.round(), 1);
 }
 
 #[test]

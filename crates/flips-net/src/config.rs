@@ -21,7 +21,6 @@
 //! rate_per_round = 16
 //! breaker_strikes = 3
 //! breaker_cooldown_rounds = 2
-//! strike_on_corrupt = true
 //! admission_factor = 16
 //!
 //! [[job]]
@@ -230,14 +229,6 @@ impl<'a> Fields<'a> {
             Some(TomlValue::Float(f)) => Ok(Some(*f)),
             Some(TomlValue::Int(i)) => Ok(Some(*i as f64)),
             Some(_) => Err(self.wrong(key, "number")),
-        }
-    }
-
-    fn bool_or(&self, key: &str, default: bool) -> Result<bool, FlError> {
-        match self.table.get(key) {
-            None => Ok(default),
-            Some(TomlValue::Bool(b)) => Ok(*b),
-            Some(_) => Err(self.wrong(key, "boolean")),
         }
     }
 
@@ -462,7 +453,6 @@ fn guard_from_table(table: &Table) -> Result<GuardConfig, FlError> {
         "rate_per_round",
         "breaker_strikes",
         "breaker_cooldown_rounds",
-        "strike_on_corrupt",
         "admission_factor",
     ])?;
     let defaults = GuardConfig::default();
@@ -480,8 +470,6 @@ fn guard_from_table(table: &Table) -> Result<GuardConfig, FlError> {
             cooldown_rounds: f
                 .uint_opt("breaker_cooldown_rounds")?
                 .unwrap_or(BreakerConfig::default().cooldown_rounds),
-            strike_on_corrupt: f
-                .bool_or("strike_on_corrupt", BreakerConfig::default().strike_on_corrupt)?,
         }),
     };
     let guard = GuardConfig {
@@ -608,7 +596,6 @@ rate_burst = 64
 rate_per_round = 16
 breaker_strikes = 3
 breaker_cooldown_rounds = 2
-strike_on_corrupt = true
 admission_factor = 16
 
 [[job]]

@@ -26,39 +26,32 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
-/// Tunables of the Oort policy (defaults follow the OSDI'21 artifact).
+/// Initial exploration fraction ε (the OSDI'21 artifact's value, as are
+/// the constants below).
+const EPSILON_INIT: f64 = 0.9;
+/// Multiplicative ε decay per round.
+const EPSILON_DECAY: f64 = 0.98;
+/// ε floor.
+const EPSILON_MIN: f64 = 0.2;
+/// System-utility penalty exponent α.
+const ALPHA: f64 = 2.0;
+/// Utility clipping quantile.
+const CLIP_QUANTILE: f64 = 0.95;
+/// Utility penalty factor applied to stragglers.
+const STRAGGLER_PENALTY: f64 = 0.5;
+
+/// The two settings of the Oort policy a job chooses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OortConfig {
-    /// Initial exploration fraction ε.
-    pub epsilon_init: f64,
-    /// Multiplicative ε decay per round.
-    pub epsilon_decay: f64,
-    /// ε floor.
-    pub epsilon_min: f64,
-    /// System-utility penalty exponent α.
-    pub alpha: f64,
     /// Developer-preferred round duration `T` (seconds).
     pub preferred_duration: f64,
-    /// Utility clipping quantile.
-    pub clip_quantile: f64,
     /// Round-size multiplier (1.3 under stragglers, per the paper).
     pub overprovision: f64,
-    /// Utility penalty factor applied to stragglers.
-    pub straggler_penalty: f64,
 }
 
 impl Default for OortConfig {
     fn default() -> Self {
-        OortConfig {
-            epsilon_init: 0.9,
-            epsilon_decay: 0.98,
-            epsilon_min: 0.2,
-            alpha: 2.0,
-            preferred_duration: 1.0,
-            clip_quantile: 0.95,
-            overprovision: 1.0,
-            straggler_penalty: 0.5,
-        }
+        OortConfig { preferred_duration: 1.0, overprovision: 1.0 }
     }
 }
 
@@ -99,7 +92,7 @@ impl OortSelector {
     pub fn new(data_sizes: Vec<usize>, config: OortConfig, seed: u64) -> Self {
         let n = data_sizes.len();
         OortSelector {
-            epsilon: config.epsilon_init,
+            epsilon: EPSILON_INIT,
             config,
             data_sizes,
             stats: vec![PartyStats::default(); n],
@@ -138,7 +131,7 @@ impl OortSelector {
     fn system_utility(&self, party: PartyId) -> f64 {
         match self.stats[party].duration {
             Some(t) if t > self.config.preferred_duration => {
-                (self.config.preferred_duration / t).powf(self.config.alpha)
+                (self.config.preferred_duration / t).powf(ALPHA)
             }
             _ => 1.0,
         }
@@ -158,7 +151,7 @@ impl OortSelector {
         (stat + staleness) * self.system_utility(party)
     }
 
-    /// The clipping threshold: `clip_quantile` of current utilities.
+    /// The clipping threshold: the `CLIP_QUANTILE` of current utilities.
     fn clip_threshold(&self) -> f64 {
         let mut utils: Vec<f64> =
             self.stats.iter().filter(|s| s.last_round.is_some()).map(|s| s.utility).collect();
@@ -166,7 +159,7 @@ impl OortSelector {
             return f64::INFINITY;
         }
         utils.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let idx = ((utils.len() as f64 - 1.0) * self.config.clip_quantile).round() as usize;
+        let idx = ((utils.len() as f64 - 1.0) * CLIP_QUANTILE).round() as usize;
         utils[idx]
     }
 }
@@ -233,7 +226,7 @@ impl ParticipantSelector for OortSelector {
         for &p in &selected {
             self.stats[p].explored = true;
         }
-        self.epsilon = (self.epsilon * self.config.epsilon_decay).max(self.config.epsilon_min);
+        self.epsilon = (self.epsilon * EPSILON_DECAY).max(EPSILON_MIN);
         Ok(selected)
     }
 
@@ -250,7 +243,7 @@ impl ParticipantSelector for OortSelector {
         }
         for &p in &feedback.stragglers {
             let s = &mut self.stats[p];
-            s.utility *= self.config.straggler_penalty;
+            s.utility *= STRAGGLER_PENALTY;
             s.last_round = Some(feedback.round);
             // A straggler observably exceeded the deadline.
             let slow = self.config.preferred_duration * 2.0;

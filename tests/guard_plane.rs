@@ -317,7 +317,6 @@ proptest! {
                 breaker: Some(BreakerConfig {
                     strike_threshold: threshold,
                     cooldown_rounds: cooldown,
-                    ..BreakerConfig::default()
                 }),
                 ..GuardConfig::default()
             };
