@@ -24,6 +24,11 @@
 //! must be finite `f32` with `|x| < 2³¹`, weights below `2³²`, and at
 //! most `2²⁰` folded terms per sum — the scaled magnitudes then top out
 //! near `2²³⁵`, well inside the signed 256-bit range.
+//!
+//! The fold runs in blocks of eight parameters. A block with no non-zero
+//! parameter below `2⁻⁶⁵` — a model update's usual block — never reaches
+//! the lowest limb and takes a three-limb kernel; any other block takes
+//! the four-limb one. Both add the same integers.
 
 use crate::server::weighted_average_into;
 use crate::FlError;
@@ -81,12 +86,13 @@ const LANES: usize = 8;
 /// One limb of a block's [`LANES`] parameters.
 type Lane = [u64; LANES];
 
-/// [`add256`] for a block: `acc[k][l] += v[k][l]`, lane `l`'s chain
-/// starting at `carry[l]` (0 or 1), its carry out of bit 63 read from the
-/// top bits (both addends' set, or one set and the sum's clear).
+/// [`add256`] for a block: `acc[k][l] += v[k][l]` over `N` limbs, lane
+/// `l`'s chain starting at `carry[l]` (0 or 1), its carry out of bit 63
+/// read from the top bits (both addends' set, or one set and the sum's
+/// clear).
 #[inline(always)]
-fn add_lanes(acc: [&mut Lane; 4], v: [&Lane; 4], mut carry: Lane) {
-    for k in 0..4 {
+fn add_lanes<const N: usize>(acc: [&mut Lane; N], v: [&Lane; N], mut carry: Lane) {
+    for k in 0..N {
         let (x, y) = (*acc[k], *v[k]);
         for l in 0..LANES {
             let s = x[l].wrapping_add(y[l]).wrapping_add(carry[l]);
@@ -124,6 +130,60 @@ fn add_scaled_lanes(acc: [&mut Lane; 4], p: &[f32; LANES], w: u32) {
         negative[l] = sign & 1;
     }
     add_lanes(acc, v.each_ref(), negative);
+}
+
+/// [`add_scaled_lanes`] for a block whose every lane is `±0` or has
+/// biased exponent ≥ 62 (`|x| ≥ 2⁻⁶⁵`), so its product starts in limb 1
+/// or 2. Limb 0 is left as it is: a positive addend's limb 0 is 0, and a
+/// negative one's `!0` plus the carry-in 1 is 0 carrying 1 on — so the
+/// chain starts at limb 1 with the sign's carry, over three limbs, and
+/// one mask per lane (does the product start in limb 2?) places its two
+/// halves where the general lanes compare each limb's index twice. A
+/// `±0` lane has a zero product wherever it is placed.
+#[inline(always)]
+fn add_scaled_lanes_from_limb_1(acc: [&mut Lane; 3], p: &[f32; LANES], w: u32) {
+    let (mut v, mut negative) = ([[0; LANES]; 3], [0; LANES]);
+    for l in 0..LANES {
+        let bits = u64::from(p[l].to_bits());
+        let sign = (bits >> 31).wrapping_neg(); // 0 or !0
+        let e = bits >> 23 & 0xFF;
+        let product = (bits & 0x7F_FFFF | u64::from(e != 0) << 23) * u64::from(w);
+        let shift = e + (SCALE_BITS - 150) as u64;
+        let off = shift % 64;
+        let (lo, hi) = (product << off, product >> 1 >> (63 - off));
+        let in_limb_2 = shift >= 128;
+        v[0][l] = if in_limb_2 { 0 } else { lo } ^ sign;
+        v[1][l] = if in_limb_2 { lo } else { hi } ^ sign;
+        v[2][l] = if in_limb_2 { hi } else { 0 } ^ sign;
+        negative[l] = sign & 1;
+    }
+    add_lanes(acc, v.each_ref(), negative);
+}
+
+/// Whether [`add_scaled_lanes_from_limb_1`] may take block `p`: no lane a
+/// non-zero value below 2⁻⁶⁵ (biased exponent < 62), OR-ed without a
+/// branch.
+#[inline(always)]
+fn starts_from_limb_1(p: &[f32; LANES]) -> bool {
+    let below = |x: f32| {
+        let magnitude = x.to_bits() & 0x7FFF_FFFF;
+        magnitude != 0 && magnitude < 62 << 23
+    };
+    !p.iter().fold(false, |any, &x| any | below(x))
+}
+
+/// Adds `p[l] · w · 2¹⁵²` (exact) into lane `l`: the fold's block step.
+/// A block with no lane in limb 0 — every parameter `±0` or `|x| ≥ 2⁻⁶⁵`,
+/// as in every trained or synthetic update measured — takes
+/// [`add_scaled_lanes_from_limb_1`]; any other [`add_scaled_lanes`].
+#[inline(always)]
+fn add_scaled_block(acc: [&mut Lane; 4], p: &[f32; LANES], w: u32) {
+    if starts_from_limb_1(p) {
+        let [_, upper @ ..] = acc;
+        add_scaled_lanes_from_limb_1(upper, p, w);
+    } else {
+        add_scaled_lanes(acc, p, w);
+    }
 }
 
 /// Converts a signed 256-bit fixed-point value back to the nearest
@@ -266,7 +326,7 @@ impl ExactWeightedSum {
         let (full, tail) = params.as_chunks::<LANES>();
         let last: [f32; LANES] = std::array::from_fn(|l| tail.get(l).copied().unwrap_or(0.0));
         for (b, p) in full.iter().chain([&last]).take(self.limbs[0].len()).enumerate() {
-            add_scaled_lanes(self.block_mut(b), p, weight as u32);
+            add_scaled_block(self.block_mut(b), p, weight as u32);
         }
         self.total_weight += weight;
         self.terms += 1;
@@ -866,16 +926,75 @@ mod tests {
         }
     }
 
+    /// An in-domain `f32` whose product starts in limb `j` — biased
+    /// exponent 0..=61 (subnormals included), 62..=125 or 126..=157 (up to
+    /// 2³¹ − ulp) — or `±0`, which fits any; each class's edges drawn often.
+    fn param_in_limb(rng: &mut impl Rng, j: usize) -> f32 {
+        let (lo, hi) = [(0, 61), (62, 125), (126, 157)][j];
+        let e = match rng.random_range(0..4u32) {
+            0 => lo,
+            1 => hi,
+            _ => rng.random_range(lo..=hi),
+        };
+        let magnitude =
+            if rng.random_range(0..8u32) == 0 { 0 } else { e << 23 | rng.random_range(0..1 << 23) };
+        f32::from_bits(magnitude | rng.random_range(0..2u32) << 31)
+    }
+
+    #[test]
+    fn a_block_of_each_limb_class_folds_as_the_general_lanes_do() {
+        // Blocks whose lanes all start in limb 0, 1 or 2, or in 1 and 2
+        // mixed (as a trained update's do).
+        let mut rng = seeded(0xB10C);
+        for case in 0..80_000 {
+            let class = case % 4;
+            let mut p: [f32; LANES] = std::array::from_fn(|_| {
+                let j = if class == 3 { rng.random_range(1..3) } else { class };
+                param_in_limb(&mut rng, j)
+            });
+            // Every fifth block has one lane an exponent below limb 1's
+            // class (61), which sends it down the general lanes.
+            let straddles = case % 5 == 4;
+            if straddles {
+                p[rng.random_range(0..LANES)] =
+                    f32::from_bits(61 << 23 | rng.random_range(0..1 << 23));
+            }
+            let zero = p.iter().all(|&x| x == 0.0);
+            assert_eq!(starts_from_limb_1(&p), zero || (class > 0 && !straddles), "{p:?}");
+            let w = match case % 3 {
+                0 => 1,
+                1 => MAX_WEIGHT - 1,
+                _ => rng.random_range(1..MAX_WEIGHT),
+            };
+            let start: [Limbs; LANES] = std::array::from_fn(|_| random_acc(&mut rng));
+            let mut block: [Lane; 4] = std::array::from_fn(|k| start.map(|acc| acc[k]));
+            let mut general = block;
+            add_scaled_block(block.each_mut(), &p, w as u32);
+            add_scaled_lanes(general.each_mut(), &p, w as u32);
+            assert_eq!(block, general, "class {class}: p = {p:?}, w = {w}");
+            for (l, mut acc) in start.into_iter().enumerate() {
+                reference::add_scaled(&mut acc, p[l], w);
+                assert_eq!(block.map(|lane| lane[l]), acc, "lane {l}: p = {:e}, w = {w}", p[l]);
+            }
+        }
+    }
+
     #[test]
     fn folded_limbs_and_means_match_the_reference_kernels() {
         // Every block shape the lanes meet: none, partial, whole, several.
+        // Forty updates drawn by bit pattern mix limb classes in almost
+        // every block; the last 24 keep each to one class.
         let mut rng = seeded(0xF01D);
         for dim in (0..=17).chain([255, 256, 257]) {
-            let updates: Vec<(Vec<f32>, u64)> = (0..40)
+            let updates: Vec<(Vec<f32>, u64)> = (0..64)
                 .map(|t| {
                     let w =
                         if t % 4 == 0 { MAX_WEIGHT - 1 } else { rng.random_range(1..MAX_WEIGHT) };
-                    ((0..dim).map(|_| random_param(&mut rng)).collect(), w)
+                    let draw = |rng: &mut _| match t {
+                        0..40 => random_param(rng),
+                        _ => param_in_limb(rng, t % 3),
+                    };
+                    ((0..dim).map(|_| draw(&mut rng)).collect(), w)
                 })
                 .collect();
             let oracle = oracle_fold(dim, updates.iter().map(|(p, w)| (p.as_slice(), *w)));

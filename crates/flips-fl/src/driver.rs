@@ -97,7 +97,9 @@ pub struct DriverStats {
     /// stores, never checkpointed — a restored store re-counts from
     /// zero.
     pub roster_spilled: u64,
-    /// Roster segments loaded back from disk by attached stores.
+    /// Roster segment files read back from disk by attached stores, as
+    /// [`crate::RosterStore::loaded`] counts them: page-ins and full-scan
+    /// reads alike.
     pub roster_loaded: u64,
 }
 
@@ -154,7 +156,7 @@ impl DriverStats {
         roster_spilled => "flips_roster_segments_spilled_total",
             "Roster segments sealed to the spill directory.";
         roster_loaded => "flips_roster_segments_loaded_total",
-            "Spilled roster segments paged back into memory.";
+            "Spilled roster segment files read back (page-ins and full scans).";
     };
 
     /// How many leading [`DriverStats::COUNTERS`] a checkpoint persists.

@@ -104,7 +104,7 @@ pub struct RosterStore {
     /// Segments written to disk (spill mode: every segment, once, at
     /// build time).
     spilled: AtomicU64,
-    /// Segment files read back into residency.
+    /// Segment files read back and accepted — see [`RosterStore::loaded`].
     loaded: AtomicU64,
 }
 
@@ -134,6 +134,10 @@ pub struct RosterBuilder {
     done: Vec<FlatSegment>,
     written: u64,
     count: usize,
+    /// The first segment write that failed (spill mode). The segment it
+    /// left pending no longer fits the roster's geometry, so every later
+    /// `push` and `finish` is refused with it.
+    failed: Option<String>,
 }
 
 impl RosterBuilder {
@@ -146,6 +150,7 @@ impl RosterBuilder {
             done: Vec::new(),
             written: 0,
             count: 0,
+            failed: None,
         }
     }
 
@@ -174,8 +179,10 @@ impl RosterBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates segment-file write failures (spill mode).
+    /// Propagates segment-file write failures (spill mode); after one,
+    /// every later call fails too.
     pub fn push(&mut self, record: PartyRecord) -> Result<(), FlError> {
+        self.refuse_if_failed()?;
         self.pending.push(&record);
         self.count += 1;
         if self.pending.len() >= self.segment_cap {
@@ -188,8 +195,10 @@ impl RosterBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates segment-file write failures (spill mode).
+    /// Propagates segment-file write failures (spill mode), this call's
+    /// or an earlier one's.
     pub fn finish(mut self) -> Result<RosterStore, FlError> {
+        self.refuse_if_failed()?;
         if self.pending.len() > 0 {
             self.flush()?;
         }
@@ -206,13 +215,22 @@ impl RosterBuilder {
         })
     }
 
+    fn refuse_if_failed(&self) -> Result<(), FlError> {
+        match &self.failed {
+            Some(e) => Err(FlError::Codec(format!("roster builder failed earlier: {e}"))),
+            None => Ok(()),
+        }
+    }
+
     fn flush(&mut self) -> Result<(), FlError> {
         match &self.spill {
             None => self.done.push(std::mem::take(&mut self.pending)),
             Some((dir, _)) => {
                 let path = segment_path(dir, self.written as usize);
-                std::fs::write(&path, seal_segment(&self.pending))
-                    .map_err(|e| FlError::Codec(format!("cannot write segment {path:?}: {e}")))?;
+                if let Err(e) = std::fs::write(&path, seal_segment(&self.pending)) {
+                    let failed = self.failed.insert(format!("cannot write segment {path:?}: {e}"));
+                    return Err(FlError::Codec(failed.clone()));
+                }
                 self.written += 1;
                 self.pending.clear();
             }
@@ -245,7 +263,11 @@ impl RosterStore {
         self.spilled.load(Ordering::Relaxed)
     }
 
-    /// Segment files read back into residency so far.
+    /// Segment files read back from disk and accepted so far: every
+    /// page-in into the resident set (per-party and bulk column reads),
+    /// and every segment [`RosterStore::visit_all`] streams, which never
+    /// becomes resident. A refused file is not counted; an in-memory store
+    /// reads none.
     pub fn loaded(&self) -> u64 {
         self.loaded.load(Ordering::Relaxed)
     }
@@ -812,6 +834,31 @@ mod tests {
         assert!(store.visit_all(&mut |_, _| {}).is_err());
         assert_eq!(store.record(5).unwrap(), sample_records(10)[5], "segment 1 is intact");
         assert_eq!(store.loaded(), 1, "a refused file is not a load");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed segment write used to leave the full segment pending:
+    /// the next push grew it past the cap, `finish` returned `Ok`, and
+    /// the store served a neighbour's record for a party's.
+    #[test]
+    fn a_failed_segment_write_poisons_the_builder() {
+        let dir = test_dir("poison");
+        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4);
+        let records = sample_records(12);
+        for r in &records[..3] {
+            b.push(r.clone()).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = b.push(records[3].clone()).unwrap_err();
+        assert!(matches!(&err, FlError::Codec(m) if m.contains("cannot write segment")), "{err}");
+        std::fs::create_dir_all(&dir).unwrap();
+        for r in &records[4..] {
+            let err = b.push(r.clone()).unwrap_err();
+            assert!(matches!(&err, FlError::Codec(m) if m.contains("failed earlier")), "{err}");
+        }
+        let err = b.finish().unwrap_err();
+        assert!(matches!(&err, FlError::Codec(m) if m.contains("cannot write segment")), "{err}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no segment written after");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
