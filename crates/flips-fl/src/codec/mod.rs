@@ -30,15 +30,14 @@
 //!   that opt in (never a default): halves model bytes unconditionally,
 //!   at ~3 decimal digits of mantissa.
 //!
-//! The codec is carried per job in the coordinator config, announced in
-//! every [`SelectionNotice`](crate::WireMessage::SelectionNotice), and
-//! negotiated once per job on the receiving side ([`CodecMap::negotiate`]).
-//! Since the per-link negotiation PR the announcement is scoped to the
-//! *link*: the driver may pin a different codec per link on one job
-//! ([`crate::MultiJobDriver::set_link_codec`]), each link's
-//! `SelectionNotice` carries that link's codec, and each receiving pool
-//! pins per (link, job) with the same once-only renegotiation-refusal
-//! rules. A decoder rejects mismatched or corrupt codec tags with
+//! The codec is carried per job in the coordinator config, spoken on
+//! every link, announced in every
+//! [`SelectionNotice`](crate::WireMessage::SelectionNotice), and pinned
+//! once per (link, job) on the receiving side ([`CodecMap::negotiate`]):
+//! a planned wire pins it out-of-band, a hand-built one on the first
+//! notice, and a later notice naming another codec is refused. Its delta
+//! reference is per (link, job) too, because each link sees different
+//! frames. A decoder rejects mismatched or corrupt codec tags with
 //! [`FlError::CodecMismatch`] — the frame is dropped and counted, round
 //! state untouched.
 //!

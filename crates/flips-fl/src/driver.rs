@@ -252,10 +252,7 @@ pub struct MultiJobDriver<T: Transport> {
     /// *link* state — two links of a multi-link wire see different
     /// frame subsets, so sharing one reference across links would desync
     /// the moment a broadcast skips a link (see [`Transport::links`]).
-    /// Doubles as the per-link negotiation table: a link whose
-    /// registered codec differs from the job-wide default
-    /// ([`MultiJobDriver::set_link_codec`]) gets its selection notices
-    /// rewritten to announce the link's codec.
+    /// Every link speaks the job's own codec.
     codecs: Vec<CodecMap>,
     /// Reused frame-encode scratch: grow-only, so the steady-state
     /// encode path performs no heap allocation.
@@ -390,16 +387,14 @@ impl<T: Transport> MultiJobDriver<T> {
     }
 
     /// Strikes the sender an undecodable frame *claims* to be from, when
-    /// the claimed job is registered and corrupt-striking is enabled.
+    /// the claimed job is registered ([`GuardPlane::strike`] records
+    /// nothing without a breaker).
     /// Attribution is necessarily header-claimed — an attacker can frame
     /// another party — but a forger who can write arbitrary headers
     /// could impersonate that party outright anyway; the guard's
     /// trust boundary is the frame header, same as routing's.
     fn strike_claimed_sender(&mut self, job: Option<u64>, party: Option<u64>) {
         let Some(guard) = &mut self.guard else { return };
-        if !guard.strikes_on_corrupt() {
-            return;
-        }
         if let (Some(job), Some(party)) = (job, party) {
             if self.jobs.contains_key(&job) {
                 guard.strike(job, party);
@@ -530,62 +525,10 @@ impl<T: Transport> MultiJobDriver<T> {
         &mut self.transport
     }
 
-    /// The codec a job was registered with — the job-wide default its
-    /// coordinator announces. Individual links may override it
-    /// ([`MultiJobDriver::set_link_codec`]); what a given link actually
-    /// speaks is [`MultiJobDriver::link_codec_of`].
+    /// The codec a job was registered with — the one its coordinator
+    /// announces and every link speaks.
     pub fn codec_of(&self, job: u64) -> Option<ModelCodec> {
         self.jobs.get(&job).map(|j| j.coordinator.codec())
-    }
-
-    /// The codec `job`'s model frames travel with on `link` — the
-    /// per-link override if one was set, the job-wide default otherwise.
-    pub fn link_codec_of(&self, job: u64, link: usize) -> Option<ModelCodec> {
-        self.codecs.get(link)?.codec_of(job)
-    }
-
-    /// Overrides the codec `job`'s model frames travel with on one
-    /// specific transport link (see [`crate::Transport::links`]), leaving
-    /// every other link on the job-wide default. This is per-link
-    /// negotiation's sender half: when the overridden link's selection
-    /// notices go out, [`MultiJobDriver`] rewrites the announced codec to
-    /// the link's pinned one, so each link's parties negotiate exactly
-    /// the codec their frames will travel with. Per-link reference state
-    /// already exists (one [`CodecMap`] per link), so heterogeneous
-    /// codecs on one job never share a delta reference.
-    ///
-    /// Like [`crate::PartyPool::pin_codec`], the pin is out-of-band
-    /// configuration: both sides must agree (the wire plan hands one
-    /// table to both — see [`crate::WireOptions::link_codecs`]),
-    /// and a wire notice can never renegotiate it.
-    ///
-    /// # Errors
-    ///
-    /// [`FlError::Protocol`] after [`MultiJobDriver::start`];
-    /// [`FlError::InvalidConfig`] for an unregistered job or a link index
-    /// the transport does not have.
-    pub fn set_link_codec(
-        &mut self,
-        job: u64,
-        link: usize,
-        codec: ModelCodec,
-    ) -> Result<(), FlError> {
-        if self.started {
-            return Err(FlError::Protocol(
-                "cannot change a link's codec on a started driver".into(),
-            ));
-        }
-        if !self.jobs.contains_key(&job) {
-            return Err(FlError::InvalidConfig(format!("job id {job:#x} not registered")));
-        }
-        let links = self.codecs.len();
-        let Some(link_codecs) = self.codecs.get_mut(link) else {
-            return Err(FlError::InvalidConfig(format!(
-                "link {link} out of range: transport has {links}"
-            )));
-        };
-        link_codecs.register(job, codec);
-        Ok(())
     }
 
     /// The current virtual tick.
@@ -1161,25 +1104,6 @@ impl<T: Transport> MultiJobDriver<T> {
                 self.codecs.len()
             )));
         };
-        // Per-link negotiation: the coordinator announces its job-wide
-        // codec, but this link may pin a different one — rewrite the
-        // notice so every party negotiates the codec its link actually
-        // speaks.
-        if let WireMessage::SelectionNotice { job, round, party, codec } = msg {
-            let pinned = link_codecs.codec_of(*job);
-            if let Some(pinned) = pinned.filter(|p| p != codec) {
-                let adjusted = WireMessage::SelectionNotice {
-                    job: *job,
-                    round: *round,
-                    party: *party,
-                    codec: pinned,
-                };
-                frame_into(to as u64, &adjusted, link_codecs.for_job(*job), &mut self.scratch);
-                self.stats.frames_sent += 1;
-                self.stats.bytes_sent += self.scratch.len() as u64;
-                return self.transport.send(self.scratch.as_slice());
-            }
-        }
         frame_into(to as u64, msg, link_codecs.for_job(msg.job()), &mut self.scratch);
         self.stats.frames_sent += 1;
         self.stats.bytes_sent += self.scratch.len() as u64;
@@ -1368,18 +1292,5 @@ mod tests {
         let (a, _b) = MemoryTransport::pair();
         let mut driver = MultiJobDriver::new(a);
         assert!(matches!(driver.start(), Err(FlError::Protocol(_))));
-    }
-
-    #[test]
-    fn link_codec_overrides_validate_job_and_link() {
-        let (a, _b) = MemoryTransport::pair();
-        let mut driver = MultiJobDriver::new(a);
-        // Unknown job: refused before any link state is touched.
-        assert!(matches!(
-            driver.set_link_codec(7, 0, ModelCodec::DeltaEntropy),
-            Err(FlError::InvalidConfig(_))
-        ));
-        assert_eq!(driver.link_codec_of(7, 0), None);
-        assert_eq!(driver.codec_of(7), None);
     }
 }

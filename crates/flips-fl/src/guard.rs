@@ -393,13 +393,6 @@ impl GuardPlane {
         guard.strikes = guard.strikes.saturating_add(1);
     }
 
-    /// Whether corrupt/codec-mismatched frames strike the sender their
-    /// header claims: they do whenever a breaker is installed (the claim
-    /// is unauthenticated, see the module docs).
-    pub fn strikes_on_corrupt(&self) -> bool {
-        self.config.breaker.is_some()
-    }
-
     /// Evaluates a job's guards at a round open: breaker transitions
     /// fire (the only place they may), every tracked bucket of the job
     /// refills, the admission budget resets, and the cohort members

@@ -54,10 +54,9 @@
 //!   [`run_lockstep`], the loop that runs a driver and its pools — one
 //!   per link — to completion on one thread (training and the
 //!   delta-codec uplink fan out);
-//! - [`plan`] — the wire plan: party placement, per-link codecs and tree
-//!   mode decided once ([`plan::WireOptions`], [`plan::split`]) and
-//!   installed on both wire ends ([`plan::memory_wire`] does it over
-//!   in-memory links);
+//! - [`plan`] — the wire plan: party placement and tree mode decided
+//!   once ([`plan::WireOptions`], [`plan::split`]) and installed on both
+//!   wire ends ([`plan::memory_wire`] does it over in-memory links);
 //! - [`guard`] — the deterministic inbound guard plane: per-party
 //!   token-bucket rate limits, circuit breakers ejecting chronically
 //!   hostile parties, per-round admission control, and graceful drain —

@@ -77,11 +77,9 @@ pub enum WireMessage {
         round: u64,
         /// The selected party.
         party: u64,
-        /// The model-payload codec this party's link speaks (negotiated
-        /// once per link; a later notice carrying a different codec is
-        /// refused). Usually the job-wide codec, but a per-link override
-        /// on the sender rewrites it (see
-        /// [`crate::MultiJobDriver::set_link_codec`]).
+        /// The job's model-payload codec, which every link speaks
+        /// (pinned once per (link, job); a later notice carrying a
+        /// different codec is refused).
         codec: ModelCodec,
     },
     /// Aggregator → party: the round's global model.

@@ -1,11 +1,10 @@
-//! The wire plan: which party lives on which link, which codec that
-//! link speaks, and who folds what — decided once, here, and handed to
-//! the mechanisms as data.
+//! The wire plan: which party lives on which link and who folds what
+//! — decided once, here, and handed to the mechanisms as data.
 //!
 //! Every multi-link wire in the workspace (the in-memory lockstep
 //! built by [`memory_wire`], `flips_net::run_socket` / `serve` /
 //! `party_loop_with`, and the `flips-server` / `flips-party` binaries)
-//! is a consumer of this module. Three deployment decisions live here
+//! is a consumer of this module. Two deployment decisions live here
 //! and nowhere else:
 //!
 //! - **Placement** — party `p` of every job lives on link
@@ -13,16 +12,14 @@
 //!   is a pure function, so two processes that parse the same config
 //!   shard identically; nothing about a history depends on *which*
 //!   deterministic assignment is used.
-//! - **Link codecs** — a link speaks the last override naming its
-//!   `(job, link)`, else the job's own codec
-//!   ([`WireOptions::codec_for`]). The same table is applied
-//!   out-of-band to both wire ends, so neither side trusts a wire
-//!   notice for it.
 //! - **Tree mode** — a two-ended contract: every coordinator folds
 //!   with the exact 256-bit sum and every link's pool acts as a tree
 //!   inner node carrying the coordinator's sketch width — except for a
 //!   job on latency-derived deadlines, whose pools keep shipping flat
 //!   updates (the driver judges lateness per update).
+//!
+//! A job speaks its own codec on every link. [`split`] pins it on each
+//! [`LinkShare`] out-of-band, so no pool trusts a wire notice for it.
 //!
 //! [`split`] turns a job set into the coordinator-side parts plus one
 //! [`LinkShare`] per link; [`MultiJobDriver::install`] and
@@ -41,7 +38,7 @@ use flips_selection::PartyId;
 /// The deployment decisions every multi-link wire shares. The socket
 /// runtime's option structs (`flips_net::SocketOptions`,
 /// `flips_net::ServerOptions`) embed one and layer their own extras on
-/// top; [`WithWire`] gives each of them the same four builders.
+/// top; [`WithWire`] gives each of them the same three builders.
 #[derive(Debug, Clone)]
 pub struct WireOptions {
     /// Links the roster is split across (≥ 1): in-memory links, TCP
@@ -55,12 +52,6 @@ pub struct WireOptions {
     /// passes it whichever link it came from). `None` runs the wire
     /// untouched.
     pub chaos: Option<ChaosSchedule>,
-    /// Per-link codec overrides, `(job, link, codec)`: the named link
-    /// speaks `codec` for that job while sibling links stay on the
-    /// job-wide default. Applied to *both* wire ends — the driver's
-    /// per-link table ([`MultiJobDriver::set_link_codec`]) and the
-    /// owning pool's pin ([`PartyPool::pin_codec`]).
-    pub link_codecs: Vec<(u64, usize, ModelCodec)>,
     /// Aggregation-tree mode: every coordinator folds with the exact
     /// 256-bit sum ([`crate::Coordinator::set_exact_fold`]) and every
     /// link's pool ships one partial per round instead of per-party
@@ -73,25 +64,14 @@ pub struct WireOptions {
 }
 
 impl WireOptions {
-    /// A plan over `links` links: no guard, no chaos, job-wide codecs,
-    /// flat aggregation.
+    /// A plan over `links` links: no guard, no chaos, flat aggregation.
     pub fn new(links: usize) -> Self {
-        WireOptions { links, guard: None, chaos: None, link_codecs: Vec::new(), tree: false }
+        WireOptions { links, guard: None, chaos: None, tree: false }
     }
 
     /// The link party `party` of every job lives on.
     pub fn link_of(&self, party: PartyId) -> usize {
         place(party as u64, self.links)
-    }
-
-    /// The codec `link` speaks for `job`: the last override naming the
-    /// pair, else `job_default`.
-    pub fn codec_for(&self, job: u64, link: usize, job_default: ModelCodec) -> ModelCodec {
-        self.link_codecs
-            .iter()
-            .rev()
-            .find(|&&(j, l, _)| j == job && l == link)
-            .map_or(job_default, |&(_, _, c)| c)
     }
 
     /// Rejects a plan no runtime can run: zero links, or `jobs == 0`.
@@ -142,14 +122,6 @@ pub trait WithWire: Sized {
         self
     }
 
-    /// Overrides the codec one link speaks for `job` (see
-    /// [`WireOptions::link_codecs`]).
-    #[must_use]
-    fn with_link_codec(mut self, job: u64, link: usize, codec: ModelCodec) -> Self {
-        self.wire_mut().link_codecs.push((job, link, codec));
-        self
-    }
-
     /// Enables aggregation-tree mode (see [`WireOptions::tree`]).
     #[must_use]
     fn with_tree(mut self) -> Self {
@@ -169,9 +141,9 @@ impl WithWire for WireOptions {
 pub struct ShareJob {
     /// The job id.
     pub job: u64,
-    /// The codec this link speaks for the job, pinned out-of-band (each
-    /// link is an independent party-side process; trust-on-first-frame
-    /// is not how a production shard would learn its codec).
+    /// The job's codec, pinned out-of-band on this link (each link is an
+    /// independent party-side process; trust-on-first-frame is not how
+    /// a production shard would learn its codec).
     pub codec: ModelCodec,
     /// The endpoints this link owns, roster order.
     pub endpoints: Vec<PartyEndpoint>,
@@ -223,7 +195,7 @@ pub fn split(
     let mut coordinator_side = Vec::with_capacity(jobs.len());
     for mut parts in jobs {
         let job = parts.coordinator.job_id();
-        let job_default = parts.coordinator.codec();
+        let codec = parts.coordinator.codec();
         let tree = wire.tree && !parts.deadline.is_latency_derived();
         let mut slices: Vec<Vec<PartyEndpoint>> = (0..wire.links).map(|_| Vec::new()).collect();
         for endpoint in std::mem::take(&mut parts.endpoints) {
@@ -231,7 +203,6 @@ pub fn split(
         }
         for (share, endpoints) in shares.iter_mut().zip(slices) {
             if !endpoints.is_empty() {
-                let codec = wire.codec_for(job, share.link, job_default);
                 share.jobs.push(ShareJob { job, codec, endpoints, tree });
             }
         }
@@ -242,18 +213,17 @@ pub fn split(
 
 impl<T: Transport> MultiJobDriver<ChaosTransport<T>> {
     /// Builds the coordinator side of a planned wire over `transport`:
-    /// chaos seam (inert without a schedule), guard plane, every job's
-    /// coordinator-side parts, then the per-link codec table. In tree
-    /// mode every coordinator is switched to the exact fold — the
-    /// coordinator half of the contract whose party half
-    /// [`PartyPool::install`] applies. Endpoints still inside `jobs`
-    /// are dropped: the party side lives wherever [`split`]'s shares
-    /// went.
+    /// chaos seam (inert without a schedule), guard plane, then every
+    /// job's coordinator-side parts. In tree mode every coordinator is
+    /// switched to the exact fold — the coordinator half of the
+    /// contract whose party half [`PartyPool::install`] applies.
+    /// Endpoints still inside `jobs` are dropped: the party side lives
+    /// wherever [`split`]'s shares went.
     ///
     /// # Errors
     ///
-    /// [`FlError::InvalidConfig`] for an invalid guard, a duplicate job
-    /// id, or a codec override naming an unknown job or link.
+    /// [`FlError::InvalidConfig`] for an invalid guard or a duplicate
+    /// job id.
     pub fn install(transport: T, jobs: Vec<JobParts>, wire: &WireOptions) -> Result<Self, FlError> {
         let seam = match &wire.chaos {
             Some(schedule) => ChaosTransport::new(transport, schedule.clone()),
@@ -268,9 +238,6 @@ impl<T: Transport> MultiJobDriver<ChaosTransport<T>> {
                 parts.coordinator.set_exact_fold(true);
             }
             driver.add_parts(parts)?;
-        }
-        for &(job, link, codec) in &wire.link_codecs {
-            driver.set_link_codec(job, link, codec)?;
         }
         Ok(driver)
     }
@@ -363,11 +330,6 @@ mod tests {
         MemoryRouter::new(shares.iter().map(|_| MemoryTransport::pair().0).collect())
     }
 
-    fn codec(tag: u8) -> ModelCodec {
-        [ModelCodec::Raw, ModelCodec::F16, ModelCodec::DeltaLossless, ModelCodec::DeltaEntropy]
-            [tag as usize % 4]
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -380,16 +342,19 @@ mod tests {
             let wire = WireOptions::new(links);
             let set = job_set(parties, jobs);
             let ids: Vec<u64> = set.iter().map(|p| p.coordinator.job_id()).collect();
+            let codecs: Vec<ModelCodec> = set.iter().map(|p| p.coordinator.codec()).collect();
             let (coordinator_side, shares) = split(set, &wire).unwrap();
             prop_assert_eq!(coordinator_side.len(), jobs);
             prop_assert!(coordinator_side.iter().all(|p| p.endpoints.is_empty()));
             prop_assert_eq!(shares.len(), links);
-            for &job in &ids {
+            for (&job, &codec) in ids.iter().zip(&codecs) {
                 let mut seen = vec![0usize; parties];
                 for (index, share) in shares.iter().enumerate() {
                     prop_assert_eq!(share.link, index);
                     for slice in share.jobs.iter().filter(|s| s.job == job) {
                         prop_assert!(!slice.endpoints.is_empty());
+                        // Every link speaks the job's own codec.
+                        prop_assert_eq!(slice.codec, codec);
                         for ep in &slice.endpoints {
                             seen[ep.id()] += 1;
                             // `link_of` for the split, `place` for both
@@ -401,54 +366,6 @@ mod tests {
                 }
                 prop_assert!(seen.iter().all(|&n| n == 1), "job {job:#x}: {seen:?}");
             }
-        }
-
-        #[test]
-        fn codec_for_is_the_last_matching_override_else_the_job_codec(
-            overrides in proptest::collection::vec((0u64..3, 0usize..3, 0u8..4), 0..8),
-            job in 0u64..3,
-            link in 0usize..3,
-            default in 0u8..4,
-        ) {
-            let mut wire = WireOptions::new(3);
-            let mut expected = codec(default);
-            for &(j, l, tag) in &overrides {
-                wire = wire.with_link_codec(j, l, codec(tag));
-                if (j, l) == (job, link) {
-                    expected = codec(tag);
-                }
-            }
-            prop_assert_eq!(wire.codec_for(job, link, codec(default)), expected);
-        }
-    }
-
-    #[test]
-    fn shares_pin_the_overridden_codec_and_install_registers_it_on_the_driver() {
-        let set = job_set(4, 1);
-        let id = set[0].coordinator.job_id();
-        let wire = WireOptions::new(2).with_link_codec(id, 1, ModelCodec::F16).with_link_codec(
-            id,
-            1,
-            ModelCodec::DeltaEntropy,
-        );
-        let (jobs, shares) = split(set, &wire).unwrap();
-        assert_eq!(shares[0].jobs[0].codec, ModelCodec::Raw);
-        assert_eq!(shares[1].jobs[0].codec, ModelCodec::DeltaEntropy);
-        let driver = MultiJobDriver::install(router(&shares), jobs, &wire).unwrap();
-        assert_eq!(driver.link_codec_of(id, 0), Some(ModelCodec::Raw));
-        assert_eq!(driver.link_codec_of(id, 1), Some(ModelCodec::DeltaEntropy));
-    }
-
-    #[test]
-    fn overrides_naming_an_unknown_job_or_link_fail_at_install() {
-        let id = job_set(2, 1)[0].coordinator.job_id();
-        for (job, link) in [(0xDEAD, 0), (id, 2)] {
-            let wire = WireOptions::new(2).with_link_codec(job, link, ModelCodec::DeltaEntropy);
-            let (jobs, shares) = split(job_set(2, 1), &wire).unwrap();
-            assert!(matches!(
-                MultiJobDriver::install(router(&shares), jobs, &wire),
-                Err(FlError::InvalidConfig(_))
-            ));
         }
     }
 

@@ -270,10 +270,10 @@ impl<T: Transport> PartyPool<T> {
     /// notices must match or they are dropped and counted as
     /// renegotiations.
     ///
-    /// A pool serves exactly one transport link, so this pin is
-    /// naturally per-link: pin the codec the sender registered for
-    /// *this link* ([`MultiJobDriver::set_link_codec`]), which may
-    /// differ from the same job's codec on a sibling link.
+    /// A pool serves exactly one transport link, so this pin is per
+    /// (link, job). Pin the job's own codec
+    /// ([`MultiJobDriver::codec_of`]): every link speaks it, so a
+    /// notice that disagrees is hostile.
     pub fn pin_codec(&mut self, job: u64, codec: ModelCodec) {
         self.codecs.register(job, codec);
     }

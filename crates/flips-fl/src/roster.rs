@@ -168,10 +168,23 @@ impl RosterBuilder {
     }
 
     /// Overrides the records-per-segment cap (tests exercise paging
-    /// with small segments; production uses [`SEGMENT_PARTIES`]).
-    pub fn segment_cap(mut self, cap: usize) -> Self {
+    /// with small segments; production uses [`SEGMENT_PARTIES`]). The
+    /// cap is the roster's addressing geometry, so it is fixed from the
+    /// first [`RosterBuilder::push`] on.
+    ///
+    /// # Errors
+    ///
+    /// [`FlError::InvalidConfig`] once a record has been pushed: it was
+    /// placed under the old cap.
+    pub fn segment_cap(mut self, cap: usize) -> Result<Self, FlError> {
+        if self.count > 0 {
+            return Err(FlError::InvalidConfig(format!(
+                "segment cap cannot change after {} record(s) were pushed",
+                self.count
+            )));
+        }
         self.segment_cap = cap.max(1);
-        self
+        Ok(self)
     }
 
     /// Appends the next party's record (party ids are assigned densely
@@ -606,7 +619,7 @@ mod tests {
         let dir = test_dir("roundtrip");
         let records = sample_records(25);
         let flat = RosterStore::from_records(records.clone());
-        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4);
+        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4).unwrap();
         for r in records.clone() {
             b.push(r).unwrap();
         }
@@ -626,9 +639,40 @@ mod tests {
     }
 
     #[test]
+    fn segment_cap_is_refused_once_a_record_is_pushed() {
+        // A cap changed mid-build would re-address every record already
+        // pushed, so both backings refuse it; before the first push the
+        // last cap set is the geometry.
+        let dir = test_dir("cap");
+        let records = sample_records(6);
+        let backings = || [RosterBuilder::in_memory(), RosterBuilder::spilling(&dir, 1).unwrap()];
+        for builder in backings() {
+            let mut b = builder.segment_cap(4).unwrap();
+            for r in &records[..3] {
+                b.push(r.clone()).unwrap();
+            }
+            match b.segment_cap(2) {
+                Err(FlError::InvalidConfig(m)) => assert!(m.contains("3 record(s)"), "{m}"),
+                other => panic!("expected InvalidConfig, got {:?}", other.map(drop)),
+            }
+        }
+        for builder in backings() {
+            let mut b = builder.segment_cap(2).unwrap().segment_cap(4).unwrap();
+            for r in &records {
+                b.push(r.clone()).unwrap();
+            }
+            let store = b.finish().unwrap();
+            for (p, want) in records.iter().enumerate() {
+                assert_eq!(&store.record(p).unwrap(), want, "party {p}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn lru_respects_budget_and_counts_loads() {
         let dir = test_dir("lru");
-        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(2);
+        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(2).unwrap();
         for r in sample_records(10) {
             b.push(r).unwrap();
         }
@@ -651,7 +695,7 @@ mod tests {
     #[test]
     fn full_scan_does_not_disturb_the_cache() {
         let dir = test_dir("scan");
-        let mut b = RosterBuilder::spilling(&dir, 1).unwrap().segment_cap(2);
+        let mut b = RosterBuilder::spilling(&dir, 1).unwrap().segment_cap(2).unwrap();
         for r in sample_records(8) {
             b.push(r).unwrap();
         }
@@ -817,7 +861,7 @@ mod tests {
     #[test]
     fn a_segment_of_the_wrong_length_is_an_error_not_a_panic() {
         let dir = test_dir("swapped");
-        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4);
+        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4).unwrap();
         for r in sample_records(10) {
             b.push(r).unwrap();
         }
@@ -843,7 +887,7 @@ mod tests {
     #[test]
     fn a_failed_segment_write_poisons_the_builder() {
         let dir = test_dir("poison");
-        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4);
+        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4).unwrap();
         let records = sample_records(12);
         for r in &records[..3] {
             b.push(r.clone()).unwrap();
@@ -867,7 +911,7 @@ mod tests {
     #[test]
     fn a_refused_page_in_keeps_the_spare_columns_and_is_not_a_load() {
         let dir = test_dir("spare");
-        let mut b = RosterBuilder::spilling(&dir, 1).unwrap().segment_cap(4);
+        let mut b = RosterBuilder::spilling(&dir, 1).unwrap().segment_cap(4).unwrap();
         for r in sample_records(12) {
             b.push(r).unwrap();
         }
@@ -934,7 +978,7 @@ mod tests {
     fn bulk_reads_leave_the_cache_as_the_per_party_walk_does() {
         let records: Vec<PartyRecord> = sample_records(27);
         let spill = |name: &str| {
-            let mut b = RosterBuilder::spilling(test_dir(name), 3).unwrap().segment_cap(4);
+            let mut b = RosterBuilder::spilling(test_dir(name), 3).unwrap().segment_cap(4).unwrap();
             for r in records.clone() {
                 b.push(r).unwrap();
             }
@@ -978,7 +1022,7 @@ mod tests {
         use flips_selection::oort::{OortConfig, OortSelector};
         use flips_selection::tifl::{TiflConfig, TiflSelector};
         let dir = test_dir("tampered");
-        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4);
+        let mut b = RosterBuilder::spilling(&dir, 2).unwrap().segment_cap(4).unwrap();
         for r in sample_records(10) {
             b.push(r).unwrap();
         }

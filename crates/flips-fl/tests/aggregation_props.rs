@@ -183,7 +183,7 @@ proptest! {
         budget in 1usize..3,
     ) {
         let dir = case_dir("roundtrip");
-        let mut rb = RosterBuilder::spilling(&dir, budget).unwrap().segment_cap(cap);
+        let mut rb = RosterBuilder::spilling(&dir, budget).unwrap().segment_cap(cap).unwrap();
         for r in &records {
             rb.push(r.clone()).unwrap();
         }
@@ -217,7 +217,7 @@ proptest! {
         truncate in 0u64..2,
     ) {
         let dir = case_dir("corrupt");
-        let mut rb = RosterBuilder::spilling(&dir, 1).unwrap().segment_cap(4);
+        let mut rb = RosterBuilder::spilling(&dir, 1).unwrap().segment_cap(4).unwrap();
         for r in &records {
             rb.push(r.clone()).unwrap();
         }

@@ -265,15 +265,9 @@ pub struct JobSpec {
     pub alpha: f64,
     /// The participant-selection policy.
     pub selector: SelectorKind,
-    /// The model-payload codec both sides pin (the job-wide default).
-    pub codec: ModelCodec,
-    /// Per-link codec overrides, one entry per link slot (empty = every
-    /// link speaks [`JobSpec::codec`]). Parsed from the optional
-    /// `link_codecs = "name,name,..."` key — comma-separated codec
-    /// names, exactly `links` of them — so one job can run
-    /// heterogeneous codecs across its links, pinned out-of-band on
+    /// The model-payload codec every link speaks, pinned out-of-band on
     /// both wire ends.
-    pub link_codecs: Vec<ModelCodec>,
+    pub codec: ModelCodec,
     /// The round-deadline policy.
     pub deadline: DeadlinePolicy,
     /// Log-normal σ of the platform-heterogeneity model.
@@ -287,12 +281,6 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// The codec link `slot` speaks for this job: the per-link override
-    /// when `link_codecs` is configured, the job-wide default otherwise.
-    fn link_codec(&self, slot: usize) -> ModelCodec {
-        self.link_codecs.get(slot).copied().unwrap_or(self.codec)
-    }
-
     /// The builder producing this job's seeded [`flips_fl::FlJob`] —
     /// identical on every process that parses the same config.
     ///
@@ -385,7 +373,6 @@ fn job_from_table(table: &Table, index: usize) -> Result<JobSpec, FlError> {
         "alpha",
         "selector",
         "codec",
-        "link_codecs",
         "deadline",
         "deadline_q",
         "deadline_slack",
@@ -428,13 +415,6 @@ fn job_from_table(table: &Table, index: usize) -> Result<JobSpec, FlError> {
         alpha: f.float_opt("alpha")?.unwrap_or(0.3),
         selector: selector_from_name(f.str_opt("selector")?.as_deref().unwrap_or("random"))?,
         codec: codec_from_name(f.str_opt("codec")?.as_deref().unwrap_or("raw"))?,
-        link_codecs: match f.str_opt("link_codecs")? {
-            None => Vec::new(),
-            Some(names) => names
-                .split(',')
-                .map(|name| codec_from_name(name.trim()))
-                .collect::<Result<Vec<_>, _>>()?,
-        },
         deadline,
         latency_sigma: f.float_opt("latency_sigma")?.unwrap_or(0.0),
         straggler_rate: f.float_opt("straggler_rate")?.unwrap_or(0.0),
@@ -525,17 +505,11 @@ impl NetConfig {
         if job_tables.is_empty() {
             return Err(FlError::InvalidConfig("at least one [[job]] is required".into()));
         }
-        let mut jobs = Vec::with_capacity(job_tables.len());
-        for (i, table) in job_tables.iter().enumerate() {
-            let job = job_from_table(table, i)?;
-            if !job.link_codecs.is_empty() && job.link_codecs.len() != links {
-                return Err(FlError::InvalidConfig(format!(
-                    "[[job]] #{i}: link_codecs names {} codec(s), but the deployment has {links} link(s)",
-                    job.link_codecs.len()
-                )));
-            }
-            jobs.push(job);
-        }
+        let jobs = job_tables
+            .iter()
+            .enumerate()
+            .map(|(i, table)| job_from_table(table, i))
+            .collect::<Result<Vec<_>, _>>()?;
 
         Ok(NetConfig {
             links,
@@ -549,10 +523,10 @@ impl NetConfig {
     }
 
     /// Rebuilds every configured job from its seed and derives the wire
-    /// plan — links, guard, per-link codec overrides — the deployment
-    /// shares. Both binaries call this on the same file, so the server's
-    /// driver and every party's [`flips_fl::LinkShare`] come from one
-    /// plan; jobs are returned in declaration order.
+    /// plan — links and guard — the deployment shares. Both binaries
+    /// call this on the same file, so the server's driver and every
+    /// party's [`flips_fl::LinkShare`] come from one plan; jobs are
+    /// returned in declaration order.
     ///
     /// # Errors
     ///
@@ -562,14 +536,7 @@ impl NetConfig {
         wire.guard = self.guard;
         let mut jobs = Vec::with_capacity(self.jobs.len());
         for spec in &self.jobs {
-            let (job, meta) = spec.builder()?.build()?;
-            for link in 0..self.links {
-                let codec = spec.link_codec(link);
-                if codec != spec.codec {
-                    wire.link_codecs.push((meta.job_id, link, codec));
-                }
-            }
-            jobs.push(job.into_parts());
+            jobs.push(spec.builder()?.build()?.0.into_parts());
         }
         Ok((jobs, wire))
     }
@@ -705,36 +672,6 @@ clustering_restarts = 3
     }
 
     #[test]
-    fn per_link_codec_overrides_round_trip_and_validate() {
-        let with = |names: &str| {
-            NetConfig::parse(&full_with(
-                "codec = \"raw\"",
-                &format!("codec = \"raw\"\nlink_codecs = \"{names}\""),
-            ))
-        };
-        // One name per link, every codec name accepted, blanks trimmed.
-        for (names, codecs) in [
-            ("delta-entropy,topk:128", [ModelCodec::DeltaEntropy, ModelCodec::TopK { k: 128 }]),
-            ("raw, f16", [ModelCodec::Raw, ModelCodec::F16]),
-            ("delta-lossless,raw", [ModelCodec::DeltaLossless, ModelCodec::Raw]),
-        ] {
-            let job = &with(names).unwrap().jobs[0];
-            assert_eq!(job.link_codecs, codecs, "{names}");
-            assert_eq!([job.link_codec(0), job.link_codec(1)], codecs, "{names}");
-            assert_eq!(job.codec, ModelCodec::Raw, "the job-wide codec is untouched");
-        }
-        // No override: every slot falls back to the job-wide codec.
-        assert_eq!(NetConfig::parse(FULL).unwrap().jobs[0].link_codec(1), ModelCodec::Raw);
-        // A count that disagrees with `links` is a config error, not a
-        // silently misrouted codec; so is an unknown name in the list.
-        for names in ["delta-entropy", "raw,raw,raw"] {
-            let err = with(names).unwrap_err();
-            assert!(err.to_string().contains("link_codecs"), "{names}: {err}");
-        }
-        assert!(with("raw,gzip").is_err());
-    }
-
-    #[test]
     fn hostile_codec_names_are_rejected() {
         for bad in ["topk:0", "topk:", "topk:-3", "topk:4294967296", "entropy"] {
             let toml = full_with("codec = \"raw\"", &format!("codec = \"{bad}\""));
@@ -766,6 +703,8 @@ clustering_restarts = 3
             (format!("{base}typo_key = 3\n"), "typo_key"),
             (format!("{base}selector = \"best\"\n"), "selector"),
             (format!("{base}codec = \"gzip\"\n"), "codec"),
+            // A job speaks its one codec on every link: no per-link key.
+            (format!("{base}link_codecs = \"raw\"\n"), "link_codecs"),
             (format!("{base}deadline = \"soon\"\n"), "deadline"),
             (format!("[unknown]\nx = 1\n{base}"), "unknown"),
             (format!("[[widgets]]\nx = 1\n{base}"), "widgets"),

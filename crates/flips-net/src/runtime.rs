@@ -24,7 +24,7 @@ use std::time::Duration;
 /// [`WithWire`]) plus the session-resume test knob.
 #[derive(Debug, Clone)]
 pub struct SocketOptions {
-    /// Placement, guard, chaos schedule, link codecs and tree mode.
+    /// Placement, guard, chaos schedule and tree mode.
     pub wire: WireOptions,
     /// Test knob: worker `slot` severs its connection after receiving
     /// `after` data frames (one-shot), exercising a real mid-run TCP

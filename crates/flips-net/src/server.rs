@@ -100,8 +100,8 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 /// failure-recovery plane.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Placement, guard, chaos schedule, link codecs and tree mode. The
-    /// party process serving a link must hold the matching
+    /// Placement, guard, chaos schedule and tree mode. The party
+    /// process serving a link must hold the matching
     /// [`flips_fl::LinkShare`] of the same plan.
     pub wire: WireOptions,
     /// Park dead links and let their parties reconnect and resume the

@@ -105,7 +105,6 @@ latency_sigma = 0.8
 test_per_class = 8
 clustering_restarts = 3
 codec = "delta-lossless"
-link_codecs = "delta-lossless,delta-entropy"
 "#
     );
     let config_path = format!("{}/process_smoke.toml", env!("CARGO_TARGET_TMPDIR"));

@@ -88,24 +88,6 @@ fn entropy_wire_replays_every_selector_golden_over_tcp() {
 }
 
 #[test]
-fn heterogeneous_link_codecs_replay_the_golden_over_tcp() {
-    // Per-link negotiation over real sockets: one job, two TCP links,
-    // link 0 on the job-wide DeltaLossless and link 1 overridden to
-    // DeltaEntropy (both lossless). The server rewrites link 1's
-    // notices, the link worker pins the overridden codec, and the
-    // history must not move.
-    let base = latency_builder(SelectorKind::Random, 11).codec(ModelCodec::DeltaLossless);
-    let golden = base.clone().run().unwrap().history;
-    let (job, meta) = base.build().unwrap();
-    let opts = SocketOptions::new(2).with_link_codec(meta.job_id, 1, ModelCodec::DeltaEntropy);
-    let mut outcome = run_socket(vec![job.into_parts()], &opts).unwrap();
-    let history = outcome.histories.remove(&meta.job_id).unwrap();
-    assert_eq!(history, golden, "heterogeneous per-link codecs moved the TCP history");
-    assert_eq!(outcome.stats.codec_mismatch_frames, 0);
-    assert_eq!(outcome.link_unroutable, vec![0, 0]);
-}
-
-#[test]
 fn socket_wire_counters_match_the_protocol_not_the_transport() {
     // Control traffic (hellos, probes, shutdowns) must be invisible in
     // the driver's counters: a socket run reports the same late-update

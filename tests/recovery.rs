@@ -420,7 +420,7 @@ fn disconnect_chaos_replays_every_selector_golden_sharded() {
 /// sealed segments behind a single-segment cache, so every cross-segment
 /// read pages from disk.
 fn spilled_store(dir: &std::path::Path) -> std::sync::Arc<RosterStore> {
-    let mut rb = RosterBuilder::spilling(dir, 1).unwrap().segment_cap(4);
+    let mut rb = RosterBuilder::spilling(dir, 1).unwrap().segment_cap(4).unwrap();
     for i in 0..12u64 {
         rb.push(PartyRecord {
             data_size: 5 + i,

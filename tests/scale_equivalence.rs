@@ -119,7 +119,7 @@ fn multi_segment_spill_streams_the_same_candidates_as_memory() {
     let records = synthetic_records(26);
     let memory = RosterStore::from_records(records.clone());
     let dir = SpillDir::new("multi-seg");
-    let mut rb = RosterBuilder::spilling(&dir.0, 1).unwrap().segment_cap(4);
+    let mut rb = RosterBuilder::spilling(&dir.0, 1).unwrap().segment_cap(4).unwrap();
     for r in records {
         rb.push(r).unwrap();
     }
@@ -163,7 +163,7 @@ fn roster_counters_surface_through_driver_stats() {
     // reports its sealed/paged segment counts through `DriverStats` —
     // live values, summed across attached rosters.
     let dir = SpillDir::new("driver-stats");
-    let mut rb = RosterBuilder::spilling(&dir.0, 1).unwrap().segment_cap(4);
+    let mut rb = RosterBuilder::spilling(&dir.0, 1).unwrap().segment_cap(4).unwrap();
     for r in synthetic_records(12) {
         rb.push(r).unwrap();
     }

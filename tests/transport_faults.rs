@@ -619,25 +619,22 @@ fn compressed_frames_for_unknown_jobs_count_as_unknown_not_codec_mismatch() {
 
 #[test]
 fn corrupt_entropy_frames_on_one_link_leave_sibling_links_untouched() {
-    // The mixed-codec wire under fire: a 2-link run whose link 0 is
-    // overridden to `DeltaEntropy` while link 1 stays on the
-    // job-wide `DeltaLossless`. Hostile frames aimed at the entropy
-    // link — a corrupt entropy payload, a truncated one, and
-    // lossless-tagged frames that would be legitimate on the sibling
-    // link — must be dropped and counted on link 0 alone, and the
+    // A 2-link `DeltaEntropy` wire under fire on one link. Hostile
+    // frames aimed at link 0 — a corrupt entropy payload, a truncated
+    // one, and frames in the `DeltaLossless` dialect the job does not
+    // speak — must be dropped and counted on link 0 alone, and the
     // history must stay bit-identical to the fault-free solo run.
     use flips::fl::codec::{PayloadCodec, Role};
     use flips::fl::message::frame_into;
 
     let (mut solo, _) = builder(11).build().unwrap();
     let golden = solo.run().unwrap();
-    let (job, meta) = builder(11).codec(ModelCodec::DeltaLossless).build().unwrap();
+    let (job, meta) = builder(11).codec(ModelCodec::DeltaEntropy).build().unwrap();
     let job0 = meta.job_id;
 
     // Uplink faults, all landing on link 0: an entropy update with a
-    // clobbered mode byte, a truncated entropy update, and the sibling
-    // link's DeltaLossless dialect — a codec mismatch on the entropy
-    // link even though link 1 would decode it.
+    // clobbered mode byte, a truncated entropy update, and an update in
+    // the DeltaLossless dialect — a codec mismatch on an entropy job.
     let entropy_update = tagged_update_frame(job0, ModelCodec::DeltaEntropy);
     let mut bad_mode = entropy_update.clone();
     bad_mode[70] = 0xEE;
@@ -657,8 +654,8 @@ fn corrupt_entropy_frames_on_one_link_leave_sibling_links_untouched() {
     let truncated_model = entropy_model[..entropy_model.len() - 4].to_vec();
     let lossless_model = downlink_model(ModelCodec::DeltaLossless);
 
-    let wire = WireOptions::new(2).with_link_codec(job0, 0, ModelCodec::DeltaEntropy);
-    let (mut driver, mut pools) = memory_wire(vec![job.into_parts()], &wire).unwrap();
+    let (mut driver, mut pools) =
+        memory_wire(vec![job.into_parts()], &WireOptions::new(2)).unwrap();
     let mut to_driver = StreamTransport::new(pools[0].transport().get_ref().clone());
     let mut to_pool = StreamTransport::new(driver.transport().inner().link(0).get_ref().clone());
     for hostile in [&bad_mode, &truncated, &lossless_update] {
@@ -669,23 +666,19 @@ fn corrupt_entropy_frames_on_one_link_leave_sibling_links_untouched() {
     }
     run_lockstep(&mut driver, &mut pools).unwrap();
 
-    assert_eq!(
-        driver.history(job0),
-        Some(&golden),
-        "faults on the entropy link disturbed the mixed-codec history"
-    );
+    assert_eq!(driver.history(job0), Some(&golden), "faults on link 0 disturbed the history");
     let stats = driver.stats();
     assert_eq!(stats.corrupt_frames, 2, "bad mode byte + truncation on the uplink");
     assert_eq!(
         stats.codec_mismatch_frames, 1,
-        "the sibling link's dialect must mismatch on the entropy link"
+        "the lossless dialect must mismatch on an entropy job"
     );
     let per_link =
         |count: fn(&PartyPool<MemoryTransport>) -> u64| [count(&pools[0]), count(&pools[1])];
     assert_eq!(
         per_link(PartyPool::codec_mismatch),
         [1, 0],
-        "only the entropy link's pool may count the lossless-tagged model"
+        "only link 0's pool may count the lossless-tagged model"
     );
     assert_eq!(
         per_link(PartyPool::unroutable),
