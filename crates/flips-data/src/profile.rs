@@ -238,6 +238,14 @@ mod tests {
     }
 
     #[test]
+    fn every_profile_counts_its_model_params_by_arithmetic() {
+        for p in DatasetProfile::all() {
+            let built = p.model.build(&mut flips_ml::rng::seeded(1)).num_params();
+            assert_eq!(p.model.num_params(), built, "{}", p.name);
+        }
+    }
+
+    #[test]
     fn ecg_is_dominated_by_normal_beats() {
         let p = DatasetProfile::ecg();
         assert_eq!(p.classes, 5);

@@ -31,6 +31,7 @@ use crate::events::{Effect, Event};
 use crate::history::{History, RoundRecord};
 use crate::latency::LatencyModel;
 use crate::message::WireMessage;
+use crate::party::Trainer;
 use crate::straggler::{Arrival, StragglerInjector, Stragglers};
 use crate::FlError;
 use flips_data::Dataset;
@@ -93,10 +94,14 @@ impl FlJobConfig {
 }
 
 /// A running federated-learning job: the coordinator state machine, one
-/// endpoint per party, and the in-process pump between them.
+/// endpoint per party, one trainer per training worker, and the
+/// in-process pump between them.
 pub struct FlJob {
     coordinator: Coordinator,
     endpoints: Vec<PartyEndpoint>,
+    /// Grown by [`PartyEndpoint::handle_cohort`] to the workers a round
+    /// uses.
+    trainers: Vec<Trainer>,
     latency: Arc<LatencyModel>,
     stragglers: Stragglers<StragglerInjector>,
     rounds: usize,
@@ -198,7 +203,14 @@ impl FlJob {
             })
             .collect();
 
-        Ok(FlJob { coordinator, endpoints, latency, stragglers, rounds: config.rounds })
+        Ok(FlJob {
+            coordinator,
+            endpoints,
+            trainers: Vec::new(),
+            latency,
+            stragglers,
+            rounds: config.rounds,
+        })
     }
 
     /// The current round index (number of completed rounds).
@@ -352,8 +364,8 @@ impl FlJob {
             .filter_map(|ep| by_party.get(&ep.id()).map(|msg| (ep, *msg)))
             .collect();
         let mut replies = Vec::with_capacity(deliveries.len());
-        for result in PartyEndpoint::handle_cohort(cohort, &mut vec![(); workers.max(1)], |_, r| r)
-        {
+        let states = &mut vec![(); workers.max(1)];
+        for result in PartyEndpoint::handle_cohort(cohort, &mut self.trainers, states, |_, r| r) {
             replies.extend(result?);
         }
         Ok(replies)
@@ -540,6 +552,39 @@ mod tests {
             assert!(r == replies, "{workers} workers: replies differ");
             assert!(h == history, "{workers} workers: history differs");
             assert!(p == params, "{workers} workers: global params differ");
+        }
+    }
+
+    #[test]
+    fn a_job_holds_at_most_one_trainer_per_worker() {
+        for workers in [1, 2, 3] {
+            let (datasets, test, profile) = small_setup(16, 0.5);
+            let config = FlJobConfig {
+                rounds: 3,
+                parties_per_round: 8,
+                local: LocalTrainingConfig { epochs: 1, ..Default::default() },
+                ..FlJobConfig::new(profile.model.clone())
+            };
+            let selector = Box::new(RandomSelector::new(16, 3));
+            let mut j = FlJob::new(datasets, test, config, selector).unwrap();
+            assert!(j.trainers.is_empty(), "construction made a trainer");
+            // Notices and aborts train nothing, and neither does an empty
+            // cohort.
+            let job = j.coordinator.job_id();
+            for ep in &mut j.endpoints {
+                let party = ep.id() as u64;
+                let codec = ModelCodec::Raw;
+                ep.handle(&WireMessage::SelectionNotice { job, round: 0, party, codec }).unwrap();
+                ep.handle(&WireMessage::Abort { job, round: 0, party, reason: "test".into() })
+                    .unwrap();
+            }
+            assert!(j.train_endpoints(&[], workers).unwrap().is_empty());
+            assert!(j.trainers.is_empty(), "{workers} workers: notices made a trainer");
+            while j.round() < j.rounds {
+                j.step_on(workers).unwrap();
+            }
+            let held = j.trainers.len();
+            assert!((1..=workers).contains(&held), "{workers} workers hold {held} trainers");
         }
     }
 

@@ -1,8 +1,8 @@
 //! The party-side protocol endpoint.
 //!
 //! [`PartyEndpoint`] is the participant half of the sans-IO protocol: it
-//! wraps a [`Party`] (private dataset + local model) and turns inbound
-//! wire messages into outbound ones — a [`WireMessage::SelectionNotice`]
+//! wraps a [`Party`] (id, private dataset, agreed architecture) and turns
+//! inbound wire messages into outbound ones — a [`WireMessage::SelectionNotice`]
 //! into a [`WireMessage::Heartbeat`] ack, a [`WireMessage::GlobalModel`]
 //! into a trained [`WireMessage::LocalUpdate`]. Like the coordinator it
 //! performs no I/O itself; the driver moves the messages.
@@ -10,13 +10,15 @@
 use crate::config::LocalTrainingConfig;
 use crate::latency::LatencyModel;
 use crate::message::WireMessage;
-use crate::party::Party;
+use crate::party::{Party, Trainer};
 use crate::FlError;
 use flips_ml::model::ModelSpec;
 use flips_selection::PartyId;
 use std::sync::Arc;
 
-/// One participant's protocol endpoint.
+/// One participant's protocol endpoint: its party, its job's training
+/// hyper-parameters and its abort mark. It holds no training scratch —
+/// the cohort drivers train it on a worker's [`Trainer`].
 pub struct PartyEndpoint {
     party: Party,
     job_id: u64,
@@ -82,12 +84,6 @@ impl PartyEndpoint {
         &self.party
     }
 
-    /// Sizes the party's training buffers on the calling thread (see
-    /// [`Party::reserve_buffers`]).
-    pub fn reserve_buffers(&mut self) {
-        self.party.reserve_buffers(&self.local);
-    }
-
     /// The highest round an abort was received for, if any.
     pub fn aborted_round(&self) -> Option<u64> {
         self.aborted_round
@@ -97,15 +93,19 @@ impl PartyEndpoint {
     /// on one worker per entry of `states` and returns `finish` of each
     /// result's replies, in `cohort` order: the one cohort trainer of both
     /// drivers ([`crate::FlJob`] and [`crate::PartyPool`], which frames its
-    /// updates in `finish`, each worker in its own state). Buffers are
-    /// sized on the calling thread first: a worker allocates from its
-    /// thread's own glibc arena, and buffers that outlive the round would
-    /// keep that arena's memory resident. Workers claim the largest
-    /// dataset first, so no long training starts last. Training is
-    /// seed-deterministic per (round, party), so neither the claim order
-    /// nor the worker count moves a bit.
+    /// updates in `finish`, each worker in its own state). Worker `i`
+    /// trains on `trainers[i]`; the vector is grown to the workers the
+    /// cohort uses, never beyond, and every trainer is sized for the
+    /// cohort's largest party, all on the calling thread: a worker
+    /// allocates from its thread's own glibc arena, and buffers that
+    /// outlive the round would keep that arena's memory resident. Workers
+    /// claim the largest dataset first, so no long training starts last.
+    /// Training is seed-deterministic per (round, party), whichever
+    /// parties a trainer trained before, so neither the claim order nor
+    /// the worker count moves a bit.
     pub(crate) fn handle_cohort<S, R>(
         cohort: Vec<(&mut PartyEndpoint, &WireMessage)>,
+        trainers: &mut Vec<Trainer>,
         states: &mut [S],
         finish: impl Fn(&mut S, Vec<WireMessage>) -> R + Sync,
     ) -> Vec<Result<R, FlError>>
@@ -114,14 +114,27 @@ impl PartyEndpoint {
         R: Send,
     {
         let mut jobs: Vec<_> = cohort.into_iter().enumerate().collect();
-        for (_, (ep, _)) in &mut jobs {
-            ep.reserve_buffers();
-        }
         // Stable, so equal sizes keep cohort order.
         jobs.sort_by_key(|(_, (ep, _))| std::cmp::Reverse(ep.num_samples()));
-        let mut results = flips_ml::parallel::map_with(jobs, states, |state, (slot, (ep, msg))| {
-            (slot, ep.handle(msg).map(|replies| finish(state, replies)))
-        });
+        let Some((_, (largest, _))) = jobs.first() else {
+            return Vec::new();
+        };
+        let workers = states.len().min(jobs.len());
+        while trainers.len() < workers {
+            trainers.push(Trainer::new(largest.party.spec()));
+        }
+        for trainer in &mut trainers[..workers] {
+            trainer.reserve_buffers(&largest.party, &largest.local);
+        }
+        let mut per_worker: Vec<_> = trainers.iter_mut().zip(states).collect();
+        let mut results = flips_ml::parallel::map_with(
+            jobs,
+            &mut per_worker,
+            |(trainer, state), (slot, (ep, msg))| {
+                let replies = ep.handle_on(msg, Some(&mut **trainer));
+                (slot, replies.map(|replies| finish(&mut **state, replies)))
+            },
+        );
         results.sort_unstable_by_key(|(slot, _)| *slot);
         results.into_iter().map(|(_, result)| result).collect()
     }
@@ -146,6 +159,16 @@ impl PartyEndpoint {
     /// receiving a `LocalUpdate` or `Heartbeat`) and on a `GlobalModel`
     /// whose parameters do not match the agreed architecture.
     pub fn handle(&mut self, msg: &WireMessage) -> Result<Vec<WireMessage>, FlError> {
+        self.handle_on(msg, None)
+    }
+
+    /// [`PartyEndpoint::handle`], training on `trainer`, or on the
+    /// party's own ([`Party::train`]) when there is none.
+    fn handle_on(
+        &mut self,
+        msg: &WireMessage,
+        trainer: Option<&mut Trainer>,
+    ) -> Result<Vec<WireMessage>, FlError> {
         let me = self.party.id() as u64;
         if msg.job() != self.job_id {
             return Ok(Vec::new());
@@ -169,14 +192,13 @@ impl PartyEndpoint {
                         self.party.num_params()
                     )));
                 }
-                let update = self.party.train(
-                    params,
-                    *round as usize,
-                    &self.local,
-                    self.proximal_mu,
-                    &self.latency,
-                    self.seed,
-                );
+                let (round_ix, local, mu) = (*round as usize, &self.local, self.proximal_mu);
+                let update = match trainer {
+                    Some(t) => {
+                        t.train(&self.party, params, round_ix, local, mu, &self.latency, self.seed)
+                    }
+                    None => self.party.train(params, round_ix, local, mu, &self.latency, self.seed),
+                };
                 Ok(vec![WireMessage::LocalUpdate {
                     job: self.job_id,
                     round: *round,

@@ -1,10 +1,13 @@
 //! Participant-side local training (Algorithm 1, lines 1–7).
 //!
-//! A [`Party`] owns a private local dataset and a model instance of the
-//! job's agreed architecture. Each round it receives the global
-//! parameters, runs τ epochs of mini-batch SGD (with FedProx's proximal
-//! pull when configured), and returns its trained parameters with the
-//! metadata the aggregator and selectors need.
+//! A [`Party`] is data: its id, its private local dataset and the job's
+//! agreed architecture. A [`Trainer`] holds what training touches — a
+//! model instance, its workspace, the minibatch buffers — and trains any
+//! party of its architecture: each round it takes the global parameters,
+//! runs τ epochs of mini-batch SGD (with FedProx's proximal pull when
+//! configured), and returns the party's trained parameters with the
+//! metadata the aggregator and selectors need. The cohort drivers keep
+//! one trainer per worker, not one per party.
 
 use crate::config::LocalTrainingConfig;
 use crate::latency::LatencyModel;
@@ -29,22 +32,17 @@ pub struct LocalUpdate {
     pub duration: f64,
 }
 
-/// One FL participant.
+/// One FL participant: its id, its private dataset and the job's agreed
+/// architecture.
 ///
-/// Besides its dataset and model, a party owns the reusable training
-/// buffers (workspace, minibatch views, parameter/epoch-order scratch),
-/// sized by [`Party::reserve_buffers`]. A round allocates one vector, its
-/// update's parameters — the buffer training writes and then hands over —
-/// plus SGD's velocity when client momentum is on.
+/// A party holds no training scratch; a [`Trainer`] trains it. Only
+/// [`Party::train`], the standalone call, keeps a trainer of its own,
+/// made on its first call.
 pub struct Party {
     id: PartyId,
     data: Dataset,
-    model: Box<dyn Model>,
-    ws: TrainWorkspace,
-    batch_x: Matrix,
-    batch_y: Vec<usize>,
-    order: Vec<usize>,
-    params: Vec<f32>,
+    spec: ModelSpec,
+    trainer: Option<Box<Trainer>>,
 }
 
 impl std::fmt::Debug for Party {
@@ -52,26 +50,18 @@ impl std::fmt::Debug for Party {
         f.debug_struct("Party")
             .field("id", &self.id)
             .field("samples", &self.data.len())
-            .field("model_params", &self.model.num_params())
+            .field("model_params", &self.num_params())
             .finish()
     }
 }
 
 impl Party {
-    /// Creates a party with its private dataset, instantiating the agreed
-    /// model architecture locally (weights are overwritten each round).
-    pub fn new(id: PartyId, data: Dataset, spec: &ModelSpec, seed: u64) -> Self {
-        let mut rng = seeded(derive_seed(seed, 0xBA57 ^ id as u64));
-        Party {
-            id,
-            data,
-            model: spec.build(&mut rng),
-            ws: TrainWorkspace::new(),
-            batch_x: Matrix::zeros(0, 0),
-            batch_y: Vec::new(),
-            order: Vec::new(),
-            params: Vec::new(),
-        }
+    /// Creates a party with its private dataset and the agreed
+    /// architecture. No model is built: a [`Trainer`] holds one. The seed
+    /// is read by nothing; the parameter stays for the callers that pass
+    /// it.
+    pub fn new(id: PartyId, data: Dataset, spec: &ModelSpec, _seed: u64) -> Self {
+        Party { id, data, spec: spec.clone(), trainer: None }
     }
 
     /// This party's identifier.
@@ -84,9 +74,14 @@ impl Party {
         self.data.len()
     }
 
+    /// The agreed architecture.
+    pub fn spec(&self) -> &ModelSpec {
+        &self.spec
+    }
+
     /// Parameter count of the agreed architecture.
     pub fn num_params(&self) -> usize {
-        self.model.num_params()
+        self.spec.num_params()
     }
 
     /// The party's label distribution — the secret it provisions to the
@@ -95,35 +90,100 @@ impl Party {
         flips_data::LabelDistribution::from_dataset(&self.data)
     }
 
-    /// Allocates every buffer [`Party::train`] fills under `local` — it
-    /// calls this first — on the calling thread, so a driver that trains
-    /// parties on worker threads can keep their memory in its own
-    /// allocator arena. Once they are sized, only the parameter buffer is
-    /// new each round: the last update took the old one.
-    pub fn reserve_buffers(&mut self, local: &LocalTrainingConfig) {
-        let rows = local.batch_size.min(self.data.len());
+    /// [`Trainer::train`] on this party's own trainer, made on the first
+    /// call and kept for the next.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `global_params` does not match the agreed architecture.
+    pub fn train(
+        &mut self,
+        global_params: &[f32],
+        round: usize,
+        local: &LocalTrainingConfig,
+        proximal_mu: f32,
+        latency: &LatencyModel,
+        seed: u64,
+    ) -> LocalUpdate {
+        let mut trainer = self.trainer.take().unwrap_or_else(|| Box::new(Trainer::new(&self.spec)));
+        let update = trainer.train(self, global_params, round, local, proximal_mu, latency, seed);
+        self.trainer = Some(trainer);
+        update
+    }
+}
+
+/// Training scratch for any party of one architecture: a model instance,
+/// its workspace, the minibatch buffers, the epoch order and the
+/// parameter buffer, sized by [`Trainer::reserve_buffers`].
+///
+/// [`Trainer::train`] overwrites every buffer before reading it, so one
+/// trainer trains any number of parties in turn, each to the bits a fresh
+/// trainer gives. Once sized, a round allocates one vector, its update's
+/// parameters — the buffer training writes and then hands over — plus
+/// SGD's velocity when client momentum is on.
+pub struct Trainer {
+    model: Box<dyn Model>,
+    ws: TrainWorkspace,
+    batch_x: Matrix,
+    batch_y: Vec<usize>,
+    order: Vec<usize>,
+    params: Vec<f32>,
+}
+
+impl std::fmt::Debug for Trainer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Trainer").field("model_params", &self.model.num_params()).finish()
+    }
+}
+
+impl Trainer {
+    /// An unsized trainer for parties of `spec`.
+    pub fn new(spec: &ModelSpec) -> Self {
+        Trainer {
+            // Every round's global model overwrites these weights.
+            model: spec.build(&mut seeded(0)),
+            ws: TrainWorkspace::new(),
+            batch_x: Matrix::zeros(0, 0),
+            batch_y: Vec::new(),
+            order: Vec::new(),
+            params: Vec::new(),
+        }
+    }
+
+    /// Allocates every buffer [`Trainer::train`] fills for `party` under
+    /// `local` — it calls this first — on the calling thread, so a driver
+    /// that trains on worker threads can keep the memory in its own
+    /// allocator arena. Sized for the largest party of a cohort, a trainer
+    /// trains every other one without growing. Once sized, only the
+    /// parameter buffer is new each round: the last update took the old
+    /// one.
+    pub fn reserve_buffers(&mut self, party: &Party, local: &LocalTrainingConfig) {
+        let rows = local.batch_size.min(party.data.len());
         // `train` refills each of these from empty.
         self.params.clear();
         self.params.reserve_exact(self.model.num_params());
-        self.order.clear();
-        self.order.reserve_exact(self.data.len());
+        // The order is cleared where each epoch refills it.
+        self.order.reserve_exact(party.data.len().saturating_sub(self.order.len()));
         self.batch_y.clear();
         self.batch_y.reserve_exact(rows);
-        self.batch_x.reserve(rows, self.data.x.cols());
+        self.batch_x.reserve(rows, party.data.x.cols());
         self.model.reserve_workspace(rows, &mut self.ws);
     }
 
-    /// Runs one round of local training from `global_params`.
+    /// Runs one round of `party`'s local training from `global_params`.
     ///
     /// `proximal_mu > 0` enables the FedProx pull toward the global model.
-    /// Deterministic in `(job seed, round, party id)`.
+    /// Deterministic in `(job seed, round, party id)`, whichever parties
+    /// this trainer trained before.
     ///
     /// # Panics
     ///
     /// Panics if `global_params` does not match the agreed architecture —
     /// a protocol violation, not a recoverable condition.
+    #[allow(clippy::too_many_arguments)]
     pub fn train(
         &mut self,
+        party: &Party,
         global_params: &[f32],
         round: usize,
         local: &LocalTrainingConfig,
@@ -134,8 +194,9 @@ impl Party {
         self.model
             .set_params(global_params)
             .expect("global model must match the agreed architecture");
-        self.reserve_buffers(local);
-        let mut rng = seeded(derive_seed(seed, 0x7121 ^ (round as u64) << 24 ^ self.id as u64));
+        self.reserve_buffers(party, local);
+        let data = &party.data;
+        let mut rng = seeded(derive_seed(seed, 0x7121 ^ (round as u64) << 24 ^ party.id as u64));
         let lr = local.lr_schedule.at(round);
         let mut opt: Sgd = if local.momentum > 0.0 {
             Sgd::with_momentum(lr, local.momentum)
@@ -148,14 +209,14 @@ impl Party {
         let mut steps = 0usize;
         for _ in 0..local.epochs {
             self.order.clear();
-            self.order.extend(0..self.data.len());
+            self.order.extend(0..data.len());
             flips_ml::rng::shuffle(&mut rng, &mut self.order);
             for start in (0..self.order.len()).step_by(local.batch_size) {
                 let batch_idx =
                     &self.order[start..(start + local.batch_size).min(self.order.len())];
-                self.data.x.select_rows_into(batch_idx, &mut self.batch_x);
+                data.x.select_rows_into(batch_idx, &mut self.batch_x);
                 self.batch_y.clear();
-                self.batch_y.extend(batch_idx.iter().map(|&i| self.data.y[i]));
+                self.batch_y.extend(batch_idx.iter().map(|&i| data.y[i]));
                 let loss = self.step_minibatch(global_params, proximal_mu, &mut opt);
                 total_loss += loss as f64;
                 steps += 1;
@@ -165,9 +226,9 @@ impl Party {
         LocalUpdate {
             // The trained parameters leave as they are; no copy.
             params: std::mem::take(&mut self.params),
-            num_samples: self.data.len(),
+            num_samples: data.len(),
             mean_loss: if steps > 0 { total_loss / steps as f64 } else { 0.0 },
-            duration: latency.duration(self.id, self.data.len(), local.epochs),
+            duration: latency.duration(party.id, data.len(), local.epochs),
         }
     }
 
@@ -268,15 +329,72 @@ mod tests {
 
     #[test]
     fn a_round_fits_in_the_reserved_buffers() {
-        let mut party = party_with_data(75);
+        // One trainer, sized for the largest party of an unequal cohort,
+        // trains each party into the parameter buffer it reserved, and no
+        // buffer grows: not the order, the minibatch or the workspace.
+        let profile = DatasetProfile::femnist();
+        let cohort: Vec<Party> = [75, 20, 140, 33]
+            .into_iter()
+            .enumerate()
+            .map(|(id, n)| Party::new(id, generate_population(&profile, n, 3), &spec(), 42))
+            .collect();
+        let largest = cohort.iter().max_by_key(|p| p.num_samples()).unwrap();
         let cfg = LocalTrainingConfig { batch_size: 32, ..Default::default() };
-        party.reserve_buffers(&cfg);
-        let reserved = party.params.as_ptr();
-        assert_eq!(party.params.capacity(), party.num_params());
-        assert_eq!((party.order.capacity(), party.batch_y.capacity()), (75, 32));
-        let up = party.train(&global_params(), 0, &cfg, 0.0, &LatencyModel::uniform(1), 1);
-        assert_eq!(up.params.as_ptr(), reserved, "the update is the reserved buffer");
-        assert_eq!((party.order.capacity(), party.batch_y.capacity()), (75, 32));
+        let mut trainer = Trainer::new(&spec());
+        trainer.reserve_buffers(largest, &cfg);
+        assert_eq!(trainer.params.capacity(), largest.num_params());
+        let sized = |t: &Trainer| {
+            let ptrs = (t.batch_x.as_slice().as_ptr(), t.ws.grad().as_ptr());
+            (t.order.capacity(), t.batch_y.capacity(), ptrs)
+        };
+        let reserved = sized(&trainer);
+        assert_eq!((reserved.0, reserved.1), (140, 32));
+        for party in &cohort {
+            trainer.reserve_buffers(largest, &cfg);
+            let buffer = trainer.params.as_ptr();
+            let up =
+                trainer.train(party, &global_params(), 0, &cfg, 0.0, &LatencyModel::uniform(4), 1);
+            assert_eq!(up.params.as_ptr(), buffer, "party {}: not the reserved buffer", party.id());
+            assert_eq!(sized(&trainer), reserved, "party {}: a buffer grew", party.id());
+        }
+    }
+
+    /// The bits of `update`, NaN-safe.
+    fn bits(update: &LocalUpdate) -> (Vec<u32>, usize, u64, u64) {
+        let params = update.params.iter().map(|p| p.to_bits()).collect();
+        (params, update.num_samples, update.mean_loss.to_bits(), update.duration.to_bits())
+    }
+
+    #[test]
+    fn a_trainer_trains_the_next_party_as_a_fresh_one_does() {
+        // Which parties share a worker's trainer depends on claim timing,
+        // so a party's update must not depend on what its trainer trained
+        // before: B after A on one trainer is B on a fresh one, bit for
+        // bit — for either architecture, with and without the proximal
+        // pull, and for a B under one batch after a larger A and the
+        // reverse.
+        let latency = LatencyModel::uniform(4);
+        for profile in [DatasetProfile::femnist(), DatasetProfile::ecg()] {
+            let spec = profile.model.clone();
+            let global_a = spec.build(&mut seeded(5)).params();
+            let global_b = spec.build(&mut seeded(0)).params();
+            let cfg = LocalTrainingConfig { epochs: 2, batch_size: 32, ..Default::default() };
+            for mu in [0.0, 0.5] {
+                for (na, nb) in [(150, 20), (20, 150)] {
+                    let a = Party::new(1, generate_population(&profile, na, 7), &spec, 0);
+                    let b = Party::new(2, generate_population(&profile, nb, 8), &spec, 0);
+                    let mut shared = Trainer::new(&spec);
+                    shared.train(&a, &global_a, 3, &cfg, mu, &latency, 9);
+                    let reused = shared.train(&b, &global_b, 4, &cfg, mu, &latency, 9);
+                    let fresh = Trainer::new(&spec).train(&b, &global_b, 4, &cfg, mu, &latency, 9);
+                    assert!(
+                        bits(&reused) == bits(&fresh),
+                        "{}: µ = {mu}, B of {nb} after A of {na} differs",
+                        profile.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

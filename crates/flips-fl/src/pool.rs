@@ -17,6 +17,7 @@ use crate::message::{
     deframe_with, frame_dest, frame_into, frame_is_notice, frame_job_of, frame_model_of,
     frame_update_into, PartialEntry, AGGREGATOR_DEST,
 };
+use crate::party::Trainer;
 use crate::transport::{Transport, MAX_FRAME_BYTES};
 use crate::{FlError, PartyEndpoint, WireMessage};
 use bytes::BytesMut;
@@ -29,6 +30,9 @@ use std::sync::Arc;
 pub struct PartyPool<T: Transport> {
     transport: T,
     endpoints: BTreeMap<(u64, PartyId), PartyEndpoint>,
+    /// Each job's training workers' trainers, made by the first flush
+    /// that trains the job ([`PartyEndpoint::handle_cohort`]).
+    trainers: BTreeMap<u64, Vec<Trainer>>,
     /// Per-job payload codec state (receiver side of global models),
     /// negotiated from the codec each selection notice announces.
     codecs: CodecMap,
@@ -153,6 +157,7 @@ impl<T: Transport> PartyPool<T> {
         PartyPool {
             transport,
             endpoints: BTreeMap::new(),
+            trainers: BTreeMap::new(),
             codecs: CodecMap::new(Role::Receiver),
             scratch: BytesMut::new(),
             unroutable: 0,
@@ -434,8 +439,10 @@ impl<T: Transport> PartyPool<T> {
                 scratch.reserve_encode(codec.codec(), n);
             }
         }
+        let mut trainers = self.trainers.remove(&job).unwrap_or_default();
         let results = PartyEndpoint::handle_cohort(
             cohort.iter_mut().zip(models).collect(),
+            &mut trainers,
             &mut scratches,
             |scratch, replies| -> Vec<Reply> {
                 let encode = |reply| {
@@ -458,6 +465,9 @@ impl<T: Transport> PartyPool<T> {
                 replies.into_iter().map(encode).collect()
             },
         );
+        if !trainers.is_empty() {
+            self.trainers.insert(job, trainers);
+        }
         for endpoint in cohort {
             self.endpoints.insert((job, endpoint.id()), endpoint);
         }
@@ -767,6 +777,71 @@ mod tests {
         let histories =
             driver.job_ids().into_iter().map(|j| driver.history(j).unwrap().clone()).collect();
         (sent, snapshots, histories, driver.stats())
+    }
+
+    #[test]
+    fn a_pool_holds_at_most_one_trainer_per_worker_and_job() {
+        let held = |pool: &PartyPool<StreamTransport<PipeEnd>>| -> Vec<usize> {
+            pool.trainers.values().map(Vec::len).collect()
+        };
+        for workers in [1, 2, 3] {
+            // Two jobs of 16 parties each, on a wire this test drives.
+            let (agg_end, party_end) = duplex();
+            let mut wire = StreamTransport::new(agg_end);
+            let mut pool = PartyPool::new(StreamTransport::new(party_end));
+            let mut jobs = Vec::new();
+            for seed in [1, 2] {
+                let profile = DatasetProfile::femnist().scaled(16, 30);
+                let datasets =
+                    (0..16).map(|i| generate_population(&profile, 3 + 17 * i, i as u64)).collect();
+                let config = FlJobConfig {
+                    seed,
+                    local: LocalTrainingConfig { epochs: 1, batch_size: 16, ..Default::default() },
+                    ..FlJobConfig::new(profile.model.clone())
+                };
+                let test = balanced_test_set(&profile, 10, 11);
+                let selector = Box::new(RandomSelector::new(16, seed));
+                let parts = FlJob::new(datasets, test, config, selector).unwrap().into_parts();
+                let (id, global) = (parts.coordinator.job_id(), parts.coordinator.global_params());
+                jobs.push((id, Arc::<[f32]>::from(global)));
+                pool.add_job(id, parts.endpoints);
+            }
+            assert!(held(&pool).is_empty(), "construction made a trainer");
+            let mut codecs = CodecMap::new(Role::Sender);
+            let mut frame = BytesMut::new();
+            let mut send = |to: u64, msg: &WireMessage| {
+                frame_into(to, msg, codecs.for_job(msg.job()), &mut frame);
+                wire.send(frame.as_slice()).unwrap();
+            };
+            // A drain of only notices and aborts trains nothing.
+            for (job, _) in &jobs {
+                for party in 0..16 {
+                    let codec = ModelCodec::Raw;
+                    send(
+                        party,
+                        &WireMessage::SelectionNotice { job: *job, round: 0, party, codec },
+                    );
+                    let reason = "test".into();
+                    send(party, &WireMessage::Abort { job: *job, round: 0, party, reason });
+                }
+            }
+            assert!(pool.pump_on(workers).unwrap());
+            assert!(held(&pool).is_empty(), "{workers} workers: notices made a trainer");
+            // Every party of both jobs trains three rounds.
+            for round in 1..=3 {
+                for (job, global) in &jobs {
+                    for party in 0..16 {
+                        let params = Arc::clone(global);
+                        send(party, &WireMessage::GlobalModel { job: *job, round, params });
+                    }
+                    assert!(pool.pump_on(workers).unwrap());
+                }
+            }
+            let held = held(&pool);
+            assert_eq!(held.len(), 2, "{workers} workers: one trainer vector per job");
+            assert!(held.iter().all(|n| (1..=workers).contains(n)), "{workers} workers: {held:?}");
+            assert_eq!(pool.rejected(), 0);
+        }
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl TrainWorkspace {
         &mut self.grad
     }
 
-    /// Consumes the workspace, returning the gradient buffer.
-    pub fn into_grad(self) -> Vec<f32> {
-        self.grad
-    }
-
     /// Ensures `acts`/`zs` hold at least `layers` buffers.
     fn ensure_layers(&mut self, layers: usize) {
         while self.acts.len() < layers {
@@ -124,7 +119,7 @@ pub trait Model: Send {
     fn loss_and_grad(&self, x: &Matrix, y: &[usize]) -> (f32, Vec<f32>) {
         let mut ws = TrainWorkspace::new();
         let loss = self.loss_and_grad_into(x, y, &mut ws);
-        (loss, ws.into_grad())
+        (loss, ws.grad)
     }
 
     /// Mean cross-entropy loss for a batch; the flat gradient is left in
@@ -196,11 +191,6 @@ impl Mlp {
             biases.push(vec![0.0; w[1]]);
         }
         Mlp { dims: dims.to_vec(), weights, biases }
-    }
-
-    /// Layer widths, `[in, h1, ..., out]`.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
     }
 
     /// Forward pass into workspace buffers: `ws.zs[l]` holds layer `l`'s
@@ -757,6 +747,16 @@ impl ModelSpec {
         }
     }
 
+    /// Parameter count: `build(rng).num_params()`, by arithmetic.
+    pub fn num_params(&self) -> usize {
+        match self {
+            ModelSpec::Mlp { dims } => dims.windows(2).map(|w| w[0] * w[1] + w[1]).sum(),
+            ModelSpec::Conv1d { len, kernel, filters, classes } => {
+                filters * (kernel + 1) + (filters * (len + 1).saturating_sub(*kernel) + 1) * classes
+            }
+        }
+    }
+
     /// Number of output classes of the architecture.
     pub fn num_classes(&self) -> usize {
         match self {
@@ -989,6 +989,21 @@ mod tests {
         let m = spec.build(&mut rng);
         let positions = 32 - 5 + 1;
         assert_eq!(m.num_params(), 8 * 5 + 8 + 8 * positions * 5 + 5);
+    }
+
+    #[test]
+    fn spec_param_count_is_the_built_models() {
+        let conv =
+            |len, kernel, filters, classes| ModelSpec::Conv1d { len, kernel, filters, classes };
+        for spec in [
+            ModelSpec::Mlp { dims: vec![16, 256, 192, 10] },
+            ModelSpec::Mlp { dims: vec![4, 2] },
+            conv(32, 5, 8, 5),
+            conv(5, 5, 1, 2),
+            conv(17, 1, 17, 3),
+        ] {
+            assert_eq!(spec.num_params(), spec.build(&mut seeded(3)).num_params(), "{spec:?}");
+        }
     }
 
     #[test]
