@@ -1,20 +1,21 @@
 //! One-stop construction of paper-style experiments.
 //!
-//! [`SimulationBuilder`] stands up the full pipeline the paper's
-//! evaluation uses: synthetic population with a dataset profile's label
-//! imbalance → Dirichlet(α) partition across parties → balanced global
-//! test set → a selection policy (FLIPS via the private TEE ceremony, or
-//! any baseline) → an [`flips_fl::FlJob`]. Every knob of the evaluation
-//! grid (dataset, algorithm, α, participation %, straggler rate, seed) is
-//! a builder method.
+//! A [`JobSpec`] is one cell of the paper's evaluation grid (dataset,
+//! algorithm, α, participation %, straggler rate, seed, …) as plain
+//! data; [`SimulationBuilder`] is that spec plus where the roster lives.
+//! `build` stands up the full pipeline the paper's evaluation uses:
+//! synthetic population with a dataset profile's label imbalance →
+//! Dirichlet(α) partition across parties → balanced global test set → a
+//! selection policy (FLIPS via the private TEE ceremony, or any
+//! baseline) → an [`flips_fl::FlJob`].
 
 use crate::middleware::{FlipsMiddleware, MiddlewareConfig};
 use crate::FlipsError;
 use flips_data::dataset::{balanced_test_set, generate_population};
 use flips_data::{partition, DatasetProfile, PartitionStrategy};
 use flips_fl::{
-    DeadlinePolicy, FlAlgorithm, FlJob, FlJobConfig, History, LatencyModel, LocalTrainingConfig,
-    ModelCodec, SKETCH_DIM,
+    CoordinatorConfig, DeadlinePolicy, FlAlgorithm, FlJob, FlJobConfig, History, LatencyModel,
+    LocalTrainingConfig, ModelCodec, SKETCH_DIM,
 };
 use flips_selection::oort::OortConfig;
 use flips_selection::tifl::TiflConfig;
@@ -26,7 +27,151 @@ use std::time::Duration;
 /// Minimum samples each party is guaranteed after partitioning.
 const MIN_SAMPLES_PER_PARTY: usize = 5;
 
-/// Builder for one end-to-end FL simulation.
+/// One job of the paper's evaluation grid, as data. `Default` holds the
+/// paper's defaults; [`JobSpec::validate`] checks every field without
+/// generating any data.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobSpec {
+    /// The dataset profile (default: MIT-BIH ECG, the paper's first).
+    pub profile: DatasetProfile,
+    /// Roster size, at least 1; the population scales with it (default:
+    /// the profile's).
+    pub parties: Option<usize>,
+    /// Round budget, at least 1 (default: the profile's).
+    pub rounds: Option<usize>,
+    /// Share of the roster selected per round, in `(0, 1]` (paper: 0.15 / 0.20; default 0.20).
+    pub participation: f64,
+    /// Dirichlet non-IID concentration α, finite, > 0 (paper: 0.3 / 0.6; default 0.3).
+    pub alpha: f64,
+    /// The FL algorithm (default FedYogi).
+    pub algorithm: FlAlgorithm,
+    /// The participant-selection policy (default FLIPS).
+    pub selector: SelectorKind,
+    /// Injected straggler drop rate, in `[0, 1)` (paper: 0, 0.10, 0.20; default 0).
+    pub straggler_rate: f64,
+    /// The round-deadline policy (default: the paper's injected victim
+    /// sets); a latency-derived one, under which who straggles follows
+    /// from the latency model, excludes a non-zero `straggler_rate`.
+    pub deadline: DeadlinePolicy,
+    /// Log-normal σ of the platform-heterogeneity model, finite, ≥ 0 (default 0.4).
+    pub latency_sigma: f64,
+    /// Held-out test samples per class, at least 1 (default 50).
+    pub test_per_class: usize,
+    /// K-Means restarts per elbow candidate, at least 1 (default 20; lower for speed).
+    pub clustering_restarts: usize,
+    /// Forces the FLIPS cluster count (k-sensitivity ablation).
+    pub fixed_k: Option<usize>,
+    /// FLIPS straggler overprovisioning (default on; off is an ablation).
+    pub overprovision: bool,
+    /// The model-payload wire codec of the job's serialized drivers
+    /// (default `Raw`); byte *accounting* is codec-independent.
+    pub codec: ModelCodec,
+    /// The master seed; every stream of the job, its id included, derives from it.
+    pub seed: u64,
+}
+
+impl Default for JobSpec {
+    fn default() -> Self {
+        JobSpec {
+            profile: DatasetProfile::ecg(),
+            parties: None,
+            rounds: None,
+            participation: 0.20,
+            alpha: 0.3,
+            algorithm: FlAlgorithm::fedyogi(),
+            selector: SelectorKind::Flips,
+            straggler_rate: 0.0,
+            deadline: DeadlinePolicy::Injected,
+            latency_sigma: 0.4,
+            test_per_class: 50,
+            clustering_restarts: 20,
+            fixed_k: None,
+            overprovision: true,
+            codec: ModelCodec::Raw,
+            seed: 0,
+        }
+    }
+}
+
+impl JobSpec {
+    /// Checks every field, and the runtime configuration they describe
+    /// ([`FlJobConfig::validate`]), without generating any data.
+    ///
+    /// # Errors
+    ///
+    /// [`FlipsError::InvalidConfig`] (or the runtime's own error) naming
+    /// the field out of range.
+    pub fn validate(&self) -> Result<(), FlipsError> {
+        self.resolve().map(|_| ())
+    }
+
+    /// The scaled profile and the runtime configuration this spec
+    /// describes, both checked.
+    fn resolve(&self) -> Result<(DatasetProfile, FlJobConfig), FlipsError> {
+        let invalid = |msg: String| Err(FlipsError::InvalidConfig(msg));
+        if !(0.0 < self.participation && self.participation <= 1.0) {
+            return invalid(format!("participation {} must be in (0, 1]", self.participation));
+        }
+        if !(self.alpha.is_finite() && self.alpha > 0.0) {
+            return invalid(format!("alpha {} must be finite and positive", self.alpha));
+        }
+        if self.test_per_class == 0 {
+            return invalid("test_per_class must be at least 1".into());
+        }
+        if self.clustering_restarts == 0 {
+            return invalid("clustering_restarts must be at least 1".into());
+        }
+        let profile = match (self.parties, self.rounds) {
+            (None, None) => self.profile.clone(),
+            (p, r) => self.profile.scaled(
+                p.unwrap_or(self.profile.default_parties),
+                r.unwrap_or(self.profile.max_rounds),
+            ),
+        };
+        profile.validate()?;
+        let n = profile.default_parties;
+        if n == 0 {
+            return invalid("parties must be at least 1".into());
+        }
+        let config = FlJobConfig {
+            coordinator: CoordinatorConfig {
+                model: profile.model.clone(),
+                algorithm: self.algorithm,
+                rounds: profile.max_rounds,
+                parties_per_round: ((self.participation * n as f64).round() as usize).clamp(1, n),
+                codec: self.codec,
+                seed: self.seed,
+            },
+            local: LocalTrainingConfig {
+                epochs: profile.local_epochs,
+                batch_size: profile.batch_size,
+                lr_schedule: profile.lr_schedule,
+                momentum: 0.0,
+            },
+            straggler_rate: self.straggler_rate,
+            deadline: self.deadline,
+            latency_sigma: self.latency_sigma,
+        };
+        config.validate()?;
+        Ok((profile, config))
+    }
+}
+
+/// One-line builder methods, each setting one [`JobSpec`] field:
+/// `method(arg: Type) => field = value;`.
+macro_rules! setters {
+    ($($(#[$doc:meta])* $method:ident($arg:ident: $ty:ty) => $field:ident = $value:expr;)*) => {$(
+        $(#[$doc])*
+        #[must_use]
+        pub fn $method(mut self, $arg: $ty) -> Self {
+            self.spec.$field = $value;
+            self
+        }
+    )*};
+}
+
+/// Builder for one end-to-end FL simulation: a [`JobSpec`] plus where
+/// the roster lives.
 ///
 /// # Example
 ///
@@ -52,50 +197,23 @@ const MIN_SAMPLES_PER_PARTY: usize = 5;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
-    profile: DatasetProfile,
-    parties: Option<usize>,
-    rounds: Option<usize>,
-    participation: f64,
-    strategy: PartitionStrategy,
-    algorithm: FlAlgorithm,
-    selector: SelectorKind,
-    straggler_rate: f64,
-    deadline: DeadlinePolicy,
-    latency_sigma: f64,
-    test_per_class: usize,
-    clustering_restarts: usize,
-    fixed_k: Option<usize>,
-    overprovision: bool,
-    codec: ModelCodec,
+    /// The job.
+    pub spec: JobSpec,
     /// `(dir, budget)` when the roster store is sealed to disk.
     spill: Option<(std::path::PathBuf, usize)>,
-    seed: u64,
+}
+
+impl From<JobSpec> for SimulationBuilder {
+    fn from(spec: JobSpec) -> Self {
+        SimulationBuilder { spec, spill: None }
+    }
 }
 
 impl SimulationBuilder {
-    /// Starts a builder from a dataset profile (paper defaults apply:
-    /// 20% participation, α = 0.3, FedYogi, FLIPS selection, no
-    /// stragglers).
+    /// Starts a builder from a dataset profile, with the paper's
+    /// defaults for everything else ([`JobSpec::default`]).
     pub fn new(profile: DatasetProfile) -> Self {
-        SimulationBuilder {
-            profile,
-            parties: None,
-            rounds: None,
-            participation: 0.20,
-            strategy: PartitionStrategy::Dirichlet { alpha: 0.3 },
-            algorithm: FlAlgorithm::fedyogi(),
-            selector: SelectorKind::Flips,
-            straggler_rate: 0.0,
-            deadline: DeadlinePolicy::Injected,
-            latency_sigma: 0.4,
-            test_per_class: 50,
-            clustering_restarts: 20,
-            fixed_k: None,
-            overprovision: true,
-            codec: ModelCodec::Raw,
-            spill: None,
-            seed: 0,
-        }
+        JobSpec { profile, ..JobSpec::default() }.into()
     }
 
     /// Seals the candidate roster to disk segments under `dir`, with at
@@ -114,117 +232,41 @@ impl SimulationBuilder {
         self
     }
 
-    /// Overrides the number of parties (scales the population with it).
-    #[must_use]
-    pub fn parties(mut self, parties: usize) -> Self {
-        self.parties = Some(parties);
-        self
+    setters! {
+        /// Sets [`JobSpec::parties`].
+        parties(parties: usize) => parties = Some(parties);
+        /// Sets [`JobSpec::rounds`].
+        rounds(rounds: usize) => rounds = Some(rounds);
+        /// Sets [`JobSpec::participation`].
+        participation(fraction: f64) => participation = fraction;
+        /// Sets [`JobSpec::alpha`].
+        alpha(alpha: f64) => alpha = alpha;
+        /// Sets [`JobSpec::algorithm`].
+        algorithm(algorithm: FlAlgorithm) => algorithm = algorithm;
+        /// Sets [`JobSpec::selector`].
+        selector(selector: SelectorKind) => selector = selector;
+        /// Sets [`JobSpec::straggler_rate`].
+        straggler_rate(rate: f64) => straggler_rate = rate;
+        /// Sets [`JobSpec::deadline`].
+        deadline(policy: DeadlinePolicy) => deadline = policy;
+        /// Sets [`JobSpec::latency_sigma`].
+        latency_sigma(sigma: f64) => latency_sigma = sigma;
+        /// Sets [`JobSpec::test_per_class`].
+        test_per_class(per_class: usize) => test_per_class = per_class;
+        /// Sets [`JobSpec::clustering_restarts`].
+        clustering_restarts(restarts: usize) => clustering_restarts = restarts;
+        /// Sets [`JobSpec::fixed_k`].
+        fixed_k(k: usize) => fixed_k = Some(k);
+        /// Sets [`JobSpec::codec`].
+        codec(codec: ModelCodec) => codec = codec;
+        /// Sets [`JobSpec::seed`].
+        seed(seed: u64) => seed = seed;
     }
 
-    /// Overrides the round budget.
-    #[must_use]
-    pub fn rounds(mut self, rounds: usize) -> Self {
-        self.rounds = Some(rounds);
-        self
-    }
-
-    /// Sets the per-round participation fraction (paper: 0.15 / 0.20).
-    #[must_use]
-    pub fn participation(mut self, fraction: f64) -> Self {
-        self.participation = fraction;
-        self
-    }
-
-    /// Sets Dirichlet non-IID concentration α (paper: 0.3 / 0.6).
-    #[must_use]
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.strategy = PartitionStrategy::Dirichlet { alpha };
-        self
-    }
-
-    /// Sets the FL algorithm.
-    #[must_use]
-    pub fn algorithm(mut self, algorithm: FlAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the participant-selection policy.
-    #[must_use]
-    pub fn selector(mut self, selector: SelectorKind) -> Self {
-        self.selector = selector;
-        self
-    }
-
-    /// Sets the straggler drop rate (paper: 0, 0.10, 0.20).
-    #[must_use]
-    pub fn straggler_rate(mut self, rate: f64) -> Self {
-        self.straggler_rate = rate;
-        self
-    }
-
-    /// Sets the round-deadline policy: the paper's injected victim sets
-    /// (default), or a deadline derived from observed round-trip latency
-    /// ([`DeadlinePolicy::LatencyQuantile`] / [`DeadlinePolicy::Ewma`] /
-    /// [`DeadlinePolicy::FixedSeconds`]) under which who straggles
-    /// follows from the platform-heterogeneity model instead of a coin
-    /// flip. Latency-derived policies are mutually exclusive with a
-    /// non-zero [`SimulationBuilder::straggler_rate`].
-    #[must_use]
-    pub fn deadline(mut self, policy: DeadlinePolicy) -> Self {
-        self.deadline = policy;
-        self
-    }
-
-    /// Sets the platform-heterogeneity spread (log-normal σ).
-    #[must_use]
-    pub fn latency_sigma(mut self, sigma: f64) -> Self {
-        self.latency_sigma = sigma;
-        self
-    }
-
-    /// Test-set size per class (default 50).
-    #[must_use]
-    pub fn test_per_class(mut self, per_class: usize) -> Self {
-        self.test_per_class = per_class;
-        self
-    }
-
-    /// K-Means restarts per elbow candidate (default 20; lower for speed).
-    #[must_use]
-    pub fn clustering_restarts(mut self, restarts: usize) -> Self {
-        self.clustering_restarts = restarts;
-        self
-    }
-
-    /// Forces the FLIPS cluster count (k-sensitivity ablation).
-    #[must_use]
-    pub fn fixed_k(mut self, k: usize) -> Self {
-        self.fixed_k = Some(k);
-        self
-    }
-
-    /// Disables FLIPS straggler overprovisioning (ablation).
+    /// Clears [`JobSpec::overprovision`] (ablation).
     #[must_use]
     pub fn without_overprovisioning(mut self) -> Self {
-        self.overprovision = false;
-        self
-    }
-
-    /// Sets the model-payload wire codec the job's serialized drivers
-    /// use (`Raw` by default; `DeltaLossless` is bit-exact, `F16` is
-    /// lossy and opt-in only). Histories and byte *accounting* are
-    /// codec-independent.
-    #[must_use]
-    pub fn codec(mut self, codec: ModelCodec) -> Self {
-        self.codec = codec;
-        self
-    }
-
-    /// Sets the master seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.spec.overprovision = false;
         self
     }
 
@@ -233,32 +275,22 @@ impl SimulationBuilder {
     ///
     /// # Errors
     ///
-    /// Surfaces any substrate construction failure.
+    /// [`JobSpec::validate`]'s errors, then any substrate construction
+    /// failure.
     pub fn build(&self) -> Result<(FlJob, SimulationMeta), FlipsError> {
-        if !(0.0 < self.participation && self.participation <= 1.0) {
-            return Err(FlipsError::InvalidConfig(format!(
-                "participation {} must be in (0, 1]",
-                self.participation
-            )));
-        }
-        let profile = match (self.parties, self.rounds) {
-            (None, None) => self.profile.clone(),
-            (p, r) => self.profile.scaled(
-                p.unwrap_or(self.profile.default_parties),
-                r.unwrap_or(self.profile.max_rounds),
-            ),
-        };
-        profile.validate()?;
+        let spec = &self.spec;
+        let (profile, config) = spec.resolve()?;
         let n = profile.default_parties;
+        let seed = spec.seed;
+        let parties_per_round = config.coordinator.parties_per_round;
 
-        let population = generate_population(&profile, profile.default_total_samples, self.seed);
-        let parts = partition(&population, n, self.strategy, MIN_SAMPLES_PER_PARTY, self.seed)?;
-        let test = balanced_test_set(&profile, self.test_per_class, self.seed);
+        let population = generate_population(&profile, profile.default_total_samples, seed);
+        let strategy = PartitionStrategy::Dirichlet { alpha: spec.alpha };
+        let parts = partition(&population, n, strategy, MIN_SAMPLES_PER_PARTY, seed)?;
+        let test = balanced_test_set(&profile, spec.test_per_class, seed);
         // `FlJob::new` samples the same model from the same σ and seed;
         // this copy only profiles the roster's latency hints.
-        let latency = LatencyModel::sample(n, self.latency_sigma, self.seed);
-
-        let parties_per_round = ((self.participation * n as f64).round() as usize).clamp(1, n);
+        let latency = LatencyModel::sample(n, spec.latency_sigma, seed);
 
         let mut meta = SimulationMeta {
             profile_name: profile.name.clone(),
@@ -266,28 +298,23 @@ impl SimulationBuilder {
             parties_per_round,
             rounds: profile.max_rounds,
             target_accuracy: profile.target_accuracy,
-            selector: self.selector,
-            algorithm: self.algorithm,
-            straggler_rate: self.straggler_rate,
-            partition: self.strategy,
             k: None,
             clustering_tee_overhead: None,
-            seed: self.seed,
             job_id: 0,
         };
 
         let sample_counts = parts.sample_counts();
         let profile_times = latency.profile(&sample_counts, profile.local_epochs);
         let mw_cfg = MiddlewareConfig {
-            restarts: self.clustering_restarts,
-            fixed_k: self.fixed_k,
+            restarts: spec.clustering_restarts,
+            fixed_k: spec.fixed_k,
             k_floor: Some((2 * profile.classes).min(parties_per_round)),
-            overprovision: self.overprovision,
-            seed: self.seed,
+            overprovision: spec.overprovision,
+            seed,
             ..Default::default()
         };
         let oort_cfg = || {
-            let mut cfg = if self.straggler_rate > 0.0 {
+            let mut cfg = if spec.straggler_rate > 0.0 {
                 OortConfig::with_straggler_overprovisioning()
             } else {
                 OortConfig::default()
@@ -315,44 +342,23 @@ impl SimulationBuilder {
         }
         let store = roster.finish()?;
 
-        let selector: Box<dyn ParticipantSelector> = match self.selector {
-            SelectorKind::Random => Box::new(RandomSelector::from_source(&store, self.seed)),
+        let selector: Box<dyn ParticipantSelector> = match spec.selector {
+            SelectorKind::Random => Box::new(RandomSelector::from_source(&store, seed)),
             SelectorKind::Flips => {
                 let pc = FlipsMiddleware::cluster_privately(&parts.label_distributions(), &mw_cfg)?;
                 meta.k = Some(pc.k());
                 meta.clustering_tee_overhead = Some(pc.tee_overhead());
                 Box::new(pc)
             }
-            SelectorKind::Oort => {
-                Box::new(OortSelector::from_source(&store, oort_cfg(), self.seed)?)
-            }
+            SelectorKind::Oort => Box::new(OortSelector::from_source(&store, oort_cfg(), seed)?),
             SelectorKind::GradClus => {
-                Box::new(GradClusSelector::from_source(&store, SKETCH_DIM, self.seed)?)
+                Box::new(GradClusSelector::from_source(&store, SKETCH_DIM, seed)?)
             }
             SelectorKind::Tifl => {
-                Box::new(TiflSelector::from_source(&store, TiflConfig::default(), self.seed)?)
+                Box::new(TiflSelector::from_source(&store, TiflConfig::default(), seed)?)
             }
         };
 
-        let local = LocalTrainingConfig {
-            epochs: profile.local_epochs,
-            batch_size: profile.batch_size,
-            lr_schedule: profile.lr_schedule,
-            momentum: 0.0,
-        };
-
-        let config = FlJobConfig {
-            model: profile.model.clone(),
-            algorithm: self.algorithm,
-            rounds: profile.max_rounds,
-            parties_per_round,
-            local,
-            straggler_rate: self.straggler_rate,
-            deadline: self.deadline,
-            latency_sigma: self.latency_sigma,
-            codec: self.codec,
-            seed: self.seed,
-        };
         let job = FlJob::new(parts.parties, test, config, selector)?;
         meta.job_id = job.coordinator().job_id();
         Ok((job, meta))
@@ -370,7 +376,7 @@ impl SimulationBuilder {
     }
 }
 
-/// Metadata describing a built simulation.
+/// What [`SimulationBuilder::build`] derives from its [`JobSpec`].
 #[derive(Debug, Clone)]
 pub struct SimulationMeta {
     /// Dataset profile name.
@@ -383,20 +389,10 @@ pub struct SimulationMeta {
     pub rounds: usize,
     /// The profile's target accuracy for rounds-to-target reporting.
     pub target_accuracy: f64,
-    /// Selection policy.
-    pub selector: SelectorKind,
-    /// FL algorithm.
-    pub algorithm: FlAlgorithm,
-    /// Straggler drop rate.
-    pub straggler_rate: f64,
-    /// Partition strategy.
-    pub partition: PartitionStrategy,
     /// FLIPS cluster count (None for baselines).
     pub k: Option<usize>,
     /// Simulated TEE overhead of the clustering ceremony (FLIPS only).
     pub clustering_tee_overhead: Option<Duration>,
-    /// Master seed.
-    pub seed: u64,
     /// Protocol job identifier stamped on every wire message (derived
     /// from the seed by the runtime).
     pub job_id: u64,
@@ -442,9 +438,10 @@ mod tests {
     #[test]
     fn every_selector_builds_and_runs() {
         for kind in SelectorKind::all() {
-            let report = tiny(kind).run().unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let builder = tiny(kind);
+            assert_eq!(builder.spec.selector, kind);
+            let report = builder.run().unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert_eq!(report.history.len(), 5, "{kind}");
-            assert_eq!(report.meta.selector, kind);
             assert_eq!(report.meta.parties_per_round, 3);
         }
     }
@@ -524,7 +521,7 @@ mod tests {
             let (job, meta) = builder.build().unwrap();
             assert_eq!(
                 *job.latency_model(),
-                LatencyModel::sample(meta.num_parties, 0.7, meta.seed)
+                LatencyModel::sample(meta.num_parties, 0.7, builder.spec.seed)
             );
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -9,9 +9,11 @@
 //!   *inside* the enclave, and participant selection (Algorithm 1) is
 //!   served from enclave state. The aggregator never observes raw label
 //!   distributions or cluster membership.
-//! - [`builder`] — a one-stop [`builder::SimulationBuilder`] that stands
-//!   up the full evaluation pipeline (synthetic dataset → Dirichlet
-//!   partition → selector → FL job) the way the paper's experiments do.
+//! - [`builder`] — one cell of the paper's evaluation grid as data
+//!   ([`builder::JobSpec`]), and a one-stop [`builder::SimulationBuilder`]
+//!   that stands up the full evaluation pipeline from it (synthetic
+//!   dataset → Dirichlet partition → selector → FL job) the way the
+//!   paper's experiments do.
 //!
 //! The substrates are re-exported under stable module names so downstream
 //! users depend on one crate:
@@ -38,7 +40,7 @@ pub mod builder;
 pub mod middleware;
 pub mod prelude;
 
-pub use builder::{SimulationBuilder, SimulationReport};
+pub use builder::{JobSpec, SimulationBuilder, SimulationReport};
 pub use middleware::{Ceremony, FlipsMiddleware, MiddlewareConfig, PrivateClustering};
 
 /// Errors produced by the FLIPS middleware.

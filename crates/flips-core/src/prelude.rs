@@ -6,7 +6,7 @@
 //! assert_eq!(profile.classes, 10);
 //! ```
 
-pub use crate::builder::{SimulationBuilder, SimulationMeta, SimulationReport};
+pub use crate::builder::{JobSpec, SimulationBuilder, SimulationMeta, SimulationReport};
 pub use crate::middleware::{Ceremony, FlipsMiddleware, MiddlewareConfig, PrivateClustering};
 pub use crate::FlipsError;
 

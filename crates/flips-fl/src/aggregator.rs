@@ -23,8 +23,7 @@
 //! Every source of randomness derives from the single job seed, so runs
 //! are bit-reproducible, selector included.
 
-use crate::codec::ModelCodec;
-use crate::config::{DeadlinePolicy, FlAlgorithm, LocalTrainingConfig};
+use crate::config::{DeadlinePolicy, LocalTrainingConfig};
 use crate::coordinator::{Coordinator, CoordinatorConfig};
 use crate::endpoint::PartyEndpoint;
 use crate::events::{Effect, Event};
@@ -35,61 +34,73 @@ use crate::party::Trainer;
 use crate::straggler::{Arrival, StragglerInjector, Stragglers};
 use crate::FlError;
 use flips_data::Dataset;
-use flips_ml::model::ModelSpec;
-use flips_ml::rng::derive_seed;
 use flips_selection::{ParticipantSelector, PartyId};
 use std::sync::Arc;
 
-/// Configuration of one FL job.
+/// Configuration of one FL job: the coordinator's part plus what the
+/// driver and the parties need.
 #[derive(Debug, Clone)]
 pub struct FlJobConfig {
-    /// The agreed model architecture.
-    pub model: ModelSpec,
-    /// The FL algorithm.
-    pub algorithm: FlAlgorithm,
-    /// Round budget.
-    pub rounds: usize,
-    /// Parties per round (`Nr`; selectors may overprovision beyond it).
-    pub parties_per_round: usize,
+    /// Model, algorithm, round budget, cohort size, codec and seed —
+    /// what the [`Coordinator`] decides with.
+    pub coordinator: CoordinatorConfig,
     /// Participant-side training hyper-parameters.
     pub local: LocalTrainingConfig,
     /// Fraction of each cohort whose updates miss the round deadline
-    /// (0, 0.10, 0.20 in the paper). Only meaningful under
+    /// (0, 0.10, 0.20 in the paper), in `[0, 1)`. Only meaningful under
     /// [`DeadlinePolicy::Injected`].
     pub straggler_rate: f64,
-    /// How each round's collection deadline is decided — the paper's
-    /// synthetic victim injection, or a deadline derived from observed
-    /// round-trip latency (see [`DeadlinePolicy`]). A latency-derived
-    /// policy is mutually exclusive with a non-zero `straggler_rate`.
+    /// How each round's collection deadline is decided (see
+    /// [`DeadlinePolicy`]); a latency-derived policy is mutually
+    /// exclusive with a non-zero `straggler_rate`.
     pub deadline: DeadlinePolicy,
-    /// Log-normal sigma of the platform-heterogeneity model; the job
-    /// samples it with [`LatencyModel::sample`] from `seed`, as
-    /// `SimulationBuilder` does for the selectors' latency hints.
+    /// Log-normal σ of the platform-heterogeneity model the job samples
+    /// from the seed ([`LatencyModel::sample`]); finite, non-negative.
     pub latency_sigma: f64,
-    /// The model-payload wire codec (announced in selection notices,
-    /// used by serialized drivers; `Raw` is the compatibility default
-    /// and `F16` is lossy — opt-in only).
-    pub codec: ModelCodec,
-    /// Master seed; every stream derives from it.
-    pub seed: u64,
 }
 
 impl FlJobConfig {
-    /// A reasonable default configuration for `model` (callers override
-    /// fields as needed).
-    pub fn new(model: ModelSpec) -> Self {
+    /// A default configuration around `coordinator`: default local
+    /// training, no stragglers, σ = 0.4 (callers override fields as
+    /// needed).
+    pub fn new(coordinator: CoordinatorConfig) -> Self {
         FlJobConfig {
-            model,
-            algorithm: FlAlgorithm::fedyogi(),
-            rounds: 100,
-            parties_per_round: 10,
+            coordinator,
             local: LocalTrainingConfig::default(),
             straggler_rate: 0.0,
             deadline: DeadlinePolicy::Injected,
             latency_sigma: 0.4,
-            codec: ModelCodec::Raw,
-            seed: 0,
         }
+    }
+
+    /// Checks every field: the coordinator's part
+    /// ([`CoordinatorConfig::validate`]), the local training, the
+    /// straggler model and σ. Reads no data.
+    ///
+    /// # Errors
+    ///
+    /// [`FlError::InvalidConfig`] naming the field out of range.
+    pub fn validate(&self) -> Result<(), FlError> {
+        self.coordinator.validate()?;
+        self.local.validate()?;
+        if !(0.0..1.0).contains(&self.straggler_rate) {
+            return Err(FlError::InvalidConfig("straggler_rate must be in [0, 1)".into()));
+        }
+        self.deadline.validate()?;
+        if self.deadline.is_latency_derived() && self.straggler_rate > 0.0 {
+            return Err(FlError::InvalidConfig(
+                "straggler_rate injection and a latency-derived deadline are mutually \
+                 exclusive: pick one straggler model"
+                    .into(),
+            ));
+        }
+        if !self.latency_sigma.is_finite() || self.latency_sigma < 0.0 {
+            return Err(FlError::InvalidConfig(format!(
+                "latency_sigma {} must be finite and non-negative",
+                self.latency_sigma
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -104,7 +115,6 @@ pub struct FlJob {
     trainers: Vec<Trainer>,
     latency: Arc<LatencyModel>,
     stragglers: Stragglers<StragglerInjector>,
-    rounds: usize,
 }
 
 impl std::fmt::Debug for FlJob {
@@ -123,7 +133,8 @@ impl FlJob {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::InvalidConfig`] for inconsistent inputs (empty
+    /// Returns [`FlError::InvalidConfig`] for a configuration that fails
+    /// [`FlJobConfig::validate`] or inputs that do not fit it (empty
     /// roster, round size exceeding the roster, class/dimension
     /// mismatches, selector sized for a different roster).
     pub fn new(
@@ -132,31 +143,16 @@ impl FlJob {
         config: FlJobConfig,
         selector: Box<dyn ParticipantSelector>,
     ) -> Result<Self, FlError> {
-        // Round/cohort/sketch bounds are validated once, by
-        // `Coordinator::new` below; this driver only checks what the
-        // coordinator cannot see — datasets, training hyper-parameters
-        // and the simulation knobs.
-        if party_datasets.is_empty() {
-            return Err(FlError::InvalidConfig("no parties".into()));
-        }
-        if !(0.0..1.0).contains(&config.straggler_rate) {
-            return Err(FlError::InvalidConfig("straggler_rate must be in [0, 1)".into()));
-        }
-        let seed = config.seed;
-        let injector = StragglerInjector::new(config.straggler_rate, seed);
-        let stragglers = Stragglers::new(injector, config.deadline)?;
-        if config.deadline.is_latency_derived() && config.straggler_rate > 0.0 {
-            return Err(FlError::InvalidConfig(
-                "straggler_rate injection and a latency-derived deadline are mutually \
-                 exclusive: pick one straggler model"
-                    .into(),
-            ));
-        }
-        config.local.validate()?;
-        let classes = config.model.num_classes();
-        let dim = config.model.input_dim();
+        // The configuration checks itself; `Coordinator::new` below
+        // checks the roster, selector and test set against it, and this
+        // driver the one input the coordinator cannot see — the datasets.
+        config.validate()?;
+        let FlJobConfig { coordinator, local, straggler_rate, deadline, latency_sigma } = config;
+        let seed = coordinator.seed;
+        let stragglers = Stragglers::new(StragglerInjector::new(straggler_rate, seed), deadline)?;
+        let model = coordinator.model.clone();
         for (i, ds) in party_datasets.iter().enumerate() {
-            if ds.classes != classes || ds.x.cols() != dim {
+            if ds.classes != model.num_classes() || ds.x.cols() != model.input_dim() {
                 return Err(FlError::InvalidConfig(format!(
                     "party {i} dataset does not match the model architecture"
                 )));
@@ -167,25 +163,10 @@ impl FlJob {
         }
 
         let num_parties = party_datasets.len();
-        let latency = Arc::new(LatencyModel::sample(num_parties, config.latency_sigma, seed));
-
-        let job_id = derive_seed(seed, 0x4A0B_F11F);
-        let coordinator = Coordinator::new(
-            CoordinatorConfig {
-                job_id,
-                model: config.model.clone(),
-                algorithm: config.algorithm,
-                rounds: config.rounds,
-                parties_per_round: config.parties_per_round,
-                codec: config.codec,
-                seed,
-            },
-            num_parties,
-            test_set,
-            selector,
-        )?;
-
-        let proximal_mu = config.algorithm.proximal_mu();
+        let latency = Arc::new(LatencyModel::sample(num_parties, latency_sigma, seed));
+        let proximal_mu = coordinator.algorithm.proximal_mu();
+        let coordinator = Coordinator::new(coordinator, num_parties, test_set, selector)?;
+        let job_id = coordinator.job_id();
         let endpoints: Vec<PartyEndpoint> = party_datasets
             .into_iter()
             .enumerate()
@@ -193,9 +174,9 @@ impl FlJob {
                 PartyEndpoint::new(
                     id,
                     ds,
-                    &config.model,
+                    &model,
                     job_id,
-                    config.local,
+                    local,
                     proximal_mu,
                     Arc::clone(&latency),
                     seed,
@@ -203,14 +184,7 @@ impl FlJob {
             })
             .collect();
 
-        Ok(FlJob {
-            coordinator,
-            endpoints,
-            trainers: Vec::new(),
-            latency,
-            stragglers,
-            rounds: config.rounds,
-        })
+        Ok(FlJob { coordinator, endpoints, trainers: Vec::new(), latency, stragglers })
     }
 
     /// The current round index (number of completed rounds).
@@ -323,7 +297,7 @@ impl FlJob {
     ///
     /// Propagates the first failing round.
     pub fn run(&mut self) -> Result<History, FlError> {
-        while self.coordinator.round() < self.rounds {
+        while !self.coordinator.is_finished() {
             self.step()?;
         }
         Ok(self.coordinator.history().clone())
@@ -401,6 +375,8 @@ impl std::fmt::Debug for JobParts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ModelCodec;
+    use crate::config::FlAlgorithm;
     use crate::message::{
         global_model_bytes, heartbeat_bytes, local_update_bytes, selection_notice_bytes,
     };
@@ -420,11 +396,13 @@ mod tests {
     fn job(straggler_rate: f64) -> FlJob {
         let (datasets, test, profile) = small_setup(12, 0.5);
         let config = FlJobConfig {
-            rounds: 6,
-            parties_per_round: 4,
             straggler_rate,
             local: LocalTrainingConfig { epochs: 1, ..Default::default() },
-            ..FlJobConfig::new(profile.model.clone())
+            ..FlJobConfig::new(CoordinatorConfig {
+                rounds: 6,
+                parties_per_round: 4,
+                ..CoordinatorConfig::new(profile.model.clone())
+            })
         };
         let selector = Box::new(RandomSelector::new(datasets.len(), 5));
         FlJob::new(datasets, test, config, selector).unwrap()
@@ -449,10 +427,12 @@ mod tests {
     fn accuracy_improves_over_rounds() {
         let (datasets, test, profile) = small_setup(10, 2.0);
         let config = FlJobConfig {
-            rounds: 25,
-            parties_per_round: 5,
             local: LocalTrainingConfig { epochs: 2, ..Default::default() },
-            ..FlJobConfig::new(profile.model.clone())
+            ..FlJobConfig::new(CoordinatorConfig {
+                rounds: 25,
+                parties_per_round: 5,
+                ..CoordinatorConfig::new(profile.model.clone())
+            })
         };
         let selector = Box::new(RandomSelector::new(datasets.len(), 1));
         let mut j = FlJob::new(datasets, test, config, selector).unwrap();
@@ -482,11 +462,13 @@ mod tests {
         let datasets = (0..).zip(sizes).map(|(i, n)| generate_population(&profile, n, i)).collect();
         let test = balanced_test_set(&profile, 10, 11);
         let config = FlJobConfig {
-            rounds: 4,
-            parties_per_round: 5,
             straggler_rate: 0.2,
             local: LocalTrainingConfig { epochs: 1, batch_size: 16, ..Default::default() },
-            ..FlJobConfig::new(profile.model.clone())
+            ..FlJobConfig::new(CoordinatorConfig {
+                rounds: 4,
+                parties_per_round: 5,
+                ..CoordinatorConfig::new(profile.model.clone())
+            })
         };
         FlJob::new(datasets, test, config, Box::new(RandomSelector::new(10, 5))).unwrap()
     }
@@ -504,7 +486,7 @@ mod tests {
         // in turn, four claim parties largest first.
         let run_on = |workers: usize| {
             let mut j = job(0.1);
-            while j.round() < j.rounds {
+            while !j.coordinator.is_finished() {
                 j.step_on(workers).unwrap();
             }
             (j.history().clone(), j.global_params().to_vec())
@@ -560,10 +542,12 @@ mod tests {
         for workers in [1, 2, 3] {
             let (datasets, test, profile) = small_setup(16, 0.5);
             let config = FlJobConfig {
-                rounds: 3,
-                parties_per_round: 8,
                 local: LocalTrainingConfig { epochs: 1, ..Default::default() },
-                ..FlJobConfig::new(profile.model.clone())
+                ..FlJobConfig::new(CoordinatorConfig {
+                    rounds: 3,
+                    parties_per_round: 8,
+                    ..CoordinatorConfig::new(profile.model.clone())
+                })
             };
             let selector = Box::new(RandomSelector::new(16, 3));
             let mut j = FlJob::new(datasets, test, config, selector).unwrap();
@@ -580,7 +564,7 @@ mod tests {
             }
             assert!(j.train_endpoints(&[], workers).unwrap().is_empty());
             assert!(j.trainers.is_empty(), "{workers} workers: notices made a trainer");
-            while j.round() < j.rounds {
+            while !j.coordinator.is_finished() {
                 j.step_on(workers).unwrap();
             }
             let held = j.trainers.len();
@@ -653,11 +637,13 @@ mod tests {
         ] {
             let (datasets, test, profile) = small_setup(8, 1.0);
             let config = FlJobConfig {
-                algorithm: algo,
-                rounds: 3,
-                parties_per_round: 3,
                 local: LocalTrainingConfig { epochs: 1, ..Default::default() },
-                ..FlJobConfig::new(profile.model.clone())
+                ..FlJobConfig::new(CoordinatorConfig {
+                    algorithm: algo,
+                    rounds: 3,
+                    parties_per_round: 3,
+                    ..CoordinatorConfig::new(profile.model.clone())
+                })
             };
             let selector = Box::new(RandomSelector::new(datasets.len(), 2));
             let mut j = FlJob::new(datasets, test, config, selector).unwrap();
@@ -669,28 +655,29 @@ mod tests {
     #[test]
     fn rejects_inconsistent_configs() {
         let (datasets, test, profile) = small_setup(6, 1.0);
-        let base = FlJobConfig::new(profile.model.clone());
+        let base = FlJobConfig::new(CoordinatorConfig {
+            parties_per_round: 2,
+            ..CoordinatorConfig::new(profile.model.clone())
+        });
 
         // Round size exceeding roster.
-        let cfg = FlJobConfig { parties_per_round: 7, ..base.clone() };
+        let mut cfg = base.clone();
+        cfg.coordinator.parties_per_round = 7;
         let sel = Box::new(RandomSelector::new(6, 1));
         assert!(FlJob::new(datasets.clone(), test.clone(), cfg, sel).is_err());
 
         // Selector sized for the wrong roster.
-        let cfg = FlJobConfig { parties_per_round: 2, ..base.clone() };
         let sel = Box::new(RandomSelector::new(99, 1));
-        assert!(FlJob::new(datasets.clone(), test.clone(), cfg, sel).is_err());
+        assert!(FlJob::new(datasets.clone(), test.clone(), base.clone(), sel).is_err());
 
         // Test set from a different schema.
         let other = balanced_test_set(&DatasetProfile::ecg(), 5, 1);
-        let cfg = FlJobConfig { parties_per_round: 2, ..base.clone() };
         let sel = Box::new(RandomSelector::new(6, 1));
-        assert!(FlJob::new(datasets.clone(), other, cfg, sel).is_err());
+        assert!(FlJob::new(datasets.clone(), other, base.clone(), sel).is_err());
 
         // Two straggler models at once: injected victims on top of a
         // latency-derived deadline.
         let cfg = FlJobConfig {
-            parties_per_round: 2,
             straggler_rate: 0.1,
             deadline: DeadlinePolicy::latency_default(),
             ..base.clone()
@@ -702,7 +689,8 @@ mod tests {
         ));
 
         // Zero rounds.
-        let cfg = FlJobConfig { rounds: 0, parties_per_round: 2, ..base };
+        let mut cfg = base;
+        cfg.coordinator.rounds = 0;
         let sel = Box::new(RandomSelector::new(6, 1));
         assert!(FlJob::new(datasets, test, cfg, sel).is_err());
     }
@@ -735,10 +723,12 @@ mod tests {
         // not double-train or double-aggregate it.
         let (datasets, test, profile) = small_setup(6, 1.0);
         let config = FlJobConfig {
-            rounds: 1,
-            parties_per_round: 3,
             local: LocalTrainingConfig { epochs: 1, ..Default::default() },
-            ..FlJobConfig::new(profile.model.clone())
+            ..FlJobConfig::new(CoordinatorConfig {
+                rounds: 1,
+                parties_per_round: 3,
+                ..CoordinatorConfig::new(profile.model.clone())
+            })
         };
         let sel = Box::new(Scripted { n: 6, cohort: vec![2, 4, 2, 4, 1] });
         let mut j = FlJob::new(datasets, test, config, sel).unwrap();
@@ -751,10 +741,12 @@ mod tests {
     fn out_of_range_selection_is_rejected() {
         let (datasets, test, profile) = small_setup(6, 1.0);
         let config = FlJobConfig {
-            rounds: 1,
-            parties_per_round: 3,
             local: LocalTrainingConfig { epochs: 1, ..Default::default() },
-            ..FlJobConfig::new(profile.model.clone())
+            ..FlJobConfig::new(CoordinatorConfig {
+                rounds: 1,
+                parties_per_round: 3,
+                ..CoordinatorConfig::new(profile.model.clone())
+            })
         };
         let sel = Box::new(Scripted { n: 6, cohort: vec![1, 99] });
         let mut j = FlJob::new(datasets, test, config, sel).unwrap();
@@ -796,10 +788,12 @@ mod tests {
 
         let (datasets, test, profile) = small_setup(6, 1.0);
         let config = FlJobConfig {
-            rounds: 2,
-            parties_per_round: 3,
             local: LocalTrainingConfig { epochs: 1, ..Default::default() },
-            ..FlJobConfig::new(profile.model.clone())
+            ..FlJobConfig::new(CoordinatorConfig {
+                rounds: 2,
+                parties_per_round: 3,
+                ..CoordinatorConfig::new(profile.model.clone())
+            })
         };
         let probe = Box::new(Probe {
             n: 6,

@@ -228,45 +228,31 @@ impl DeadlinePolicy {
     /// # Errors
     ///
     /// Rejects quantiles outside `[0, 1]`, non-finite or negative slack,
-    /// and non-positive fixed windows.
+    /// and non-positive fixed windows, naming each parameter by its
+    /// `[[job]]` configuration key.
     pub fn validate(&self) -> Result<(), crate::FlError> {
-        match *self {
-            DeadlinePolicy::Injected => Ok(()),
-            DeadlinePolicy::LatencyQuantile { q, slack } => {
-                if !(0.0..=1.0).contains(&q) {
-                    return Err(crate::FlError::InvalidConfig(format!(
-                        "deadline quantile {q} must be in [0, 1]"
-                    )));
-                }
-                if !slack.is_finite() || slack < 0.0 {
-                    return Err(crate::FlError::InvalidConfig(format!(
-                        "deadline slack {slack} must be finite and non-negative"
-                    )));
-                }
-                Ok(())
+        let bad = |msg: String| Err(crate::FlError::InvalidConfig(msg));
+        let slack = match *self {
+            DeadlinePolicy::Injected => return Ok(()),
+            DeadlinePolicy::LatencyQuantile { q, slack } if (0.0..=1.0).contains(&q) => slack,
+            DeadlinePolicy::LatencyQuantile { q, .. } => {
+                return bad(format!("deadline_q {q} must be in [0, 1]"));
             }
-            DeadlinePolicy::Ewma { alpha, slack } => {
-                if !alpha.is_finite() || !(0.0..=1.0).contains(&alpha) || alpha == 0.0 {
-                    return Err(crate::FlError::InvalidConfig(format!(
-                        "EWMA alpha {alpha} must be in (0, 1]"
-                    )));
-                }
-                if !slack.is_finite() || slack < 0.0 {
-                    return Err(crate::FlError::InvalidConfig(format!(
-                        "deadline slack {slack} must be finite and non-negative"
-                    )));
-                }
-                Ok(())
+            DeadlinePolicy::Ewma { alpha, slack } if 0.0 < alpha && alpha <= 1.0 => slack,
+            DeadlinePolicy::Ewma { alpha, .. } => {
+                return bad(format!("ewma_alpha {alpha} must be in (0, 1]"));
+            }
+            DeadlinePolicy::FixedSeconds { secs } if secs.is_finite() && secs > 0.0 => {
+                return Ok(());
             }
             DeadlinePolicy::FixedSeconds { secs } => {
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(crate::FlError::InvalidConfig(format!(
-                        "fixed deadline {secs} must be finite and positive"
-                    )));
-                }
-                Ok(())
+                return bad(format!("deadline_secs {secs} must be finite and positive"));
             }
+        };
+        if !slack.is_finite() || slack < 0.0 {
+            return bad(format!("deadline_slack {slack} must be finite and non-negative"));
         }
+        Ok(())
     }
 
     /// The deadline for the next round, in simulated seconds, given the

@@ -46,11 +46,11 @@ use flips_selection::{ParticipantSelector, PartyId, RoundFeedback};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-/// Static configuration of one coordinator.
+/// Static configuration of one coordinator: the part of a job the
+/// aggregator side decides with. The job identifier is not a knob — the
+/// coordinator derives it from `seed` ([`Coordinator::job_id`]).
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
-    /// Job identifier stamped on every message (rejects foreign traffic).
-    pub job_id: u64,
     /// The agreed model architecture.
     pub model: ModelSpec,
     /// The FL algorithm (server-side optimizer).
@@ -63,9 +63,44 @@ pub struct CoordinatorConfig {
     /// (negotiated once per job; serialized drivers encode model frames
     /// with it). Byte *accounting* stays raw-canonical regardless.
     pub codec: ModelCodec,
-    /// Master seed; the global-model initialization stream derives from
-    /// it.
+    /// Master seed; the job id and the global-model initialization
+    /// stream derive from it.
     pub seed: u64,
+}
+
+impl CoordinatorConfig {
+    /// A default configuration for `model`: FedYogi, 100 rounds of 10
+    /// parties, the raw codec, seed 0 (callers override fields as
+    /// needed).
+    pub fn new(model: ModelSpec) -> Self {
+        CoordinatorConfig {
+            model,
+            algorithm: FlAlgorithm::fedyogi(),
+            rounds: 100,
+            parties_per_round: 10,
+            codec: ModelCodec::Raw,
+            seed: 0,
+        }
+    }
+
+    /// Checks every field on its own; what needs the roster, the
+    /// selector or the test set is [`Coordinator::new`]'s to check.
+    ///
+    /// # Errors
+    ///
+    /// [`FlError::InvalidConfig`] naming the field out of range.
+    pub fn validate(&self) -> Result<(), FlError> {
+        if self.rounds == 0 {
+            return Err(FlError::InvalidConfig("rounds must be at least 1".into()));
+        }
+        if self.parties_per_round == 0 {
+            return Err(FlError::InvalidConfig("parties_per_round must be at least 1".into()));
+        }
+        if self.codec == (ModelCodec::TopK { k: 0 }) {
+            return Err(FlError::InvalidConfig("codec \"topk:0\": k must be at least 1".into()));
+        }
+        Ok(())
+    }
 }
 
 /// Where one selected party stands in the open round.
@@ -152,18 +187,15 @@ impl OpenRound {
 /// ```
 /// use flips_data::dataset::balanced_test_set;
 /// use flips_data::DatasetProfile;
-/// use flips_fl::{Coordinator, CoordinatorConfig, Effect, Event, FlAlgorithm, ModelCodec};
+/// use flips_fl::{Coordinator, CoordinatorConfig, Effect, Event};
 /// use flips_selection::RandomSelector;
 ///
 /// let profile = DatasetProfile::femnist();
 /// let config = CoordinatorConfig {
-///     job_id: 0xF11F,
-///     model: profile.model.clone(),
-///     algorithm: FlAlgorithm::fedyogi(),
 ///     rounds: 1,
 ///     parties_per_round: 2,
-///     codec: ModelCodec::Raw,
 ///     seed: 7,
+///     ..CoordinatorConfig::new(profile.model.clone())
 /// };
 /// let selector = Box::new(RandomSelector::new(6, 7));
 /// let test_set = balanced_test_set(&profile, 4, 7);
@@ -212,7 +244,7 @@ pub struct Coordinator {
 impl std::fmt::Debug for Coordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Coordinator")
-            .field("job_id", &self.config.job_id)
+            .field("job_id", &self.job_id())
             .field("algorithm", &self.config.algorithm)
             .field("selector", &self.selector.name())
             .field("round", &self.round)
@@ -231,26 +263,25 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::InvalidConfig`] for inconsistent inputs (zero
-    /// rounds, round size exceeding the roster, selector sized for a
-    /// different roster, test set not matching the architecture).
+    /// Returns [`FlError::InvalidConfig`] for a configuration that fails
+    /// [`CoordinatorConfig::validate`], or inputs that do not fit it
+    /// (round size exceeding the roster, selector sized for a different
+    /// roster, test set not matching the architecture).
     pub fn new(
         config: CoordinatorConfig,
         num_parties: usize,
         test_set: Dataset,
         selector: Box<dyn ParticipantSelector>,
     ) -> Result<Self, FlError> {
+        config.validate()?;
         if num_parties == 0 {
             return Err(FlError::InvalidConfig("no parties".into()));
         }
-        if config.parties_per_round == 0 || config.parties_per_round > num_parties {
+        if config.parties_per_round > num_parties {
             return Err(FlError::InvalidConfig(format!(
                 "parties_per_round {} must be in 1..={num_parties}",
                 config.parties_per_round,
             )));
-        }
-        if config.rounds == 0 {
-            return Err(FlError::InvalidConfig("zero rounds".into()));
         }
         if selector.num_parties() != num_parties {
             return Err(FlError::InvalidConfig(format!(
@@ -314,9 +345,11 @@ impl Coordinator {
         self.exact_fold
     }
 
-    /// The job identifier stamped on every outbound message.
+    /// The job identifier stamped on every outbound message (rejects
+    /// foreign traffic), derived from the seed: every process that
+    /// builds the job from the same seed agrees on it.
     pub fn job_id(&self) -> u64 {
-        self.config.job_id
+        derive_seed(self.config.seed, 0x4A0B_F11F)
     }
 
     /// The model-payload wire codec this job announces in its selection
@@ -526,7 +559,7 @@ impl Coordinator {
         }
 
         let round = self.round as u64;
-        let job = self.config.job_id;
+        let job = self.job_id();
         let mut effects = Vec::with_capacity(2 * selected.len());
         let mut bytes_down = 0u64;
         // ONE shared copy of the round's parameters: every dispatched
@@ -621,7 +654,7 @@ impl Coordinator {
             Claim::Pending(party) => (Some(party), true),
         };
         let refuse = |reason| Err(rejected(party, round, reason));
-        if job != self.config.job_id {
+        if job != self.job_id() {
             return refuse(RejectReason::WrongJob);
         }
         let Some(open) = &mut self.open else { return refuse(RejectReason::NoOpenRound) };
@@ -821,7 +854,7 @@ impl Coordinator {
         let mut effects: Vec<Effect> = Vec::with_capacity(feedback.stragglers.len() + 2);
         for &p in &feedback.stragglers {
             let msg = WireMessage::Abort {
-                job: self.config.job_id,
+                job: self.job_id(),
                 round: wire_round,
                 party: p as u64,
                 reason: "deadline expired".into(),

@@ -218,7 +218,8 @@ struct JobState {
 /// use flips_data::dataset::{balanced_test_set, generate_population};
 /// use flips_data::{partition, DatasetProfile, PartitionStrategy};
 /// use flips_fl::{
-///     memory_wire, run_lockstep, FlJob, FlJobConfig, LocalTrainingConfig, WireOptions,
+///     memory_wire, run_lockstep, CoordinatorConfig, FlJob, FlJobConfig, LocalTrainingConfig,
+///     WireOptions,
 /// };
 /// use flips_selection::RandomSelector;
 ///
@@ -226,10 +227,12 @@ struct JobState {
 /// let population = generate_population(&profile, profile.default_total_samples, 3);
 /// let parts = partition(&population, 6, PartitionStrategy::Iid, 5, 3).unwrap();
 /// let config = FlJobConfig {
-///     rounds: 1,
-///     parties_per_round: 2,
 ///     local: LocalTrainingConfig { epochs: 1, ..Default::default() },
-///     ..FlJobConfig::new(profile.model.clone())
+///     ..FlJobConfig::new(CoordinatorConfig {
+///         rounds: 1,
+///         parties_per_round: 2,
+///         ..CoordinatorConfig::new(profile.model.clone())
+///     })
 /// };
 /// let selector = Box::new(RandomSelector::new(6, 3));
 /// let job =
@@ -1119,7 +1122,9 @@ mod tests {
     use crate::message::FRAME_HEADER;
     use crate::plan::{place, split};
     use crate::transport::{MemoryRouter, MemoryTransport};
-    use crate::{FlJob, FlJobConfig, LocalTrainingConfig, PartyPool, WireOptions};
+    use crate::{
+        CoordinatorConfig, FlJob, FlJobConfig, LocalTrainingConfig, PartyPool, WireOptions,
+    };
     use flips_data::dataset::{balanced_test_set, generate_population};
     use flips_data::DatasetProfile;
     use flips_selection::RandomSelector;
@@ -1168,12 +1173,14 @@ mod tests {
         let sizes = [3usize, 180, 7, 64, 2, 240, 15, 96, 5, 120];
         let datasets = (0..).zip(sizes).map(|(i, n)| generate_population(&profile, n, i)).collect();
         let config = FlJobConfig {
-            rounds: 4,
-            parties_per_round: 4,
-            codec,
             local: LocalTrainingConfig { epochs: 1, batch_size: 16, ..Default::default() },
-            seed,
-            ..FlJobConfig::new(profile.model.clone())
+            ..FlJobConfig::new(CoordinatorConfig {
+                rounds: 4,
+                parties_per_round: 4,
+                codec,
+                seed,
+                ..CoordinatorConfig::new(profile.model.clone())
+            })
         };
         let test = balanced_test_set(&profile, 10, 11);
         let selector = Box::new(RandomSelector::new(10, seed));

@@ -82,7 +82,7 @@
 //! one-stop [`SimulationBuilder`] in `flips-core` wraps exactly this):
 //!
 //! ```
-//! use flips_fl::{FlJob, FlJobConfig, LocalTrainingConfig};
+//! use flips_fl::{CoordinatorConfig, FlJob, FlJobConfig, LocalTrainingConfig};
 //! use flips_data::dataset::{balanced_test_set, generate_population};
 //! use flips_data::{partition, DatasetProfile, PartitionStrategy};
 //! use flips_selection::RandomSelector;
@@ -93,10 +93,12 @@
 //!     partition(&population, 8, PartitionStrategy::Dirichlet { alpha: 1.0 }, 5, 7).unwrap();
 //! let test = balanced_test_set(&profile, 5, 7);
 //! let config = FlJobConfig {
-//!     rounds: 2,
-//!     parties_per_round: 3,
 //!     local: LocalTrainingConfig { epochs: 1, ..Default::default() },
-//!     ..FlJobConfig::new(profile.model.clone())
+//!     ..FlJobConfig::new(CoordinatorConfig {
+//!         rounds: 2,
+//!         parties_per_round: 3,
+//!         ..CoordinatorConfig::new(profile.model.clone())
+//!     })
 //! };
 //! let selector = Box::new(RandomSelector::new(8, 7));
 //! let mut job = FlJob::new(parts.parties, test, config, selector).unwrap();

@@ -296,7 +296,7 @@ pub fn memory_wire(jobs: Vec<JobParts>, wire: &WireOptions) -> Result<MemoryWire
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeadlinePolicy, FlJob, FlJobConfig, LocalTrainingConfig};
+    use crate::{CoordinatorConfig, DeadlinePolicy, FlJob, FlJobConfig, LocalTrainingConfig};
     use flips_data::dataset::{balanced_test_set, generate_population};
     use flips_data::{partition, DatasetProfile, PartitionStrategy};
     use flips_selection::RandomSelector;
@@ -311,11 +311,13 @@ mod tests {
             .map(|i| {
                 let parts = partition(&pop, parties, PartitionStrategy::Iid, 5, 3).unwrap();
                 let config = FlJobConfig {
-                    rounds: 1,
-                    parties_per_round: 1,
-                    seed: i as u64 + 1,
                     local: LocalTrainingConfig { epochs: 1, ..Default::default() },
-                    ..FlJobConfig::new(profile.model.clone())
+                    ..FlJobConfig::new(CoordinatorConfig {
+                        rounds: 1,
+                        parties_per_round: 1,
+                        seed: i as u64 + 1,
+                        ..CoordinatorConfig::new(profile.model.clone())
+                    })
                 };
                 let selector = Box::new(RandomSelector::new(parties, 3));
                 FlJob::new(parts.parties, balanced_test_set(&profile, 2, 3), config, selector)

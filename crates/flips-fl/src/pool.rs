@@ -612,6 +612,7 @@ mod tests {
     use super::*;
     use crate::aggregator::{FlJob, FlJobConfig};
     use crate::config::LocalTrainingConfig;
+    use crate::coordinator::CoordinatorConfig;
     use crate::driver::DriverStats;
     use crate::message::deframe;
     use crate::transport::{duplex, PipeEnd, StreamTransport};
@@ -657,13 +658,15 @@ mod tests {
         let sizes = [3usize, 180, 7, 64, 2, 240, 15, 96, 5, 120];
         let datasets = (0..).zip(sizes).map(|(i, n)| generate_population(&profile, n, i)).collect();
         let config = FlJobConfig {
-            rounds: 4,
-            parties_per_round: 4,
             straggler_rate,
-            codec,
             local: LocalTrainingConfig { epochs: 1, batch_size: 16, ..Default::default() },
-            seed,
-            ..FlJobConfig::new(profile.model.clone())
+            ..FlJobConfig::new(CoordinatorConfig {
+                rounds: 4,
+                parties_per_round: 4,
+                codec,
+                seed,
+                ..CoordinatorConfig::new(profile.model.clone())
+            })
         };
         let test = balanced_test_set(&profile, 10, 11);
         FlJob::new(datasets, test, config, Box::new(RandomSelector::new(10, seed))).unwrap()
@@ -795,9 +798,11 @@ mod tests {
                 let datasets =
                     (0..16).map(|i| generate_population(&profile, 3 + 17 * i, i as u64)).collect();
                 let config = FlJobConfig {
-                    seed,
                     local: LocalTrainingConfig { epochs: 1, batch_size: 16, ..Default::default() },
-                    ..FlJobConfig::new(profile.model.clone())
+                    ..FlJobConfig::new(CoordinatorConfig {
+                        seed,
+                        ..CoordinatorConfig::new(profile.model.clone())
+                    })
                 };
                 let test = balanced_test_set(&profile, 10, 11);
                 let selector = Box::new(RandomSelector::new(16, seed));

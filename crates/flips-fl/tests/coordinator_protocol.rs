@@ -7,7 +7,6 @@
 use flips_data::dataset::balanced_test_set;
 use flips_data::DatasetProfile;
 use flips_fl::aggtree::ExactWeightedSum;
-use flips_fl::codec::ModelCodec;
 use flips_fl::config::FlAlgorithm;
 use flips_fl::coordinator::{Coordinator, CoordinatorConfig};
 use flips_fl::events::{Effect, Event, RejectReason};
@@ -16,7 +15,8 @@ use flips_fl::message::{PartialEntry, WireMessage};
 use flips_fl::{FlError, SKETCH_DIM};
 use flips_selection::{ParticipantSelector, PartyId, RoundFeedback, SelectionError};
 
-const JOB: u64 = 0xF00D;
+/// The job id every coordinator here derives from its seed, 7.
+const JOB: u64 = 0x3FD5_451C_4770_878F;
 
 /// A deterministic policy selecting `cohort` every round, recording the
 /// feedback it receives.
@@ -56,13 +56,11 @@ fn coordinator_running(algorithm: FlAlgorithm, rounds: usize, cohort: Vec<PartyI
     let test = balanced_test_set(&profile, 4, 5);
     Coordinator::new(
         CoordinatorConfig {
-            job_id: JOB,
-            model: profile.model.clone(),
             algorithm,
             rounds,
             parties_per_round: cohort.len().max(1),
-            codec: ModelCodec::Raw,
             seed: 7,
+            ..CoordinatorConfig::new(profile.model.clone())
         },
         8,
         test,
@@ -364,13 +362,11 @@ fn selector_feedback_flows_through_round_close() {
     let test = balanced_test_set(&profile, 4, 5);
     let mut c = Coordinator::new(
         CoordinatorConfig {
-            job_id: JOB,
-            model: profile.model.clone(),
             algorithm: FlAlgorithm::FedAvg,
             rounds: 2,
             parties_per_round: 2,
-            codec: ModelCodec::Raw,
             seed: 7,
+            ..CoordinatorConfig::new(profile.model.clone())
         },
         8,
         test,

@@ -69,8 +69,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "flips-server: job {:#018x} ({} parties, {} rounds, {:?})",
             parts.coordinator.job_id(),
-            spec.parties,
-            spec.rounds,
+            parts.endpoints.len(),
+            spec.rounds.unwrap_or(spec.profile.max_rounds),
             spec.selector
         );
     }

@@ -36,6 +36,33 @@
 //! latency_sigma = 0.8
 //! ```
 //!
+//! Each `[[job]]` fills one [`JobSpec`] — the same description
+//! `SimulationBuilder` builds from — and [`NetConfig::parse`] checks it
+//! with [`JobSpec::validate`], so a job the runtime would refuse fails at
+//! parse time, before any data is generated. The keys, their defaults
+//! (this parser's: six differ from `JobSpec::default()`'s paper values,
+//! chosen so a loopback deployment runs in seconds) and their ranges:
+//!
+//! | key | default | valid |
+//! |---|---|---|
+//! | `dataset` | `"femnist"` | `"mit-bih-ecg"`, `"ham10000"`, `"femnist"`, `"fashion-mnist"` |
+//! | `seed` | required | any non-negative integer; also fixes the job id |
+//! | `parties` | required | ≥ 1 |
+//! | `rounds` | required | ≥ 1 |
+//! | `participation` | `0.25` | `(0, 1]` |
+//! | `alpha` | `0.3` | finite, > 0 |
+//! | `selector` | `"random"` | `"random"`, `"flips"`, `"oort"`, `"gradclus"`, `"tifl"` |
+//! | `codec` | `"raw"` | `"raw"`, `"delta-lossless"`, `"delta-entropy"`, `"f16"`, `"topk:K"` with `1 ≤ K < 2³²` |
+//! | `deadline` | `"injected"` | `"injected"`, `"latency-quantile"`, `"ewma"`, `"fixed"` |
+//! | `deadline_q` | `0.9` | `[0, 1]`; read by `"latency-quantile"` |
+//! | `deadline_slack` | `1.5` | finite, ≥ 0; read by `"latency-quantile"` and `"ewma"` |
+//! | `ewma_alpha` | `0.3` | `(0, 1]`; read by `"ewma"` |
+//! | `deadline_secs` | required by `"fixed"` | finite, > 0 |
+//! | `latency_sigma` | `0.0` | finite, ≥ 0 |
+//! | `straggler_rate` | `0.0` | `[0, 1)`; must be 0 unless `deadline = "injected"` |
+//! | `test_per_class` | `8` | ≥ 1 |
+//! | `clustering_restarts` | `3` | ≥ 1 |
+//!
 //! The parser is a deliberately minimal hand-rolled subset (this
 //! workspace builds offline, so no crates.io `toml`): `[tables]`,
 //! `[[arrays-of-tables]]`, `key = value` with string/integer/float/
@@ -43,7 +70,8 @@
 //! nothing it doesn't.
 
 use flips_core::prelude::{
-    DatasetProfile, DeadlinePolicy, GuardConfig, ModelCodec, SelectorKind, SimulationBuilder,
+    DatasetProfile, DeadlinePolicy, GuardConfig, JobSpec, ModelCodec, SelectorKind,
+    SimulationBuilder,
 };
 use flips_core::FlipsError;
 use flips_fl::guard::{BreakerConfig, RateLimit};
@@ -245,67 +273,6 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// One job's full seeded description — enough for both sides of the
-/// wire to rebuild bit-identical protocol state machines.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSpec {
-    /// The dataset profile, by [`DatasetProfile::by_name`]: one of the
-    /// paper's four, `"mit-bih-ecg"`, `"ham10000"`, `"femnist"` or
-    /// `"fashion-mnist"`.
-    pub dataset: String,
-    /// Seed of every stream in the job (also determines the job id).
-    pub seed: u64,
-    /// Roster size.
-    pub parties: usize,
-    /// Round budget.
-    pub rounds: usize,
-    /// Fraction of the roster selected per round.
-    pub participation: f64,
-    /// Dirichlet non-IID concentration.
-    pub alpha: f64,
-    /// The participant-selection policy.
-    pub selector: SelectorKind,
-    /// The model-payload codec every link speaks, pinned out-of-band on
-    /// both wire ends.
-    pub codec: ModelCodec,
-    /// The round-deadline policy.
-    pub deadline: DeadlinePolicy,
-    /// Log-normal σ of the platform-heterogeneity model.
-    pub latency_sigma: f64,
-    /// Injected straggler rate (the [`DeadlinePolicy::Injected`] path).
-    pub straggler_rate: f64,
-    /// Held-out test samples per class.
-    pub test_per_class: usize,
-    /// k-means restarts of the label-distribution clustering.
-    pub clustering_restarts: usize,
-}
-
-impl JobSpec {
-    /// The builder producing this job's seeded [`flips_fl::FlJob`] —
-    /// identical on every process that parses the same config.
-    ///
-    /// # Errors
-    ///
-    /// [`FlError::InvalidConfig`] for an unknown dataset name.
-    pub fn builder(&self) -> Result<SimulationBuilder, FlError> {
-        let profile = DatasetProfile::by_name(&self.dataset)
-            .ok_or_else(|| FlError::InvalidConfig(format!("unknown dataset {:?}", self.dataset)))?;
-        Ok(SimulationBuilder::new(profile)
-            .parties(self.parties)
-            .rounds(self.rounds)
-            .participation(self.participation)
-            .alpha(self.alpha)
-            .selector(self.selector)
-            .codec(self.codec)
-            .deadline(self.deadline)
-            .latency_sigma(self.latency_sigma)
-            .straggler_rate(self.straggler_rate)
-            .test_per_class(self.test_per_class)
-            .clustering_restarts(self.clustering_restarts)
-            .seed(self.seed))
-    }
-}
-
 /// A full deployment description (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
@@ -327,7 +294,9 @@ pub struct NetConfig {
     pub party_health: Option<String>,
     /// The inbound guard plane, if any.
     pub guard: Option<GuardConfig>,
-    /// The jobs to run, in declaration order.
+    /// The jobs to run, in declaration order: each one seeded
+    /// description, so both sides of the wire rebuild bit-identical
+    /// protocol state machines from it.
     pub jobs: Vec<JobSpec>,
 }
 
@@ -347,9 +316,6 @@ fn codec_from_name(name: &str) -> Result<ModelCodec, FlError> {
         let k: u32 = k.parse().map_err(|_| {
             FlError::InvalidConfig(format!("codec \"topk:{k}\": k must be a positive integer"))
         })?;
-        if k == 0 {
-            return Err(FlError::InvalidConfig("codec \"topk:0\": k must be at least 1".into()));
-        }
         return Ok(ModelCodec::TopK { k });
     }
     match name {
@@ -406,22 +372,27 @@ fn job_from_table(table: &Table, index: usize) -> Result<JobSpec, FlError> {
             )));
         }
     };
+    let dataset = f.str_opt("dataset")?.unwrap_or_else(|| "femnist".to_string());
+    let paper = JobSpec::default();
     let spec = JobSpec {
-        dataset: f.str_opt("dataset")?.unwrap_or_else(|| "femnist".to_string()),
+        profile: DatasetProfile::by_name(&dataset).ok_or_else(|| {
+            FlError::InvalidConfig(format!("{context}: unknown dataset {dataset:?}"))
+        })?,
         seed: f.uint_req("seed")?,
-        parties: f.uint_req("parties")? as usize,
-        rounds: f.uint_req("rounds")? as usize,
+        parties: Some(f.uint_req("parties")? as usize),
+        rounds: Some(f.uint_req("rounds")? as usize),
         participation: f.float_opt("participation")?.unwrap_or(0.25),
-        alpha: f.float_opt("alpha")?.unwrap_or(0.3),
+        alpha: f.float_opt("alpha")?.unwrap_or(paper.alpha),
         selector: selector_from_name(f.str_opt("selector")?.as_deref().unwrap_or("random"))?,
-        codec: codec_from_name(f.str_opt("codec")?.as_deref().unwrap_or("raw"))?,
+        codec: f.str_opt("codec")?.as_deref().map_or(Ok(paper.codec), codec_from_name)?,
         deadline,
         latency_sigma: f.float_opt("latency_sigma")?.unwrap_or(0.0),
-        straggler_rate: f.float_opt("straggler_rate")?.unwrap_or(0.0),
+        straggler_rate: f.float_opt("straggler_rate")?.unwrap_or(paper.straggler_rate),
         test_per_class: f.uint_opt("test_per_class")?.unwrap_or(8) as usize,
         clustering_restarts: f.uint_opt("clustering_restarts")?.unwrap_or(3) as usize,
+        ..paper
     };
-    spec.builder()?; // surfaces an unknown dataset at parse time
+    spec.validate().map_err(|e| FlError::InvalidConfig(format!("{context}: {e}")))?;
     Ok(spec)
 }
 
@@ -536,7 +507,7 @@ impl NetConfig {
         wire.guard = self.guard;
         let mut jobs = Vec::with_capacity(self.jobs.len());
         for spec in &self.jobs {
-            jobs.push(spec.builder()?.build()?.0.into_parts());
+            jobs.push(SimulationBuilder::from(spec.clone()).build()?.0.into_parts());
         }
         Ok((jobs, wire))
     }
@@ -596,7 +567,7 @@ clustering_restarts = 3
         assert_eq!(cfg.jobs.len(), 1);
         let job = &cfg.jobs[0];
         assert_eq!(job.seed, 11);
-        assert_eq!(job.parties, 12);
+        assert_eq!(job.parties, Some(12));
         assert_eq!(job.selector, SelectorKind::Random);
         assert_eq!(job.deadline, DeadlinePolicy::LatencyQuantile { q: 0.5, slack: 1.1 });
     }
@@ -665,7 +636,7 @@ clustering_restarts = 3
         }
         for name in ["mit-bih-ecg", "ham10000", "femnist", "fashion-mnist"] {
             let toml = full_with("seed = 11", &format!("dataset = \"{name}\"\nseed = 11"));
-            assert_eq!(NetConfig::parse(&toml).unwrap().jobs[0].dataset, name);
+            assert_eq!(NetConfig::parse(&toml).unwrap().jobs[0].profile.name, name);
         }
         let toml = full_with("seed = 11", "dataset = \"mnist\"\nseed = 11");
         assert!(matches!(NetConfig::parse(&toml), Err(FlError::InvalidConfig(_))));
@@ -754,6 +725,51 @@ clustering_restarts = 3
         )
         .unwrap_err();
         assert!(err.to_string().contains("links"), "{err}");
+    }
+
+    #[test]
+    fn a_bare_job_takes_the_parsers_defaults() {
+        let cfg = NetConfig::parse(
+            "[server]\nlisten = \"127.0.0.1:0\"\n[[job]]\nseed = 5\nparties = 9\nrounds = 2\n",
+        )
+        .unwrap();
+        let job = &cfg.jobs[0];
+        assert_eq!(job.profile, DatasetProfile::femnist());
+        assert_eq!((job.seed, job.parties, job.rounds), (5, Some(9), Some(2)));
+        assert_eq!((job.participation, job.alpha), (0.25, 0.3));
+        assert_eq!((job.selector, job.codec), (SelectorKind::Random, ModelCodec::Raw));
+        assert_eq!(job.deadline, DeadlinePolicy::Injected);
+        assert_eq!((job.latency_sigma, job.straggler_rate), (0.0, 0.0));
+        assert_eq!((job.test_per_class, job.clustering_restarts), (8, 3));
+    }
+
+    #[test]
+    fn a_job_the_runtime_would_refuse_is_refused_at_parse_time() {
+        const BASE: &str = "[server]\nlisten = \"127.0.0.1:0\"\n[[job]]\nseed = 1\n";
+        for (lines, key) in [
+            ("parties = 8\nrounds = 1\nparticipation = 0.0", "participation"),
+            ("parties = 8\nrounds = 1\nparticipation = 2.0", "participation"),
+            ("parties = 8\nrounds = 1\nstraggler_rate = 1.5", "straggler_rate"),
+            (
+                "parties = 8\nrounds = 1\nstraggler_rate = 0.2\ndeadline = \"ewma\"",
+                "straggler_rate",
+            ),
+            (
+                "parties = 8\nrounds = 1\ndeadline = \"latency-quantile\"\ndeadline_q = 2.0",
+                "deadline_q",
+            ),
+            ("parties = 8\nrounds = 1\nalpha = -1.0", "alpha"),
+            ("parties = 0\nrounds = 1", "parties"),
+            ("parties = 8\nrounds = 0", "rounds"),
+            ("parties = 8\nrounds = 1\ntest_per_class = 0", "test_per_class"),
+            ("parties = 8\nrounds = 1\nlatency_sigma = -0.4", "latency_sigma"),
+            ("parties = 8\nrounds = 1\nclustering_restarts = 0", "clustering_restarts"),
+            ("parties = 8\nrounds = 1\ncodec = \"topk:0\"", "topk:0"),
+        ] {
+            let err = NetConfig::parse(&format!("{BASE}{lines}\n"));
+            let err = err.expect_err(lines).to_string();
+            assert!(err.contains(key) && err.contains("[[job]] #0"), "{lines:?} -> {err}");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod runtime;
 pub mod server;
 
 pub use backoff::{retry, Backoff, RetryClock, SystemClock};
-pub use config::{JobSpec, NetConfig};
+pub use config::NetConfig;
 pub use link::{CoordLink, HelloInfo, PartyLink, SocketRouter};
 pub use metrics::{render_party_metrics, render_server_metrics, HealthPlane, PartySnapshot};
 pub use party::{party_loop_with, PartyOptions};

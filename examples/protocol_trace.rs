@@ -55,21 +55,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let test = balanced_test_set(&profile, 10, seed);
     let latency = Arc::new(LatencyModel::sample(parties, 0.4, seed));
 
-    let job_id = 0xD00D;
     let mut coordinator = Coordinator::new(
         CoordinatorConfig {
-            job_id,
-            model: profile.model.clone(),
             algorithm: FlAlgorithm::FedAvg,
             rounds: 3,
             parties_per_round: 3,
-            codec: ModelCodec::Raw,
             seed,
+            ..CoordinatorConfig::new(profile.model.clone())
         },
         parties,
         test,
         Box::new(RandomSelector::new(parties, seed)),
     )?;
+    let job_id = coordinator.job_id();
 
     let local = LocalTrainingConfig { epochs: 1, ..Default::default() };
     let mut endpoints: Vec<PartyEndpoint> = parts
